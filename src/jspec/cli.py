@@ -8,9 +8,6 @@ mode, power-law or explicit weights) must end up set.
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 Floating-point output is printed with 17 significant digits, so every
 emitted value parses back bit-for-bit.
-
-The environment variable JSPEC_THREADS caps the worker pool used for
-batches of independent identity checks.
 """
 
 from __future__ import annotations
@@ -18,9 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -356,15 +351,6 @@ def _identity_report_row(rep) -> dict:
     }
 
 
-def _threads() -> int:
-    raw = os.environ.get("JSPEC_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return max(1, n) if n else min(4, os.cpu_count() or 1)
-
-
 def _cmd_identities(cfg: RunConfig, identity_id: Optional[str], raw_params: Optional[str],
                     draws: int, flag_params: Optional[dict] = None) -> int:
     jobs: list[tuple[str, dict]] = []
@@ -391,10 +377,7 @@ def _cmd_identities(cfg: RunConfig, identity_id: Optional[str], raw_params: Opti
         for iid in ids:
             for _ in range(draws):
                 jobs.append((iid, draw_params(iid, rng)))
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        reports = list(pool.map(
-            lambda job: identity_check(job[0], tol=cfg.identity_tol, **job[1]), jobs
-        ))
+    reports = [identity_check(iid, tol=cfg.identity_tol, **ps) for iid, ps in jobs]
     rows = [_identity_report_row(rep) for rep in reports]
     ok = all(rep.holds(1e-10) for rep in reports)
     data = {"rows": rows, "all_hold": ok}
@@ -541,7 +524,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except JspecError as exc:
+    except (JspecError, ArithmeticError) as exc:
+        # a stray OverflowError or ZeroDivisionError is a numerical failure
+        # too, never a usage error
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -350,22 +350,40 @@ def _horner_dd(chi, clo, signs, zh, zl) -> tuple[float, float, float]:
 
 
 def _eval_tail_bound(s: PowerSeriesApprox, az: float, coeffs: np.ndarray) -> float:
-    """Certified bound on the omitted orders m > order at |z| = az."""
+    """Certified bound on the omitted orders m > order at |z| = az.
+
+    Both candidates are formed in log space: at large |z| and order the
+    factors az**M and S**(M+1) exceed the float range long before the
+    bound itself is useless, and an overflowing bound is reported as inf.
+    """
+    if az == 0.0:
+        return 0.0
     M = s.order
     last = float(coeffs[M]) + float(s.tail_omitted[M])
     rho = s.ratio_bound_after(M) * az
     if rho < 1.0:
-        geo = last * az**M * rho / (1.0 - rho)
+        geo = _exp_or_inf(_log_or_ninf(last) + M * math.log(az) + _log_or_ninf(rho / (1.0 - rho)))
     else:
         geo = math.inf
     # elementary-symmetric fallback S^{m}/m!, useful at small |z|
     t = s.tail_const * az
-    fact = t ** (M + 1) / math.factorial(M + 1)
+    log_fact = (M + 1) * _log_or_ninf(t) - math.lgamma(M + 2)
     if t < M + 2:
-        fact = fact / (1.0 - t / (M + 2))
+        log_fact -= math.log1p(-t / (M + 2))
     else:
-        fact = fact * math.exp(min(t, 700.0))
-    return min(geo, fact)
+        log_fact += min(t, 700.0)
+    return min(geo, _exp_or_inf(log_fact))
+
+
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+
+def _log_or_ninf(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _exp_or_inf(x: float) -> float:
+    return math.exp(x) if x < _LOG_FLOAT_MAX else math.inf
 
 
 def _omitted_eval_bound(s: PowerSeriesApprox, az: float) -> float:

@@ -1,8 +1,10 @@
 """Point spectrum, eigenvectors, masses, Weyl function, associated operator.
 
-The primary eigenvalue engine is Sturm bisection on finite sections, which
-is cancellation-free at any scale; roots of the characteristic series then
-refine the section values by compensated Newton steps wherever the series
+The primary eigenvalue engine is geometric-midpoint Sturm bisection on
+finite sections: ratio-form Sturm counts are cancellation-free at any scale,
+and splitting brackets in log space keeps the sweep count logarithmic in the
+grading of the section.  Roots of the characteristic series then refine
+the section values by compensated Newton steps wherever the series
 evaluation certifies itself.  Masses and eigenvector samples combine three
 mutually checking routes:
 
@@ -152,17 +154,47 @@ def _pivot_nudge(b: float, x: float) -> float:
 
 def _sturm_count_batch(T: TruncatedJacobi, xs: np.ndarray) -> np.ndarray:
     """Vectorized Sturm counts for a batch of shift points."""
+    # zero-pivot nudges for every (row, shift) pair, formed once per sweep
+    nudge = -np.finfo(float).eps * np.maximum(np.abs(xs), np.maximum(np.abs(T.diag), 1.0)[:, None])
     d = T.diag[0] - xs
-    tiny = np.finfo(float).eps * np.maximum(np.abs(xs), max(abs(T.diag[0]), 1.0))
-    d = np.where(d == 0.0, -tiny, d)
+    d = np.where(d == 0.0, nudge[0], d)
     counts = (d < 0.0).astype(np.int64)
-    for i in range(1, T.size):
-        o = T.offdiag[i - 1]
-        d = (T.diag[i] - xs) - (o / d) * o
-        tiny = np.finfo(float).eps * np.maximum(np.abs(xs), max(abs(T.diag[i]), 1.0))
-        d = np.where(d == 0.0, -tiny, d)
+    for b, o, nu in zip(T.diag[1:].tolist(), T.offdiag.tolist(), nudge[1:]):
+        d = (b - xs) - (o / d) * o
+        d = np.where(d == 0.0, nu, d)
         counts += d < 0.0
     return counts
+
+
+def _bisect(T: TruncatedJacobi, targets: np.ndarray, rtol: float, atol: float = 0.0) -> np.ndarray:
+    """Batched Sturm bisection for the eigenvalues with 1-based ``targets``.
+
+    Brackets with a positive lower end are split at the geometric midpoint
+    sqrt(lo)*sqrt(hi): the sections are strongly graded (Gershgorin upper
+    ends near 1e135 at q = 1/4), and halving in log space reaches an O(1)
+    eigenvalue in a few dozen sweeps where linear halving needs hundreds.
+    The product of square roots cannot overflow where sqrt(lo*hi) would.
+    A bracket is done once its width is below ``rtol*|mid|`` or ``atol``,
+    or once no float lies strictly inside it.
+    """
+    lo_g, hi_g = T.gershgorin()
+    lo = np.full(len(targets), lo_g)
+    hi = np.full(len(targets), hi_g)
+    for _ in range(4096):
+        pos = lo > 0.0
+        geo = np.sqrt(np.where(pos, lo, 1.0)) * np.sqrt(np.where(pos, hi, 1.0))
+        mid = np.where(pos, geo, 0.5 * (lo + hi))
+        # the rounded product can land an ulp outside a bracket only a few
+        # ulps wide; clamping keeps every bracket nested
+        mid = np.minimum(np.maximum(mid, lo), hi)
+        width = hi - lo
+        scale = np.maximum(np.abs(mid), 1e-300)
+        if np.all((width <= np.maximum(rtol * scale, atol)) | (mid <= lo) | (mid >= hi)):
+            return 0.5 * (lo + hi)
+        go_down = _sturm_count_batch(T, mid) >= targets
+        hi = np.where(go_down, mid, hi)
+        lo = np.where(go_down, lo, mid)
+    raise ConvergenceFailure("Sturm bisection did not close its brackets in 4096 sweeps")
 
 
 def eigen_bisect(T: TruncatedJacobi, j: int, tol: float = 1e-12) -> float:
@@ -173,38 +205,13 @@ def eigen_bisect(T: TruncatedJacobi, j: int, tol: float = 1e-12) -> float:
     """
     if not (0 <= j < T.size):
         raise ValueError(f"eigenvalue index {j} outside section of size {T.size}")
-    lo, hi = T.gershgorin()
-    for _ in range(4096):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if hi - lo < tol:
-            break
-        if sturm_count(T, mid) >= j + 1:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return float(_bisect(T, np.array([j + 1]), rtol=0.0, atol=tol)[0])
 
 
 def section_eigenvalues(T: TruncatedJacobi, count: int, rtol: float = 1e-14) -> np.ndarray:
-    """First ``count`` section eigenvalues by batched bisection."""
+    """First ``count`` section eigenvalues by batched geometric-midpoint bisection."""
     count = min(count, T.size)
-    lo_g, hi_g = T.gershgorin()
-    lo = np.full(count, lo_g)
-    hi = np.full(count, hi_g)
-    targets = np.arange(1, count + 1)
-    for _ in range(4096):
-        mid = 0.5 * (lo + hi)
-        width = hi - lo
-        scale = np.maximum(np.abs(mid), 1e-300)
-        if np.all((width <= rtol * scale) | (mid == lo) | (mid == hi)):
-            break
-        counts = _sturm_count_batch(T, mid)
-        go_down = counts >= targets
-        hi = np.where(go_down, mid, hi)
-        lo = np.where(go_down, lo, mid)
-    return 0.5 * (lo + hi)
+    return _bisect(T, np.arange(1, count + 1), rtol)
 
 
 def section_inverse_trace(T: TruncatedJacobi) -> float:
@@ -296,7 +303,13 @@ def _series_context(params: JacobiParams, radius: float, n_max: int):
     return M, J
 
 def _refine_root(fser: PowerSeriesApprox, seed: float, rel_cap: float = 0.25):
-    """Compensated Newton from a section seed; returns (hi, lo, |F|, bound, moved)."""
+    """Compensated Newton from a section seed; returns (hi, lo, |F|, bound, moved).
+
+    Iteration stops once the applied correction is no larger than the
+    certified root resolution err_bound/|F'|, so the result does not depend
+    on the last bits of the seed (a stop on small |F| alone would keep
+    whichever point first fell inside the noise band).
+    """
     zh, zl = float(seed), 0.0
     fe = eval_series(fser, (zh, zl))
     for _ in range(40):
@@ -307,9 +320,10 @@ def _refine_root(fser: PowerSeriesApprox, seed: float, rel_cap: float = 0.25):
         if abs(sh) > rel_cap * abs(zh):
             # seed outside the basin; keep the section value
             return float(seed), 0.0, fe.err_bound, fe.err_bound, False
+        resolution = fe.err_bound / abs(fp.value)
         zh, zl = dd.dd_sub(zh, zl, sh, sl)
         fe = eval_series(fser, (zh, zl))
-        if abs(fe.value) <= 4.0 * fe.err_bound or abs(sh) <= 1e-30 * abs(zh):
+        if abs(sh) <= resolution or abs(sh) <= 1e-30 * abs(zh):
             break
     return zh, zl, abs(fe.value), fe.err_bound, True
 

@@ -158,3 +158,22 @@ def test_cli_output_file(tmp_path):
 
 def test_cli_unknown_flag_is_usage():
     assert main(["--frobnicate", "spectrum"]) == 1
+
+
+def test_cli_spectrum_count13(capsys):
+    # the order-truncation tail bound once overflowed here (az**M)
+    rc = main(["--q", "0.25", "--count", "13", "--format", "csv", "spectrum"])
+    assert rc == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 13
+
+
+def test_cli_stray_arithmetic_error_is_numerical_failure(monkeypatch, capsys):
+    import jspec.cli
+
+    def overflow(*args, **kwargs):
+        raise OverflowError("Numerical result out of range")
+
+    monkeypatch.setattr(jspec.cli, "point_spectrum", overflow)
+    assert main(["--q", "0.25", "--count", "3", "spectrum"]) == 2
+    assert "numerical failure" in capsys.readouterr().err

@@ -8,15 +8,20 @@ function from its three structurally different routes.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from jspec.entire import KIND_CHAR, eval_series, series_coeffs
+from jspec import spectrum
+from jspec.doubledouble import dd_sub
+from jspec.entire import KIND_CHAR, eval_series, second_kind_family, series_coeffs
 from jspec.errors import TailDominates
 from jspec.polycore import second_kind_at_zero
-from jspec.sequences import Geometric, JacobiParams, gamma_lower_bound
+from jspec.sequences import Geometric, JacobiParams, PowerLaw, gamma_lower_bound
 from jspec.spectrum import (
+    TruncatedJacobi,
     associated_checks,
+    associated_section,
     char_via_second_kind,
     eigen_bisect,
     masses_and_vectors,
@@ -228,3 +233,84 @@ def test_interlacing_sections():
                 assert lams[j] <= prev[j] * (1.0 + 1e-14)
                 assert prev[j] < lams[j + 1]
         prev = lams
+
+
+def _mp_sturm_count(T, x) -> int:
+    """Eigenvalues of T strictly below x, counted in 200-bit arithmetic."""
+    with mpmath.workprec(200):
+        x = mpmath.mpf(x)
+        d = mpmath.mpf(T.diag[0]) - x
+        count = int(d < 0)
+        for b, o in zip(T.diag[1:], T.offdiag):
+            if d == 0:
+                d = -mpmath.eps * max(abs(x), 1)
+            d = (mpmath.mpf(b) - x) - mpmath.mpf(o) ** 2 / d
+            count += d < 0
+    return count
+
+
+@pytest.mark.parametrize("params, count", [
+    (GEOM, 13),
+    (JacobiParams(PowerLaw(1.0, 2.0), 0.5), 8),
+])
+def test_section_eigenvalues_match_mpmath_sturm(params, count):
+    rtol = 1e-13
+    T = truncate(params, 112)
+    lams = section_eigenvalues(T, count, rtol=rtol)
+    for j, lam in enumerate(lams):
+        assert _mp_sturm_count(T, lam * (1.0 - rtol)) == j
+        assert _mp_sturm_count(T, lam * (1.0 + rtol)) == j + 1
+
+
+@pytest.fixture
+def sweep_counter(monkeypatch):
+    calls = []
+    inner = spectrum._sturm_count_batch
+
+    def counted(T, xs):
+        calls.append(len(xs))
+        return inner(T, xs)
+
+    monkeypatch.setattr(spectrum, "_sturm_count_batch", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rtol", [1e-13, 0.0])
+def test_graded_section_bisects_in_log_space(sweep_counter, rtol):
+    # linear halving from the Gershgorin top (about 1e135 here) takes hundreds
+    # of sweeps; geometric midpoints need a few dozen, and rtol=0 still stops
+    # once no float lies strictly inside a bracket
+    T = truncate(GEOM, 112)
+    lams = section_eigenvalues(T, 13, rtol=rtol)
+    assert len(sweep_counter) <= 80
+    assert lams[0] == pytest.approx(REF_LAMBDA0, rel=1e-13)
+    assert np.all(np.diff(lams) > 0.0)
+
+
+def test_bisection_across_zero():
+    # Gershgorin interval [-3, 4] straddles 0, so brackets start with the
+    # arithmetic midpoint; the exact eigenvalues are -2 and 3
+    T = TruncatedJacobi(diag=np.array([-1.0, 2.0]), offdiag=np.array([2.0]))
+    assert T.gershgorin() == (-3.0, 4.0)
+    lams = section_eigenvalues(T, 2, rtol=1e-15)
+    assert lams[0] == pytest.approx(-2.0, rel=1e-15)
+    assert lams[1] == pytest.approx(3.0, rel=1e-15)
+    assert eigen_bisect(T, 0, tol=1e-12) == pytest.approx(-2.0, abs=1e-12)
+    assert eigen_bisect(T, 1, tol=1e-12) == pytest.approx(3.0, abs=1e-12)
+
+
+def test_refine_root_ignores_seed_bits():
+    # seeds a few hundred ulps apart must refine to the same double-double
+    # zero of the numerator series, not to wherever |F| first fell below
+    # its error bound
+    T1 = associated_section(GEOM, 59)
+    seeds = section_eigenvalues(T1, 5, rtol=1e-13)
+    M, J = spectrum._series_context(GEOM, float(seeds[-1]) * 1.3 + 1.0, 4)
+    wser = second_kind_family(GEOM, M, J, 0)[0]
+    for seed in seeds:
+        zh, zl, _, _, moved = spectrum._refine_root(wser, float(seed))
+        assert moved
+        for factor in (1.0 - 1e-13, 1.0 + 1e-13):
+            rh, rl, _, _, _ = spectrum._refine_root(wser, float(seed) * factor)
+            diff, _ = dd_sub(rh, rl, zh, zl)
+            assert abs(diff) <= 1e-30 * zh
