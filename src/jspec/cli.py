@@ -44,9 +44,6 @@ class RunConfig:
     eig_tol: float = 1e-10
     eval_tol: float = 1e-10
     identity_tol: float = 1e-12
-    trunc_order: Optional[int] = None
-    index_cutoff: Optional[int] = None
-    matrix_size: Optional[int] = None
     out: Optional[str] = None
     fmt: str = "json"
     seed: int = 20240817
@@ -190,7 +187,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("k/q: provide exactly one of --k or --q")
 
     tols = file_cfg.get("tolerances") or {}
-    trunc = file_cfg.get("truncation") or {}
     out_cfg = file_cfg.get("output") or {}
     cfg = RunConfig(
         seq=seq,
@@ -201,9 +197,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         eval_tol=float(tols.get("eval_tol", 1e-10)),
         identity_tol=float(args.identity_tol if getattr(args, "identity_tol", None) is not None
                            else tols.get("identity_tol", 1e-12)),
-        trunc_order=args.trunc_order if args.trunc_order is not None else trunc.get("order"),
-        index_cutoff=args.index_cutoff if args.index_cutoff is not None else trunc.get("cutoff"),
-        matrix_size=args.matrix_size if args.matrix_size is not None else trunc.get("matrix_size"),
         out=args.out if args.out is not None else out_cfg.get("path"),
         fmt=args.format if args.format is not None else out_cfg.get("format", "json"),
         seed=int(args.seed if args.seed is not None else file_cfg.get("seed", 20240817)),
@@ -414,9 +407,6 @@ _GLOBAL_FLAGS = [
     ("--count", dict(type=int, help="number of eigenvalues")),
     ("--tol", dict(type=float, help="eigenvalue tolerance")),
     ("--identity-tol", dict(type=float, dest="identity_tol")),
-    ("--trunc-order", dict(type=int, dest="trunc_order")),
-    ("--index-cutoff", dict(type=int, dest="index_cutoff")),
-    ("--matrix-size", dict(type=int, dest="matrix_size")),
     ("--out", dict(help="output path (default stdout)")),
     ("--format", dict(choices=["json", "csv"])),
     ("--seed", dict(type=int)),

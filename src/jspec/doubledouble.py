@@ -4,16 +4,15 @@ A value is carried as an unevaluated sum ``hi + lo`` of two floats with
 ``|lo| <= 0.5 ulp(hi)``, giving roughly 32 significant decimal digits.  Only
 the handful of operations the series machinery needs are provided, all in a
 flat functional style so the hot loops stay cheap: every function takes and
-returns plain floats, never wrapper objects.
+returns plain floats, never wrapper objects.  The arithmetic is elementwise,
+so every function also accepts numpy arrays, mixed freely with scalars, and
+gives per element the bits of the scalar call.
 
 The building blocks are the classical error-free transformations (Dekker
-split, Knuth two-sum).  ``math.fma`` is used for the product error when the
-running interpreter provides it.
+split, Knuth two-sum).
 """
 
 from __future__ import annotations
-
-import math
 
 # Conservative per-operation relative rounding unit for error bounds.
 # The exact dd unit is 2^-104; a few bits of headroom absorb the
@@ -21,8 +20,6 @@ import math
 EPS_DD = 2.0 ** -100
 
 _SPLITTER = 134217729.0  # 2^27 + 1
-
-_HAVE_FMA = hasattr(math, "fma")
 
 
 def two_sum(a: float, b: float) -> tuple[float, float]:
@@ -39,10 +36,12 @@ def quick_two_sum(a: float, b: float) -> tuple[float, float]:
 
 
 def two_prod(a: float, b: float) -> tuple[float, float]:
-    """Exact product: (p, e) with p + e == a * b, p = fl(a * b)."""
+    """Exact product: (p, e) with p + e == a * b, p = fl(a * b).
+
+    Dekker's split, not ``math.fma``: fma takes no arrays, and where the
+    split does not overflow both give the same exact e.
+    """
     p = a * b
-    if _HAVE_FMA:
-        return p, math.fma(a, b, -p)
     ca = _SPLITTER * a
     ahi = ca - (ca - a)
     alo = a - ahi
@@ -96,10 +95,6 @@ def dd_div(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
     return quick_two_sum(s, e)
 
 
-def dd_div_d_dd(a: float, bh: float, bl: float) -> tuple[float, float]:
-    return dd_div(a, 0.0, bh, bl)
-
-
 def dd_pow_int(ah: float, al: float, n: int) -> tuple[float, float]:
     """Integer power by binary exponentiation, n >= 0."""
     rh, rl = 1.0, 0.0
@@ -111,13 +106,6 @@ def dd_pow_int(ah: float, al: float, n: int) -> tuple[float, float]:
         if n:
             bh, bl = dd_mul(bh, bl, bh, bl)
     return rh, rl
-
-
-def dd_sum(values: list[tuple[float, float]]) -> tuple[float, float]:
-    sh, sl = 0.0, 0.0
-    for vh, vl in values:
-        sh, sl = dd_add(sh, sl, vh, vl)
-    return sh, sl
 
 
 def compensated_sum(values) -> float:

@@ -17,18 +17,24 @@ Two families of entire functions are computed as alternating power series
   function; ``(-1)^n k^{-n}`` times the shift-n series evaluates the n-th
   eigenvector component.
 
-Chain sums are never enumerated.  A prefix-accumulator dynamic program
-computes all coefficients in O(J*M): the link factor splits as
+Chain sums are never enumerated.  One kernel, ``_chain_tables``, computes
+all coefficients in O(J*M): the link factor splits as
 ``1 - k^{2(j-i)} = 1 - k^{2j} k^{-2i}``, and carrying the scaled accumulator
-``E(j) = sum_{i<=j} S(i) k^{2(j-i)}`` turns the recursion into additions of
+``E(j) = sum_{i<=j} V(i) k^{2(j-i)}`` turns the recursion into additions of
 non-negative terms only (no cancellation, no k^{-2i} overflow):
 
-    forward :  C(j+1) = C(j) + (1-k^2) E(j),   S_{m+1}(j) = x_j C(j)
-    backward:  G_{m+1}(i) = G_{m+1}(i+1) + (1-k^2) E_m(i)
+    E(j) = k^2 E(j-1) + V_m(j),   C(j+1) = C(j) + (1-k^2) E(j),
+    V_{m+1}(j) = x_j C(j)
 
-with ``x_j = 1/((1-k^2) a_j)``.  The backward pass produces every shift n at
-once through suffix sums.  All accumulation runs in double-double arithmetic;
-brute-force chain enumeration is kept in the test suite as the oracle.
+with ``x_j = 1/((1-k^2) a_j)``.  The kernel walks the index axis once and
+updates every chain length m as one double-double vector per index (a
+wavefront: length m+1 at j needs length m below j only).  The forward run
+gives the characteristic prefix table, whose last column is the "char"
+series; the same run on the reversed axis gives the backward sums
+``G_m(i)`` over chains starting after i, and suffix sums of
+``k^{2j}/a_j G_m(j)`` give every second-kind shift n at once.  All
+accumulation runs in double-double arithmetic; brute-force chain
+enumeration is kept in the test suite as the oracle.
 
 Evaluation is compensated (double-double Horner) and certified: the returned
 error bound combines the order-truncation tail, the index-cutoff tail, and a
@@ -129,45 +135,79 @@ class SeriesEval:
         return self.value, self.value_lo
 
 
-def _x_weights_dd(params: JacobiParams, J: int):
-    """x_j = 1/((1-k^2) a_j) as double-double, j = 0..J."""
-    a, _, _ = entry_arrays(params, J + 1)
-    k = params.k
-    k2h, k2l = dd.two_prod(k, k)
-    omh, oml = dd.dd_add_d(-k2h, -k2l, 1.0)
-    xh = np.empty(J + 1)
-    xl = np.empty(J + 1)
-    for j in range(J + 1):
-        den_h, den_l = dd.dd_mul_d(omh, oml, float(a[j]))
-        xh[j], xl[j] = dd.dd_div(1.0, 0.0, den_h, den_l)
-    return a, (k2h, k2l), (omh, oml), xh, xl
+def _dd_inputs(params: JacobiParams, J: int):
+    """Double-double inputs of the chain sums for indices j = 0..J.
 
-
-def _forward_tables(params: JacobiParams, M: int, J: int):
-    """Double-double forward DP.
-
-    Returns (a, Shi, Slo) where S[m][j] is the sum over characteristic
-    chains of length m ending exactly at j (m >= 1).
+    Returns (a, k2, om, x, p): the entries a_j, k^2, 1-k^2, the weights
+    x_j = 1/((1-k^2) a_j) and the powers p_j = k^{2j} for j = 0..J+1.
     """
-    a, (k2h, k2l), (omh, oml), xh, xl = _x_weights_dd(params, J)
-    Shi = np.zeros((M + 1, J + 1))
-    Slo = np.zeros((M + 1, J + 1))
-    # seed: S_1(j) = x_j (1 - k^{2(j+1)})
-    ph, pl = k2h, k2l
+    a, _, _ = entry_arrays(params, J + 1)
+    k2h, k2l = dd.two_prod(params.k, params.k)
+    om = dd.dd_add_d(-k2h, -k2l, 1.0)
+    x = dd.dd_div(1.0, 0.0, *dd.dd_mul_d(om[0], om[1], a))
+    ph = np.empty(J + 2)
+    pl = np.empty(J + 2)
+    ph[:2] = 1.0, k2h
+    pl[:2] = 0.0, k2l
+    for j in range(1, J + 1):
+        ph[j + 1], pl[j + 1] = dd.dd_mul(ph[j], pl[j], k2h, k2l)
+    return a, (k2h, k2l), om, x, (ph, pl)
+
+
+def _chain_tables(w, first, L, k2, om):
+    """One pass of the chain-sum recurrence along an index axis r = 0..N-1.
+
+    ``w`` and ``first`` are double-double (hi, lo) arrays over the axis,
+    ``k2`` and ``om`` the pairs k^2 and 1-k^2.  Fills, for levels l = 0..L,
+
+        V[0] = first,   V[l+1] = w * C[l],
+        C[l](r) = sum_{i<r} (1 - k^{2(r-i)}) V[l](i),
+
+    through E[l](r) = sum_{i<=r} k^{2(r-i)} V[l](i) as in the module notes.
+    Level l+1 at r needs level l below r only, so each step updates every
+    level as one vector, and each cell gets the operations of a scalar loop
+    per level, in the same order.  Returns (Vh, Vl, Ch, Cl) of shapes
+    (L+1, N) and (L, N).
+    """
+    wh, wl = w
+    N = len(wh)
+    Vh = np.empty((N, L + 1))
+    Vl = np.empty((N, L + 1))
+    Ch = np.empty((N, L))
+    Cl = np.empty((N, L))
+    Vh[:, 0], Vl[:, 0] = first
+    eh = el = ch = cl = np.zeros(L)
+    for r in range(N):
+        Ch[r], Cl[r] = ch, cl
+        Vh[r, 1:], Vl[r, 1:] = dd.dd_mul(wh[r], wl[r], ch, cl)
+        eh, el = dd.dd_mul(eh, el, *k2)
+        eh, el = dd.dd_add(eh, el, Vh[r, :L], Vl[r, :L])
+        th, tl = dd.dd_mul(eh, el, *om)
+        ch, cl = dd.dd_add(ch, cl, th, tl)
+    return Vh.T, Vl.T, Ch.T, Cl.T
+
+
+def _char_prefix_table(params: JacobiParams, M: int, J: int):
+    """The table of ``char_chain_prefixes``.
+
+    ``series_coeffs`` reads its last column through this helper, not the
+    public function, so every public function stays one layer of the
+    per-layer trace (perfbench/tracer.py) and no DP is counted twice.
+    """
+    Ah = np.zeros((M + 1, J + 1))
+    Al = np.zeros((M + 1, J + 1))
+    Ah[0] = 1.0
+    if M == 0:
+        return Ah, Al
+    _, k2, om, x, (ph, pl) = _dd_inputs(params, J)
+    # chains of one index: x_j (1 - k^{2(j+1)})
+    first = dd.dd_mul(*x, *dd.dd_add_d(-ph[1:], -pl[1:], 1.0))
+    Sh, Sl, _, _ = _chain_tables(x, first, M - 1, k2, om)
+    sh = sl = np.zeros(M)
     for j in range(J + 1):
-        th, tl = dd.dd_add_d(-ph, -pl, 1.0)
-        Shi[1, j], Slo[1, j] = dd.dd_mul(xh[j], xl[j], th, tl)
-        ph, pl = dd.dd_mul(ph, pl, k2h, k2l)
-    for m in range(1, M):
-        Eh = El = 0.0  # sum_{i<=j} S_m(i) k^{2(j-i)}
-        Ch = Cl = 0.0  # sum_{i<j} S_m(i) (1 - k^{2(j-i)})
-        for j in range(J + 1):
-            Shi[m + 1, j], Slo[m + 1, j] = dd.dd_mul(xh[j], xl[j], Ch, Cl)
-            Eh, El = dd.dd_mul(Eh, El, k2h, k2l)
-            Eh, El = dd.dd_add(Eh, El, Shi[m, j], Slo[m, j])
-            th, tl = dd.dd_mul(Eh, El, omh, oml)
-            Ch, Cl = dd.dd_add(Ch, Cl, th, tl)
-    return a, Shi, Slo
+        sh, sl = dd.dd_add(sh, sl, Sh[:, j], Sl[:, j])
+        Ah[1:, j], Al[1:, j] = sh, sl
+    return Ah, Al
 
 
 def char_chain_prefixes(params: JacobiParams, M: int, J: int):
@@ -178,29 +218,19 @@ def char_chain_prefixes(params: JacobiParams, M: int, J: int):
     so one DP run serves every polynomial degree up to J+1.
     Returned as (A_hi, A_lo); row 0 is identically 1.
     """
-    _, Shi, Slo = _forward_tables(params, M, J)
-    Ahi = np.zeros((M + 1, J + 1))
-    Alo = np.zeros((M + 1, J + 1))
-    Ahi[0] = 1.0
-    for m in range(1, M + 1):
-        sh = sl = 0.0
-        for j in range(J + 1):
-            sh, sl = dd.dd_add(sh, sl, Shi[m, j], Slo[m, j])
-            Ahi[m, j], Alo[m, j] = sh, sl
-    return Ahi, Alo
+    return _char_prefix_table(params, M, J)
 
 
-def _ratio_bounds(params: JacobiParams, J: int, xh: np.ndarray, xl: np.ndarray) -> np.ndarray:
-    """X[m] >= sum_{j >= m} x_j for m = 0..J+1, tail beyond J included."""
+def _weight_suffix(params: JacobiParams, J: int) -> np.ndarray:
+    """X[m] >= sum_{j >= m} x_j for m = 0..J+1, tail beyond J included.
+
+    X[J+1] is the certified tail bound beyond the cutoff alone.
+    """
     k = params.k
+    a, _, _ = entry_arrays(params, J + 1)
+    x = 1.0 / ((1.0 - k * k) * a)
     t_beyond = tail_sum_reciprocal(params.seq, J + 1) / (1.0 - k * k)
-    X = np.empty(J + 2)
-    X[J + 1] = t_beyond
-    acc = t_beyond
-    for j in range(J, -1, -1):
-        acc += xh[j] + xl[j]
-        X[j] = acc
-    return X
+    return np.cumsum(np.concatenate(([t_beyond], x[::-1])))[::-1]
 
 
 def series_coeffs(
@@ -225,16 +255,9 @@ def series_coeffs(
     if M > J:
         raise ValueError(f"order M={M} exceeds index cutoff J={J}")
     if kind == KIND_CHAR:
-        a, Shi, Slo = _forward_tables(params, M, J)
-        chi = np.zeros(M + 1)
-        clo = np.zeros(M + 1)
-        chi[0] = 1.0
-        for m in range(1, M + 1):
-            sh = sl = 0.0
-            for j in range(J + 1):
-                sh, sl = dd.dd_add(sh, sl, Shi[m, j], Slo[m, j])
-            chi[m], clo[m] = sh, sl
-        return _finalize(params, kind, 0, M, J, chi, clo)
+        Ah, Al = _char_prefix_table(params, M, J)
+        return _finalize(params, kind, 0, M, J, Ah[:, J].copy(), Al[:, J].copy(),
+                         _weight_suffix(params, J))
     if kind == KIND_SECOND:
         if shift < 0:
             raise ValueError(f"second-kind shift must be non-negative, got {shift}")
@@ -253,67 +276,48 @@ def second_kind_family(
         raise ValueError(f"order M={M} exceeds index cutoff J={J}")
     if n_max >= J:
         raise ValueError(f"largest shift {n_max} must stay below the cutoff J={J}")
-    a, (k2h, k2l), (omh, oml), xh, xl = _x_weights_dd(params, J)
-    # G[m][i]: chains i < j_1 < ... < j_m weighted by prod (1-k^{2 d}) x_{j}
-    Ghi = np.zeros((M + 1, J + 1))
-    Glo = np.zeros((M + 1, J + 1))
-    Ghi[0] = 1.0
-    for m in range(M):
-        Eh = El = 0.0
-        for i in range(J - 1, -1, -1):
-            th, tl = dd.dd_mul(xh[i + 1], xl[i + 1], Ghi[m, i + 1], Glo[m, i + 1])
-            Eh, El = dd.dd_mul(Eh, El, k2h, k2l)
-            Eh, El = dd.dd_add(Eh, El, th, tl)
-            ph, pl = dd.dd_mul(Eh, El, omh, oml)
-            Ghi[m + 1, i], Glo[m + 1, i] = dd.dd_add(
-                Ghi[m + 1, i + 1], Glo[m + 1, i + 1], ph, pl
-            )
+    a, k2, om, (xh, xl), (ph, pl) = _dd_inputs(params, J)
+    # G[m][i]: chains i < j_1 < ... < j_m weighted by prod (1-k^{2 d}) x_{j}.
+    # On the reversed axis r = J - i the kernel's V[m](r) is x_{J-r} G[m](J-r),
+    # so V[0] is x itself, and G[m+1] is its C[m] read backwards.
+    w = (xh[::-1], xl[::-1])
+    _, _, Ch, Cl = _chain_tables(w, w, M, k2, om)
+    Gh = np.vstack([np.ones(J + 1), Ch[:, ::-1]])
+    Gl = np.vstack([np.zeros(J + 1), Cl[:, ::-1]])
     # suffix sums of seed(j) * G_m(j), seed = k^{2j}/a_j
-    seed_h = np.empty(J + 1)
-    seed_l = np.empty(J + 1)
-    ph, pl = 1.0, 0.0
-    for j in range(J + 1):
-        seed_h[j], seed_l[j] = dd.dd_div(ph, pl, float(a[j]), 0.0)
-        ph, pl = dd.dd_mul(ph, pl, k2h, k2l)
-    out: list[Optional[PowerSeriesApprox]] = [None] * (n_max + 1)
-    Hhi = np.zeros((M + 1, n_max + 1))
-    Hlo = np.zeros((M + 1, n_max + 1))
-    for m in range(M + 1):
-        sh = sl = 0.0
-        for j in range(J, -1, -1):
-            th, tl = dd.dd_mul(seed_h[j], seed_l[j], Ghi[m, j], Glo[m, j])
-            sh, sl = dd.dd_add(sh, sl, th, tl)
-            if j <= n_max:
-                Hhi[m, j], Hlo[m, j] = sh, sl
-    for n in range(n_max + 1):
-        out[n] = _finalize(params, KIND_SECOND, n, M, J, Hhi[:, n].copy(), Hlo[:, n].copy())
-    return out  # type: ignore[return-value]
-
-
-def _finalize(params, kind, shift, M, J, chi, clo) -> PowerSeriesApprox:
-    k = params.k
-    # bound bookkeeping only needs the float view of the weights
-    a, _, _ = entry_arrays(params, J + 1)
-    x = 1.0 / ((1.0 - k * k) * a)
-    t_beyond = tail_sum_reciprocal(params.seq, J + 1) / (1.0 - k * k)
-    X = np.empty(J + 2)
-    X[J + 1] = t_beyond
-    acc = t_beyond
+    sdh, sdl = dd.dd_div(ph[:-1], pl[:-1], a, 0.0)
+    Hh = np.empty((M + 1, n_max + 1))
+    Hl = np.empty((M + 1, n_max + 1))
+    sh = sl = np.zeros(M + 1)
     for j in range(J, -1, -1):
-        acc += x[j]
-        X[j] = acc
-    S = float(X[0])
+        th, tl = dd.dd_mul(sdh[j], sdl[j], Gh[:, j], Gl[:, j])
+        sh, sl = dd.dd_add(sh, sl, th, tl)
+        if j <= n_max:
+            Hh[:, j], Hl[:, j] = sh, sl
+    X = _weight_suffix(params, J)
+    return [
+        _finalize(params, KIND_SECOND, n, M, J, Hh[:, n].copy(), Hl[:, n].copy(), X)
+        for n in range(n_max + 1)
+    ]
+
+
+def _finalize(params, kind, shift, M, J, chi, clo, X) -> PowerSeriesApprox:
+    k = params.k
+    t_beyond = float(X[J + 1])
     # omitted-index bounds: a chain touching an index beyond J contributes at
     # most (that index's weight) times a full chain one link shorter.
     omitted = np.zeros(M + 1)
-    if kind == KIND_CHAR:
-        for m in range(1, M + 1):
-            omitted[m] = t_beyond * chi[m - 1]
-    else:
+    omitted[1:] = t_beyond * chi[:-1]
+    if kind == KIND_SECOND:
+        # plus the seed beyond J times every chain after it, seed * X^m / m!,
+        # in log space: X^m and m! leave the float range long before the
+        # bound is useless
         seed_beyond = k ** (2 * (J + 1)) * tail_sum_reciprocal(params.seq, J + 1)
         omitted[0] = seed_beyond
+        log_seed = _log_or_ninf(seed_beyond)
+        log_X = math.log(X[min(shift + 1, J + 1)])
         for m in range(1, M + 1):
-            omitted[m] = t_beyond * chi[m - 1] + seed_beyond * X[min(shift + 1, J + 1)] ** m / math.factorial(m)
+            omitted[m] += _exp_or_inf(log_seed + m * log_X - math.lgamma(m + 1))
     return PowerSeriesApprox(
         kind=kind,
         shift=shift,
@@ -322,7 +326,7 @@ def _finalize(params, kind, shift, M, J, chi, clo) -> PowerSeriesApprox:
         cutoff=J,
         coeffs=chi,
         coeffs_lo=clo,
-        tail_const=S,
+        tail_const=float(X[0]),
         tail_omitted=omitted,
         ratio_bounds=X,
     )
@@ -584,9 +588,7 @@ def choose_truncation(
         raise ConvergenceFailure(
             f"no index cutoff below {max_cutoff} certifies radius {radius:g} at tol {tol:g}"
         )
-    a, _, _ = entry_arrays(params, J + 2)
-    x = 1.0 / ((1.0 - k * k) * a)
-    suffix = np.concatenate([np.cumsum(x[::-1])[::-1], [0.0]]) + t_beyond
+    suffix = _weight_suffix(params, J)
     M = 4
     while M < max_order:
         rho = suffix[min(M + 1, J + 1)] * radius

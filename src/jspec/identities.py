@@ -46,6 +46,7 @@ import numpy as np
 
 from .doubledouble import compensated_sum
 from .errors import ParameterOutOfRange, TruncationTooCoarse
+from .qlaguerre import qpochhammer
 
 __all__ = ["IdentityReport", "IDENTITY_IDS", "check", "draw_params", "chain_rhs"]
 
@@ -75,15 +76,6 @@ class IdentityReport:
 
     def holds(self, slack: float = 1e-10) -> bool:
         return self.abs_err <= self.trunc_bound + slack * max(1.0, abs(self.lhs), abs(self.rhs))
-
-
-def _qpoch(a: float, q: float, n: int) -> float:
-    p = 1.0
-    f = a
-    for _ in range(n):
-        p *= 1.0 - f
-        f *= q
-    return p
 
 
 def _poch_rows(q: float, shift: float, length: int, N: int) -> np.ndarray:
@@ -120,7 +112,7 @@ def _check_basic(q: float, r: int, w: float, tol: float):
         raise ParameterOutOfRange(f"BASIC needs integer r >= 1, got {r!r}")
     if not (abs(w) < 1.0):
         raise ParameterOutOfRange(f"BASIC needs |w| < 1 for the certified tail, got {w!r}")
-    dmin = _qpoch(abs(w), q, 200)  # lower bound on every denominator
+    dmin = qpochhammer(abs(w), q, 200)  # lower bound on every denominator
     ratio = q**r
     N = _pick_depth(ratio, 1.0 / dmin, tol)
     n = np.arange(N, dtype=float)
@@ -129,7 +121,7 @@ def _check_basic(q: float, r: int, w: float, tol: float):
         den *= 1.0 - (q**n) * w * q**t
     terms = q ** (r * n) / den
     lhs = float(compensated_sum(terms[::-1]))
-    rhs = 1.0 / ((1.0 - q**r) * _qpoch(w, q, r))
+    rhs = 1.0 / ((1.0 - q**r) * qpochhammer(w, q, r))
     bound = _geom_tail(ratio, 1.0 / dmin, N)
     return lhs, rhs, bound, N
 
@@ -141,7 +133,7 @@ def _check_phi10(q: float, m: int, w: float, tol: float):
         raise ParameterOutOfRange(f"PHI10 needs integer m >= 0, got {m!r}")
     if not (abs(w) < 1.0):
         raise ParameterOutOfRange(f"PHI10 needs |w| < 1, got {w!r}")
-    qq_inf = _qpoch(q, q, 400)
+    qq_inf = qpochhammer(q, q, 400)
     N = _pick_depth(abs(w) if w != 0.0 else 0.5, 1.0 / qq_inf, tol)
     s = np.arange(N, dtype=float)
     num = np.ones(N)
@@ -151,7 +143,7 @@ def _check_phi10(q: float, m: int, w: float, tol: float):
         den[i] = den[i - 1] * (1.0 - q**i)
     terms = num / den * w**s
     lhs = float(compensated_sum(terms[::-1]))
-    rhs = 1.0 / _qpoch(w, q, m)
+    rhs = 1.0 / qpochhammer(w, q, m)
     bound = _geom_tail(abs(w) if w != 0.0 else 0.5, 1.0 / qq_inf, N)
     return lhs, rhs, bound, N
 
@@ -163,7 +155,7 @@ def _check_lemma1(q: float, m: int, w: float, tol: float):
         raise ParameterOutOfRange(f"LEMMA1 needs integer m >= 1, got {m!r}")
     if not (abs(w) < 1.0):
         raise ParameterOutOfRange(f"LEMMA1 needs |w| < 1, got {w!r}")
-    dmin = _qpoch(abs(w), q, 200)
+    dmin = qpochhammer(abs(w), q, 200)
     ratio_j = max(abs(w), 1e-3) * q ** (m + 1)
     Nj = _pick_depth(ratio_j, 2.0 / (dmin * (1.0 - q)), tol / 2.0)
     # inner depth: ratio q^{j+m+1} <= q^{m+1}
@@ -178,7 +170,7 @@ def _check_lemma1(q: float, m: int, w: float, tol: float):
     for jj in range(Nj):
         inner = float(compensated_sum(((qn ** (jj + m + 1)) / den_inner)[::-1]))
         outer[jj] = q ** ((m + 1) * jj) * w**jj / (1.0 - q ** (jj + m)) * inner
-    lhs = (1.0 - q**m) * _qpoch(w, q, m) * float(compensated_sum(outer[::-1]))
+    lhs = (1.0 - q**m) * qpochhammer(w, q, m) * float(compensated_sum(outer[::-1]))
     # right side: geometric series with ratio q^m |w|
     Nr = _pick_depth(max(abs(w), 1e-3) * q**m, 1.0 / (1.0 - q), 1e-17)
     jr = np.arange(Nr, dtype=float)
@@ -206,7 +198,7 @@ def _check_denom(q: float, m: int, a: float, tol: float):
         shifts, lengths = [a], [1]
     dmin = 1.0
     for sh, ln in zip(shifts, lengths):
-        dmin *= _qpoch(q**sh, q, ln)
+        dmin *= qpochhammer(q**sh, q, ln)
     scale = 1.0 / (dmin * (1.0 - q) ** (m + 1))
     N = _pick_depth(q, scale, tol / 2.0)
     # innermost-first prefix accumulation
@@ -220,9 +212,9 @@ def _check_denom(q: float, m: int, a: float, tol: float):
     Nr = _pick_depth(q ** (m + a), 1.0 / (1.0 - q), 1e-17)
     jr = np.arange(Nr, dtype=float)
     rhs_series = float(compensated_sum((q ** ((m + a) * jr) / (1.0 - q ** (jr + m + 1)))[::-1]))
-    rhs = rhs_series / (_qpoch(q, q, m) * _qpoch(q**a, q, m))
+    rhs = rhs_series / (qpochhammer(q, q, m) * qpochhammer(q**a, q, m))
     bound = _geom_tail(q, scale, N) + _geom_tail(q ** (m + a), 1.0 / (1.0 - q), Nr) / (
-        _qpoch(q, q, m) * _qpoch(q**a, q, m)
+        qpochhammer(q, q, m) * qpochhammer(q**a, q, m)
     )
     return lhs, rhs, bound, N
 
@@ -239,7 +231,7 @@ def chain_rhs(q: float, c: tuple, strict_seed: bool) -> float:
     for i in range(m, -1, -1):
         suffix += c[i]
         ln = 2 if (i > 0 or strict_seed) else 1
-        denom *= _qpoch(q**suffix, q, ln)
+        denom *= qpochhammer(q**suffix, q, ln)
     return q**expo / denom
 
 
@@ -288,7 +280,7 @@ def _check_synchro(q: float, s: tuple, a: float, tol: float):
     shifts = [sum(s[i + 1:]) + a + (m - 1 - i) for i in range(m)]
     dmin = 1.0
     for i in range(m):
-        dmin *= _qpoch(q ** shifts[i], q, s[i] + 1)
+        dmin *= qpochhammer(q ** shifts[i], q, s[i] + 1)
     scale = 1.0 / (dmin * np.prod([1.0 - q ** float(v) for v in s]))
     N = _pick_depth(q ** s[0], scale, tol / 2.0)
     n = np.arange(N, dtype=float)
@@ -298,7 +290,7 @@ def _check_synchro(q: float, s: tuple, a: float, tol: float):
         prefix = np.cumsum(u * prefix)
     u0 = q ** (s[0] * n) / _poch_rows(q, shifts[0], s[0] + 1, N)
     lhs = float(compensated_sum((u0 * prefix)[::-1]))
-    denom = _qpoch(q**a, q, sum(s))
+    denom = qpochhammer(q**a, q, sum(s))
     for t in range(1, m + 1):
         denom *= 1.0 - q ** sum(s[:t])
     rhs = 1.0 / denom

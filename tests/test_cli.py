@@ -177,3 +177,11 @@ def test_cli_stray_arithmetic_error_is_numerical_failure(monkeypatch, capsys):
     monkeypatch.setattr(jspec.cli, "point_spectrum", overflow)
     assert main(["--q", "0.25", "--count", "3", "spectrum"]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_removed_truncation_flags_are_usage_errors():
+    # the truncation is chosen per evaluation from the tolerances; a flag
+    # that would be parsed and then ignored is refused instead
+    assert main(["--q", "0.25", "--trunc-order", "5", "spectrum"]) == 1
+    assert main(["--q", "0.25", "--index-cutoff", "64", "spectrum"]) == 1
+    assert main(["--q", "0.25", "--matrix-size", "64", "spectrum"]) == 1

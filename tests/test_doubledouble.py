@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from jspec import doubledouble as dd
@@ -39,3 +40,27 @@ def test_dd_pow_int():
 def test_compensated_sum_beats_naive():
     xs = [1e16, 1.0, -1e16, 1.0] * 50
     assert dd.compensated_sum(xs) == 100.0
+
+
+def test_array_ops_match_scalar_bits():
+    # the chain-sum kernel runs dd_add/dd_mul on arrays, also mixed with
+    # scalars; each element must carry the bits of the scalar call
+    rng = np.random.default_rng(7)
+    n = 400
+
+    def dd_values():
+        hi = rng.standard_normal(n) * 10.0 ** rng.integers(-150, 150, n)
+        return dd.two_sum(hi, hi * rng.uniform(-(2.0**-53), 2.0**-53, n))
+
+    ah, al = dd_values()
+    bh, bl = dd_values()
+    for op in (dd.dd_add, dd.dd_mul):
+        cases = (
+            (op(ah, al, bh, bl), lambda i: (ah[i], al[i], bh[i], bl[i])),
+            (op(ah[0], al[0], bh, bl), lambda i: (ah[0], al[0], bh[i], bl[i])),
+            (op(ah, al, bh[0], bl[0]), lambda i: (ah[i], al[i], bh[0], bl[0])),
+        )
+        for (rh, rl), args in cases:
+            for i in range(n):
+                sh, sl = op(*(float(v) for v in args(i)))
+                assert (float(rh[i]).hex(), float(rl[i]).hex()) == (sh.hex(), sl.hex())

@@ -7,6 +7,7 @@ shared with the production path).
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from jspec.entire import (
     KIND_CHAR,
     KIND_SECOND,
+    char_chain_prefixes,
     choose_truncation,
     eigenvector_entry,
     envelope_bound,
@@ -69,6 +71,45 @@ def test_dp_matches_enumeration(q, k):
         for m in range(0, 4):
             brute = enum_second_chain(params, n, m, J)
             assert abs(fam[n].coefficient(m) - brute) / brute < 1e-14
+    # every prefix column, order 1, order = cutoff, and every shift below J;
+    # chains that cannot fit must come out exactly 0
+    for M, J in ((3, 12), (1, 9), (6, 6)):
+        ser = series_coeffs(params, KIND_CHAR, M, J)
+        Ahi, Alo = char_chain_prefixes(params, M, J)
+        assert np.array_equal(Ahi[:, J], ser.coeffs) and np.array_equal(Alo[:, J], ser.coeffs_lo)
+        assert np.all(Ahi[0] == 1.0)
+        for m in range(1, M + 1):
+            for j in range(J + 1):
+                brute = enum_char_chain(params, m, j)
+                assert abs(Ahi[m, j] - brute) <= 1e-14 * brute
+        fam = second_kind_family(params, M, J, J - 1)
+        for n in range(J):
+            for m in range(M + 1):
+                brute = enum_second_chain(params, n, m, J)
+                assert abs(fam[n].coefficient(m) - brute) <= 1e-14 * brute
+
+
+def test_order_zero_series():
+    ser = series_coeffs(GEOM, KIND_CHAR, 0, 10)
+    assert ser.coeffs.tolist() == [1.0] and ser.coeffs_lo.tolist() == [0.0]
+    Ahi, Alo = char_chain_prefixes(GEOM, 0, 10)
+    assert Ahi.shape == (1, 11) and np.all(Ahi == 1.0) and np.all(Alo == 0.0)
+    fam = second_kind_family(GEOM, 0, 10, 3)
+    for n in range(4):
+        assert fam[n].coefficient(0) == pytest.approx(enum_second_chain(GEOM, n, 0, 10), rel=1e-14)
+
+
+@pytest.mark.parametrize("M,J", [(100, 200), (200, 400)])
+def test_second_kind_omitted_bounds_stay_finite(M, J):
+    # seed * X^m / m! once overflowed in X^m (and m! beyond order 170);
+    # the inf bounds times an underflowed |z|^m made every err_bound NaN
+    params = JacobiParams(Geometric(0.97), math.sqrt(0.97))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fam = second_kind_family(params, M, J, 2)
+    for s in fam:
+        assert np.all(np.isfinite(s.tail_omitted))
+        assert math.isfinite(eval_series(s, 1e-3).err_bound)
 
 
 def test_reference_coefficients():
