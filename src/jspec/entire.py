@@ -36,10 +36,11 @@ series; the same run on the reversed axis gives the backward sums
 accumulation runs in double-double arithmetic; brute-force chain
 enumeration is kept in the test suite as the oracle.
 
-Evaluation is compensated (double-double Horner) and certified: the returned
-error bound combines the order-truncation tail, the index-cutoff tail, and a
-cancellation term ``kappa * eps``, where kappa is the ratio of the sum of
-absolute terms to the absolute value of the result.
+Evaluation is compensated (one double-double Horner loop, ``_horner_dd``,
+which also takes a 2-D table and then evaluates a whole family at once) and
+certified by one bound, ``_certified``: the order-truncation tail, the
+index-cutoff tail, and a cancellation term ``kappa * eps``, where kappa is
+the ratio of the sum of absolute terms to the absolute value of the result.
 """
 
 from __future__ import annotations
@@ -338,22 +339,27 @@ def _as_dd_point(z) -> tuple[float, float]:
     return float(z), 0.0
 
 
-def _horner_dd(chi, clo, signs, zh, zl) -> tuple[float, float, float]:
-    """Compensated Horner for sum signs[m]*c[m]*z^m; also |.|-sum at |z|."""
+def _horner_dd(chi, clo, zh, zl):
+    """Compensated Horner (Graillat, Langlois & Louvet 2005) for sum (-1)^m c_m z^m.
+
+    Also returns the abs-sum at |z|.  ``chi``/``clo`` are 1-D for one series
+    or 2-D (order x series) for a family; dd arithmetic is elementwise, so
+    each column gets the bits of its own 1-D call.
+    """
     n = len(chi)
-    rh = signs[n - 1] * chi[n - 1]
-    rl = signs[n - 1] * clo[n - 1]
-    for m in range(n - 2, -1, -1):
-        rh, rl = dd.dd_mul(rh, rl, zh, zl)
-        rh, rl = dd.dd_add(rh, rl, signs[m] * chi[m], signs[m] * clo[m])
+    sg = 1.0 if n % 2 else -1.0  # (-1)^(n-1)
+    rh, rl = sg * chi[n - 1], sg * clo[n - 1]
     az = abs(zh)
-    ab = 0.0
-    for m in range(n - 1, -1, -1):
+    ab = abs(chi[n - 1])
+    for m in range(n - 2, -1, -1):
+        sg = -sg
+        rh, rl = dd.dd_mul(rh, rl, zh, zl)
+        rh, rl = dd.dd_add(rh, rl, sg * chi[m], sg * clo[m])
         ab = ab * az + abs(chi[m])
     return rh, rl, ab
 
 
-def _eval_tail_bound(s: PowerSeriesApprox, az: float, coeffs: np.ndarray) -> float:
+def _eval_tail_bound(s: PowerSeriesApprox, az: float) -> float:
     """Certified bound on the omitted orders m > order at |z| = az.
 
     Both candidates are formed in log space: at large |z| and order the
@@ -363,7 +369,7 @@ def _eval_tail_bound(s: PowerSeriesApprox, az: float, coeffs: np.ndarray) -> flo
     if az == 0.0:
         return 0.0
     M = s.order
-    last = float(coeffs[M]) + float(s.tail_omitted[M])
+    last = float(s.coeffs[M]) + float(s.tail_omitted[M])
     rho = s.ratio_bound_after(M) * az
     if rho < 1.0:
         geo = _exp_or_inf(_log_or_ninf(last) + M * math.log(az) + _log_or_ninf(rho / (1.0 - rho)))
@@ -401,15 +407,29 @@ def _omitted_eval_bound(s: PowerSeriesApprox, az: float) -> float:
     return tot
 
 
-_ALT_SIGNS_CACHE: dict[int, np.ndarray] = {}
+def _dd_rounding(s: PowerSeriesApprox) -> float:
+    """Rounding-unit count of a dd evaluation of ``s`` or of its derivative."""
+    return 4.0 * s.order + 2.0 * s.cutoff + 16.0
 
 
-def _alt_signs(n: int) -> np.ndarray:
-    sg = _ALT_SIGNS_CACHE.get(n)
-    if sg is None:
-        sg = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-        _ALT_SIGNS_CACHE[n] = sg
-    return sg
+def _certified(s, value, value_lo, abs_sum, az, tol, unit, rounding, tail_factor=1.0):
+    """SeriesEval with the one certified bound of an evaluation of ``s`` at |z| = az.
+
+    Order tail (times ``tail_factor``) + omitted-index tail + rounding term;
+    raises CancellationFailure when ``tol`` is given and not certified.
+    """
+    err = (
+        _eval_tail_bound(s, az) * tail_factor
+        + _omitted_eval_bound(s, az)
+        + rounding * unit * abs_sum
+    )
+    kappa = abs_sum / abs(value) if value != 0.0 else math.inf
+    if tol is not None and (not (err <= tol * max(abs(value), 1e-300)) or kappa * unit > tol):
+        raise CancellationFailure(
+            f"series evaluation at |z|={az!r} certifies only |err|<={err:.3e} "
+            f"(kappa={kappa:.3e}), beyond the requested tolerance {tol:.3e}"
+        )
+    return SeriesEval(value=value, value_lo=value_lo, kappa=kappa, err_bound=err, abs_sum=abs_sum)
 
 
 def eval_series(s: PowerSeriesApprox, z, tol: Optional[float] = None) -> SeriesEval:
@@ -425,22 +445,24 @@ def eval_series(s: PowerSeriesApprox, z, tol: Optional[float] = None) -> SeriesE
     if isinstance(z, complex):
         return _eval_complex(s, z, tol)
     zh, zl = _as_dd_point(z)
-    signs = _alt_signs(s.order + 1)
-    rh, rl, ab = _horner_dd(s.coeffs, s.coeffs_lo, signs, zh, zl)
-    az = abs(zh)
-    err = (
-        _eval_tail_bound(s, az, s.coeffs)
-        + _omitted_eval_bound(s, az)
-        + (4.0 * s.order + 2.0 * s.cutoff + 16.0) * EPS_DD * ab
-    )
-    kappa = ab / abs(rh) if rh != 0.0 else math.inf
-    if tol is not None:
-        if not (err <= tol * max(abs(rh), 1e-300)) or kappa * EPS_DD > tol:
-            raise CancellationFailure(
-                f"series evaluation at z={zh!r} certifies only |err|<={err:.3e} "
-                f"(kappa={kappa:.3e}), beyond the requested tolerance {tol:.3e}"
-            )
-    return SeriesEval(value=rh, value_lo=rl, kappa=kappa, err_bound=err, abs_sum=ab)
+    rh, rl, ab = _horner_dd(s.coeffs, s.coeffs_lo, zh, zl)
+    return _certified(s, rh, rl, ab, abs(zh), tol, EPS_DD, _dd_rounding(s))
+
+
+def _eval_family(fam: list[PowerSeriesApprox], z) -> list[SeriesEval]:
+    """``eval_series(s, z)`` for every series of ``fam`` from one 2-D Horner.
+
+    The series must share their order (a ``second_kind_family`` does); each
+    result carries the bits of the single call.
+    """
+    zh, zl = _as_dd_point(z)
+    chi = np.stack([s.coeffs for s in fam], axis=1)
+    clo = np.stack([s.coeffs_lo for s in fam], axis=1)
+    rh, rl, ab = _horner_dd(chi, clo, zh, zl)
+    return [
+        _certified(s, rh[i], rl[i], ab[i], abs(zh), None, EPS_DD, _dd_rounding(s))
+        for i, s in enumerate(fam)
+    ]
 
 
 def eval_series_deriv(s: PowerSeriesApprox, z, tol: Optional[float] = None) -> SeriesEval:
@@ -451,40 +473,25 @@ def eval_series_deriv(s: PowerSeriesApprox, z, tol: Optional[float] = None) -> S
     """
     if s.order < 1:
         return SeriesEval(0.0, 0.0, 1.0, 0.0, 0.0)
-    if isinstance(z, complex):
-        dser = _deriv_view(s)
-        out = _eval_complex(dser, z, tol)
-        return SeriesEval(-out.value, -out.value_lo, out.kappa, out.err_bound, out.abs_sum)
-    zh, zl = _as_dd_point(z)
     dser = _deriv_view(s)
-    signs = _alt_signs(dser.order + 1)
-    rh, rl, ab = _horner_dd(dser.coeffs, dser.coeffs_lo, signs, zh, zl)
-    az = abs(zh)
-    err = (
-        _eval_tail_bound(dser, az, dser.coeffs) * (dser.order + 2.0)
-        + _omitted_eval_bound(dser, az)
-        + (4.0 * s.order + 2.0 * s.cutoff + 16.0) * EPS_DD * ab
-    )
-    kappa = ab / abs(rh) if rh != 0.0 else math.inf
-    if tol is not None and (err > tol * max(abs(rh), 1e-300) or kappa * EPS_DD > tol):
-        raise CancellationFailure(
-            f"derivative evaluation at z={zh!r} certifies only |err|<={err:.3e}"
-        )
-    return SeriesEval(value=-rh, value_lo=-rl, kappa=kappa, err_bound=err, abs_sum=ab)
+    tail_factor = dser.order + 2.0
+    if isinstance(z, complex):
+        out = _eval_complex(dser, z, tol, tail_factor)
+    else:
+        zh, zl = _as_dd_point(z)
+        rh, rl, ab = _horner_dd(dser.coeffs, dser.coeffs_lo, zh, zl)
+        out = _certified(dser, rh, rl, ab, abs(zh), tol, EPS_DD, _dd_rounding(s), tail_factor)
+    return SeriesEval(-out.value, -out.value_lo, out.kappa, out.err_bound, out.abs_sum)
 
 
 def _deriv_view(s: PowerSeriesApprox) -> PowerSeriesApprox:
-    M = s.order - 1
     j = np.arange(1, s.order + 1, dtype=float)
-    chi = np.empty(M + 1)
-    clo = np.empty(M + 1)
-    for m in range(M + 1):
-        chi[m], clo[m] = dd.dd_mul_d(s.coeffs[m + 1], s.coeffs_lo[m + 1], float(m + 1))
+    chi, clo = dd.dd_mul_d(s.coeffs[1:], s.coeffs_lo[1:], j)
     return PowerSeriesApprox(
         kind=s.kind,
         shift=s.shift,
         k=s.k,
-        order=M,
+        order=s.order - 1,
         cutoff=s.cutoff,
         coeffs=chi,
         coeffs_lo=clo,
@@ -494,25 +501,17 @@ def _deriv_view(s: PowerSeriesApprox) -> PowerSeriesApprox:
     )
 
 
-def _eval_complex(s: PowerSeriesApprox, z: complex, tol: Optional[float]) -> SeriesEval:
-    signs = _alt_signs(s.order + 1)
-    r = 0.0 + 0.0j
-    for m in range(s.order, -1, -1):
-        r = r * z + signs[m] * (s.coeffs[m] + s.coeffs_lo[m])
+def _eval_complex(s: PowerSeriesApprox, z: complex, tol, tail_factor=1.0) -> SeriesEval:
+    """Plain complex Horner (dd arithmetic has no complex form), bound at eps."""
     az = abs(z)
+    r = 0.0 + 0.0j
     ab = 0.0
     for m in range(s.order, -1, -1):
+        c = s.coeffs[m] + s.coeffs_lo[m]
+        r = r * z + (-c if m % 2 else c)
         ab = ab * az + s.coeffs[m]
     eps64 = np.finfo(float).eps
-    err = (
-        _eval_tail_bound(s, az, s.coeffs)
-        + _omitted_eval_bound(s, az)
-        + (4.0 * s.order + 16.0) * eps64 * ab
-    )
-    kappa = ab / abs(r) if r != 0 else math.inf
-    if tol is not None and (err > tol * max(abs(r), 1e-300) or kappa * eps64 > tol):
-        raise CancellationFailure(f"complex series evaluation at z={z!r} not certifiable")
-    return SeriesEval(value=r, value_lo=0.0, kappa=kappa, err_bound=err, abs_sum=ab)  # type: ignore[arg-type]
+    return _certified(s, r, 0.0, ab, az, tol, eps64, 4.0 * s.order + 16.0, tail_factor)
 
 
 def scale_for_shift(k: float, n: int) -> float:
@@ -608,15 +607,14 @@ def choose_truncation(
     return M, J
 
 
-def _phi_values(params, ns, z, M, J, tol):
+def _phi_values(params, ns, z, M, J):
+    """Phi_n(z) as dd pairs for each n in ``ns``, from one family evaluation."""
     fam = second_kind_family(params, M, J, max(ns))
-    out = {}
-    for n in ns:
-        ev = eval_series(fam[n], z, tol=tol)
-        sc = scale_for_shift(params.k, n)
-        vh, vl = dd.dd_mul_d(ev.value, ev.value_lo, sc)
-        out[n] = (vh, vl, abs(sc) * ev.err_bound)
-    return out
+    evs = _eval_family([fam[n] for n in ns], z)
+    return {
+        n: dd.dd_mul_d(ev.value, ev.value_lo, scale_for_shift(params.k, n))
+        for n, ev in zip(ns, evs)
+    }
 
 
 def wronskian_residual(
@@ -638,7 +636,7 @@ def wronskian_residual(
         M_, J_ = choose_truncation(params, max(abs(zh), 1.0), 1e-13, min_cutoff=n + 3)
         M = M or M_
         J = J or max(J_, n + 3)
-    phis = _phi_values(params, (n, n + 1), (zh, zl), M, J, tol=None)
+    phis = _phi_values(params, (n, n + 1), (zh, zl), M, J)
     Ph, Pl = orthopoly_values_dd(params, n + 1, (zh, zl))
     _, alpha, _ = entry_arrays(params, n + 1)
     t1 = dd.dd_mul(Ph[n], Pl[n], phis[n + 1][0], phis[n + 1][1])
@@ -670,7 +668,7 @@ def recurrence_residual(
         M = M or M_
         J = J or max(J_, n + 3)
     ns = (n, n + 1) if n == 0 else (n - 1, n, n + 1)
-    phis = _phi_values(params, ns, (zh, zl), M, J, tol=None)
+    phis = _phi_values(params, ns, (zh, zl), M, J)
     _, alpha, beta = entry_arrays(params, n + 2)
     bh, bl = dd.dd_add_d(-zh, -zl, float(beta[n]))
     rh, rl = dd.dd_mul(bh, bl, phis[n][0], phis[n][1])

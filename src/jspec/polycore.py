@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import doubledouble as dd
-from .entire import char_chain_prefixes
+from .entire import _horner_dd, char_chain_prefixes
 from .errors import SequenceError
 from .sequences import JacobiParams, entry_arrays, tail_sum_reciprocal
 
@@ -134,29 +134,22 @@ def _eval_explicit(params: JacobiParams, n: int, x: float) -> PolyEval:
         one = np.ones(1)
         return PolyEval(0, x, "explicit", one.copy(), one.copy(),
                         np.zeros(1, dtype=np.int64), False, coeffs=one.copy())
-    J = n - 1
-    Ahi, Alo = char_chain_prefixes(params, n, J)
+    # column deg-1 of the prefix table holds the coefficients of degree deg;
+    # its rows m > deg are exactly 0, so one 2-D Horner serves every degree
+    Ahi, Alo = char_chain_prefixes(params, n, n - 1)
+    rh, _, _ = _horner_dd(Ahi, Alo, float(x), 0.0)
     vals = np.empty(n + 1)
     vals[0] = 1.0
     kinv_ok = True
     for deg in range(1, n + 1):
-        # sum_m (-1)^m c_m x^m with c_m = A[m][deg-1], then scale
-        rh = (-1.0) ** deg * Ahi[deg, deg - 1]
-        rl = (-1.0) ** deg * Alo[deg, deg - 1]
-        for m in range(deg - 1, -1, -1):
-            rh, rl = dd.dd_mul_d(rh, rl, x)
-            sg = 1.0 if m % 2 == 0 else -1.0
-            rh, rl = dd.dd_add(rh, rl, sg * Ahi[m, deg - 1], sg * Alo[m, deg - 1])
         try:
             scale = (-1.0) ** deg * k ** (-deg)
         except OverflowError:
             kinv_ok = False
             scale = math.inf
-        vals[deg] = scale * rh
-    coeffs = np.empty(n + 1)
-    for m in range(n + 1):
-        cm = Ahi[m, n - 1] + Alo[m, n - 1]
-        coeffs[m] = (-1.0) ** (n + m) * k ** (-n) * cm
+        vals[deg] = scale * rh[deg - 1]
+    signs = np.where((n + np.arange(n + 1)) % 2, -1.0, 1.0)
+    coeffs = signs * k ** (-n) * (Ahi[:, n - 1] + Alo[:, n - 1])
     overflow = (not kinv_ok) or bool(np.any(np.isinf(vals)))
     return PolyEval(
         degree=n, x=x, mode="explicit",

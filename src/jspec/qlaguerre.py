@@ -30,7 +30,7 @@ import numpy as np
 
 from . import doubledouble as dd
 from .entire import KIND_CHAR, eval_series, second_kind_family, series_coeffs
-from .errors import DivergentArgument, SequenceError
+from .errors import ConvergenceFailure, DivergentArgument, SequenceError
 from .sequences import Geometric, JacobiParams
 from .spectrum import truncate
 
@@ -69,9 +69,11 @@ def induced_params(qp: QParams) -> JacobiParams:
 def qpochhammer(a: float, q: float, n: Optional[int] = None, tol: float = 1e-18) -> float:
     """(a; q)_n = prod_{i<n} (1 - a q^i); n = None means the infinite product.
 
-    The infinite case multiplies until |a| q^i drops below the tolerance,
-    at which point the omitted factors differ from 1 by less than
-    ``|a| q^i / (1 - q)`` in log, far below double rounding for the default.
+    A finite n multiplies all n factors.  The infinite case multiplies until
+    |a| q^i drops below the tolerance, at which point the omitted factors
+    differ from 1 by less than ``|a| q^i / (1 - q)`` in log, far below double
+    rounding for the default; it raises ConvergenceFailure if that takes
+    more than 100,001 factors.
     """
     if n is not None and n < 0:
         raise ValueError(f"q-Pochhammer length must be non-negative, got {n}")
@@ -79,17 +81,15 @@ def qpochhammer(a: float, q: float, n: Optional[int] = None, tol: float = 1e-18)
         raise DivergentArgument("infinite q-Pochhammer needs |q| < 1")
     p = 1.0
     f = a
-    i = 0
-    while True:
-        if n is not None and i >= n:
-            break
+    for _ in range(100001 if n is None else n):
         if n is None and abs(f) < tol:
-            break
+            return p
         p *= 1.0 - f
         f *= q
-        i += 1
-        if i > 100000:
-            break
+    if n is None:
+        raise ConvergenceFailure(
+            f"(a; q)_inf with a={a!r}, q={q!r} needs more than 100001 factors to reach {tol:g}"
+        )
     return p
 
 

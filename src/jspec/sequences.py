@@ -207,7 +207,15 @@ def tail_sum_reciprocal(spec: SequenceSpec, n0: int) -> float:
         # 1/(a_{n0} (1-q^2)); building it from the same float sequence value
         # the partial sums use keeps the domination robust to rounding
         q = spec.q
-        return up / (_single(spec, n0) * (1.0 - q * q))
+        try:
+            a_n0 = _single(spec, n0)
+        except OverflowError:
+            # q^{-(n0+1)} left the float range, so the bound lies below the
+            # least subnormal: form it in log space and round it up, so it
+            # never drops under the true tail
+            log_a = 2.0 * (n0 + 1.0) * math.log(1.0 / q) + math.log1p(-(q ** (n0 + 1.0)))
+            return math.nextafter(up * math.exp(-log_a) / (1.0 - q * q), math.inf)
+        return up / (a_n0 * (1.0 - q * q))
     if isinstance(spec, PowerLaw):
         # sum_{j>=n0} (j+1)^-p  <=  1/(p-1) * n0^(1-p)   for n0 >= 1
         if n0 == 0:

@@ -36,7 +36,7 @@ from .doubledouble import EPS_DD
 from .entire import (
     KIND_CHAR,
     PowerSeriesApprox,
-    SeriesEval,
+    _eval_family,
     choose_truncation,
     envelope_bound,
     eval_series,
@@ -465,6 +465,7 @@ def _mass_machinery(
     k = params.k
     fam = second_kind_family(params, M, J, n_max + 1)
     a, alpha, beta = entry_arrays(params, n_max + 2)
+    scales = np.array([scale_for_shift(k, n) for n in range(n_max + 2)])
 
     masses = np.empty(count)
     masses_q = np.empty(count)
@@ -483,16 +484,11 @@ def _mass_machinery(
         fprime[j] = fp.value
         Ph, Pl, env = _orthopoly_dd_with_envelope(params, n_max + 1, zh, zl)
 
-        evs: list[SeriesEval] = []
-        phi_h = np.empty(n_max + 2)
-        phi_l = np.empty(n_max + 2)
-        cert = np.zeros(n_max + 2, dtype=bool)
-        for n in range(n_max + 2):
-            ev = eval_series(fam[n], (zh, zl))
-            evs.append(ev)
-            sc = scale_for_shift(k, n)
-            phi_h[n], phi_l[n] = dd.dd_mul_d(ev.value, ev.value_lo, sc)
-            cert[n] = ev.value != 0.0 and ev.err_bound <= _CERT_REL * abs(ev.value)
+        evs = _eval_family(fam, (zh, zl))
+        value = np.array([ev.value for ev in evs])
+        err = np.array([ev.err_bound for ev in evs])
+        phi_h, phi_l = dd.dd_mul_d(value, np.array([ev.value_lo for ev in evs]), scales)
+        cert = (value != 0.0) & (err <= _CERT_REL * np.abs(value))
 
         # Weyl numerator from the best certified quotient Phi_n / P_n
         best = None
@@ -500,7 +496,7 @@ def _mass_machinery(
             if not cert[n] or Ph[n] == 0.0:
                 continue
             p_rel = EPS_DD * env[n] / abs(Ph[n])  # recurrence noise at near-roots
-            q_rel = evs[n].err_bound / abs(evs[n].value) + p_rel
+            q_rel = err[n] / abs(value[n]) + p_rel
             if best is None or q_rel < best[1]:
                 best = (n, q_rel)
         if best is None:
@@ -532,14 +528,11 @@ def _mass_machinery(
         # (beyond it the entries only shrink and stay certified), the
         # W * P_n identity below it (the polynomial recurrence is the
         # stable route exactly where the series cancels catastrophically)
-        for n in range(n_max + 1):
-            if n >= first_cert:
-                vectors[j, n], vectors_lo[j, n] = phi_h[n], phi_l[n]
-            else:
-                vectors[j, n], vectors_lo[j, n] = dd.dd_mul(wh, wl, Ph[n], Pl[n])
-        top_h, top_l = (phi_h[n_max + 1], phi_l[n_max + 1]) if n_max + 1 >= first_cert else dd.dd_mul(
-            wh, wl, Ph[n_max + 1], Pl[n_max + 1]
-        )
+        from_series = np.arange(n_max + 2) >= first_cert
+        wph, wpl = dd.dd_mul(wh, wl, Ph, Pl)
+        vh = np.where(from_series, phi_h, wph)
+        vl = np.where(from_series, phi_l, wpl)
+        vectors[j], vectors_lo[j] = vh[:-1], vl[:-1]
 
         # norm identity: sum Phi^2 + tail == -F'(lam) W(lam)
         sh = sl = 0.0
@@ -552,17 +545,15 @@ def _mass_machinery(
         norm_res[j] = abs(dh + tail) / sh
 
         # matrix residual over rows 0..n_max-1 (last row excluded)
+        th, tl = dd.dd_add_d(-zh, -zl, beta[:n_max])
+        rh, rl = dd.dd_mul(th, tl, vh[:n_max], vl[:n_max])
+        uh, ul = dd.dd_mul_d(vh[:n_max - 1], vl[:n_max - 1], alpha[:n_max - 1])
+        rh[1:], rl[1:] = dd.dd_add(rh[1:], rl[1:], uh, ul)
+        uh, ul = dd.dd_mul_d(vh[1:n_max + 1], vl[1:n_max + 1], alpha[:n_max])
+        rh, _ = dd.dd_add(rh, rl, uh, ul)
         acc = 0.0
-        for i in range(n_max):
-            th, tl = dd.dd_add_d(-zh, -zl, float(beta[i]))
-            rh, rl = dd.dd_mul(th, tl, vectors[j, i], vectors_lo[j, i])
-            if i > 0:
-                uh, ul = dd.dd_mul_d(vectors[j, i - 1], vectors_lo[j, i - 1], float(alpha[i - 1]))
-                rh, rl = dd.dd_add(rh, rl, uh, ul)
-            nh, nl = (vectors[j, i + 1], vectors_lo[j, i + 1]) if i + 1 <= n_max else (top_h, top_l)
-            uh, ul = dd.dd_mul_d(nh, nl, float(alpha[i]))
-            rh, rl = dd.dd_add(rh, rl, uh, ul)
-            acc += rh * rh
+        for r in rh:
+            acc += r * r
         eig_res[j] = math.sqrt(acc) / math.sqrt(sh)
 
         masses_q[j] = _quadrature_weight(params, float(lams_section[j]), T.size)

@@ -97,7 +97,10 @@ class CriterionResult:
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
-        return f"[{mark}] criterion {self.cid:2d}: {self.title} ({self.detail})"
+        return (
+            f"[{mark}] criterion {self.cid:2d}: {self.title} ({self.detail}) "
+            f"[{self.seconds:.2f} s]"
+        )
 
 
 _sd_cache: dict = {}

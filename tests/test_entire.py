@@ -15,6 +15,7 @@ import pytest
 from jspec.entire import (
     KIND_CHAR,
     KIND_SECOND,
+    _eval_family,
     char_chain_prefixes,
     choose_truncation,
     eigenvector_entry,
@@ -26,7 +27,7 @@ from jspec.entire import (
     series_coeffs,
     wronskian_residual,
 )
-from jspec.errors import CancellationFailure
+from jspec.errors import CancellationFailure, JspecError
 from jspec.sequences import Geometric, JacobiParams, PowerLaw, entry_arrays, sequence_min_from
 
 GEOM = JacobiParams(Geometric(0.25), 0.5)
@@ -276,3 +277,43 @@ def test_powerlaw_series_still_enumerable():
     for m in range(1, 4):
         brute = enum_char_chain(params, m, J)
         assert abs(ser.coefficient(m) - brute) / brute < 1e-13
+
+
+def _same_bits(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+@pytest.mark.parametrize("params", [GEOM, JacobiParams(PowerLaw(1.0, 2.0), 0.5)])
+def test_eval_family_matches_single_calls(params):
+    # the 2-D Horner gives every column the bits of its own 1-D call
+    fam = second_kind_family(params, 24, 72, 9)
+    for z in (0.0, 0.7, -3.0, 12.5, (40.0, 1e-15), 300.0):
+        for s, ev in zip(fam, _eval_family(fam, z)):
+            single = eval_series(s, z)
+            for field in ("value", "value_lo", "err_bound", "kappa", "abs_sum"):
+                assert _same_bits(getattr(ev, field), getattr(single, field)), (z, s.shift, field)
+
+
+def test_complex_derivative_bound_covers_real():
+    # complex arithmetic is coarser than double-double, so on the real axis
+    # its certified bound can only be wider; the derivative's order tail
+    # carries the same (order + 2) factor on both paths
+    for M, J in ((4, 40), (12, 40), (30, 90)):
+        ser = series_coeffs(GEOM, KIND_CHAR, M, J)
+        for z in (0.5, 3.0, 10.0, 60.0):
+            real = eval_series_deriv(ser, z)
+            cplx = eval_series_deriv(ser, complex(z, 0.0))
+            assert cplx.err_bound >= real.err_bound, (M, J, z)
+
+
+def test_choose_truncation_past_float_range_raises_package_error():
+    # the tail bound at J+1 = 201 once raised a bare OverflowError from
+    # (1/q)**(J+2); past the float range only package errors may surface
+    # (the entry arrays overflow first and raise SequenceError; numpy's
+    # overflow warning on the way is not the point here)
+    params = JacobiParams(Geometric(0.0212), 0.1455)
+    try:
+        with np.errstate(over="ignore"):
+            choose_truncation(params, 0.74, 2.6e-8, min_cutoff=200)
+    except JspecError:
+        pass

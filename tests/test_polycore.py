@@ -11,7 +11,7 @@ from jspec.polycore import (
     trace_inverse_routes,
     value_at_zero,
 )
-from jspec.sequences import Geometric, JacobiParams, entry_arrays, gamma_lower_bound
+from jspec.sequences import Geometric, JacobiParams, PowerLaw, entry_arrays, gamma_lower_bound
 
 GEOM = JacobiParams(Geometric(0.25), 0.5)
 
@@ -128,3 +128,15 @@ def test_dd_recurrence_matches_float():
     Ph, Pl = orthopoly_values_dd(GEOM, 12, 5.0)
     pe = orthopoly_eval(GEOM, 12, 5.0)
     assert np.max(np.abs(Ph - pe.values) / np.maximum(1.0, np.abs(Ph))) < 1e-13
+
+
+@pytest.mark.parametrize("params", [GEOM, JacobiParams(PowerLaw(1.0, 2.0), 0.5)])
+def test_explicit_degrees_share_one_pass(params):
+    # every degree is read off the degree-n prefix table in one 2-D Horner
+    # pass; each must equal its own explicit evaluation bit for bit
+    n = 25
+    for x in (-2.0, 0.0, 0.3, 7.5, 120.0):
+        full = orthopoly_eval(params, n, x, "explicit").values
+        for d in range(n + 1):
+            own = orthopoly_eval(params, d, x, "explicit").values[d]
+            assert np.float64(own).tobytes() == np.float64(full[d]).tobytes(), (x, d)

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from jspec.errors import DivergentArgument
+from jspec.errors import ConvergenceFailure, DivergentArgument
 from jspec.qlaguerre import (
     QParams,
     basic_hypergeometric,
@@ -27,6 +29,21 @@ def test_qpochhammer_basics():
     inf_val = qpochhammer(0.5, 0.5, None)
     assert inf_val < qpochhammer(0.5, 0.5, 30)
     assert inf_val == pytest.approx(qpochhammer(0.5, 0.5, 200), rel=1e-15)
+
+
+def test_qpochhammer_finite_multiplies_every_factor():
+    # 200,000 factors; a cap at 100,001 once returned 0.909
+    a, q, n = 1e-6, 0.999999, 200000
+    expected = math.exp(math.fsum(math.log1p(-a * q**i) for i in range(n)))
+    assert qpochhammer(a, q, n) == pytest.approx(expected, rel=1e-12)
+    assert expected == pytest.approx(0.834, abs=1e-3)
+
+
+def test_qpochhammer_infinite_raises_at_cap():
+    # |a| q^i reaches 1e-18 only after ~3.5e6 factors; the truncated product
+    # (3.4e-28) was far from the true 3.6e-44
+    with pytest.raises(ConvergenceFailure):
+        qpochhammer(1e-3, 0.99999)
 
 
 def test_phi01_coefficients_closed_form():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,6 +97,20 @@ def test_tail_bound_powerlaw_properties(c, p, n0):
     vals = seq_values(spec, n0 + 200)
     partial = math.fsum(1.0 / vals[n0:])
     assert tail_sum_reciprocal(spec, n0) >= partial
+
+
+def test_tail_bound_geometric_past_float_range():
+    # (1/q)**(n0+1) overflows here; the bound must stay finite and still
+    # dominate the true tail (about 1e-674, far below the float range)
+    q, n0 = 0.0212, 200
+    bound = tail_sum_reciprocal(Geometric(q), n0)
+    assert math.isfinite(bound)
+    with mpmath.workdps(30):
+        qm = mpmath.mpf(q)
+        true_tail = mpmath.nsum(
+            lambda j: 1 / (qm ** (-2 * (j + 1)) * (1 - qm ** (j + 1))), [n0, mpmath.inf]
+        )
+        assert 0 < true_tail <= mpmath.mpf(bound)
 
 
 def test_gamma_examples():
