@@ -29,8 +29,8 @@ import numpy as np
 
 from . import doubledouble as dd
 from .entire import _horner_dd, char_chain_prefixes
-from .errors import SequenceError
-from .sequences import JacobiParams, entry_arrays, tail_sum_reciprocal
+from .errors import ConvergenceFailure, SequenceError, TruncationTooCoarse
+from .sequences import JacobiParams, entry_arrays, tail_sum_enclosure, tail_sum_reciprocal
 
 __all__ = [
     "PolyEval",
@@ -45,6 +45,7 @@ __all__ = [
 # rescale recurrence values once they pass 2^900 in magnitude
 _RESCALE_LIMIT = math.ldexp(1.0, 900)
 _RESCALE_SHIFT = 1024
+_ALT_CAP = 4096  # index cap of the second trace route
 
 
 @dataclass
@@ -210,9 +211,24 @@ def second_kind_at_zero(params: JacobiParams, n: int, tol: float = 1e-14) -> flo
 
 
 def trace_inverse(params: JacobiParams, tol: float = 1e-14) -> float:
-    """sum_j (1 - k^{2j+2}) / ((1-k^2) a_j), certified tail below tol."""
+    """sum_j (1 - k^{2j+2}) / ((1-k^2) a_j), truncation error certified below tol."""
     direct, _ = trace_inverse_routes(params, tol, with_alt=False)
     return direct
+
+
+def _trace_tail(params: JacobiParams, J: int) -> tuple[float, float]:
+    """Value and truncation bound of sum_{j>J} (1 - k^{2j+2}) / ((1-k^2) a_j).
+
+    The value is the reciprocal tail of the sequence over 1-k^2; the
+    geometric part k^{2j+2} <= g = k^{2J+4} of it is bounded, not summed:
+    with the reciprocal tail in [v - e, v + e], the true tail lies in
+    [max(0, (v - e)(1 - g)), v + e].
+    """
+    k2 = params.k * params.k
+    value, err = tail_sum_enclosure(params.seq, J + 1)
+    g = k2 ** (J + 2)
+    err = max(value - max(0.0, (value - err) * (1.0 - g)), err)
+    return value / (1.0 - k2), err / (1.0 - k2)
 
 
 def trace_inverse_routes(
@@ -222,6 +238,11 @@ def trace_inverse_routes(
 
     The two routes are analytically identical; returning both lets callers
     cross-check the sequence machinery against the second-kind machinery.
+    The closed sum adds the sequence's reciprocal tail past J, so power
+    laws certify at small J; ``TruncationTooCoarse`` is raised when no J up
+    to 2^17 brings the truncation bound below ``tol``.  The second route
+    raises ``ConvergenceFailure`` when its terms need more than 4096
+    indices (every power law at tol near 1e-14).
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
@@ -229,25 +250,41 @@ def trace_inverse_routes(
     k2 = k * k
     J = 16
     while True:
-        tail = tail_sum_reciprocal(params.seq, J + 1) / (1.0 - k2)
-        if tail < tol or J > (1 << 16):
+        tail, err = _trace_tail(params, J)
+        if err < tol:
             break
+        if J > (1 << 16):
+            raise TruncationTooCoarse(
+                f"trace truncation bound {err:.3e} at J={J} does not reach {tol:.3e}"
+            )
         J *= 2
     a, _, _ = entry_arrays(params, J + 1)
     j = np.arange(J + 1)
     terms = (1.0 - k2 ** (j + 1)) / ((1.0 - k2) * a)
-    direct = float(dd.compensated_sum(terms[::-1]))
+    direct = float(dd.compensated_sum(np.concatenate(([tail], terms[::-1]))))
     if not with_alt:
         return direct, None
-    # w_n(0) P_n(0) = sum_{j>=n} k^{2(j-n)} / a_j, all positive
+    # w_n(0) P_n(0) = sum_{j>=n} k^{2(j-n)} / a_j: a positive suffix sum,
+    # formed without the factor P_n(0) = (-k)^-n that leaves the float range
     scale = max(direct, 1e-300)
-    alt = 0.0
-    n = 0
-    while True:
-        term = second_kind_at_zero(params, n, tol=tol * 1e-3 * scale) * value_at_zero(params, n)
-        alt += term
-        bound = tail_sum_reciprocal(params.seq, n + 1) / (1.0 - k2)
-        if bound < 0.05 * tol * scale or n > (1 << 12):
-            break
-        n += 1
+    n_stop = 0
+    while tail_sum_reciprocal(params.seq, n_stop + 1) / (1.0 - k2) >= 0.05 * tol * scale:
+        n_stop += 1
+        if n_stop > _ALT_CAP:
+            raise ConvergenceFailure(
+                f"second trace route needs more than {_ALT_CAP} terms for tol {tol:.3e}"
+            )
+    # the suffix sums run down from J, past which the dropped part of every
+    # term n <= n_stop is at most k^{2(J+1-n_stop)} tail(J+1)/(1-k^2)
+    J = n_stop + 8
+    cut = 1e-3 * tol * scale * (1.0 - k2)
+    while k2 ** (J + 1 - n_stop) * tail_sum_reciprocal(params.seq, J + 1) >= cut:
+        J *= 2
+    a, _, _ = entry_arrays(params, J + 1)
+    suffix = np.empty(J + 1)
+    acc = 0.0
+    for i in range(J, -1, -1):
+        acc = 1.0 / a[i] + k2 * acc
+        suffix[i] = acc
+    alt = float(dd.compensated_sum(suffix[n_stop::-1]))
     return direct, alt

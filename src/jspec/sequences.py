@@ -39,6 +39,7 @@ __all__ = [
     "entries",
     "entry_arrays",
     "tail_sum_reciprocal",
+    "tail_sum_enclosure",
     "sequence_min",
     "gamma_lower_bound",
 ]
@@ -210,11 +211,14 @@ def tail_sum_reciprocal(spec: SequenceSpec, n0: int) -> float:
         try:
             a_n0 = _single(spec, n0)
         except OverflowError:
-            # q^{-(n0+1)} left the float range, so the bound lies below the
-            # least subnormal: form it in log space and round it up, so it
-            # never drops under the true tail
+            a_n0 = math.inf
+        if math.isinf(a_n0):
+            # a_{n0} (or already q^{-(n0+1)}) left the float range, so the
+            # bound lies at or below the least subnormal: form it in log
+            # space with one rounding and round that up, so it never drops
+            # under the true tail
             log_a = 2.0 * (n0 + 1.0) * math.log(1.0 / q) + math.log1p(-(q ** (n0 + 1.0)))
-            return math.nextafter(up * math.exp(-log_a) / (1.0 - q * q), math.inf)
+            return math.nextafter(up * math.exp(-log_a - math.log1p(-q * q)), math.inf)
         return up / (a_n0 * (1.0 - q * q))
     if isinstance(spec, PowerLaw):
         # sum_{j>=n0} (j+1)^-p  <=  1/(p-1) * n0^(1-p)   for n0 >= 1
@@ -225,6 +229,56 @@ def tail_sum_reciprocal(spec: SequenceSpec, n0: int) -> float:
         L = len(spec.values)
         head = sum(1.0 / v for v in spec.values[n0:L]) if n0 < L else 0.0
         return up * head + tail_sum_reciprocal(spec.tail, max(n0, L))
+    raise SequenceError(f"unknown sequence spec {spec!r}")
+
+
+# B_2, B_4, ..., B_14: the Euler-Maclaurin terms of the power-law tail
+_BERNOULLI_EVEN = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+
+
+def _hurwitz_zeta(p: float, N: int) -> tuple[float, float]:
+    """zeta(p, N) = sum_{m >= N} m^-p and a bound on its truncation error.
+
+    Terms below m = 16 are summed directly; from x = max(N, 16) on,
+    Euler-Maclaurin gives x^{1-p}/(p-1) + x^{-p}/2 + sum_i t_i with
+    t_i = B_{2i}/(2i)! (p)_{2i-1} x^{-p-2i+1}.  Since f = x^-p has even
+    derivatives of one sign, the remainder is at most |f^{(2K-1)}(x)|
+    |B_{2K}|/(2K)!, the size of the last term kept.  The value itself
+    carries a few ulps of rounding, like any float sum.
+    """
+    x = max(N, 16)
+    head = math.fsum(float(m) ** -p for m in range(N, x))
+    x = float(x)
+    terms = [x ** (1.0 - p) / (p - 1.0), 0.5 * x ** -p]
+    rising = p * x ** (-p - 1.0)  # (p)_{2i-1} x^{-p-2i+1} at i = 1
+    fact = 2.0  # (2i)!
+    for i, b in enumerate(_BERNOULLI_EVEN, start=1):
+        terms.append(b / fact * rising)
+        rising *= (p + 2 * i - 1) * (p + 2 * i) / (x * x)
+        fact *= (2 * i + 1) * (2 * i + 2)
+    return head + math.fsum(terms), abs(terms[-1])
+
+
+def tail_sum_enclosure(spec: SequenceSpec, n0: int) -> tuple[float, float]:
+    """Value of sum_{j >= n0} 1/a_j and a certified bound on its truncation error.
+
+    PowerLaw gives the Hurwitz zeta(p, n0+1)/c by Euler-Maclaurin with its
+    remainder bound.  Geometric tails are only bounded: the value is 0 and
+    the error is ``tail_sum_reciprocal``.  Explicit sums its remaining list
+    and delegates to its tail rule.  Rounding of the value (a few ulps) is
+    not part of the bound.
+    """
+    if n0 < 0:
+        raise SequenceError(f"tail start index must be non-negative, got {n0}")
+    if isinstance(spec, Geometric):
+        return 0.0, tail_sum_reciprocal(spec, n0)
+    if isinstance(spec, PowerLaw):
+        z, err = _hurwitz_zeta(spec.p, n0 + 1)
+        return z / spec.c, err / spec.c
+    if isinstance(spec, Explicit):
+        L = len(spec.values)
+        value, err = tail_sum_enclosure(spec.tail, max(n0, L))
+        return math.fsum(1.0 / v for v in spec.values[n0:L]) + value, err
     raise SequenceError(f"unknown sequence spec {spec!r}")
 
 

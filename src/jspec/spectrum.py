@@ -1,12 +1,18 @@
 """Point spectrum, eigenvectors, masses, Weyl function, associated operator.
 
-The primary eigenvalue engine is geometric-midpoint Sturm bisection on
-finite sections: ratio-form Sturm counts are cancellation-free at any scale,
-and splitting brackets in log space keeps the sweep count logarithmic in the
-grading of the section.  Roots of the characteristic series then refine
-the section values by compensated Newton steps wherever the series
-evaluation certifies itself.  Masses and eigenvector samples combine three
-mutually checking routes:
+Section eigenvalues come from the factored form of the section.  The
+entries alpha_n = k a_n and beta_n = a_n + k^2 a_{n-1} make every section
+T_N = B B^T with B lower bidiagonal (diagonal sqrt(a_n), subdiagonal
+k sqrt(a_{n-1})), so one LAPACK ``dpteqr`` call on B^T B, whose entries
+are all products of positive pivots, returns every eigenvalue to high
+relative accuracy.  Forming beta in floats instead would lose the small
+eigenvalues of any prefix that falls faster than k^2, and absolute-accuracy
+routines (``stebz``) lose those of graded sections.  Sections without
+pivots (associated and hand-built ones) use geometric-midpoint Sturm
+bisection, whose ratio-form counts are cancellation-free at any scale.
+Roots of the characteristic series then refine the section values by
+compensated Newton steps wherever the series evaluation certifies itself.
+Masses and eigenvector samples combine three mutually checking routes:
 
 * second-kind series entries where the evaluation is certified,
 * the quotient identity  W(lam) = Phi_n(lam) / P_n(lam)  at a certified
@@ -30,6 +36,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpteqr
 
 from . import doubledouble as dd
 from .doubledouble import EPS_DD
@@ -86,10 +93,18 @@ _CERT_REL = 1e-12  # a series value is trusted when its bound clears this
 
 @dataclass(frozen=True)
 class TruncatedJacobi:
-    """Finite symmetric tridiagonal section."""
+    """Finite symmetric tridiagonal section.
+
+    Sections cut from the operator also keep its pivots: the weights
+    a_0..a_{N-1} and the coupling k with T = B B^T, where B is lower
+    bidiagonal with diagonal sqrt(a_n) and subdiagonal k sqrt(a_{n-1}).
+    Hand-built and associated sections carry none.
+    """
 
     diag: np.ndarray
     offdiag: np.ndarray
+    a: Optional[np.ndarray] = None
+    k: Optional[float] = None
 
     def __post_init__(self):
         if len(self.diag) < 1 or len(self.offdiag) != len(self.diag) - 1:
@@ -113,8 +128,8 @@ def truncate(params: JacobiParams, N: int) -> TruncatedJacobi:
     """N-by-N section of the operator."""
     if N < 1:
         raise SequenceError(f"section size must be at least 1, got {N}")
-    _, alpha, beta = entry_arrays(params, N)
-    return TruncatedJacobi(diag=beta, offdiag=alpha[: N - 1])
+    a, alpha, beta = entry_arrays(params, N)
+    return TruncatedJacobi(diag=beta, offdiag=alpha[: N - 1], a=a, k=params.k)
 
 
 def associated_section(params: JacobiParams, N: int) -> TruncatedJacobi:
@@ -209,9 +224,39 @@ def eigen_bisect(T: TruncatedJacobi, j: int, tol: float = 1e-12) -> float:
 
 
 def section_eigenvalues(T: TruncatedJacobi, count: int, rtol: float = 1e-14) -> np.ndarray:
-    """First ``count`` section eigenvalues by batched geometric-midpoint bisection."""
+    """First ``count`` section eigenvalues, in increasing order.
+
+    A section with pivots goes to LAPACK ``dpteqr`` on B^T B, which has the
+    eigenvalues of T = B B^T; every entry of B^T B is a product of positive
+    pivots and the routine returns them to high relative accuracy, so
+    ``rtol`` is not needed there.  Sections without pivots fall back to
+    batched geometric-midpoint bisection to ``rtol``.
+    """
     count = min(count, T.size)
-    return _bisect(T, np.arange(1, count + 1), rtol)
+    if T.a is None:
+        return _bisect(T, np.arange(1, count + 1), rtol)
+    return _factored_eigenvalues(T.a, T.k)[:count]
+
+
+def _factored_eigenvalues(a: np.ndarray, k: float) -> np.ndarray:
+    """All eigenvalues of B B^T, ascending, from one ``dpteqr`` call on B^T B.
+
+    B^T B has diagonal (1+k^2) a_n (a_{N-1} in the last row) and
+    off-diagonal k sqrt(a_n) sqrt(a_{n+1}).  Its Cholesky pivots are
+    r_n a_n with r_n = 1 + k^2 - k^2/r_{n-1} in (1, 1+k^2], so no weight
+    sequence can make them cancel, while re-factoring the float beta
+    loses the small eigenvalues of a decreasing prefix.
+    """
+    if len(a) == 1:
+        return a.copy()
+    root = np.sqrt(a)
+    d = (1.0 + k * k) * a
+    d[-1] = a[-1]
+    # compute_z=0: eigenvalues only, the z slot is a placeholder
+    lam, _, _, info = dpteqr(d, k * root[:-1] * root[1:], np.zeros((1, 1)), compute_z=0)
+    if info != 0:
+        raise ConvergenceFailure(f"dpteqr on the factored section returned info={info}")
+    return lam[::-1].copy()
 
 
 def section_inverse_trace(T: TruncatedJacobi) -> float:
@@ -349,7 +394,7 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
     T: Optional[TruncatedJacobi] = None
     for _ in range(11):
         T = truncate(params, N)
-        lams_sec = section_eigenvalues(T, count + 1, rtol=min(tol * 1e-2, 1e-13))
+        lams_sec = section_eigenvalues(T, count + 1)
         if prev is not None:
             move = float(np.max(np.abs(lams_sec[:count] - prev) / np.abs(prev)))
             if move < tol / 10.0:
@@ -604,7 +649,7 @@ def masses_and_vectors(params: JacobiParams, sd: SpectralData, n_max: int) -> Ma
     M, J = _series_context(params, radius, n_max)
     fser = series_coeffs(params, KIND_CHAR, M, J)
     T = truncate(params, sd.N_used)
-    lams_section = section_eigenvalues(T, sd.count, rtol=1e-13)
+    lams_section = section_eigenvalues(T, sd.count)
     return _mass_machinery(
         params, sd.lambdas, sd.lambdas_lo, n_max, M, J, fser, T, lams_section
     )

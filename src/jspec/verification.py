@@ -385,7 +385,7 @@ def crit_oracle_equivalence() -> tuple[bool, str]:
     prev = None
     for N in range(1, 31):
         T = truncate(REFERENCE, N)
-        lams = section_eigenvalues(T, N, rtol=0.0)  # bisect to bit saturation
+        lams = section_eigenvalues(T, N)
         if prev is not None:
             for j in range(len(prev)):
                 if not (lams[j] <= prev[j] * (1.0 + 8 * eps)):

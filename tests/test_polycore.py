@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+
+from jspec.errors import ConvergenceFailure, TruncationTooCoarse
 
 from jspec.polycore import (
     orthopoly_eval,
@@ -11,7 +14,14 @@ from jspec.polycore import (
     trace_inverse_routes,
     value_at_zero,
 )
-from jspec.sequences import Geometric, JacobiParams, PowerLaw, entry_arrays, gamma_lower_bound
+from jspec.sequences import (
+    Explicit,
+    Geometric,
+    JacobiParams,
+    PowerLaw,
+    entry_arrays,
+    gamma_lower_bound,
+)
 
 GEOM = JacobiParams(Geometric(0.25), 0.5)
 
@@ -88,6 +98,49 @@ def test_trace_inverse_closed_form():
     assert abs(direct - alt) <= 1e-14 * direct + 1e-16
     # strictly larger than the mass-weighted sum of reciprocals
     assert direct > second_kind_at_zero(GEOM, 0)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.2])
+def test_trace_inverse_power_law_matches_mpmath(p):
+    # sum_j (1 - k^{2j+2}) / ((1-k^2) c (j+1)^p) = (zeta(p) - Li_p(k^2)) / (c (1-k^2));
+    # the sum once stopped silently at 2^17 terms, 5.5e-6 off at p = 2
+    c, k = 1.5, 0.5
+    with mpmath.workdps(40):
+        ref = (mpmath.zeta(p) - mpmath.polylog(p, k * k)) / (c * (1 - k * k))
+    tol = 1e-14
+    value = trace_inverse(JacobiParams(PowerLaw(c, p), k), tol=tol)
+    assert abs(value - ref) <= tol
+
+
+def test_trace_inverse_explicit_uses_its_tail_rule():
+    spec = Explicit((5.0, 2.0, 11.0), PowerLaw(1.0, 2.0))
+    k = 0.6
+    with mpmath.workdps(40):
+        k2 = mpmath.mpf(k) ** 2
+        head = sum((1 - k2 ** (j + 1)) / v for j, v in enumerate(spec.values))
+        # sum_{m>=4} (1 - k^{2m}) / m^2 in closed form
+        tail = mpmath.zeta(2, 4) - mpmath.polylog(2, k2) + sum(k2**m / m**2 for m in (1, 2, 3))
+        ref = (head + tail) / (1 - k2)
+    assert abs(trace_inverse(JacobiParams(spec, k), tol=1e-14) - ref) <= 1e-14
+
+
+def test_trace_inverse_power_law_second_route_raises():
+    # P_n(0) = (-k)^-n overflowed near n = 1075 (bare OverflowError); the
+    # positive suffix sums cannot, and the power-law tail needs more than
+    # the 4096 indices the route allows
+    params = JacobiParams(PowerLaw(1.0, 2.0), 0.5)
+    with pytest.raises(ConvergenceFailure):
+        trace_inverse_routes(params)
+    direct, alt = trace_inverse_routes(params, with_alt=False)
+    assert alt is None and direct == trace_inverse(params)
+
+
+def test_trace_inverse_raises_when_tail_cannot_certify():
+    # a geometric tail is only bounded (its value is taken as 0); at
+    # q = 0.9999 that bound stays above tol through 2^17 terms
+    params = JacobiParams(Geometric(0.9999), 0.5)
+    with pytest.raises(TruncationTooCoarse):
+        trace_inverse(params, tol=1e-14)
 
 
 def test_no_sign_change_below_gamma():

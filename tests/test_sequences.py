@@ -113,6 +113,20 @@ def test_tail_bound_geometric_past_float_range():
         assert 0 < true_tail <= mpmath.mpf(bound)
 
 
+def test_tail_bound_geometric_when_only_the_weight_overflows():
+    # (1/q)**(n0+1) is finite here but a_{n0} = u(u-1) is not; the bound
+    # once came out 0.0, below the true tail of about 1e-338
+    q, n0 = 0.0212, 100
+    bound = tail_sum_reciprocal(Geometric(q), n0)
+    assert 0.0 < bound < 1e-300
+    with mpmath.workdps(30):
+        qm = mpmath.mpf(q)
+        true_tail = mpmath.nsum(
+            lambda j: 1 / (qm ** (-2 * (j + 1)) * (1 - qm ** (j + 1))), [n0, mpmath.inf]
+        )
+        assert 0 < true_tail <= mpmath.mpf(bound)
+
+
 def test_gamma_examples():
     assert gamma_lower_bound(GEOM) == pytest.approx(3.0)
     assert gamma_lower_bound(JacobiParams(PowerLaw(1.0, 2.0), 0.5)) == pytest.approx(0.25)

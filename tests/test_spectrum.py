@@ -17,7 +17,7 @@ from jspec.doubledouble import dd_sub
 from jspec.entire import KIND_CHAR, eval_series, second_kind_family, series_coeffs
 from jspec.errors import TailDominates
 from jspec.polycore import second_kind_at_zero
-from jspec.sequences import Geometric, JacobiParams, PowerLaw, gamma_lower_bound
+from jspec.sequences import Explicit, Geometric, JacobiParams, PowerLaw, gamma_lower_bound
 from jspec.spectrum import (
     TruncatedJacobi,
     associated_checks,
@@ -279,8 +279,10 @@ def sweep_counter(monkeypatch):
 def test_graded_section_bisects_in_log_space(sweep_counter, rtol):
     # linear halving from the Gershgorin top (about 1e135 here) takes hundreds
     # of sweeps; geometric midpoints need a few dozen, and rtol=0 still stops
-    # once no float lies strictly inside a bracket
-    T = truncate(GEOM, 112)
+    # once no float lies strictly inside a bracket.  The copy drops the
+    # pivots, so the section takes the bisection path
+    S = truncate(GEOM, 112)
+    T = TruncatedJacobi(diag=S.diag, offdiag=S.offdiag)
     lams = section_eigenvalues(T, 13, rtol=rtol)
     assert len(sweep_counter) <= 80
     assert lams[0] == pytest.approx(REF_LAMBDA0, rel=1e-13)
@@ -314,3 +316,51 @@ def test_refine_root_ignores_seed_bits():
             rh, rl, _, _, _ = spectrum._refine_root(wser, float(seed) * factor)
             diff, _ = dd_sub(rh, rl, zh, zl)
             assert abs(diff) <= 1e-30 * zh
+
+
+def test_factored_section_makes_no_sturm_sweeps(sweep_counter):
+    T = truncate(GEOM, 112)
+    lams = section_eigenvalues(T, 13)
+    assert sweep_counter == []
+    assert lams[0] == pytest.approx(REF_LAMBDA0, rel=1e-13)
+    assert np.all(np.diff(lams) > 0.0)
+
+
+def test_factored_small_sections():
+    # N = 1 has no off-diagonal for LAPACK; N = 2 against the quadratic
+    # formula for [[12, 6], [6, 243]], the small root taken as det / large
+    assert list(section_eigenvalues(truncate(GEOM, 1), 3)) == [12.0]
+    lams = section_eigenvalues(truncate(GEOM, 2), 2)
+    big = (255.0 + math.sqrt(231.0**2 + 144.0)) / 2.0
+    assert lams[1] == pytest.approx(big, rel=1e-15)
+    assert lams[0] == pytest.approx((12.0 * 243.0 - 36.0) / big, rel=1e-15)
+
+
+def _mp_section_eigenvalues(T, count, dps):
+    """Lowest eigenvalues of the exact section built from T's float pivots."""
+    with mpmath.workdps(dps):
+        k = mpmath.mpf(T.k)
+        a = [mpmath.mpf(float(x)) for x in T.a]
+        A = mpmath.zeros(T.size, T.size)
+        for n in range(T.size):
+            A[n, n] = a[n] + (k * k * a[n - 1] if n else 0)
+            if n + 1 < T.size:
+                A[n, n + 1] = A[n + 1, n] = k * a[n]
+        return sorted(mpmath.eigsy(A, eigvals_only=True))[:count]
+
+
+@pytest.mark.parametrize("params, N, count, dps, rel", [
+    # prefixes falling faster than k^2: forming beta in floats loses the
+    # small eigenvalues (bisection on it is 0.63 and 7e-8 off)
+    (JacobiParams(Explicit((1e8, 1e4, 1.0, 1e-4, 1e-8), PowerLaw(1.0, 2.0)), 0.99), 40, 3, 40, 1e-13),
+    (JacobiParams(Explicit((1e6, 1.0, 1e-3, 5.0), PowerLaw(1.0, 2.0)), 0.9), 40, 4, 40, 1e-13),
+    (JacobiParams(Geometric(0.97), math.sqrt(0.97)), 60, 4, 40, 2e-13),
+    (JacobiParams(PowerLaw(1.0, 2.0), 0.99), 60, 6, 40, 1e-13),
+    (GEOM, 48, 8, 200, 1e-15),
+])
+def test_factored_section_matches_mpmath_eigsy(params, N, count, dps, rel):
+    T = truncate(params, N)
+    lams = section_eigenvalues(T, count)
+    ref = _mp_section_eigenvalues(T, count, dps)
+    for lam, r in zip(lams, ref):
+        assert abs(lam - float(r)) <= rel * float(r)
