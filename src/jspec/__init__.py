@@ -56,7 +56,6 @@ from .spectrum import (
     TruncatedJacobi,
     associated_checks,
     char_via_second_kind,
-    eigen_bisect,
     masses_and_vectors,
     orthonormality_check,
     point_spectrum,

@@ -397,10 +397,13 @@ def _exp_or_inf(x: float) -> float:
 
 
 def _omitted_eval_bound(s: PowerSeriesApprox, az: float) -> float:
+    omitted = s.tail_omitted[: s.order + 1].tolist()
+    if math.inf in omitted:  # else it may meet an underflowed az^m: inf * 0
+        return math.inf
     p = 1.0
     tot = 0.0
-    for m in range(s.order + 1):
-        tot += s.tail_omitted[m] * p
+    for t in omitted:
+        tot += t * p
         p *= az
         if p == math.inf:
             return math.inf

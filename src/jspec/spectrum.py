@@ -1,18 +1,18 @@
 """Point spectrum, eigenvectors, masses, Weyl function, associated operator.
 
-Section eigenvalues come from the factored form of the section.  The
-entries alpha_n = k a_n and beta_n = a_n + k^2 a_{n-1} make every section
-T_N = B B^T with B lower bidiagonal (diagonal sqrt(a_n), subdiagonal
-k sqrt(a_{n-1})), so one LAPACK ``dpteqr`` call on B^T B, whose entries
-are all products of positive pivots, returns every eigenvalue to high
-relative accuracy.  Forming beta in floats instead would lose the small
+Every section is handled through its factor T = L D L^T.  The entries
+alpha_n = k a_n and beta_n = a_n + k^2 a_{n-1} give sections of the operator
+the pivots D = diag(a) and the unit subdiagonal l_n = k; sections of the
+associated operator get theirs from a recurrence of sums and products of
+positive numbers.  From the factor alone come the eigenvalues (one LAPACK
+``dpteqr`` call on B^T B with B = L D^{1/2}, to high relative accuracy), the
+Sturm counts (differential stationary qd) and the inverse trace (a positive
+recurrence).  Forming beta in floats instead would lose the small
 eigenvalues of any prefix that falls faster than k^2, and absolute-accuracy
-routines (``stebz``) lose those of graded sections.  Sections without
-pivots (associated and hand-built ones) use geometric-midpoint Sturm
-bisection, whose ratio-form counts are cancellation-free at any scale.
-Roots of the characteristic series then refine the section values by
-compensated Newton steps wherever the series evaluation certifies itself.
-Masses and eigenvector samples combine three mutually checking routes:
+routines (``stebz``) lose those of graded sections.  Roots of the
+characteristic series then refine the section values by compensated Newton
+steps wherever the series evaluation certifies itself.  Masses and
+eigenvector samples combine three mutually checking routes:
 
 * second-kind series entries where the evaluation is certified,
 * the quotient identity  W(lam) = Phi_n(lam) / P_n(lam)  at a certified
@@ -75,7 +75,6 @@ __all__ = [
     "truncate",
     "associated_section",
     "sturm_count",
-    "eigen_bisect",
     "section_eigenvalues",
     "section_inverse_trace",
     "point_spectrum",
@@ -93,24 +92,33 @@ _CERT_REL = 1e-12  # a series value is trusted when its bound clears this
 
 @dataclass(frozen=True)
 class TruncatedJacobi:
-    """Finite symmetric tridiagonal section.
+    """Finite symmetric tridiagonal section with its factor T = L D L^T.
 
-    Sections cut from the operator also keep its pivots: the weights
-    a_0..a_{N-1} and the coupling k with T = B B^T, where B is lower
-    bidiagonal with diagonal sqrt(a_n) and subdiagonal k sqrt(a_{n-1}).
-    Hand-built and associated sections carry none.
+    ``d`` holds the positive pivots and ``l`` the subdiagonal of the unit
+    lower bidiagonal L.  Sections of the operator and of the associated
+    operator receive the factor in cancellation-free form; a hand-built
+    section is factored here and must be positive definite.
     """
 
     diag: np.ndarray
     offdiag: np.ndarray
-    a: Optional[np.ndarray] = None
-    k: Optional[float] = None
+    d: Optional[np.ndarray] = None
+    l: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if len(self.diag) < 1 or len(self.offdiag) != len(self.diag) - 1:
             raise ValueError("need N diagonal and N-1 off-diagonal entries")
         if len(self.offdiag) and not np.all(self.offdiag > 0.0):
             raise ValueError("off-diagonal entries must be strictly positive")
+        if self.d is None:
+            d = np.array(self.diag, dtype=float)
+            for i, o in enumerate(self.offdiag.tolist()):
+                # a pivot <= 0 poisons every later one instead of dividing
+                d[i + 1] -= o / d[i] * o if d[i] > 0.0 else math.inf
+            if not np.all(d > 0.0):
+                raise ValueError("section is not positive definite")
+            object.__setattr__(self, "d", d)
+            object.__setattr__(self, "l", self.offdiag / d[:-1])
 
     @property
     def size(self) -> int:
@@ -125,160 +133,94 @@ class TruncatedJacobi:
 
 
 def truncate(params: JacobiParams, N: int) -> TruncatedJacobi:
-    """N-by-N section of the operator."""
+    """N-by-N section of the operator; its factor is D = diag(a), l_n = k."""
     if N < 1:
         raise SequenceError(f"section size must be at least 1, got {N}")
     a, alpha, beta = entry_arrays(params, N)
-    return TruncatedJacobi(diag=beta, offdiag=alpha[: N - 1], a=a, k=params.k)
+    return TruncatedJacobi(diag=beta, offdiag=alpha[: N - 1], d=a, l=np.full(N - 1, params.k))
 
 
 def associated_section(params: JacobiParams, N: int) -> TruncatedJacobi:
-    """Section of the associated operator (first row and column deleted)."""
+    """Section of the associated operator (first row and column deleted).
+
+    Its pivots are p_n = a_{n+1} + s_n with s_0 = k^2 a_0 and
+    s_{n+1} = k^2 a_{n+1} s_n / p_n, and its multipliers l_n = k a_{n+1} / p_n:
+    sums and products of positive numbers, where the LDL^T recurrence on
+    beta would subtract.
+    """
     if N < 1:
         raise SequenceError(f"section size must be at least 1, got {N}")
-    _, alpha, beta = entry_arrays(params, N + 1)
-    return TruncatedJacobi(diag=beta[1:], offdiag=alpha[1:N])
+    a, alpha, beta = entry_arrays(params, N + 1)
+    k2 = params.k * params.k
+    p = np.empty(N)
+    s = k2 * a[0]
+    for n in range(N):
+        p[n] = a[n + 1] + s
+        s = k2 * a[n + 1] * (s / p[n])
+    return TruncatedJacobi(diag=beta[1:], offdiag=alpha[1:N], d=p, l=alpha[1:N] / p[:-1])
 
 
 def sturm_count(T: TruncatedJacobi, x: float) -> int:
     """Number of eigenvalues of T strictly below x.
 
-    Ratio form of the Sturm sequence; the off-diagonal square is evaluated
-    as (o/d)*o so entries near 1e250 cannot overflow, and an exact zero
-    pivot is nudged to a tiny negative number (the ulp-scale convention).
+    Differential stationary qd on the factor (dstqds; Dhillon & Parlett
+    2004): L D L^T - x I = L+ D+ L+^T, and by Sylvester's inertia law the
+    count is the number of negative pivots D+_i.  The auxiliary
+    s_i = D+_i - d_i obeys s_{i+1} = (s_i / D+_i) d_i l_i^2 - x, so no
+    entry of the tridiagonal is formed.  A zero pivot is taken as its limit
+    from above, as LAPACK ``dlaneg`` does: the next pivot is -inf and the
+    ratio after it is 1.
     """
+    x = float(x)
     count = 0
-    d = T.diag[0] - x
-    if d == 0.0:
-        d = -_pivot_nudge(T.diag[0], x)
-    if d < 0.0:
-        count += 1
-    for i in range(1, T.size):
-        o = T.offdiag[i - 1]
-        d = (T.diag[i] - x) - (o / d) * o
-        if d == 0.0:
-            d = -_pivot_nudge(T.diag[i], x)
-        if d < 0.0:
-            count += 1
-    return count
+    s = -x
+    for d, lld in zip(T.d[:-1].tolist(), (T.d[:-1] * T.l * T.l).tolist()):
+        dplus = d + s
+        count += dplus < 0.0
+        ratio = s / dplus if dplus != 0.0 else -math.inf
+        if ratio != ratio:  # -inf / -inf
+            ratio = 1.0
+        s = ratio * lld - x
+    return count + (float(T.d[-1]) + s < 0.0)
 
 
-def _pivot_nudge(b: float, x: float) -> float:
-    return np.finfo(float).eps * max(abs(b), abs(x), 1.0)
-
-
-def _sturm_count_batch(T: TruncatedJacobi, xs: np.ndarray) -> np.ndarray:
-    """Vectorized Sturm counts for a batch of shift points."""
-    # zero-pivot nudges for every (row, shift) pair, formed once per sweep
-    nudge = -np.finfo(float).eps * np.maximum(np.abs(xs), np.maximum(np.abs(T.diag), 1.0)[:, None])
-    d = T.diag[0] - xs
-    d = np.where(d == 0.0, nudge[0], d)
-    counts = (d < 0.0).astype(np.int64)
-    for b, o, nu in zip(T.diag[1:].tolist(), T.offdiag.tolist(), nudge[1:]):
-        d = (b - xs) - (o / d) * o
-        d = np.where(d == 0.0, nu, d)
-        counts += d < 0.0
-    return counts
-
-
-def _bisect(T: TruncatedJacobi, targets: np.ndarray, rtol: float, atol: float = 0.0) -> np.ndarray:
-    """Batched Sturm bisection for the eigenvalues with 1-based ``targets``.
-
-    Brackets with a positive lower end are split at the geometric midpoint
-    sqrt(lo)*sqrt(hi): the sections are strongly graded (Gershgorin upper
-    ends near 1e135 at q = 1/4), and halving in log space reaches an O(1)
-    eigenvalue in a few dozen sweeps where linear halving needs hundreds.
-    The product of square roots cannot overflow where sqrt(lo*hi) would.
-    A bracket is done once its width is below ``rtol*|mid|`` or ``atol``,
-    or once no float lies strictly inside it.
-    """
-    lo_g, hi_g = T.gershgorin()
-    lo = np.full(len(targets), lo_g)
-    hi = np.full(len(targets), hi_g)
-    for _ in range(4096):
-        pos = lo > 0.0
-        geo = np.sqrt(np.where(pos, lo, 1.0)) * np.sqrt(np.where(pos, hi, 1.0))
-        mid = np.where(pos, geo, 0.5 * (lo + hi))
-        # the rounded product can land an ulp outside a bracket only a few
-        # ulps wide; clamping keeps every bracket nested
-        mid = np.minimum(np.maximum(mid, lo), hi)
-        width = hi - lo
-        scale = np.maximum(np.abs(mid), 1e-300)
-        if np.all((width <= np.maximum(rtol * scale, atol)) | (mid <= lo) | (mid >= hi)):
-            return 0.5 * (lo + hi)
-        go_down = _sturm_count_batch(T, mid) >= targets
-        hi = np.where(go_down, mid, hi)
-        lo = np.where(go_down, lo, mid)
-    raise ConvergenceFailure("Sturm bisection did not close its brackets in 4096 sweeps")
-
-
-def eigen_bisect(T: TruncatedJacobi, j: int, tol: float = 1e-12) -> float:
-    """j-th section eigenvalue by bisection, interval width below tol.
-
-    The width target is honored down to a few ulps of the midpoint; below
-    that, bisection cannot shrink the bracket further.
-    """
-    if not (0 <= j < T.size):
-        raise ValueError(f"eigenvalue index {j} outside section of size {T.size}")
-    return float(_bisect(T, np.array([j + 1]), rtol=0.0, atol=tol)[0])
-
-
-def section_eigenvalues(T: TruncatedJacobi, count: int, rtol: float = 1e-14) -> np.ndarray:
+def section_eigenvalues(T: TruncatedJacobi, count: int) -> np.ndarray:
     """First ``count`` section eigenvalues, in increasing order.
 
-    A section with pivots goes to LAPACK ``dpteqr`` on B^T B, which has the
-    eigenvalues of T = B B^T; every entry of B^T B is a product of positive
-    pivots and the routine returns them to high relative accuracy, so
-    ``rtol`` is not needed there.  Sections without pivots fall back to
-    batched geometric-midpoint bisection to ``rtol``.
+    One LAPACK ``dpteqr`` call on B^T B with B = L D^{1/2}, which has the
+    eigenvalues of T = B B^T.  B^T B has diagonal (1 + l_n^2) d_n (d_{N-1}
+    in the last row) and off-diagonal l_n sqrt(d_n) sqrt(d_{n+1}); for a
+    section of the operator its Cholesky pivots are r_n d_n with
+    r_n = 1 + k^2 - k^2/r_{n-1} in (1, 1+k^2], so no weight sequence can
+    make them cancel, and the routine returns every eigenvalue to high
+    relative accuracy.
     """
     count = min(count, T.size)
-    if T.a is None:
-        return _bisect(T, np.arange(1, count + 1), rtol)
-    return _factored_eigenvalues(T.a, T.k)[:count]
-
-
-def _factored_eigenvalues(a: np.ndarray, k: float) -> np.ndarray:
-    """All eigenvalues of B B^T, ascending, from one ``dpteqr`` call on B^T B.
-
-    B^T B has diagonal (1+k^2) a_n (a_{N-1} in the last row) and
-    off-diagonal k sqrt(a_n) sqrt(a_{n+1}).  Its Cholesky pivots are
-    r_n a_n with r_n = 1 + k^2 - k^2/r_{n-1} in (1, 1+k^2], so no weight
-    sequence can make them cancel, while re-factoring the float beta
-    loses the small eigenvalues of a decreasing prefix.
-    """
-    if len(a) == 1:
-        return a.copy()
-    root = np.sqrt(a)
-    d = (1.0 + k * k) * a
-    d[-1] = a[-1]
+    d, l = T.d, T.l
+    if T.size == 1:
+        return d.copy()
+    root = np.sqrt(d)
+    diag = d.copy()
+    diag[:-1] *= 1.0 + l * l
     # compute_z=0: eigenvalues only, the z slot is a placeholder
-    lam, _, _, info = dpteqr(d, k * root[:-1] * root[1:], np.zeros((1, 1)), compute_z=0)
+    lam, _, _, info = dpteqr(diag, l * root[:-1] * root[1:], np.zeros((1, 1)), compute_z=0)
     if info != 0:
         raise ConvergenceFailure(f"dpteqr on the factored section returned info={info}")
-    return lam[::-1].copy()
+    return lam[::-1][:count].copy()
 
 
 def section_inverse_trace(T: TruncatedJacobi) -> float:
-    """Trace of the section inverse via the two-sided pivot recurrences.
+    """Trace of the section inverse from the factor: sum_i R_i / d_i.
 
-    (T^{-1})_{ii} = 1 / (d_i + e_i - b_i) with d the forward and e the
-    backward Cholesky-style ratios; O(N), no eigenvalues needed, and safe
-    for positive-definite sections of any entry scale.
+    T^{-1} = L^{-T} D^{-1} L^{-1} and L^{-1} has entries
+    prod_{m=j}^{i-1} (-l_m), so R_i = sum_j (L^{-1})_{ij}^2 obeys R_0 = 1,
+    R_i = 1 + l_{i-1}^2 R_{i-1}.  Every term is positive; for a section of
+    the operator this is the first N terms of the trace series.
     """
-    N = T.size
-    b, o = T.diag, T.offdiag
-    dfwd = np.empty(N)
-    dfwd[0] = b[0]
-    for i in range(1, N):
-        dfwd[i] = b[i] - (o[i - 1] / dfwd[i - 1]) * o[i - 1]
-    ebwd = np.empty(N)
-    ebwd[N - 1] = b[N - 1]
-    for i in range(N - 2, -1, -1):
-        ebwd[i] = b[i] - (o[i] / ebwd[i + 1]) * o[i]
-    if np.any(dfwd <= 0.0) or np.any(ebwd <= 0.0):
-        raise ConvergenceFailure("section is not positive definite; trace route invalid")
-    return float(dd.compensated_sum(1.0 / (dfwd + ebwd - b)))
+    R = np.ones(T.size)
+    for i, li in enumerate(T.l.tolist()):
+        R[i + 1] += li * li * R[i]
+    return float(dd.compensated_sum(R / T.d))
 
 
 @dataclass
@@ -818,10 +760,12 @@ def _second_kind_product_sum(params: JacobiParams, n: int, z: float) -> float:
         if abs(term) < 1e-17 * max(abs(acc), 1e-300):
             small += 1
             if small >= 3:
-                break
+                return -acc * P[n]
         else:
             small = 0
-    return -acc * P[n]
+    raise ConvergenceFailure(
+        f"polynomial-product sum for the second kind at z={z!r} did not settle by index {depth}"
+    )
 
 
 def second_kind(params: JacobiParams, n: int, z: float, tol: float = 1e-6) -> float:
@@ -846,7 +790,8 @@ def char_via_second_kind(
 
     Terms decay like 1/a_n; the sum stops adaptively once three consecutive
     terms fall below tol relative to the accumulated value (or after exactly
-    ``terms`` terms when given).
+    ``terms`` terms when given), and raises ConvergenceFailure when 512
+    terms have not settled it.
     """
     if terms is not None and terms < 1:
         raise ValueError("term count must be positive")
@@ -857,14 +802,12 @@ def char_via_second_kind(
         P = Ph + Pl
         acc = 0.0
         small = 0
-        used = 0
         for n_idx in range(depth + 1):
             if terms is not None and n_idx >= terms:
                 break
             w0 = second_kind_at_zero(params, n_idx, tol=tol * 1e-3)
             t = w0 * P[n_idx]
             acc += t
-            used = n_idx + 1
             if terms is None:
                 if abs(t) <= tol * max(abs(acc), 1.0) * 1e-2:
                     small += 1
@@ -872,10 +815,14 @@ def char_via_second_kind(
                         break
                 else:
                     small = 0
-        if terms is not None or small >= 3 or depth >= cap:
-            break
+        if terms is not None or small >= 3:
+            return 1.0 - z * acc
+        if depth >= cap:
+            raise ConvergenceFailure(
+                f"second-kind sum for the characteristic function at z={z!r} "
+                f"did not settle in {cap} terms"
+            )
         depth = min(depth * 2, cap)
-    return 1.0 - z * acc
 
 
 @dataclass
@@ -896,8 +843,8 @@ def associated_checks(params: JacobiParams, N: int, n_zeros: int = 5) -> Associa
     """Two independent routes to the associated operator's inverse trace,
     plus zeros of the numerator series against associated section eigenvalues.
 
-    Route (a): delete the first row and column of the section and apply the
-    two-sided pivot trace formula directly.  Route (b): the rank-two update
+    Route (a): the factored trace of the associated section (first row and
+    column deleted).  Route (b): the rank-two update
     formula expressing the same trace through the original section's inverse
     and squared-inverse corner entries.
     """
@@ -932,12 +879,13 @@ def associated_checks(params: JacobiParams, N: int, n_zeros: int = 5) -> Associa
         (1, 0): float(x0 @ x1),
         (1, 1): float(x1 @ x1),
     }
-    trace_formula = section_inverse_trace(T) - 1.0 / beta0
+    trace_j = section_inverse_trace(T)
+    trace_formula = trace_j - 1.0 / beta0
     for st, c in coeff.items():
         trace_formula += c * inv2[st]
     rel = abs(trace_direct - trace_formula) / abs(trace_direct)
 
-    assoc_eigs = section_eigenvalues(T1, n_zeros, rtol=1e-13)
+    assoc_eigs = section_eigenvalues(T1, n_zeros)
     radius = float(assoc_eigs[-1]) * 1.3 + 1.0
     M, J = _series_context(params, radius, 4)
     wser = second_kind_family(params, M, J, 0)[0]
@@ -951,7 +899,6 @@ def associated_checks(params: JacobiParams, N: int, n_zeros: int = 5) -> Associa
             zeros[i] = float(assoc_eigs[i])
     zero_rel = np.abs(zeros - assoc_eigs) / np.abs(assoc_eigs)
 
-    trace_j = section_inverse_trace(T)
     return AssociatedReport(
         trace_direct=trace_direct,
         trace_formula=trace_formula,

@@ -168,15 +168,15 @@ def test_eval_at_zero_and_negative():
 
 def test_eval_certified_root():
     # the compensated-Newton root drives the evaluation below its own
-    # certified error bound; a bare bisection root (accurate to ~1e-13)
-    # leaves a genuinely nonzero value far above the bound
-    from jspec.spectrum import eigen_bisect, point_spectrum, truncate
+    # certified error bound; a root moved off by 1e-9 relative leaves a
+    # genuinely nonzero value far above the bound
+    from jspec.spectrum import point_spectrum, section_eigenvalues, truncate
 
     sd = point_spectrum(GEOM, 1, tol=1e-10)
     ser = series_coeffs(GEOM, KIND_CHAR, 24, 60)
     out = eval_series(ser, sd.lambda_dd(0))
     assert abs(out.value) <= out.err_bound
-    lam_coarse = eigen_bisect(truncate(GEOM, 40), 0, tol=1e-8)
+    lam_coarse = section_eigenvalues(truncate(GEOM, 40), 1)[0] * (1.0 + 1e-9)
     coarse = eval_series(ser, lam_coarse)
     assert abs(coarse.value) > coarse.err_bound
 
@@ -190,9 +190,9 @@ def test_truncation_consistency():
 
 def test_cancellation_failure_raised():
     ser = series_coeffs(GEOM, KIND_CHAR, 24, 60)
-    from jspec.spectrum import eigen_bisect, truncate
+    from jspec.spectrum import section_eigenvalues, truncate
 
-    lam0 = eigen_bisect(truncate(GEOM, 40), 0, tol=1e-13)
+    lam0 = section_eigenvalues(truncate(GEOM, 40), 1)[0]
     with pytest.raises(CancellationFailure):
         eval_series(ser, lam0, tol=1e-14)  # near a root nothing certifies
 

@@ -11,19 +11,27 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jspec import spectrum
 from jspec.doubledouble import dd_sub
 from jspec.entire import KIND_CHAR, eval_series, second_kind_family, series_coeffs
-from jspec.errors import TailDominates
+from jspec.errors import ConvergenceFailure, TailDominates
 from jspec.polycore import second_kind_at_zero
-from jspec.sequences import Explicit, Geometric, JacobiParams, PowerLaw, gamma_lower_bound
+from jspec.sequences import (
+    Explicit,
+    Geometric,
+    JacobiParams,
+    PowerLaw,
+    entry_arrays,
+    gamma_lower_bound,
+    tail_sum_reciprocal,
+)
 from jspec.spectrum import (
     TruncatedJacobi,
     associated_checks,
     associated_section,
     char_via_second_kind,
-    eigen_bisect,
     masses_and_vectors,
     orthonormality_check,
     point_spectrum,
@@ -78,14 +86,6 @@ def test_sturm_counts():
     assert sturm_count(T, hi * 1.001) == 40
     lam = section_eigenvalues(T, 2)
     assert sturm_count(T, float(np.sqrt(lam[0] * lam[1]))) == 1
-
-
-def test_eigen_bisect_small_sections():
-    assert eigen_bisect(truncate(GEOM, 1), 0) == pytest.approx(12.0, abs=1e-10)
-    T2 = truncate(GEOM, 2)
-    disc = math.sqrt(231.0**2 + 144.0)  # quadratic formula for [[12,6],[6,243]]
-    assert eigen_bisect(T2, 0, tol=1e-12) == pytest.approx((255.0 - disc) / 2.0, rel=1e-13)
-    assert eigen_bisect(T2, 1, tol=1e-12) == pytest.approx((255.0 + disc) / 2.0, rel=1e-13)
 
 
 def test_point_spectrum_invariants(sd8):
@@ -220,14 +220,14 @@ def test_associated_operator():
 
 def test_section_trace_matches_eigen_sum():
     T = truncate(GEOM, 12)
-    lams = section_eigenvalues(T, 12, rtol=1e-14)
+    lams = section_eigenvalues(T, 12)
     assert section_inverse_trace(T) == pytest.approx(float(np.sum(1.0 / lams)), rel=1e-12)
 
 
 def test_interlacing_sections():
     prev = None
     for N in range(1, 16):
-        lams = section_eigenvalues(truncate(GEOM, N), N, rtol=0.0)
+        lams = section_eigenvalues(truncate(GEOM, N), N)
         if prev is not None:
             for j in range(len(prev)):
                 assert lams[j] <= prev[j] * (1.0 + 1e-14)
@@ -256,49 +256,10 @@ def _mp_sturm_count(T, x) -> int:
 def test_section_eigenvalues_match_mpmath_sturm(params, count):
     rtol = 1e-13
     T = truncate(params, 112)
-    lams = section_eigenvalues(T, count, rtol=rtol)
+    lams = section_eigenvalues(T, count)
     for j, lam in enumerate(lams):
         assert _mp_sturm_count(T, lam * (1.0 - rtol)) == j
         assert _mp_sturm_count(T, lam * (1.0 + rtol)) == j + 1
-
-
-@pytest.fixture
-def sweep_counter(monkeypatch):
-    calls = []
-    inner = spectrum._sturm_count_batch
-
-    def counted(T, xs):
-        calls.append(len(xs))
-        return inner(T, xs)
-
-    monkeypatch.setattr(spectrum, "_sturm_count_batch", counted)
-    return calls
-
-
-@pytest.mark.parametrize("rtol", [1e-13, 0.0])
-def test_graded_section_bisects_in_log_space(sweep_counter, rtol):
-    # linear halving from the Gershgorin top (about 1e135 here) takes hundreds
-    # of sweeps; geometric midpoints need a few dozen, and rtol=0 still stops
-    # once no float lies strictly inside a bracket.  The copy drops the
-    # pivots, so the section takes the bisection path
-    S = truncate(GEOM, 112)
-    T = TruncatedJacobi(diag=S.diag, offdiag=S.offdiag)
-    lams = section_eigenvalues(T, 13, rtol=rtol)
-    assert len(sweep_counter) <= 80
-    assert lams[0] == pytest.approx(REF_LAMBDA0, rel=1e-13)
-    assert np.all(np.diff(lams) > 0.0)
-
-
-def test_bisection_across_zero():
-    # Gershgorin interval [-3, 4] straddles 0, so brackets start with the
-    # arithmetic midpoint; the exact eigenvalues are -2 and 3
-    T = TruncatedJacobi(diag=np.array([-1.0, 2.0]), offdiag=np.array([2.0]))
-    assert T.gershgorin() == (-3.0, 4.0)
-    lams = section_eigenvalues(T, 2, rtol=1e-15)
-    assert lams[0] == pytest.approx(-2.0, rel=1e-15)
-    assert lams[1] == pytest.approx(3.0, rel=1e-15)
-    assert eigen_bisect(T, 0, tol=1e-12) == pytest.approx(-2.0, abs=1e-12)
-    assert eigen_bisect(T, 1, tol=1e-12) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_refine_root_ignores_seed_bits():
@@ -306,7 +267,7 @@ def test_refine_root_ignores_seed_bits():
     # zero of the numerator series, not to wherever |F| first fell below
     # its error bound
     T1 = associated_section(GEOM, 59)
-    seeds = section_eigenvalues(T1, 5, rtol=1e-13)
+    seeds = section_eigenvalues(T1, 5)
     M, J = spectrum._series_context(GEOM, float(seeds[-1]) * 1.3 + 1.0, 4)
     wser = second_kind_family(GEOM, M, J, 0)[0]
     for seed in seeds:
@@ -318,10 +279,9 @@ def test_refine_root_ignores_seed_bits():
             assert abs(diff) <= 1e-30 * zh
 
 
-def test_factored_section_makes_no_sturm_sweeps(sweep_counter):
+def test_factored_section_makes_no_sturm_sweeps():
     T = truncate(GEOM, 112)
     lams = section_eigenvalues(T, 13)
-    assert sweep_counter == []
     assert lams[0] == pytest.approx(REF_LAMBDA0, rel=1e-13)
     assert np.all(np.diff(lams) > 0.0)
 
@@ -336,17 +296,24 @@ def test_factored_small_sections():
     assert lams[0] == pytest.approx((12.0 * 243.0 - 36.0) / big, rel=1e-15)
 
 
-def _mp_section_eigenvalues(T, count, dps):
-    """Lowest eigenvalues of the exact section built from T's float pivots."""
+def _mp_eigsy(diag, off, dps):
+    """All eigenvalues, ascending, of the tridiagonal with the given entries."""
     with mpmath.workdps(dps):
-        k = mpmath.mpf(T.k)
-        a = [mpmath.mpf(float(x)) for x in T.a]
-        A = mpmath.zeros(T.size, T.size)
-        for n in range(T.size):
-            A[n, n] = a[n] + (k * k * a[n - 1] if n else 0)
-            if n + 1 < T.size:
-                A[n, n + 1] = A[n + 1, n] = k * a[n]
-        return sorted(mpmath.eigsy(A, eigvals_only=True))[:count]
+        A = mpmath.zeros(len(diag), len(diag))
+        for n, b in enumerate(diag):
+            A[n, n] = b
+        for n, o in enumerate(off):
+            A[n, n + 1] = A[n + 1, n] = o
+        return sorted(mpmath.eigsy(A, eigvals_only=True))
+
+
+def _mp_section_eigenvalues(T, count, dps):
+    """Lowest eigenvalues of the exact section L D L^T built from T's float factor."""
+    with mpmath.workdps(dps):
+        d = [mpmath.mpf(float(x)) for x in T.d]
+        l = [mpmath.mpf(float(x)) for x in T.l]
+        diag = [d[n] + (l[n - 1] ** 2 * d[n - 1] if n else 0) for n in range(T.size)]
+        return _mp_eigsy(diag, [l[n] * d[n] for n in range(T.size - 1)], dps)[:count]
 
 
 @pytest.mark.parametrize("params, N, count, dps, rel", [
@@ -364,3 +331,94 @@ def test_factored_section_matches_mpmath_eigsy(params, N, count, dps, rel):
     ref = _mp_section_eigenvalues(T, count, dps)
     for lam, r in zip(lams, ref):
         assert abs(lam - float(r)) <= rel * float(r)
+
+
+EXPLICIT = JacobiParams(Explicit((1e8, 1e4, 1.0, 1e-4, 1e-8), PowerLaw(1.0, 2.0)), 0.99)
+
+
+@st.composite
+def _sections(draw):
+    family = draw(st.sampled_from(["geometric", "powerlaw", "explicit"]))
+    k = draw(st.floats(0.05, 0.99))
+    if family == "geometric":
+        seq = Geometric(draw(st.floats(0.2, 0.95)))
+    elif family == "powerlaw":
+        seq = PowerLaw(draw(st.floats(0.1, 10.0)), draw(st.floats(1.2, 3.0)))
+    else:
+        exps = draw(st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=5))
+        seq = Explicit(tuple(10.0**e for e in exps), PowerLaw(1.0, 2.0))
+    build = draw(st.sampled_from([truncate, associated_section]))
+    return build(JacobiParams(seq, k), draw(st.integers(2, 60)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=_sections())
+def test_sturm_count_separates_section_eigenvalues(T):
+    # dstqds counts on the factor put exactly j + 1 eigenvalues below the
+    # geometric midpoint of the j-th and (j+1)-th
+    lams = section_eigenvalues(T, 10)
+    assert np.all(lams > 0.0)
+    for j in range(len(lams) - 1):
+        mid = math.sqrt(lams[j]) * math.sqrt(lams[j + 1])
+        assert sturm_count(T, mid) == j + 1
+    assert sturm_count(T, lams[0] / 2.0) == 0
+
+
+def _mp_associated_eigenvalues(params, N, count, dps):
+    """Lowest eigenvalues of the exact associated section built from the float a_n."""
+    a, _, _ = entry_arrays(params, N + 1)
+    with mpmath.workdps(dps):
+        k = mpmath.mpf(params.k)
+        a = [mpmath.mpf(float(x)) for x in a]
+        diag = [a[n + 1] + k * k * a[n] for n in range(N)]
+        return _mp_eigsy(diag, [k * a[n + 1] for n in range(N - 1)], dps)[:count]
+
+
+@pytest.mark.parametrize("params, dps, rel", [
+    (GEOM, 200, 1e-15),
+    (JacobiParams(Geometric(0.9), math.sqrt(0.9)), 60, 2e-14),
+    (JacobiParams(PowerLaw(1.0, 2.0), 0.99), 60, 2e-14),
+    (EXPLICIT, 60, 2e-14),
+])
+def test_associated_section_matches_mpmath_eigsy(params, dps, rel):
+    # the associated pivots are formed without subtraction, so the factored
+    # engine keeps its relative accuracy on the associated operator too
+    lams = section_eigenvalues(associated_section(params, 40), 6)
+    ref = _mp_associated_eigenvalues(params, 40, 6, dps)
+    for lam, r in zip(lams, ref):
+        assert abs(lam - float(r)) <= rel * float(r)
+
+
+def test_section_inverse_trace_on_decreasing_prefix():
+    # the float-beta recurrences returned 0.109 relative below sum 1/lambda here
+    T = truncate(EXPLICIT, 40)
+    with mpmath.workdps(60):
+        ref = mpmath.fsum(1 / lam for lam in _mp_section_eigenvalues(T, 40, 60))
+    assert section_inverse_trace(T) == pytest.approx(float(ref), rel=1e-13)
+
+
+def test_indefinite_section_rejected():
+    with pytest.raises(ValueError):
+        TruncatedJacobi(diag=np.array([-1.0, 2.0]), offdiag=np.array([2.0]))
+    with pytest.raises(ValueError):
+        TruncatedJacobi(diag=np.array([1.0, 1.0]), offdiag=np.array([2.0]))
+
+
+def test_completeness_defect_on_decreasing_prefix():
+    # with the factored trace the defect is the section's missing tail,
+    # sum_{i >= N} (1 - k^{2i+2}) / ((1 - k^2) a_i), not a cancellation artefact
+    sd = point_spectrum(EXPLICIT, 3)
+    tail = tail_sum_reciprocal(EXPLICIT.seq, sd.N_used) / (1.0 - EXPLICIT.k**2)
+    assert tail / 2.0 <= sd.completeness_defect <= 2.0 * tail
+
+
+def test_char_via_second_kind_raises_when_unsettled():
+    with pytest.raises(ConvergenceFailure):
+        char_via_second_kind(JacobiParams(PowerLaw(1.0, 2.0), 0.5), 2.0)
+
+
+def test_second_kind_product_sum_raises_when_unsettled():
+    # at q = 0.97 the sum has not settled by index n + 64 (it stood at
+    # 88.1857 there, against w_0(0) = 88.2173)
+    with pytest.raises(ConvergenceFailure):
+        spectrum._second_kind_product_sum(JacobiParams(Geometric(0.97), math.sqrt(0.97)), 0, 0.0)
