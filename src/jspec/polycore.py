@@ -192,7 +192,11 @@ def value_at_zero(params: JacobiParams, n: int) -> float:
 
 
 def second_kind_at_zero(params: JacobiParams, n: int, tol: float = 1e-14) -> float:
-    """w_n(0) = (-1)^n sum_{j>=n} k^{2j-n}/a_j, truncated with certified tail < tol."""
+    """w_n(0) = (-1)^n sum_{j>=n} k^{2j-n}/a_j, truncated with certified tail < tol.
+
+    Raises ``TruncationTooCoarse`` when no J up to n + 2^14 brings the tail
+    bound below ``tol`` (k near 1 with a slowly growing sequence).
+    """
     if n < 0:
         raise SequenceError(f"index must be non-negative, got {n}")
     if tol <= 0.0:
@@ -201,8 +205,12 @@ def second_kind_at_zero(params: JacobiParams, n: int, tol: float = 1e-14) -> flo
     J = n + 8
     while True:
         tail = k ** (2 * (J + 1) - n) * tail_sum_reciprocal(params.seq, J + 1)
-        if tail < tol or J > n + (1 << 14):
+        if tail < tol:
             break
+        if J > n + (1 << 14):
+            raise TruncationTooCoarse(
+                f"second-kind tail bound {tail:.3e} at J={J} does not reach {tol:.3e}"
+            )
         J *= 2
     a, _, _ = entry_arrays(params, J + 1)
     j = np.arange(n, J + 1)

@@ -135,21 +135,25 @@ def _phi11(a: float, b: float, q: float, z: float, terminate_at: Optional[int] =
 
 
 def _phi21(a: float, b: float, c: float, q: float, z: float, tol: float = 1e-16) -> float:
-    """2phi1(a, b; c; q, z), |z| < 1 required."""
+    """2phi1(a, b; c; q, z), |z| < 1 required.
+
+    Raises ConvergenceFailure when the partial sum leaves the float range or
+    100,000 terms do not bring the tail bound below ``tol``.
+    """
     if not (abs(z) < 1.0):
         raise DivergentArgument(f"2phi1 argument must satisfy |z| < 1, got {z}")
     t = 1.0
     s_h, s_l = 1.0, 0.0
-    m = 0
-    while m < 100000:
+    for m in range(100000):
         ratio = (1.0 - a * q**m) * (1.0 - b * q**m) * z / ((1.0 - c * q**m) * (1.0 - q ** (m + 1)))
         t *= ratio
         s_h, s_l = dd.dd_add_d(s_h, s_l, t)
-        m += 1
-        r = abs(z) / abs((1.0 - c * q**m) * (1.0 - q ** (m + 1)))
+        if not math.isfinite(s_h):
+            raise ConvergenceFailure(f"2phi1 partial sum left the float range after {m + 1} terms")
+        r = abs(z) / abs((1.0 - c * q ** (m + 1)) * (1.0 - q ** (m + 2)))
         if r < 1.0 and abs(t) * r / (1.0 - r) < tol * max(abs(s_h), 1e-300):
-            break
-    return s_h + s_l
+            return s_h + s_l
+    raise ConvergenceFailure(f"2phi1 with q={q!r}, z={z!r} did not reach {tol:g} in 100000 terms")
 
 
 def basic_hypergeometric(

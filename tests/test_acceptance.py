@@ -49,3 +49,20 @@ def test_tolerances_pinned():
     assert V.TOL_ASSOC_TRACE == 1e-8
     assert V.TOL_ASSOC_ZEROS == 1e-6
     assert V.TOL_ORACLE == 1e-14
+
+
+def test_mode_agreement_reads_every_degree_off_one_call(monkeypatch):
+    # criterion 2 compares the two modes at 26 degrees and 20 points with
+    # one degree-25 call per mode and point, plus the quadratic coefficients
+    calls = []
+    real = V.orthopoly_eval
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(V, "orthopoly_eval", counting)
+    passed, detail = V.crit_explicit_vs_recurrence()
+    assert passed
+    assert len(calls) <= 41
+    assert detail == "mode agreement 8.37e-16, quadratic coefficients 0.00e+00"

@@ -91,6 +91,29 @@ def test_second_kind_at_zero_values():
         assert math.copysign(1.0, second_kind_at_zero(GEOM, n)) == (-1.0) ** n
 
 
+def test_second_kind_at_zero_geometric_matches_mpmath():
+    # w_n(0) = (-1)^n sum_{j>=n} k^{2j-n}/a_j with a_j = q^{-2(j+1)}(1 - q^{j+1})
+    q, k = 0.6, 0.9
+    params = JacobiParams(Geometric(q), k)
+    for n in (0, 3, 10):
+        with mpmath.workdps(40):
+            qm, km = mpmath.mpf(q), mpmath.mpf(k)
+            ref = (-1) ** n * mpmath.nsum(
+                lambda j: km ** (2 * j - n) * qm ** (2 * (j + 1)) / (1 - qm ** (j + 1)),
+                [n, mpmath.inf],
+            )
+        assert second_kind_at_zero(params, n) == pytest.approx(float(ref), rel=1e-14)
+
+
+def test_second_kind_at_zero_raises_when_tail_cannot_certify():
+    # at k = 0.9999 the 1/j^2 tail times k^{2J} stays above tol through
+    # J = 2^14; the sum stopped there once returned 1.6433591832, 5.3e-7
+    # relative from the mpmath value 1.6433583054
+    params = JacobiParams(PowerLaw(1.0, 2.0), 0.9999)
+    with pytest.raises(TruncationTooCoarse):
+        second_kind_at_zero(params, 0)
+
+
 def test_trace_inverse_closed_form():
     # terms reduce to q^{2j+2}/(1-q): geometric sum q^2/((1-q)(1-q^2)) = 4/45
     assert trace_inverse(GEOM, tol=1e-15) == pytest.approx(4.0 / 45.0, rel=1e-14)
@@ -183,13 +206,24 @@ def test_dd_recurrence_matches_float():
     assert np.max(np.abs(Ph - pe.values) / np.maximum(1.0, np.abs(Ph))) < 1e-13
 
 
+def _assert_degrees_share_one_pass(params, mode):
+    n = 25
+    for x in (-2.0, 0.0, 0.3, 7.5, 120.0):
+        full = orthopoly_eval(params, n, x, mode).values
+        for d in range(n + 1):
+            own = orthopoly_eval(params, d, x, mode).values[d]
+            assert np.float64(own).tobytes() == np.float64(full[d]).tobytes(), (x, d)
+
+
 @pytest.mark.parametrize("params", [GEOM, JacobiParams(PowerLaw(1.0, 2.0), 0.5)])
 def test_explicit_degrees_share_one_pass(params):
     # every degree is read off the degree-n prefix table in one 2-D Horner
     # pass; each must equal its own explicit evaluation bit for bit
-    n = 25
-    for x in (-2.0, 0.0, 0.3, 7.5, 120.0):
-        full = orthopoly_eval(params, n, x, "explicit").values
-        for d in range(n + 1):
-            own = orthopoly_eval(params, d, x, "explicit").values[d]
-            assert np.float64(own).tobytes() == np.float64(full[d]).tobytes(), (x, d)
+    _assert_degrees_share_one_pass(params, "explicit")
+
+
+@pytest.mark.parametrize("params", [GEOM, JacobiParams(PowerLaw(1.0, 2.0), 0.5)])
+def test_recurrence_degrees_share_one_pass(params):
+    # the recurrence fills P_0..P_n in one sweep; verification criterion 2
+    # reads all 26 degrees off one degree-25 call per point
+    _assert_degrees_share_one_pass(params, "recurrence")

@@ -75,6 +75,20 @@ def test_phi21_divergent_argument():
         basic_hypergeometric("2phi1", 0.5, 1.2, a=0.5, b=0.5, c=0.25)
 
 
+def test_phi21_raises_when_partial_sum_overflows():
+    # at q near 1 the denominators 1 - q^{m+1} vanish and the terms overflow;
+    # the sum once ran all 100,000 terms and returned nan
+    with pytest.raises(ConvergenceFailure):
+        basic_hypergeometric("2phi1", 0.99999, 0.9999, a=0.1, b=0.1, c=0.5)
+
+
+def test_phi21_raises_at_term_cap():
+    # terms decay like z^m, so at z = 1 - 1e-6 the tail after 100,000 terms
+    # is still about 0.9 of the sum
+    with pytest.raises(ConvergenceFailure):
+        basic_hypergeometric("2phi1", 0.5, 1.0 - 1e-6, a=0.5, b=0.5, c=0.25)
+
+
 def test_phi11_terminates_for_inverse_power_parameter():
     # numerator parameter q^-n kills every term beyond degree n, so the
     # generic series equals the finite sum regardless of the cutoff logic

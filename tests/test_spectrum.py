@@ -15,7 +15,13 @@ from hypothesis import given, settings, strategies as st
 
 from jspec import spectrum
 from jspec.doubledouble import dd_sub
-from jspec.entire import KIND_CHAR, eval_series, second_kind_family, series_coeffs
+from jspec.entire import (
+    KIND_CHAR,
+    eval_series,
+    eval_series_deriv,
+    second_kind_family,
+    series_coeffs,
+)
 from jspec.errors import ConvergenceFailure, TailDominates
 from jspec.polycore import second_kind_at_zero
 from jspec.sequences import (
@@ -205,17 +211,30 @@ def test_associated_operator():
     assert rep.trace_direct == pytest.approx(REF_ASSOC_TRACE, rel=1e-10)
     # interlacing with the base spectrum: lambda_j < zero_j < lambda_{j+1};
     # for higher indices the zero and the next eigenvalue agree to every
-    # float bit, so the strict comparison runs on the double-double words
-    from jspec.doubledouble import dd_sub
-
+    # float bit, so the comparison runs on the double-double words.  Each
+    # root is only certified to its resolution err_bound/|F'|: a gap above
+    # the summed resolutions of its two roots must be strictly positive,
+    # and the one below them (i = 4: 6.2e-25 against 1.7e-20 + 4.7e-21)
+    # must lie within that sum
     sd = point_spectrum(GEOM, 6, tol=1e-10)
+    M, J = spectrum._series_context(GEOM, float(rep.associated_eigenvalues[-1]) * 1.3 + 1.0, 4)
+    wser = second_kind_family(GEOM, M, J, 0)[0]
+    M, J = spectrum._series_context(GEOM, float(sd.lambdas[-1]) * 1.3 + 1.0, sd.count + 10)
+    fser = series_coeffs(GEOM, KIND_CHAR, M, J)
+    lam_res = [
+        sd.residual_F_bound[j] / abs(eval_series_deriv(fser, sd.lambda_dd(j)).value)
+        for j in range(6)
+    ]
     for i in range(5):
-        lo_gap, _ = dd_sub(rep.numerator_zeros[i], rep.numerator_zeros_lo[i],
-                           sd.lambdas[i], sd.lambdas_lo[i])
-        hi_gap, _ = dd_sub(sd.lambdas[i + 1], sd.lambdas_lo[i + 1],
-                           rep.numerator_zeros[i], rep.numerator_zeros_lo[i])
-        assert lo_gap > 0.0
-        assert hi_gap > 0.0
+        zero = (rep.numerator_zeros[i], rep.numerator_zeros_lo[i])
+        zero_res = eval_series(wser, zero).err_bound / abs(eval_series_deriv(wser, zero).value)
+        lo_gap, _ = dd_sub(*zero, *sd.lambda_dd(i))
+        hi_gap, _ = dd_sub(*sd.lambda_dd(i + 1), *zero)
+        assert lo_gap > zero_res + lam_res[i]
+        if i < 4:
+            assert hi_gap > zero_res + lam_res[i + 1]
+        else:
+            assert abs(hi_gap) <= zero_res + lam_res[i + 1]
 
 
 def test_section_trace_matches_eigen_sum():
