@@ -44,10 +44,9 @@ from .entire import (
     eigenvector_entry,
     eval_series,
     eval_series_deriv,
-    recurrence_residual,
+    identity_residuals,
     second_kind_family,
     series_coeffs,
-    wronskian_residual,
 )
 from .spectrum import (
     AssociatedReport,

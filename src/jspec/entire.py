@@ -69,8 +69,7 @@ __all__ = [
     "eval_series",
     "eval_series_deriv",
     "eigenvector_entry",
-    "wronskian_residual",
-    "recurrence_residual",
+    "identity_residuals",
     "choose_truncation",
     "envelope_bound",
 ]
@@ -296,13 +295,15 @@ def second_kind_family(
         if j <= n_max:
             Hh[:, j], Hl[:, j] = sh, sl
     X = _weight_suffix(params, J)
+    # seed weight k^{2j}/a_j summed beyond the cutoff, shared by every shift
+    seed_beyond = params.k ** (2 * (J + 1)) * tail_sum_reciprocal(params.seq, J + 1)
     return [
-        _finalize(params, KIND_SECOND, n, M, J, Hh[:, n].copy(), Hl[:, n].copy(), X)
+        _finalize(params, KIND_SECOND, n, M, J, Hh[:, n].copy(), Hl[:, n].copy(), X, seed_beyond)
         for n in range(n_max + 1)
     ]
 
 
-def _finalize(params, kind, shift, M, J, chi, clo, X) -> PowerSeriesApprox:
+def _finalize(params, kind, shift, M, J, chi, clo, X, seed_beyond=0.0) -> PowerSeriesApprox:
     k = params.k
     t_beyond = float(X[J + 1])
     # omitted-index bounds: a chain touching an index beyond J contributes at
@@ -313,7 +314,6 @@ def _finalize(params, kind, shift, M, J, chi, clo, X) -> PowerSeriesApprox:
         # plus the seed beyond J times every chain after it, seed * X^m / m!,
         # in log space: X^m and m! leave the float range long before the
         # bound is useless
-        seed_beyond = k ** (2 * (J + 1)) * tail_sum_reciprocal(params.seq, J + 1)
         omitted[0] = seed_beyond
         log_seed = _log_or_ninf(seed_beyond)
         log_X = math.log(X[min(shift + 1, J + 1)])
@@ -522,14 +522,7 @@ def scale_for_shift(k: float, n: int) -> float:
     return (-1.0) ** n * k ** (-n)
 
 
-def eigenvector_entry(
-    params: JacobiParams,
-    n: int,
-    z,
-    M: Optional[int] = None,
-    J: Optional[int] = None,
-    tol: Optional[float] = None,
-) -> float:
+def eigenvector_entry(params: JacobiParams, n: int, z) -> float:
     """Phi_n(z) = (-1)^n k^-n times the shift-n second-kind series at z.
 
     At an eigenvalue these are the components of the corresponding
@@ -537,13 +530,9 @@ def eigenvector_entry(
     the family once via second_kind_family.
     """
     zh, _ = _as_dd_point(z)
-    if M is None or J is None:
-        M_, J_ = choose_truncation(params, max(abs(zh), 1.0), tol or 1e-12, min_cutoff=n + 2)
-        M = M if M is not None else M_
-        J = J if J is not None else max(J_, n + 2)
+    M, J = choose_truncation(params, max(abs(zh), 1.0), 1e-12, min_cutoff=n + 2)
     s = series_coeffs(params, KIND_SECOND, M, J, shift=n)
-    out = eval_series(s, z, tol=tol)
-    return scale_for_shift(params.k, n) * out.value
+    return scale_for_shift(params.k, n) * eval_series(s, z).value
 
 
 def envelope_bound(params: JacobiParams, n: int, abs_z: float) -> float:
@@ -554,10 +543,19 @@ def envelope_bound(params: JacobiParams, n: int, abs_z: float) -> float:
     shift-n series at 0 already sums k^{2j}/a_j over j >= n, which a bare
     1/min a_j does not dominate.)
     """
+    return _envelope(params.k, _envelope_factors(params, n), abs_z)
+
+
+def _envelope_factors(params: JacobiParams, n: int) -> tuple[float, float]:
+    """The |z|-free factors of ``envelope_bound``: its prefactor and R(n+1)."""
     k = params.k
     amin = sequence_min_from(params.seq, n)
-    expo = abs_z * tail_sum_reciprocal(params.seq, n + 1) / (1.0 - k * k)
-    return k**n / ((1.0 - k * k) * amin) * math.exp(min(expo, 700.0))
+    return k**n / ((1.0 - k * k) * amin), tail_sum_reciprocal(params.seq, n + 1)
+
+
+def _envelope(k: float, factors: tuple[float, float], abs_z: float) -> float:
+    scale, tail = factors
+    return scale * math.exp(min(abs_z * tail / (1.0 - k * k), 700.0))
 
 
 def choose_truncation(
@@ -565,7 +563,6 @@ def choose_truncation(
     radius: float,
     tol: float,
     min_cutoff: int = 0,
-    max_order: int = 512,
     max_cutoff: int = 1 << 15,
 ) -> tuple[int, int]:
     """Pick (order M, cutoff J) certifying tol/10 tails at the given radius.
@@ -574,7 +571,7 @@ def choose_truncation(
     below tol/10 in relative terms; M until the order-truncation tail is.
     The order rule uses the one-step coefficient-ratio bound (the blunt
     S^{M+1} R^{M+1} / (M+1)! criterion stalls at large radii because the
-    true coefficients decay much faster than S^m/m!).
+    true coefficients decay much faster than S^m/m!).  M is capped at 512.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
@@ -591,6 +588,7 @@ def choose_truncation(
             f"no index cutoff below {max_cutoff} certifies radius {radius:g} at tol {tol:g}"
         )
     suffix = _weight_suffix(params, J)
+    max_order = 512
     M = 4
     while M < max_order:
         rho = suffix[min(M + 1, J + 1)] * radius
@@ -610,78 +608,37 @@ def choose_truncation(
     return M, J
 
 
-def _phi_values(params, ns, z, M, J):
-    """Phi_n(z) as dd pairs for each n in ``ns``, from one family evaluation."""
-    fam = second_kind_family(params, M, J, max(ns))
-    evs = _eval_family([fam[n] for n in ns], z)
-    return {
-        n: dd.dd_mul_d(ev.value, ev.value_lo, scale_for_shift(params.k, n))
-        for n, ev in zip(ns, evs)
-    }
+def identity_residuals(
+    params: JacobiParams, z, n_max: int, M: int, J: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Wronskian and recurrence residuals of the second-kind entries, n = 0..n_max.
 
-
-def wronskian_residual(
-    params: JacobiParams,
-    n: int,
-    z,
-    M: Optional[int] = None,
-    J: Optional[int] = None,
-) -> float:
-    """|alpha_n (P_n Phi_{n+1} - P_{n+1} Phi_n) - F(z)|.
-
-    The bracket is the Wronskian of the polynomial and second-kind solution
-    families, constant in n and equal to the characteristic function.
+    Wronskian: |alpha_n (P_n Phi_{n+1} - P_{n+1} Phi_n) - F(z)|; the bracket
+    is constant in n and equal to the characteristic function.  Recurrence:
+    |alpha_n Phi_{n+1} + (beta_n - z) Phi_n + alpha_{n-1} Phi_{n-1}|, where at
+    n = 0 the boundary form applies and F(z) takes the place of the last
+    term.  One family, one polynomial run and one characteristic series
+    serve every n; column n of each is the one a single-n build would give.
     """
     from .polycore import orthopoly_values_dd  # local import, avoids a cycle
 
     zh, zl = _as_dd_point(z)
-    if M is None or J is None:
-        M_, J_ = choose_truncation(params, max(abs(zh), 1.0), 1e-13, min_cutoff=n + 3)
-        M = M or M_
-        J = J or max(J_, n + 3)
-    phis = _phi_values(params, (n, n + 1), (zh, zl), M, J)
-    Ph, Pl = orthopoly_values_dd(params, n + 1, (zh, zl))
-    _, alpha, _ = entry_arrays(params, n + 1)
-    t1 = dd.dd_mul(Ph[n], Pl[n], phis[n + 1][0], phis[n + 1][1])
-    t2 = dd.dd_mul(Ph[n + 1], Pl[n + 1], phis[n][0], phis[n][1])
-    wh, wl = dd.dd_sub(*t1, *t2)
-    wh, wl = dd.dd_mul_d(wh, wl, float(alpha[n]))
-    fs = series_coeffs(params, KIND_CHAR, M, J)
-    fe = eval_series(fs, (zh, zl))
-    rh, _ = dd.dd_sub(wh, wl, fe.value, fe.value_lo)
-    return abs(rh)
+    evs = _eval_family(second_kind_family(params, M, J, n_max + 1), (zh, zl))
+    scales = np.array([scale_for_shift(params.k, n) for n in range(n_max + 2)])
+    vh, vl = dd.dd_mul_d(
+        np.array([ev.value for ev in evs]), np.array([ev.value_lo for ev in evs]), scales
+    )
+    Ph, Pl = orthopoly_values_dd(params, n_max + 1, (zh, zl))
+    _, alpha, beta = entry_arrays(params, n_max + 1)
+    fe = eval_series(series_coeffs(params, KIND_CHAR, M, J), (zh, zl))
 
+    t1 = dd.dd_mul(Ph[:-1], Pl[:-1], vh[1:], vl[1:])
+    t2 = dd.dd_mul(Ph[1:], Pl[1:], vh[:-1], vl[:-1])
+    wh, wl = dd.dd_mul_d(*dd.dd_sub(*t1, *t2), alpha)
+    wr, _ = dd.dd_sub(wh, wl, fe.value, fe.value_lo)
 
-def recurrence_residual(
-    params: JacobiParams,
-    n: int,
-    z,
-    M: Optional[int] = None,
-    J: Optional[int] = None,
-) -> float:
-    """Three-term recurrence residual of the second-kind entries.
-
-    For n >= 1: |alpha_n Phi_{n+1} + (beta_n - z) Phi_n + alpha_{n-1} Phi_{n-1}|.
-    At n = 0 the boundary form applies and the characteristic function enters:
-    |alpha_0 Phi_1 + (beta_0 - z) Phi_0 - F(z)|.
-    """
-    zh, zl = _as_dd_point(z)
-    if M is None or J is None:
-        M_, J_ = choose_truncation(params, max(abs(zh), 1.0), 1e-13, min_cutoff=n + 3)
-        M = M or M_
-        J = J or max(J_, n + 3)
-    ns = (n, n + 1) if n == 0 else (n - 1, n, n + 1)
-    phis = _phi_values(params, ns, (zh, zl), M, J)
-    _, alpha, beta = entry_arrays(params, n + 2)
-    bh, bl = dd.dd_add_d(-zh, -zl, float(beta[n]))
-    rh, rl = dd.dd_mul(bh, bl, phis[n][0], phis[n][1])
-    th, tl = dd.dd_mul_d(phis[n + 1][0], phis[n + 1][1], float(alpha[n]))
-    rh, rl = dd.dd_add(rh, rl, th, tl)
-    if n == 0:
-        fs = series_coeffs(params, KIND_CHAR, M, J)
-        fe = eval_series(fs, (zh, zl))
-        rh, rl = dd.dd_sub(rh, rl, fe.value, fe.value_lo)
-    else:
-        th, tl = dd.dd_mul_d(phis[n - 1][0], phis[n - 1][1], float(alpha[n - 1]))
-        rh, rl = dd.dd_add(rh, rl, th, tl)
-    return abs(rh)
+    rh, rl = dd.dd_mul(*dd.dd_add_d(-zh, -zl, beta), vh[:-1], vl[:-1])
+    rh, rl = dd.dd_add(rh, rl, *dd.dd_mul_d(vh[1:], vl[1:], alpha))
+    rh[0], rl[0] = dd.dd_sub(rh[0], rl[0], fe.value, fe.value_lo)
+    rh[1:], _ = dd.dd_add(rh[1:], rl[1:], *dd.dd_mul_d(vh[:-2], vl[:-2], alpha[:-1]))
+    return np.abs(wr), np.abs(rh)

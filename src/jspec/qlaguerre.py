@@ -29,8 +29,8 @@ from typing import Optional
 import numpy as np
 
 from . import doubledouble as dd
-from .entire import KIND_CHAR, eval_series, second_kind_family, series_coeffs
-from .errors import ConvergenceFailure, DivergentArgument, SequenceError
+from .entire import KIND_CHAR, choose_truncation, eval_series, second_kind_family, series_coeffs
+from .errors import CancellationFailure, ConvergenceFailure, DivergentArgument, SequenceError
 from .sequences import Geometric, JacobiParams
 from .spectrum import truncate
 
@@ -117,9 +117,15 @@ def _phi01_dd(b: float, q: float, z, tol: float = 1e-17):
 
 def _phi11(a: float, b: float, q: float, z: float, terminate_at: Optional[int] = None,
            tol: float = 1e-17) -> float:
-    """1phi1(a; b; q, z) with the (-1)^m q^(m(m-1)/2) factor per term."""
+    """1phi1(a; b; q, z) with the (-1)^m q^(m(m-1)/2) factor per term.
+
+    The non-terminating sum alternates; it raises CancellationFailure when
+    the rounding of its terms, sum |t_m| (terms + 2) 2^-52, exceeds 1e-10 of
+    the result.
+    """
     t = 1.0
     s_h, s_l = 1.0, 0.0
+    ab = 1.0
     m = 0
     cap = terminate_at if terminate_at is not None else 400
     while m < cap:
@@ -128,10 +134,16 @@ def _phi11(a: float, b: float, q: float, z: float, terminate_at: Optional[int] =
         if t == 0.0:
             break
         s_h, s_l = dd.dd_add_d(s_h, s_l, t)
+        ab += abs(t)
         m += 1
         if terminate_at is None and abs(t) < tol * max(abs(s_h), 1e-300) and abs(ratio) < 0.5:
             break
-    return s_h + s_l
+    s = s_h + s_l
+    if terminate_at is None and ab * (m + 2) * 2.0**-52 > 1e-10 * abs(s):
+        raise CancellationFailure(
+            f"1phi1 at q={q!r}, z={z!r} sums terms of total size {ab:.3e} to {s:.3e}"
+        )
+    return s
 
 
 def _phi21(a: float, b: float, c: float, q: float, z: float, tol: float = 1e-16) -> float:
@@ -249,13 +261,13 @@ def qbessel2_roots(
     qp: QParams,
     count: int,
     x_max: Optional[float] = None,
-    grid_per_decade: int = 200,
 ) -> np.ndarray:
     """First ``count`` positive roots of J_nu^(2)(.; q) by scan and bisection.
 
     The positive roots coincide with those of the entire 0phi1 factor, so
     the scan runs on that factor (the power prefactor never vanishes for
-    x > 0).  Roots spread geometrically, hence the logarithmic grid.
+    x > 0).  Roots spread geometrically, hence the logarithmic grid of 200
+    points per decade.
     """
     if count < 1:
         raise ValueError("need a positive root count")
@@ -269,7 +281,7 @@ def qbessel2_roots(
         x_max = 2.2 * math.sqrt(hi)
     f = lambda x: _phi01_sign(b, q, -b * x * x / 4.0)
     lo_x = min(0.05, x_max * 1e-6)
-    n_pts = max(int(grid_per_decade * math.log10(x_max / lo_x)), 64)
+    n_pts = max(int(200 * math.log10(x_max / lo_x)), 64)
     grid = np.exp(np.linspace(math.log(lo_x), math.log(x_max), n_pts))
     roots = []
     f_prev = f(grid[0])
@@ -300,58 +312,42 @@ def qbessel2_roots(
     return np.array(roots[:count])
 
 
-def char_closed_forms(
-    z: float,
-    qp: QParams,
-    M: Optional[int] = None,
-    J: Optional[int] = None,
-    small_z: float = 1e-8,
-) -> tuple[float, float, float]:
+def char_closed_forms(z: float, qp: QParams) -> tuple[float, float, float]:
     """Characteristic function by Bessel form, 0phi1 form, and chain series.
 
-    Returns (via_bessel, via_phi01, via_series).  For |z| below ``small_z``
-    the removable 1/sqrt(z) singularity of the Bessel form is handled by
-    its series limit (the 0phi1 form itself).
+    Returns (via_bessel, via_phi01, via_series).  For |z| <= 1e-8 the
+    removable 1/sqrt(z) singularity of the Bessel form is handled by its
+    series limit (the 0phi1 form itself).
     """
     q = qp.q
     via_phi = _phi01_sign(q * q, q, -q * q * z)
-    if z > small_z:
+    if z > 1e-8:
         via_bessel = (1.0 - q) / math.sqrt(z) * jackson_qbessel2(1.0, 2.0 * math.sqrt(z), qp)
     elif z >= 0.0:
         via_bessel = via_phi
     else:
         raise ValueError("the Bessel route needs z >= 0")
     params = induced_params(qp)
-    if M is None or J is None:
-        from .entire import choose_truncation
-
-        M, J = choose_truncation(params, max(abs(z), 1.0), 1e-13)
+    M, J = choose_truncation(params, max(abs(z), 1.0), 1e-13)
     fser = series_coeffs(params, KIND_CHAR, M, J)
     via_series = eval_series(fser, z, tol=1e-9).value
     return via_bessel, via_phi, via_series
 
 
-def weyl_num_closed_forms(
-    z: float,
-    qp: QParams,
-    M: Optional[int] = None,
-    J: Optional[int] = None,
-    small_z: float = 1e-8,
-    tol: float = 1e-15,
-    series_tol: Optional[float] = None,
-) -> tuple[float, float]:
+def weyl_num_closed_forms(z: float, qp: QParams) -> tuple[float, float]:
     """Weyl-function numerator by its closed two-piece form and by the series.
 
     The closed form is ``(1-q) q / z * J_2^(2)(2 sqrt(qz); q)`` plus the
-    2phi1-coefficient correction series in (-z); below ``small_z`` the first
-    piece is evaluated through its 0phi1 limit ``q^2/(1-q^2) 0phi1(; q^3; q, -q^4 z)``.
-    ``series_tol`` is handed to the compensated series route and makes it
-    raise CancellationFailure when it cannot certify that relative accuracy;
-    near a zero of the numerator only absolute agreement is meaningful, so
-    the default does not insist.
+    2phi1-coefficient correction series in (-z), summed until three terms in
+    a row fall below 1e-15 of the sum (at most 200 terms); for |z| <= 1e-8
+    the first piece is evaluated through its 0phi1 limit
+    ``q^2/(1-q^2) 0phi1(; q^3; q, -q^4 z)``.
+    The series route is not asked to certify a relative accuracy: near a
+    zero of the numerator only absolute agreement is meaningful.
     """
     q = qp.q
-    if z > small_z:
+    tol = 1e-15
+    if z > 1e-8:
         part1 = (1.0 - q) * q / z * jackson_qbessel2(2.0, 2.0 * math.sqrt(q * z), qp)
     else:
         part1 = q * q / (1.0 - q * q) * _phi01_sign(q**3, q, -(q**4) * z)
@@ -379,12 +375,9 @@ def weyl_num_closed_forms(
             small = 0
     via_closed = part1 + (sh + sl)
     params = induced_params(qp)
-    if M is None or J is None:
-        from .entire import choose_truncation
-
-        M, J = choose_truncation(params, max(abs(z), 1.0), 1e-13)
+    M, J = choose_truncation(params, max(abs(z), 1.0), 1e-13)
     wser = second_kind_family(params, M, J, 0)[0]
-    via_series = eval_series(wser, z, tol=series_tol).value
+    via_series = eval_series(wser, z).value
     return via_closed, via_series
 
 

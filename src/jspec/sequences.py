@@ -93,59 +93,51 @@ class Explicit:
 SequenceSpec = Union[Geometric, PowerLaw, Explicit]
 
 
-def _geometric_values(q: float, start: int, stop: int) -> np.ndarray:
+def _closed_form(spec: Union[Geometric, PowerLaw], start: int, stop: int) -> np.ndarray:
+    """a_n for start <= n < stop of a closed-form family; overflow gives inf.
+
+    Every sequence value comes from here, so a value does not depend on the
+    block it was fetched with.
+    """
     n = np.arange(start, stop, dtype=float)
-    # a_n = u(u-1) with u = q^{-(n+1)}; keeps binary-rational q exact as
-    # long as u^2 stays below 2^53.
-    u = (1.0 / q) ** (n + 1.0)
-    return u * (u - 1.0)
+    with np.errstate(over="ignore"):
+        if isinstance(spec, Geometric):
+            # a_n = u(u-1) with u = q^{-(n+1)}; keeps binary-rational q exact
+            # as long as u^2 stays below 2^53.
+            u = (1.0 / spec.q) ** (n + 1.0)
+            return u * (u - 1.0)
+        if isinstance(spec, PowerLaw):
+            return spec.c * (n + 1.0) ** spec.p
+    raise SequenceError(f"unknown sequence spec {spec!r}")
 
 
 def seq_values(spec: SequenceSpec, count: int) -> np.ndarray:
     """First ``count`` sequence values a_0 .. a_{count-1}."""
     if count <= 0:
         return np.empty(0)
-    if isinstance(spec, Geometric):
-        vals = _geometric_values(spec.q, 0, count)
-    elif isinstance(spec, PowerLaw):
-        n = np.arange(count, dtype=float)
-        vals = spec.c * (n + 1.0) ** spec.p
-    elif isinstance(spec, Explicit):
+    if isinstance(spec, Explicit):
         head = np.asarray(spec.values[:count], dtype=float)
-        if count <= len(spec.values):
-            vals = head
-        else:
-            L = len(spec.values)
-            if isinstance(spec.tail, Geometric):
-                tail = _geometric_values(spec.tail.q, L, count)
-            else:
-                n = np.arange(L, count, dtype=float)
-                tail = spec.tail.c * (n + 1.0) ** spec.tail.p
-            vals = np.concatenate([head, tail])
+        L = len(spec.values)
+        vals = head if count <= L else np.concatenate([head, _closed_form(spec.tail, L, count)])
     else:
-        raise SequenceError(f"unknown sequence spec {spec!r}")
+        vals = _closed_form(spec, 0, count)
     if not np.all(vals > 0.0) or not np.all(np.isfinite(vals)):
         raise SequenceError("sequence spec produced a non-positive or non-finite value")
     return vals
 
 
 def seq_value(spec: SequenceSpec, n: int) -> float:
+    """a_n alone; the same bits as ``seq_values(spec, N)[n]`` for every N > n."""
     if n < 0:
         raise SequenceError(f"sequence index must be non-negative, got {n}")
-    if isinstance(spec, Explicit) and n < len(spec.values):
-        return spec.values[n]
     if isinstance(spec, Explicit):
-        return seq_value(spec.tail, n)
-    return float(seq_values(spec, n + 1)[-1]) if n < 2 else float(_single(spec, n))
-
-
-def _single(spec: SequenceSpec, n: int) -> float:
-    if isinstance(spec, Geometric):
-        u = (1.0 / spec.q) ** (n + 1.0)
-        return u * (u - 1.0)
-    if isinstance(spec, PowerLaw):
-        return spec.c * (n + 1.0) ** spec.p
-    raise SequenceError(f"unknown sequence spec {spec!r}")
+        if n < len(spec.values):
+            return spec.values[n]
+        spec = spec.tail
+    value = float(_closed_form(spec, n, n + 1)[0])
+    if not (math.isfinite(value) and value > 0.0):
+        raise SequenceError(f"sequence value a_{n} is non-positive or non-finite")
+    return value
 
 
 @dataclass(frozen=True)
@@ -208,10 +200,7 @@ def tail_sum_reciprocal(spec: SequenceSpec, n0: int) -> float:
         # 1/(a_{n0} (1-q^2)); building it from the same float sequence value
         # the partial sums use keeps the domination robust to rounding
         q = spec.q
-        try:
-            a_n0 = _single(spec, n0)
-        except OverflowError:
-            a_n0 = math.inf
+        a_n0 = float(_closed_form(spec, n0, n0 + 1)[0])
         if math.isinf(a_n0):
             # a_{n0} (or already q^{-(n0+1)}) left the float range, so the
             # bound lies at or below the least subnormal: form it in log

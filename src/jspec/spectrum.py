@@ -43,9 +43,10 @@ from .doubledouble import EPS_DD
 from .entire import (
     KIND_CHAR,
     PowerSeriesApprox,
+    _envelope,
+    _envelope_factors,
     _eval_family,
     choose_truncation,
-    envelope_bound,
     eval_series,
     eval_series_deriv,
     scale_for_shift,
@@ -64,7 +65,7 @@ from .polycore import (
     second_kind_at_zero,
     trace_inverse,
 )
-from .sequences import JacobiParams, entry_arrays, gamma_lower_bound
+from .sequences import JacobiParams, entry_arrays, gamma_lower_bound, tail_sum_reciprocal
 
 __all__ = [
     "TruncatedJacobi",
@@ -262,32 +263,36 @@ class MassData:
     certified_from: np.ndarray   # first series-certified entry index per j
 
 
+_CONTEXT_TARGETS = (1e-26, 1e-22, 1e-18, 1e-14, 1e-12, 1e-10, 1e-8)
+_CONTEXT_MAX_CUTOFF = 1 << 14
+
+
 def _series_context(params: JacobiParams, radius: float, n_max: int):
     """Series truncation sized so certified evaluation survives kappa ~ 1e13.
 
     The cutoff also clears n_max by a margin: the omitted-seed bound of the
     shift-n series is n-independent, so it must be pushed below the smallest
     retained coefficient scale k^{2 n_max}/a_{n_max} times the certification
-    headroom.
+    headroom.  ``choose_truncation`` certifies a target exactly when its
+    cutoff test passes at J_cap, the last cutoff it tries (the tail bound
+    only falls as the cutoff grows), so that test picks the target and one
+    call follows.
     """
-    M = J = None
-    for target in (1e-26, 1e-22, 1e-18, 1e-14, 1e-12, 1e-10, 1e-8):
-        try:
-            M, J = choose_truncation(
-                params, radius, target, min_cutoff=n_max + 16, max_cutoff=1 << 14
+    J_cap = n_max + 16
+    while J_cap < _CONTEXT_MAX_CUTOFF:
+        J_cap *= 2
+    k = params.k
+    floor = tail_sum_reciprocal(params.seq, J_cap + 1) / (1.0 - k * k) * max(radius, 1.0)
+    for target in _CONTEXT_TARGETS:
+        if floor < target / 10.0:
+            return choose_truncation(
+                params, radius, target, min_cutoff=n_max + 16, max_cutoff=_CONTEXT_MAX_CUTOFF
             )
-            break
-        except ConvergenceFailure:
-            continue
-    if M is None:
-        # polynomially decaying reciprocal tails cannot reach any of the
-        # targets; a modest cutoff suffices because certification fails
-        # either way and masses route to the matrix fallback
-        J = max(n_max + 16, 192)
-        M = 48
-    J = max(J, n_max + 16)
-    M = min(M, J)
-    return M, J
+    # polynomially decaying reciprocal tails cannot reach any of the
+    # targets; a modest cutoff suffices because certification fails
+    # either way and masses route to the matrix fallback
+    return 48, max(n_max + 16, 192)
+
 
 def _refine_root(fser: PowerSeriesApprox, seed: float, rel_cap: float = 0.25):
     """Compensated Newton from a section seed; returns (hi, lo, |F|, bound, moved).
@@ -464,6 +469,7 @@ def _mass_machinery(
     norm_res = np.empty(count)
     eig_res = np.empty(count)
     cert_from = np.empty(count, dtype=np.int64)
+    envelope: list = []  # shared by the tail bounds of every eigenvalue
 
     for j in range(count):
         zh, zl = float(lam_hi[j]), float(lam_lo[j])
@@ -526,7 +532,7 @@ def _mass_machinery(
         for n in range(n_max, -1, -1):
             th, tl = dd.dd_mul(vectors[j, n], vectors_lo[j, n], vectors[j, n], vectors_lo[j, n])
             sh, sl = dd.dd_add(sh, sl, th, tl)
-        tail = _phi_tail_sq(params, n_max, abs(zh))
+        tail = _phi_tail_sq(params, n_max, abs(zh), envelope)
         rh, rl = dd.dd_mul(fp.value, fp.value_lo, wh, wl)
         dh, _ = dd.dd_add(sh, sl, rh, rl)  # sum - (-F'W) = sum + F'W
         norm_res[j] = abs(dh + tail) / sh
@@ -559,19 +565,32 @@ def _mass_machinery(
     )
 
 
-def _phi_tail_sq(params: JacobiParams, n_max: int, abs_z: float) -> float:
-    """Certified bound on sum_{n > n_max} Phi_n(z)^2 via the envelope bound."""
+def _phi_tail_sq(params: JacobiParams, n_max: int, abs_z: float, factors: list) -> float:
+    """Certified bound on sum_{n > n_max} Phi_n(z)^2 via the envelope bound.
+
+    ``factors`` holds the |z|-free envelope factors for n = n_max+1, ...;
+    it is filled on demand and shared by the calls at every eigenvalue, so
+    each n costs its two sequence values once.
+    """
     k2 = params.k * params.k
+
+    def bound(n):
+        if n - n_max - 1 == len(factors):
+            factors.append(_envelope_factors(params, n))
+        return _envelope(params.k, factors[n - n_max - 1], abs_z)
+
     total = 0.0
-    b = envelope_bound(params, n_max + 1, abs_z)
+    b = bound(n_max + 1)
     n = n_max + 1
     while n < n_max + 400:
         t = b * b
         total += t
-        if t < 1e-300:
+        # past 2^-60 of the total neither a later term nor the k^2 remainder
+        # below can change the float sum any more
+        if t < 1e-300 or t < total * (1.0 - k2) * 2.0**-60:
             break
         n += 1
-        b_next = envelope_bound(params, n, abs_z)
+        b_next = bound(n)
         if b_next >= b:  # envelope must decay; bail conservatively
             return total + b * b / max(1e-12, 1.0 - k2)
         b = b_next
@@ -647,13 +666,7 @@ class WeylValues:
     series_failed: bool
 
 
-def weyl(
-    params: JacobiParams,
-    z: float,
-    sd: SpectralData,
-    M: Optional[int] = None,
-    J: Optional[int] = None,
-) -> WeylValues:
+def weyl(params: JacobiParams, z: float, sd: SpectralData) -> WeylValues:
     """w(z) by series quotient, spectral pole sum, and section resolvent.
 
     * series: numerator series over characteristic series, compensated;
@@ -665,8 +678,7 @@ def weyl(
     gap = np.min(np.abs(sd.lambdas - z))
     if gap <= 1e-9 * max(1.0, abs(z)):
         raise ValueError(f"point z={z!r} is too close to the computed spectrum")
-    if M is None or J is None:
-        M, J = _series_context(params, max(abs(z), float(sd.lambdas[-1])) * 1.3 + 1.0, 4)
+    M, J = _series_context(params, max(abs(z), float(sd.lambdas[-1])) * 1.3 + 1.0, 4)
     series_failed = False
     series_val = math.nan
     series_err = math.inf
@@ -715,13 +727,7 @@ def weyl(
     )
 
 
-def second_kind_routes(
-    params: JacobiParams,
-    n: int,
-    z: float,
-    M: Optional[int] = None,
-    J: Optional[int] = None,
-) -> tuple[float, Optional[float]]:
+def second_kind_routes(params: JacobiParams, n: int, z: float) -> tuple[float, Optional[float]]:
     """n-th function of the second kind: series quotient and, below the
     spectral floor, the independent polynomial-product sum.
 
@@ -729,8 +735,7 @@ def second_kind_routes(
     ``- (sum_{j>=n} 1/(alpha_j P_j(z) P_{j+1}(z))) P_n(z)`` converges and is
     returned as the second element (None otherwise).
     """
-    if M is None or J is None:
-        M, J = _series_context(params, max(abs(z), 1.0), n + 4)
+    M, J = _series_context(params, max(abs(z), 1.0), n + 4)
     fser = series_coeffs(params, KIND_CHAR, M, J)
     fam = second_kind_family(params, M, J, n)
     fe = eval_series(fser, z, tol=1e-9)
@@ -780,43 +785,30 @@ def second_kind(params: JacobiParams, n: int, z: float, tol: float = 1e-6) -> fl
     return primary
 
 
-def char_via_second_kind(
-    params: JacobiParams,
-    z: float,
-    terms: Optional[int] = None,
-    tol: float = 1e-12,
-) -> float:
+def char_via_second_kind(params: JacobiParams, z: float, tol: float = 1e-12) -> float:
     """Characteristic function as 1 - z sum_n w_n(0) P_n(z).
 
-    Terms decay like 1/a_n; the sum stops adaptively once three consecutive
-    terms fall below tol relative to the accumulated value (or after exactly
-    ``terms`` terms when given), and raises ConvergenceFailure when 512
-    terms have not settled it.
+    Terms decay like 1/a_n; the sum stops once three consecutive terms fall
+    below tol relative to the accumulated value, and raises
+    ConvergenceFailure when 512 terms have not settled it.
     """
-    if terms is not None and terms < 1:
-        raise ValueError("term count must be positive")
-    cap = terms if terms is not None else 512
-    depth = cap if terms is not None else 48
+    cap = 512
+    depth = 48
     while True:
         Ph, Pl = orthopoly_values_dd(params, depth, z)
         P = Ph + Pl
         acc = 0.0
         small = 0
         for n_idx in range(depth + 1):
-            if terms is not None and n_idx >= terms:
-                break
             w0 = second_kind_at_zero(params, n_idx, tol=tol * 1e-3)
             t = w0 * P[n_idx]
             acc += t
-            if terms is None:
-                if abs(t) <= tol * max(abs(acc), 1.0) * 1e-2:
-                    small += 1
-                    if small >= 3:
-                        break
-                else:
-                    small = 0
-        if terms is not None or small >= 3:
-            return 1.0 - z * acc
+            if abs(t) <= tol * max(abs(acc), 1.0) * 1e-2:
+                small += 1
+                if small >= 3:
+                    return 1.0 - z * acc
+            else:
+                small = 0
         if depth >= cap:
             raise ConvergenceFailure(
                 f"second-kind sum for the characteristic function at z={z!r} "

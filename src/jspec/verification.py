@@ -25,10 +25,9 @@ from .entire import (
     KIND_SECOND,
     choose_truncation,
     eval_series,
-    recurrence_residual,
+    identity_residuals,
     second_kind_family,
     series_coeffs,
-    wronskian_residual,
 )
 from .errors import JspecError
 from .identities import IDENTITY_IDS, check as identity_check, draw_params
@@ -178,14 +177,11 @@ def crit_wronskian() -> tuple[bool, str]:
     worst_const = 0.0
     for z in (1.0, 5.0, 10.0):
         fz = eval_series(fser, z).value
-        vals = []
-        for n in range(11):
-            res = wronskian_residual(REFERENCE, n, z, M=M, J=J)
-            worst = max(worst, res / abs(fz))
-            vals.append(res)
+        res = float(np.max(identity_residuals(REFERENCE, z, 10, M, J)[0]))
+        worst = max(worst, res / abs(fz))
         # |W_n - W_m| <= res_n + res_m, so twice the largest residual
         # bounds every pairwise difference
-        worst_const = max(worst_const, 2.0 * max(vals) / abs(fz))
+        worst_const = max(worst_const, 2.0 * res / abs(fz))
     ok = worst <= TOL_WRONSKIAN and worst_const <= TOL_WRONSKIAN
     return ok, f"residual/|F| {worst:.2e}, constancy spread {worst_const:.2e}"
 

@@ -66,3 +66,29 @@ def test_mode_agreement_reads_every_degree_off_one_call(monkeypatch):
     assert passed
     assert len(calls) <= 41
     assert detail == "mode agreement 8.37e-16, quadratic coefficients 0.00e+00"
+
+
+def test_wronskian_builds_each_series_once_per_point(monkeypatch):
+    # criterion 6 reads the residuals of all eleven n at a point off one
+    # identity_residuals call: one family and one char series per point,
+    # plus the char series the criterion scales by
+    from jspec import entire
+
+    calls = {"series_coeffs": 0, "second_kind_family": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        wrapped = counting(name, getattr(entire, name))
+        monkeypatch.setattr(entire, name, wrapped)
+        monkeypatch.setattr(V, name, wrapped)
+    passed, detail = V.crit_wronskian()
+    assert passed
+    assert calls["series_coeffs"] <= 4
+    assert calls["second_kind_family"] <= 3
+    assert detail == "residual/|F| 6.02e-17, constancy spread 1.20e-16"

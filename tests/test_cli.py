@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jspec
 from jspec.cli import UsageError, emit_report, load_config, main, _make_parser, _fill_missing
 from jspec.sequences import Geometric, PowerLaw
 
@@ -185,3 +190,17 @@ def test_cli_removed_truncation_flags_are_usage_errors():
     assert main(["--q", "0.25", "--trunc-order", "5", "spectrum"]) == 1
     assert main(["--q", "0.25", "--index-cutoff", "64", "spectrum"]) == 1
     assert main(["--q", "0.25", "--matrix-size", "64", "spectrum"]) == 1
+
+
+def test_module_entry_point_runs_uninstalled():
+    # ``python -m jspec`` from a plain checkout: only the source directory
+    # on the path
+    src = str(Path(jspec.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "jspec", "poly", "--q", "0.25", "--degree", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["rows"]

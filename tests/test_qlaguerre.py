@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from jspec.errors import ConvergenceFailure, DivergentArgument
+from jspec.errors import CancellationFailure, ConvergenceFailure, DivergentArgument
 from jspec.qlaguerre import (
     QParams,
     basic_hypergeometric,
@@ -100,6 +101,32 @@ def test_phi11_terminates_for_inverse_power_parameter():
         manual += t
         t *= (1 - q ** (m - n)) * (-(q**m) * z) / ((1 - q ** (m + 1)) * (1 - q ** (m + 1)))
     assert full == pytest.approx(manual, rel=1e-13)
+
+
+def _phi11_mpmath(a, b, q, z):
+    # the same term recurrence at 60 digits
+    with mpmath.workdps(60):
+        a, b, q, z = (mpmath.mpf(v) for v in (a, b, q, z))
+        t = s = mpmath.mpf(1)
+        for m in range(400):
+            t *= (1 - a * q**m) * (-(q**m) * z) / ((1 - b * q**m) * (1 - q ** (m + 1)))
+            s += t
+        return float(s)
+
+
+def test_phi11_benign_point_matches_high_precision():
+    got = basic_hypergeometric("1phi1", 0.5, 2.0, a=0.3, b=0.5)
+    want = _phi11_mpmath(0.3, 0.5, 0.5, 2.0)
+    assert want == pytest.approx(-0.0217227768603, abs=1e-13)
+    assert got == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("q,z", [(0.99, 1.0), (0.9, 3.0)])
+def test_phi11_raises_on_cancellation(q, z):
+    # the double-double sum returned -8.8e24 (truth -1.9e-20) and -2.561e-8
+    # (truth -2.691e-8) here; the abs-sum bound now refuses both
+    with pytest.raises(CancellationFailure):
+        basic_hypergeometric("1phi1", q, z, a=0.3, b=0.5)
 
 
 def test_q_laguerre_values():

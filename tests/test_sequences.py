@@ -14,6 +14,7 @@ from jspec.sequences import (
     entries,
     entry_arrays,
     gamma_lower_bound,
+    seq_value,
     seq_values,
     sequence_min,
     tail_sum_reciprocal,
@@ -155,3 +156,25 @@ def test_validation_errors():
         JacobiParams(Geometric(0.5), 1.0)
     with pytest.raises(SequenceError):
         entries(GEOM, -1)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Geometric(0.3),
+        Geometric(0.25),
+        PowerLaw(1.0, 2.13),
+        PowerLaw(2.5, 1.5),
+        Explicit((1e8, 1e4, 1.0, 1e-4, 1e-8), PowerLaw(1.0, 2.0)),
+        Explicit((3.0, 0.5), Geometric(0.6)),
+    ],
+)
+def test_seq_value_has_the_bits_of_seq_values(spec):
+    # one closed form per family: a single value and a block agree bit for
+    # bit at every index, whatever the block length
+    count = 250 if isinstance(getattr(spec, "tail", spec), Geometric) else 2000
+    block = seq_values(spec, count)
+    for n in range(count):
+        assert np.float64(seq_value(spec, n)).tobytes() == block[n].tobytes(), n
+    for stop in (1, 7, 64):
+        assert seq_values(spec, stop).tobytes() == block[:stop].tobytes()
