@@ -8,6 +8,11 @@ mode, power-law or explicit weights) must end up set.
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 Floating-point output is printed with 17 significant digits, so every
 emitted value parses back bit-for-bit.
+
+The ``residual_F`` column of ``spectrum`` is scaled: |F(lambda)| divided by
+the abs-sum sum_m c_m |lambda|^m of the same series evaluation, so it reads
+as a relative residual (the bare |F| at the twelfth root of q = 1/4 is
+about 1e47, against an abs-sum of about 1e80).
 """
 
 from __future__ import annotations
@@ -236,7 +241,7 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
                 "index": j,
                 "lambda": float(sd.lambdas[j]),
                 "mass": float(sd.masses[j]),
-                "residual_F": float(sd.residual_F[j]),
+                "residual_F": float(sd.residual_F[j] / sd.residual_F_abs_sum[j]),
                 "residual_matrix": float(sd.residual_matrix[j]),
                 "refined": bool(sd.refined[j]),
             })

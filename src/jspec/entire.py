@@ -36,18 +36,20 @@ series; the same run on the reversed axis gives the backward sums
 accumulation runs in double-double arithmetic; brute-force chain
 enumeration is kept in the test suite as the oracle.
 
-Evaluation is compensated (one double-double Horner loop, ``_horner_dd``,
-which also takes a 2-D table and then evaluates a whole family at once) and
-certified by one bound, ``_certified``: the order-truncation tail, the
+Evaluation is compensated (one double-double Horner loop, ``_horner_dd``)
+and certified by one bound, ``_certified``: the order-truncation tail, the
 index-cutoff tail, and a cancellation term ``kappa * eps``, where kappa is
 the ratio of the sum of absolute terms to the absolute value of the result.
+Both are elementwise: one pass evaluates a series at an array of points,
+or a whole family (series x point), and every element carries the bits of
+its one-series, one-point evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -333,18 +335,22 @@ def _finalize(params, kind, shift, M, J, chi, clo, X, seed_beyond=0.0) -> PowerS
     )
 
 
-def _as_dd_point(z) -> tuple[float, float]:
-    if isinstance(z, tuple):
-        return float(z[0]), float(z[1])
-    return float(z), 0.0
+def _as_dd_point(z):
+    """(hi, lo) of a float, an (hi, lo) pair, or a pair of point arrays."""
+    zh, zl = z if isinstance(z, tuple) else (z, 0.0)
+    if np.ndim(zh) == 0:
+        return float(zh), float(zl)
+    zh = np.asarray(zh, dtype=float)
+    return zh, np.broadcast_to(np.asarray(zl, dtype=float), zh.shape)
 
 
 def _horner_dd(chi, clo, zh, zl):
     """Compensated Horner (Graillat, Langlois & Louvet 2005) for sum (-1)^m c_m z^m.
 
-    Also returns the abs-sum at |z|.  ``chi``/``clo`` are 1-D for one series
-    or 2-D (order x series) for a family; dd arithmetic is elementwise, so
-    each column gets the bits of its own 1-D call.
+    Also returns the abs-sum at |z|.  ``chi``/``clo`` are indexed by order
+    first; every trailing axis (series of a family) broadcasts against the
+    points ``zh``/``zl``, and dd arithmetic is elementwise, so each element
+    gets the bits of its own one-series, one-point call.
     """
     n = len(chi)
     sg = 1.0 if n % 2 else -1.0  # (-1)^(n-1)
@@ -359,30 +365,53 @@ def _horner_dd(chi, clo, zh, zl):
     return rh, rl, ab
 
 
-def _eval_tail_bound(s: PowerSeriesApprox, az: float) -> float:
-    """Certified bound on the omitted orders m > order at |z| = az.
+class _Terms(NamedTuple):
+    """What one evaluation needs of a series, or of a family of one order.
 
-    Both candidates are formed in log space: at large |z| and order the
-    factors az**M and S**(M+1) exceed the float range long before the
-    bound itself is useless, and an overflowing bound is reported as inf.
+    The tables ``coeffs``, ``coeffs_lo`` and ``omitted`` are indexed by
+    order first; they and the per-series values ``last`` (c_M plus its
+    omitted-index bound), ``ratio`` (the ratio bound after order M) and
+    ``tail_const`` carry a trailing (series, 1) shape for a family, so they
+    broadcast against an axis of points.  ``rounding`` is the rounding-unit
+    count of the bound.
     """
-    if az == 0.0:
-        return 0.0
+
+    order: int
+    coeffs: np.ndarray
+    coeffs_lo: np.ndarray
+    omitted: np.ndarray
+    last: object
+    ratio: object
+    tail_const: object
+    rounding: float
+
+
+def _terms(s: PowerSeriesApprox, rounding: float) -> _Terms:
     M = s.order
-    last = float(s.coeffs[M]) + float(s.tail_omitted[M])
-    rho = s.ratio_bound_after(M) * az
-    if rho < 1.0:
-        geo = _exp_or_inf(_log_or_ninf(last) + M * math.log(az) + _log_or_ninf(rho / (1.0 - rho)))
-    else:
-        geo = math.inf
-    # elementary-symmetric fallback S^{m}/m!, useful at small |z|
-    t = s.tail_const * az
-    log_fact = (M + 1) * _log_or_ninf(t) - math.lgamma(M + 2)
-    if t < M + 2:
-        log_fact -= math.log1p(-t / (M + 2))
-    else:
-        log_fact += min(t, 700.0)
-    return min(geo, _exp_or_inf(log_fact))
+    return _Terms(
+        order=M,
+        coeffs=s.coeffs,
+        coeffs_lo=s.coeffs_lo,
+        omitted=s.tail_omitted[: M + 1],
+        last=float(s.coeffs[M]) + float(s.tail_omitted[M]),
+        ratio=s.ratio_bound_after(M),
+        tail_const=s.tail_const,
+        rounding=rounding,
+    )
+
+
+def _family_terms(fam: list[PowerSeriesApprox]) -> _Terms:
+    """The terms of every series of ``fam`` (one order and cutoff) on a series axis."""
+    each = [_terms(s, _dd_rounding(s)) for s in fam]
+
+    def stacked(name):
+        return np.stack([getattr(t, name) for t in each], axis=-1)[..., None]
+
+    return _Terms(
+        fam[0].order,
+        *(stacked(name) for name in ("coeffs", "coeffs_lo", "omitted", "last", "ratio", "tail_const")),
+        rounding=each[0].rounding,
+    )
 
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -396,18 +425,61 @@ def _exp_or_inf(x: float) -> float:
     return math.exp(x) if x < _LOG_FLOAT_MAX else math.inf
 
 
-def _omitted_eval_bound(s: PowerSeriesApprox, az: float) -> float:
-    omitted = s.tail_omitted[: s.order + 1].tolist()
-    if math.inf in omitted:  # else it may meet an underflowed az^m: inf * 0
-        return math.inf
+def _per_element(f, x):
+    """``f`` applied to every element of ``x``, with the bits of the scalar call.
+
+    numpy's vectorized log, log1p and exp differ from ``math``'s in the last
+    bit on some arguments, and the bounds must not depend on batching.
+    """
+    if np.ndim(x) == 0:
+        return f(float(x))
+    x = np.asarray(x, dtype=float)
+    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _eval_tail_bound(t: _Terms, az):
+    """Certified bound on the omitted orders m > order at |z| = az.
+
+    Both candidates are formed in log space: at large |z| and order the
+    factors az**M and S**(M+1) exceed the float range long before the
+    bound itself is useless, and an overflowing bound is reported as inf.
+    """
+    M = t.order
+    at_zero = az == 0.0
+    az = np.where(at_zero, 1.0, az)  # the bound is 0 there; keep the logs finite
+    rho = t.ratio * az
+    inside = rho < 1.0
+    rho_in = np.where(inside, rho, 0.0)
+    frac = rho_in / (1.0 - rho_in)
+    log_geo = (
+        _per_element(_log_or_ninf, t.last)
+        + M * _per_element(math.log, az)
+        + _per_element(_log_or_ninf, frac)
+    )
+    geo = np.where(inside, _per_element(_exp_or_inf, log_geo), math.inf)
+    # elementary-symmetric fallback S^{m}/m!, useful at small |z|
+    ts = t.tail_const * az
+    log_fact = (M + 1) * _per_element(_log_or_ninf, ts) - math.lgamma(M + 2)
+    small = ts < M + 2
+    log_fact = np.where(
+        small,
+        log_fact - _per_element(math.log1p, np.where(small, -ts / (M + 2), 0.0)),
+        log_fact + np.minimum(ts, 700.0),
+    )
+    fact = _per_element(_exp_or_inf, log_fact)
+    return np.where(at_zero, 0.0, np.where(fact < geo, fact, geo))
+
+
+def _omitted_eval_bound(t: _Terms, az):
+    """sum_m omitted[m] az^m in order, inf once a term or a power of az is."""
+    hit = np.any(t.omitted == math.inf, axis=0)  # else it may meet an underflowed az^m: inf * 0
     p = 1.0
     tot = 0.0
-    for t in omitted:
-        tot += t * p
-        p *= az
-        if p == math.inf:
-            return math.inf
-    return tot
+    for row in t.omitted:
+        tot = tot + row * p
+        p = p * az
+    # the powers only grow once past 1, so an inf among them is the last one
+    return np.where(hit | (p == math.inf), math.inf, tot)
 
 
 def _dd_rounding(s: PowerSeriesApprox) -> float:
@@ -415,64 +487,85 @@ def _dd_rounding(s: PowerSeriesApprox) -> float:
     return 4.0 * s.order + 2.0 * s.cutoff + 16.0
 
 
-def _certified(s, value, value_lo, abs_sum, az, tol, unit, rounding, tail_factor=1.0):
-    """SeriesEval with the one certified bound of an evaluation of ``s`` at |z| = az.
+def _scalar(x):
+    """A 0-d result as a Python scalar; arrays pass through."""
+    return x.item() if isinstance(x, (np.ndarray, np.generic)) and x.ndim == 0 else x
 
-    Order tail (times ``tail_factor``) + omitted-index tail + rounding term;
-    raises CancellationFailure when ``tol`` is given and not certified.
+
+def _certified(t: _Terms, value, value_lo, abs_sum, az, tol, unit, tail_factor=1.0):
+    """SeriesEval with the one certified bound of an evaluation at |z| = az.
+
+    Order tail (times ``tail_factor``) + omitted-index tail + rounding term,
+    elementwise over whatever shape the evaluation has; raises
+    CancellationFailure when ``tol`` is given and some element does not
+    certify.
     """
-    err = (
-        _eval_tail_bound(s, az) * tail_factor
-        + _omitted_eval_bound(s, az)
-        + rounding * unit * abs_sum
-    )
-    kappa = abs_sum / abs(value) if value != 0.0 else math.inf
-    if tol is not None and (not (err <= tol * max(abs(value), 1e-300)) or kappa * unit > tol):
-        raise CancellationFailure(
-            f"series evaluation at |z|={az!r} certifies only |err|<={err:.3e} "
-            f"(kappa={kappa:.3e}), beyond the requested tolerance {tol:.3e}"
+    # inf and nan arise quietly here, as they do in scalar float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = (
+            _eval_tail_bound(t, az) * tail_factor
+            + _omitted_eval_bound(t, az)
+            + t.rounding * unit * abs_sum
         )
-    return SeriesEval(value=value, value_lo=value_lo, kappa=kappa, err_bound=err, abs_sum=abs_sum)
+    nonzero = value != 0.0
+    kappa = np.where(nonzero, abs_sum / np.where(nonzero, abs(value), 1.0), math.inf)
+    if tol is not None:
+        bad = ~(err <= tol * np.maximum(abs(value), 1e-300)) | (kappa * unit > tol)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            az_i, err_i, kappa_i = (float(np.broadcast_to(x, bad.shape).flat[i]) for x in (az, err, kappa))
+            raise CancellationFailure(
+                f"series evaluation at |z|={az_i!r} certifies only |err|<={err_i:.3e} "
+                f"(kappa={kappa_i:.3e}), beyond the requested tolerance {tol:.3e}"
+            )
+    return SeriesEval(
+        value=_scalar(value),
+        value_lo=_scalar(value_lo),
+        kappa=_scalar(kappa),
+        err_bound=_scalar(err),
+        abs_sum=_scalar(abs_sum),
+    )
+
+
+def _evaluate(t: _Terms, z, tol, tail_factor=1.0) -> SeriesEval:
+    zh, zl = _as_dd_point(z)
+    rh, rl, ab = _horner_dd(t.coeffs, t.coeffs_lo, zh, zl)
+    return _certified(t, rh, rl, ab, abs(zh), tol, EPS_DD, tail_factor)
 
 
 def eval_series(s: PowerSeriesApprox, z, tol: Optional[float] = None) -> SeriesEval:
     """Evaluate ``sum_m (-1)^m c_m z^m`` with a certified error bound.
 
-    ``z`` may be a float or an (hi, lo) double-double pair.  Complex points
-    are evaluated in ordinary complex arithmetic (no compensation) and the
-    bound widens accordingly.
+    ``z`` may be a float, an (hi, lo) double-double pair, or a pair of
+    arrays of points, which gives array fields whose every element has the
+    bits of the one-point call.  Complex points are evaluated in ordinary
+    complex arithmetic (no compensation) and the bound widens accordingly.
 
     Raises CancellationFailure when ``tol`` is given and the certified
-    relative error exceeds it; the caller should switch to a matrix route.
+    relative error exceeds it (at any of the points); the caller should
+    switch to a matrix route.
     """
     if isinstance(z, complex):
         return _eval_complex(s, z, tol)
-    zh, zl = _as_dd_point(z)
-    rh, rl, ab = _horner_dd(s.coeffs, s.coeffs_lo, zh, zl)
-    return _certified(s, rh, rl, ab, abs(zh), tol, EPS_DD, _dd_rounding(s))
+    return _evaluate(_terms(s, _dd_rounding(s)), z, tol)
 
 
-def _eval_family(fam: list[PowerSeriesApprox], z) -> list[SeriesEval]:
-    """``eval_series(s, z)`` for every series of ``fam`` from one 2-D Horner.
+def _eval_family(fam: list[PowerSeriesApprox], zh, zl) -> SeriesEval:
+    """Every series of ``fam`` at every point (zh[p], zl[p]) from one Horner pass.
 
-    The series must share their order (a ``second_kind_family`` does); each
-    result carries the bits of the single call.
+    The series must share their order and cutoff (a ``second_kind_family``
+    does).  The fields are (series x point) arrays, and each element carries
+    the bits of ``eval_series(fam[i], (zh[p], zl[p]))``.
     """
-    zh, zl = _as_dd_point(z)
-    chi = np.stack([s.coeffs for s in fam], axis=1)
-    clo = np.stack([s.coeffs_lo for s in fam], axis=1)
-    rh, rl, ab = _horner_dd(chi, clo, zh, zl)
-    return [
-        _certified(s, rh[i], rl[i], ab[i], abs(zh), None, EPS_DD, _dd_rounding(s))
-        for i, s in enumerate(fam)
-    ]
+    return _evaluate(_family_terms(fam), (np.atleast_1d(zh), zl), None)
 
 
 def eval_series_deriv(s: PowerSeriesApprox, z, tol: Optional[float] = None) -> SeriesEval:
     """Evaluate the analytic derivative, by differentiating coefficients.
 
     The derivative of ``sum (-1)^m c_m z^m`` is ``-sum_j (-1)^j d_j z^j``
-    with ``d_j = (j+1) c_{j+1}``; no finite differences anywhere.
+    with ``d_j = (j+1) c_{j+1}``; no finite differences anywhere.  ``z``
+    takes the forms ``eval_series`` takes.
     """
     if s.order < 1:
         return SeriesEval(0.0, 0.0, 1.0, 0.0, 0.0)
@@ -481,9 +574,7 @@ def eval_series_deriv(s: PowerSeriesApprox, z, tol: Optional[float] = None) -> S
     if isinstance(z, complex):
         out = _eval_complex(dser, z, tol, tail_factor)
     else:
-        zh, zl = _as_dd_point(z)
-        rh, rl, ab = _horner_dd(dser.coeffs, dser.coeffs_lo, zh, zl)
-        out = _certified(dser, rh, rl, ab, abs(zh), tol, EPS_DD, _dd_rounding(s), tail_factor)
+        out = _evaluate(_terms(dser, _dd_rounding(s)), z, tol, tail_factor)
     return SeriesEval(-out.value, -out.value_lo, out.kappa, out.err_bound, out.abs_sum)
 
 
@@ -514,7 +605,7 @@ def _eval_complex(s: PowerSeriesApprox, z: complex, tol, tail_factor=1.0) -> Ser
         r = r * z + (-c if m % 2 else c)
         ab = ab * az + s.coeffs[m]
     eps64 = np.finfo(float).eps
-    return _certified(s, r, 0.0, ab, az, tol, eps64, 4.0 * s.order + 16.0, tail_factor)
+    return _certified(_terms(s, 4.0 * s.order + 16.0), r, 0.0, ab, az, tol, eps64, tail_factor)
 
 
 def scale_for_shift(k: float, n: int) -> float:
@@ -623,11 +714,9 @@ def identity_residuals(
     from .polycore import orthopoly_values_dd  # local import, avoids a cycle
 
     zh, zl = _as_dd_point(z)
-    evs = _eval_family(second_kind_family(params, M, J, n_max + 1), (zh, zl))
+    ev = _eval_family(second_kind_family(params, M, J, n_max + 1), zh, zl)
     scales = np.array([scale_for_shift(params.k, n) for n in range(n_max + 2)])
-    vh, vl = dd.dd_mul_d(
-        np.array([ev.value for ev in evs]), np.array([ev.value_lo for ev in evs]), scales
-    )
+    vh, vl = dd.dd_mul_d(ev.value[:, 0], ev.value_lo[:, 0], scales)
     Ph, Pl = orthopoly_values_dd(params, n_max + 1, (zh, zl))
     _, alpha, beta = entry_arrays(params, n_max + 1)
     fe = eval_series(series_coeffs(params, KIND_CHAR, M, J), (zh, zl))

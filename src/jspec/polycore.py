@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import doubledouble as dd
-from .entire import _horner_dd, char_chain_prefixes
+from .entire import _as_dd_point, _horner_dd, char_chain_prefixes
 from .errors import ConvergenceFailure, SequenceError, TruncationTooCoarse
 from .sequences import JacobiParams, entry_arrays, tail_sum_enclosure, tail_sum_reciprocal
 
@@ -165,22 +165,26 @@ def orthopoly_values_dd(params: JacobiParams, n: int, z) -> tuple[np.ndarray, np
     Used by the spectral machinery, where eigenvalues are carried to
     beyond-float precision and the forward recurrence (stable in the
     dominant direction) must not re-introduce rounding at the 1e-16 level.
+    ``z`` is a float, an (hi, lo) pair, or a pair of arrays of P points; a
+    scalar point gives (n+1)-vectors, P points (n+1) x P arrays whose
+    columns carry the bits of the one-point calls.
     """
-    zh, zl = (float(z[0]), float(z[1])) if isinstance(z, tuple) else (float(z), 0.0)
+    zh, zl = _as_dd_point(z)
     _, alpha, beta = entry_arrays(params, max(n + 1, 1))
-    Ph = np.empty(n + 1)
-    Pl = np.empty(n + 1)
+    alpha, beta = alpha.tolist(), beta.tolist()
+    Ph = np.empty((n + 1,) + np.shape(zh))
+    Pl = np.empty_like(Ph)
     Ph[0], Pl[0] = 1.0, 0.0
     if n == 0:
         return Ph, Pl
-    th, tl = dd.dd_add_d(zh, zl, -float(beta[0]))
-    Ph[1], Pl[1] = dd.dd_mul_d(th, tl, 1.0 / float(alpha[0]))
+    th, tl = dd.dd_add_d(zh, zl, -beta[0])
+    Ph[1], Pl[1] = dd.dd_mul_d(th, tl, 1.0 / alpha[0])
     for i in range(1, n):
-        th, tl = dd.dd_add_d(zh, zl, -float(beta[i]))
+        th, tl = dd.dd_add_d(zh, zl, -beta[i])
         rh, rl = dd.dd_mul(th, tl, Ph[i], Pl[i])
-        sh, sl = dd.dd_mul_d(Ph[i - 1], Pl[i - 1], float(alpha[i - 1]))
+        sh, sl = dd.dd_mul_d(Ph[i - 1], Pl[i - 1], alpha[i - 1])
         rh, rl = dd.dd_sub(rh, rl, sh, sl)
-        Ph[i + 1], Pl[i + 1] = dd.dd_div(rh, rl, float(alpha[i]), 0.0)
+        Ph[i + 1], Pl[i + 1] = dd.dd_div(rh, rl, alpha[i], 0.0)
     return Ph, Pl
 
 

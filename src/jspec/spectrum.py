@@ -236,6 +236,7 @@ class SpectralData:
     mass_route: list[str]
     residual_F: np.ndarray
     residual_F_bound: np.ndarray
+    residual_F_abs_sum: np.ndarray  # sum |c_m| |z|^m of the evaluation residual_F is read from
     residual_matrix: np.ndarray
     refined: np.ndarray
     N_used: int
@@ -294,30 +295,57 @@ def _series_context(params: JacobiParams, radius: float, n_max: int):
     return 48, max(n_max + 16, 192)
 
 
-def _refine_root(fser: PowerSeriesApprox, seed: float, rel_cap: float = 0.25):
-    """Compensated Newton from a section seed; returns (hi, lo, |F|, bound, moved).
+_NEWTON_CAP = 40  # Newton steps per root; a root still moving after them raises
 
-    Iteration stops once the applied correction is no larger than the
-    certified root resolution err_bound/|F'|, so the result does not depend
-    on the last bits of the seed (a stop on small |F| alone would keep
-    whichever point first fell inside the noise band).
+
+def _refine_roots(fser: PowerSeriesApprox, seeds, rel_cap: float = 0.25):
+    """Compensated Newton from section seeds, all roots at once.
+
+    Returns arrays (hi, lo, |F|, bound, abs_sum, moved): the root, the
+    residual and error bound of its last evaluation and that evaluation's
+    abs-sum.  Each root stops on its own rules and walks the iterates a
+    one-root Newton would: once the applied correction is no larger than
+    the certified root resolution err_bound/|F'| (so the result does not
+    depend on the last bits of the seed; a stop on small |F| alone would
+    keep whichever point first fell inside the noise band), at a 1e-30
+    relative step, or at F' = 0.  A step leaving the basin (more than
+    ``rel_cap`` relative) keeps the seed, unmoved, with residual and bound
+    the last error bound.  ConvergenceFailure when some root is still
+    moving after ``_NEWTON_CAP`` steps.
     """
-    zh, zl = float(seed), 0.0
+    seeds = np.asarray(seeds, dtype=float)
+    zh = seeds.copy()
+    zl = np.zeros_like(zh)
     fe = eval_series(fser, (zh, zl))
-    for _ in range(40):
-        fp = eval_series_deriv(fser, (zh, zl))
-        if fp.value == 0.0:
+    fval, flo, ferr, fabs = fe.value, fe.value_lo, fe.err_bound, fe.abs_sum
+    moved = np.ones(zh.shape, dtype=bool)
+    active = np.flatnonzero(moved)
+    for _ in range(_NEWTON_CAP):
+        if not active.size:
             break
-        sh, sl = dd.dd_div(fe.value, fe.value_lo, fp.value, fp.value_lo)
-        if abs(sh) > rel_cap * abs(zh):
-            # seed outside the basin; keep the section value
-            return float(seed), 0.0, fe.err_bound, fe.err_bound, False
-        resolution = fe.err_bound / abs(fp.value)
-        zh, zl = dd.dd_sub(zh, zl, sh, sl)
-        fe = eval_series(fser, (zh, zl))
-        if abs(sh) <= resolution or abs(sh) <= 1e-30 * abs(zh):
-            break
-    return zh, zl, abs(fe.value), fe.err_bound, True
+        fp = eval_series_deriv(fser, (zh[active], zl[active]))
+        step = fp.value != 0.0
+        active, fpv, fpl = active[step], fp.value[step], fp.value_lo[step]
+        sh, sl = dd.dd_div(fval[active], flo[active], fpv, fpl)
+        # a step outside the basin keeps the section value
+        out = np.abs(sh) > rel_cap * np.abs(zh[active])
+        exits = active[out]
+        zh[exits], zl[exits], moved[exits] = seeds[exits], 0.0, False
+        fval[exits] = ferr[exits]
+        active, sh, sl, fpv = active[~out], sh[~out], sl[~out], fpv[~out]
+        resolution = ferr[active] / np.abs(fpv)
+        zh[active], zl[active] = dd.dd_sub(zh[active], zl[active], sh, sl)
+        fe = eval_series(fser, (zh[active], zl[active]))
+        fval[active], flo[active] = fe.value, fe.value_lo
+        ferr[active], fabs[active] = fe.err_bound, fe.abs_sum
+        done = (np.abs(sh) <= resolution) | (np.abs(sh) <= 1e-30 * np.abs(zh[active]))
+        active = active[~done]
+    if active.size:
+        raise ConvergenceFailure(
+            f"Newton on the series did not settle {active.size} of {zh.size} roots "
+            f"in {_NEWTON_CAP} steps"
+        )
+    return zh, zl, np.abs(fval), ferr, fabs, moved
 
 
 def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> SpectralData:
@@ -358,23 +386,13 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
     M, J = _series_context(params, radius, n_aux)
     fser = series_coeffs(params, KIND_CHAR, M, J)
 
-    lam_hi = np.empty(count)
-    lam_lo = np.empty(count)
-    res_F = np.empty(count)
-    res_F_bound = np.empty(count)
-    refined = np.zeros(count, dtype=bool)
-    for j in range(count):
-        zh, zl, fres, fbound, moved = _refine_root(fser, lams_sec[j])
-        fp = eval_series_deriv(fser, (zh, zl))
-        cert_err = fbound / max(abs(fp.value), 1e-300)
-        ok = moved and cert_err <= tol * max(abs(zh), 1.0)
-        if ok:
-            lam_hi[j], lam_lo[j] = zh, zl
-        else:
-            lam_hi[j], lam_lo[j] = float(lams_sec[j]), 0.0
-        refined[j] = ok
-        res_F[j] = fres
-        res_F_bound[j] = fbound
+    seeds = lams_sec[:count]
+    zh, zl, res_F, res_F_bound, res_F_abs_sum, moved = _refine_roots(fser, seeds)
+    fp = eval_series_deriv(fser, (zh, zl))
+    cert_err = res_F_bound / np.maximum(np.abs(fp.value), 1e-300)
+    refined = moved & (cert_err <= tol * np.maximum(np.abs(zh), 1.0))
+    lam_hi = np.where(refined, zh, seeds)
+    lam_lo = np.where(refined, zl, 0.0)
 
     md = _mass_machinery(params, lam_hi, lam_lo, n_aux, M, J, fser, T, lams_sec[:count])
 
@@ -395,6 +413,7 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
         mass_route=md.mass_route,
         residual_F=res_F,
         residual_F_bound=res_F_bound,
+        residual_F_abs_sum=res_F_abs_sum,
         residual_matrix=md.eigen_residuals,
         refined=refined,
         N_used=T.size,
@@ -405,41 +424,52 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
 
 
 def _orthopoly_dd_with_envelope(params, n, zh, zl):
-    """dd polynomial values plus a float envelope of accumulated magnitude."""
+    """dd polynomial values at points (zh, zl), (n+1) x P, plus a float
+    envelope of accumulated magnitude."""
     Ph, Pl = orthopoly_values_dd(params, n, (zh, zl))
     _, alpha, beta = entry_arrays(params, n + 1)
-    env = np.empty(n + 1)
+    az = np.abs(zh)
+    env = np.empty_like(Ph)
     env[0] = 1.0
     if n >= 1:
-        env[1] = (abs(zh) + beta[0]) / alpha[0]
+        env[1] = (az + beta[0]) / alpha[0]
         for i in range(1, n):
-            env[i + 1] = ((abs(zh) + beta[i]) * env[i] + alpha[i - 1] * env[i - 1]) / alpha[i]
+            env[i + 1] = ((az + beta[i]) * env[i] + alpha[i - 1] * env[i - 1]) / alpha[i]
     return Ph, Pl, env
 
 
-def _quadrature_weight(params: JacobiParams, lam: float, N: int) -> float:
-    """Gauss weight of the section: 1 / sum_n P_n(lam)^2, noise-guarded.
+def _quadrature_weights(params: JacobiParams, lams: np.ndarray, N: int) -> np.ndarray:
+    """Gauss weights of the section at its eigenvalues: 1 / sum_n P_n(lam)^2, noise-guarded.
 
     The forward recurrence tracks the decaying eigenvector until rounding
     re-excites the growing solution; summation stops at the detected
-    turnaround so the weight never absorbs the noise tail.
+    turnaround so the weight never absorbs the noise tail.  One recurrence
+    serves every eigenvalue (a column each), and the sums run over columns
+    zero-padded past their cuts: leading zeros leave a Neumaier sum's bits
+    unchanged.
     """
     _, alpha, beta = entry_arrays(params, N)
-    t = np.empty(N)
+    t = np.empty((N, len(lams)))
     t[0] = 1.0
     p_prev = 1.0
-    p_cur = (lam - beta[0]) / alpha[0]
+    p_cur = (lams - beta[0]) / alpha[0]
     t[1] = p_cur * p_cur
     for i in range(1, N - 1):
-        p_next = ((lam - beta[i]) * p_cur - alpha[i - 1] * p_prev) / alpha[i]
+        p_next = ((lams - beta[i]) * p_cur - alpha[i - 1] * p_prev) / alpha[i]
         p_prev, p_cur = p_cur, p_next
         t[i + 1] = p_cur * p_cur
     # the re-excited growing solution shows up as a monotone-increasing
-    # suffix; walk it back from the end and drop it
-    cut = N - 1
-    while cut > 1 and t[cut - 1] < t[cut]:
-        cut -= 1
-    return 1.0 / float(dd.compensated_sum(t[:cut][::-1]))
+    # suffix; the cut is the last row c >= 2 not above its predecessor, or 1
+    stops = ~(t[1:-1] < t[2:])
+    last_stop = N - 1 - np.argmax(stops[::-1], axis=0)
+    cut = np.where(stops.any(axis=0), last_stop, 1)
+    rows = np.arange(N)[:, None]
+    s = c = np.zeros(len(lams))
+    for v in np.where(rows < cut, t, 0.0)[cut.max() - 1 :: -1]:
+        u = s + v
+        c = c + np.where(np.abs(s) >= np.abs(v), (s - u) + v, (v - u) + s)
+        s = u
+    return 1.0 / (s + c)
 
 
 def _mass_machinery(
@@ -453,103 +483,100 @@ def _mass_machinery(
     T: TruncatedJacobi,
     lams_section: np.ndarray,
 ) -> MassData:
+    """Masses, eigenvector samples and their identities at every eigenvalue.
+
+    Arrays run (index n x eigenvalue j) and every step is elementwise or
+    reduces along n in order, so each column has the bits of a one-root
+    computation.
+    """
     count = len(lam_hi)
     k = params.k
     fam = second_kind_family(params, M, J, n_max + 1)
     a, alpha, beta = entry_arrays(params, n_max + 2)
     scales = np.array([scale_for_shift(k, n) for n in range(n_max + 2)])
 
-    masses = np.empty(count)
-    masses_q = np.empty(count)
-    route = []
+    fp = eval_series_deriv(fser, (lam_hi, lam_lo))
+    Ph, Pl, env = _orthopoly_dd_with_envelope(params, n_max + 1, lam_hi, lam_lo)
+    ev = _eval_family(fam, lam_hi, lam_lo)
+    value, err = ev.value, ev.err_bound
+    phi_h, phi_l = dd.dd_mul_d(value, ev.value_lo, scales[:, None])
+    cert = (value != 0.0) & (err <= _CERT_REL * np.abs(value))
+
+    # Weyl numerator from the best certified quotient Phi_n / P_n: the
+    # first n of least relative error
+    usable = cert & (Ph != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_rel = EPS_DD * env / np.abs(Ph)  # recurrence noise at near-roots
+        q_rel = err / np.abs(value) + p_rel
+    nstar = np.full(count, -1)
+    best = np.zeros(count)
+    for n in range(n_max + 2):
+        take = usable[n] & ((nstar < 0) | (q_rel[n] < best))
+        nstar[take] = n
+        best[take] = q_rel[n][take]
+    series = nstar >= 0
+    cols = np.flatnonzero(series)
+
+    masses_q = _quadrature_weights(params, lams_section, T.size)
+    masses = masses_q.copy()
+    route = ["series" if s else "fallback" for s in series]
+    wnum = -masses * fp.value
+    cert_from = np.full(count, n_max + 2, dtype=np.int64)
     vectors = np.zeros((count, n_max + 1))
     vectors_lo = np.zeros((count, n_max + 1))
-    wnum = np.empty(count)
-    fprime = np.empty(count)
-    norm_res = np.empty(count)
-    eig_res = np.empty(count)
-    cert_from = np.empty(count, dtype=np.int64)
+    vectors[~series, 0] = math.nan  # no certified series entry: pure matrix fallback
+    norm_res = np.full(count, math.nan)
+    eig_res = np.full(count, math.nan)
+
+    n_ = nstar[cols]
+    wh, wl = dd.dd_div(phi_h[n_, cols], phi_l[n_, cols], Ph[n_, cols], Pl[n_, cols])
+    fph, fpl = fp.value[cols], fp.value_lo[cols]
+    mh, _ = dd.dd_div(wh, wl, fph, fpl)
+    mu = -mh
+    negative = np.flatnonzero(~(mu > 0.0))
+    if negative.size:
+        j = int(cols[negative[0]])
+        raise MassNegative(
+            f"mass at eigenvalue index {j} came out {mu[negative[0]]:.3e}; root or evaluation is broken"
+        )
+    masses[cols] = mu
+    wnum[cols] = wh
+    first_cert = np.argmax(cert[:, cols], axis=0)
+    cert_from[cols] = first_cert
+
+    # eigenvector samples: series from the first certified index up
+    # (beyond it the entries only shrink and stay certified), the
+    # W * P_n identity below it (the polynomial recurrence is the
+    # stable route exactly where the series cancels catastrophically)
+    from_series = np.arange(n_max + 2)[:, None] >= first_cert
+    wph, wpl = dd.dd_mul(wh, wl, Ph[:, cols], Pl[:, cols])
+    vh = np.where(from_series, phi_h[:, cols], wph)
+    vl = np.where(from_series, phi_l[:, cols], wpl)
+    vectors[cols], vectors_lo[cols] = vh[:-1].T, vl[:-1].T
+
+    # norm identity: sum Phi^2 + tail == -F'(lam) W(lam)
+    sh = sl = 0.0
+    for n in range(n_max, -1, -1):
+        th, tl = dd.dd_mul(vh[n], vl[n], vh[n], vl[n])
+        sh, sl = dd.dd_add(sh, sl, th, tl)
     envelope: list = []  # shared by the tail bounds of every eigenvalue
+    tail = np.array([_phi_tail_sq(params, n_max, abs(z), envelope) for z in lam_hi[cols].tolist()])
+    rh, rl = dd.dd_mul(fph, fpl, wh, wl)
+    dh, _ = dd.dd_add(sh, sl, rh, rl)  # sum - (-F'W) = sum + F'W
+    norm_res[cols] = np.abs(dh + tail) / sh
 
-    for j in range(count):
-        zh, zl = float(lam_hi[j]), float(lam_lo[j])
-        fp = eval_series_deriv(fser, (zh, zl))
-        fprime[j] = fp.value
-        Ph, Pl, env = _orthopoly_dd_with_envelope(params, n_max + 1, zh, zl)
-
-        evs = _eval_family(fam, (zh, zl))
-        value = np.array([ev.value for ev in evs])
-        err = np.array([ev.err_bound for ev in evs])
-        phi_h, phi_l = dd.dd_mul_d(value, np.array([ev.value_lo for ev in evs]), scales)
-        cert = (value != 0.0) & (err <= _CERT_REL * np.abs(value))
-
-        # Weyl numerator from the best certified quotient Phi_n / P_n
-        best = None
-        for n in range(n_max + 2):
-            if not cert[n] or Ph[n] == 0.0:
-                continue
-            p_rel = EPS_DD * env[n] / abs(Ph[n])  # recurrence noise at near-roots
-            q_rel = err[n] / abs(value[n]) + p_rel
-            if best is None or q_rel < best[1]:
-                best = (n, q_rel)
-        if best is None:
-            # no certified series entry: pure matrix fallback for this root
-            masses_q[j] = _quadrature_weight(params, float(lams_section[j]), T.size)
-            masses[j] = masses_q[j]
-            route.append("fallback")
-            wnum[j] = -masses[j] * fp.value
-            cert_from[j] = n_max + 2
-            vectors[j, 0] = math.nan
-            norm_res[j] = math.nan
-            eig_res[j] = math.nan
-            continue
-        nstar, _ = best
-        wh, wl = dd.dd_div(phi_h[nstar], phi_l[nstar], Ph[nstar], Pl[nstar])
-        wnum[j] = wh
-        mh, _ = dd.dd_div(wh, wl, fp.value, fp.value_lo)
-        mu = -mh
-        if not (mu > 0.0):
-            raise MassNegative(
-                f"mass at eigenvalue index {j} came out {mu:.3e}; root or evaluation is broken"
-            )
-        masses[j] = mu
-        route.append("series")
-        first_cert = int(np.argmax(cert))
-        cert_from[j] = first_cert
-
-        # eigenvector samples: series from the first certified index up
-        # (beyond it the entries only shrink and stay certified), the
-        # W * P_n identity below it (the polynomial recurrence is the
-        # stable route exactly where the series cancels catastrophically)
-        from_series = np.arange(n_max + 2) >= first_cert
-        wph, wpl = dd.dd_mul(wh, wl, Ph, Pl)
-        vh = np.where(from_series, phi_h, wph)
-        vl = np.where(from_series, phi_l, wpl)
-        vectors[j], vectors_lo[j] = vh[:-1], vl[:-1]
-
-        # norm identity: sum Phi^2 + tail == -F'(lam) W(lam)
-        sh = sl = 0.0
-        for n in range(n_max, -1, -1):
-            th, tl = dd.dd_mul(vectors[j, n], vectors_lo[j, n], vectors[j, n], vectors_lo[j, n])
-            sh, sl = dd.dd_add(sh, sl, th, tl)
-        tail = _phi_tail_sq(params, n_max, abs(zh), envelope)
-        rh, rl = dd.dd_mul(fp.value, fp.value_lo, wh, wl)
-        dh, _ = dd.dd_add(sh, sl, rh, rl)  # sum - (-F'W) = sum + F'W
-        norm_res[j] = abs(dh + tail) / sh
-
-        # matrix residual over rows 0..n_max-1 (last row excluded)
-        th, tl = dd.dd_add_d(-zh, -zl, beta[:n_max])
-        rh, rl = dd.dd_mul(th, tl, vh[:n_max], vl[:n_max])
-        uh, ul = dd.dd_mul_d(vh[:n_max - 1], vl[:n_max - 1], alpha[:n_max - 1])
-        rh[1:], rl[1:] = dd.dd_add(rh[1:], rl[1:], uh, ul)
-        uh, ul = dd.dd_mul_d(vh[1:n_max + 1], vl[1:n_max + 1], alpha[:n_max])
-        rh, _ = dd.dd_add(rh, rl, uh, ul)
-        acc = 0.0
-        for r in rh:
-            acc += r * r
-        eig_res[j] = math.sqrt(acc) / math.sqrt(sh)
-
-        masses_q[j] = _quadrature_weight(params, float(lams_section[j]), T.size)
+    # matrix residual over rows 0..n_max-1 (last row excluded)
+    zh, zl = lam_hi[cols], lam_lo[cols]
+    th, tl = dd.dd_add_d(-zh, -zl, beta[:n_max, None])
+    rh, rl = dd.dd_mul(th, tl, vh[:n_max], vl[:n_max])
+    uh, ul = dd.dd_mul_d(vh[:n_max - 1], vl[:n_max - 1], alpha[:n_max - 1, None])
+    rh[1:], rl[1:] = dd.dd_add(rh[1:], rl[1:], uh, ul)
+    uh, ul = dd.dd_mul_d(vh[1:n_max + 1], vl[1:n_max + 1], alpha[:n_max, None])
+    rh, _ = dd.dd_add(rh, rl, uh, ul)
+    acc = 0.0
+    for r in rh:
+        acc = acc + r * r
+    eig_res[cols] = np.sqrt(acc) / np.sqrt(sh)
 
     return MassData(
         masses=masses,
@@ -558,7 +585,7 @@ def _mass_machinery(
         vectors=vectors,
         vectors_lo=vectors_lo,
         weyl_numerators=wnum,
-        fprime=fprime,
+        fprime=fp.value,
         norm_residuals=norm_res,
         eigen_residuals=eig_res,
         certified_from=cert_from,
@@ -628,10 +655,7 @@ def orthonormality_check(
     if smax < 0:
         raise ValueError("smax must be non-negative")
     count = sd.count
-    P = np.empty((count, smax + 1))
-    for j in range(count):
-        Ph, Pl = orthopoly_values_dd(params, smax, sd.lambda_dd(j))
-        P[j] = Ph
+    P = orthopoly_values_dd(params, smax, (sd.lambdas, sd.lambdas_lo))[0].T
     mu = sd.masses
     # tail estimate: geometric extrapolation of the heaviest diagonal term
     terms = np.abs(mu * P[:, smax] * P[:, smax])
@@ -881,14 +905,8 @@ def associated_checks(params: JacobiParams, N: int, n_zeros: int = 5) -> Associa
     radius = float(assoc_eigs[-1]) * 1.3 + 1.0
     M, J = _series_context(params, radius, 4)
     wser = second_kind_family(params, M, J, 0)[0]
-    zeros = np.empty(n_zeros)
-    zeros_lo = np.zeros(n_zeros)
-    for i in range(n_zeros):
-        zh, zl, _, _, moved = _refine_root(wser, float(assoc_eigs[i]))
-        if moved:
-            zeros[i], zeros_lo[i] = zh, zl
-        else:
-            zeros[i] = float(assoc_eigs[i])
+    # an unmoved root is its seed with a zero low word
+    zeros, zeros_lo, _, _, _, _ = _refine_roots(wser, assoc_eigs[:n_zeros])
     zero_rel = np.abs(zeros - assoc_eigs) / np.abs(assoc_eigs)
 
     return AssociatedReport(

@@ -173,6 +173,16 @@ def test_cli_spectrum_count13(capsys):
     assert len(rows) == 13
 
 
+def test_cli_spectrum_residual_F_is_relative(capsys):
+    # the bare |F| at the last root is about 1.9e47; divided by the series
+    # abs-sum of the same evaluation it reads as a relative residual
+    rc = main(["--q", "0.25", "--count", "12", "--format", "csv", "spectrum"])
+    assert rc == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 12
+    assert all(0.0 <= float(r["residual_F"]) <= 1e-30 for r in rows)
+
+
 def test_cli_stray_arithmetic_error_is_numerical_failure(monkeypatch, capsys):
     import jspec.cli
 

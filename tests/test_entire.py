@@ -288,15 +288,36 @@ def _same_bits(x, y):
     return np.float64(x).tobytes() == np.float64(y).tobytes()
 
 
+_EVAL_FIELDS = ("value", "value_lo", "err_bound", "kappa", "abs_sum")
+_POINTS_HI = np.array([0.0, 0.7, -3.0, 12.5, 40.0, 300.0, 2.0e4])
+_POINTS_LO = np.array([0.0, 0.0, 0.0, 0.0, 1e-15, 0.0, -1e-13])
+
+
 @pytest.mark.parametrize("params", [GEOM, JacobiParams(PowerLaw(1.0, 2.0), 0.5)])
 def test_eval_family_matches_single_calls(params):
-    # the 2-D Horner gives every column the bits of its own 1-D call
+    # one Horner pass over (order x series x point) gives every element the
+    # bits of its own one-series, one-point call, bound included
     fam = second_kind_family(params, 24, 72, 9)
-    for z in (0.0, 0.7, -3.0, 12.5, (40.0, 1e-15), 300.0):
-        for s, ev in zip(fam, _eval_family(fam, z)):
+    ev = _eval_family(fam, _POINTS_HI, _POINTS_LO)
+    assert ev.value.shape == (len(fam), len(_POINTS_HI))
+    for i, s in enumerate(fam):
+        for p, z in enumerate(zip(_POINTS_HI.tolist(), _POINTS_LO.tolist())):
             single = eval_series(s, z)
-            for field in ("value", "value_lo", "err_bound", "kappa", "abs_sum"):
-                assert _same_bits(getattr(ev, field), getattr(single, field)), (z, s.shift, field)
+            for field in _EVAL_FIELDS:
+                assert _same_bits(getattr(ev, field)[i, p], getattr(single, field)), (z, s.shift, field)
+
+
+@pytest.mark.parametrize("params", [GEOM, JacobiParams(PowerLaw(1.0, 2.0), 0.5)])
+def test_eval_series_point_arrays_match_single_calls(params):
+    # eval_series and eval_series_deriv take arrays of points with the
+    # bits of the one-point calls
+    ser = series_coeffs(params, KIND_CHAR, 30, 90)
+    for fn in (eval_series, eval_series_deriv):
+        ev = fn(ser, (_POINTS_HI, _POINTS_LO))
+        for p, z in enumerate(zip(_POINTS_HI.tolist(), _POINTS_LO.tolist())):
+            single = fn(ser, z)
+            for field in _EVAL_FIELDS:
+                assert _same_bits(getattr(ev, field)[p], getattr(single, field)), (fn, z, field)
 
 
 def test_complex_derivative_bound_covers_real():

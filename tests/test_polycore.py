@@ -206,6 +206,20 @@ def test_dd_recurrence_matches_float():
     assert np.max(np.abs(Ph - pe.values) / np.maximum(1.0, np.abs(Ph))) < 1e-13
 
 
+@pytest.mark.parametrize("params", [GEOM, JacobiParams(PowerLaw(1.0, 2.0), 0.5)])
+def test_dd_recurrence_point_arrays_match_single_calls(params):
+    # an array of points gives (n+1) x P values whose columns are the
+    # one-point calls, bit for bit
+    zh = np.array([-2.0, 0.0, 0.3, 7.5, 120.0, 4.1e3])
+    zl = np.array([0.0, 0.0, 1e-18, -2e-16, 0.0, 1e-13])
+    Ph, Pl = orthopoly_values_dd(params, 20, (zh, zl))
+    assert Ph.shape == (21, len(zh))
+    for p in range(len(zh)):
+        oh, ol = orthopoly_values_dd(params, 20, (float(zh[p]), float(zl[p])))
+        assert oh.shape == (21,)
+        assert Ph[:, p].tobytes() == oh.tobytes() and Pl[:, p].tobytes() == ol.tobytes()
+
+
 def _assert_degrees_share_one_pass(params, mode):
     n = 25
     for x in (-2.0, 0.0, 0.3, 7.5, 120.0):

@@ -289,13 +289,12 @@ def test_refine_root_ignores_seed_bits():
     seeds = section_eigenvalues(T1, 5)
     M, J = spectrum._series_context(GEOM, float(seeds[-1]) * 1.3 + 1.0, 4)
     wser = second_kind_family(GEOM, M, J, 0)[0]
-    for seed in seeds:
-        zh, zl, _, _, moved = spectrum._refine_root(wser, float(seed))
-        assert moved
-        for factor in (1.0 - 1e-13, 1.0 + 1e-13):
-            rh, rl, _, _, _ = spectrum._refine_root(wser, float(seed) * factor)
-            diff, _ = dd_sub(rh, rl, zh, zl)
-            assert abs(diff) <= 1e-30 * zh
+    zh, zl, _, _, _, moved = spectrum._refine_roots(wser, seeds)
+    assert np.all(moved)
+    for factor in (1.0 - 1e-13, 1.0 + 1e-13):
+        rh, rl, _, _, _, _ = spectrum._refine_roots(wser, seeds * factor)
+        diff, _ = dd_sub(rh, rl, zh, zl)
+        assert np.all(np.abs(diff) <= 1e-30 * zh)
 
 
 def test_factored_section_makes_no_sturm_sweeps():
@@ -441,3 +440,100 @@ def test_second_kind_product_sum_raises_when_unsettled():
     # 88.1857 there, against w_0(0) = 88.2173)
     with pytest.raises(ConvergenceFailure):
         spectrum._second_kind_product_sum(JacobiParams(Geometric(0.97), math.sqrt(0.97)), 0, 0.0)
+
+
+def _horner_calls(monkeypatch, params, count):
+    from jspec import entire
+
+    calls = []
+    inner = entire._horner_dd
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(entire, "_horner_dd", counted)
+        point_spectrum(params, count)
+    return len(calls)
+
+
+def test_point_spectrum_evaluates_all_roots_at_once(monkeypatch):
+    # every Newton round, F' at the roots and the second-kind family take
+    # one Horner pass over all eigenvalues, so the count does not grow with
+    # the number of eigenvalues (it was 8 passes per eigenvalue)
+    at8 = _horner_calls(monkeypatch, GEOM, 8)
+    assert at8 == _horner_calls(monkeypatch, GEOM, 12)
+    assert at8 <= 10
+
+
+def test_newton_cap_raises(monkeypatch):
+    # at q = 1/4 every root needs two Newton steps; a root still moving at
+    # the cap raises instead of passing as refined
+    monkeypatch.setattr(spectrum, "_NEWTON_CAP", 1)
+    with pytest.raises(ConvergenceFailure):
+        point_spectrum(GEOM, 8)
+
+
+def _quadrature_weight_one(params, lam, N):
+    """One eigenvalue at a time: the recurrence, the turnaround cut walked
+    back from the end, and a Neumaier sum of the kept terms."""
+    _, alpha, beta = entry_arrays(params, N)
+    t = [1.0]
+    p_prev, p_cur = 1.0, (lam - beta[0]) / alpha[0]
+    t.append(p_cur * p_cur)
+    for i in range(1, N - 1):
+        p_prev, p_cur = p_cur, ((lam - beta[i]) * p_cur - alpha[i - 1] * p_prev) / alpha[i]
+        t.append(p_cur * p_cur)
+    cut = N - 1
+    while cut > 1 and t[cut - 1] < t[cut]:
+        cut -= 1
+    s = c = 0.0
+    for v in t[:cut][::-1]:
+        u = s + v
+        c += (s - u) + v if abs(s) >= abs(v) else (v - u) + s
+        s = u
+    return 1.0 / (s + c)
+
+
+@pytest.mark.parametrize("params", [GEOM, JacobiParams(PowerLaw(1.0, 2.0), 0.5), EXPLICIT])
+def test_quadrature_weights_match_one_root_at_a_time(params):
+    # one recurrence for all section eigenvalues, cut per column, gives
+    # every weight the bits of its own computation
+    T = truncate(params, 60)
+    lams = section_eigenvalues(T, 8)
+    batch = spectrum._quadrature_weights(params, lams, T.size)
+    for j, lam in enumerate(lams.tolist()):
+        assert np.float64(batch[j]).tobytes() == np.float64(_quadrature_weight_one(params, lam, T.size)).tobytes()
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("params, count", [
+    (GEOM, 12),
+    (JacobiParams(PowerLaw(1.0, 2.0), 0.5), 8),
+    (EXPLICIT, 3),
+])
+def test_batched_stages_match_one_root_at_a_time(params, count):
+    # Newton and the mass machinery over all roots give every root the
+    # bits of the same stage run on that root alone (EXPLICIT takes the
+    # fallback route, whose rows carry NaN)
+    sd = point_spectrum(params, count)
+    M, J = spectrum._series_context(params, float(sd.lambdas[-1]) * 1.3 + 1.0, count + 10)
+    fser = series_coeffs(params, KIND_CHAR, M, J)
+    T = truncate(params, sd.N_used)
+    seeds = section_eigenvalues(T, count)
+    every = spectrum._refine_roots(fser, seeds)
+    md = spectrum._mass_machinery(params, sd.lambdas, sd.lambdas_lo, count + 10, M, J, fser, T, seeds)
+    for j in range(count):
+        one = spectrum._refine_roots(fser, seeds[j : j + 1])
+        assert all(_bits(a[j : j + 1]) == _bits(b) for a, b in zip(every, one)), j
+        mj = spectrum._mass_machinery(
+            params, sd.lambdas[j : j + 1], sd.lambdas_lo[j : j + 1], count + 10, M, J, fser, T, seeds[j : j + 1]
+        )
+        assert md.mass_route[j] == mj.mass_route[0]
+        for field in ("masses", "masses_quadrature", "vectors", "vectors_lo", "weyl_numerators",
+                      "fprime", "norm_residuals", "eigen_residuals", "certified_from"):
+            assert _bits(getattr(md, field)[j : j + 1]) == _bits(getattr(mj, field)), (j, field)
