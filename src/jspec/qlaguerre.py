@@ -239,14 +239,20 @@ def jackson_qbessel2(nu: float, x: float, qp: QParams, tol: float = 1e-15) -> fl
     """Jackson q-Bessel function of the second kind J_nu^(2)(x; q).
 
     ((q^(nu+1); q)_inf / (q; q)_inf) (x/2)^nu 0phi1(; q^(nu+1); q, -q^(nu+1) x^2/4),
-    real branch, so x >= 0 is required.
+    real branch, so x >= 0 is required.  CancellationFailure when (q; q)_inf
+    underflows to 0 (q close to 1), which leaves the prefactor no float value.
     """
     if nu <= -1.0:
         raise ValueError(f"order must exceed -1, got {nu}")
     if x < 0.0:
         raise ValueError("real branch needs x >= 0")
     q = qp.q
-    pref = qpochhammer(q ** (nu + 1.0), q) / qpochhammer(q, q)
+    denom = qpochhammer(q, q)
+    if denom == 0.0:
+        raise CancellationFailure(
+            f"(q; q)_inf underflows to 0 at q={q!r}; the q-Bessel prefactor has no float value"
+        )
+    pref = qpochhammer(q ** (nu + 1.0), q) / denom
     sh, sl, _ = _phi01_dd(q ** (nu + 1.0), q, -(q ** (nu + 1.0)) * x * x / 4.0, tol=tol)
     return pref * (x / 2.0) ** nu * (sh + sl)
 
@@ -339,9 +345,9 @@ def weyl_num_closed_forms(z: float, qp: QParams) -> tuple[float, float]:
 
     The closed form is ``(1-q) q / z * J_2^(2)(2 sqrt(qz); q)`` plus the
     2phi1-coefficient correction series in (-z), summed until three terms in
-    a row fall below 1e-15 of the sum (at most 200 terms); for |z| <= 1e-8
-    the first piece is evaluated through its 0phi1 limit
-    ``q^2/(1-q^2) 0phi1(; q^3; q, -q^4 z)``.
+    a row fall below 1e-15 of the sum (ConvergenceFailure if 200 terms do
+    not settle it); for |z| <= 1e-8 the first piece is evaluated through its
+    0phi1 limit ``q^2/(1-q^2) 0phi1(; q^3; q, -q^4 z)``.
     The series route is not asked to certify a relative accuracy: near a
     zero of the numerator only absolute agreement is meaningful.
     """
@@ -373,6 +379,10 @@ def weyl_num_closed_forms(z: float, qp: QParams) -> tuple[float, float]:
                 break
         else:
             small = 0
+    else:
+        raise ConvergenceFailure(
+            f"correction series of the Weyl numerator at z={z!r}, q={q!r} did not settle in 200 terms"
+        )
     via_closed = part1 + (sh + sl)
     params = induced_params(qp)
     M, J = choose_truncation(params, max(abs(z), 1.0), 1e-13)

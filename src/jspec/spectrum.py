@@ -6,21 +6,23 @@ the pivots D = diag(a) and the unit subdiagonal l_n = k; sections of the
 associated operator get theirs from a recurrence of sums and products of
 positive numbers.  From the factor alone come the eigenvalues (one LAPACK
 ``dpteqr`` call on B^T B with B = L D^{1/2}, to high relative accuracy), the
-Sturm counts (differential stationary qd) and the inverse trace (a positive
-recurrence).  Forming beta in floats instead would lose the small
-eigenvalues of any prefix that falls faster than k^2, and absolute-accuracy
-routines (``stebz``) lose those of graded sections.  Roots of the
-characteristic series then refine the section values by compensated Newton
-steps wherever the series evaluation certifies itself.  Masses and
-eigenvector samples combine three mutually checking routes:
+inverse trace (a positive recurrence) and one pair of qd transforms of
+T - x I over an array of shifts x, which give the Sturm counts, the section
+eigenvectors (twisted factorization) and the Weyl resolvent.  Forming beta
+in floats instead would lose the small eigenvalues of any prefix that falls
+faster than k^2, and absolute-accuracy routines (``stebz``) lose those of
+graded sections.  Roots of the characteristic series then refine the
+section values by compensated Newton steps wherever the series evaluation
+certifies itself.  Masses and eigenvector samples combine three mutually
+checking routes:
 
 * second-kind series entries where the evaluation is certified,
 * the quotient identity  W(lam) = Phi_n(lam) / P_n(lam)  at a certified
   index n (the polynomial recurrence is stable in the dominant direction),
   which recovers the numerator of the Weyl function without cancellation
   even where the direct series at lam loses every digit,
-* Gauss-quadrature weights of the finite section as the independent
-  matrix-side fallback.
+* the section eigenvectors as the independent matrix-side fallback (their
+  squared first components are the section's Gauss weights).
 
 Everything downstream of the raw section eigenvalues carries the refined
 eigenvalues as double-double pairs: at the ninth eigenvalue the bare float
@@ -161,28 +163,72 @@ def associated_section(params: JacobiParams, N: int) -> TruncatedJacobi:
     return TruncatedJacobi(diag=beta[1:], offdiag=alpha[1:N], d=p, l=alpha[1:N] / p[:-1])
 
 
+def _qd_sweep(add, mul, first, x):
+    """Pivots add_i + t_i of one differential qd sweep, and the t_i, for every
+    shift in x: t_0 = first - x and t_{i+1} = (t_i / pivot_i) mul_i - x.
+
+    A zero pivot is taken as its limit from above, as LAPACK ``dlaneg``
+    does: the next pivot is -inf and the ratio after it is 1.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    t = first - x
+    pivots, ts = [], [t]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a, m in zip(add.tolist(), mul.tolist()):
+            pivots.append(a + t)
+            ratio = t / pivots[-1]
+            ratio[ratio != ratio] = 1.0  # -inf / -inf after a zero pivot
+            t = ratio * m - x
+            ts.append(t)
+    return np.array(pivots).reshape(len(add), x.size), np.array(ts)
+
+
+def _stationary(T: TruncatedJacobi, x):
+    """Stationary transform from the top, L D L^T - x I = L+ D+ L+^T (dstqds;
+    Dhillon & Parlett 2004).  Returns D+, L+ and s_i = D+_i - d_i."""
+    ld = T.d[:-1] * T.l
+    piv, s = _qd_sweep(T.d[:-1], ld * T.l, 0.0, x)
+    with np.errstate(divide="ignore"):
+        return np.vstack((piv, T.d[-1] + s[-1])), ld[:, None] / piv, s
+
+
+def _progressive(T: TruncatedJacobi, x):
+    """Progressive transform from the bottom, L D L^T - x I = U- R U-^T (dqds):
+    p_{N-1} = d_{N-1} - x, R_{i+1} = d_i l_i^2 + p_{i+1}.  Returns p and U-."""
+    ld = T.d[:-1] * T.l
+    piv, p = _qd_sweep((ld * T.l)[::-1], T.d[-2::-1], T.d[-1], x)
+    with np.errstate(divide="ignore"):
+        return p[::-1], ld[:, None] / piv[::-1]
+
+
+def _twisted_vectors(T: TruncatedJacobi, lam):
+    """Section eigenvectors at the shifts lam by twisted factorization.
+
+    gamma_i = s_i + p_i + lam is 1 / [(T - lam)^{-1}]_ii, and the twist r
+    takes the least |gamma_r| (Dhillon & Parlett 2004; LAPACK ``dlar1v``).
+    The vector has z_r = 1, z_i = -L+_i z_{i+1} above the twist and
+    z_{i+1} = -U-_i z_i below it, so ||(T - lam) z|| = |gamma_r|.  Returns z
+    (one column per shift) and gamma_r.
+    """
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    _, lplus, s = _stationary(T, lam)
+    p, uminus = _progressive(T, lam)
+    gamma = s + p + lam
+    r = np.argmin(np.abs(gamma), axis=0)
+    rows = np.arange(T.size)[:, None]
+    z = np.ones((T.size, lam.size))
+    z[:-1] = np.cumprod(np.where(rows[:-1] < r, -lplus, 1.0)[::-1], axis=0)[::-1]
+    z[1:] *= np.cumprod(np.where(rows[1:] > r, -uminus, 1.0), axis=0)
+    return z, gamma[r, np.arange(lam.size)]
+
+
 def sturm_count(T: TruncatedJacobi, x: float) -> int:
     """Number of eigenvalues of T strictly below x.
 
-    Differential stationary qd on the factor (dstqds; Dhillon & Parlett
-    2004): L D L^T - x I = L+ D+ L+^T, and by Sylvester's inertia law the
-    count is the number of negative pivots D+_i.  The auxiliary
-    s_i = D+_i - d_i obeys s_{i+1} = (s_i / D+_i) d_i l_i^2 - x, so no
-    entry of the tridiagonal is formed.  A zero pivot is taken as its limit
-    from above, as LAPACK ``dlaneg`` does: the next pivot is -inf and the
-    ratio after it is 1.
+    By Sylvester's inertia law, the number of negative pivots D+_i of the
+    stationary transform L D L^T - x I = L+ D+ L+^T (``_stationary``).
     """
-    x = float(x)
-    count = 0
-    s = -x
-    for d, lld in zip(T.d[:-1].tolist(), (T.d[:-1] * T.l * T.l).tolist()):
-        dplus = d + s
-        count += dplus < 0.0
-        ratio = s / dplus if dplus != 0.0 else -math.inf
-        if ratio != ratio:  # -inf / -inf
-            ratio = 1.0
-        s = ratio * lld - x
-    return count + (float(T.d[-1]) + s < 0.0)
+    return int(np.count_nonzero(_stationary(T, x)[0] < 0.0))
 
 
 def section_eigenvalues(T: TruncatedJacobi, count: int) -> np.ndarray:
@@ -259,8 +305,8 @@ class MassData:
     vectors_lo: np.ndarray
     weyl_numerators: np.ndarray  # W(lambda_j)
     fprime: np.ndarray           # F'(lambda_j)
-    norm_residuals: np.ndarray   # |sum Phi^2 + tail - (-F' W)| / sum Phi^2
-    eigen_residuals: np.ndarray  # ||(T - lam) Phi|| / ||Phi||, last row excluded
+    norm_residuals: np.ndarray   # |sum Phi^2 + tail - (-F' W)| / sum Phi^2 (fallback: NaN)
+    eigen_residuals: np.ndarray  # ||(T - lam) Phi|| / ||Phi||, last row excluded (fallback: section's)
     certified_from: np.ndarray   # first series-certified entry index per j
 
 
@@ -438,40 +484,6 @@ def _orthopoly_dd_with_envelope(params, n, zh, zl):
     return Ph, Pl, env
 
 
-def _quadrature_weights(params: JacobiParams, lams: np.ndarray, N: int) -> np.ndarray:
-    """Gauss weights of the section at its eigenvalues: 1 / sum_n P_n(lam)^2, noise-guarded.
-
-    The forward recurrence tracks the decaying eigenvector until rounding
-    re-excites the growing solution; summation stops at the detected
-    turnaround so the weight never absorbs the noise tail.  One recurrence
-    serves every eigenvalue (a column each), and the sums run over columns
-    zero-padded past their cuts: leading zeros leave a Neumaier sum's bits
-    unchanged.
-    """
-    _, alpha, beta = entry_arrays(params, N)
-    t = np.empty((N, len(lams)))
-    t[0] = 1.0
-    p_prev = 1.0
-    p_cur = (lams - beta[0]) / alpha[0]
-    t[1] = p_cur * p_cur
-    for i in range(1, N - 1):
-        p_next = ((lams - beta[i]) * p_cur - alpha[i - 1] * p_prev) / alpha[i]
-        p_prev, p_cur = p_cur, p_next
-        t[i + 1] = p_cur * p_cur
-    # the re-excited growing solution shows up as a monotone-increasing
-    # suffix; the cut is the last row c >= 2 not above its predecessor, or 1
-    stops = ~(t[1:-1] < t[2:])
-    last_stop = N - 1 - np.argmax(stops[::-1], axis=0)
-    cut = np.where(stops.any(axis=0), last_stop, 1)
-    rows = np.arange(N)[:, None]
-    s = c = np.zeros(len(lams))
-    for v in np.where(rows < cut, t, 0.0)[cut.max() - 1 :: -1]:
-        u = s + v
-        c = c + np.where(np.abs(s) >= np.abs(v), (s - u) + v, (v - u) + s)
-        s = u
-    return 1.0 / (s + c)
-
-
 def _mass_machinery(
     params: JacobiParams,
     lam_hi: np.ndarray,
@@ -487,7 +499,8 @@ def _mass_machinery(
 
     Arrays run (index n x eigenvalue j) and every step is elementwise or
     reduces along n in order, so each column has the bits of a one-root
-    computation.
+    computation.  Rows without a certified series entry take the section
+    eigenvector at ``lams_section`` (``fallback``).
     """
     count = len(lam_hi)
     k = params.k
@@ -517,16 +530,21 @@ def _mass_machinery(
     series = nstar >= 0
     cols = np.flatnonzero(series)
 
-    masses_q = _quadrature_weights(params, lams_section, T.size)
+    # matrix side: the section's Gauss weights z_0^2 / ||z||^2, and on
+    # fallback rows the samples W z_n / z_0 and the residual |gamma_r| / ||z||;
+    # rows past the section stay NaN
+    z, gamma_r = _twisted_vectors(T, lams_section)
+    norm_sq = np.cumsum(z * z, axis=0)[-1]  # ordered sum: the bits of one column
+    masses_q = z[0] * z[0] / norm_sq
     masses = masses_q.copy()
     route = ["series" if s else "fallback" for s in series]
     wnum = -masses * fp.value
     cert_from = np.full(count, n_max + 2, dtype=np.int64)
-    vectors = np.zeros((count, n_max + 1))
+    vectors = np.full((count, n_max + 1), math.nan)
+    vectors[:, : T.size] = (wnum * (z[: n_max + 1] / z[0])).T
     vectors_lo = np.zeros((count, n_max + 1))
-    vectors[~series, 0] = math.nan  # no certified series entry: pure matrix fallback
     norm_res = np.full(count, math.nan)
-    eig_res = np.full(count, math.nan)
+    eig_res = np.abs(gamma_r) / np.sqrt(norm_sq)
 
     n_ = nstar[cols]
     wh, wl = dd.dd_div(phi_h[n_, cols], phi_l[n_, cols], Ph[n_, cols], Pl[n_, cols])
@@ -629,7 +647,8 @@ def masses_and_vectors(params: JacobiParams, sd: SpectralData, n_max: int) -> Ma
     """Masses plus eigenvector samples Phi_0..Phi_{n_max} for each eigenvalue.
 
     Recomputes the series context sized for ``n_max`` and reuses the refined
-    eigenvalues stored in ``sd``.
+    eigenvalues stored in ``sd``.  Fallback samples come from the
+    ``sd.N_used``-row section, so their entries n >= N_used are NaN.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -696,8 +715,8 @@ def weyl(params: JacobiParams, z: float, sd: SpectralData) -> WeylValues:
     * series: numerator series over characteristic series, compensated;
     * poles: sum_j mu_j / (lambda_j - z) over the computed spectrum plus a
       certified bound on the omitted poles;
-    * resolvent: top-left entry of the section resolvent via a pivoted
-      banded solve.
+    * resolvent: top-left entry of the section resolvent,
+      [(T - z)^{-1}]_00 = 1 / p_0 from the progressive transform.
     """
     gap = np.min(np.abs(sd.lambdas - z))
     if gap <= 1e-9 * max(1.0, abs(z)):
@@ -711,8 +730,7 @@ def weyl(params: JacobiParams, z: float, sd: SpectralData) -> WeylValues:
         wser = second_kind_family(params, M, J, 0)[0]
         fe = eval_series(fser, z, tol=1e-9)
         we = eval_series(wser, z, tol=1e-9)
-        qh, _ = dd.dd_div(we.value, we.value_lo, fe.value, fe.value_lo)
-        series_val = qh
+        series_val, _ = dd.dd_div(we.value, we.value_lo, fe.value, fe.value_lo)
         series_err = abs(series_val) * (
             we.err_bound / max(abs(we.value), 1e-300)
             + fe.err_bound / max(abs(fe.value), 1e-300)
@@ -721,25 +739,15 @@ def weyl(params: JacobiParams, z: float, sd: SpectralData) -> WeylValues:
         series_failed = True
 
     mu_sum = float(np.sum(sd.masses))
-    pole_terms = [
-        (sd.masses[j], sd.lambdas[j]) for j in range(sd.count)
-    ]
-    poles = dd.compensated_sum([m / (lam - z) for m, lam in pole_terms][::-1])
+    poles = dd.compensated_sum((sd.masses / (sd.lambdas - z))[::-1])
     lam_next = sd.lambda_next_lower
     if z < lam_next:
         pole_tail = max(0.0, 1.0 - mu_sum) / (lam_next - z)
     else:
         pole_tail = math.inf
 
-    T = truncate(params, sd.N_used)
-    ab = np.zeros((3, T.size))
-    ab[0, 1:] = T.offdiag
-    ab[1, :] = T.diag - z
-    ab[2, :-1] = T.offdiag
-    e0 = np.zeros(T.size)
-    e0[0] = 1.0
-    x = solve_banded((1, 1), ab, e0)
-    resolvent = float(x[0])
+    p, _ = _progressive(truncate(params, sd.N_used), z)
+    resolvent = float(1.0 / p[0, 0])
 
     return WeylValues(
         series=series_val,
@@ -881,24 +889,13 @@ def associated_checks(params: JacobiParams, N: int, n_zeros: int = 5) -> Associa
     x0, x1 = x[:, 0], x[:, 1]
     beta0 = float(T.diag[0])
     alpha0 = float(T.offdiag[0])
-    inv00 = float(x0[0])
-    inv11 = float(x1[1])
-    coeff = {
-        (0, 0): alpha0 * alpha0 * inv11 / (beta0 * inv00),
-        (0, 1): alpha0,
-        (1, 0): alpha0,
-        (1, 1): alpha0 * alpha0 / beta0,
-    }
-    inv2 = {
-        (0, 0): float(x0 @ x0),
-        (0, 1): float(x0 @ x1),
-        (1, 0): float(x0 @ x1),
-        (1, 1): float(x1 @ x1),
-    }
     trace_j = section_inverse_trace(T)
+    # coefficient times squared-inverse entry, for the entries 00, 01, 10, 11
     trace_formula = trace_j - 1.0 / beta0
-    for st, c in coeff.items():
-        trace_formula += c * inv2[st]
+    trace_formula += alpha0 * alpha0 * float(x1[1]) / (beta0 * float(x0[0])) * float(x0 @ x0)
+    trace_formula += alpha0 * float(x0 @ x1)
+    trace_formula += alpha0 * float(x0 @ x1)
+    trace_formula += alpha0 * alpha0 / beta0 * float(x1 @ x1)
     rel = abs(trace_direct - trace_formula) / abs(trace_direct)
 
     assoc_eigs = section_eigenvalues(T1, n_zeros)

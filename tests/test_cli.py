@@ -183,6 +183,18 @@ def test_cli_spectrum_residual_F_is_relative(capsys):
     assert all(0.0 <= float(r["residual_F"]) <= 1e-30 for r in rows)
 
 
+def test_cli_spectrum_fallback_rows_have_matrix_residuals(capsys):
+    # at p = 2 every mass takes the matrix-side route; its rows report the
+    # section residual of the twisted eigenvector, not NaN
+    rc = main(["--k", "0.5", "--seq", "powerlaw", "--c", "1", "--p", "2", "--count", "8",
+               "spectrum", "--format", "csv"])
+    assert rc == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 8
+    assert all("nan" not in r["residual_matrix"] for r in rows)
+    assert all(0.0 <= float(r["residual_matrix"]) <= 1e-12 for r in rows)
+
+
 def test_cli_stray_arithmetic_error_is_numerical_failure(monkeypatch, capsys):
     import jspec.cli
 

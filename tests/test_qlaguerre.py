@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from jspec.errors import CancellationFailure, ConvergenceFailure, DivergentArgument
+from jspec.errors import CancellationFailure, ConvergenceFailure, DivergentArgument, JspecError
 from jspec.qlaguerre import (
     QParams,
     basic_hypergeometric,
@@ -203,6 +203,14 @@ def test_qbessel_small_argument():
         jackson_qbessel2(-1.5, 1.0, QP)
 
 
+def test_qbessel_raises_when_q_pochhammer_underflows():
+    # (q; q)_inf is 0.0 in floats at q = 0.999; dividing by it raised a bare
+    # ZeroDivisionError
+    assert qpochhammer(0.999, 0.999) == 0.0
+    with pytest.raises(JspecError):
+        char_closed_forms(1.0, QParams(0.999))
+
+
 def test_qbessel_roots_simple_sign_changes():
     roots = qbessel2_roots(1.0, QP, 5)
     assert np.all(np.diff(roots) > 0.0)
@@ -246,6 +254,13 @@ def test_weyl_num_closed_forms_agree():
             assert abs(wc - ws) <= 1e-12 * max(1.0, abs(ws))
     wc, _ = weyl_num_closed_forms(0.0, QP)
     assert wc == pytest.approx(0.08439074413369511, rel=1e-12)
+
+
+def test_weyl_num_correction_series_raises_at_term_cap():
+    # at q = 0.97, z = 200 the correction terms have not settled after 200
+    # of them; the sum it stopped at was -4.07e106
+    with pytest.raises(ConvergenceFailure):
+        weyl_num_closed_forms(200.0, QParams(0.97))
 
 
 def test_masses_from_closed_forms():

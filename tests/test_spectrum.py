@@ -6,6 +6,7 @@ quotient and measure completeness all agree on these digits), and the Weyl
 function from its three structurally different routes.
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -314,24 +315,34 @@ def test_factored_small_sections():
     assert lams[0] == pytest.approx((12.0 * 243.0 - 36.0) / big, rel=1e-15)
 
 
+def _mp_tridiagonal(diag, off):
+    A = mpmath.zeros(len(diag), len(diag))
+    for n, b in enumerate(diag):
+        A[n, n] = b
+    for n, o in enumerate(off):
+        A[n, n + 1] = A[n + 1, n] = o
+    return A
+
+
 def _mp_eigsy(diag, off, dps):
     """All eigenvalues, ascending, of the tridiagonal with the given entries."""
     with mpmath.workdps(dps):
-        A = mpmath.zeros(len(diag), len(diag))
-        for n, b in enumerate(diag):
-            A[n, n] = b
-        for n, o in enumerate(off):
-            A[n, n + 1] = A[n + 1, n] = o
-        return sorted(mpmath.eigsy(A, eigvals_only=True))
+        return sorted(mpmath.eigsy(_mp_tridiagonal(diag, off), eigvals_only=True))
+
+
+def _mp_section(T):
+    """Diagonal and off-diagonal of the exact section L D L^T built from T's
+    float factor, at the working precision."""
+    d = [mpmath.mpf(float(x)) for x in T.d]
+    l = [mpmath.mpf(float(x)) for x in T.l]
+    diag = [d[n] + (l[n - 1] ** 2 * d[n - 1] if n else 0) for n in range(T.size)]
+    return diag, [l[n] * d[n] for n in range(T.size - 1)]
 
 
 def _mp_section_eigenvalues(T, count, dps):
     """Lowest eigenvalues of the exact section L D L^T built from T's float factor."""
     with mpmath.workdps(dps):
-        d = [mpmath.mpf(float(x)) for x in T.d]
-        l = [mpmath.mpf(float(x)) for x in T.l]
-        diag = [d[n] + (l[n - 1] ** 2 * d[n - 1] if n else 0) for n in range(T.size)]
-        return _mp_eigsy(diag, [l[n] * d[n] for n in range(T.size - 1)], dps)[:count]
+        return _mp_eigsy(*_mp_section(T), dps)[:count]
 
 
 @pytest.mark.parametrize("params, N, count, dps, rel", [
@@ -430,6 +441,75 @@ def test_completeness_defect_on_decreasing_prefix():
     assert tail / 2.0 <= sd.completeness_defect <= 2.0 * tail
 
 
+# masses of an 80-digit mpmath eigsy of the exact 60- and 120-row sections,
+# which agree on these digits
+EXPLICIT_MASSES = (0.19204806, 0.050474911)
+
+
+def test_explicit_masses_match_eigsy_oracle():
+    # every mass takes the matrix-side route here; the polynomial recurrence
+    # on the float beta gave mu_0 = 1.0 and a mass sum of 1.0505
+    sd = point_spectrum(EXPLICIT, 3)
+    assert set(sd.mass_route) == {"fallback"}
+    for mu, ref in zip(sd.masses, EXPLICIT_MASSES):
+        assert abs(mu - ref) <= 1e-7
+    assert float(np.sum(sd.masses)) <= 1.0 + 1e-12
+
+
+def _mp_section_masses(T, dps):
+    """Squared first components of the normalized eigenvectors of the exact
+    section, in increasing order of the eigenvalue."""
+    with mpmath.workdps(dps):
+        E, Q = mpmath.eigsy(_mp_tridiagonal(*_mp_section(T)))
+        return [Q[0, j] ** 2 for j in sorted(range(T.size), key=lambda j: E[j])]
+
+
+@st.composite
+def _mass_params(draw):
+    family = draw(st.sampled_from(["geometric", "powerlaw", "explicit"]))
+    k = draw(st.floats(0.2, 0.9))
+    if family == "geometric":
+        seq = Geometric(draw(st.floats(0.1, 0.5)))
+    elif family == "powerlaw":
+        seq = PowerLaw(1.0, draw(st.floats(1.5, 3.0)))
+    else:
+        exps = draw(st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=5))
+        seq = Explicit(tuple(10.0**e for e in sorted(exps, reverse=True)), PowerLaw(1.0, 2.0))
+    return JacobiParams(seq, k)
+
+
+@settings(max_examples=20, deadline=None)
+@given(params=_mass_params())
+def test_twisted_masses_match_mpmath_eigsy(params):
+    # z_0^2 / ||z||^2 at the section eigenvalues against a 100-digit
+    # eigendecomposition of the same section
+    T = truncate(params, 24)
+    z, _ = spectrum._twisted_vectors(T, section_eigenvalues(T, 24))
+    masses = z[0] * z[0] / np.sum(z * z, axis=0)
+    assert float(np.sum(masses)) <= 1.0 + 1e-12
+    for mu, ref in zip(masses, _mp_section_masses(T, 100)):
+        if ref >= 1e-30:
+            assert abs(mu - float(ref)) <= 1e-10 * float(ref)
+
+
+def test_weyl_resolvent_matches_mpmath_solve():
+    # [(T - z)^{-1}]_00 on the 60-row section against a 60-digit solve of
+    # the same section; the banded solve on the float beta was off by up to
+    # 2.5e-3 relative here
+    T = truncate(EXPLICIT, 60)
+    lams = section_eigenvalues(T, 3)
+    sd = dataclasses.replace(point_spectrum(EXPLICIT, 3), N_used=60)
+    with mpmath.workdps(60):
+        diag, off = _mp_section(T)
+        e0 = mpmath.zeros(T.size, 1)
+        e0[0] = 1
+    for z in (0.0, -1.0, math.sqrt(lams[0] * lams[1]), math.sqrt(lams[1] * lams[2])):
+        with mpmath.workdps(60):
+            A = _mp_tridiagonal([b - mpmath.mpf(z) for b in diag], off)
+            ref = float(mpmath.lu_solve(A, e0)[0])
+        assert abs(weyl(EXPLICIT, z, sd).resolvent - ref) <= 1e-14 * abs(ref)
+
+
 def test_char_via_second_kind_raises_when_unsettled():
     with pytest.raises(ConvergenceFailure):
         char_via_second_kind(JacobiParams(PowerLaw(1.0, 2.0), 0.5), 2.0)
@@ -475,36 +555,16 @@ def test_newton_cap_raises(monkeypatch):
         point_spectrum(GEOM, 8)
 
 
-def _quadrature_weight_one(params, lam, N):
-    """One eigenvalue at a time: the recurrence, the turnaround cut walked
-    back from the end, and a Neumaier sum of the kept terms."""
-    _, alpha, beta = entry_arrays(params, N)
-    t = [1.0]
-    p_prev, p_cur = 1.0, (lam - beta[0]) / alpha[0]
-    t.append(p_cur * p_cur)
-    for i in range(1, N - 1):
-        p_prev, p_cur = p_cur, ((lam - beta[i]) * p_cur - alpha[i - 1] * p_prev) / alpha[i]
-        t.append(p_cur * p_cur)
-    cut = N - 1
-    while cut > 1 and t[cut - 1] < t[cut]:
-        cut -= 1
-    s = c = 0.0
-    for v in t[:cut][::-1]:
-        u = s + v
-        c += (s - u) + v if abs(s) >= abs(v) else (v - u) + s
-        s = u
-    return 1.0 / (s + c)
-
-
 @pytest.mark.parametrize("params", [GEOM, JacobiParams(PowerLaw(1.0, 2.0), 0.5), EXPLICIT])
-def test_quadrature_weights_match_one_root_at_a_time(params):
-    # one recurrence for all section eigenvalues, cut per column, gives
-    # every weight the bits of its own computation
+def test_twisted_vectors_match_one_shift_at_a_time(params):
+    # one pair of qd sweeps for all section eigenvalues, twisted per
+    # column, gives every vector the bits of its own computation
     T = truncate(params, 60)
     lams = section_eigenvalues(T, 8)
-    batch = spectrum._quadrature_weights(params, lams, T.size)
-    for j, lam in enumerate(lams.tolist()):
-        assert np.float64(batch[j]).tobytes() == np.float64(_quadrature_weight_one(params, lam, T.size)).tobytes()
+    z, gamma_r = spectrum._twisted_vectors(T, lams)
+    for j in range(len(lams)):
+        zj, gj = spectrum._twisted_vectors(T, lams[j : j + 1])
+        assert _bits(z[:, j : j + 1]) == _bits(zj) and _bits(gamma_r[j : j + 1]) == _bits(gj), j
 
 
 def _bits(x):
@@ -519,7 +579,7 @@ def _bits(x):
 def test_batched_stages_match_one_root_at_a_time(params, count):
     # Newton and the mass machinery over all roots give every root the
     # bits of the same stage run on that root alone (EXPLICIT takes the
-    # fallback route, whose rows carry NaN)
+    # fallback route, whose rows come from the section's twisted vectors)
     sd = point_spectrum(params, count)
     M, J = spectrum._series_context(params, float(sd.lambdas[-1]) * 1.3 + 1.0, count + 10)
     fser = series_coeffs(params, KIND_CHAR, M, J)
