@@ -233,11 +233,11 @@ SPECTRUM_COLUMNS = ["index", "lambda", "mass", "residual_F", "residual_matrix", 
 
 
 def _cmd_spectrum(cfg: RunConfig) -> int:
-    rows = []
+    data = {"columns": SPECTRUM_COLUMNS, "rows": []}
     if cfg.count > 0:
         sd = point_spectrum(cfg.params(), cfg.count, tol=cfg.eig_tol)
         for j in range(sd.count):
-            rows.append({
+            data["rows"].append({
                 "index": j,
                 "lambda": float(sd.lambdas[j]),
                 "mass": float(sd.masses[j]),
@@ -245,16 +245,7 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
                 "residual_matrix": float(sd.residual_matrix[j]),
                 "refined": bool(sd.refined[j]),
             })
-        meta = {
-            "N_used": sd.N_used,
-            "completeness_defect": sd.completeness_defect,
-            "gamma": sd.gamma,
-        }
-    else:
-        meta = {}
-    data = {"columns": SPECTRUM_COLUMNS, "rows": rows}
-    if cfg.fmt == "json":
-        data.update(meta)
+        data.update(N_used=sd.N_used, completeness_defect=sd.completeness_defect, gamma=sd.gamma)
     _write_output(emit_report(data, cfg.fmt), cfg)
     return 0
 
@@ -272,8 +263,6 @@ def _cmd_measure(cfg: RunConfig) -> int:
         "unit_mass_defect": defect,
         "completeness_defect": sd.completeness_defect,
     }
-    if cfg.fmt == "csv":
-        data = {"columns": data["columns"], "rows": rows}
     _write_output(emit_report(data, cfg.fmt), cfg)
     return 0
 
@@ -297,8 +286,6 @@ def _cmd_poly(cfg: RunConfig, degree: int, x: float) -> int:
         "coefficients": [float(c) for c in exp.coeffs],
         "overflow": bool(rec.overflow or exp.overflow),
     }
-    if cfg.fmt == "csv":
-        data = {"columns": data["columns"], "rows": rows}
     _write_output(emit_report(data, cfg.fmt), cfg)
     return 0
 
@@ -328,8 +315,6 @@ def _cmd_qlaguerre(cfg: RunConfig, zs: list[float]) -> int:
         "rows": rows,
         "worst_cross_check": worst,
     }
-    if cfg.fmt == "csv":
-        data = {"columns": data["columns"], "rows": rows}
     _write_output(emit_report(data, cfg.fmt), cfg)
     if worst > cfg.eval_tol:
         raise JspecError(f"closed-form cross-checks disagree at {worst:.3e} > {cfg.eval_tol:g}")
@@ -351,6 +336,10 @@ def _identity_report_row(rep) -> dict:
 
 def _cmd_identities(cfg: RunConfig, identity_id: Optional[str], raw_params: Optional[str],
                     draws: int, flag_params: Optional[dict] = None) -> int:
+    if identity_id is None and (flag_params or raw_params is not None):
+        given = ["--" + {"c": "cs", "s": "ss"}.get(name, name) for name in flag_params or {}]
+        given += ["--params"] if raw_params is not None else []
+        raise UsageError(f"id: {', '.join(given)} set the parameters of one identity; add --id")
     jobs: list[tuple[str, dict]] = []
     explicit = dict(flag_params or {})
     if raw_params:
@@ -358,7 +347,7 @@ def _cmd_identities(cfg: RunConfig, identity_id: Optional[str], raw_params: Opti
             explicit.update(json.loads(raw_params))
         except json.JSONDecodeError as exc:
             raise UsageError(f"params: invalid JSON: {exc}") from exc
-    if identity_id is not None and explicit:
+    if explicit:
         ps = explicit
         if "c" in ps:
             ps["c"] = tuple(ps["c"])

@@ -32,7 +32,7 @@ from . import doubledouble as dd
 from .entire import KIND_CHAR, choose_truncation, eval_series, second_kind_family, series_coeffs
 from .errors import CancellationFailure, ConvergenceFailure, DivergentArgument, SequenceError
 from .sequences import Geometric, JacobiParams
-from .spectrum import truncate
+from .spectrum import section_eigenvalues, truncate
 
 __all__ = [
     "QParams",
@@ -280,11 +280,10 @@ def qbessel2_roots(
     q = qp.q
     b = q ** (nu + 1.0)
     if x_max is None:
-        # crude spectral radius bound of a section comfortably containing
-        # the requested roots: largest Gershgorin disk edge
+        # scan past the largest eigenvalue of a section comfortably
+        # containing the requested roots
         T = truncate(induced_params(qp), count + 10)
-        hi = T.gershgorin()[1]
-        x_max = 2.2 * math.sqrt(hi)
+        x_max = 2.2 * math.sqrt(section_eigenvalues(T, T.size)[-1])
     f = lambda x: _phi01_sign(b, q, -b * x * x / 4.0)
     lo_x = min(0.05, x_max * 1e-6)
     n_pts = max(int(200 * math.log10(x_max / lo_x)), 64)

@@ -1,20 +1,20 @@
 """Point spectrum, eigenvectors, masses, Weyl function, associated operator.
 
-Every section is handled through its factor T = L D L^T.  The entries
-alpha_n = k a_n and beta_n = a_n + k^2 a_{n-1} give sections of the operator
-the pivots D = diag(a) and the unit subdiagonal l_n = k; sections of the
-associated operator get theirs from a recurrence of sums and products of
-positive numbers.  From the factor alone come the eigenvalues (one LAPACK
+Every section is held as its factor T = L D L^T and nothing else.  The
+entries alpha_n = k a_n and beta_n = a_n + k^2 a_{n-1} give sections of the
+operator the pivots D = diag(a) and the unit subdiagonal l_n = k; sections
+of the associated operator get theirs from a recurrence of sums and products
+of positive numbers.  From the factor alone come the eigenvalues (one LAPACK
 ``dpteqr`` call on B^T B with B = L D^{1/2}, to high relative accuracy), the
 inverse trace (a positive recurrence) and one pair of qd transforms of
 T - x I over an array of shifts x, which give the Sturm counts, the section
-eigenvectors (twisted factorization) and the Weyl resolvent.  Forming beta
-in floats instead would lose the small eigenvalues of any prefix that falls
-faster than k^2, and absolute-accuracy routines (``stebz``) lose those of
-graded sections.  Roots of the characteristic series then refine the
-section values by compensated Newton steps wherever the series evaluation
-certifies itself.  Masses and eigenvector samples combine three mutually
-checking routes:
+eigenvectors (twisted factorization), the Weyl resolvent and the first
+column of the section inverse.  Forming beta in floats instead would lose
+the small eigenvalues of any prefix that falls faster than k^2, and
+absolute-accuracy routines (``stebz``) lose those of graded sections.
+Roots of the characteristic series then refine the section values by
+compensated Newton steps wherever the series evaluation certifies itself.
+Masses and eigenvector samples combine three mutually checking routes:
 
 * second-kind series entries where the evaluation is certified,
 * the quotient identity  W(lam) = Phi_n(lam) / P_n(lam)  at a certified
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dpteqr
 
 from . import doubledouble as dd
@@ -67,7 +66,13 @@ from .polycore import (
     second_kind_at_zero,
     trace_inverse,
 )
-from .sequences import JacobiParams, entry_arrays, gamma_lower_bound, tail_sum_reciprocal
+from .sequences import (
+    JacobiParams,
+    entry_arrays,
+    gamma_lower_bound,
+    seq_values,
+    tail_sum_reciprocal,
+)
 
 __all__ = [
     "TruncatedJacobi",
@@ -95,52 +100,32 @@ _CERT_REL = 1e-12  # a series value is trusted when its bound clears this
 
 @dataclass(frozen=True)
 class TruncatedJacobi:
-    """Finite symmetric tridiagonal section with its factor T = L D L^T.
+    """Finite symmetric tridiagonal section, held as its factor T = L D L^T.
 
-    ``d`` holds the positive pivots and ``l`` the subdiagonal of the unit
-    lower bidiagonal L.  Sections of the operator and of the associated
-    operator receive the factor in cancellation-free form; a hand-built
-    section is factored here and must be positive definite.
+    ``d`` holds the positive pivots and ``l`` the positive subdiagonal of the
+    unit lower bidiagonal L, so T has diagonal d_n + l_{n-1}^2 d_{n-1} and
+    off-diagonal l_n d_n.  The entries themselves are never formed.
     """
 
-    diag: np.ndarray
-    offdiag: np.ndarray
-    d: Optional[np.ndarray] = None
-    l: Optional[np.ndarray] = None
+    d: np.ndarray
+    l: np.ndarray
 
     def __post_init__(self):
-        if len(self.diag) < 1 or len(self.offdiag) != len(self.diag) - 1:
-            raise ValueError("need N diagonal and N-1 off-diagonal entries")
-        if len(self.offdiag) and not np.all(self.offdiag > 0.0):
-            raise ValueError("off-diagonal entries must be strictly positive")
-        if self.d is None:
-            d = np.array(self.diag, dtype=float)
-            for i, o in enumerate(self.offdiag.tolist()):
-                # a pivot <= 0 poisons every later one instead of dividing
-                d[i + 1] -= o / d[i] * o if d[i] > 0.0 else math.inf
-            if not np.all(d > 0.0):
-                raise ValueError("section is not positive definite")
-            object.__setattr__(self, "d", d)
-            object.__setattr__(self, "l", self.offdiag / d[:-1])
+        if len(self.d) < 1 or len(self.l) != len(self.d) - 1:
+            raise ValueError("need N pivots and N-1 multipliers")
+        if not (np.all(self.d > 0.0) and np.all(self.l > 0.0)):
+            raise ValueError("pivots and multipliers must be strictly positive")
 
     @property
     def size(self) -> int:
-        return len(self.diag)
-
-    def gershgorin(self) -> tuple[float, float]:
-        r = np.zeros(self.size)
-        if self.size > 1:
-            r[:-1] += self.offdiag
-            r[1:] += self.offdiag
-        return float(np.min(self.diag - r)), float(np.max(self.diag + r))
+        return len(self.d)
 
 
 def truncate(params: JacobiParams, N: int) -> TruncatedJacobi:
     """N-by-N section of the operator; its factor is D = diag(a), l_n = k."""
     if N < 1:
         raise SequenceError(f"section size must be at least 1, got {N}")
-    a, alpha, beta = entry_arrays(params, N)
-    return TruncatedJacobi(diag=beta, offdiag=alpha[: N - 1], d=a, l=np.full(N - 1, params.k))
+    return TruncatedJacobi(d=seq_values(params.seq, N), l=np.full(N - 1, params.k))
 
 
 def associated_section(params: JacobiParams, N: int) -> TruncatedJacobi:
@@ -153,14 +138,14 @@ def associated_section(params: JacobiParams, N: int) -> TruncatedJacobi:
     """
     if N < 1:
         raise SequenceError(f"section size must be at least 1, got {N}")
-    a, alpha, beta = entry_arrays(params, N + 1)
+    a = seq_values(params.seq, N + 1)
     k2 = params.k * params.k
     p = np.empty(N)
     s = k2 * a[0]
     for n in range(N):
         p[n] = a[n + 1] + s
         s = k2 * a[n + 1] * (s / p[n])
-    return TruncatedJacobi(diag=beta[1:], offdiag=alpha[1:N], d=p, l=alpha[1:N] / p[:-1])
+    return TruncatedJacobi(d=p, l=params.k * a[1:N] / p[:-1])
 
 
 def _qd_sweep(add, mul, first, x):
@@ -868,9 +853,9 @@ def associated_checks(params: JacobiParams, N: int, n_zeros: int = 5) -> Associa
     plus zeros of the numerator series against associated section eigenvalues.
 
     Route (a): the factored trace of the associated section (first row and
-    column deleted).  Route (b): the rank-two update
-    formula expressing the same trace through the original section's inverse
-    and squared-inverse corner entries.
+    column deleted), from its own pivots.  Route (b): the rank-one Schur
+    form tr(T_1^{-1}) = tr(T^{-1}) - ||T^{-1} e_0||^2 / (T^{-1})_00 on the
+    original section, with T^{-1} e_0 from the progressive transform at 0.
     """
     if N < 8:
         raise ValueError("need a section of at least 8 for the trace comparison")
@@ -878,24 +863,12 @@ def associated_checks(params: JacobiParams, N: int, n_zeros: int = 5) -> Associa
     T1 = associated_section(params, N - 1)
     trace_direct = section_inverse_trace(T1)
 
-    ab = np.zeros((3, N))
-    ab[0, 1:] = T.offdiag
-    ab[1, :] = T.diag
-    ab[2, :-1] = T.offdiag
-    rhs = np.zeros((N, 2))
-    rhs[0, 0] = 1.0
-    rhs[1, 1] = 1.0
-    x = solve_banded((1, 1), ab, rhs)
-    x0, x1 = x[:, 0], x[:, 1]
-    beta0 = float(T.diag[0])
-    alpha0 = float(T.offdiag[0])
+    # T^{-1} e_0 = z / p_0: the twisted vector with twist 0 (gamma_0 = p_0
+    # at shift 0), z_0 = 1 and z_{i+1} = -U-_i z_i
+    p, uminus = _progressive(T, 0.0)
+    z = np.concatenate(([1.0], np.cumprod(-uminus[:, 0])))
     trace_j = section_inverse_trace(T)
-    # coefficient times squared-inverse entry, for the entries 00, 01, 10, 11
-    trace_formula = trace_j - 1.0 / beta0
-    trace_formula += alpha0 * alpha0 * float(x1[1]) / (beta0 * float(x0[0])) * float(x0 @ x0)
-    trace_formula += alpha0 * float(x0 @ x1)
-    trace_formula += alpha0 * float(x0 @ x1)
-    trace_formula += alpha0 * alpha0 / beta0 * float(x1 @ x1)
+    trace_formula = trace_j - float(z @ z) / float(p[0, 0])
     rel = abs(trace_direct - trace_formula) / abs(trace_direct)
 
     assoc_eigs = section_eigenvalues(T1, n_zeros)

@@ -129,6 +129,20 @@ def test_cli_identities_draws(capsys):
     assert data["all_hold"] is True
 
 
+@pytest.mark.parametrize("flags, named", [
+    pytest.param(["--r", "1", "--w", "0"], "--r, --w", id="r-w"),
+    pytest.param(["--cs", "1,2", "--ss", "1"], "--cs, --ss", id="cs-ss"),
+    pytest.param(["--params", '{"r": 1}'], "--params", id="params"),
+])
+def test_cli_identity_parameters_need_id(capsys, flags, named):
+    # without --id the command drew random parameters and dropped these
+    rc = main(["identities", "--q", "0.5", *flags])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert named in captured.err and "--id" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_measure_json(capsys):
     rc = main(["--q", "0.25", "--count", "4", "measure"])
     assert rc == 0
@@ -214,15 +228,20 @@ def test_cli_removed_truncation_flags_are_usage_errors():
     assert main(["--q", "0.25", "--matrix-size", "64", "spectrum"]) == 1
 
 
-def test_module_entry_point_runs_uninstalled():
+@pytest.mark.parametrize("argv, expect", [
+    pytest.param(["poly", "--q", "0.25", "--degree", "2"],
+                 lambda out: json.loads(out)["rows"], id="poly"),
+    pytest.param(["verify"], lambda out: "15/15 criteria passed" in out.splitlines(), id="verify"),
+])
+def test_module_entry_point_runs_uninstalled(argv, expect):
     # ``python -m jspec`` from a plain checkout: only the source directory
     # on the path
     src = str(Path(jspec.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "jspec", "poly", "--q", "0.25", "--degree", "2"],
+        [sys.executable, "-m", "jspec", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["rows"]
+    assert expect(proc.stdout)

@@ -79,18 +79,18 @@ def sd12():
 
 
 def test_truncate_entries():
+    # the factor of [[12, 6], [6, 243]]: pivots a_n, multipliers k
     T = truncate(GEOM, 2)
-    assert list(T.diag) == [12.0, 243.0]
-    assert list(T.offdiag) == [6.0]
+    assert list(T.d) == [12.0, 240.0]
+    assert list(T.l) == [0.5]
     T1 = truncate(GEOM, 1)
-    assert T1.size == 1 and T1.diag[0] == 12.0
+    assert T1.size == 1 and T1.d[0] == 12.0 and T1.l.size == 0
 
 
 def test_sturm_counts():
     T = truncate(GEOM, 40)
     assert sturm_count(T, 3.0) == 0  # below gamma nothing
-    lo, hi = T.gershgorin()
-    assert sturm_count(T, hi * 1.001) == 40
+    assert sturm_count(T, section_eigenvalues(T, 40)[-1] * 1.001) == 40
     lam = section_eigenvalues(T, 2)
     assert sturm_count(T, float(np.sqrt(lam[0] * lam[1]))) == 1
 
@@ -259,12 +259,13 @@ def _mp_sturm_count(T, x) -> int:
     """Eigenvalues of T strictly below x, counted in 200-bit arithmetic."""
     with mpmath.workprec(200):
         x = mpmath.mpf(x)
-        d = mpmath.mpf(T.diag[0]) - x
+        diag, off = _mp_section(T)
+        d = diag[0] - x
         count = int(d < 0)
-        for b, o in zip(T.diag[1:], T.offdiag):
+        for b, o in zip(diag[1:], off):
             if d == 0:
                 d = -mpmath.eps * max(abs(x), 1)
-            d = (mpmath.mpf(b) - x) - mpmath.mpf(o) ** 2 / d
+            d = (b - x) - o ** 2 / d
             count += d < 0
     return count
 
@@ -330,6 +331,19 @@ def _mp_eigsy(diag, off, dps):
         return sorted(mpmath.eigsy(_mp_tridiagonal(diag, off), eigvals_only=True))
 
 
+def _mp_inverse_trace(diag, off):
+    """Trace of the tridiagonal inverse, sum_i theta_i phi_{i+1} / theta_N,
+    from the leading minors theta and the trailing minors phi."""
+    N = len(diag)
+    theta = [mpmath.mpf(1), diag[0]]
+    for i in range(1, N):
+        theta.append(diag[i] * theta[i] - off[i - 1] ** 2 * theta[i - 1])
+    phi = [mpmath.mpf(1), diag[-1]]  # phi[j] is the minor of the last j rows
+    for i in range(N - 2, -1, -1):
+        phi.append(diag[i] * phi[-1] - off[i] ** 2 * phi[-2])
+    return mpmath.fsum(theta[i] * phi[N - 1 - i] for i in range(N)) / theta[N]
+
+
 def _mp_section(T):
     """Diagonal and off-diagonal of the exact section L D L^T built from T's
     float factor, at the working precision."""
@@ -393,14 +407,19 @@ def test_sturm_count_separates_section_eigenvalues(T):
     assert sturm_count(T, lams[0] / 2.0) == 0
 
 
+def _mp_associated_section(params, N):
+    """Diagonal and off-diagonal of the exact N-row associated section built
+    from the float a_n and k, at the working precision."""
+    a, _, _ = entry_arrays(params, N + 1)
+    k = mpmath.mpf(params.k)
+    a = [mpmath.mpf(float(x)) for x in a]
+    return [a[n + 1] + k * k * a[n] for n in range(N)], [k * a[n + 1] for n in range(N - 1)]
+
+
 def _mp_associated_eigenvalues(params, N, count, dps):
     """Lowest eigenvalues of the exact associated section built from the float a_n."""
-    a, _, _ = entry_arrays(params, N + 1)
     with mpmath.workdps(dps):
-        k = mpmath.mpf(params.k)
-        a = [mpmath.mpf(float(x)) for x in a]
-        diag = [a[n + 1] + k * k * a[n] for n in range(N)]
-        return _mp_eigsy(diag, [k * a[n + 1] for n in range(N - 1)], dps)[:count]
+        return _mp_eigsy(*_mp_associated_section(params, N), dps)[:count]
 
 
 @pytest.mark.parametrize("params, dps, rel", [
@@ -418,6 +437,16 @@ def test_associated_section_matches_mpmath_eigsy(params, dps, rel):
         assert abs(lam - float(r)) <= rel * float(r)
 
 
+def test_associated_trace_routes_on_decreasing_prefix():
+    # route (b) solved on the float beta of the 60-row section here and gave
+    # trace_rel_diff = 1.6e5; both routes now run on factors
+    rep = associated_checks(EXPLICIT, 60)
+    assert rep.trace_rel_diff <= 1e-8
+    with mpmath.workdps(60):
+        ref = float(_mp_inverse_trace(*_mp_associated_section(EXPLICIT, 59)))
+    assert abs(rep.trace_direct - ref) <= 1e-12 * ref
+
+
 def test_section_inverse_trace_on_decreasing_prefix():
     # the float-beta recurrences returned 0.109 relative below sum 1/lambda here
     T = truncate(EXPLICIT, 40)
@@ -427,10 +456,10 @@ def test_section_inverse_trace_on_decreasing_prefix():
 
 
 def test_indefinite_section_rejected():
-    with pytest.raises(ValueError):
-        TruncatedJacobi(diag=np.array([-1.0, 2.0]), offdiag=np.array([2.0]))
-    with pytest.raises(ValueError):
-        TruncatedJacobi(diag=np.array([1.0, 1.0]), offdiag=np.array([2.0]))
+    for d, l in (([-1.0, 2.0], [2.0]), ([1.0, 0.0], [2.0]), ([1.0, 1.0], [-2.0]),
+                 ([1.0, 1.0], [0.0]), ([1.0, 1.0], [0.5, 0.5])):
+        with pytest.raises(ValueError):
+            TruncatedJacobi(d=np.array(d), l=np.array(l))
 
 
 def test_completeness_defect_on_decreasing_prefix():
