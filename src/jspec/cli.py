@@ -12,7 +12,9 @@ emitted value parses back bit-for-bit.
 The ``residual_F`` column of ``spectrum`` is scaled: |F(lambda)| divided by
 the abs-sum sum_m c_m |lambda|^m of the same series evaluation, so it reads
 as a relative residual (the bare |F| at the twelfth root of q = 1/4 is
-about 1e47, against an abs-sum of about 1e80).
+about 1e47, against an abs-sum of about 1e80).  Where ``point_spectrum``
+proves that no series value can certify and builds no series (power-law
+weights, typically), the column reads ``nan``.
 """
 
 from __future__ import annotations
@@ -335,11 +337,17 @@ def _identity_report_row(rep) -> dict:
 
 
 def _cmd_identities(cfg: RunConfig, identity_id: Optional[str], raw_params: Optional[str],
-                    draws: int, flag_params: Optional[dict] = None) -> int:
+                    draws: int, flag_params: Optional[dict] = None,
+                    mode_flags: tuple[str, ...] = ()) -> int:
     if identity_id is None and (flag_params or raw_params is not None):
         given = ["--" + {"c": "cs", "s": "ss"}.get(name, name) for name in flag_params or {}]
         given += ["--params"] if raw_params is not None else []
         raise UsageError(f"id: {', '.join(given)} set the parameters of one identity; add --id")
+    if mode_flags and not (flag_params or raw_params is not None):
+        raise UsageError(
+            f"{mode_flags[0].lstrip('-')}: drawn identity parameters carry their own q and would "
+            f"ignore {', '.join(mode_flags)}; pass --id and the identity's parameters to set q"
+        )
     jobs: list[tuple[str, dict]] = []
     explicit = dict(flag_params or {})
     if raw_params:
@@ -466,7 +474,8 @@ def run(command: str, cfg: RunConfig, **extra) -> int:
         return _cmd_qlaguerre(cfg, zs)
     if command == "identities":
         return _cmd_identities(cfg, extra.get("identity_id"), extra.get("raw_params"),
-                               extra.get("draws", 5), extra.get("flag_params"))
+                               extra.get("draws", 5), extra.get("flag_params"),
+                               extra.get("mode_flags", ()))
     if command == "verify":
         return _cmd_verify(cfg)
     raise UsageError(f"command: unknown command {command!r}")
@@ -480,7 +489,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         # argparse exits 2 on usage problems; the contract here is 1
         return 0 if exc.code in (0, None) else 1
     try:
-        if args.command in ("verify", "identities") and args.q is None and args.k is None:
+        mode_flags = tuple(f"--{name}" for name in ("q", "k") if getattr(args, name) is not None)
+        if args.command in ("verify", "identities") and not mode_flags:
             args.q = 0.25  # the reference configuration
         cfg = load_config(args)
         extra = {}
@@ -503,6 +513,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 "raw_params": args.params,
                 "draws": args.draws,
                 "flag_params": flag_params,
+                "mode_flags": mode_flags,
             }
         return run(args.command, cfg, **extra)
     except UsageError as exc:

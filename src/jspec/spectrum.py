@@ -13,7 +13,9 @@ column of the section inverse.  Forming beta in floats instead would lose
 the small eigenvalues of any prefix that falls faster than k^2, and
 absolute-accuracy routines (``stebz``) lose those of graded sections.
 Roots of the characteristic series then refine the section values by
-compensated Newton steps wherever the series evaluation certifies itself.
+compensated Newton steps wherever the series evaluation certifies itself;
+where the series bound proves beforehand that nothing can certify, no
+series is built.
 Masses and eigenvector samples combine three mutually checking routes:
 
 * second-kind series entries where the evaluation is certified,
@@ -47,6 +49,7 @@ from .entire import (
     _envelope,
     _envelope_factors,
     _eval_family,
+    _weight_suffix,
     choose_truncation,
     eval_series,
     eval_series_deriv,
@@ -265,6 +268,8 @@ class SpectralData:
     masses: np.ndarray
     masses_quadrature: np.ndarray
     mass_route: list[str]
+    # the series evaluation at each returned root; NaN (bound: inf) when
+    # point_spectrum proved no series value could certify and built none
     residual_F: np.ndarray
     residual_F_bound: np.ndarray
     residual_F_abs_sum: np.ndarray  # sum |c_m| |z|^m of the evaluation residual_F is read from
@@ -321,15 +326,16 @@ def _series_context(params: JacobiParams, radius: float, n_max: int):
                 params, radius, target, min_cutoff=n_max + 16, max_cutoff=_CONTEXT_MAX_CUTOFF
             )
     # polynomially decaying reciprocal tails cannot reach any of the
-    # targets; a modest cutoff suffices because certification fails
-    # either way and masses route to the matrix fallback
+    # targets; point_spectrum's screen (_series_hopeless) then usually
+    # proves from this truncation's own bound that nothing can certify
     return 48, max(n_max + 16, 192)
 
 
 _NEWTON_CAP = 40  # Newton steps per root; a root still moving after them raises
+_BASIN = 0.25  # a Newton iterate stays within this relative distance of its seed
 
 
-def _refine_roots(fser: PowerSeriesApprox, seeds, rel_cap: float = 0.25):
+def _refine_roots(fser: PowerSeriesApprox, seeds):
     """Compensated Newton from section seeds, all roots at once.
 
     Returns arrays (hi, lo, |F|, bound, abs_sum, moved): the root, the
@@ -339,9 +345,10 @@ def _refine_roots(fser: PowerSeriesApprox, seeds, rel_cap: float = 0.25):
     the certified root resolution err_bound/|F'| (so the result does not
     depend on the last bits of the seed; a stop on small |F| alone would
     keep whichever point first fell inside the noise band), at a 1e-30
-    relative step, or at F' = 0.  A step leaving the basin (more than
-    ``rel_cap`` relative) keeps the seed, unmoved, with residual and bound
-    the last error bound.  ConvergenceFailure when some root is still
+    relative step, or at F' = 0.  A step leaving the basin (farther than
+    ``_BASIN`` from the seed, relative to it) keeps the seed, unmoved, with
+    residual and bound the last error bound; so a moved root lies within
+    ``_BASIN`` of its seed.  ConvergenceFailure when some root is still
     moving after ``_NEWTON_CAP`` steps.
     """
     seeds = np.asarray(seeds, dtype=float)
@@ -358,8 +365,8 @@ def _refine_roots(fser: PowerSeriesApprox, seeds, rel_cap: float = 0.25):
         step = fp.value != 0.0
         active, fpv, fpl = active[step], fp.value[step], fp.value_lo[step]
         sh, sl = dd.dd_div(fval[active], flo[active], fpv, fpl)
-        # a step outside the basin keeps the section value
-        out = np.abs(sh) > rel_cap * np.abs(zh[active])
+        # a step out of the basin keeps the section value
+        out = np.abs(zh[active] - seeds[active] - sh) > _BASIN * np.abs(seeds[active])
         exits = active[out]
         zh[exits], zl[exits], moved[exits] = seeds[exits], 0.0, False
         fval[exits] = ferr[exits]
@@ -379,6 +386,38 @@ def _refine_roots(fser: PowerSeriesApprox, seeds, rel_cap: float = 0.25):
     return zh, zl, np.abs(fval), ferr, fabs, moved
 
 
+_SCREEN_MARGIN = 2.0  # covers the rounding of every quantity the screen compares
+
+
+def _series_hopeless(
+    params: JacobiParams, M: int, J: int, seeds: np.ndarray, tol: float
+) -> np.ndarray:
+    """Per root: True when the order-M, cutoff-J series provably can neither
+    refine it to ``tol`` nor certify a second-kind entry at it.
+
+    Every bound of ``_certified`` holds the omitted-index term
+    t_b z sum_{m<M} c_m z^m, with t_b = X[J+1] the weight beyond the cutoff
+    (``_weight_suffix``), and the coefficients obey c_{m+1} <= S c_m with
+    S = X[0].  Hence
+
+    * |F'(z)| <= M S sum_{m<M} c_m z^m, so the root certificate
+      err/|F'| is at least t_b z / (M S); a moved root lies within
+      ``_BASIN`` of its seed, and against tol max(z, 1) the bound is
+      weakest at z = min((1 - _BASIN) seed, 1);
+    * a root that is not refined stays at its seed z, where every
+      second-kind entry has |value| <= (1 + S z) sum_{m<M} h_m z^m, so
+      err/|value| is at least t_b z / (1 + S z), against ``_CERT_REL``.
+    """
+    X = _weight_suffix(params, J)
+    t_b, S = float(X[J + 1]), float(X[0])
+    with np.errstate(over="ignore"):  # an overflow only fails the test
+        z_lo = np.minimum((1.0 - _BASIN) * seeds, 1.0)
+        # the certificate divides by max(|F'|, 1e-300)
+        root = t_b * z_lo > _SCREEN_MARGIN * tol * max(M * S, 1e-300)
+        mass = t_b * seeds > _SCREEN_MARGIN * _CERT_REL * (1.0 + S * seeds)
+    return root & mass
+
+
 def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> SpectralData:
     """First ``count`` eigenvalues with masses and residual diagnostics.
 
@@ -388,6 +427,12 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
     certifies itself.  The completeness defect compares
     ``sum 1/lambda_j (+ section tail) `` against the closed trace formula,
     certifying that no eigenvalue below the count-th was missed.
+
+    When the series bound itself shows that no root can refine and no mass
+    can certify (``_series_hopeless``; polynomially decaying reciprocal
+    tails), no series is built: the section values and their Gauss weights
+    are returned as the full path would return them, ``residual_F`` and
+    ``residual_F_abs_sum`` are NaN and ``residual_F_bound`` is inf.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -415,43 +460,70 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
     radius = float(lams_sec[count - 1]) * 1.3 + 1.0
     n_aux = count + 10
     M, J = _series_context(params, radius, n_aux)
-    fser = series_coeffs(params, KIND_CHAR, M, J)
-
     seeds = lams_sec[:count]
-    zh, zl, res_F, res_F_bound, res_F_abs_sum, moved = _refine_roots(fser, seeds)
-    fp = eval_series_deriv(fser, (zh, zl))
-    cert_err = res_F_bound / np.maximum(np.abs(fp.value), 1e-300)
-    refined = moved & (cert_err <= tol * np.maximum(np.abs(zh), 1.0))
-    lam_hi = np.where(refined, zh, seeds)
-    lam_lo = np.where(refined, zl, 0.0)
 
-    md = _mass_machinery(params, lam_hi, lam_lo, n_aux, M, J, fser, T, lams_sec[:count])
-
-    # completeness: refined heads + section tail vs the closed trace formula
-    trace_section = section_inverse_trace(T)
-    head_refined = dd.compensated_sum((1.0 / lam_hi)[::-1])
-    head_section = dd.compensated_sum((1.0 / lams_sec[:count])[::-1])
-    tail_section = trace_section - head_section
-    tr = trace_inverse(params, tol=1e-15)
-    defect = abs(head_refined + tail_section - tr)
+    if np.all(_series_hopeless(params, M, J, seeds, tol)):
+        lam_hi, lam_lo = seeds.copy(), np.zeros(count)
+        refined = np.zeros(count, dtype=bool)
+        res_F, res_F_abs_sum = np.full(count, math.nan), np.full(count, math.nan)
+        res_F_bound = np.full(count, math.inf)
+        _, masses_q, eig_res = _section_weights(T, seeds)
+        masses, route = masses_q.copy(), ["fallback"] * count
+    else:
+        fser = series_coeffs(params, KIND_CHAR, M, J)
+        zh, zl, res_F, res_F_bound, res_F_abs_sum, moved = _refine_roots(fser, seeds)
+        fp = eval_series_deriv(fser, (zh, zl))
+        cert_err = res_F_bound / np.maximum(np.abs(fp.value), 1e-300)
+        refined = moved & (cert_err <= tol * np.maximum(np.abs(zh), 1.0))
+        lam_hi = np.where(refined, zh, seeds)
+        lam_lo = np.where(refined, zl, 0.0)
+        # F' at the returned eigenvalues: the certificate's value where the
+        # root is kept, a fresh one where Newton moved a root it then drops
+        fph, fpl = fp.value, fp.value_lo
+        back = np.flatnonzero(moved & ~refined)
+        if back.size:
+            at_seed = eval_series_deriv(fser, (lam_hi[back], lam_lo[back]))
+            fph[back], fpl[back] = at_seed.value, at_seed.value_lo
+        md = _mass_machinery(params, lam_hi, lam_lo, n_aux, M, J, (fph, fpl), T, seeds)
+        masses, masses_q, route = md.masses, md.masses_quadrature, md.mass_route
+        eig_res = md.eigen_residuals
 
     return SpectralData(
         count=count,
         lambdas=lam_hi,
         lambdas_lo=lam_lo,
-        masses=md.masses,
-        masses_quadrature=md.masses_quadrature,
-        mass_route=md.mass_route,
+        masses=masses,
+        masses_quadrature=masses_q,
+        mass_route=route,
         residual_F=res_F,
         residual_F_bound=res_F_bound,
         residual_F_abs_sum=res_F_abs_sum,
-        residual_matrix=md.eigen_residuals,
+        residual_matrix=eig_res,
         refined=refined,
         N_used=T.size,
-        completeness_defect=defect,
+        completeness_defect=_completeness_defect(params, T, lam_hi, seeds),
         lambda_next_lower=float(lams_sec[count]) if count < T.size else math.inf,
         gamma=gamma,
     )
+
+
+def _section_weights(T: TruncatedJacobi, lams_section: np.ndarray):
+    """Matrix side at the section eigenvalues: the twisted eigenvectors z
+    (one column each), their Gauss weights z_0^2 / ||z||^2 and their
+    residuals ||(T - lam) z|| / ||z|| = |gamma_r| / ||z||."""
+    z, gamma_r = _twisted_vectors(T, lams_section)
+    norm_sq = np.cumsum(z * z, axis=0)[-1]  # ordered sum: the bits of one column
+    return z, z[0] * z[0] / norm_sq, np.abs(gamma_r) / np.sqrt(norm_sq)
+
+
+def _completeness_defect(params: JacobiParams, T: TruncatedJacobi, lam_hi, lams_section) -> float:
+    """|sum 1/lambda_j over the returned heads + section tail - closed trace|."""
+    trace_section = section_inverse_trace(T)
+    head_refined = dd.compensated_sum((1.0 / lam_hi)[::-1])
+    head_section = dd.compensated_sum((1.0 / lams_section)[::-1])
+    tail_section = trace_section - head_section
+    tr = trace_inverse(params, tol=1e-15)
+    return abs(head_refined + tail_section - tr)
 
 
 def _orthopoly_dd_with_envelope(params, n, zh, zl):
@@ -476,14 +548,15 @@ def _mass_machinery(
     n_max: int,
     M: int,
     J: int,
-    fser: PowerSeriesApprox,
+    fprime: tuple[np.ndarray, np.ndarray],
     T: TruncatedJacobi,
     lams_section: np.ndarray,
 ) -> MassData:
     """Masses, eigenvector samples and their identities at every eigenvalue.
 
-    Arrays run (index n x eigenvalue j) and every step is elementwise or
-    reduces along n in order, so each column has the bits of a one-root
+    ``fprime`` is F' at the eigenvalues as a double-double pair.  Arrays
+    run (index n x eigenvalue j) and every step is elementwise or reduces
+    along n in order, so each column has the bits of a one-root
     computation.  Rows without a certified series entry take the section
     eigenvector at ``lams_section`` (``fallback``).
     """
@@ -493,7 +566,7 @@ def _mass_machinery(
     a, alpha, beta = entry_arrays(params, n_max + 2)
     scales = np.array([scale_for_shift(k, n) for n in range(n_max + 2)])
 
-    fp = eval_series_deriv(fser, (lam_hi, lam_lo))
+    fp_hi, fp_lo = fprime
     Ph, Pl, env = _orthopoly_dd_with_envelope(params, n_max + 1, lam_hi, lam_lo)
     ev = _eval_family(fam, lam_hi, lam_lo)
     value, err = ev.value, ev.err_bound
@@ -503,7 +576,8 @@ def _mass_machinery(
     # Weyl numerator from the best certified quotient Phi_n / P_n: the
     # first n of least relative error
     usable = cert & (Ph != 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # an inf or nan here is an entry that does not certify
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p_rel = EPS_DD * env / np.abs(Ph)  # recurrence noise at near-roots
         q_rel = err / np.abs(value) + p_rel
     nstar = np.full(count, -1)
@@ -515,25 +589,22 @@ def _mass_machinery(
     series = nstar >= 0
     cols = np.flatnonzero(series)
 
-    # matrix side: the section's Gauss weights z_0^2 / ||z||^2, and on
-    # fallback rows the samples W z_n / z_0 and the residual |gamma_r| / ||z||;
-    # rows past the section stay NaN
-    z, gamma_r = _twisted_vectors(T, lams_section)
-    norm_sq = np.cumsum(z * z, axis=0)[-1]  # ordered sum: the bits of one column
-    masses_q = z[0] * z[0] / norm_sq
+    # matrix side (_section_weights): the section's Gauss weights, and on
+    # fallback rows the samples W z_n / z_0 and the section residual; rows
+    # past the section stay NaN
+    z, masses_q, eig_res = _section_weights(T, lams_section)
     masses = masses_q.copy()
     route = ["series" if s else "fallback" for s in series]
-    wnum = -masses * fp.value
+    wnum = -masses * fp_hi
     cert_from = np.full(count, n_max + 2, dtype=np.int64)
     vectors = np.full((count, n_max + 1), math.nan)
     vectors[:, : T.size] = (wnum * (z[: n_max + 1] / z[0])).T
     vectors_lo = np.zeros((count, n_max + 1))
     norm_res = np.full(count, math.nan)
-    eig_res = np.abs(gamma_r) / np.sqrt(norm_sq)
 
     n_ = nstar[cols]
     wh, wl = dd.dd_div(phi_h[n_, cols], phi_l[n_, cols], Ph[n_, cols], Pl[n_, cols])
-    fph, fpl = fp.value[cols], fp.value_lo[cols]
+    fph, fpl = fp_hi[cols], fp_lo[cols]
     mh, _ = dd.dd_div(wh, wl, fph, fpl)
     mu = -mh
     negative = np.flatnonzero(~(mu > 0.0))
@@ -588,7 +659,7 @@ def _mass_machinery(
         vectors=vectors,
         vectors_lo=vectors_lo,
         weyl_numerators=wnum,
-        fprime=fp.value,
+        fprime=fp_hi,
         norm_residuals=norm_res,
         eigen_residuals=eig_res,
         certified_from=cert_from,
@@ -640,10 +711,11 @@ def masses_and_vectors(params: JacobiParams, sd: SpectralData, n_max: int) -> Ma
     radius = float(sd.lambdas[-1]) * 1.3 + 1.0
     M, J = _series_context(params, radius, n_max)
     fser = series_coeffs(params, KIND_CHAR, M, J)
+    fp = eval_series_deriv(fser, (sd.lambdas, sd.lambdas_lo))
     T = truncate(params, sd.N_used)
     lams_section = section_eigenvalues(T, sd.count)
     return _mass_machinery(
-        params, sd.lambdas, sd.lambdas_lo, n_max, M, J, fser, T, lams_section
+        params, sd.lambdas, sd.lambdas_lo, n_max, M, J, (fp.value, fp.value_lo), T, lams_section
     )
 
 

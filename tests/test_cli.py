@@ -122,7 +122,7 @@ def test_cli_identities_single(capsys):
 
 
 def test_cli_identities_draws(capsys):
-    rc = main(["--q", "0.5", "--format", "json", "identities", "--draws", "2"])
+    rc = main(["--format", "json", "identities", "--draws", "2"])
     assert rc == 0
     data = json.loads(capsys.readouterr().out)
     assert len(data["rows"]) == 14  # 7 ids x 2 draws
@@ -140,6 +140,21 @@ def test_cli_identity_parameters_need_id(capsys, flags, named):
     assert rc == 1
     captured = capsys.readouterr()
     assert named in captured.err and "--id" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags, named", [
+    pytest.param(["--q", "0.9"], "--q", id="q"),
+    pytest.param(["--q", "0.9", "--id", "BASIC"], "--q", id="q-id"),
+    pytest.param(["--k", "0.5", "--seq", "powerlaw", "--c", "1", "--p", "2"], "--k", id="k"),
+])
+def test_cli_identity_draws_refuse_mode_flags(capsys, flags, named):
+    # drawn parameters carry their own q; an explicit --q or --k was
+    # silently ignored and the command exited 0
+    rc = main(["identities", "--draws", "2", *flags])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert named in captured.err and "usage error" in captured.err
     assert captured.out == ""
 
 
@@ -199,7 +214,8 @@ def test_cli_spectrum_residual_F_is_relative(capsys):
 
 def test_cli_spectrum_fallback_rows_have_matrix_residuals(capsys):
     # at p = 2 every mass takes the matrix-side route; its rows report the
-    # section residual of the twisted eigenvector, not NaN
+    # section residual of the twisted eigenvector, not NaN, and since no
+    # series is evaluated there, residual_F is nan
     rc = main(["--k", "0.5", "--seq", "powerlaw", "--c", "1", "--p", "2", "--count", "8",
                "spectrum", "--format", "csv"])
     assert rc == 0
@@ -207,6 +223,7 @@ def test_cli_spectrum_fallback_rows_have_matrix_residuals(capsys):
     assert len(rows) == 8
     assert all("nan" not in r["residual_matrix"] for r in rows)
     assert all(0.0 <= float(r["residual_matrix"]) <= 1e-12 for r in rows)
+    assert all(r["residual_F"] == "nan" and r["refined"] == "False" for r in rows)
 
 
 def test_cli_stray_arithmetic_error_is_numerical_failure(monkeypatch, capsys):

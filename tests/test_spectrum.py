@@ -615,14 +615,101 @@ def test_batched_stages_match_one_root_at_a_time(params, count):
     T = truncate(params, sd.N_used)
     seeds = section_eigenvalues(T, count)
     every = spectrum._refine_roots(fser, seeds)
-    md = spectrum._mass_machinery(params, sd.lambdas, sd.lambdas_lo, count + 10, M, J, fser, T, seeds)
+    fp = eval_series_deriv(fser, (sd.lambdas, sd.lambdas_lo))
+    fprime = (fp.value, fp.value_lo)
+    md = spectrum._mass_machinery(params, sd.lambdas, sd.lambdas_lo, count + 10, M, J, fprime, T, seeds)
     for j in range(count):
         one = spectrum._refine_roots(fser, seeds[j : j + 1])
         assert all(_bits(a[j : j + 1]) == _bits(b) for a, b in zip(every, one)), j
+        fpj = eval_series_deriv(fser, (sd.lambdas[j : j + 1], sd.lambdas_lo[j : j + 1]))
+        assert _bits(fpj.value) == _bits(fp.value[j : j + 1]), j
         mj = spectrum._mass_machinery(
-            params, sd.lambdas[j : j + 1], sd.lambdas_lo[j : j + 1], count + 10, M, J, fser, T, seeds[j : j + 1]
+            params, sd.lambdas[j : j + 1], sd.lambdas_lo[j : j + 1], count + 10, M, J,
+            (fpj.value, fpj.value_lo), T, seeds[j : j + 1]
         )
         assert md.mass_route[j] == mj.mass_route[0]
         for field in ("masses", "masses_quadrature", "vectors", "vectors_lo", "weyl_numerators",
                       "fprime", "norm_residuals", "eigen_residuals", "certified_from"):
             assert _bits(getattr(md, field)[j : j + 1]) == _bits(getattr(mj, field)), (j, field)
+
+
+POWERLAW = JacobiParams(PowerLaw(1.0, 2.0), 0.5)
+
+
+def _series_calls(monkeypatch, params, count):
+    calls = []
+    for name in ("series_coeffs", "second_kind_family", "_refine_roots"):
+        inner = getattr(spectrum, name)
+
+        def counted(*args, _name=name, _inner=inner, **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, name, counted)
+    return point_spectrum(params, count), calls
+
+
+def test_hopeless_series_is_never_built(monkeypatch):
+    # at p = 2 the weight beyond the cutoff (J = 192) bounds every series
+    # value too loosely to refine a root or certify a mass, so no series
+    # is built and the section values come back with their Gauss weights
+    sd, calls = _series_calls(monkeypatch, POWERLAW, 8)
+    assert calls == []
+    assert not sd.refined.any() and sd.mass_route == ["fallback"] * 8
+    assert np.all(np.isnan(sd.residual_F)) and np.all(np.isnan(sd.residual_F_abs_sum))
+    assert np.all(sd.residual_F_bound == math.inf)
+    assert _bits(sd.masses) == _bits(sd.masses_quadrature)
+    assert np.all(sd.residual_matrix <= 1e-12)
+
+
+def test_screen_keeps_series_where_a_root_refines(monkeypatch):
+    # a decreasing prefix puts lambda_0 near 2e-9, where the omitted-index
+    # term is small enough for Newton to certify it
+    sd, calls = _series_calls(monkeypatch, EXPLICIT, 3)
+    assert {"series_coeffs", "second_kind_family", "_refine_roots"} <= set(calls)
+    assert sd.refined[0]
+    assert np.all(np.isfinite(sd.residual_F))
+
+
+_SCREEN_FIELDS = ("lambdas", "masses", "masses_quadrature", "residual_matrix")
+
+
+@st.composite
+def _screen_cases(draw):
+    k = draw(st.floats(0.1, 0.95))
+    kind = draw(st.sampled_from(["powerlaw", "geometric", "explicit"]))
+    if kind == "powerlaw":
+        seq = PowerLaw(1.0, draw(st.floats(1.3, 3.0)))
+    elif kind == "geometric":
+        seq = Geometric(draw(st.floats(0.1, 0.9)))
+    else:
+        exponents = draw(st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=10))
+        seq = Explicit(tuple(10.0**e for e in exponents), PowerLaw(1.0, draw(st.floats(1.3, 3.0))))
+    return JacobiParams(seq, k), draw(st.integers(1, 8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_screen_cases())
+def test_series_screen_is_sound(case):
+    # every root the screen calls hopeless is, on the full path, neither
+    # refined nor weighed by a series entry; when all are, skipping the
+    # series changes no field but the residual_F ones
+    params, count = case
+    inner = spectrum._series_hopeless
+    seen = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spectrum, "_series_hopeless", lambda *args: seen.append(inner(*args)) or seen[-1])
+        screened = point_spectrum(params, count)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spectrum, "_series_hopeless", lambda *args: np.zeros(count, dtype=bool))
+        full = point_spectrum(params, count)
+    hopeless = seen[0]
+    assert not full.refined[hopeless].any()
+    assert all(full.mass_route[j] == "fallback" for j in np.flatnonzero(hopeless))
+    fields = _SCREEN_FIELDS + (() if hopeless.all() else ("residual_F", "residual_F_bound", "refined"))
+    for field in fields:
+        assert _bits(getattr(screened, field)) == _bits(getattr(full, field)), field
+    assert screened.mass_route == full.mass_route
+    assert (screened.N_used, screened.completeness_defect, screened.lambda_next_lower) == (
+        full.N_used, full.completeness_defect, full.lambda_next_lower
+    )
