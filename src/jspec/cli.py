@@ -449,13 +449,17 @@ def _make_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--cs", help="comma-separated chain exponents c_0,..,c_m")
     p_id.add_argument("--ss", help="comma-separated integer exponents s_1,..,s_m")
     p_id.add_argument("--draws", type=int, default=5)
-    sub.add_parser("verify", parents=[shared], help="run the full verification suite")
+    sub.add_parser("verify", parents=[shared], help="run the full verification suite (takes no flags)")
     return parser
+
+
+def _dest(flag: str, kw: dict) -> str:
+    return kw.get("dest") or flag.lstrip("-").replace("-", "_")
 
 
 def _fill_missing(args: argparse.Namespace) -> argparse.Namespace:
     for flag, kw in _GLOBAL_FLAGS:
-        name = kw.get("dest") or flag.lstrip("-").replace("-", "_")
+        name = _dest(flag, kw)
         if not hasattr(args, name):
             setattr(args, name, None)
     return args
@@ -489,6 +493,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         # argparse exits 2 on usage problems; the contract here is 1
         return 0 if exc.code in (0, None) else 1
     try:
+        if args.command == "verify":
+            given = [flag for flag, kw in _GLOBAL_FLAGS if getattr(args, _dest(flag, kw)) is not None]
+            if given:
+                raise UsageError(
+                    f"{given[0].lstrip('-')}: verify runs its fixed reference suite and "
+                    f"would ignore {', '.join(given)}; run it without flags"
+                )
         mode_flags = tuple(f"--{name}" for name in ("q", "k") if getattr(args, name) is not None)
         if args.command in ("verify", "identities") and not mode_flags:
             args.q = 0.25  # the reference configuration

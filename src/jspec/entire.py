@@ -32,7 +32,9 @@ wavefront: length m+1 at j needs length m below j only).  The forward run
 gives the characteristic prefix table, whose last column is the "char"
 series; the same run on the reversed axis gives the backward sums
 ``G_m(i)`` over chains starting after i, and suffix sums of
-``k^{2j}/a_j G_m(j)`` give every second-kind shift n at once.  All
+``k^{2j}/a_j G_m(j)`` give every second-kind shift n at once.
+``second_kind_family`` keeps them as one ``PowerSeriesApprox`` whose tables
+carry a trailing shift axis, and ``fam[n]`` is the shift-n series.  All
 accumulation runs in double-double arithmetic; brute-force chain
 enumeration is kept in the test suite as the oracle.
 
@@ -40,16 +42,16 @@ Evaluation is compensated (one double-double Horner loop, ``_horner_dd``)
 and certified by one bound, ``_certified``: the order-truncation tail, the
 index-cutoff tail, and a cancellation term ``kappa * eps``, where kappa is
 the ratio of the sum of absolute terms to the absolute value of the result.
-Both are elementwise: one pass evaluates a series at an array of points,
-or a whole family (series x point), and every element carries the bits of
-its one-series, one-point evaluation.
+Both are elementwise: ``eval_series`` evaluates a series at an array of
+points, or a whole family (shift x point), in one pass, and every element
+carries the bits of its one-series, one-point evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -82,22 +84,24 @@ KIND_SECOND = "second_kind"
 
 @dataclass(frozen=True)
 class PowerSeriesApprox:
-    """Alternating-series approximation of one entire function.
+    """Alternating-series approximation of one entire function, or a family.
 
     ``coeffs``/``coeffs_lo`` hold the double-double coefficient magnitudes;
-    the represented function is ``sum_m (-1)^m coeffs[m] z^m``.
+    the represented function is ``sum_m (-1)^m coeffs[m] z^m``.  A
+    second-kind family has ``shift`` None and every table (order+1) x
+    shifts, column n for shift n; ``fam[n]`` is that series on its own.
 
     ``tail_const`` is a certified upper bound S on ``sum_j x_j`` including
     the part beyond the index cutoff, so every coefficient obeys
-    ``c_m <= S^m / m!``.  ``ratio_bounds[m]`` bounds ``sum_{j>=m} x_j`` and
-    yields the sharper one-step coefficient ratio ``c_{m+1} <= c_m * X``
-    used for evaluation tails.  ``tail_omitted[m]`` bounds the contribution
-    of chains using any index beyond the cutoff to the true c_m.
+    ``c_m <= S^m / m!``.  ``ratio_bounds[m]`` bounds the sum of x_j over the
+    indices that order m+1 can add, hence the one-step coefficient ratio
+    ``c_{m+1} <= c_m * ratio_bounds[m]`` used for evaluation tails.
+    ``tail_omitted[m]`` bounds the contribution of chains using any index
+    beyond the cutoff to the true c_m.
     """
 
     kind: str
-    shift: int
-    k: float
+    shift: Optional[int]
     order: int
     cutoff: int
     coeffs: np.ndarray
@@ -113,14 +117,17 @@ class PowerSeriesApprox:
     def coefficient(self, m: int) -> float:
         return float(self.coeffs[m])
 
-    def ratio_bound_after(self, m: int) -> float:
-        """Certified bound on c_{m+1}/c_m (smallest admissible next index)."""
-        if self.kind == KIND_CHAR:
-            idx = m  # chain of length m has largest index >= m-1
-        else:
-            idx = self.shift + m + 1
-        idx = min(idx, len(self.ratio_bounds) - 1)
-        return float(self.ratio_bounds[idx])
+    def __getitem__(self, n: int) -> PowerSeriesApprox:
+        """The shift-n series of a family."""
+        if self.shift is not None:
+            raise TypeError("only a second-kind family is indexed by shift")
+        n = range(self.coeffs.shape[1])[n]
+        return replace(
+            self,
+            shift=n,
+            **{f: getattr(self, f)[:, n].copy()
+               for f in ("coeffs", "coeffs_lo", "tail_omitted", "ratio_bounds")},
+        )
 
 
 @dataclass(frozen=True)
@@ -258,22 +265,19 @@ def series_coeffs(
         raise ValueError(f"order M={M} exceeds index cutoff J={J}")
     if kind == KIND_CHAR:
         Ah, Al = _char_prefix_table(params, M, J)
-        return _finalize(params, kind, 0, M, J, Ah[:, J].copy(), Al[:, J].copy(),
+        return _finalize(KIND_CHAR, M, J, Ah[:, J].copy(), Al[:, J].copy(),
                          _weight_suffix(params, J))
     if kind == KIND_SECOND:
         if shift < 0:
             raise ValueError(f"second-kind shift must be non-negative, got {shift}")
         if J <= shift:
             raise ValueError(f"cutoff J={J} must exceed the shift n={shift}")
-        fam = second_kind_family(params, M, J, shift)
-        return fam[shift]
+        return second_kind_family(params, M, J, shift)[shift]
     raise ValueError(f"unknown series kind {kind!r}")
 
 
-def second_kind_family(
-    params: JacobiParams, M: int, J: int, n_max: int
-) -> list[PowerSeriesApprox]:
-    """All second-kind series for shifts 0..n_max from a single backward DP."""
+def second_kind_family(params: JacobiParams, M: int, J: int, n_max: int) -> PowerSeriesApprox:
+    """The second-kind series of shifts 0..n_max, one family from a single backward DP."""
     if M > J:
         raise ValueError(f"order M={M} exceeds index cutoff J={J}")
     if n_max >= J:
@@ -296,42 +300,41 @@ def second_kind_family(
         sh, sl = dd.dd_add(sh, sl, th, tl)
         if j <= n_max:
             Hh[:, j], Hl[:, j] = sh, sl
-    X = _weight_suffix(params, J)
     # seed weight k^{2j}/a_j summed beyond the cutoff, shared by every shift
     seed_beyond = params.k ** (2 * (J + 1)) * tail_sum_reciprocal(params.seq, J + 1)
-    return [
-        _finalize(params, KIND_SECOND, n, M, J, Hh[:, n].copy(), Hl[:, n].copy(), X, seed_beyond)
-        for n in range(n_max + 1)
-    ]
+    return _finalize(KIND_SECOND, M, J, Hh, Hl, _weight_suffix(params, J), seed_beyond)
 
 
-def _finalize(params, kind, shift, M, J, chi, clo, X, seed_beyond=0.0) -> PowerSeriesApprox:
-    k = params.k
-    t_beyond = float(X[J + 1])
+def _finalize(kind, M, J, chi, clo, X, seed_beyond=0.0) -> PowerSeriesApprox:
+    """The char series, or the second-kind family of the columns of chi, with its bounds."""
     # omitted-index bounds: a chain touching an index beyond J contributes at
     # most (that index's weight) times a full chain one link shorter.
-    omitted = np.zeros(M + 1)
-    omitted[1:] = t_beyond * chi[:-1]
-    if kind == KIND_SECOND:
-        # plus the seed beyond J times every chain after it, seed * X^m / m!,
-        # in log space: X^m and m! leave the float range long before the
-        # bound is useless
+    omitted = np.zeros_like(chi)
+    omitted[1:] = X[J + 1] * chi[:-1]
+    orders = np.arange(M + 1)
+    # ratio row m: c_{m+1} adds an index >= m (char), >= n + m + 1 (shift n)
+    if kind == KIND_CHAR:
+        ratio = X[: M + 1]
+    else:
+        ratio = X[np.minimum(orders[:, None] + np.arange(1, chi.shape[1] + 1), J + 1)]
+        # plus the seed beyond J times every chain after it, seed * X^m / m!
+        # with X = ratio[0], in log space: X^m and m! leave the float range
+        # long before the bound is useless
         omitted[0] = seed_beyond
-        log_seed = _log_or_ninf(seed_beyond)
-        log_X = math.log(X[min(shift + 1, J + 1)])
-        for m in range(1, M + 1):
-            omitted[m] += _exp_or_inf(log_seed + m * log_X - math.lgamma(m + 1))
+        log_X = _per_element(math.log, ratio[0])
+        log_fact = np.array([math.lgamma(m + 1) for m in range(1, M + 1)])[:, None]
+        log_terms = _log_or_ninf(seed_beyond) + orders[1:, None] * log_X - log_fact
+        omitted[1:] += _per_element(_exp_or_inf, log_terms)
     return PowerSeriesApprox(
         kind=kind,
-        shift=shift,
-        k=k,
+        shift=0 if kind == KIND_CHAR else None,
         order=M,
         cutoff=J,
         coeffs=chi,
         coeffs_lo=clo,
         tail_const=float(X[0]),
         tail_omitted=omitted,
-        ratio_bounds=X,
+        ratio_bounds=ratio,
     )
 
 
@@ -348,70 +351,24 @@ def _horner_dd(chi, clo, zh, zl):
     """Compensated Horner (Graillat, Langlois & Louvet 2005) for sum (-1)^m c_m z^m.
 
     Also returns the abs-sum at |z|.  ``chi``/``clo`` are indexed by order
-    first; every trailing axis (series of a family) broadcasts against the
-    points ``zh``/``zl``, and dd arithmetic is elementwise, so each element
-    gets the bits of its own one-series, one-point call.
+    first; every trailing axis (the shifts of a family) broadcasts against
+    the points ``zh``/``zl``, and dd arithmetic is elementwise, so each
+    element gets the bits of its own one-series, one-point call.
     """
     n = len(chi)
     sg = 1.0 if n % 2 else -1.0  # (-1)^(n-1)
     rh, rl = sg * chi[n - 1], sg * clo[n - 1]
     az = abs(zh)
     ab = abs(chi[n - 1])
+    if n == 1:  # no Horner step: the constant takes the shape of the points
+        shape = np.broadcast_shapes(np.shape(rh), np.shape(zh))
+        return tuple(np.broadcast_to(x, shape).copy() for x in (rh, rl, ab))
     for m in range(n - 2, -1, -1):
         sg = -sg
         rh, rl = dd.dd_mul(rh, rl, zh, zl)
         rh, rl = dd.dd_add(rh, rl, sg * chi[m], sg * clo[m])
         ab = ab * az + abs(chi[m])
     return rh, rl, ab
-
-
-class _Terms(NamedTuple):
-    """What one evaluation needs of a series, or of a family of one order.
-
-    The tables ``coeffs``, ``coeffs_lo`` and ``omitted`` are indexed by
-    order first; they and the per-series values ``last`` (c_M plus its
-    omitted-index bound), ``ratio`` (the ratio bound after order M) and
-    ``tail_const`` carry a trailing (series, 1) shape for a family, so they
-    broadcast against an axis of points.  ``rounding`` is the rounding-unit
-    count of the bound.
-    """
-
-    order: int
-    coeffs: np.ndarray
-    coeffs_lo: np.ndarray
-    omitted: np.ndarray
-    last: object
-    ratio: object
-    tail_const: object
-    rounding: float
-
-
-def _terms(s: PowerSeriesApprox, rounding: float) -> _Terms:
-    M = s.order
-    return _Terms(
-        order=M,
-        coeffs=s.coeffs,
-        coeffs_lo=s.coeffs_lo,
-        omitted=s.tail_omitted[: M + 1],
-        last=float(s.coeffs[M]) + float(s.tail_omitted[M]),
-        ratio=s.ratio_bound_after(M),
-        tail_const=s.tail_const,
-        rounding=rounding,
-    )
-
-
-def _family_terms(fam: list[PowerSeriesApprox]) -> _Terms:
-    """The terms of every series of ``fam`` (one order and cutoff) on a series axis."""
-    each = [_terms(s, _dd_rounding(s)) for s in fam]
-
-    def stacked(name):
-        return np.stack([getattr(t, name) for t in each], axis=-1)[..., None]
-
-    return _Terms(
-        fam[0].order,
-        *(stacked(name) for name in ("coeffs", "coeffs_lo", "omitted", "last", "ratio", "tail_const")),
-        rounding=each[0].rounding,
-    )
 
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -437,28 +394,28 @@ def _per_element(f, x):
     return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-def _eval_tail_bound(t: _Terms, az):
+def _eval_tail_bound(s: PowerSeriesApprox, az):
     """Certified bound on the omitted orders m > order at |z| = az.
 
     Both candidates are formed in log space: at large |z| and order the
     factors az**M and S**(M+1) exceed the float range long before the
     bound itself is useless, and an overflowing bound is reported as inf.
     """
-    M = t.order
+    M = s.order
     at_zero = az == 0.0
     az = np.where(at_zero, 1.0, az)  # the bound is 0 there; keep the logs finite
-    rho = t.ratio * az
+    rho = s.ratio_bounds[M] * az
     inside = rho < 1.0
     rho_in = np.where(inside, rho, 0.0)
     frac = rho_in / (1.0 - rho_in)
     log_geo = (
-        _per_element(_log_or_ninf, t.last)
+        _per_element(_log_or_ninf, s.coeffs[M] + s.tail_omitted[M])
         + M * _per_element(math.log, az)
         + _per_element(_log_or_ninf, frac)
     )
     geo = np.where(inside, _per_element(_exp_or_inf, log_geo), math.inf)
     # elementary-symmetric fallback S^{m}/m!, useful at small |z|
-    ts = t.tail_const * az
+    ts = s.tail_const * az
     log_fact = (M + 1) * _per_element(_log_or_ninf, ts) - math.lgamma(M + 2)
     small = ts < M + 2
     log_fact = np.where(
@@ -470,12 +427,12 @@ def _eval_tail_bound(t: _Terms, az):
     return np.where(at_zero, 0.0, np.where(fact < geo, fact, geo))
 
 
-def _omitted_eval_bound(t: _Terms, az):
+def _omitted_eval_bound(s: PowerSeriesApprox, az):
     """sum_m omitted[m] az^m in order, inf once a term or a power of az is."""
-    hit = np.any(t.omitted == math.inf, axis=0)  # else it may meet an underflowed az^m: inf * 0
+    hit = np.any(s.tail_omitted == math.inf, axis=0)  # else it may meet an underflowed az^m: inf * 0
     p = 1.0
     tot = 0.0
-    for row in t.omitted:
+    for row in s.tail_omitted:
         tot = tot + row * p
         p = p * az
     # the powers only grow once past 1, so an inf among them is the last one
@@ -492,20 +449,20 @@ def _scalar(x):
     return x.item() if isinstance(x, (np.ndarray, np.generic)) and x.ndim == 0 else x
 
 
-def _certified(t: _Terms, value, value_lo, abs_sum, az, tol, unit, tail_factor=1.0):
-    """SeriesEval with the one certified bound of an evaluation at |z| = az.
+def _certified(s, value, value_lo, abs_sum, az, tol, unit, rounding, tail_factor=1.0):
+    """The SeriesEval fields, with the one certified bound, of an evaluation at |z| = az.
 
-    Order tail (times ``tail_factor``) + omitted-index tail + rounding term,
-    elementwise over whatever shape the evaluation has; raises
-    CancellationFailure when ``tol`` is given and some element does not
-    certify.
+    Order tail (times ``tail_factor``) + omitted-index tail + ``rounding``
+    units of ``unit`` on the abs-sum, elementwise over whatever shape the
+    evaluation has; raises CancellationFailure when ``tol`` is given and
+    some element does not certify.
     """
     # inf and nan arise quietly here, as they do in scalar float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
         err = (
-            _eval_tail_bound(t, az) * tail_factor
-            + _omitted_eval_bound(t, az)
-            + t.rounding * unit * abs_sum
+            _eval_tail_bound(s, az) * tail_factor
+            + _omitted_eval_bound(s, az)
+            + rounding * unit * abs_sum
         )
     nonzero = value != 0.0
     kappa = np.where(nonzero, abs_sum / np.where(nonzero, abs(value), 1.0), math.inf)
@@ -518,19 +475,19 @@ def _certified(t: _Terms, value, value_lo, abs_sum, az, tol, unit, tail_factor=1
                 f"series evaluation at |z|={az_i!r} certifies only |err|<={err_i:.3e} "
                 f"(kappa={kappa_i:.3e}), beyond the requested tolerance {tol:.3e}"
             )
-    return SeriesEval(
-        value=_scalar(value),
-        value_lo=_scalar(value_lo),
-        kappa=_scalar(kappa),
-        err_bound=_scalar(err),
-        abs_sum=_scalar(abs_sum),
-    )
+    return value, value_lo, kappa, err, abs_sum
 
 
-def _evaluate(t: _Terms, z, tol, tail_factor=1.0) -> SeriesEval:
+def _evaluate(s: PowerSeriesApprox, z, tol, rounding, tail_factor=1.0) -> SeriesEval:
     zh, zl = _as_dd_point(z)
-    rh, rl, ab = _horner_dd(t.coeffs, t.coeffs_lo, zh, zl)
-    return _certified(t, rh, rl, ab, abs(zh), tol, EPS_DD, tail_factor)
+    family_at_points = s.shift is None and np.ndim(zh) > 0
+    if family_at_points:  # evaluated as (point x shift), returned as (shift x point)
+        zh, zl = zh[..., None], zl[..., None]
+    rh, rl, ab = _horner_dd(s.coeffs, s.coeffs_lo, zh, zl)
+    fields = _certified(s, rh, rl, ab, abs(zh), tol, EPS_DD, rounding, tail_factor)
+    if family_at_points:
+        fields = (np.moveaxis(x, -1, 0) for x in fields)
+    return SeriesEval(*map(_scalar, fields))
 
 
 def eval_series(s: PowerSeriesApprox, z, tol: Optional[float] = None) -> SeriesEval:
@@ -538,8 +495,11 @@ def eval_series(s: PowerSeriesApprox, z, tol: Optional[float] = None) -> SeriesE
 
     ``z`` may be a float, an (hi, lo) double-double pair, or a pair of
     arrays of points, which gives array fields whose every element has the
-    bits of the one-point call.  Complex points are evaluated in ordinary
-    complex arithmetic (no compensation) and the bound widens accordingly.
+    bits of the one-point call.  A family (``second_kind_family``) gives
+    one element per shift, (shift x point) at an array of points, each
+    with the bits of ``eval_series(fam[n], point)``.  Complex points are
+    evaluated in ordinary complex arithmetic (no compensation) and the
+    bound widens accordingly.
 
     Raises CancellationFailure when ``tol`` is given and the certified
     relative error exceeds it (at any of the points); the caller should
@@ -547,17 +507,7 @@ def eval_series(s: PowerSeriesApprox, z, tol: Optional[float] = None) -> SeriesE
     """
     if isinstance(z, complex):
         return _eval_complex(s, z, tol)
-    return _evaluate(_terms(s, _dd_rounding(s)), z, tol)
-
-
-def _eval_family(fam: list[PowerSeriesApprox], zh, zl) -> SeriesEval:
-    """Every series of ``fam`` at every point (zh[p], zl[p]) from one Horner pass.
-
-    The series must share their order and cutoff (a ``second_kind_family``
-    does).  The fields are (series x point) arrays, and each element carries
-    the bits of ``eval_series(fam[i], (zh[p], zl[p]))``.
-    """
-    return _evaluate(_family_terms(fam), (np.atleast_1d(zh), zl), None)
+    return _evaluate(s, z, tol, _dd_rounding(s))
 
 
 def eval_series_deriv(s: PowerSeriesApprox, z, tol: Optional[float] = None) -> SeriesEval:
@@ -568,30 +518,30 @@ def eval_series_deriv(s: PowerSeriesApprox, z, tol: Optional[float] = None) -> S
     takes the forms ``eval_series`` takes.
     """
     if s.order < 1:
-        return SeriesEval(0.0, 0.0, 1.0, 0.0, 0.0)
+        shape = s.coeffs.shape[1:] + np.shape(z[0] if isinstance(z, tuple) else z)
+        return SeriesEval(*(_scalar(np.full(shape, v)) for v in (0.0, 0.0, 1.0, 0.0, 0.0)))
     dser = _deriv_view(s)
     tail_factor = dser.order + 2.0
     if isinstance(z, complex):
         out = _eval_complex(dser, z, tol, tail_factor)
     else:
-        out = _evaluate(_terms(dser, _dd_rounding(s)), z, tol, tail_factor)
+        out = _evaluate(dser, z, tol, _dd_rounding(s), tail_factor)
     return SeriesEval(-out.value, -out.value_lo, out.kappa, out.err_bound, out.abs_sum)
 
 
 def _deriv_view(s: PowerSeriesApprox) -> PowerSeriesApprox:
-    j = np.arange(1, s.order + 1, dtype=float)
+    j = np.arange(1, s.order + 1, dtype=float).reshape((-1,) + (1,) * (s.coeffs.ndim - 1))
     chi, clo = dd.dd_mul_d(s.coeffs[1:], s.coeffs_lo[1:], j)
-    return PowerSeriesApprox(
-        kind=s.kind,
-        shift=s.shift,
-        k=s.k,
+    # ratio row m stays that of order m: a bound on c_{m+1}/c_m, hence on
+    # the smaller c_{m+2}/c_{m+1} that derivative order m needs (the growth
+    # (m+2)/(m+1) of d_m is carried by the tail factor)
+    return replace(
+        s,
         order=s.order - 1,
-        cutoff=s.cutoff,
         coeffs=chi,
         coeffs_lo=clo,
-        tail_const=s.tail_const,
         tail_omitted=s.tail_omitted[1:] * j,
-        ratio_bounds=s.ratio_bounds,
+        ratio_bounds=s.ratio_bounds[:-1],
     )
 
 
@@ -605,7 +555,8 @@ def _eval_complex(s: PowerSeriesApprox, z: complex, tol, tail_factor=1.0) -> Ser
         r = r * z + (-c if m % 2 else c)
         ab = ab * az + s.coeffs[m]
     eps64 = np.finfo(float).eps
-    return _certified(_terms(s, 4.0 * s.order + 16.0), r, 0.0, ab, az, tol, eps64, tail_factor)
+    fields = _certified(s, r, 0.0, ab, az, tol, eps64, 4.0 * s.order + 16.0, tail_factor)
+    return SeriesEval(*map(_scalar, fields))
 
 
 def scale_for_shift(k: float, n: int) -> float:
@@ -714,9 +665,9 @@ def identity_residuals(
     from .polycore import orthopoly_values_dd  # local import, avoids a cycle
 
     zh, zl = _as_dd_point(z)
-    ev = _eval_family(second_kind_family(params, M, J, n_max + 1), zh, zl)
+    ev = eval_series(second_kind_family(params, M, J, n_max + 1), (zh, zl))
     scales = np.array([scale_for_shift(params.k, n) for n in range(n_max + 2)])
-    vh, vl = dd.dd_mul_d(ev.value[:, 0], ev.value_lo[:, 0], scales)
+    vh, vl = dd.dd_mul_d(ev.value, ev.value_lo, scales)
     Ph, Pl = orthopoly_values_dd(params, n_max + 1, (zh, zl))
     _, alpha, beta = entry_arrays(params, n_max + 1)
     fe = eval_series(series_coeffs(params, KIND_CHAR, M, J), (zh, zl))

@@ -206,16 +206,7 @@ def second_kind_at_zero(params: JacobiParams, n: int, tol: float = 1e-14) -> flo
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     k = params.k
-    J = n + 8
-    while True:
-        tail = k ** (2 * (J + 1) - n) * tail_sum_reciprocal(params.seq, J + 1)
-        if tail < tol:
-            break
-        if J > n + (1 << 14):
-            raise TruncationTooCoarse(
-                f"second-kind tail bound {tail:.3e} at J={J} does not reach {tol:.3e}"
-            )
-        J *= 2
+    J = _second_kind_cutoff(params, n, tol)
     a, _, _ = entry_arrays(params, J + 1)
     j = np.arange(n, J + 1)
     terms = k ** (2 * j - n) / a[n:]
@@ -292,11 +283,45 @@ def trace_inverse_routes(
     cut = 1e-3 * tol * scale * (1.0 - k2)
     while k2 ** (J + 1 - n_stop) * tail_sum_reciprocal(params.seq, J + 1) >= cut:
         J *= 2
+    alt = float(dd.compensated_sum(_reciprocal_suffix(params, J)[n_stop::-1]))
+    return direct, alt
+
+
+def _reciprocal_suffix(params: JacobiParams, J: int) -> np.ndarray:
+    """S_n = sum_{n<=j<=J} k^{2(j-n)} / a_j for n = 0..J, in one backward pass.
+
+    w_n(0) P_n(0) = S_n up to the dropped tail, and w_n(0) = (-1)^n k^n S_n.
+    """
     a, _, _ = entry_arrays(params, J + 1)
+    k2 = params.k * params.k
     suffix = np.empty(J + 1)
     acc = 0.0
     for i in range(J, -1, -1):
         acc = 1.0 / a[i] + k2 * acc
         suffix[i] = acc
-    alt = float(dd.compensated_sum(suffix[n_stop::-1]))
-    return direct, alt
+    return suffix
+
+
+def _second_kind_cutoff(params: JacobiParams, n: int, tol: float) -> int:
+    """J with the tail k^{2(J+1)-n} tail(J+1) dropped from w_n(0) below tol.
+
+    The bound grows with n, so the J of the largest n serves every smaller
+    one.  Raises ``TruncationTooCoarse`` past J = n + 2^14.
+    """
+    J = n + 8
+    while True:
+        tail = params.k ** (2 * (J + 1) - n) * tail_sum_reciprocal(params.seq, J + 1)
+        if tail < tol:
+            return J
+        if J > n + (1 << 14):
+            raise TruncationTooCoarse(
+                f"second-kind tail bound {tail:.3e} at J={J} does not reach {tol:.3e}"
+            )
+        J *= 2
+
+
+def _second_kind_zeros(params: JacobiParams, n_max: int, tol: float) -> np.ndarray:
+    """w_n(0) for n = 0..n_max from one suffix pass, each truncated below tol."""
+    S = _reciprocal_suffix(params, _second_kind_cutoff(params, n_max, tol))
+    n = np.arange(n_max + 1)
+    return np.where(n % 2, -1.0, 1.0) * params.k**n * S[: n_max + 1]

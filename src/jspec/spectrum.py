@@ -48,7 +48,6 @@ from .entire import (
     PowerSeriesApprox,
     _envelope,
     _envelope_factors,
-    _eval_family,
     _weight_suffix,
     choose_truncation,
     eval_series,
@@ -65,8 +64,8 @@ from .errors import (
     TailDominates,
 )
 from .polycore import (
+    _second_kind_zeros,
     orthopoly_values_dd,
-    second_kind_at_zero,
     trace_inverse,
 )
 from .sequences import (
@@ -568,7 +567,7 @@ def _mass_machinery(
 
     fp_hi, fp_lo = fprime
     Ph, Pl, env = _orthopoly_dd_with_envelope(params, n_max + 1, lam_hi, lam_lo)
-    ev = _eval_family(fam, lam_hi, lam_lo)
+    ev = eval_series(fam, (lam_hi, lam_lo))
     value, err = ev.value, ev.err_bound
     phi_h, phi_l = dd.dd_mul_d(value, ev.value_lo, scales[:, None])
     cert = (value != 0.0) & (err <= _CERT_REL * np.abs(value))
@@ -877,7 +876,8 @@ def second_kind(params: JacobiParams, n: int, z: float, tol: float = 1e-6) -> fl
 def char_via_second_kind(params: JacobiParams, z: float, tol: float = 1e-12) -> float:
     """Characteristic function as 1 - z sum_n w_n(0) P_n(z).
 
-    Terms decay like 1/a_n; the sum stops once three consecutive terms fall
+    Every w_n(0) of a depth comes from one suffix pass
+    (``polycore._second_kind_zeros``).  Terms decay like 1/a_n; the sum stops once three consecutive terms fall
     below tol relative to the accumulated value, and raises
     ConvergenceFailure when 512 terms have not settled it.
     """
@@ -886,11 +886,11 @@ def char_via_second_kind(params: JacobiParams, z: float, tol: float = 1e-12) -> 
     while True:
         Ph, Pl = orthopoly_values_dd(params, depth, z)
         P = Ph + Pl
+        w0 = _second_kind_zeros(params, depth, tol * 1e-3)
         acc = 0.0
         small = 0
         for n_idx in range(depth + 1):
-            w0 = second_kind_at_zero(params, n_idx, tol=tol * 1e-3)
-            t = w0 * P[n_idx]
+            t = w0[n_idx] * P[n_idx]
             acc += t
             if abs(t) <= tol * max(abs(acc), 1.0) * 1e-2:
                 small += 1

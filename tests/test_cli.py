@@ -245,6 +245,22 @@ def test_cli_removed_truncation_flags_are_usage_errors():
     assert main(["--q", "0.25", "--matrix-size", "64", "spectrum"]) == 1
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["verify", "--out", "F", "--format", "csv", "--count", "3"], "--count, --out, --format"),
+    (["--q", "0.3", "verify"], "--q"),
+    (["verify", "--seed", "5"], "--seed"),
+])
+def test_cli_verify_refuses_flags(capsys, tmp_path, monkeypatch, argv, named):
+    # verify runs a fixed reference suite; every flag was parsed and then
+    # ignored (--out was never written) and the command exited 0
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert named in captured.err and "usage error" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "F").exists()
+
+
 @pytest.mark.parametrize("argv, expect", [
     pytest.param(["poly", "--q", "0.25", "--degree", "2"],
                  lambda out: json.loads(out)["rows"], id="poly"),

@@ -15,7 +15,7 @@ import pytest
 from jspec.entire import (
     KIND_CHAR,
     KIND_SECOND,
-    _eval_family,
+    _weight_suffix,
     char_chain_prefixes,
     choose_truncation,
     eigenvector_entry,
@@ -27,7 +27,14 @@ from jspec.entire import (
     series_coeffs,
 )
 from jspec.errors import CancellationFailure, JspecError
-from jspec.sequences import Geometric, JacobiParams, PowerLaw, entry_arrays, sequence_min_from
+from jspec.sequences import (
+    Geometric,
+    JacobiParams,
+    PowerLaw,
+    entry_arrays,
+    sequence_min_from,
+    tail_sum_reciprocal,
+)
 
 GEOM = JacobiParams(Geometric(0.25), 0.5)
 
@@ -295,29 +302,93 @@ _POINTS_LO = np.array([0.0, 0.0, 0.0, 0.0, 1e-15, 0.0, -1e-13])
 
 @pytest.mark.parametrize("params", [GEOM, JacobiParams(PowerLaw(1.0, 2.0), 0.5)])
 def test_eval_family_matches_single_calls(params):
-    # one Horner pass over (order x series x point) gives every element the
+    # one Horner pass over (order x shift x point) gives every element the
     # bits of its own one-series, one-point call, bound included
     fam = second_kind_family(params, 24, 72, 9)
-    ev = _eval_family(fam, _POINTS_HI, _POINTS_LO)
-    assert ev.value.shape == (len(fam), len(_POINTS_HI))
-    for i, s in enumerate(fam):
+    ev = eval_series(fam, (_POINTS_HI, _POINTS_LO))
+    assert ev.value.shape == (10, len(_POINTS_HI))
+    at_one = eval_series(fam, (float(_POINTS_HI[3]), float(_POINTS_LO[3])))
+    assert at_one.value.shape == (10,)
+    for n in range(10):
         for p, z in enumerate(zip(_POINTS_HI.tolist(), _POINTS_LO.tolist())):
-            single = eval_series(s, z)
+            single = eval_series(fam[n], z)
             for field in _EVAL_FIELDS:
-                assert _same_bits(getattr(ev, field)[i, p], getattr(single, field)), (z, s.shift, field)
+                assert _same_bits(getattr(ev, field)[n, p], getattr(single, field)), (z, n, field)
+                if p == 3:
+                    assert _same_bits(getattr(at_one, field)[n], getattr(single, field)), (n, field)
 
 
 @pytest.mark.parametrize("params", [GEOM, JacobiParams(PowerLaw(1.0, 2.0), 0.5)])
 def test_eval_series_point_arrays_match_single_calls(params):
     # eval_series and eval_series_deriv take arrays of points with the
-    # bits of the one-point calls
-    ser = series_coeffs(params, KIND_CHAR, 30, 90)
-    for fn in (eval_series, eval_series_deriv):
+    # bits of the one-point calls; orders 0 and 1 (no Horner step for the
+    # value or the derivative) keep the shape of the points too
+    for M, fn in itertools.product((0, 1, 30), (eval_series, eval_series_deriv)):
+        ser = series_coeffs(params, KIND_CHAR, M, 90)
         ev = fn(ser, (_POINTS_HI, _POINTS_LO))
         for p, z in enumerate(zip(_POINTS_HI.tolist(), _POINTS_LO.tolist())):
             single = fn(ser, z)
             for field in _EVAL_FIELDS:
-                assert _same_bits(getattr(ev, field)[p], getattr(single, field)), (fn, z, field)
+                assert getattr(ev, field).shape == _POINTS_HI.shape, (M, fn, field)
+                assert isinstance(getattr(single, field), float), (M, fn, field)
+                assert _same_bits(getattr(ev, field)[p], getattr(single, field)), (M, fn, z, field)
+
+
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+
+def _per_shift_bounds(params, M, J, n, chi):
+    """Omitted-index bounds and ratio bounds of shift n, one scalar loop per shift.
+
+    The reference form of the family bounds: the seed beyond J times
+    X^m / m! in log space, one ``math`` call per term, and the ratio after
+    order m from the smallest index a longer chain can add.
+    """
+    X = _weight_suffix(params, J)
+    seed_beyond = params.k ** (2 * (J + 1)) * tail_sum_reciprocal(params.seq, J + 1)
+    omitted = np.zeros(M + 1)
+    omitted[1:] = float(X[J + 1]) * chi[:-1]
+    omitted[0] = seed_beyond
+    log_seed = math.log(seed_beyond) if seed_beyond > 0.0 else -math.inf
+    log_X = math.log(X[min(n + 1, J + 1)])
+    for m in range(1, M + 1):
+        x = log_seed + m * log_X - math.lgamma(m + 1)
+        omitted[m] += math.exp(x) if x < _LOG_FLOAT_MAX else math.inf
+    ratios = np.array([float(X[min(n + m + 1, J + 1)]) for m in range(M + 1)])
+    return omitted, ratios
+
+
+_FAMILY_CASES = [
+    (GEOM, 18, 38, 23),
+    (JacobiParams(PowerLaw(1.0, 2.0), 0.5), 24, 72, 9),
+    (JacobiParams(Geometric(0.97), math.sqrt(0.97)), 146, 1920, 14),
+]
+
+
+@pytest.mark.parametrize("params,M,J,n_max", _FAMILY_CASES)
+def test_family_bounds_match_per_shift_loop(params, M, J, n_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fam = second_kind_family(params, M, J, n_max)
+    assert fam.coeffs.shape == fam.tail_omitted.shape == fam.ratio_bounds.shape == (M + 1, n_max + 1)
+    for n in range(n_max + 1):
+        omitted, ratios = _per_shift_bounds(params, M, J, n, fam[n].coeffs)
+        assert omitted.tobytes() == fam[n].tail_omitted.tobytes(), n
+        assert ratios.tobytes() == fam[n].ratio_bounds.tobytes(), n
+
+
+def test_family_member_does_not_depend_on_n_max():
+    small = second_kind_family(GEOM, 18, 38, 4)
+    large = second_kind_family(GEOM, 18, 38, 23)
+    for n in range(5):
+        for field in ("coeffs", "coeffs_lo", "tail_omitted", "ratio_bounds"):
+            assert getattr(small[n], field).tobytes() == getattr(large[n], field).tobytes(), (n, field)
+        assert small[n].shift == large[n].shift == n
+        assert small[n].tail_const == large[n].tail_const
+    with pytest.raises(IndexError):
+        small[5]
+    with pytest.raises(TypeError):
+        small[0][0]
 
 
 def test_complex_derivative_bound_covers_real():

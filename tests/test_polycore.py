@@ -7,6 +7,7 @@ import pytest
 from jspec.errors import ConvergenceFailure, TruncationTooCoarse
 
 from jspec.polycore import (
+    _second_kind_zeros,
     orthopoly_eval,
     orthopoly_values_dd,
     second_kind_at_zero,
@@ -112,6 +113,20 @@ def test_second_kind_at_zero_raises_when_tail_cannot_certify():
     params = JacobiParams(PowerLaw(1.0, 2.0), 0.9999)
     with pytest.raises(TruncationTooCoarse):
         second_kind_at_zero(params, 0)
+    with pytest.raises(TruncationTooCoarse):
+        _second_kind_zeros(params, 3, 1e-14)
+
+
+@pytest.mark.parametrize("params", [GEOM, JacobiParams(PowerLaw(1.0, 2.0), 0.5)])
+def test_second_kind_zeros_match_compensated_sums(params):
+    # one suffix pass for every n against the per-n compensated sum; each
+    # drops a tail below tol, so they may differ by 2 tol plus rounding
+    tol = 1e-17
+    w = _second_kind_zeros(params, 48, tol)
+    for n in range(49):
+        ref = second_kind_at_zero(params, n, tol=tol)
+        assert math.copysign(1.0, w[n]) == (-1.0) ** n
+        assert abs(w[n] - ref) <= 2.0 * tol + 1e-14 * abs(ref), n
 
 
 def test_trace_inverse_closed_form():
