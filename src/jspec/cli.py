@@ -1,9 +1,16 @@
 """Command-line front end: config parsing, subcommand dispatch, reports.
 
 Configuration comes from an optional JSON file (``--config``) mirroring
-RunConfig, with command-line flags overriding file values.  Exactly one of
-``--q`` (q-mode: geometric weights, coupling sqrt(q)) or ``--k`` (general
-mode, power-law or explicit weights) must end up set.
+RunConfig, with command-line flags overriding file values.  Each subcommand
+reads the run-configuration flags that ``_READS`` lists for it, before or
+after its name; any other flag is a usage error.  Keys of a config file are
+not checked, since one file may serve several commands.
+
+``spectrum``, ``measure`` and ``poly`` need exactly one of ``--q`` (q-mode:
+geometric weights, coupling sqrt(q)) or ``--k`` (general mode, power-law or
+explicit weights); ``qlaguerre`` needs q-mode.  ``identities`` takes q from
+``--q`` (default 0.25) only for explicit identity parameters, since drawn
+ones carry their own q, and ``verify`` runs a fixed suite and reads no flags.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 Floating-point output is printed with 17 significant digits, so every
@@ -23,19 +30,19 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import JspecError
+from .errors import JspecError, ParameterOutOfRange
 from .identities import IDENTITY_IDS, check as identity_check, draw_params
 from .polycore import orthopoly_eval
 from .qlaguerre import QParams, char_closed_forms, weyl_num_closed_forms
 from .sequences import Explicit, Geometric, JacobiParams, PowerLaw, SequenceSpec
 from .spectrum import point_spectrum
 
-__all__ = ["RunConfig", "UsageError", "load_config", "emit_report", "run", "main"]
+__all__ = ["RunConfig", "UsageError", "load_config", "emit_report", "main"]
 
 
 class UsageError(Exception):
@@ -148,7 +155,7 @@ def _build_seq(node: dict) -> SequenceSpec:
 def load_config(args: argparse.Namespace) -> RunConfig:
     """Merge the optional JSON config file with flag overrides."""
     file_cfg: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
@@ -167,6 +174,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"q: must lie strictly in (0,1), got {q}")
         if seq_kind not in (None, "geometric"):
             raise UsageError("seq: --q selects the geometric sequence; do not combine with --seq " + seq_kind)
+        stray = [f"--{name}" for name in ("c", "p") if getattr(args, name) is not None]
+        if stray:
+            raise UsageError(f"{stray[0][2:]}: --q selects the geometric sequence; do not combine "
+                             f"with {', '.join(stray)}")
         seq: SequenceSpec = Geometric(q)
         k_val = math.sqrt(q)
         q_mode: Optional[float] = q
@@ -202,7 +213,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         count=int(args.count if args.count is not None else file_cfg.get("count", 8)),
         eig_tol=float(args.tol if args.tol is not None else tols.get("eig_tol", 1e-10)),
         eval_tol=float(tols.get("eval_tol", 1e-10)),
-        identity_tol=float(args.identity_tol if getattr(args, "identity_tol", None) is not None
+        identity_tol=float(args.identity_tol if args.identity_tol is not None
                            else tols.get("identity_tol", 1e-12)),
         out=args.out if args.out is not None else out_cfg.get("path"),
         fmt=args.format if args.format is not None else out_cfg.get("format", "json"),
@@ -234,7 +245,8 @@ def _write_output(text: str, cfg: RunConfig) -> None:
 SPECTRUM_COLUMNS = ["index", "lambda", "mass", "residual_F", "residual_matrix", "refined"]
 
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    cfg = load_config(args)
     data = {"columns": SPECTRUM_COLUMNS, "rows": []}
     if cfg.count > 0:
         sd = point_spectrum(cfg.params(), cfg.count, tol=cfg.eig_tol)
@@ -252,24 +264,26 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_measure(cfg: RunConfig) -> int:
-    sd = point_spectrum(cfg.params(), max(cfg.count, 1), tol=cfg.eig_tol)
-    rows = [
-        {"index": j, "lambda": float(sd.lambdas[j]), "mass": float(sd.masses[j])}
-        for j in range(sd.count)
-    ]
-    defect = abs(1.0 - float(np.sum(sd.masses)))
-    data = {
-        "columns": ["index", "lambda", "mass"],
-        "rows": rows,
-        "unit_mass_defect": defect,
-        "completeness_defect": sd.completeness_defect,
-    }
+def _cmd_measure(args: argparse.Namespace) -> int:
+    cfg = load_config(args)
+    data = {"columns": ["index", "lambda", "mass"], "rows": []}
+    if cfg.count > 0:
+        sd = point_spectrum(cfg.params(), cfg.count, tol=cfg.eig_tol)
+        data["rows"] = [
+            {"index": j, "lambda": float(sd.lambdas[j]), "mass": float(sd.masses[j])}
+            for j in range(sd.count)
+        ]
+        data.update(unit_mass_defect=abs(1.0 - float(np.sum(sd.masses))),
+                    completeness_defect=sd.completeness_defect)
     _write_output(emit_report(data, cfg.fmt), cfg)
     return 0
 
 
-def _cmd_poly(cfg: RunConfig, degree: int, x: float) -> int:
+def _cmd_poly(args: argparse.Namespace) -> int:
+    degree, x = args.degree, args.x
+    if degree < 0:
+        raise UsageError(f"degree: must be non-negative, got {degree}")
+    cfg = load_config(args)
     params = cfg.params()
     rec = orthopoly_eval(params, degree, x, mode="recurrence")
     exp = orthopoly_eval(params, degree, x, mode="explicit")
@@ -292,7 +306,12 @@ def _cmd_poly(cfg: RunConfig, degree: int, x: float) -> int:
     return 0
 
 
-def _cmd_qlaguerre(cfg: RunConfig, zs: list[float]) -> int:
+def _cmd_qlaguerre(args: argparse.Namespace) -> int:
+    zs = args.z or [0.5, 2.0, 5.0]
+    bad = [z for z in zs if not z >= 0.0]
+    if bad:
+        raise UsageError(f"z: the Bessel closed form needs z >= 0, got {bad[0]}")
+    cfg = load_config(args)
     if cfg.q_mode is None:
         raise UsageError("q: the qlaguerre command needs q-mode (--q)")
     qp = QParams(cfg.q_mode)
@@ -323,57 +342,44 @@ def _cmd_qlaguerre(cfg: RunConfig, zs: list[float]) -> int:
     return 0
 
 
-def _identity_report_row(rep) -> dict:
-    return {
-        "identity_id": rep.identity_id,
-        "params": rep.params,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "abs_err": rep.abs_err,
-        "rel_err": rep.rel_err,
-        "trunc_bound": rep.trunc_bound,
-        "depth": rep.depth,
-    }
-
-
-def _cmd_identities(cfg: RunConfig, identity_id: Optional[str], raw_params: Optional[str],
-                    draws: int, flag_params: Optional[dict] = None,
-                    mode_flags: tuple[str, ...] = ()) -> int:
-    if identity_id is None and (flag_params or raw_params is not None):
-        given = ["--" + {"c": "cs", "s": "ss"}.get(name, name) for name in flag_params or {}]
-        given += ["--params"] if raw_params is not None else []
+def _cmd_identities(args: argparse.Namespace) -> int:
+    flags = {"r": "r", "w": "w", "m": "m", "a": "a", "c": "cs", "s": "ss"}  # parameter -> flag
+    params = {name: getattr(args, flag) for name, flag in flags.items()
+              if getattr(args, flag) is not None}
+    if args.identity_id is None and (params or args.params is not None):
+        given = ["--" + flags[name] for name in params]
+        given += ["--params"] if args.params is not None else []
         raise UsageError(f"id: {', '.join(given)} set the parameters of one identity; add --id")
-    if mode_flags and not (flag_params or raw_params is not None):
-        raise UsageError(
-            f"{mode_flags[0].lstrip('-')}: drawn identity parameters carry their own q and would "
-            f"ignore {', '.join(mode_flags)}; pass --id and the identity's parameters to set q"
-        )
-    jobs: list[tuple[str, dict]] = []
-    explicit = dict(flag_params or {})
-    if raw_params:
+    if args.params:
         try:
-            explicit.update(json.loads(raw_params))
+            raw = json.loads(args.params)
         except json.JSONDecodeError as exc:
             raise UsageError(f"params: invalid JSON: {exc}") from exc
-    if explicit:
-        ps = explicit
-        if "c" in ps:
-            ps["c"] = tuple(ps["c"])
-        if "s" in ps:
-            ps["s"] = tuple(ps["s"])
-        if "q" not in ps:
-            if cfg.q_mode is None:
-                raise UsageError("q: explicit identity parameters need --q")
-            ps["q"] = cfg.q_mode
-        jobs.append((identity_id, ps))
+        if not isinstance(raw, dict):
+            raise UsageError(f"params: must be a JSON object, got {args.params}")
+        if "q" in raw and args.q is not None:
+            raise UsageError("q: --params sets q and would override --q; set q in one place")
+        params.update(raw)
+    if params and args.draws is not None:
+        raise UsageError("draws: explicit identity parameters are checked once and would "
+                         "ignore --draws")
+    if not params and args.q is not None:
+        raise UsageError("q: drawn identity parameters carry their own q and would ignore --q; "
+                         "pass --id and the identity's parameters to set q")
+    draws = 5 if args.draws is None else args.draws
+    if draws < 1:
+        raise UsageError(f"draws: must be at least 1, got {draws}")
+    if args.q is None:
+        args.q = 0.25  # the reference configuration
+    cfg = load_config(args)
+    if params:
+        jobs = [(args.identity_id, {"q": cfg.q_mode, **params})]
     else:
         rng = np.random.default_rng(cfg.seed)
-        ids = [identity_id] if identity_id is not None else list(IDENTITY_IDS)
-        for iid in ids:
-            for _ in range(draws):
-                jobs.append((iid, draw_params(iid, rng)))
+        ids = [args.identity_id] if args.identity_id is not None else list(IDENTITY_IDS)
+        jobs = [(iid, draw_params(iid, rng)) for iid in ids for _ in range(draws)]
     reports = [identity_check(iid, tol=cfg.identity_tol, **ps) for iid, ps in jobs]
-    rows = [_identity_report_row(rep) for rep in reports]
+    rows = [asdict(rep) for rep in reports]
     ok = all(rep.holds(1e-10) for rep in reports)
     data = {"rows": rows, "all_hold": ok}
     if cfg.fmt == "csv":
@@ -390,7 +396,7 @@ def _cmd_identities(cfg: RunConfig, identity_id: Optional[str], raw_params: Opti
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     from .verification import run_all
 
     results = run_all(echo=True)
@@ -408,126 +414,90 @@ _GLOBAL_FLAGS = [
     ("--p", dict(type=float, help="power-law exponent (> 1)")),
     ("--count", dict(type=int, help="number of eigenvalues")),
     ("--tol", dict(type=float, help="eigenvalue tolerance")),
-    ("--identity-tol", dict(type=float, dest="identity_tol")),
+    ("--identity-tol", dict(type=float)),
     ("--out", dict(help="output path (default stdout)")),
     ("--format", dict(choices=["json", "csv"])),
     ("--seed", dict(type=int)),
 ]
 
 
+# The run-configuration flags each subcommand reads; main refuses any other.
+_SPECTRAL_FLAGS = ("--config", "--seq", "--q", "--k", "--c", "--p", "--count", "--tol",
+                   "--out", "--format")
+_READS = {
+    "spectrum": _SPECTRAL_FLAGS,
+    "measure": _SPECTRAL_FLAGS,
+    "poly": ("--config", "--seq", "--q", "--k", "--c", "--p", "--out", "--format"),
+    "qlaguerre": ("--config", "--seq", "--q", "--out", "--format"),
+    "identities": ("--config", "--q", "--identity-tol", "--seed", "--out", "--format"),
+    "verify": (),
+}
+
+
+def _float_list(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _int_list(text: str) -> tuple:
+    return tuple(int(v) for v in text.split(","))
+
+
 def _make_parser() -> argparse.ArgumentParser:
-    # global flags are accepted both before and after the subcommand: they
-    # live on the main parser and (with suppressed defaults, so a bare
-    # subcommand does not clobber earlier values) on every subparser
+    # global flags are accepted both before and after the subcommand: the
+    # main parser defaults them to None, and the subparsers suppress their
+    # defaults so that a bare subcommand does not clobber earlier values
     shared = argparse.ArgumentParser(add_help=False)
-    for flag, kw in _GLOBAL_FLAGS:
-        shared.add_argument(flag, default=argparse.SUPPRESS, **kw)
     parser = argparse.ArgumentParser(
         prog="jspec",
         description="Spectral toolkit for Jacobi matrices with trace-class inverse",
-        parents=[shared],
     )
+    for flag, kw in _GLOBAL_FLAGS:
+        parser.add_argument(flag, **kw)
+        shared.add_argument(flag, default=argparse.SUPPRESS, **kw)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", parents=[shared],
-                   help="eigenvalues, masses and residual diagnostics")
-    sub.add_parser("measure", parents=[shared], help="discrete orthogonality measure")
-    p_poly = sub.add_parser("poly", parents=[shared],
-                            help="orthonormal polynomial values and coefficients")
+
+    def command(name, handler, help_text):
+        cmd = sub.add_parser(name, parents=[shared], help=help_text)
+        cmd.set_defaults(handler=handler)
+        return cmd
+
+    command("spectrum", _cmd_spectrum, "eigenvalues, masses and residual diagnostics")
+    command("measure", _cmd_measure, "discrete orthogonality measure")
+    p_poly = command("poly", _cmd_poly, "orthonormal polynomial values and coefficients")
     p_poly.add_argument("--degree", type=int, default=8)
     p_poly.add_argument("--x", type=float, default=1.0)
-    p_ql = sub.add_parser("qlaguerre", parents=[shared],
-                          help="closed-form cross checks (q-mode only)")
+    p_ql = command("qlaguerre", _cmd_qlaguerre, "closed-form cross checks (q-mode only)")
     p_ql.add_argument("--z", type=float, action="append",
-                      help="evaluation point (repeatable; default 0.5, 2, 5)")
-    p_id = sub.add_parser("identities", parents=[shared], help="q-series identity checks")
+                      help="evaluation point z >= 0 (repeatable; default 0.5, 2, 5)")
+    p_id = command("identities", _cmd_identities, "q-series identity checks")
     p_id.add_argument("--id", dest="identity_id", choices=list(IDENTITY_IDS))
     p_id.add_argument("--params", help="JSON object of identity parameters")
     p_id.add_argument("--r", type=int, help="identity parameter r")
     p_id.add_argument("--w", type=float, help="identity parameter w")
     p_id.add_argument("--m", type=int, help="identity parameter m")
     p_id.add_argument("--a", type=float, help="identity parameter a")
-    p_id.add_argument("--cs", help="comma-separated chain exponents c_0,..,c_m")
-    p_id.add_argument("--ss", help="comma-separated integer exponents s_1,..,s_m")
-    p_id.add_argument("--draws", type=int, default=5)
-    sub.add_parser("verify", parents=[shared], help="run the full verification suite (takes no flags)")
+    p_id.add_argument("--cs", type=_float_list, help="comma-separated chain exponents c_0,..,c_m")
+    p_id.add_argument("--ss", type=_int_list, help="comma-separated integer exponents s_1,..,s_m")
+    p_id.add_argument("--draws", type=int, help="random parameter sets per identity (default 5)")
+    command("verify", _cmd_verify, "run the full verification suite (takes no flags)")
     return parser
 
 
-def _dest(flag: str, kw: dict) -> str:
-    return kw.get("dest") or flag.lstrip("-").replace("-", "_")
-
-
-def _fill_missing(args: argparse.Namespace) -> argparse.Namespace:
-    for flag, kw in _GLOBAL_FLAGS:
-        name = _dest(flag, kw)
-        if not hasattr(args, name):
-            setattr(args, name, None)
-    return args
-
-
-def run(command: str, cfg: RunConfig, **extra) -> int:
-    """Dispatch one subcommand; raises JspecError on numerical failure."""
-    if command == "spectrum":
-        return _cmd_spectrum(cfg)
-    if command == "measure":
-        return _cmd_measure(cfg)
-    if command == "poly":
-        return _cmd_poly(cfg, extra.get("degree", 8), extra.get("x", 1.0))
-    if command == "qlaguerre":
-        zs = extra.get("zs") or [0.5, 2.0, 5.0]
-        return _cmd_qlaguerre(cfg, zs)
-    if command == "identities":
-        return _cmd_identities(cfg, extra.get("identity_id"), extra.get("raw_params"),
-                               extra.get("draws", 5), extra.get("flag_params"),
-                               extra.get("mode_flags", ()))
-    if command == "verify":
-        return _cmd_verify(cfg)
-    raise UsageError(f"command: unknown command {command!r}")
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _make_parser()
     try:
-        args = _fill_missing(parser.parse_args(argv))
+        args = _make_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage problems; the contract here is 1
         return 0 if exc.code in (0, None) else 1
     try:
-        if args.command == "verify":
-            given = [flag for flag, kw in _GLOBAL_FLAGS if getattr(args, _dest(flag, kw)) is not None]
-            if given:
-                raise UsageError(
-                    f"{given[0].lstrip('-')}: verify runs its fixed reference suite and "
-                    f"would ignore {', '.join(given)}; run it without flags"
-                )
-        mode_flags = tuple(f"--{name}" for name in ("q", "k") if getattr(args, name) is not None)
-        if args.command in ("verify", "identities") and not mode_flags:
-            args.q = 0.25  # the reference configuration
-        cfg = load_config(args)
-        extra = {}
-        if args.command == "poly":
-            extra = {"degree": args.degree, "x": args.x}
-        elif args.command == "qlaguerre":
-            extra = {"zs": args.z}
-        elif args.command == "identities":
-            flag_params = {
-                name: getattr(args, name)
-                for name in ("r", "w", "m", "a")
-                if getattr(args, name, None) is not None
-            }
-            if getattr(args, "cs", None):
-                flag_params["c"] = tuple(float(v) for v in args.cs.split(","))
-            if getattr(args, "ss", None):
-                flag_params["s"] = tuple(int(v) for v in args.ss.split(","))
-            extra = {
-                "identity_id": args.identity_id,
-                "raw_params": args.params,
-                "draws": args.draws,
-                "flag_params": flag_params,
-                "mode_flags": mode_flags,
-            }
-        return run(args.command, cfg, **extra)
-    except UsageError as exc:
+        reads = _READS[args.command]
+        stray = [flag for flag, _ in _GLOBAL_FLAGS
+                 if flag not in reads and getattr(args, flag[2:].replace("-", "_")) is not None]
+        if stray:
+            raise UsageError(f"{stray[0][2:]}: {args.command} would ignore {', '.join(stray)} "
+                             f"(it reads {', '.join(reads) or 'no flags'})")
+        return args.handler(args)
+    except (UsageError, ParameterOutOfRange) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (JspecError, ArithmeticError) as exc:

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
 
 import numpy as np
 
@@ -49,16 +49,6 @@ from .errors import ParameterOutOfRange, TruncationTooCoarse
 from .qlaguerre import qpochhammer
 
 __all__ = ["IdentityReport", "IDENTITY_IDS", "check", "draw_params", "chain_rhs"]
-
-IDENTITY_IDS = (
-    "BASIC",
-    "CHAIN_CLOSED",
-    "CHAIN_OPEN",
-    "DENOM",
-    "LEMMA1",
-    "PHI10",
-    "SYNCHRO",
-)
 
 _DEPTH_CAP = 1 << 17
 
@@ -300,21 +290,26 @@ def _check_synchro(q: float, s: tuple, a: float, tol: float):
 
 # ------------------------------------------------------------- dispatch --
 
-def check(
-    identity_id: str,
-    q: float,
-    r: Optional[int] = None,
-    w: Optional[float] = None,
-    m: Optional[int] = None,
-    a: Optional[float] = None,
-    c: Optional[tuple] = None,
-    s: Optional[tuple] = None,
-    tol: float = 1e-12,
-) -> IdentityReport:
+# identity id -> (checker, the parameters it takes besides q, in report order)
+_IDENTITIES = {
+    "BASIC": (_check_basic, ("r", "w")),
+    "CHAIN_CLOSED": (partial(_check_chain, strict_seed=True), ("c",)),
+    "CHAIN_OPEN": (partial(_check_chain, strict_seed=False), ("c",)),
+    "DENOM": (_check_denom, ("m", "a")),
+    "LEMMA1": (_check_lemma1, ("m", "w")),
+    "PHI10": (_check_phi10, ("m", "w")),
+    "SYNCHRO": (_check_synchro, ("s", "a")),
+}
+IDENTITY_IDS = tuple(_IDENTITIES)
+
+
+def check(identity_id: str, q: float, *, tol: float = 1e-12, **params) -> IdentityReport:
     """Evaluate one identity at the given parameters.
 
-    The left side is a truncated nested sum with the certified bound
-    ``trunc_bound``; the report satisfies
+    ``params`` are exactly the identity's own parameters (module docstring);
+    a missing one or one the identity does not take raises
+    ParameterOutOfRange.  The left side is a truncated nested sum with the
+    certified bound ``trunc_bound``; the report satisfies
     ``abs_err <= trunc_bound + 1e-12 max(|lhs|, |rhs|)`` whenever the
     identity holds.
     """
@@ -322,29 +317,17 @@ def check(
         raise ParameterOutOfRange(f"base q must lie in (0,1), got {q!r}")
     if tol <= 0.0:
         raise ParameterOutOfRange("tolerance must be positive")
-    if identity_id == "BASIC":
-        lhs, rhs, bound, depth = _check_basic(q, r, w, tol)
-        params = {"q": q, "r": r, "w": w}
-    elif identity_id == "PHI10":
-        lhs, rhs, bound, depth = _check_phi10(q, m, w, tol)
-        params = {"q": q, "m": m, "w": w}
-    elif identity_id == "LEMMA1":
-        lhs, rhs, bound, depth = _check_lemma1(q, m, w, tol)
-        params = {"q": q, "m": m, "w": w}
-    elif identity_id == "DENOM":
-        lhs, rhs, bound, depth = _check_denom(q, m, a, tol)
-        params = {"q": q, "m": m, "a": a}
-    elif identity_id == "CHAIN_OPEN":
-        lhs, rhs, bound, depth = _check_chain(q, c, strict_seed=False, tol=tol)
-        params = {"q": q, "c": tuple(c)}
-    elif identity_id == "CHAIN_CLOSED":
-        lhs, rhs, bound, depth = _check_chain(q, c, strict_seed=True, tol=tol)
-        params = {"q": q, "c": tuple(c)}
-    elif identity_id == "SYNCHRO":
-        lhs, rhs, bound, depth = _check_synchro(q, s, a, tol)
-        params = {"q": q, "s": tuple(s), "a": a}
-    else:
+    if identity_id not in _IDENTITIES:
         raise ParameterOutOfRange(f"unknown identity id {identity_id!r}")
+    checker, names = _IDENTITIES[identity_id]
+    unknown = [name for name in params if name not in names]
+    missing = [name for name in names if name not in params]
+    if unknown or missing:
+        wrong = f"takes no parameter {', '.join(unknown)}" if unknown else f"needs {', '.join(missing)}"
+        raise ParameterOutOfRange(f"{identity_id} {wrong}; its parameters are q, {', '.join(names)}")
+    # the exponent tuples c and s may arrive as lists
+    given = {name: tuple(params[name]) if name in ("c", "s") else params[name] for name in names}
+    lhs, rhs, bound, depth = checker(q, tol=tol, **given)
     if bound > tol:
         raise TruncationTooCoarse(
             f"{identity_id}: certified bound {bound:.3e} exceeds tolerance {tol:g}"
@@ -353,7 +336,7 @@ def check(
     rel_err = abs_err / max(abs(lhs), abs(rhs), 1e-300)
     return IdentityReport(
         identity_id=identity_id,
-        params=params,
+        params={"q": q, **given},
         lhs=lhs,
         rhs=rhs,
         abs_err=abs_err,

@@ -9,12 +9,12 @@ from pathlib import Path
 import pytest
 
 import jspec
-from jspec.cli import UsageError, emit_report, load_config, main, _make_parser, _fill_missing
+from jspec.cli import UsageError, emit_report, load_config, main, _make_parser
 from jspec.sequences import Geometric, PowerLaw
 
 
 def _parse(argv):
-    return _fill_missing(_make_parser().parse_args(argv))
+    return _make_parser().parse_args(argv)
 
 
 def test_load_config_q_mode():
@@ -156,6 +156,74 @@ def test_cli_identity_draws_refuse_mode_flags(capsys, flags, named):
     captured = capsys.readouterr()
     assert named in captured.err and "usage error" in captured.err
     assert captured.out == ""
+
+
+# a flag each command does not read, and arguments that make the rest valid
+@pytest.mark.parametrize("command, flag, rest", [
+    pytest.param("spectrum", ["--seed", "3"], ["--q", "0.25"], id="spectrum-seed"),
+    pytest.param("measure", ["--identity-tol", "1e-9"], ["--q", "0.25"], id="measure-identity-tol"),
+    pytest.param("poly", ["--count", "5"], ["--q", "0.25"], id="poly-count"),
+    pytest.param("poly", ["--tol", "1e-3"], ["--q", "0.25"], id="poly-tol"),
+    pytest.param("qlaguerre", ["--k", "0.5"], [], id="qlaguerre-k"),
+    pytest.param("qlaguerre", ["--count", "3"], ["--q", "0.25"], id="qlaguerre-count"),
+    pytest.param("identities", ["--seq", "geometric"], ["--draws", "1"], id="identities-seq"),
+    pytest.param("identities", ["--tol", "1e-9"],
+                 ["--id", "BASIC", "--r", "1", "--w", "0"], id="identities-tol"),
+    pytest.param("verify", ["--config", "run.json"], [], id="verify-config"),
+])
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_cli_refuses_flags_the_command_does_not_read(capsys, command, flag, rest, before):
+    # every command parsed all twelve run-configuration flags and silently
+    # ignored those it does not use
+    argv = [*flag, command, *rest] if before else [command, *rest, *flag]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err and flag[0] in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["identities", "--id", "BASIC", "--r", "1", "--w", "0", "--m", "3", "--q", "0.5"],
+                 "parameter m", id="identity-extra-parameter"),
+    pytest.param(["identities", "--id", "BASIC", "--r", "0", "--w", "0", "--q", "0.5"],
+                 "r >= 1", id="identity-parameter-out-of-range"),
+    pytest.param(["identities", "--id", "SYNCHRO", "--a", "1", "--q", "0.5"],
+                 "needs s", id="identity-missing-parameter"),
+    pytest.param(["identities", "--id", "BASIC", "--r", "1", "--w", "0", "--q", "0.5",
+                  "--draws", "3"], "--draws", id="draws-with-explicit-parameters"),
+    pytest.param(["identities", "--id", "BASIC", "--params", '{"q": 0.3, "r": 1, "w": 0}',
+                  "--q", "0.5"], "--q", id="q-twice"),
+    pytest.param(["identities", "--draws", "0"], "draws", id="draws-0"),
+    pytest.param(["identities", "--draws", "-1"], "draws", id="draws-negative"),
+    pytest.param(["--q", "0.25", "--c", "3", "spectrum"], "--c", id="q-with-c"),
+    pytest.param(["--q", "0.25", "measure", "--p", "5"], "--p", id="q-with-p"),
+    pytest.param(["--q", "0.25", "poly", "--degree", "-1"], "degree", id="negative-degree"),
+    pytest.param(["--q", "0.25", "qlaguerre", "--z", "-1"], "z >= 0", id="negative-z"),
+])
+def test_cli_bad_inputs_are_usage_errors(capsys, argv, named):
+    # each of these exited 0 and ignored an input, exited 2 as a numerical
+    # failure, or died with a traceback
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:") and named in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags", [["--cs", "1,x"], ["--ss", "1.5", "--a", "1"]],
+                         ids=["cs", "ss"])
+def test_cli_malformed_exponent_lists_are_usage_errors(capsys, flags):
+    # these died with a ValueError traceback
+    assert main(["identities", "--id", "SYNCHRO", "--q", "0.5", *flags]) == 1
+    captured = capsys.readouterr()
+    assert flags[0] in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_cli_empty_measure(capsys):
+    # --count 0 computed one eigenvalue anyway
+    assert main(["--q", "0.25", "--count", "0", "measure"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"columns": ["index", "lambda", "mass"], "rows": []}
 
 
 def test_cli_measure_json(capsys):

@@ -131,6 +131,14 @@ def test_parameter_validation():
         check("NOPE", q=0.5)
 
 
+def test_check_takes_exactly_the_identity_parameters():
+    # an extra parameter was silently dropped from BASIC's check
+    with pytest.raises(ParameterOutOfRange, match="no parameter m"):
+        check("BASIC", q=0.5, r=1, w=0.0, m=3)
+    with pytest.raises(ParameterOutOfRange, match="needs c"):
+        check("CHAIN_OPEN", q=0.5)
+
+
 def test_truncation_too_coarse():
     with pytest.raises(TruncationTooCoarse):
         check("BASIC", q=0.99999, r=1, w=0.9, tol=1e-13)
