@@ -24,7 +24,6 @@ from .sequences import (
     Geometric,
     JacobiParams,
     PowerLaw,
-    entries,
     entry_arrays,
     gamma_lower_bound,
     tail_sum_reciprocal,
@@ -41,7 +40,6 @@ from .entire import (
     PowerSeriesApprox,
     SeriesEval,
     choose_truncation,
-    eigenvector_entry,
     eval_series,
     eval_series_deriv,
     identity_residuals,
@@ -58,7 +56,6 @@ from .spectrum import (
     masses_and_vectors,
     orthonormality_check,
     point_spectrum,
-    second_kind,
     second_kind_routes,
     section_eigenvalues,
     sturm_count,

@@ -8,9 +8,10 @@ not checked, since one file may serve several commands.
 
 ``spectrum``, ``measure`` and ``poly`` need exactly one of ``--q`` (q-mode:
 geometric weights, coupling sqrt(q)) or ``--k`` (general mode, power-law or
-explicit weights); ``qlaguerre`` needs q-mode.  ``identities`` takes q from
-``--q`` (default 0.25) only for explicit identity parameters, since drawn
-ones carry their own q, and ``verify`` runs a fixed suite and reads no flags.
+explicit weights); ``qlaguerre`` needs q-mode.  ``identities`` reads no
+``--k``; for explicit identity parameters it takes q from ``--q``, else from
+the config file, else 0.25, while drawn ones carry their own q.  ``verify``
+runs a fixed suite and reads no flags.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 Floating-point output is printed with 17 significant digits, so every
@@ -152,16 +153,30 @@ def _build_seq(node: dict) -> SequenceSpec:
     raise UsageError(f"sequence: unknown kind {kind!r}")
 
 
+def _read_config_file(args: argparse.Namespace) -> dict:
+    if not args.config:
+        return {}
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"config: cannot read {args.config}: {exc}") from exc
+
+
+def _q_mode(q) -> tuple[SequenceSpec, float, float]:
+    """(sequence, k, q) of q-mode: geometric weights, coupling sqrt(q)."""
+    try:
+        q = float(q)
+    except (TypeError, ValueError):
+        raise UsageError(f"q: must be a number, got {q!r}") from None
+    if not (0.0 < q < 1.0):
+        raise UsageError(f"q: must lie strictly in (0,1), got {q}")
+    return Geometric(q), math.sqrt(q), q
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
     """Merge the optional JSON config file with flag overrides."""
-    file_cfg: dict = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"config: cannot read {args.config}: {exc}") from exc
-
+    file_cfg = _read_config_file(args)
     q = args.q if args.q is not None else file_cfg.get("q")
     k = args.k if args.k is not None else file_cfg.get("k")
     if q is not None and k is not None:
@@ -169,18 +184,13 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     seq_kind = args.seq if args.seq is not None else (file_cfg.get("sequence") or {}).get("kind")
 
     if q is not None:
-        q = float(q)
-        if not (0.0 < q < 1.0):
-            raise UsageError(f"q: must lie strictly in (0,1), got {q}")
+        seq, k_val, q_mode = _q_mode(q)
         if seq_kind not in (None, "geometric"):
             raise UsageError("seq: --q selects the geometric sequence; do not combine with --seq " + seq_kind)
         stray = [f"--{name}" for name in ("c", "p") if getattr(args, name) is not None]
         if stray:
             raise UsageError(f"{stray[0][2:]}: --q selects the geometric sequence; do not combine "
                              f"with {', '.join(stray)}")
-        seq: SequenceSpec = Geometric(q)
-        k_val = math.sqrt(q)
-        q_mode: Optional[float] = q
     elif k is not None:
         k_val = float(k)
         if not (0.0 < k_val < 1.0):
@@ -203,7 +213,12 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError("seq: --k needs a sequence kind (powerlaw or explicit)")
     else:
         raise UsageError("k/q: provide exactly one of --k or --q")
+    return _run_config(args, file_cfg, seq, k_val, q_mode)
 
+
+def _run_config(args, file_cfg: dict, seq: SequenceSpec, k_val: float,
+                q_mode: Optional[float]) -> RunConfig:
+    """The RunConfig of a resolved mode, its other fields from flags over the file."""
     tols = file_cfg.get("tolerances") or {}
     out_cfg = file_cfg.get("output") or {}
     cfg = RunConfig(
@@ -369,9 +384,9 @@ def _cmd_identities(args: argparse.Namespace) -> int:
     draws = 5 if args.draws is None else args.draws
     if draws < 1:
         raise UsageError(f"draws: must be at least 1, got {draws}")
-    if args.q is None:
-        args.q = 0.25  # the reference configuration
-    cfg = load_config(args)
+    file_cfg = _read_config_file(args)
+    q = args.q if args.q is not None else file_cfg.get("q")
+    cfg = _run_config(args, file_cfg, *_q_mode(0.25 if q is None else q))  # 0.25: the reference
     if params:
         jobs = [(args.identity_id, {"q": cfg.q_mode, **params})]
     else:

@@ -95,19 +95,6 @@ def dd_div(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
     return quick_two_sum(s, e)
 
 
-def dd_pow_int(ah: float, al: float, n: int) -> tuple[float, float]:
-    """Integer power by binary exponentiation, n >= 0."""
-    rh, rl = 1.0, 0.0
-    bh, bl = ah, al
-    while n:
-        if n & 1:
-            rh, rl = dd_mul(rh, rl, bh, bl)
-        n >>= 1
-        if n:
-            bh, bl = dd_mul(bh, bl, bh, bl)
-    return rh, rl
-
-
 def compensated_sum(values) -> float:
     """Neumaier compensated sum of an iterable of floats."""
     s = 0.0

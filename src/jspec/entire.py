@@ -72,14 +72,10 @@ __all__ = [
     "second_kind_family",
     "eval_series",
     "eval_series_deriv",
-    "eigenvector_entry",
     "identity_residuals",
     "choose_truncation",
     "envelope_bound",
 ]
-
-KIND_CHAR = "char"
-KIND_SECOND = "second_kind"
 
 
 @dataclass(frozen=True)
@@ -139,9 +135,6 @@ class SeriesEval:
     kappa: float
     err_bound: float
     abs_sum: float
-
-    def dd(self) -> tuple[float, float]:
-        return self.value, self.value_lo
 
 
 def _dd_inputs(params: JacobiParams, J: int):
@@ -242,38 +235,21 @@ def _weight_suffix(params: JacobiParams, J: int) -> np.ndarray:
     return np.cumsum(np.concatenate(([t_beyond], x[::-1])))[::-1]
 
 
-def series_coeffs(
-    params: JacobiParams,
-    kind: str,
-    M: int,
-    J: int,
-    shift: int = 0,
-) -> PowerSeriesApprox:
-    """Coefficients of one entire-function series up to order M, index cutoff J.
+def series_coeffs(params: JacobiParams, M: int, J: int) -> PowerSeriesApprox:
+    """The characteristic series up to order M, index cutoff J.
 
-    Parameters
-    ----------
-    kind : "char" or "second_kind"
-    M : truncation order (coefficients c_0..c_M are produced)
-    J : largest chain index kept; chains of length m need m distinct
-        indices, so M <= J is required (and J > shift for "second_kind")
-    shift : starting index n of the second-kind family (ignored for "char")
+    M is the truncation order (coefficients c_0..c_M are produced) and J the
+    largest chain index kept; chains of length m need m distinct indices,
+    so M <= J is required.  The shift-n second-kind series is
+    ``second_kind_family(params, M, J, n)[n]``.
     """
     if M < 0:
         raise ValueError(f"order M must be non-negative, got {M}")
     if M > J:
         raise ValueError(f"order M={M} exceeds index cutoff J={J}")
-    if kind == KIND_CHAR:
-        Ah, Al = _char_prefix_table(params, M, J)
-        return _finalize(KIND_CHAR, M, J, Ah[:, J].copy(), Al[:, J].copy(),
-                         _weight_suffix(params, J))
-    if kind == KIND_SECOND:
-        if shift < 0:
-            raise ValueError(f"second-kind shift must be non-negative, got {shift}")
-        if J <= shift:
-            raise ValueError(f"cutoff J={J} must exceed the shift n={shift}")
-        return second_kind_family(params, M, J, shift)[shift]
-    raise ValueError(f"unknown series kind {kind!r}")
+    Ah, Al = _char_prefix_table(params, M, J)
+    return _finalize("char", M, J, Ah[:, J].copy(), Al[:, J].copy(),
+                     _weight_suffix(params, J))
 
 
 def second_kind_family(params: JacobiParams, M: int, J: int, n_max: int) -> PowerSeriesApprox:
@@ -302,7 +278,7 @@ def second_kind_family(params: JacobiParams, M: int, J: int, n_max: int) -> Powe
             Hh[:, j], Hl[:, j] = sh, sl
     # seed weight k^{2j}/a_j summed beyond the cutoff, shared by every shift
     seed_beyond = params.k ** (2 * (J + 1)) * tail_sum_reciprocal(params.seq, J + 1)
-    return _finalize(KIND_SECOND, M, J, Hh, Hl, _weight_suffix(params, J), seed_beyond)
+    return _finalize("second_kind", M, J, Hh, Hl, _weight_suffix(params, J), seed_beyond)
 
 
 def _finalize(kind, M, J, chi, clo, X, seed_beyond=0.0) -> PowerSeriesApprox:
@@ -313,7 +289,7 @@ def _finalize(kind, M, J, chi, clo, X, seed_beyond=0.0) -> PowerSeriesApprox:
     omitted[1:] = X[J + 1] * chi[:-1]
     orders = np.arange(M + 1)
     # ratio row m: c_{m+1} adds an index >= m (char), >= n + m + 1 (shift n)
-    if kind == KIND_CHAR:
+    if kind == "char":
         ratio = X[: M + 1]
     else:
         ratio = X[np.minimum(orders[:, None] + np.arange(1, chi.shape[1] + 1), J + 1)]
@@ -327,7 +303,7 @@ def _finalize(kind, M, J, chi, clo, X, seed_beyond=0.0) -> PowerSeriesApprox:
         omitted[1:] += _per_element(_exp_or_inf, log_terms)
     return PowerSeriesApprox(
         kind=kind,
-        shift=0 if kind == KIND_CHAR else None,
+        shift=0 if kind == "char" else None,
         order=M,
         cutoff=J,
         coeffs=chi,
@@ -449,11 +425,11 @@ def _scalar(x):
     return x.item() if isinstance(x, (np.ndarray, np.generic)) and x.ndim == 0 else x
 
 
-def _certified(s, value, value_lo, abs_sum, az, tol, unit, rounding, tail_factor=1.0):
+def _certified(s, value, value_lo, abs_sum, az, tol, rounding, tail_factor=1.0):
     """The SeriesEval fields, with the one certified bound, of an evaluation at |z| = az.
 
     Order tail (times ``tail_factor``) + omitted-index tail + ``rounding``
-    units of ``unit`` on the abs-sum, elementwise over whatever shape the
+    units of EPS_DD on the abs-sum, elementwise over whatever shape the
     evaluation has; raises CancellationFailure when ``tol`` is given and
     some element does not certify.
     """
@@ -462,12 +438,12 @@ def _certified(s, value, value_lo, abs_sum, az, tol, unit, rounding, tail_factor
         err = (
             _eval_tail_bound(s, az) * tail_factor
             + _omitted_eval_bound(s, az)
-            + rounding * unit * abs_sum
+            + rounding * EPS_DD * abs_sum
         )
     nonzero = value != 0.0
     kappa = np.where(nonzero, abs_sum / np.where(nonzero, abs(value), 1.0), math.inf)
     if tol is not None:
-        bad = ~(err <= tol * np.maximum(abs(value), 1e-300)) | (kappa * unit > tol)
+        bad = ~(err <= tol * np.maximum(abs(value), 1e-300)) | (kappa * EPS_DD > tol)
         if np.any(bad):
             i = int(np.argmax(bad))
             az_i, err_i, kappa_i = (float(np.broadcast_to(x, bad.shape).flat[i]) for x in (az, err, kappa))
@@ -484,7 +460,7 @@ def _evaluate(s: PowerSeriesApprox, z, tol, rounding, tail_factor=1.0) -> Series
     if family_at_points:  # evaluated as (point x shift), returned as (shift x point)
         zh, zl = zh[..., None], zl[..., None]
     rh, rl, ab = _horner_dd(s.coeffs, s.coeffs_lo, zh, zl)
-    fields = _certified(s, rh, rl, ab, abs(zh), tol, EPS_DD, rounding, tail_factor)
+    fields = _certified(s, rh, rl, ab, abs(zh), tol, rounding, tail_factor)
     if family_at_points:
         fields = (np.moveaxis(x, -1, 0) for x in fields)
     return SeriesEval(*map(_scalar, fields))
@@ -497,16 +473,13 @@ def eval_series(s: PowerSeriesApprox, z, tol: Optional[float] = None) -> SeriesE
     arrays of points, which gives array fields whose every element has the
     bits of the one-point call.  A family (``second_kind_family``) gives
     one element per shift, (shift x point) at an array of points, each
-    with the bits of ``eval_series(fam[n], point)``.  Complex points are
-    evaluated in ordinary complex arithmetic (no compensation) and the
-    bound widens accordingly.
+    with the bits of ``eval_series(fam[n], point)``.  Points are real: the
+    operator is self-adjoint, and a complex point raises TypeError.
 
     Raises CancellationFailure when ``tol`` is given and the certified
     relative error exceeds it (at any of the points); the caller should
     switch to a matrix route.
     """
-    if isinstance(z, complex):
-        return _eval_complex(s, z, tol)
     return _evaluate(s, z, tol, _dd_rounding(s))
 
 
@@ -521,11 +494,7 @@ def eval_series_deriv(s: PowerSeriesApprox, z, tol: Optional[float] = None) -> S
         shape = s.coeffs.shape[1:] + np.shape(z[0] if isinstance(z, tuple) else z)
         return SeriesEval(*(_scalar(np.full(shape, v)) for v in (0.0, 0.0, 1.0, 0.0, 0.0)))
     dser = _deriv_view(s)
-    tail_factor = dser.order + 2.0
-    if isinstance(z, complex):
-        out = _eval_complex(dser, z, tol, tail_factor)
-    else:
-        out = _evaluate(dser, z, tol, _dd_rounding(s), tail_factor)
+    out = _evaluate(dser, z, tol, _dd_rounding(s), dser.order + 2.0)
     return SeriesEval(-out.value, -out.value_lo, out.kappa, out.err_bound, out.abs_sum)
 
 
@@ -545,36 +514,9 @@ def _deriv_view(s: PowerSeriesApprox) -> PowerSeriesApprox:
     )
 
 
-def _eval_complex(s: PowerSeriesApprox, z: complex, tol, tail_factor=1.0) -> SeriesEval:
-    """Plain complex Horner (dd arithmetic has no complex form), bound at eps."""
-    az = abs(z)
-    r = 0.0 + 0.0j
-    ab = 0.0
-    for m in range(s.order, -1, -1):
-        c = s.coeffs[m] + s.coeffs_lo[m]
-        r = r * z + (-c if m % 2 else c)
-        ab = ab * az + s.coeffs[m]
-    eps64 = np.finfo(float).eps
-    fields = _certified(s, r, 0.0, ab, az, tol, eps64, 4.0 * s.order + 16.0, tail_factor)
-    return SeriesEval(*map(_scalar, fields))
-
-
 def scale_for_shift(k: float, n: int) -> float:
     """(-1)^n k^-n, the prefactor turning a shift-n series into Phi_n."""
     return (-1.0) ** n * k ** (-n)
-
-
-def eigenvector_entry(params: JacobiParams, n: int, z) -> float:
-    """Phi_n(z) = (-1)^n k^-n times the shift-n second-kind series at z.
-
-    At an eigenvalue these are the components of the corresponding
-    eigenvector.  One-shot convenience wrapper; batch consumers should build
-    the family once via second_kind_family.
-    """
-    zh, _ = _as_dd_point(z)
-    M, J = choose_truncation(params, max(abs(zh), 1.0), 1e-12, min_cutoff=n + 2)
-    s = series_coeffs(params, KIND_SECOND, M, J, shift=n)
-    return scale_for_shift(params.k, n) * eval_series(s, z).value
 
 
 def envelope_bound(params: JacobiParams, n: int, abs_z: float) -> float:
@@ -670,7 +612,7 @@ def identity_residuals(
     vh, vl = dd.dd_mul_d(ev.value, ev.value_lo, scales)
     Ph, Pl = orthopoly_values_dd(params, n_max + 1, (zh, zl))
     _, alpha, beta = entry_arrays(params, n_max + 1)
-    fe = eval_series(series_coeffs(params, KIND_CHAR, M, J), (zh, zl))
+    fe = eval_series(series_coeffs(params, M, J), (zh, zl))
 
     t1 = dd.dd_mul(Ph[:-1], Pl[:-1], vh[1:], vl[1:])
     t2 = dd.dd_mul(Ph[1:], Pl[1:], vh[:-1], vl[:-1])

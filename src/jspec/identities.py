@@ -38,7 +38,6 @@ no closed form is reused on the left side.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -98,7 +97,7 @@ def _geom_tail(ratio: float, scale: float, N: int) -> float:
 # ---------------------------------------------------------------- BASIC --
 
 def _check_basic(q: float, r: int, w: float, tol: float):
-    if not (isinstance(r, (int, np.integer)) and r >= 1):
+    if r < 1:
         raise ParameterOutOfRange(f"BASIC needs integer r >= 1, got {r!r}")
     if not (abs(w) < 1.0):
         raise ParameterOutOfRange(f"BASIC needs |w| < 1 for the certified tail, got {w!r}")
@@ -119,7 +118,7 @@ def _check_basic(q: float, r: int, w: float, tol: float):
 # ---------------------------------------------------------------- PHI10 --
 
 def _check_phi10(q: float, m: int, w: float, tol: float):
-    if not (isinstance(m, (int, np.integer)) and m >= 0):
+    if m < 0:
         raise ParameterOutOfRange(f"PHI10 needs integer m >= 0, got {m!r}")
     if not (abs(w) < 1.0):
         raise ParameterOutOfRange(f"PHI10 needs |w| < 1, got {w!r}")
@@ -141,7 +140,7 @@ def _check_phi10(q: float, m: int, w: float, tol: float):
 # --------------------------------------------------------------- LEMMA1 --
 
 def _check_lemma1(q: float, m: int, w: float, tol: float):
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
+    if m < 1:
         raise ParameterOutOfRange(f"LEMMA1 needs integer m >= 1, got {m!r}")
     if not (abs(w) < 1.0):
         raise ParameterOutOfRange(f"LEMMA1 needs |w| < 1, got {w!r}")
@@ -177,7 +176,7 @@ def _check_lemma1(q: float, m: int, w: float, tol: float):
 # ---------------------------------------------------------------- DENOM --
 
 def _check_denom(q: float, m: int, a: float, tol: float):
-    if not (isinstance(m, (int, np.integer)) and m >= 0):
+    if m < 0:
         raise ParameterOutOfRange(f"DENOM needs integer m >= 0, got {m!r}")
     if not (a > 0.0):
         raise ParameterOutOfRange(f"DENOM needs a > 0, got {a!r}")
@@ -226,7 +225,6 @@ def chain_rhs(q: float, c: tuple, strict_seed: bool) -> float:
 
 
 def _check_chain(q: float, c: tuple, strict_seed: bool, tol: float):
-    c = tuple(float(v) for v in c)
     if len(c) < 1 or any(not (v > 0.0) for v in c):
         raise ParameterOutOfRange(f"chain identities need positive exponents, got {c!r}")
     m = len(c) - 1
@@ -259,7 +257,6 @@ def _check_chain(q: float, c: tuple, strict_seed: bool, tol: float):
 # --------------------------------------------------------------- SYNCHRO --
 
 def _check_synchro(q: float, s: tuple, a: float, tol: float):
-    s = tuple(int(v) for v in s)
     if len(s) < 1 or any(v < 1 for v in s):
         raise ParameterOutOfRange(f"SYNCHRO needs positive integer exponents, got {s!r}")
     if not (a > 0.0):
@@ -302,6 +299,26 @@ _IDENTITIES = {
 }
 IDENTITY_IDS = tuple(_IDENTITIES)
 
+_INT = (int, np.integer)
+_REAL = (int, float, np.integer, np.floating)
+# parameter -> the type of its value, or of every entry of an exponent list
+_TYPES = {"r": _INT, "m": _INT, "w": _REAL, "a": _REAL, "c": _REAL, "s": _INT}
+
+
+def _is(value, types) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _typed(identity_id: str, name: str, value):
+    """``value`` as its checker takes it (a list as a tuple), else ParameterOutOfRange."""
+    types, is_list = _TYPES[name], name in ("c", "s")
+    if is_list and isinstance(value, (list, tuple, np.ndarray)) and all(_is(v, types) for v in value):
+        return tuple(value)
+    if not is_list and _is(value, types):
+        return value
+    kind = ("list of " if is_list else "") + ("int" if types is _INT else "float")
+    raise ParameterOutOfRange(f"{identity_id} needs {name} of type {kind}, got {value!r}")
+
 
 def check(identity_id: str, q: float, *, tol: float = 1e-12, **params) -> IdentityReport:
     """Evaluate one identity at the given parameters.
@@ -313,8 +330,8 @@ def check(identity_id: str, q: float, *, tol: float = 1e-12, **params) -> Identi
     ``abs_err <= trunc_bound + 1e-12 max(|lhs|, |rhs|)`` whenever the
     identity holds.
     """
-    if not (0.0 < q < 1.0):
-        raise ParameterOutOfRange(f"base q must lie in (0,1), got {q!r}")
+    if not (_is(q, _REAL) and 0.0 < q < 1.0):
+        raise ParameterOutOfRange(f"base q must be a real number in (0,1), got {q!r}")
     if tol <= 0.0:
         raise ParameterOutOfRange("tolerance must be positive")
     if identity_id not in _IDENTITIES:
@@ -325,8 +342,7 @@ def check(identity_id: str, q: float, *, tol: float = 1e-12, **params) -> Identi
     if unknown or missing:
         wrong = f"takes no parameter {', '.join(unknown)}" if unknown else f"needs {', '.join(missing)}"
         raise ParameterOutOfRange(f"{identity_id} {wrong}; its parameters are q, {', '.join(names)}")
-    # the exponent tuples c and s may arrive as lists
-    given = {name: tuple(params[name]) if name in ("c", "s") else params[name] for name in names}
+    given = {name: _typed(identity_id, name, params[name]) for name in names}
     lhs, rhs, bound, depth = checker(q, tol=tol, **given)
     if bound > tol:
         raise TruncationTooCoarse(

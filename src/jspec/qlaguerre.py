@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import doubledouble as dd
-from .entire import KIND_CHAR, choose_truncation, eval_series, second_kind_family, series_coeffs
+from .entire import choose_truncation, eval_series, second_kind_family, series_coeffs
 from .errors import CancellationFailure, ConvergenceFailure, DivergentArgument, SequenceError
 from .sequences import Geometric, JacobiParams
 from .spectrum import section_eigenvalues, truncate
@@ -334,7 +334,7 @@ def char_closed_forms(z: float, qp: QParams) -> tuple[float, float, float]:
         raise ValueError("the Bessel route needs z >= 0")
     params = induced_params(qp)
     M, J = choose_truncation(params, max(abs(z), 1.0), 1e-13)
-    fser = series_coeffs(params, KIND_CHAR, M, J)
+    fser = series_coeffs(params, M, J)
     via_series = eval_series(fser, z, tol=1e-9).value
     return via_bessel, via_phi, via_series
 

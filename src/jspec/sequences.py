@@ -36,11 +36,9 @@ __all__ = [
     "JacobiParams",
     "seq_value",
     "seq_values",
-    "entries",
     "entry_arrays",
     "tail_sum_reciprocal",
     "tail_sum_enclosure",
-    "sequence_min",
     "gamma_lower_bound",
 ]
 
@@ -154,20 +152,6 @@ class JacobiParams:
         seq_values(self.seq, 2)
 
 
-def entries(params: JacobiParams, n: int) -> tuple[float, float, float]:
-    """(a_n, alpha_n, beta_n) for a single index.
-
-    beta_0 = a_0 by convention: the predecessor term is absent at n = 0,
-    which is forced by the factorization J = (I + kE) diag(a) (I + kE^T).
-    """
-    if n < 0:
-        raise SequenceError(f"entry index must be non-negative, got {n}")
-    a_n = seq_value(params.seq, n)
-    alpha_n = params.k * a_n
-    beta_n = a_n if n == 0 else a_n + params.k * params.k * seq_value(params.seq, n - 1)
-    return a_n, alpha_n, beta_n
-
-
 def entry_arrays(params: JacobiParams, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (a, alpha, beta) arrays of length ``count``.
 
@@ -271,24 +255,14 @@ def tail_sum_enclosure(spec: SequenceSpec, n0: int) -> tuple[float, float]:
     raise SequenceError(f"unknown sequence spec {spec!r}")
 
 
-def sequence_min(spec: SequenceSpec) -> float:
-    """Certified minimum of the sequence.
+def sequence_min_from(spec: SequenceSpec, n0: int) -> float:
+    """Certified minimum over indices >= n0.
 
     Geometric and PowerLaw are strictly increasing (the geometric ratio
     a_{n+1}/a_n = q^{-2} (1-q^{n+2})/(1-q^{n+1}) exceeds 1), so the minimum
-    sits at n = 0.  Explicit scans its list and applies the same argument
-    to the tail from its start index on.
+    sits at n0.  Explicit scans its list from n0 and applies the same
+    argument to the tail from its start index on.
     """
-    if isinstance(spec, (Geometric, PowerLaw)):
-        return float(seq_values(spec, 1)[0])
-    if isinstance(spec, Explicit):
-        L = len(spec.values)
-        return min(min(spec.values), seq_value(spec.tail, L))
-    raise SequenceError(f"unknown sequence spec {spec!r}")
-
-
-def sequence_min_from(spec: SequenceSpec, n0: int) -> float:
-    """Certified minimum over indices >= n0 (same monotonicity argument)."""
     if isinstance(spec, (Geometric, PowerLaw)):
         return seq_value(spec, n0)
     if isinstance(spec, Explicit):
@@ -306,7 +280,7 @@ def gamma_lower_bound(params: JacobiParams) -> float:
     Every eigenvalue of the operator, and every root of the orthonormal
     polynomials, lies in [gamma, infinity).
     """
-    g = sequence_min(params.seq) * (1.0 - params.k) ** 2
+    g = sequence_min_from(params.seq, 0) * (1.0 - params.k) ** 2
     if not (g > 0.0):
         raise SequenceError("could not certify a positive spectral lower bound")
     return g

@@ -44,7 +44,6 @@ from scipy.linalg.lapack import dpteqr
 from . import doubledouble as dd
 from .doubledouble import EPS_DD
 from .entire import (
-    KIND_CHAR,
     PowerSeriesApprox,
     _envelope,
     _envelope_factors,
@@ -91,7 +90,6 @@ __all__ = [
     "masses_and_vectors",
     "orthonormality_check",
     "weyl",
-    "second_kind",
     "second_kind_routes",
     "char_via_second_kind",
     "associated_checks",
@@ -424,8 +422,12 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
     eigenvalues stabilize to tol/10 in relative terms; compensated Newton on
     the characteristic series then refines each root where the evaluation
     certifies itself.  The completeness defect compares
-    ``sum 1/lambda_j (+ section tail) `` against the closed trace formula,
-    certifying that no eigenvalue below the count-th was missed.
+    ``sum 1/lambda_j (+ section tail)`` against the closed trace formula.
+    It equals, up to rounding, the part of the inverse trace beyond the
+    section, ``sum_{i >= N_used} (1 - k^{2i+2}) / ((1-k^2) a_i)``
+    (``polycore._trace_tail(params, N_used - 1)``): it shows how far the
+    section is from the operator, and does not certify that no eigenvalue
+    below the count-th was missed.
 
     When the series bound itself shows that no root can refine and no mass
     can certify (``_series_hopeless``; polynomially decaying reciprocal
@@ -469,7 +471,7 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
         _, masses_q, eig_res = _section_weights(T, seeds)
         masses, route = masses_q.copy(), ["fallback"] * count
     else:
-        fser = series_coeffs(params, KIND_CHAR, M, J)
+        fser = series_coeffs(params, M, J)
         zh, zl, res_F, res_F_bound, res_F_abs_sum, moved = _refine_roots(fser, seeds)
         fp = eval_series_deriv(fser, (zh, zl))
         cert_err = res_F_bound / np.maximum(np.abs(fp.value), 1e-300)
@@ -709,7 +711,7 @@ def masses_and_vectors(params: JacobiParams, sd: SpectralData, n_max: int) -> Ma
         raise ValueError("n_max must be at least 1")
     radius = float(sd.lambdas[-1]) * 1.3 + 1.0
     M, J = _series_context(params, radius, n_max)
-    fser = series_coeffs(params, KIND_CHAR, M, J)
+    fser = series_coeffs(params, M, J)
     fp = eval_series_deriv(fser, (sd.lambdas, sd.lambdas_lo))
     T = truncate(params, sd.N_used)
     lams_section = section_eigenvalues(T, sd.count)
@@ -782,7 +784,7 @@ def weyl(params: JacobiParams, z: float, sd: SpectralData) -> WeylValues:
     series_val = math.nan
     series_err = math.inf
     try:
-        fser = series_coeffs(params, KIND_CHAR, M, J)
+        fser = series_coeffs(params, M, J)
         wser = second_kind_family(params, M, J, 0)[0]
         fe = eval_series(fser, z, tol=1e-9)
         we = eval_series(wser, z, tol=1e-9)
@@ -824,7 +826,7 @@ def second_kind_routes(params: JacobiParams, n: int, z: float) -> tuple[float, O
     returned as the second element (None otherwise).
     """
     M, J = _series_context(params, max(abs(z), 1.0), n + 4)
-    fser = series_coeffs(params, KIND_CHAR, M, J)
+    fser = series_coeffs(params, M, J)
     fam = second_kind_family(params, M, J, n)
     fe = eval_series(fser, z, tol=1e-9)
     pe = eval_series(fam[n], z)
@@ -859,18 +861,6 @@ def _second_kind_product_sum(params: JacobiParams, n: int, z: float) -> float:
     raise ConvergenceFailure(
         f"polynomial-product sum for the second kind at z={z!r} did not settle by index {depth}"
     )
-
-
-def second_kind(params: JacobiParams, n: int, z: float, tol: float = 1e-6) -> float:
-    """Phi_n(z)/F(z); cross-checked against the product sum below gamma."""
-    primary, alt = second_kind_routes(params, n, z)
-    if alt is not None:
-        scale = max(abs(primary), abs(alt), 1e-300)
-        if abs(primary - alt) > tol * scale:
-            raise CancellationFailure(
-                f"second-kind routes disagree at z={z!r}: {primary!r} vs {alt!r}"
-            )
-    return primary
 
 
 def char_via_second_kind(params: JacobiParams, z: float, tol: float = 1e-12) -> float:

@@ -19,10 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import doubledouble as dd
 from .entire import (
-    KIND_CHAR,
-    KIND_SECOND,
     choose_truncation,
     eval_series,
     identity_residuals,
@@ -172,7 +169,7 @@ def crit_masses() -> tuple[bool, str]:
 
 def crit_wronskian() -> tuple[bool, str]:
     M, J = choose_truncation(REFERENCE, 16.0, 1e-14, min_cutoff=16)
-    fser = series_coeffs(REFERENCE, KIND_CHAR, M, J)
+    fser = series_coeffs(REFERENCE, M, J)
     worst = 0.0
     worst_const = 0.0
     for z in (1.0, 5.0, 10.0):
@@ -216,7 +213,7 @@ def crit_weyl() -> tuple[bool, str]:
 
 def crit_char_equivalence() -> tuple[bool, str]:
     M, J = choose_truncation(REFERENCE, 8.0, 1e-14)
-    fser = series_coeffs(REFERENCE, KIND_CHAR, M, J)
+    fser = series_coeffs(REFERENCE, M, J)
     worst = 0.0
     for z in (0.0, 2.0, 5.0):
         via_wn = char_via_second_kind(REFERENCE, z, tol=1e-13)
@@ -244,7 +241,7 @@ def crit_qlaguerre_closed_forms() -> tuple[bool, str]:
     for q in (0.2, 0.5, 0.8):
         params = JacobiParams(Geometric(q), math.sqrt(q))
         J = 192 if q >= 0.8 else 96
-        ser = series_coeffs(params, KIND_CHAR, 12, J)
+        ser = series_coeffs(params, 12, J)
         for m in range(1, 13):
             target = q ** (m * (m + 1)) / (qpochhammer(q, q, m) * qpochhammer(q * q, q, m))
             worst_c = max(worst_c, abs(ser.coefficient(m) - target) / target)
@@ -329,30 +326,25 @@ def crit_associated() -> tuple[bool, str]:
     return ok, f"trace routes {rep.trace_rel_diff:.2e}, zero match {worst_zero:.2e}"
 
 
-def _chain_bruteforce(params: JacobiParams, kind: str, m: int, J: int, shift: int = 0) -> float:
-    """Direct enumeration of all index chains (the oracle for the DP)."""
+def _chain_bruteforce(params: JacobiParams, m: int, J: int, shift=None) -> float:
+    """Direct enumeration of all index chains (the oracle for the DP).
+
+    The characteristic coefficient c_m, or with ``shift`` n the z^m
+    coefficient of the shift-n second-kind series.
+    """
     a, _, _ = entry_arrays(params, J + 1)
     k2 = params.k * params.k
+    if shift is None:
+        if m == 0:
+            return 1.0
+        chains = itertools.combinations(range(J + 1), m)
+    else:
+        chains = itertools.combinations(range(shift, J + 1), m + 1)
     total = 0.0
-    if kind == KIND_CHAR:
-        for ch in itertools.combinations(range(J + 1), m):
-            num = 1.0
-            prev = None
-            for t, j in enumerate(ch):
-                d = j + 1 if t == 0 else j - prev
-                num *= 1.0 - k2**d
-                prev = j
-            den = (1.0 - k2) ** m
-            for j in ch:
-                den *= a[j]
-            total += num / den
-        return total if m >= 1 else 1.0
-    for ch in itertools.combinations(range(shift, J + 1), m + 1):
-        num = k2 ** ch[0]
-        prev = ch[0]
-        for j in ch[1:]:
+    for ch in chains:
+        num = 1.0 - k2 ** (ch[0] + 1) if shift is None else k2 ** ch[0]
+        for prev, j in zip(ch, ch[1:]):
             num *= 1.0 - k2 ** (j - prev)
-            prev = j
         den = (1.0 - k2) ** m
         for j in ch:
             den *= a[j]
@@ -363,15 +355,15 @@ def _chain_bruteforce(params: JacobiParams, kind: str, m: int, J: int, shift: in
 def crit_oracle_equivalence() -> tuple[bool, str]:
     params = JacobiParams(Geometric(0.37), 0.61)
     J = 12
-    fser = series_coeffs(params, KIND_CHAR, 3, J)
+    fser = series_coeffs(params, 3, J)
     worst = 0.0
     for m in range(1, 4):
-        brute = _chain_bruteforce(params, KIND_CHAR, m, J)
+        brute = _chain_bruteforce(params, m, J)
         worst = max(worst, abs(fser.coefficient(m) - brute) / brute)
     fam = second_kind_family(params, 3, J, 2)
     for shift in (0, 2):
         for m in range(0, 4):
-            brute = _chain_bruteforce(params, KIND_SECOND, m, J, shift=shift)
+            brute = _chain_bruteforce(params, m, J, shift=shift)
             worst = max(worst, abs(fam[shift].coefficient(m) - brute) / brute)
     # interlacing of section eigenvalues up to N = 30; low-index eigenvalues
     # of adjacent sections agree beyond float resolution, so the downward

@@ -129,6 +129,27 @@ def test_cli_identities_draws(capsys):
     assert data["all_hold"] is True
 
 
+def test_cli_identities_take_q_from_the_config_file(capsys, tmp_path):
+    # q was set to 0.25 before the file was read, so the file's q was ignored
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"q": 0.5}))
+    argv = ["--config", str(path), "identities", "--id", "BASIC", "--r", "1", "--w", "0"]
+    for extra, q in (([], 0.5), (["--q", "0.3"], 0.3)):
+        assert main([*argv, *extra]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"][0]["params"]["q"] == q
+
+
+def test_cli_identities_ignore_a_config_k(capsys, tmp_path):
+    # identities reads no --k, so a file shared with a power-law run made
+    # it exit 1 with "provide exactly one of --k or --q"
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"k": 0.5, "sequence": {"kind": "powerlaw", "c": 1, "p": 2}}))
+    assert main(["--config", str(path), "identities", "--draws", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_hold"] is True
+    assert main(["--config", str(path), "identities", "--id", "BASIC", "--r", "1", "--w", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["params"]["q"] == 0.25
+
+
 @pytest.mark.parametrize("flags, named", [
     pytest.param(["--r", "1", "--w", "0"], "--r, --w", id="r-w"),
     pytest.param(["--cs", "1,2", "--ss", "1"], "--cs, --ss", id="cs-ss"),
@@ -193,6 +214,12 @@ def test_cli_refuses_flags_the_command_does_not_read(capsys, command, flag, rest
                   "--draws", "3"], "--draws", id="draws-with-explicit-parameters"),
     pytest.param(["identities", "--id", "BASIC", "--params", '{"q": 0.3, "r": 1, "w": 0}',
                   "--q", "0.5"], "--q", id="q-twice"),
+    pytest.param(["identities", "--id", "CHAIN_OPEN", "--q", "0.5", "--params", '{"c": 5}'],
+                 "needs c", id="identity-number-for-list"),
+    pytest.param(["identities", "--id", "BASIC", "--params", '{"r": 1, "w": "x"}'],
+                 "needs w", id="identity-string-parameter"),
+    pytest.param(["identities", "--id", "BASIC", "--params", '{"q": "x", "r": 1, "w": 0}'],
+                 "base q", id="identity-string-q"),
     pytest.param(["identities", "--draws", "0"], "draws", id="draws-0"),
     pytest.param(["identities", "--draws", "-1"], "draws", id="draws-negative"),
     pytest.param(["--q", "0.25", "--c", "3", "spectrum"], "--c", id="q-with-c"),

@@ -31,12 +31,6 @@ def test_dd_div_roundtrip():
     assert abs((Fraction(ph) + Fraction(pl)) - 1) < Fraction(1, 10**30)
 
 
-def test_dd_pow_int():
-    h, l = dd.dd_pow_int(0.1, 0.0, 7)
-    exact = Fraction(0.1) ** 7
-    assert abs(Fraction(h) + Fraction(l) - exact) < Fraction(1, 10**25)
-
-
 def test_compensated_sum_beats_naive():
     xs = [1e16, 1.0, -1e16, 1.0] * 50
     assert dd.compensated_sum(xs) == 100.0

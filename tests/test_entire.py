@@ -13,16 +13,14 @@ import numpy as np
 import pytest
 
 from jspec.entire import (
-    KIND_CHAR,
-    KIND_SECOND,
     _weight_suffix,
     char_chain_prefixes,
     choose_truncation,
-    eigenvector_entry,
     envelope_bound,
     eval_series,
     eval_series_deriv,
     identity_residuals,
+    scale_for_shift,
     second_kind_family,
     series_coeffs,
 )
@@ -69,7 +67,7 @@ def enum_second_chain(params, n, m, J):
 def test_dp_matches_enumeration(q, k):
     params = JacobiParams(Geometric(q), k)
     J = 12
-    ser = series_coeffs(params, KIND_CHAR, 3, J)
+    ser = series_coeffs(params, 3, J)
     for m in range(1, 4):
         brute = enum_char_chain(params, m, J)
         assert abs(ser.coefficient(m) - brute) / brute < 1e-14
@@ -81,7 +79,7 @@ def test_dp_matches_enumeration(q, k):
     # every prefix column, order 1, order = cutoff, and every shift below J;
     # chains that cannot fit must come out exactly 0
     for M, J in ((3, 12), (1, 9), (6, 6)):
-        ser = series_coeffs(params, KIND_CHAR, M, J)
+        ser = series_coeffs(params, M, J)
         Ahi, Alo = char_chain_prefixes(params, M, J)
         assert np.array_equal(Ahi[:, J], ser.coeffs) and np.array_equal(Alo[:, J], ser.coeffs_lo)
         assert np.all(Ahi[0] == 1.0)
@@ -97,7 +95,7 @@ def test_dp_matches_enumeration(q, k):
 
 
 def test_order_zero_series():
-    ser = series_coeffs(GEOM, KIND_CHAR, 0, 10)
+    ser = series_coeffs(GEOM, 0, 10)
     assert ser.coeffs.tolist() == [1.0] and ser.coeffs_lo.tolist() == [0.0]
     Ahi, Alo = char_chain_prefixes(GEOM, 0, 10)
     assert Ahi.shape == (1, 11) and np.all(Ahi == 1.0) and np.all(Alo == 0.0)
@@ -120,7 +118,7 @@ def test_second_kind_omitted_bounds_stay_finite(M, J):
 
 
 def test_reference_coefficients():
-    ser = series_coeffs(GEOM, KIND_CHAR, 6, 60)
+    ser = series_coeffs(GEOM, 6, 60)
     assert ser.coefficient(0) == 1.0
     assert ser.coefficient(1) == pytest.approx(4.0 / 45.0, rel=1e-15)
     assert ser.coefficient(2) == pytest.approx(16.0 / 42525.0, rel=1e-15)
@@ -132,13 +130,13 @@ def test_first_coefficient_is_trace():
     from jspec.polycore import trace_inverse
 
     for params in (GEOM, JacobiParams(Geometric(0.55), 0.8)):
-        ser = series_coeffs(params, KIND_CHAR, 4, 80)
+        ser = series_coeffs(params, 4, 80)
         assert ser.coefficient(1) == pytest.approx(trace_inverse(params, 1e-15), rel=1e-12)
 
 
 def test_coefficient_factorial_bound():
-    for kind, shift in ((KIND_CHAR, 0), (KIND_SECOND, 0), (KIND_SECOND, 3)):
-        ser = series_coeffs(GEOM, kind, 10, 40, shift=shift)
+    fam = second_kind_family(GEOM, 10, 40, 3)
+    for ser in (series_coeffs(GEOM, 10, 40), fam[0], fam[3]):
         S = ser.tail_const
         for m in range(ser.order + 1):
             assert ser.coefficient(m) <= S**m / math.factorial(m) * (1 + 1e-12)
@@ -164,7 +162,7 @@ def test_second_kind_leading_decay():
 
 
 def test_eval_at_zero_and_negative():
-    ser = series_coeffs(GEOM, KIND_CHAR, 16, 40)
+    ser = series_coeffs(GEOM, 16, 40)
     at0 = eval_series(ser, 0.0)
     assert at0.value == 1.0 and at0.kappa == 1.0
     neg = eval_series(ser, -3.0)
@@ -179,7 +177,7 @@ def test_eval_certified_root():
     from jspec.spectrum import point_spectrum, section_eigenvalues, truncate
 
     sd = point_spectrum(GEOM, 1, tol=1e-10)
-    ser = series_coeffs(GEOM, KIND_CHAR, 24, 60)
+    ser = series_coeffs(GEOM, 24, 60)
     out = eval_series(ser, sd.lambda_dd(0))
     assert abs(out.value) <= out.err_bound
     lam_coarse = section_eigenvalues(truncate(GEOM, 40), 1)[0] * (1.0 + 1e-9)
@@ -189,13 +187,13 @@ def test_eval_certified_root():
 
 def test_truncation_consistency():
     z = 4.0
-    lo = eval_series(series_coeffs(GEOM, KIND_CHAR, 12, 60), z)
-    hi = eval_series(series_coeffs(GEOM, KIND_CHAR, 17, 60), z)
+    lo = eval_series(series_coeffs(GEOM, 12, 60), z)
+    hi = eval_series(series_coeffs(GEOM, 17, 60), z)
     assert abs(lo.value - hi.value) <= lo.err_bound + hi.err_bound
 
 
 def test_cancellation_failure_raised():
-    ser = series_coeffs(GEOM, KIND_CHAR, 24, 60)
+    ser = series_coeffs(GEOM, 24, 60)
     from jspec.spectrum import section_eigenvalues, truncate
 
     lam0 = section_eigenvalues(truncate(GEOM, 40), 1)[0]
@@ -204,19 +202,26 @@ def test_cancellation_failure_raised():
 
 
 def test_derivative_at_zero():
-    ser = series_coeffs(GEOM, KIND_CHAR, 12, 60)
+    ser = series_coeffs(GEOM, 12, 60)
     d =  eval_series_deriv(ser, 0.0)
     assert d.value == pytest.approx(-4.0 / 45.0, rel=1e-14)
+
+
+def _eigenvector_entry(n, z):
+    """Phi_n(z): the shift-n series of a family, scaled by (-1)^n k^-n."""
+    M, J = choose_truncation(GEOM, max(abs(z), 1.0), 1e-12, min_cutoff=n + 2)
+    fam = second_kind_family(GEOM, M, J, n)
+    return scale_for_shift(GEOM.k, n) * eval_series(fam[n], z).value
 
 
 def test_eigenvector_entry_scaling_and_bound():
     # shift 0 is the plain numerator series, and every entry obeys the
     # corrected envelope bound
-    v0 = eigenvector_entry(GEOM, 0, 2.0)
+    v0 = _eigenvector_entry(0, 2.0)
     fam = second_kind_family(GEOM, 20, 60, 0)
     assert v0 == pytest.approx(eval_series(fam[0], 2.0).value, rel=1e-13)
     for n in (0, 1, 3, 6):
-        v = eigenvector_entry(GEOM, n, 2.0)
+        v = _eigenvector_entry(n, 2.0)
         assert abs(v) <= envelope_bound(GEOM, n, 2.0)
 
 
@@ -224,14 +229,14 @@ def test_second_kind_entry_value():
     # shift 1 at z=0: -(1/k) sum_{j>=1} k^{2j}/a_j
     from jspec.polycore import second_kind_at_zero
 
-    v = eigenvector_entry(GEOM, 1, 0.0)
+    v = _eigenvector_entry(1, 0.0)
     assert v == pytest.approx(second_kind_at_zero(GEOM, 1), rel=1e-13)
     assert v == pytest.approx(-0.002114821600723552, rel=1e-12)
 
 
 def test_wronskian_residuals():
     M, J = choose_truncation(GEOM, 12.0, 1e-14, min_cutoff=16)
-    fser = series_coeffs(GEOM, KIND_CHAR, M, J)
+    fser = series_coeffs(GEOM, M, J)
     for z in (1.0, 5.0, 10.0):
         fz = eval_series(fser, z).value
         wronskian, _ = identity_residuals(GEOM, z, 10, M, J)
@@ -250,34 +255,30 @@ def test_recurrence_residuals():
     for n in (1, 3, 5):
         for z in (0.0, 2.0):
             _, alpha, beta = entry_arrays(GEOM, n + 2)
-            scale = max(alpha[n], abs(beta[n] - z)) * abs(
-                eigenvector_entry(GEOM, n, z)
-            )
+            scale = max(alpha[n], abs(beta[n] - z)) * abs(_eigenvector_entry(n, z))
             assert _recurrence_residual(n, z) <= 1e-10 * max(scale, 1e-30)
 
 
-def test_complex_evaluation():
-    ser = series_coeffs(GEOM, KIND_CHAR, 12, 40)
-    z = 0.3 + 0.5j
-    out = eval_series(ser, z)
-    direct = sum(
-        (-1.0) ** m * (ser.coeffs[m] + ser.coeffs_lo[m]) * z**m for m in range(ser.order + 1)
-    )
-    assert abs(out.value - direct) <= 1e-14 * abs(direct)
-    # real axis consistency
-    assert eval_series(ser, 2.0 + 0.0j).value == pytest.approx(eval_series(ser, 2.0).value)
+def test_complex_point_raises():
+    # the operator is self-adjoint: every point evaluated is real, and a
+    # complex one is refused, not truncated to its real part
+    ser = series_coeffs(GEOM, 12, 40)
+    with pytest.raises(TypeError):
+        eval_series(ser, 0.3 + 0.5j)
+    with pytest.raises(TypeError):
+        eval_series_deriv(ser, 0.3 + 0.5j)
 
 
 def test_rejects_order_beyond_cutoff():
     with pytest.raises(ValueError):
-        series_coeffs(GEOM, KIND_CHAR, 10, 5)
+        series_coeffs(GEOM, 10, 5)
     with pytest.raises(ValueError):
-        series_coeffs(GEOM, KIND_SECOND, 3, 4, shift=4)
+        second_kind_family(GEOM, 3, 4, 4)
 
 
 def test_choose_truncation_certifies():
     M, J = choose_truncation(GEOM, 100.0, 1e-12)
-    ser = series_coeffs(GEOM, KIND_CHAR, M, J)
+    ser = series_coeffs(GEOM, M, J)
     out = eval_series(ser, 100.0)
     assert out.err_bound <= 1e-10 * max(1.0, abs(out.value))
 
@@ -285,7 +286,7 @@ def test_choose_truncation_certifies():
 def test_powerlaw_series_still_enumerable():
     params = JacobiParams(PowerLaw(2.0, 3.0), 0.4)
     J = 10
-    ser = series_coeffs(params, KIND_CHAR, 3, J)
+    ser = series_coeffs(params, 3, J)
     for m in range(1, 4):
         brute = enum_char_chain(params, m, J)
         assert abs(ser.coefficient(m) - brute) / brute < 1e-13
@@ -324,7 +325,7 @@ def test_eval_series_point_arrays_match_single_calls(params):
     # bits of the one-point calls; orders 0 and 1 (no Horner step for the
     # value or the derivative) keep the shape of the points too
     for M, fn in itertools.product((0, 1, 30), (eval_series, eval_series_deriv)):
-        ser = series_coeffs(params, KIND_CHAR, M, 90)
+        ser = series_coeffs(params, M, 90)
         ev = fn(ser, (_POINTS_HI, _POINTS_LO))
         for p, z in enumerate(zip(_POINTS_HI.tolist(), _POINTS_LO.tolist())):
             single = fn(ser, z)
@@ -389,18 +390,6 @@ def test_family_member_does_not_depend_on_n_max():
         small[5]
     with pytest.raises(TypeError):
         small[0][0]
-
-
-def test_complex_derivative_bound_covers_real():
-    # complex arithmetic is coarser than double-double, so on the real axis
-    # its certified bound can only be wider; the derivative's order tail
-    # carries the same (order + 2) factor on both paths
-    for M, J in ((4, 40), (12, 40), (30, 90)):
-        ser = series_coeffs(GEOM, KIND_CHAR, M, J)
-        for z in (0.5, 3.0, 10.0, 60.0):
-            real = eval_series_deriv(ser, z)
-            cplx = eval_series_deriv(ser, complex(z, 0.0))
-            assert cplx.err_bound >= real.err_bound, (M, J, z)
 
 
 def test_choose_truncation_past_float_range_raises_package_error():

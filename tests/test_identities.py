@@ -81,12 +81,12 @@ def test_char_coefficients_via_chain_closed_forms():
     # with geometric weights at base q the m-th characteristic coefficient
     # must reproduce q^{m(m+1)}/((q;q)_m (q^2;q)_m), the value the chain
     # and ordered-denominator closed forms assemble to
-    from jspec.entire import KIND_CHAR, series_coeffs
+    from jspec.entire import series_coeffs
     from jspec.sequences import Geometric, JacobiParams
 
     for q in (0.25, 0.5):
         params = JacobiParams(Geometric(q), math.sqrt(q))
-        ser = series_coeffs(params, KIND_CHAR, 6, 120)
+        ser = series_coeffs(params, 6, 120)
         for m in range(1, 7):
             target = q ** (m * (m + 1)) / (qpochhammer(q, q, m) * qpochhammer(q * q, q, m))
             assert abs(ser.coefficient(m) - target) / target <= 1e-10
@@ -137,6 +137,19 @@ def test_check_takes_exactly_the_identity_parameters():
         check("BASIC", q=0.5, r=1, w=0.0, m=3)
     with pytest.raises(ParameterOutOfRange, match="needs c"):
         check("CHAIN_OPEN", q=0.5)
+
+
+@pytest.mark.parametrize("iid, params", [
+    pytest.param("CHAIN_OPEN", {"q": 0.5, "c": 5}, id="number-for-list"),
+    pytest.param("BASIC", {"q": 0.5, "r": 1, "w": "x"}, id="string-w"),
+    pytest.param("BASIC", {"q": "x", "r": 1, "w": 0.0}, id="string-q"),
+    pytest.param("BASIC", {"q": 0.5, "r": True, "w": 0.0}, id="bool-r"),
+    pytest.param("SYNCHRO", {"q": 0.5, "s": [1.5], "a": 1.0}, id="float-in-integer-list"),
+])
+def test_check_refuses_parameters_of_the_wrong_type(iid, params):
+    # these ended in a TypeError from inside the checker (or truncated 1.5 to 1)
+    with pytest.raises(ParameterOutOfRange):
+        check(iid, **params)
 
 
 def test_truncation_too_coarse():

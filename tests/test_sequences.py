@@ -11,12 +11,11 @@ from jspec.sequences import (
     Geometric,
     JacobiParams,
     PowerLaw,
-    entries,
     entry_arrays,
     gamma_lower_bound,
     seq_value,
     seq_values,
-    sequence_min,
+    sequence_min_from,
     tail_sum_reciprocal,
 )
 
@@ -25,17 +24,17 @@ GEOM = JacobiParams(Geometric(0.25), 0.5)
 
 def test_geometric_entries_by_hand():
     # a_n = q^{-2(n+1)}(1-q^{n+1}) at q=1/4: 16*(3/4) = 12, 256*(15/16) = 240
-    assert entries(GEOM, 0) == (12.0, 6.0, 12.0)
-    a, alpha, beta = entries(GEOM, 1)
-    assert a == 240.0 and alpha == 120.0
-    assert beta == 243.0  # 240 + (1/4)*12
+    a, alpha, beta = entry_arrays(GEOM, 2)
+    assert (a[0], alpha[0], beta[0]) == (12.0, 6.0, 12.0)
+    assert a[1] == 240.0 and alpha[1] == 120.0
+    assert beta[1] == 243.0  # 240 + (1/4)*12
 
 
 def test_powerlaw_entries():
     p = JacobiParams(PowerLaw(1.0, 2.0), 0.5)
-    a, alpha, beta = entries(p, 3)
-    assert a == 16.0 and alpha == 8.0
-    assert beta == 16.0 + 9.0 / 4.0
+    a, alpha, beta = entry_arrays(p, 4)
+    assert a[3] == 16.0 and alpha[3] == 8.0
+    assert beta[3] == 16.0 + 9.0 / 4.0
 
 
 def test_offdiag_closed_form_geometric():
@@ -138,7 +137,7 @@ def test_explicit_sequence_and_minimum():
     vals = seq_values(spec, 6)
     # tail continues at the global index: a_3 = (3+1)^2
     assert list(vals) == [5.0, 2.0, 11.0, 16.0, 25.0, 36.0]
-    assert sequence_min(spec) == 2.0
+    assert sequence_min_from(spec, 0) == 2.0
     bound = tail_sum_reciprocal(spec, 1)
     assert bound >= 1.0 / 2.0 + 1.0 / 11.0 + sum(1.0 / (j + 1) ** 2 for j in range(3, 300))
 
@@ -155,7 +154,7 @@ def test_validation_errors():
     with pytest.raises(SequenceError):
         JacobiParams(Geometric(0.5), 1.0)
     with pytest.raises(SequenceError):
-        entries(GEOM, -1)
+        seq_value(GEOM.seq, -1)
 
 
 @pytest.mark.parametrize(

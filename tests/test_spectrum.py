@@ -17,14 +17,13 @@ from hypothesis import given, settings, strategies as st
 from jspec import spectrum
 from jspec.doubledouble import dd_sub
 from jspec.entire import (
-    KIND_CHAR,
     eval_series,
     eval_series_deriv,
     second_kind_family,
     series_coeffs,
 )
 from jspec.errors import ConvergenceFailure, TailDominates
-from jspec.polycore import second_kind_at_zero
+from jspec.polycore import _trace_tail, second_kind_at_zero, trace_inverse
 from jspec.sequences import (
     Explicit,
     Geometric,
@@ -42,7 +41,6 @@ from jspec.spectrum import (
     masses_and_vectors,
     orthonormality_check,
     point_spectrum,
-    second_kind,
     second_kind_routes,
     section_eigenvalues,
     section_inverse_trace,
@@ -133,7 +131,7 @@ def test_product_representation_converges(sd8):
     # partial products prod(1 - z/lambda_j) approach the series value at
     # z = gamma/2, with the defect controlled by the reciprocal tail
     z = gamma_lower_bound(GEOM) / 2.0
-    ser = series_coeffs(GEOM, KIND_CHAR, 16, 60)
+    ser = series_coeffs(GEOM, 16, 60)
     target = eval_series(ser, z).value
     defects = []
     for J in range(2, 9):
@@ -182,18 +180,18 @@ def test_second_kind_routes():
     p0, a0 = second_kind_routes(GEOM, 0, 0.0)
     assert p0 == pytest.approx(second_kind_at_zero(GEOM, 0), rel=1e-12)
     assert a0 == pytest.approx(p0, rel=1e-10)
-    # consistency checked inside second_kind as well
-    assert second_kind(GEOM, 1, 0.5) == pytest.approx(second_kind_routes(GEOM, 1, 0.5)[0])
+    p1, a1 = second_kind_routes(GEOM, 1, 0.5)
+    assert p1 == pytest.approx(a1, rel=1e-6)
 
 
 def test_second_kind_matches_weyl(sd8):
     z = -2.0
     w = weyl(GEOM, z, sd8)
-    assert second_kind(GEOM, 0, z) == pytest.approx(w.poles, rel=1e-9)
+    assert second_kind_routes(GEOM, 0, z)[0] == pytest.approx(w.poles, rel=1e-9)
 
 
 def test_char_via_second_kind():
-    ser = series_coeffs(GEOM, KIND_CHAR, 16, 60)
+    ser = series_coeffs(GEOM, 16, 60)
     assert char_via_second_kind(GEOM, 0.0) == 1.0
     for z in (2.0, 5.0):
         direct = eval_series(ser, z).value
@@ -221,7 +219,7 @@ def test_associated_operator():
     M, J = spectrum._series_context(GEOM, float(rep.associated_eigenvalues[-1]) * 1.3 + 1.0, 4)
     wser = second_kind_family(GEOM, M, J, 0)[0]
     M, J = spectrum._series_context(GEOM, float(sd.lambdas[-1]) * 1.3 + 1.0, sd.count + 10)
-    fser = series_coeffs(GEOM, KIND_CHAR, M, J)
+    fser = series_coeffs(GEOM, M, J)
     lam_res = [
         sd.residual_F_bound[j] / abs(eval_series_deriv(fser, sd.lambda_dd(j)).value)
         for j in range(6)
@@ -470,6 +468,21 @@ def test_completeness_defect_on_decreasing_prefix():
     assert tail / 2.0 <= sd.completeness_defect <= 2.0 * tail
 
 
+@pytest.mark.parametrize("params", [
+    pytest.param(GEOM, id="q-quarter"),
+    pytest.param(JacobiParams(PowerLaw(1.0, 2.0), 0.5), id="p2"),
+    pytest.param(JacobiParams(PowerLaw(1.0, 1.5), 0.9), id="p1.5-k0.9"),
+])
+def test_completeness_defect_is_the_trace_beyond_the_section(params):
+    # the defect is the inverse trace the N_used-row section leaves out, up
+    # to rounding of the closed trace; it does not show that no eigenvalue
+    # was missed (0.497 at p = 1.5, k = 0.9 with every eigenvalue right)
+    sd = point_spectrum(params, 8)
+    tail, tail_err = _trace_tail(params, sd.N_used - 1)
+    rounding = 16.0 * np.finfo(float).eps * trace_inverse(params, tol=1e-15)
+    assert abs(sd.completeness_defect - tail) <= tail_err + rounding
+
+
 # masses of an 80-digit mpmath eigsy of the exact 60- and 120-row sections,
 # which agree on these digits
 EXPLICIT_MASSES = (0.19204806, 0.050474911)
@@ -611,7 +624,7 @@ def test_batched_stages_match_one_root_at_a_time(params, count):
     # fallback route, whose rows come from the section's twisted vectors)
     sd = point_spectrum(params, count)
     M, J = spectrum._series_context(params, float(sd.lambdas[-1]) * 1.3 + 1.0, count + 10)
-    fser = series_coeffs(params, KIND_CHAR, M, J)
+    fser = series_coeffs(params, M, J)
     T = truncate(params, sd.N_used)
     seeds = section_eigenvalues(T, count)
     every = spectrum._refine_roots(fser, seeds)
