@@ -142,14 +142,23 @@ def _pyval(v):
     return v
 
 
+def _number(name: str, value, convert=float):
+    """``convert(value)``, a usage error naming ``name`` when it fails."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{name}: must be a number, got {value!r}") from None
+
+
 def _build_seq(node: dict) -> SequenceSpec:
     kind = node.get("kind")
     if kind == "geometric":
-        return Geometric(float(node["q"]))
+        return Geometric(_number("q", node.get("q")))
     if kind == "powerlaw":
-        return PowerLaw(float(node["c"]), float(node["p"]))
+        return PowerLaw(_number("c", node.get("c")), _number("p", node.get("p")))
     if kind == "explicit":
-        return Explicit(tuple(float(v) for v in node["values"]), _build_seq(node["tail"]))
+        return Explicit(tuple(_number("values", v) for v in node["values"]),
+                        _build_seq(node.get("tail") or {}))
     raise UsageError(f"sequence: unknown kind {kind!r}")
 
 
@@ -165,10 +174,7 @@ def _read_config_file(args: argparse.Namespace) -> dict:
 
 def _q_mode(q) -> tuple[SequenceSpec, float, float]:
     """(sequence, k, q) of q-mode: geometric weights, coupling sqrt(q)."""
-    try:
-        q = float(q)
-    except (TypeError, ValueError):
-        raise UsageError(f"q: must be a number, got {q!r}") from None
+    q = _number("q", q)
     if not (0.0 < q < 1.0):
         raise UsageError(f"q: must lie strictly in (0,1), got {q}")
     return Geometric(q), math.sqrt(q), q
@@ -192,7 +198,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"{stray[0][2:]}: --q selects the geometric sequence; do not combine "
                              f"with {', '.join(stray)}")
     elif k is not None:
-        k_val = float(k)
+        k_val = _number("k", k)
         if not (0.0 < k_val < 1.0):
             raise UsageError(f"k: must lie strictly in (0,1), got {k_val}")
         q_mode = None
@@ -201,7 +207,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             p = args.p if args.p is not None else (file_cfg.get("sequence") or {}).get("p")
             if c is None or p is None:
                 raise UsageError("seq: powerlaw needs --c and --p")
-            seq = PowerLaw(float(c), float(p))
+            seq = PowerLaw(_number("c", c), _number("p", p))
         elif seq_kind == "explicit":
             node = (file_cfg.get("sequence") or {})
             if "values" not in node:
@@ -225,14 +231,17 @@ def _run_config(args, file_cfg: dict, seq: SequenceSpec, k_val: float,
         seq=seq,
         k=k_val,
         q_mode=q_mode,
-        count=int(args.count if args.count is not None else file_cfg.get("count", 8)),
-        eig_tol=float(args.tol if args.tol is not None else tols.get("eig_tol", 1e-10)),
-        eval_tol=float(tols.get("eval_tol", 1e-10)),
-        identity_tol=float(args.identity_tol if args.identity_tol is not None
-                           else tols.get("identity_tol", 1e-12)),
+        count=_number("count", args.count if args.count is not None
+                      else file_cfg.get("count", 8), int),
+        eig_tol=_number("eig_tol", args.tol if args.tol is not None
+                        else tols.get("eig_tol", 1e-10)),
+        eval_tol=_number("eval_tol", tols.get("eval_tol", 1e-10)),
+        identity_tol=_number("identity_tol", args.identity_tol if args.identity_tol is not None
+                             else tols.get("identity_tol", 1e-12)),
         out=args.out if args.out is not None else out_cfg.get("path"),
         fmt=args.format if args.format is not None else out_cfg.get("format", "json"),
-        seed=int(args.seed if args.seed is not None else file_cfg.get("seed", 20240817)),
+        seed=_number("seed", args.seed if args.seed is not None
+                     else file_cfg.get("seed", 20240817), int),
     )
     for name, value in (("count", cfg.count),):
         if value < 0:

@@ -96,7 +96,10 @@ def dd_div(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
 
 
 def compensated_sum(values) -> float:
-    """Neumaier compensated sum of an iterable of floats."""
+    """Neumaier compensated sum of an iterable of floats (an array is summed
+    over its ``tolist()``: Python floats, not numpy scalars)."""
+    if hasattr(values, "tolist"):
+        values = values.tolist()
     s = 0.0
     c = 0.0
     for v in values:

@@ -315,11 +315,17 @@ def _finalize(kind, M, J, chi, clo, X, seed_beyond=0.0) -> PowerSeriesApprox:
 
 
 def _as_dd_point(z):
-    """(hi, lo) of a float, an (hi, lo) pair, or a pair of point arrays."""
+    """(hi, lo) of a float, an (hi, lo) pair, or a pair of point arrays.
+
+    A complex point, numpy or Python, scalar or array, raises TypeError
+    rather than losing its imaginary part.
+    """
     zh, zl = z if isinstance(z, tuple) else (z, 0.0)
-    if np.ndim(zh) == 0:
+    if isinstance(zh, float):  # np.float64 included
         return float(zh), float(zl)
-    zh = np.asarray(zh, dtype=float)
+    zh = np.asarray(zh).astype(float, casting="same_kind", copy=False)
+    if zh.ndim == 0:
+        return float(zh), float(zl)
     return zh, np.broadcast_to(np.asarray(zl, dtype=float), zh.shape)
 
 

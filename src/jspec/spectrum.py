@@ -153,19 +153,37 @@ def _qd_sweep(add, mul, first, x):
     shift in x: t_0 = first - x and t_{i+1} = (t_i / pivot_i) mul_i - x.
 
     A zero pivot is taken as its limit from above, as LAPACK ``dlaneg``
-    does: the next pivot is -inf and the ratio after it is 1.
+    does: the next pivot is -inf and the ratio after it is 1.  Since every
+    add_i >= 0, a zero pivot means t_i <= 0, and the ratio is -inf (1 when
+    t_i = 0).
+
+    The recurrence is sequential in i, so the kernel runs it one shift at a
+    time on Python floats and fills one column per shift.  A row of numpy
+    calls over all shifts costs about 4-5 us whatever their number, a
+    scalar step about 0.2 us per (row, shift): the scalar loop is faster
+    below some 20 shifts, and callers pass one shift per eigenvalue asked
+    for (8 to 13 in the CLI and ``verify``).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    t = first - x
-    pivots, ts = [], [t]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for a, m in zip(add.tolist(), mul.tolist()):
-            pivots.append(a + t)
-            ratio = t / pivots[-1]
-            ratio[ratio != ratio] = 1.0  # -inf / -inf after a zero pivot
-            t = ratio * m - x
-            ts.append(t)
-    return np.array(pivots).reshape(len(add), x.size), np.array(ts)
+    ts = np.empty((len(add) + 1, x.size))
+    rows = list(zip(add.tolist(), mul.tolist()))
+    first = float(first)
+    for j, xj in enumerate(x.tolist()):
+        t = first - xj
+        col = [t]
+        push = col.append
+        for a, m in rows:
+            try:
+                ratio = t / (a + t)
+            except ZeroDivisionError:
+                ratio = -math.inf if t < 0.0 else 1.0
+            if ratio != ratio:  # -inf / -inf after a zero pivot
+                ratio = 1.0
+            t = ratio * m - xj
+            push(t)
+        ts[:, j] = col
+    # the same additions as in the loop, so the same bits
+    return add[:, None] + ts[:-1], ts
 
 
 def _stationary(T: TruncatedJacobi, x):
@@ -249,10 +267,10 @@ def section_inverse_trace(T: TruncatedJacobi) -> float:
     R_i = 1 + l_{i-1}^2 R_{i-1}.  Every term is positive; for a section of
     the operator this is the first N terms of the trace series.
     """
-    R = np.ones(T.size)
-    for i, li in enumerate(T.l.tolist()):
-        R[i + 1] += li * li * R[i]
-    return float(dd.compensated_sum(R / T.d))
+    R = [1.0]
+    for li in T.l.tolist():
+        R.append(1.0 + li * li * R[-1])
+    return float(dd.compensated_sum(np.divide(R, T.d)))
 
 
 @dataclass

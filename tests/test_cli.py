@@ -237,6 +237,28 @@ def test_cli_bad_inputs_are_usage_errors(capsys, argv, named):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("cfg, named", [
+    ({"k": "abc", "sequence": {"kind": "powerlaw", "c": 1, "p": 2}}, "k:"),
+    ({"q": 0.25, "count": "x"}, "count:"),
+    ({"k": 0.5, "sequence": {"kind": "powerlaw", "c": "one", "p": 2}}, "c:"),
+    ({"q": 0.25, "count": 1e999}, "count:"),
+    ({"q": 0.25, "tolerances": {"eval_tol": []}}, "eval_tol:"),
+    ({"q": 0.25, "seed": "s"}, "seed:"),
+    ({"k": 0.5, "sequence": {"kind": "explicit", "values": [1.0]}}, "sequence:"),
+    ({"k": 0.5, "sequence": {"kind": "explicit", "values": [1.0],
+                             "tail": {"kind": "powerlaw", "c": 1}}}, "p:"),
+], ids=["k", "count", "c", "count-inf", "eval_tol", "seed", "no-tail", "no-p"])
+def test_cli_non_numeric_config_values_are_usage_errors(capsys, tmp_path, cfg, named):
+    # these died with a ValueError, OverflowError or KeyError traceback
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "spectrum"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: " + named)
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flags", [["--cs", "1,x"], ["--ss", "1.5", "--a", "1"]],
                          ids=["cs", "ss"])
 def test_cli_malformed_exponent_lists_are_usage_errors(capsys, flags):

@@ -267,6 +267,13 @@ def test_complex_point_raises():
         eval_series(ser, 0.3 + 0.5j)
     with pytest.raises(TypeError):
         eval_series_deriv(ser, 0.3 + 0.5j)
+    # numpy complex points were cast to their real part with a ComplexWarning
+    for z in (np.complex128(0.3 + 0.5j), np.complex64(0.3 + 0.5j),
+              np.array([0.3 + 0.5j, 2.0]), (np.array([0.3 + 0.5j]), 0.0)):
+        with pytest.raises(TypeError):
+            eval_series(ser, z)
+        with pytest.raises(TypeError):
+            eval_series_deriv(ser, z)
 
 
 def test_rejects_order_beyond_cutoff():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jspec import spectrum
+from jspec import doubledouble as dd, spectrum
 from jspec.doubledouble import dd_sub
 from jspec.entire import (
     eval_series,
@@ -254,7 +254,12 @@ def test_interlacing_sections():
 
 
 def _mp_sturm_count(T, x) -> int:
-    """Eigenvalues of T strictly below x, counted in 200-bit arithmetic."""
+    """Eigenvalues of T strictly below x, counted in 200-bit arithmetic.
+
+    A zero pivot, which is not counted, is taken as a tiny positive one: the
+    pivots at x minus a tiny amount, where the count is the same unless x is
+    an eigenvalue of T.
+    """
     with mpmath.workprec(200):
         x = mpmath.mpf(x)
         diag, off = _mp_section(T)
@@ -262,7 +267,7 @@ def _mp_sturm_count(T, x) -> int:
         count = int(d < 0)
         for b, o in zip(diag[1:], off):
             if d == 0:
-                d = -mpmath.eps * max(abs(x), 1)
+                d = mpmath.eps * max(abs(x), 1)
             d = (b - x) - o ** 2 / d
             count += d < 0
     return count
@@ -451,6 +456,22 @@ def test_section_inverse_trace_on_decreasing_prefix():
     with mpmath.workdps(60):
         ref = mpmath.fsum(1 / lam for lam in _mp_section_eigenvalues(T, 40, 60))
     assert section_inverse_trace(T) == pytest.approx(float(ref), rel=1e-13)
+    # the float recurrence R_{i+1} = 1 + l_i^2 R_i and the compensated sum
+    # against sum_i R_i / d_i in 50 digits on the same float factor
+    for T in (T, truncate(GEOM, 40)):
+        with mpmath.workdps(50):
+            R, terms = mpmath.mpf(1), []
+            for i in range(T.size):
+                terms.append(R / mpmath.mpf(float(T.d[i])))
+                if i < T.size - 1:
+                    R = 1 + mpmath.mpf(float(T.l[i])) ** 2 * R
+            ref = mpmath.fsum(terms)
+        assert section_inverse_trace(T) == pytest.approx(float(ref), rel=4e-16)
+    # an array is summed as its Python floats: the bits of the numpy scalars
+    rng = np.random.default_rng(7)
+    big = rng.standard_normal(60) * 1e16
+    arr = rng.permutation(np.concatenate((big, -big, rng.standard_normal(40))))
+    assert _bits(dd.compensated_sum(arr)) == _bits(dd.compensated_sum(list(arr)))
 
 
 def test_indefinite_section_rejected():
@@ -611,6 +632,51 @@ def test_twisted_vectors_match_one_shift_at_a_time(params):
 
 def _bits(x):
     return np.asarray(x).tobytes()
+
+
+def _qd_sweep_by_rows(add, mul, first, x):
+    """The qd sweep as one numpy step per row over all shifts: the reference
+    the scalar kernel ``spectrum._qd_sweep`` must reproduce bit for bit."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    t = first - x
+    pivots, ts = [], [t]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a, m in zip(add.tolist(), mul.tolist()):
+            pivots.append(a + t)
+            ratio = t / pivots[-1]
+            ratio[ratio != ratio] = 1.0  # -inf / -inf after a zero pivot
+            t = ratio * m - x
+            ts.append(t)
+    return np.array(pivots).reshape(len(add), x.size), np.array(ts)
+
+
+def _qd_cases():
+    T = truncate(GEOM, 64)
+    yield pytest.param("sections", T, section_eigenvalues(T, 13), id="q4-N64")
+    T = truncate(JacobiParams(PowerLaw(1.0, 2.0), 0.5), 112)
+    yield pytest.param("sections", T, section_eigenvalues(T, 8), id="powerlaw-N112")
+    T = truncate(EXPLICIT, 60)
+    yield pytest.param("sections", T, section_eigenvalues(T, 8), id="explicit")
+    for tag, params in (("q4", GEOM), ("explicit", EXPLICIT)):
+        T = truncate(params, 40)
+        # x = d_0 makes the first stationary pivot exactly zero
+        yield pytest.param("zero-pivot", T, T.d[:1], id=f"zero-pivot-{tag}")
+        yield pytest.param("above-spectrum", T, 2.0 * section_eigenvalues(T, 40)[-1:],
+                           id=f"above-spectrum-{tag}")
+
+
+@pytest.mark.parametrize("name, T, x", list(_qd_cases()))
+def test_qd_sweep_matches_the_row_by_row_reference(name, T, x):
+    ld = T.d[:-1] * T.l
+    for sweep in ((T.d[:-1], ld * T.l, 0.0), ((ld * T.l)[::-1], T.d[-2::-1], T.d[-1])):
+        for got, ref in zip(spectrum._qd_sweep(*sweep, x), _qd_sweep_by_rows(*sweep, x)):
+            # the bits also tell a zero pivot's sign
+            assert np.array_equal(got, ref, equal_nan=True) and _bits(got) == _bits(ref)
+    if name == "zero-pivot":
+        assert spectrum._stationary(T, x)[0][0, 0] == 0.0
+        assert sturm_count(T, float(x[0])) == _mp_sturm_count(T, float(x[0]))
+    if name == "above-spectrum":
+        assert sturm_count(T, float(x[0])) == T.size
 
 
 @pytest.mark.parametrize("params, count", [
