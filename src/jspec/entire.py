@@ -521,8 +521,14 @@ def _deriv_view(s: PowerSeriesApprox) -> PowerSeriesApprox:
 
 
 def scale_for_shift(k: float, n: int) -> float:
-    """(-1)^n k^-n, the prefactor turning a shift-n series into Phi_n."""
-    return (-1.0) ** n * k ** (-n)
+    """(-1)^n k^-n, the prefactor turning a shift-n series into Phi_n.
+
+    It is also P_n(0); past the float range it is +-inf.
+    """
+    try:
+        return (-1.0) ** n * k ** (-n)
+    except OverflowError:
+        return math.copysign(math.inf, (-1.0) ** n)
 
 
 def envelope_bound(params: JacobiParams, n: int, abs_z: float) -> float:

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import doubledouble as dd
-from .entire import _as_dd_point, _horner_dd, char_chain_prefixes
+from .entire import _as_dd_point, _horner_dd, char_chain_prefixes, scale_for_shift
 from .errors import ConvergenceFailure, SequenceError, TruncationTooCoarse
 from .sequences import JacobiParams, entry_arrays, tail_sum_enclosure, tail_sum_reciprocal
 
@@ -52,40 +52,23 @@ _ALT_CAP = 4096  # index cap of the second trace route
 class PolyEval:
     """Values P_0(x)..P_n(x) plus, in explicit mode, monomial coefficients.
 
-    Values are stored scaled: the true value is mantissas[i] * 2^exponents[i].
-    ``values`` collapses that to plain floats (inf once past the float range,
-    with ``overflow`` set) so ordinary consumers never silently saturate.
+    ``values`` has shape (n+1) at a float x and (n+1) x P at P points.  A
+    value past the float range is +-inf, and ``overflow`` says that some
+    value is; overflow is a flag, never an exception.
     """
 
-    degree: int
-    x: float
-    mode: str
     values: np.ndarray
-    mantissas: np.ndarray
-    exponents: np.ndarray
     overflow: bool
     coeffs: Optional[np.ndarray] = None  # monomial coefficients of P_n
 
 
-def _collapse(mant: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, bool]:
-    vals = np.empty_like(mant)
-    overflow = False
-    for i, (m, e) in enumerate(zip(mant, exps)):
-        if e == 0:
-            vals[i] = m
-            continue
-        try:
-            vals[i] = math.ldexp(m, int(e))
-        except OverflowError:
-            vals[i] = math.inf if m > 0 else -math.inf
-            overflow = True
-    if np.any(np.isinf(vals)):
-        overflow = True
-    return vals, overflow
-
-
-def orthopoly_eval(params: JacobiParams, n: int, x: float, mode: str = "recurrence") -> PolyEval:
+def orthopoly_eval(params: JacobiParams, n: int, x, mode: str = "recurrence") -> PolyEval:
     """Evaluate P_0..P_n at x by recurrence or by the explicit closed form.
+
+    ``x`` is a float or an array of P points (real: a complex point raises
+    TypeError); column j of the (n+1) x P values has the bits of the
+    one-point call at x[j].  Each mode makes one pass over the points, and
+    values past the float range are +-inf under the ``overflow`` flag.
 
     Explicit mode computes the chain-sum coefficients of every degree in one
     dynamic-program pass (the prefix property of the chain sums) and returns
@@ -95,68 +78,57 @@ def orthopoly_eval(params: JacobiParams, n: int, x: float, mode: str = "recurren
     """
     if n < 0:
         raise SequenceError(f"degree must be non-negative, got {n}")
-    if mode == "recurrence":
-        return _eval_recurrence(params, n, x)
-    if mode == "explicit":
-        return _eval_explicit(params, n, x)
-    raise ValueError(f"unknown evaluation mode {mode!r}")
+    x, _ = _as_dd_point(np.asarray(x))  # a tuple is points here, not an (hi, lo) pair
+    # values past the float range become +-inf (and inf - inf nan), as in
+    # scalar float arithmetic; ``overflow`` reports them
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "recurrence":
+            values, coeffs = _eval_recurrence(params, n, x), None
+        elif mode == "explicit":
+            values, coeffs = _eval_explicit(params, n, x)
+        else:
+            raise ValueError(f"unknown evaluation mode {mode!r}")
+    return PolyEval(values, bool(np.isinf(values).any()), coeffs)
 
 
-def _eval_recurrence(params: JacobiParams, n: int, x: float) -> PolyEval:
+def _eval_recurrence(params: JacobiParams, n: int, x) -> np.ndarray:
+    """The three-term recurrence at every point at once, rescaled past 2^900.
+
+    A point's last two values shift down by 2^1024 into its exponent; the
+    values are mantissa * 2^exponent at the end.
+    """
     _, alpha, beta = entry_arrays(params, n + 1)
-    mant = np.empty(n + 1)
-    exps = np.zeros(n + 1, dtype=np.int64)
-    p_prev, p_cur = 1.0, None
-    e = 0
+    alpha, beta = alpha.tolist(), beta.tolist()
+    mant = np.empty((n + 1,) + np.shape(x))
+    exps = np.zeros(mant.shape, dtype=np.int64)
     mant[0] = 1.0
     if n >= 1:
-        p_cur = (x - beta[0]) / alpha[0]
+        p_prev, p_cur, e = 1.0, (x - beta[0]) / alpha[0], 0
         mant[1] = p_cur
-        exps[1] = 0
         for i in range(1, n):
-            p_next = ((x - beta[i]) * p_cur - alpha[i - 1] * p_prev) / alpha[i]
-            p_prev, p_cur = p_cur, p_next
-            if max(abs(p_prev), abs(p_cur)) > _RESCALE_LIMIT:
-                p_prev = math.ldexp(p_prev, -_RESCALE_SHIFT)
-                p_cur = math.ldexp(p_cur, -_RESCALE_SHIFT)
-                e += _RESCALE_SHIFT
-            mant[i + 1] = p_cur
-            exps[i + 1] = e
-    vals, overflow = _collapse(mant, exps)
-    return PolyEval(
-        degree=n, x=x, mode="recurrence",
-        values=vals, mantissas=mant, exponents=exps, overflow=overflow,
-    )
+            p_prev, p_cur = p_cur, ((x - beta[i]) * p_cur - alpha[i - 1] * p_prev) / alpha[i]
+            big = (abs(p_prev) > _RESCALE_LIMIT) | (abs(p_cur) > _RESCALE_LIMIT)
+            if big is not False and np.any(big):  # one point: a bool, no np.any call
+                p_prev = np.where(big, np.ldexp(p_prev, -_RESCALE_SHIFT), p_prev)
+                p_cur = np.where(big, np.ldexp(p_cur, -_RESCALE_SHIFT), p_cur)
+                e = e + np.where(big, _RESCALE_SHIFT, 0)
+            mant[i + 1], exps[i + 1] = p_cur, e
+    return np.ldexp(mant, exps)
 
 
-def _eval_explicit(params: JacobiParams, n: int, x: float) -> PolyEval:
-    k = params.k
+def _eval_explicit(params: JacobiParams, n: int, x) -> tuple[np.ndarray, np.ndarray]:
+    values = np.ones((n + 1,) + np.shape(x))
     if n == 0:
-        one = np.ones(1)
-        return PolyEval(0, x, "explicit", one.copy(), one.copy(),
-                        np.zeros(1, dtype=np.int64), False, coeffs=one.copy())
+        return values, np.ones(1)
     # column deg-1 of the prefix table holds the coefficients of degree deg;
     # its rows m > deg are exactly 0, so one 2-D Horner serves every degree
+    # (points x degree, moved to degree x points)
     Ahi, Alo = char_chain_prefixes(params, n, n - 1)
-    rh, _, _ = _horner_dd(Ahi, Alo, float(x), 0.0)
-    vals = np.empty(n + 1)
-    vals[0] = 1.0
-    kinv_ok = True
-    for deg in range(1, n + 1):
-        try:
-            scale = (-1.0) ** deg * k ** (-deg)
-        except OverflowError:
-            kinv_ok = False
-            scale = math.inf
-        vals[deg] = scale * rh[deg - 1]
-    signs = np.where((n + np.arange(n + 1)) % 2, -1.0, 1.0)
-    coeffs = signs * k ** (-n) * (Ahi[:, n - 1] + Alo[:, n - 1])
-    overflow = (not kinv_ok) or bool(np.any(np.isinf(vals)))
-    return PolyEval(
-        degree=n, x=x, mode="explicit",
-        values=vals, mantissas=vals.copy(), exponents=np.zeros(n + 1, dtype=np.int64),
-        overflow=overflow, coeffs=coeffs,
-    )
+    rh, _, _ = _horner_dd(Ahi, Alo, np.asarray(x)[..., None], 0.0)
+    scales = np.array([scale_for_shift(params.k, deg) for deg in range(n + 1)])
+    values[1:] = scales[1:].reshape((n,) + (1,) * np.ndim(x)) * np.moveaxis(rh, -1, 0)
+    signs = np.where(np.arange(n + 1) % 2, -1.0, 1.0)
+    return values, signs * scales[n] * (Ahi[:, n - 1] + Alo[:, n - 1])
 
 
 def orthopoly_values_dd(params: JacobiParams, n: int, z) -> tuple[np.ndarray, np.ndarray]:
@@ -189,10 +161,10 @@ def orthopoly_values_dd(params: JacobiParams, n: int, z) -> tuple[np.ndarray, np
 
 
 def value_at_zero(params: JacobiParams, n: int) -> float:
-    """P_n(0) = (-1)^n k^-n, as a formula."""
+    """P_n(0) = (-1)^n k^-n, as a formula; +-inf past the float range."""
     if n < 0:
         raise SequenceError(f"degree must be non-negative, got {n}")
-    return (-1.0) ** n * params.k ** (-n)
+    return scale_for_shift(params.k, n)
 
 
 def second_kind_at_zero(params: JacobiParams, n: int, tol: float = 1e-14) -> float:
@@ -213,12 +185,6 @@ def second_kind_at_zero(params: JacobiParams, n: int, tol: float = 1e-14) -> flo
     return (-1.0) ** n * float(dd.compensated_sum(terms[::-1]))
 
 
-def trace_inverse(params: JacobiParams, tol: float = 1e-14) -> float:
-    """sum_j (1 - k^{2j+2}) / ((1-k^2) a_j), truncation error certified below tol."""
-    direct, _ = trace_inverse_routes(params, tol, with_alt=False)
-    return direct
-
-
 def _trace_tail(params: JacobiParams, J: int) -> tuple[float, float]:
     """Value and truncation bound of sum_{j>J} (1 - k^{2j+2}) / ((1-k^2) a_j).
 
@@ -234,23 +200,16 @@ def _trace_tail(params: JacobiParams, J: int) -> tuple[float, float]:
     return value / (1.0 - k2), err / (1.0 - k2)
 
 
-def trace_inverse_routes(
-    params: JacobiParams, tol: float = 1e-14, with_alt: bool = True
-) -> tuple[float, Optional[float]]:
-    """Trace of the inverse by the closed sum and by sum_n w_n(0) P_n(0).
+def trace_inverse(params: JacobiParams, tol: float = 1e-14) -> float:
+    """sum_j (1 - k^{2j+2}) / ((1-k^2) a_j), truncation error certified below tol.
 
-    The two routes are analytically identical; returning both lets callers
-    cross-check the sequence machinery against the second-kind machinery.
     The closed sum adds the sequence's reciprocal tail past J, so power
     laws certify at small J; ``TruncationTooCoarse`` is raised when no J up
-    to 2^17 brings the truncation bound below ``tol``.  The second route
-    raises ``ConvergenceFailure`` when its terms need more than 4096
-    indices (every power law at tol near 1e-14).
+    to 2^17 brings the truncation bound below ``tol``.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    k = params.k
-    k2 = k * k
+    k2 = params.k * params.k
     J = 16
     while True:
         tail, err = _trace_tail(params, J)
@@ -264,9 +223,20 @@ def trace_inverse_routes(
     a, _, _ = entry_arrays(params, J + 1)
     j = np.arange(J + 1)
     terms = (1.0 - k2 ** (j + 1)) / ((1.0 - k2) * a)
-    direct = float(dd.compensated_sum(np.concatenate(([tail], terms[::-1]))))
-    if not with_alt:
-        return direct, None
+    return float(dd.compensated_sum(np.concatenate(([tail], terms[::-1]))))
+
+
+def trace_inverse_routes(params: JacobiParams, tol: float = 1e-14) -> tuple[float, float]:
+    """Trace of the inverse by the closed sum and by sum_n w_n(0) P_n(0).
+
+    The two routes are analytically identical; returning both lets callers
+    cross-check the sequence machinery against the second-kind machinery.
+    The closed sum is ``trace_inverse``.  The second route raises
+    ``ConvergenceFailure`` when its terms need more than 4096 indices
+    (every power law at tol near 1e-14).
+    """
+    direct = trace_inverse(params, tol)
+    k2 = params.k * params.k
     # w_n(0) P_n(0) = sum_{j>=n} k^{2(j-n)} / a_j: a positive suffix sum,
     # formed without the factor P_n(0) = (-k)^-n that leaves the float range
     scale = max(direct, 1e-300)

@@ -125,13 +125,11 @@ def crit_trace_identity() -> tuple[bool, str]:
 def crit_explicit_vs_recurrence() -> tuple[bool, str]:
     sd = _spectral(8)
     xs = np.linspace(0.0, 2.0 * sd.lambdas[0], 20)
-    worst = 0.0
-    # one call per mode returns P_0..P_25; its degree-n entry equals the
-    # degree-n call bit for bit in both modes
-    for x in xs:
-        pr = orthopoly_eval(REFERENCE, 25, float(x), mode="recurrence").values
-        pe = orthopoly_eval(REFERENCE, 25, float(x), mode="explicit").values
-        worst = max(worst, float(np.max(np.abs(pr - pe) / np.maximum(1.0, np.abs(pr)))))
+    # one call per mode returns P_0..P_25 at every point; its degree-n row
+    # equals the degree-n call, and its columns the one-point calls, bit for bit
+    pr = orthopoly_eval(REFERENCE, 25, xs, mode="recurrence").values
+    pe = orthopoly_eval(REFERENCE, 25, xs, mode="explicit").values
+    worst = float(np.max(np.abs(pr - pe) / np.maximum(1.0, np.abs(pr))))
     coeffs = orthopoly_eval(REFERENCE, 2, 0.0, mode="explicit").coeffs
     target = np.array([4.0, -17.0 / 48.0, 1.0 / 720.0])
     cerr = float(np.max(np.abs(coeffs - target) / np.abs(target)))

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -291,6 +293,23 @@ def test_cli_poly_values(capsys):
     expected = 9.0 / 720.0 - 17.0 * 3.0 / 48.0 + 4.0
     assert data["rows"][2]["value_recurrence"] == pytest.approx(expected, rel=1e-12)
     assert data["coefficients"][1] == pytest.approx(-17.0 / 48.0, rel=1e-12)
+    # 10^320 = k^-320 is past the float range: +-inf values under the flag
+    # (this exited 2 on a bare OverflowError)
+    rc = main(["--k", "0.1", "--seq", "powerlaw", "--c", "1", "--p", "2", "poly", "--degree", "320", "--x", "1"])
+    assert rc == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["overflow"] is True and data["rows"][320]["value_explicit"] == "-inf"
+
+
+def test_readme_examples_run(capsys):
+    # every `jspec ...` line of the README's sh blocks runs as printed
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("jspec ")]
+    assert len(lines) >= 8
+    for line in lines:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line
+        capsys.readouterr()
 
 
 def test_cli_qlaguerre_cross_checks(capsys):
