@@ -307,6 +307,8 @@ def _cmd_poly(args: argparse.Namespace) -> int:
     degree, x = args.degree, args.x
     if degree < 0:
         raise UsageError(f"degree: must be non-negative, got {degree}")
+    if not math.isfinite(x):
+        raise UsageError(f"x: must be finite, got {x}")
     cfg = load_config(args)
     params = cfg.params()
     rec = orthopoly_eval(params, degree, x, mode="recurrence")
@@ -332,9 +334,9 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 def _cmd_qlaguerre(args: argparse.Namespace) -> int:
     zs = args.z or [0.5, 2.0, 5.0]
-    bad = [z for z in zs if not z >= 0.0]
+    bad = [z for z in zs if not 0.0 <= z < math.inf]
     if bad:
-        raise UsageError(f"z: the Bessel closed form needs z >= 0, got {bad[0]}")
+        raise UsageError(f"z: the Bessel closed form needs a finite z >= 0, got {bad[0]}")
     cfg = load_config(args)
     if cfg.q_mode is None:
         raise UsageError("q: the qlaguerre command needs q-mode (--q)")
@@ -423,7 +425,7 @@ def _cmd_identities(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .verification import run_all
 
-    results = run_all(echo=True)
+    results = run_all()
     passed = sum(1 for r in results if r.passed)
     print(f"{passed}/{len(results)} criteria passed")
     return 0 if passed == len(results) else 2

@@ -96,7 +96,6 @@ class PowerSeriesApprox:
     beyond the cutoff to the true c_m.
     """
 
-    kind: str
     shift: Optional[int]
     order: int
     cutoff: int
@@ -302,7 +301,6 @@ def _finalize(kind, M, J, chi, clo, X, seed_beyond=0.0) -> PowerSeriesApprox:
         log_terms = _log_or_ninf(seed_beyond) + orders[1:, None] * log_X - log_fact
         omitted[1:] += _per_element(_exp_or_inf, log_terms)
     return PowerSeriesApprox(
-        kind=kind,
         shift=0 if kind == "char" else None,
         order=M,
         cutoff=J,
@@ -489,7 +487,7 @@ def eval_series(s: PowerSeriesApprox, z, tol: Optional[float] = None) -> SeriesE
     return _evaluate(s, z, tol, _dd_rounding(s))
 
 
-def eval_series_deriv(s: PowerSeriesApprox, z, tol: Optional[float] = None) -> SeriesEval:
+def eval_series_deriv(s: PowerSeriesApprox, z) -> SeriesEval:
     """Evaluate the analytic derivative, by differentiating coefficients.
 
     The derivative of ``sum (-1)^m c_m z^m`` is ``-sum_j (-1)^j d_j z^j``
@@ -500,7 +498,7 @@ def eval_series_deriv(s: PowerSeriesApprox, z, tol: Optional[float] = None) -> S
         shape = s.coeffs.shape[1:] + np.shape(z[0] if isinstance(z, tuple) else z)
         return SeriesEval(*(_scalar(np.full(shape, v)) for v in (0.0, 0.0, 1.0, 0.0, 0.0)))
     dser = _deriv_view(s)
-    out = _evaluate(dser, z, tol, _dd_rounding(s), dser.order + 2.0)
+    out = _evaluate(dser, z, None, _dd_rounding(s), dser.order + 2.0)
     return SeriesEval(-out.value, -out.value_lo, out.kappa, out.err_bound, out.abs_sum)
 
 

@@ -17,7 +17,8 @@ Basic hypergeometric conventions follow the standard normalization in which
 ``r_phi_s`` carries the factor ``[(-1)^m q^(m(m-1)/2)]^(1+s-r)`` per term;
 this is the unique convention under which the ladder identity
 ``q^n L_n^(0) + L_{n-1}^(1) - L_n^(1) = 0`` holds, which the test suite
-checks explicitly.
+checks explicitly.  One double-double loop sums every such series here and
+stops it by one certified remainder test (see ``basic_hypergeometric``).
 """
 
 from __future__ import annotations
@@ -66,14 +67,14 @@ def induced_params(qp: QParams) -> JacobiParams:
     return JacobiParams(Geometric(qp.q), math.sqrt(qp.q))
 
 
-def qpochhammer(a: float, q: float, n: Optional[int] = None, tol: float = 1e-18) -> float:
+def qpochhammer(a: float, q: float, n: Optional[int] = None) -> float:
     """(a; q)_n = prod_{i<n} (1 - a q^i); n = None means the infinite product.
 
     A finite n multiplies all n factors.  The infinite case multiplies until
-    |a| q^i drops below the tolerance, at which point the omitted factors
-    differ from 1 by less than ``|a| q^i / (1 - q)`` in log, far below double
-    rounding for the default; it raises ConvergenceFailure if that takes
-    more than 100,001 factors.
+    |a| q^i drops below 1e-18, at which point the omitted factors differ
+    from 1 by less than ``|a| q^i / (1 - q)`` in log, far below double
+    rounding; it raises ConvergenceFailure if that takes more than 100,001
+    factors.
     """
     if n is not None and n < 0:
         raise ValueError(f"q-Pochhammer length must be non-negative, got {n}")
@@ -82,123 +83,112 @@ def qpochhammer(a: float, q: float, n: Optional[int] = None, tol: float = 1e-18)
     p = 1.0
     f = a
     for _ in range(100001 if n is None else n):
-        if n is None and abs(f) < tol:
+        if n is None and abs(f) < 1e-18:
             return p
         p *= 1.0 - f
         f *= q
     if n is None:
         raise ConvergenceFailure(
-            f"(a; q)_inf with a={a!r}, q={q!r} needs more than 100001 factors to reach {tol:g}"
+            f"(a; q)_inf with a={a!r}, q={q!r} needs more than 100001 factors to reach 1e-18"
         )
     return p
 
 
-def _phi01_dd(b: float, q: float, z, tol: float = 1e-17):
-    """0phi1(; b; q, z) in double-double; returns (hi, lo, abs_sum)."""
-    zh, zl = (float(z[0]), float(z[1])) if isinstance(z, tuple) else (float(z), 0.0)
-    th, tl = 1.0, 0.0  # running term
+_STOP = 1e-17  # a sum stops once its certified remainder is this far below it
+
+
+def _remainder_small(t: float, rho: float, s: float) -> bool:
+    """Whether |t| (rho + rho^2 + ...), the remainder after the term t when
+    no later term ratio exceeds rho, is at most _STOP of |s|."""
+    return rho < 1.0 and abs(t) * rho / (1.0 - rho) <= _STOP * max(abs(s), 1e-300)
+
+
+def _basic_sum(upper, lower, q, z, terms=None):
+    """r_phi_s(upper; lower; q, z) in double-double; returns (hi, lo, bound).
+
+    The term ratio is prod(1 - a q^m) / (prod(1 - b q^m) (1 - q^(m+1)))
+    (-q^m)^e z, e = 1 + s - r: z multiplies the double-double term first,
+    then the float rest.  bound = sum |t_m| (terms + 2) 2^-52 bounds the
+    rounding of the terms.  ``terms`` sums that many terms; otherwise the sum
+    stops at a term t_m below 1e-17 of it whose remainder |t_m| rho/(1 - rho)
+    is too, rho = |z| q^(e(m+1)) prod(1 + |a| q^(m+1)) / (prod(1 - |b| q^(m+1))
+    (1 - q^(m+2))) bounding every later ratio once each 1 - |b| q^(m+1) > 0.
+    DivergentArgument for e = 0 with |z| >= 1 and for a lower parameter equal
+    to q^-m; ConvergenceFailure when a partial sum leaves the float range or
+    100,000 terms do not stop the sum.
+    """
+    z = float(z)  # the loop runs on Python floats, not numpy scalars
+    e = 1 + len(lower) - len(upper)
+    name = f"{len(upper)}phi{len(lower)}"
+    if e == 0 and not abs(z) < 1.0:
+        raise DivergentArgument(f"{name} needs |z| < 1, got {z}")
+    zs = -z if e % 2 else z  # z times the sign of (-q^m)^e
+    th, tl = 1.0, 0.0
     sh, sl = 1.0, 0.0
     ab = 1.0
-    m = 0
-    while m < 400:
-        # t_{m+1} = t_m * q^{2m} * z / ((1 - b q^m)(1 - q^{m+1}))
-        den = (1.0 - b * q**m) * (1.0 - q ** (m + 1))
-        th, tl = dd.dd_mul(th, tl, zh, zl)
-        th, tl = dd.dd_mul_d(th, tl, q ** (2 * m) / den)
+    m = -1  # the index of the last ratio applied
+    for m in range(100000 if terms is None else terms - 1):
+        qm = q**m
+        num = 1.0
+        for a in upper:
+            num *= 1.0 - a * qm
+        den = 1.0 - qm * q
+        for b in lower:
+            den *= 1.0 - b * qm
+        if den == 0.0:
+            raise DivergentArgument(f"{name}: a lower parameter in {lower} is q^-{m}")
+        th, tl = dd.dd_mul_d(th, tl, zs)
+        th, tl = dd.dd_mul_d(th, tl, num * qm**e / den)
         sh, sl = dd.dd_add(sh, sl, th, tl)
+        if not abs(sh) < math.inf:
+            raise ConvergenceFailure(f"{name} partial sum overflowed at term {m + 1}")
         ab += abs(th)
-        m += 1
-        if abs(th) < tol * max(ab, 1.0) and abs(th) < 1e-280:
-            break
-        if abs(th) < tol * max(abs(sh), 1e-300) and q ** (2 * m) * abs(zh) / den < 0.5:
-            break
-    return sh, sl, ab
-
-
-def _phi11(a: float, b: float, q: float, z: float, terminate_at: Optional[int] = None,
-           tol: float = 1e-17) -> float:
-    """1phi1(a; b; q, z) with the (-1)^m q^(m(m-1)/2) factor per term.
-
-    The non-terminating sum alternates; it raises CancellationFailure when
-    the rounding of its terms, sum |t_m| (terms + 2) 2^-52, exceeds 1e-10 of
-    the result.
-    """
-    t = 1.0
-    s_h, s_l = 1.0, 0.0
-    ab = 1.0
-    m = 0
-    cap = terminate_at if terminate_at is not None else 400
-    while m < cap:
-        ratio = (1.0 - a * q**m) * (-(q**m) * z) / ((1.0 - b * q**m) * (1.0 - q ** (m + 1)))
-        t *= ratio
-        if t == 0.0:
-            break
-        s_h, s_l = dd.dd_add_d(s_h, s_l, t)
-        ab += abs(t)
-        m += 1
-        if terminate_at is None and abs(t) < tol * max(abs(s_h), 1e-300) and abs(ratio) < 0.5:
-            break
-    s = s_h + s_l
-    if terminate_at is None and ab * (m + 2) * 2.0**-52 > 1e-10 * abs(s):
-        raise CancellationFailure(
-            f"1phi1 at q={q!r}, z={z!r} sums terms of total size {ab:.3e} to {s:.3e}"
-        )
-    return s
-
-
-def _phi21(a: float, b: float, c: float, q: float, z: float, tol: float = 1e-16) -> float:
-    """2phi1(a, b; c; q, z), |z| < 1 required.
-
-    Raises ConvergenceFailure when the partial sum leaves the float range or
-    100,000 terms do not bring the tail bound below ``tol``.
-    """
-    if not (abs(z) < 1.0):
-        raise DivergentArgument(f"2phi1 argument must satisfy |z| < 1, got {z}")
-    t = 1.0
-    s_h, s_l = 1.0, 0.0
-    for m in range(100000):
-        ratio = (1.0 - a * q**m) * (1.0 - b * q**m) * z / ((1.0 - c * q**m) * (1.0 - q ** (m + 1)))
-        t *= ratio
-        s_h, s_l = dd.dd_add_d(s_h, s_l, t)
-        if not math.isfinite(s_h):
-            raise ConvergenceFailure(f"2phi1 partial sum left the float range after {m + 1} terms")
-        r = abs(z) / abs((1.0 - c * q ** (m + 1)) * (1.0 - q ** (m + 2)))
-        if r < 1.0 and abs(t) * r / (1.0 - r) < tol * max(abs(s_h), 1e-300):
-            return s_h + s_l
-    raise ConvergenceFailure(f"2phi1 with q={q!r}, z={z!r} did not reach {tol:g} in 100000 terms")
+        if terms is None and abs(th) <= _STOP * max(abs(sh), 1e-300):
+            qn = qm * q
+            up, down = abs(z) * qn**e, 1.0 - q * qn
+            for a in upper:
+                up *= 1.0 + abs(a) * qn
+            for b in lower:
+                down *= max(1.0 - abs(b) * qn, 0.0)
+            if down > 0.0 and _remainder_small(th, up / down, sh):
+                break
+    else:
+        if terms is None:
+            raise ConvergenceFailure(f"{name} at q={q!r}, z={z!r} did not stop in 100000 terms")
+    return sh, sl, ab * (m + 3) * 2.0**-52
 
 
 def basic_hypergeometric(
     kind: str,
     q: float,
     z: float,
-    tol: float = 1e-15,
     a: Optional[float] = None,
     b: Optional[float] = None,
     c: Optional[float] = None,
 ) -> float:
-    """Dispatch for the three series shapes used here.
+    """The three series shapes used here, all summed by one loop.
 
     kind = "0phi1" (needs b), "1phi1" (needs a, b), "2phi1" (needs a, b, c).
-    The 0phi1 and 1phi1 series are entire in z; 2phi1 requires |z| < 1 and
-    raises DivergentArgument otherwise.
+    A sum stops once a certified bound on its remainder is below 1e-17 of it.
+    DivergentArgument for |z| >= 1 in 2phi1 and for a lower parameter (b, or
+    c in 2phi1) equal to q^-m; ConvergenceFailure when a partial sum leaves
+    the float range or 100,000 terms do not stop it; for the alternating
+    1phi1, CancellationFailure when the rounding bound of its terms,
+    sum |t_m| (terms + 2) 2^-52, exceeds 1e-10 of the result.
     """
     if not (0.0 < q < 1.0):
         raise DivergentArgument("base q must lie in (0,1)")
-    if kind == "0phi1":
-        if b is None:
-            raise ValueError("0phi1 needs the lower parameter b")
-        sh, sl, _ = _phi01_dd(b, q, z, tol=tol)
-        return sh + sl
-    if kind == "1phi1":
-        if a is None or b is None:
-            raise ValueError("1phi1 needs parameters a and b")
-        return _phi11(a, b, q, z, tol=tol)
-    if kind == "2phi1":
-        if a is None or b is None or c is None:
-            raise ValueError("2phi1 needs parameters a, b and c")
-        return _phi21(a, b, c, q, z, tol=tol)
-    raise ValueError(f"unknown basic hypergeometric kind {kind!r}")
+    shapes = {"0phi1": ((), (b,)), "1phi1": ((a,), (b,)), "2phi1": ((a, b), (c,))}
+    if kind not in shapes:
+        raise ValueError(f"unknown basic hypergeometric kind {kind!r}")
+    upper, lower = shapes[kind]
+    if None in upper + lower:
+        raise ValueError(f"{kind} needs parameters {('b', 'a and b', 'a, b and c')[len(upper)]}")
+    hi, lo, bound = _basic_sum(upper, lower, q, z)
+    if kind == "1phi1" and bound > 1e-10 * abs(hi + lo):
+        raise CancellationFailure(f"1phi1 at q={q!r}, z={z!r}: rounding bound {bound:.3e}, "
+                                  f"sum {hi + lo:.3e}")
+    return hi + lo
 
 
 def q_laguerre(n: int, a: int, x: float, qp: QParams) -> float:
@@ -209,8 +199,8 @@ def q_laguerre(n: int, a: int, x: float, qp: QParams) -> float:
         raise ValueError(f"only parameters a = 0 and a = 1 are supported, got {a}")
     q = qp.q
     pref = qpochhammer(q ** (a + 1), q, n) / qpochhammer(q, q, n)
-    return pref * _phi11(q ** (-n), q ** (a + 1), q, -(q ** (n + a + 1)) * x,
-                         terminate_at=n + 1)
+    hi, lo, _ = _basic_sum((q ** (-n),), (q ** (a + 1),), q, -(q ** (n + a + 1)) * x, terms=n + 1)
+    return pref * (hi + lo)
 
 
 def modified_laguerre(n: int, x: float, qp: QParams) -> float:
@@ -235,7 +225,7 @@ def laguerre_classical(n: int, x: float) -> float:
     return p_cur
 
 
-def jackson_qbessel2(nu: float, x: float, qp: QParams, tol: float = 1e-15) -> float:
+def jackson_qbessel2(nu: float, x: float, qp: QParams) -> float:
     """Jackson q-Bessel function of the second kind J_nu^(2)(x; q).
 
     ((q^(nu+1); q)_inf / (q; q)_inf) (x/2)^nu 0phi1(; q^(nu+1); q, -q^(nu+1) x^2/4),
@@ -253,21 +243,11 @@ def jackson_qbessel2(nu: float, x: float, qp: QParams, tol: float = 1e-15) -> fl
             f"(q; q)_inf underflows to 0 at q={q!r}; the q-Bessel prefactor has no float value"
         )
     pref = qpochhammer(q ** (nu + 1.0), q) / denom
-    sh, sl, _ = _phi01_dd(q ** (nu + 1.0), q, -(q ** (nu + 1.0)) * x * x / 4.0, tol=tol)
+    sh, sl, _ = _basic_sum((), (q ** (nu + 1.0),), q, -(q ** (nu + 1.0)) * x * x / 4.0)
     return pref * (x / 2.0) ** nu * (sh + sl)
 
 
-def _phi01_sign(b: float, q: float, z: float) -> float:
-    sh, sl, _ = _phi01_dd(b, q, z)
-    return sh + sl
-
-
-def qbessel2_roots(
-    nu: float,
-    qp: QParams,
-    count: int,
-    x_max: Optional[float] = None,
-) -> np.ndarray:
+def qbessel2_roots(nu: float, qp: QParams, count: int) -> np.ndarray:
     """First ``count`` positive roots of J_nu^(2)(.; q) by scan and bisection.
 
     The positive roots coincide with those of the entire 0phi1 factor, so
@@ -279,12 +259,11 @@ def qbessel2_roots(
         raise ValueError("need a positive root count")
     q = qp.q
     b = q ** (nu + 1.0)
-    if x_max is None:
-        # scan past the largest eigenvalue of a section comfortably
-        # containing the requested roots
-        T = truncate(induced_params(qp), count + 10)
-        x_max = 2.2 * math.sqrt(section_eigenvalues(T, T.size)[-1])
-    f = lambda x: _phi01_sign(b, q, -b * x * x / 4.0)
+    # scan past the largest eigenvalue of a section comfortably containing
+    # the requested roots
+    T = truncate(induced_params(qp), count + 10)
+    x_max = 2.2 * math.sqrt(section_eigenvalues(T, T.size)[-1])
+    f = lambda x: basic_hypergeometric("0phi1", q, -b * x * x / 4.0, b=b)
     lo_x = min(0.05, x_max * 1e-6)
     n_pts = max(int(200 * math.log10(x_max / lo_x)), 64)
     grid = np.exp(np.linspace(math.log(lo_x), math.log(x_max), n_pts))
@@ -311,9 +290,7 @@ def qbessel2_roots(
             break
         f_prev = f_cur
     if len(roots) < count:
-        raise DivergentArgument(
-            f"found only {len(roots)} roots below x_max={x_max:g}; raise x_max"
-        )
+        raise DivergentArgument(f"found only {len(roots)} roots below x={x_max:g}")
     return np.array(roots[:count])
 
 
@@ -325,7 +302,7 @@ def char_closed_forms(z: float, qp: QParams) -> tuple[float, float, float]:
     series limit (the 0phi1 form itself).
     """
     q = qp.q
-    via_phi = _phi01_sign(q * q, q, -q * q * z)
+    via_phi = basic_hypergeometric("0phi1", q, -q * q * z, b=q * q)
     if z > 1e-8:
         via_bessel = (1.0 - q) / math.sqrt(z) * jackson_qbessel2(1.0, 2.0 * math.sqrt(z), qp)
     elif z >= 0.0:
@@ -343,41 +320,38 @@ def weyl_num_closed_forms(z: float, qp: QParams) -> tuple[float, float]:
     """Weyl-function numerator by its closed two-piece form and by the series.
 
     The closed form is ``(1-q) q / z * J_2^(2)(2 sqrt(qz); q)`` plus the
-    2phi1-coefficient correction series in (-z), summed until three terms in
-    a row fall below 1e-15 of the sum (ConvergenceFailure if 200 terms do
-    not settle it); for |z| <= 1e-8 the first piece is evaluated through its
-    0phi1 limit ``q^2/(1-q^2) 0phi1(; q^3; q, -q^4 z)``.
+    2phi1-coefficient correction series in (-z).  That series stops by the
+    remainder test of the basic hypergeometric sums: a term below 1e-17 of
+    the sum whose remainder, bounded through a term-ratio bound, is too
+    (ConvergenceFailure if 200 terms do not get there).  For |z| <= 1e-8 the
+    first piece is evaluated through its 0phi1 limit
+    ``q^2/(1-q^2) 0phi1(; q^3; q, -q^4 z)``.
     The series route is not asked to certify a relative accuracy: near a
     zero of the numerator only absolute agreement is meaningful.
     """
     q = qp.q
-    tol = 1e-15
     if z > 1e-8:
         part1 = (1.0 - q) * q / z * jackson_qbessel2(2.0, 2.0 * math.sqrt(q * z), qp)
     else:
-        part1 = q * q / (1.0 - q * q) * _phi01_sign(q**3, q, -(q**4) * z)
+        part1 = q * q / (1.0 - q * q) * basic_hypergeometric("0phi1", q, -(q**4) * z, b=q**3)
     # correction series: sum_m q^{(m+3)(m+1)} 2phi1(q^{m+2}, q; q^{m+3}; q, q^{m+2})
     #                     / ((q;q)_m (q^2;q)_{m+1}) (-z)^m
+    # The 2phi1 factor lies in [1, 1/(1 - q^{m+2})], so from m on every term
+    # ratio is at most |z| q^{2m+5} / ((1 - q^{m+1})(1 - q^{m+3})^2).
     sh, sl = 0.0, 0.0
     poch_q = 1.0      # (q;q)_m
     poch_q2 = 1.0 - q * q  # (q^2;q)_{m+1}
     zp = 1.0
-    m = 0
-    small = 0
-    while m < 200:
-        hyp = _phi21(q ** (m + 2), q, q ** (m + 3), q, q ** (m + 2), tol=tol)
-        term = q ** ((m + 3) * (m + 1)) * hyp / (poch_q * poch_q2) * zp
+    for m in range(200):
+        hi, lo, _ = _basic_sum((q ** (m + 2), q), (q ** (m + 3),), q, q ** (m + 2))
+        term = q ** ((m + 3) * (m + 1)) * (hi + lo) / (poch_q * poch_q2) * zp
         sh, sl = dd.dd_add_d(sh, sl, term)
-        m += 1
+        rho = abs(z) * q ** (2 * m + 5) / ((1.0 - q ** (m + 1)) * (1.0 - q ** (m + 3)) ** 2)
+        if _remainder_small(term, rho, sh):
+            break
         zp *= -z
-        poch_q *= 1.0 - q**m        # (q;q)_m gains (1 - q^m)
-        poch_q2 *= 1.0 - q ** (m + 2)  # (q^2;q)_{m+1} gains (1 - q^{m+2})
-        if abs(term) < tol * max(abs(sh), 1e-300):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
+        poch_q *= 1.0 - q ** (m + 1)   # (q;q)_{m+1} gains (1 - q^{m+1})
+        poch_q2 *= 1.0 - q ** (m + 3)  # (q^2;q)_{m+2} gains (1 - q^{m+3})
     else:
         raise ConvergenceFailure(
             f"correction series of the Weyl numerator at z={z!r}, q={q!r} did not settle in 200 terms"

@@ -928,9 +928,10 @@ class AssociatedReport:
     trace_sane: bool
 
 
-def associated_checks(params: JacobiParams, N: int, n_zeros: int = 5) -> AssociatedReport:
+def associated_checks(params: JacobiParams, N: int) -> AssociatedReport:
     """Two independent routes to the associated operator's inverse trace,
-    plus zeros of the numerator series against associated section eigenvalues.
+    plus the first five zeros of the numerator series against the five least
+    associated section eigenvalues.
 
     Route (a): the factored trace of the associated section (first row and
     column deleted), from its own pivots.  Route (b): the rank-one Schur
@@ -951,12 +952,12 @@ def associated_checks(params: JacobiParams, N: int, n_zeros: int = 5) -> Associa
     trace_formula = trace_j - float(z @ z) / float(p[0, 0])
     rel = abs(trace_direct - trace_formula) / abs(trace_direct)
 
-    assoc_eigs = section_eigenvalues(T1, n_zeros)
+    assoc_eigs = section_eigenvalues(T1, 5)
     radius = float(assoc_eigs[-1]) * 1.3 + 1.0
     M, J = _series_context(params, radius, 4)
     wser = second_kind_family(params, M, J, 0)[0]
     # an unmoved root is its seed with a zero low word
-    zeros, zeros_lo, _, _, _, _ = _refine_roots(wser, assoc_eigs[:n_zeros])
+    zeros, zeros_lo, _, _, _, _ = _refine_roots(wser, assoc_eigs)
     zero_rel = np.abs(zeros - assoc_eigs) / np.abs(assoc_eigs)
 
     return AssociatedReport(

@@ -166,7 +166,7 @@ def crit_masses() -> tuple[bool, str]:
 
 
 def crit_wronskian() -> tuple[bool, str]:
-    M, J = choose_truncation(REFERENCE, 16.0, 1e-14, min_cutoff=16)
+    M, J = choose_truncation(REFERENCE, 16.0, 1e-14)
     fser = series_coeffs(REFERENCE, M, J)
     worst = 0.0
     worst_const = 0.0
@@ -318,7 +318,7 @@ def crit_qbessel_roots() -> tuple[bool, str]:
 
 
 def crit_associated() -> tuple[bool, str]:
-    rep = associated_checks(REFERENCE, 60, n_zeros=5)
+    rep = associated_checks(REFERENCE, 60)
     worst_zero = float(np.max(rep.zero_rel_diffs))
     ok = rep.trace_rel_diff <= TOL_ASSOC_TRACE and worst_zero <= TOL_ASSOC_ZEROS and rep.trace_sane
     return ok, f"trace routes {rep.trace_rel_diff:.2e}, zero match {worst_zero:.2e}"
@@ -415,11 +415,11 @@ def run_criterion(cid: int) -> CriterionResult:
     raise ValueError(f"no criterion numbered {cid}")
 
 
-def run_all(echo: bool = False) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
+    """Run every criterion, printing each result line as it completes."""
     results = []
     for num, _, _ in CRITERIA:
         res = run_criterion(num)
         results.append(res)
-        if echo:
-            print(res.line(), flush=True)
+        print(res.line(), flush=True)
     return results

@@ -228,10 +228,13 @@ def test_cli_refuses_flags_the_command_does_not_read(capsys, command, flag, rest
     pytest.param(["--q", "0.25", "measure", "--p", "5"], "--p", id="q-with-p"),
     pytest.param(["--q", "0.25", "poly", "--degree", "-1"], "degree", id="negative-degree"),
     pytest.param(["--q", "0.25", "qlaguerre", "--z", "-1"], "z >= 0", id="negative-z"),
+    pytest.param(["--q", "0.25", "poly", "--degree", "3", "--x", "nan"], "x:", id="nan-x"),
+    pytest.param(["--q", "0.25", "poly", "--degree", "3", "--x", "inf"], "x:", id="inf-x"),
+    pytest.param(["--q", "0.25", "qlaguerre", "--z", "inf"], "z:", id="inf-z"),
 ])
 def test_cli_bad_inputs_are_usage_errors(capsys, argv, named):
-    # each of these exited 0 and ignored an input, exited 2 as a numerical
-    # failure, or died with a traceback
+    # each of these exited 0 and ignored an input (a nan or inf x printed NaN
+    # rows), exited 2 as a numerical failure, or died with a traceback
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("usage error:") and named in captured.err

@@ -71,16 +71,28 @@ def test_phi21_reciprocal_pole_sum():
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
-def test_phi21_divergent_argument():
+@pytest.mark.parametrize("kind, q, z, params", [
+    pytest.param("2phi1", 0.5, 1.2, dict(a=0.5, b=0.5, c=0.25), id="2phi1-z-1.2"),
+    # a lower parameter equal to q^-m: each raised a bare ZeroDivisionError
+    pytest.param("0phi1", 0.5, 1.0, dict(b=4.0), id="0phi1-lower-4"),
+    pytest.param("1phi1", 0.5, 1.0, dict(a=0.3, b=2.0), id="1phi1-lower-2"),
+    pytest.param("2phi1", 0.5, 0.5, dict(a=0.3, b=0.2, c=4.0), id="2phi1-lower-4"),
+])
+def test_phi21_divergent_argument(kind, q, z, params):
     with pytest.raises(DivergentArgument):
-        basic_hypergeometric("2phi1", 0.5, 1.2, a=0.5, b=0.5, c=0.25)
+        basic_hypergeometric(kind, q, z, **params)
 
 
-def test_phi21_raises_when_partial_sum_overflows():
+@pytest.mark.parametrize("kind, q, z, params", [
+    pytest.param("2phi1", 0.99999, 0.9999, dict(a=0.1, b=0.1, c=0.5), id="2phi1-q-0.99999"),
+    # the 0phi1 loop stopped silently at 400 terms and returned nan here
+    pytest.param("0phi1", 0.999, -0.5, dict(b=0.999**2), id="0phi1-q-0.999"),
+])
+def test_phi21_raises_when_partial_sum_overflows(kind, q, z, params):
     # at q near 1 the denominators 1 - q^{m+1} vanish and the terms overflow;
     # the sum once ran all 100,000 terms and returned nan
     with pytest.raises(ConvergenceFailure):
-        basic_hypergeometric("2phi1", 0.99999, 0.9999, a=0.1, b=0.1, c=0.5)
+        basic_hypergeometric(kind, q, z, **params)
 
 
 def test_phi21_raises_at_term_cap():
@@ -112,6 +124,54 @@ def _phi11_mpmath(a, b, q, z):
             t *= (1 - a * q**m) * (-(q**m) * z) / ((1 - b * q**m) * (1 - q ** (m + 1)))
             s += t
         return float(s)
+
+
+def _basic_mpmath(upper, lower, q, z):
+    # the term recurrence of the r_phi_s convention at 80 digits, summed
+    # until the remainder is far below double precision; returns
+    # (sum, sum of |terms|)
+    with mpmath.workdps(80):
+        upper, lower = [mpmath.mpf(a) for a in upper], [mpmath.mpf(b) for b in lower]
+        q, z = mpmath.mpf(q), mpmath.mpf(z)
+        e = 1 + len(lower) - len(upper)
+        t = s = ab = qm = mpmath.mpf(1)
+        for _ in range(5000):
+            ratio = (-qm) ** e * z / (1 - qm * q)
+            for a in upper:
+                ratio *= 1 - a * qm
+            for b in lower:
+                ratio /= 1 - b * qm
+            t *= ratio
+            s += t
+            ab += abs(t)
+            qm *= q
+            if abs(t) < mpmath.mpf(10) ** -40 * ab and abs(ratio) < 0.95:
+                return float(s), float(ab)
+        raise AssertionError("the oracle sum did not settle")
+
+
+@pytest.mark.parametrize("kind, shape, bound", [
+    pytest.param("0phi1", lambda q: ((), (q * q,)), 1e-14, id="0phi1"),
+    pytest.param("1phi1", lambda q: ((0.3,), (0.5,)), 2e-15, id="1phi1"),
+    pytest.param("2phi1", lambda q: ((0.5, q), (q * q,)), 2e-15, id="2phi1"),
+])
+def test_basic_hypergeometric_matches_80_digit_sum(kind, shape, bound):
+    # the three former loops reached 1.58e-14 (0phi1), 1.08e-15 (1phi1) and
+    # 1.24e-15 (2phi1) on this grid
+    radii = np.geomspace(1e-3, 1e3, 13)
+    zs = dict.fromkeys(np.minimum(radii, 0.9) if kind == "2phi1" else -radii)
+    checked = 0
+    for q in (0.2, 0.25, 0.5, 0.8, 0.9):
+        upper, lower = shape(q)
+        params = dict(zip("b" if kind == "0phi1" else "abc", upper + lower))
+        for z in zs:
+            want, ab = _basic_mpmath(upper, lower, q, z)
+            if ab / abs(want) > 1e3:  # cancellation, not the loop, sets the error
+                continue
+            got = basic_hypergeometric(kind, q, float(z), **params)
+            assert abs(got - want) <= bound * abs(want), (q, z, abs(got - want) / abs(want))
+            checked += 1
+    assert checked >= 20
 
 
 def test_phi11_benign_point_matches_high_precision():

@@ -203,7 +203,7 @@ def test_char_via_second_kind():
 
 
 def test_associated_operator():
-    rep = associated_checks(GEOM, 60, n_zeros=5)
+    rep = associated_checks(GEOM, 60)
     assert rep.trace_rel_diff <= 1e-8
     assert np.max(rep.zero_rel_diffs) <= 1e-6
     assert rep.trace_sane
