@@ -45,6 +45,7 @@ from .entire import (
     identity_residuals,
     second_kind_family,
     series_coeffs,
+    series_pair,
 )
 from .spectrum import (
     AssociatedReport,

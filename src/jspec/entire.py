@@ -28,13 +28,15 @@ non-negative terms only (no cancellation, no k^{-2i} overflow):
 
 with ``x_j = 1/((1-k^2) a_j)``.  The kernel walks the index axis once and
 updates every chain length m as one double-double vector per index (a
-wavefront: length m+1 at j needs length m below j only).  The forward run
-gives the characteristic prefix table, whose last column is the "char"
-series; the same run on the reversed axis gives the backward sums
-``G_m(i)`` over chains starting after i, and suffix sums of
+wavefront: length m+1 at j needs length m below j only), and it carries
+several such blocks side by side, each with its running sum.  Run forward,
+a block gives the characteristic prefix table, whose last column is the
+"char" series; run on the reversed axis, it gives the backward sums
+``G_m(i)`` over chains starting after i, whose running sums of
 ``k^{2j}/a_j G_m(j)`` give every second-kind shift n at once.
-``second_kind_family`` keeps them as one ``PowerSeriesApprox`` whose tables
-carry a trailing shift axis, and ``fam[n]`` is the shift-n series.  All
+``series_pair`` runs both blocks in one pass.  ``second_kind_family``
+keeps the shifts as one ``PowerSeriesApprox`` whose tables carry a
+trailing shift axis, and ``fam[n]`` is the shift-n series.  All
 accumulation runs in double-double arithmetic; brute-force chain
 enumeration is kept in the test suite as the oracle.
 
@@ -70,6 +72,7 @@ __all__ = [
     "SeriesEval",
     "series_coeffs",
     "second_kind_family",
+    "series_pair",
     "eval_series",
     "eval_series_deriv",
     "identity_residuals",
@@ -155,60 +158,96 @@ def _dd_inputs(params: JacobiParams, J: int):
     return a, (k2h, k2l), om, x, (ph, pl)
 
 
-def _chain_tables(w, first, L, k2, om):
-    """One pass of the chain-sum recurrence along an index axis r = 0..N-1.
+def _chain_tables(blocks, k2, om):
+    """One pass of the chain-sum recurrence along an index axis r = 0..N-1,
+    for several independent blocks side by side.
 
-    ``w`` and ``first`` are double-double (hi, lo) arrays over the axis,
-    ``k2`` and ``om`` the pairs k^2 and 1-k^2.  Fills, for levels l = 0..L,
+    Block b is (w, first, lead, seed, L): four double-double (hi, lo) arrays
+    over the axis and its number of levels L >= 0.  With ``k2`` and ``om``
+    the pairs k^2 and 1-k^2, it fills for l = 0..L-1
 
         V[0] = first,   V[l+1] = w * C[l],
         C[l](r) = sum_{i<r} (1 - k^{2(r-i)}) V[l](i),
 
-    through E[l](r) = sum_{i<=r} k^{2(r-i)} V[l](i) as in the module notes.
+    through E[l](r) = sum_{i<=r} k^{2(r-i)} V[l](i) as in the module notes,
+    and carries the running sum
+
+        S(r) = sum_{i<=r} seed(i) * (lead(i), C[0](i), ..., C[L-1](i)).
+
     Level l+1 at r needs level l below r only, so each step updates every
-    level as one vector, and each cell gets the operations of a scalar loop
-    per level, in the same order.  Returns (Vh, Vl, Ch, Cl) of shapes
-    (L+1, N) and (L, N).
+    level of every block as one vector, and each cell gets the operations
+    of a scalar loop per level, in the same order.  Returns (Sh, Sl) of
+    shape (N, sum(L+1)), the L+1 columns of each block in turn.
     """
-    wh, wl = w
-    N = len(wh)
-    Vh = np.empty((N, L + 1))
-    Vl = np.empty((N, L + 1))
-    Ch = np.empty((N, L))
-    Cl = np.empty((N, L))
-    Vh[:, 0], Vl[:, 0] = first
-    eh = el = ch = cl = np.zeros(L)
+    widths = [blk[4] + 1 for blk in blocks]
+    starts = np.cumsum([0] + widths[:-1])
+    col = np.repeat(np.arange(len(blocks)), widths)
+
+    def stacked(field):  # (N, blocks) hi and lo of one field
+        return tuple(np.column_stack([blk[field][h] for blk in blocks]) for h in (0, 1))
+
+    (Wh, Wl), (Fh, Fl), (Gh, Gl), (Dh, Dl) = (stacked(f) for f in range(4))
+    Wh, Wl, Dh, Dl = Wh[:, col], Wl[:, col], Dh[:, col], Dl[:, col]
+    N, n = Wh.shape
+    Sh = np.empty((N, n))
+    Sl = np.empty((N, n))
+    # y holds (lead, C[0], ..., C[L-1]) of each block and e the E aligned
+    # with y[1:]; e and y at the lead of a later block are scratch, since
+    # every step sets that lead afresh
+    yh = np.zeros(n)
+    yl = np.zeros(n)
+    eh = el = np.zeros(n - 1)
+    sh = sl = np.zeros(n)
     for r in range(N):
-        Ch[r], Cl[r] = ch, cl
-        Vh[r, 1:], Vl[r, 1:] = dd.dd_mul(wh[r], wl[r], ch, cl)
+        yh[starts], yl[starts] = Gh[r], Gl[r]
+        th, tl = dd.dd_mul(Dh[r], Dl[r], yh, yl)
+        sh, sl = dd.dd_add(sh, sl, th, tl)
+        Sh[r], Sl[r] = sh, sl
+        vh, vl = dd.dd_mul(Wh[r], Wl[r], yh, yl)
+        vh[starts], vl[starts] = Fh[r], Fl[r]
         eh, el = dd.dd_mul(eh, el, *k2)
-        eh, el = dd.dd_add(eh, el, Vh[r, :L], Vl[r, :L])
+        eh, el = dd.dd_add(eh, el, vh[:-1], vl[:-1])
         th, tl = dd.dd_mul(eh, el, *om)
-        ch, cl = dd.dd_add(ch, cl, th, tl)
-    return Vh.T, Vl.T, Ch.T, Cl.T
+        yh[1:], yl[1:] = dd.dd_add(yh[1:], yl[1:], th, tl)
+    return Sh, Sl
 
 
-def _char_prefix_table(params: JacobiParams, M: int, J: int):
-    """The table of ``char_chain_prefixes``.
+def _coefficient_tables(params: JacobiParams, M: int, J: int, char: bool, n_max):
+    """The characteristic prefix table (``char``) and the second-kind table
+    of shifts 0..n_max (``n_max`` not None), from one kernel pass.
 
-    ``series_coeffs`` reads its last column through this helper, not the
-    public function, so every public function stays one layer of the
-    per-layer trace (perfbench/tracer.py) and no DP is counted twice.
+    The characteristic block runs forward with seed x: its sum is the prefix
+    sum of V, A[m+1](j) = sum_{i<=j} V[m](i), with V[0] the chains of one
+    index x_j (1 - k^{2(j+1)}).  The second-kind block runs on the reversed
+    axis r = J - i, where the kernel's V[m](r) is x_i G[m](i), G[m](i) the
+    chains i < j_1 < ... < j_m weighted by prod (1-k^{2 d}) x_j; so V[0] is
+    x itself, G[m+1](i) is C[m](r), and its sum with seed k^{2i}/a_i and
+    lead 1 is the suffix sum sum_{i>=n} seed(i) G[m](i) of shift n at
+    r = J - n.  Returns (Ah, Al) of shape (M+1, J+1) or None, and (Hh, Hl)
+    of shape (M+1, n_max+1) or None.
     """
-    Ah = np.zeros((M + 1, J + 1))
-    Al = np.zeros((M + 1, J + 1))
-    Ah[0] = 1.0
-    if M == 0:
-        return Ah, Al
-    _, k2, om, x, (ph, pl) = _dd_inputs(params, J)
-    # chains of one index: x_j (1 - k^{2(j+1)})
-    first = dd.dd_mul(*x, *dd.dd_add_d(-ph[1:], -pl[1:], 1.0))
-    Sh, Sl, _, _ = _chain_tables(x, first, M - 1, k2, om)
-    sh = sl = np.zeros(M)
-    for j in range(J + 1):
-        sh, sl = dd.dd_add(sh, sl, Sh[:, j], Sl[:, j])
-        Ah[1:, j], Al[1:, j] = sh, sl
-    return Ah, Al
+    a, k2, om, x, (ph, pl) = _dd_inputs(params, J)
+    blocks = []
+    if char and M > 0:
+        lead = dd.dd_add_d(-ph[1:], -pl[1:], 1.0)
+        blocks.append((x, dd.dd_mul(*x, *lead), lead, x, M - 1))
+    if n_max is not None:
+        w = (x[0][::-1], x[1][::-1])
+        seed = dd.dd_div(ph[:-1], pl[:-1], a, 0.0)
+        one = (np.ones(J + 1), np.zeros(J + 1))
+        blocks.append((w, w, one, (seed[0][::-1], seed[1][::-1]), M))
+    Sh = Sl = np.empty((J + 1, 0))
+    if blocks:
+        Sh, Sl = _chain_tables(blocks, k2, om)
+    A = H = None
+    if char:  # the characteristic block has M columns, none when M = 0
+        Ah, Al = np.zeros((M + 1, J + 1)), np.zeros((M + 1, J + 1))
+        Ah[0] = 1.0
+        Ah[1:], Al[1:] = Sh[:, :M].T, Sl[:, :M].T
+        A = Ah, Al
+    if n_max is not None:
+        H = tuple(np.ascontiguousarray(S[J - n_max:, M if char else 0:][::-1].T) for S in (Sh, Sl))
+    return A, H
 
 
 def char_chain_prefixes(params: JacobiParams, M: int, J: int):
@@ -219,7 +258,7 @@ def char_chain_prefixes(params: JacobiParams, M: int, J: int):
     so one DP run serves every polynomial degree up to J+1.
     Returned as (A_hi, A_lo); row 0 is identically 1.
     """
-    return _char_prefix_table(params, M, J)
+    return _coefficient_tables(params, M, J, True, None)[0]
 
 
 def _weight_suffix(params: JacobiParams, J: int) -> np.ndarray:
@@ -234,50 +273,58 @@ def _weight_suffix(params: JacobiParams, J: int) -> np.ndarray:
     return np.cumsum(np.concatenate(([t_beyond], x[::-1])))[::-1]
 
 
+def _check_orders(M: int, J: int, n_max=None):
+    if M < 0:
+        raise ValueError(f"order M must be non-negative, got {M}")
+    if M > J:
+        raise ValueError(f"order M={M} exceeds index cutoff J={J}")
+    if n_max is not None and n_max >= J:
+        raise ValueError(f"largest shift {n_max} must stay below the cutoff J={J}")
+
+
+def _seed_beyond(params: JacobiParams, J: int) -> float:
+    """The seed weight k^{2j}/a_j summed beyond the cutoff, shared by every shift."""
+    return params.k ** (2 * (J + 1)) * tail_sum_reciprocal(params.seq, J + 1)
+
+
 def series_coeffs(params: JacobiParams, M: int, J: int) -> PowerSeriesApprox:
     """The characteristic series up to order M, index cutoff J.
 
     M is the truncation order (coefficients c_0..c_M are produced) and J the
     largest chain index kept; chains of length m need m distinct indices,
     so M <= J is required.  The shift-n second-kind series is
-    ``second_kind_family(params, M, J, n)[n]``.
+    ``second_kind_family(params, M, J, n)[n]``; ``series_pair`` builds both.
     """
-    if M < 0:
-        raise ValueError(f"order M must be non-negative, got {M}")
-    if M > J:
-        raise ValueError(f"order M={M} exceeds index cutoff J={J}")
-    Ah, Al = _char_prefix_table(params, M, J)
-    return _finalize("char", M, J, Ah[:, J].copy(), Al[:, J].copy(),
-                     _weight_suffix(params, J))
+    _check_orders(M, J)
+    (Ah, Al), _ = _coefficient_tables(params, M, J, True, None)
+    return _finalize("char", M, J, Ah[:, J].copy(), Al[:, J].copy(), _weight_suffix(params, J))
 
 
 def second_kind_family(params: JacobiParams, M: int, J: int, n_max: int) -> PowerSeriesApprox:
     """The second-kind series of shifts 0..n_max, one family from a single backward DP."""
-    if M > J:
-        raise ValueError(f"order M={M} exceeds index cutoff J={J}")
-    if n_max >= J:
-        raise ValueError(f"largest shift {n_max} must stay below the cutoff J={J}")
-    a, k2, om, (xh, xl), (ph, pl) = _dd_inputs(params, J)
-    # G[m][i]: chains i < j_1 < ... < j_m weighted by prod (1-k^{2 d}) x_{j}.
-    # On the reversed axis r = J - i the kernel's V[m](r) is x_{J-r} G[m](J-r),
-    # so V[0] is x itself, and G[m+1] is its C[m] read backwards.
-    w = (xh[::-1], xl[::-1])
-    _, _, Ch, Cl = _chain_tables(w, w, M, k2, om)
-    Gh = np.vstack([np.ones(J + 1), Ch[:, ::-1]])
-    Gl = np.vstack([np.zeros(J + 1), Cl[:, ::-1]])
-    # suffix sums of seed(j) * G_m(j), seed = k^{2j}/a_j
-    sdh, sdl = dd.dd_div(ph[:-1], pl[:-1], a, 0.0)
-    Hh = np.empty((M + 1, n_max + 1))
-    Hl = np.empty((M + 1, n_max + 1))
-    sh = sl = np.zeros(M + 1)
-    for j in range(J, -1, -1):
-        th, tl = dd.dd_mul(sdh[j], sdl[j], Gh[:, j], Gl[:, j])
-        sh, sl = dd.dd_add(sh, sl, th, tl)
-        if j <= n_max:
-            Hh[:, j], Hl[:, j] = sh, sl
-    # seed weight k^{2j}/a_j summed beyond the cutoff, shared by every shift
-    seed_beyond = params.k ** (2 * (J + 1)) * tail_sum_reciprocal(params.seq, J + 1)
-    return _finalize("second_kind", M, J, Hh, Hl, _weight_suffix(params, J), seed_beyond)
+    _check_orders(M, J, n_max)
+    _, (Hh, Hl) = _coefficient_tables(params, M, J, False, n_max)
+    return _finalize(
+        "second_kind", M, J, Hh, Hl, _weight_suffix(params, J), _seed_beyond(params, J)
+    )
+
+
+def series_pair(
+    params: JacobiParams, M: int, J: int, n_max: int
+) -> tuple[PowerSeriesApprox, PowerSeriesApprox]:
+    """``series_coeffs(params, M, J)`` and ``second_kind_family(params, M, J,
+    n_max)``, bit for bit, from one pass of the chain-sum kernel."""
+    return _series_pair(params, M, J, n_max, _weight_suffix(params, J))
+
+
+def _series_pair(params: JacobiParams, M: int, J: int, n_max: int, X: np.ndarray):
+    """``series_pair`` with ``X = _weight_suffix(params, J)`` already built."""
+    _check_orders(M, J, n_max)
+    (Ah, Al), (Hh, Hl) = _coefficient_tables(params, M, J, True, n_max)
+    return (
+        _finalize("char", M, J, Ah[:, J].copy(), Al[:, J].copy(), X),
+        _finalize("second_kind", M, J, Hh, Hl, X, _seed_beyond(params, J)),
+    )
 
 
 def _finalize(kind, M, J, chi, clo, X, seed_beyond=0.0) -> PowerSeriesApprox:
@@ -518,6 +565,31 @@ def _deriv_view(s: PowerSeriesApprox) -> PowerSeriesApprox:
     )
 
 
+def _value_and_slope(s: PowerSeriesApprox):
+    """An evaluator of F = ``s`` and F' together at arrays of points.
+
+    The returned function maps (zh, zl) to (SeriesEval of F, F' hi, F' lo):
+    F's fields have the bits of ``eval_series(s, (zh, zl))``, and F' those of
+    ``eval_series_deriv(s, (zh, zl)).value`` and ``.value_lo``, from one
+    ``_horner_dd`` pass over a two-column table: the coefficients of F, and
+    those of ``_deriv_view(s)`` padded with a zero at order M.  The padding is
+    exact: the zero's Horner step adds 0 to a coefficient pair normalised by
+    ``quick_two_sum``, which returns the pair unchanged.  F' carries no bound
+    of its own.
+    """
+    d = _deriv_view(s)
+    chi = np.column_stack((s.coeffs, np.append(d.coeffs, 0.0)))
+    clo = np.column_stack((s.coeffs_lo, np.append(d.coeffs_lo, 0.0)))
+    rounding = _dd_rounding(s)
+
+    def evaluate(zh, zl):
+        rh, rl, ab = _horner_dd(chi, clo, zh[:, None], zl[:, None])
+        fe = SeriesEval(*_certified(s, rh[:, 0], rl[:, 0], ab[:, 0], abs(zh), None, rounding))
+        return fe, -rh[:, 1], -rl[:, 1]
+
+    return evaluate
+
+
 def scale_for_shift(k: float, n: int) -> float:
     """(-1)^n k^-n, the prefactor turning a shift-n series into Phi_n.
 
@@ -617,12 +689,13 @@ def identity_residuals(
     from .polycore import orthopoly_values_dd  # local import, avoids a cycle
 
     zh, zl = _as_dd_point(z)
-    ev = eval_series(second_kind_family(params, M, J, n_max + 1), (zh, zl))
+    fser, fam = series_pair(params, M, J, n_max + 1)
+    ev = eval_series(fam, (zh, zl))
     scales = np.array([scale_for_shift(params.k, n) for n in range(n_max + 2)])
     vh, vl = dd.dd_mul_d(ev.value, ev.value_lo, scales)
     Ph, Pl = orthopoly_values_dd(params, n_max + 1, (zh, zl))
     _, alpha, beta = entry_arrays(params, n_max + 1)
-    fe = eval_series(series_coeffs(params, M, J), (zh, zl))
+    fe = eval_series(fser, (zh, zl))
 
     t1 = dd.dd_mul(Ph[:-1], Pl[:-1], vh[1:], vl[1:])
     t2 = dd.dd_mul(Ph[1:], Pl[1:], vh[:-1], vl[:-1])

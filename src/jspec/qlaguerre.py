@@ -323,7 +323,8 @@ def weyl_num_closed_forms(z: float, qp: QParams) -> tuple[float, float]:
     2phi1-coefficient correction series in (-z).  That series stops by the
     remainder test of the basic hypergeometric sums: a term below 1e-17 of
     the sum whose remainder, bounded through a term-ratio bound, is too
-    (ConvergenceFailure if 200 terms do not get there).  For |z| <= 1e-8 the
+    (ConvergenceFailure at the first term where the partial sum is not
+    finite, or if 200 terms do not get there).  For |z| <= 1e-8 the
     first piece is evaluated through its 0phi1 limit
     ``q^2/(1-q^2) 0phi1(; q^3; q, -q^4 z)``.
     The series route is not asked to certify a relative accuracy: near a
@@ -346,6 +347,11 @@ def weyl_num_closed_forms(z: float, qp: QParams) -> tuple[float, float]:
         hi, lo, _ = _basic_sum((q ** (m + 2), q), (q ** (m + 3),), q, q ** (m + 2))
         term = q ** ((m + 3) * (m + 1)) * (hi + lo) / (poch_q * poch_q2) * zp
         sh, sl = dd.dd_add_d(sh, sl, term)
+        if not abs(sh) < math.inf:  # a non-finite term makes the sum non-finite too
+            raise ConvergenceFailure(
+                f"correction series of the Weyl numerator at z={z!r}, q={q!r} "
+                f"is not finite at term {m}"
+            )
         rho = abs(z) * q ** (2 * m + 5) / ((1.0 - q ** (m + 1)) * (1.0 - q ** (m + 3)) ** 2)
         if _remainder_small(term, rho, sh):
             break

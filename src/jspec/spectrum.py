@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg.lapack import dpteqr
@@ -47,13 +47,15 @@ from .entire import (
     PowerSeriesApprox,
     _envelope,
     _envelope_factors,
+    _series_pair,
+    _value_and_slope,
     _weight_suffix,
     choose_truncation,
     eval_series,
     eval_series_deriv,
     scale_for_shift,
     second_kind_family,
-    series_coeffs,
+    series_pair,
 )
 from .errors import (
     CancellationFailure,
@@ -350,45 +352,64 @@ _NEWTON_CAP = 40  # Newton steps per root; a root still moving after them raises
 _BASIN = 0.25  # a Newton iterate stays within this relative distance of its seed
 
 
-def _refine_roots(fser: PowerSeriesApprox, seeds):
+class _Roots(NamedTuple):
+    """What ``_refine_roots`` returns, one element per seed."""
+
+    hi: np.ndarray
+    lo: np.ndarray
+    residual: np.ndarray  # |F| of the last evaluation (an exit: its error bound)
+    bound: np.ndarray     # error bound of the last evaluation
+    abs_sum: np.ndarray   # abs-sum of the last evaluation
+    moved: np.ndarray
+    fp_hi: np.ndarray     # F' at (hi, lo)
+    fp_lo: np.ndarray
+    seed_fp_hi: np.ndarray  # F' at the seed
+    seed_fp_lo: np.ndarray
+
+
+def _refine_roots(fser: PowerSeriesApprox, seeds) -> _Roots:
     """Compensated Newton from section seeds, all roots at once.
 
-    Returns arrays (hi, lo, |F|, bound, abs_sum, moved): the root, the
-    residual and error bound of its last evaluation and that evaluation's
-    abs-sum.  Each root stops on its own rules and walks the iterates a
-    one-root Newton would: once the applied correction is no larger than
-    the certified root resolution err_bound/|F'| (so the result does not
-    depend on the last bits of the seed; a stop on small |F| alone would
-    keep whichever point first fell inside the noise band), at a 1e-30
-    relative step, or at F' = 0.  A step leaving the basin (farther than
-    ``_BASIN`` from the seed, relative to it) keeps the seed, unmoved, with
-    residual and bound the last error bound; so a moved root lies within
-    ``_BASIN`` of its seed.  ConvergenceFailure when some root is still
-    moving after ``_NEWTON_CAP`` steps.
+    Returns the root, the residual and error bound of its last evaluation,
+    that evaluation's abs-sum, and F' at the root and at the seed, each
+    with the bits of ``eval_series_deriv`` there: every iterate evaluates F
+    and F' in one pass (``entire._value_and_slope``).  Each root stops on
+    its own rules and walks the iterates a one-root Newton would: once the
+    applied correction is no larger than the certified root resolution
+    err_bound/|F'| (so the result does not depend on the last bits of the
+    seed; a stop on small |F| alone would keep whichever point first fell
+    inside the noise band), at a 1e-30 relative step, or at F' = 0.  A step
+    leaving the basin (farther than ``_BASIN`` from the seed, relative to
+    it) keeps the seed, unmoved, with residual and bound the last error
+    bound and F' that at the seed; so a moved root lies within ``_BASIN``
+    of its seed.  ConvergenceFailure when some root is still moving after
+    ``_NEWTON_CAP`` steps.
     """
     seeds = np.asarray(seeds, dtype=float)
+    evaluate = _value_and_slope(fser)
     zh = seeds.copy()
     zl = np.zeros_like(zh)
-    fe = eval_series(fser, (zh, zl))
+    fe, fph, fpl = evaluate(zh, zl)
     fval, flo, ferr, fabs = fe.value, fe.value_lo, fe.err_bound, fe.abs_sum
+    seed_fph, seed_fpl = fph.copy(), fpl.copy()
     moved = np.ones(zh.shape, dtype=bool)
     active = np.flatnonzero(moved)
     for _ in range(_NEWTON_CAP):
         if not active.size:
             break
-        fp = eval_series_deriv(fser, (zh[active], zl[active]))
-        step = fp.value != 0.0
-        active, fpv, fpl = active[step], fp.value[step], fp.value_lo[step]
-        sh, sl = dd.dd_div(fval[active], flo[active], fpv, fpl)
+        active = active[fph[active] != 0.0]
+        fpv = fph[active]
+        sh, sl = dd.dd_div(fval[active], flo[active], fpv, fpl[active])
         # a step out of the basin keeps the section value
         out = np.abs(zh[active] - seeds[active] - sh) > _BASIN * np.abs(seeds[active])
         exits = active[out]
         zh[exits], zl[exits], moved[exits] = seeds[exits], 0.0, False
         fval[exits] = ferr[exits]
+        fph[exits], fpl[exits] = seed_fph[exits], seed_fpl[exits]
         active, sh, sl, fpv = active[~out], sh[~out], sl[~out], fpv[~out]
         resolution = ferr[active] / np.abs(fpv)
         zh[active], zl[active] = dd.dd_sub(zh[active], zl[active], sh, sl)
-        fe = eval_series(fser, (zh[active], zl[active]))
+        fe, fph[active], fpl[active] = evaluate(zh[active], zl[active])
         fval[active], flo[active] = fe.value, fe.value_lo
         ferr[active], fabs[active] = fe.err_bound, fe.abs_sum
         done = (np.abs(sh) <= resolution) | (np.abs(sh) <= 1e-30 * np.abs(zh[active]))
@@ -398,22 +419,20 @@ def _refine_roots(fser: PowerSeriesApprox, seeds):
             f"Newton on the series did not settle {active.size} of {zh.size} roots "
             f"in {_NEWTON_CAP} steps"
         )
-    return zh, zl, np.abs(fval), ferr, fabs, moved
+    return _Roots(zh, zl, np.abs(fval), ferr, fabs, moved, fph, fpl, seed_fph, seed_fpl)
 
 
 _SCREEN_MARGIN = 2.0  # covers the rounding of every quantity the screen compares
 
 
-def _series_hopeless(
-    params: JacobiParams, M: int, J: int, seeds: np.ndarray, tol: float
-) -> np.ndarray:
-    """Per root: True when the order-M, cutoff-J series provably can neither
-    refine it to ``tol`` nor certify a second-kind entry at it.
+def _series_hopeless(X: np.ndarray, M: int, seeds: np.ndarray, tol: float) -> np.ndarray:
+    """Per root: True when the order-M series with weight suffix
+    ``X = _weight_suffix(params, J)`` provably can neither refine it to
+    ``tol`` nor certify a second-kind entry at it.
 
     Every bound of ``_certified`` holds the omitted-index term
-    t_b z sum_{m<M} c_m z^m, with t_b = X[J+1] the weight beyond the cutoff
-    (``_weight_suffix``), and the coefficients obey c_{m+1} <= S c_m with
-    S = X[0].  Hence
+    t_b z sum_{m<M} c_m z^m, with t_b = X[J+1] the weight beyond the cutoff,
+    and the coefficients obey c_{m+1} <= S c_m with S = X[0].  Hence
 
     * |F'(z)| <= M S sum_{m<M} c_m z^m, so the root certificate
       err/|F'| is at least t_b z / (M S); a moved root lies within
@@ -423,8 +442,7 @@ def _series_hopeless(
       second-kind entry has |value| <= (1 + S z) sum_{m<M} h_m z^m, so
       err/|value| is at least t_b z / (1 + S z), against ``_CERT_REL``.
     """
-    X = _weight_suffix(params, J)
-    t_b, S = float(X[J + 1]), float(X[0])
+    t_b, S = float(X[-1]), float(X[0])
     with np.errstate(over="ignore"):  # an overflow only fails the test
         z_lo = np.minimum((1.0 - _BASIN) * seeds, 1.0)
         # the certificate divides by max(|F'|, 1e-300)
@@ -481,7 +499,8 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
     M, J = _series_context(params, radius, n_aux)
     seeds = lams_sec[:count]
 
-    if np.all(_series_hopeless(params, M, J, seeds, tol)):
+    X = _weight_suffix(params, J)
+    if np.all(_series_hopeless(X, M, seeds, tol)):
         lam_hi, lam_lo = seeds.copy(), np.zeros(count)
         refined = np.zeros(count, dtype=bool)
         res_F, res_F_abs_sum = np.full(count, math.nan), np.full(count, math.nan)
@@ -489,21 +508,20 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
         _, masses_q, eig_res = _section_weights(T, seeds)
         masses, route = masses_q.copy(), ["fallback"] * count
     else:
-        fser = series_coeffs(params, M, J)
-        zh, zl, res_F, res_F_bound, res_F_abs_sum, moved = _refine_roots(fser, seeds)
-        fp = eval_series_deriv(fser, (zh, zl))
-        cert_err = res_F_bound / np.maximum(np.abs(fp.value), 1e-300)
-        refined = moved & (cert_err <= tol * np.maximum(np.abs(zh), 1.0))
-        lam_hi = np.where(refined, zh, seeds)
-        lam_lo = np.where(refined, zl, 0.0)
+        fser, fam = _series_pair(params, M, J, n_aux + 1, X)
+        roots = _refine_roots(fser, seeds)
+        res_F, res_F_bound, res_F_abs_sum = roots.residual, roots.bound, roots.abs_sum
+        cert_err = res_F_bound / np.maximum(np.abs(roots.fp_hi), 1e-300)
+        refined = roots.moved & (cert_err <= tol * np.maximum(np.abs(roots.hi), 1.0))
+        lam_hi = np.where(refined, roots.hi, seeds)
+        lam_lo = np.where(refined, roots.lo, 0.0)
         # F' at the returned eigenvalues: the certificate's value where the
-        # root is kept, a fresh one where Newton moved a root it then drops
-        fph, fpl = fp.value, fp.value_lo
-        back = np.flatnonzero(moved & ~refined)
-        if back.size:
-            at_seed = eval_series_deriv(fser, (lam_hi[back], lam_lo[back]))
-            fph[back], fpl[back] = at_seed.value, at_seed.value_lo
-        md = _mass_machinery(params, lam_hi, lam_lo, n_aux, M, J, (fph, fpl), T, seeds)
+        # root is kept, the one at the seed where it is not
+        fprime = (
+            np.where(refined, roots.fp_hi, roots.seed_fp_hi),
+            np.where(refined, roots.fp_lo, roots.seed_fp_lo),
+        )
+        md = _mass_machinery(params, lam_hi, lam_lo, n_aux, fam, fprime, T, seeds)
         masses, masses_q, route = md.masses, md.masses_quadrature, md.mass_route
         eig_res = md.eigen_residuals
 
@@ -565,15 +583,15 @@ def _mass_machinery(
     lam_hi: np.ndarray,
     lam_lo: np.ndarray,
     n_max: int,
-    M: int,
-    J: int,
+    fam: PowerSeriesApprox,
     fprime: tuple[np.ndarray, np.ndarray],
     T: TruncatedJacobi,
     lams_section: np.ndarray,
 ) -> MassData:
     """Masses, eigenvector samples and their identities at every eigenvalue.
 
-    ``fprime`` is F' at the eigenvalues as a double-double pair.  Arrays
+    ``fam`` is the second-kind family of shifts 0..n_max+1 and ``fprime``
+    F' at the eigenvalues as a double-double pair.  Arrays
     run (index n x eigenvalue j) and every step is elementwise or reduces
     along n in order, so each column has the bits of a one-root
     computation.  Rows without a certified series entry take the section
@@ -581,7 +599,6 @@ def _mass_machinery(
     """
     count = len(lam_hi)
     k = params.k
-    fam = second_kind_family(params, M, J, n_max + 1)
     a, alpha, beta = entry_arrays(params, n_max + 2)
     scales = np.array([scale_for_shift(k, n) for n in range(n_max + 2)])
 
@@ -729,12 +746,12 @@ def masses_and_vectors(params: JacobiParams, sd: SpectralData, n_max: int) -> Ma
         raise ValueError("n_max must be at least 1")
     radius = float(sd.lambdas[-1]) * 1.3 + 1.0
     M, J = _series_context(params, radius, n_max)
-    fser = series_coeffs(params, M, J)
+    fser, fam = series_pair(params, M, J, n_max + 1)
     fp = eval_series_deriv(fser, (sd.lambdas, sd.lambdas_lo))
     T = truncate(params, sd.N_used)
     lams_section = section_eigenvalues(T, sd.count)
     return _mass_machinery(
-        params, sd.lambdas, sd.lambdas_lo, n_max, M, J, (fp.value, fp.value_lo), T, lams_section
+        params, sd.lambdas, sd.lambdas_lo, n_max, fam, (fp.value, fp.value_lo), T, lams_section
     )
 
 
@@ -802,8 +819,8 @@ def weyl(params: JacobiParams, z: float, sd: SpectralData) -> WeylValues:
     series_val = math.nan
     series_err = math.inf
     try:
-        fser = series_coeffs(params, M, J)
-        wser = second_kind_family(params, M, J, 0)[0]
+        fser, fam = series_pair(params, M, J, 0)
+        wser = fam[0]
         fe = eval_series(fser, z, tol=1e-9)
         we = eval_series(wser, z, tol=1e-9)
         series_val, _ = dd.dd_div(we.value, we.value_lo, fe.value, fe.value_lo)
@@ -844,8 +861,7 @@ def second_kind_routes(params: JacobiParams, n: int, z: float) -> tuple[float, O
     returned as the second element (None otherwise).
     """
     M, J = _series_context(params, max(abs(z), 1.0), n + 4)
-    fser = series_coeffs(params, M, J)
-    fam = second_kind_family(params, M, J, n)
+    fser, fam = series_pair(params, M, J, n)
     fe = eval_series(fser, z, tol=1e-9)
     pe = eval_series(fam[n], z)
     sc = scale_for_shift(params.k, n)
@@ -957,7 +973,7 @@ def associated_checks(params: JacobiParams, N: int) -> AssociatedReport:
     M, J = _series_context(params, radius, 4)
     wser = second_kind_family(params, M, J, 0)[0]
     # an unmoved root is its seed with a zero low word
-    zeros, zeros_lo, _, _, _, _ = _refine_roots(wser, assoc_eigs)
+    zeros, zeros_lo = _refine_roots(wser, assoc_eigs)[:2]
     zero_rel = np.abs(zeros - assoc_eigs) / np.abs(assoc_eigs)
 
     return AssociatedReport(

@@ -23,8 +23,8 @@ from .entire import (
     choose_truncation,
     eval_series,
     identity_residuals,
-    second_kind_family,
     series_coeffs,
+    series_pair,
 )
 from .errors import JspecError
 from .identities import IDENTITY_IDS, check as identity_check, draw_params
@@ -353,12 +353,11 @@ def _chain_bruteforce(params: JacobiParams, m: int, J: int, shift=None) -> float
 def crit_oracle_equivalence() -> tuple[bool, str]:
     params = JacobiParams(Geometric(0.37), 0.61)
     J = 12
-    fser = series_coeffs(params, 3, J)
+    fser, fam = series_pair(params, 3, J, 2)
     worst = 0.0
     for m in range(1, 4):
         brute = _chain_bruteforce(params, m, J)
         worst = max(worst, abs(fser.coefficient(m) - brute) / brute)
-    fam = second_kind_family(params, 3, J, 2)
     for shift in (0, 2):
         for m in range(0, 4):
             brute = _chain_bruteforce(params, m, J, shift=shift)

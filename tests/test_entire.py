@@ -12,7 +12,9 @@ import warnings
 import numpy as np
 import pytest
 
+from jspec import doubledouble as dd
 from jspec.entire import (
+    _dd_inputs,
     _weight_suffix,
     char_chain_prefixes,
     choose_truncation,
@@ -23,9 +25,11 @@ from jspec.entire import (
     scale_for_shift,
     second_kind_family,
     series_coeffs,
+    series_pair,
 )
 from jspec.errors import CancellationFailure, JspecError
 from jspec.sequences import (
+    Explicit,
     Geometric,
     JacobiParams,
     PowerLaw,
@@ -92,6 +96,87 @@ def test_dp_matches_enumeration(q, k):
             for m in range(M + 1):
                 brute = enum_second_chain(params, n, m, J)
                 assert abs(fam[n].coefficient(m) - brute) <= 1e-14 * brute
+
+
+def _two_pass_chain_tables(w, first, L, k2, om):
+    """One run of the chain-sum recurrence, storing its V and C tables: the
+    kernel of the former two-pass DP, kept as the reference of the one-pass
+    kernel."""
+    wh, wl = w
+    N = len(wh)
+    Vh = np.empty((N, L + 1))
+    Vl = np.empty((N, L + 1))
+    Ch = np.empty((N, L))
+    Cl = np.empty((N, L))
+    Vh[:, 0], Vl[:, 0] = first
+    eh = el = ch = cl = np.zeros(L)
+    for r in range(N):
+        Ch[r], Cl[r] = ch, cl
+        Vh[r, 1:], Vl[r, 1:] = dd.dd_mul(wh[r], wl[r], ch, cl)
+        eh, el = dd.dd_mul(eh, el, *k2)
+        eh, el = dd.dd_add(eh, el, Vh[r, :L], Vl[r, :L])
+        th, tl = dd.dd_mul(eh, el, *om)
+        ch, cl = dd.dd_add(ch, cl, th, tl)
+    return Vh.T, Vl.T, Ch.T, Cl.T
+
+
+def _two_pass_tables(params, M, J, n_max):
+    """The characteristic prefix table from a forward run and a prefix loop,
+    and the second-kind table from a backward run and a suffix loop."""
+    a, k2, om, x, (ph, pl) = _dd_inputs(params, J)
+    Ah = np.zeros((M + 1, J + 1))
+    Al = np.zeros((M + 1, J + 1))
+    Ah[0] = 1.0
+    if M > 0:
+        first = dd.dd_mul(*x, *dd.dd_add_d(-ph[1:], -pl[1:], 1.0))
+        Sh, Sl, _, _ = _two_pass_chain_tables(x, first, M - 1, k2, om)
+        sh = sl = np.zeros(M)
+        for j in range(J + 1):
+            sh, sl = dd.dd_add(sh, sl, Sh[:, j], Sl[:, j])
+            Ah[1:, j], Al[1:, j] = sh, sl
+    w = (x[0][::-1], x[1][::-1])
+    _, _, Ch, Cl = _two_pass_chain_tables(w, w, M, k2, om)
+    Gh = np.vstack([np.ones(J + 1), Ch[:, ::-1]])
+    Gl = np.vstack([np.zeros(J + 1), Cl[:, ::-1]])
+    sdh, sdl = dd.dd_div(ph[:-1], pl[:-1], a, 0.0)
+    Hh = np.empty((M + 1, n_max + 1))
+    Hl = np.empty((M + 1, n_max + 1))
+    sh = sl = np.zeros(M + 1)
+    for j in range(J, -1, -1):
+        th, tl = dd.dd_mul(sdh[j], sdl[j], Gh[:, j], Gl[:, j])
+        sh, sl = dd.dd_add(sh, sl, th, tl)
+        if j <= n_max:
+            Hh[:, j], Hl[:, j] = sh, sl
+    return (Ah, Al), (Hh, Hl)
+
+
+_EXPLICIT = JacobiParams(Explicit((1e8, 1e4, 1.0, 1e-4, 1e-8), PowerLaw(1.0, 2.0)), 0.99)
+_PAIR_CASES = (
+    [(JacobiParams(Geometric(q), math.sqrt(q)), M, J, n)
+     for q in (0.2, 0.25, 0.3) for M, J in ((14, 34), (20, 38)) for n in (0, J - 1)]
+    + [(GEOM, M, 12, n) for M in (0, 1) for n in (0, 11)]
+    + [(JacobiParams(PowerLaw(1.0, 2.0), 0.5), 48, 192, n) for n in (0, 191)]
+    + [(_EXPLICIT, 40, 200, n) for n in (0, 199)]
+)
+
+
+@pytest.mark.parametrize("params,M,J,n_max", _PAIR_CASES)
+def test_one_pass_kernel_matches_two_pass_dp(params, M, J, n_max):
+    # one kernel pass carries both blocks and both running sums; every
+    # builder gives the bits of the two-pass DP it replaced
+    (Ah, Al), (Hh, Hl) = _two_pass_tables(params, M, J, n_max)
+    char, fam = series_pair(params, M, J, n_max)
+    single_char = series_coeffs(params, M, J)
+    single_fam = second_kind_family(params, M, J, n_max)
+    for ser, hi, lo in ((char, Ah[:, J], Al[:, J]), (single_char, Ah[:, J], Al[:, J]),
+                        (fam, Hh, Hl), (single_fam, Hh, Hl)):
+        assert ser.coeffs.tobytes() == hi.tobytes() and ser.coeffs_lo.tobytes() == lo.tobytes()
+    for pair, single in ((char, single_char), (fam, single_fam)):
+        for field in ("tail_omitted", "ratio_bounds"):
+            assert getattr(pair, field).tobytes() == getattr(single, field).tobytes(), field
+        assert pair.tail_const == single.tail_const
+    Ph, Pl = char_chain_prefixes(params, M, J)
+    assert Ph.tobytes() == Ah.tobytes() and Pl.tobytes() == Al.tobytes()
 
 
 def test_order_zero_series():

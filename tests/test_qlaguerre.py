@@ -317,10 +317,29 @@ def test_weyl_num_closed_forms_agree():
 
 
 def test_weyl_num_correction_series_raises_at_term_cap():
-    # at q = 0.97, z = 200 the correction terms have not settled after 200
-    # of them; the sum it stopped at was -4.07e106
-    with pytest.raises(ConvergenceFailure):
+    # at q = 0.99, z = 10 the correction terms still grow at term 200, and
+    # every partial sum stays finite
+    with pytest.raises(ConvergenceFailure, match="did not settle in 200 terms"):
+        weyl_num_closed_forms(10.0, QParams(0.99))
+
+
+def test_weyl_num_correction_series_raises_at_first_non_finite_term(monkeypatch):
+    # at q = 0.97, z = 200 the terms reach 1e136, zp overflows while
+    # q^{(m+3)(m+1)} underflows, and the partial sum is NaN from term 134:
+    # the series raises there instead of summing on to the 200-term cap
+    import jspec.qlaguerre as Q
+
+    calls = []
+    inner = Q._basic_sum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(Q, "_basic_sum", counted)
+    with pytest.raises(ConvergenceFailure, match="is not finite at term 134"):
         weyl_num_closed_forms(200.0, QParams(0.97))
+    assert len(calls) < 200
 
 
 def test_masses_from_closed_forms():

@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jspec import doubledouble as dd, spectrum
+from jspec import doubledouble as dd, entire, spectrum
 from jspec.doubledouble import dd_sub
 from jspec.entire import (
     eval_series,
     eval_series_deriv,
     second_kind_family,
     series_coeffs,
+    series_pair,
 )
 from jspec.errors import ConvergenceFailure, TailDominates
 from jspec.polycore import _trace_tail, second_kind_at_zero, trace_inverse
@@ -294,12 +295,52 @@ def test_refine_root_ignores_seed_bits():
     seeds = section_eigenvalues(T1, 5)
     M, J = spectrum._series_context(GEOM, float(seeds[-1]) * 1.3 + 1.0, 4)
     wser = second_kind_family(GEOM, M, J, 0)[0]
-    zh, zl, _, _, _, moved = spectrum._refine_roots(wser, seeds)
-    assert np.all(moved)
+    roots = spectrum._refine_roots(wser, seeds)
+    assert np.all(roots.moved)
     for factor in (1.0 - 1e-13, 1.0 + 1e-13):
-        rh, rl, _, _, _, _ = spectrum._refine_roots(wser, seeds * factor)
-        diff, _ = dd_sub(rh, rl, zh, zl)
-        assert np.all(np.abs(diff) <= 1e-30 * zh)
+        other = spectrum._refine_roots(wser, seeds * factor)
+        diff, _ = dd_sub(other.hi, other.lo, roots.hi, roots.lo)
+        assert np.all(np.abs(diff) <= 1e-30 * roots.hi)
+
+
+def test_refine_returns_fprime_of_eval_series_deriv():
+    # every Newton iterate evaluates F and F' in one Horner pass; the F' it
+    # returns, at the root and at the seed, has the bits of
+    # eval_series_deriv there.  Seeds between two eigenvalues step out of
+    # the basin and come back as their seed with the F' of the first pass.
+    lams = section_eigenvalues(truncate(GEOM, 64), 6)
+    M, J = spectrum._series_context(GEOM, float(lams[-1]) * 1.3 + 1.0, 16)
+    fser = series_coeffs(GEOM, M, J)
+    seeds = np.concatenate((lams, np.sqrt(lams[:-1] * lams[1:])))
+    roots = spectrum._refine_roots(fser, seeds)
+    assert roots.moved[:6].all() and not roots.moved[6:].any()
+    assert _bits(roots.hi[6:]) == _bits(seeds[6:]) and np.all(roots.lo[6:] == 0.0)
+    at_root = eval_series_deriv(fser, (roots.hi, roots.lo))
+    at_seed = eval_series_deriv(fser, (seeds, np.zeros_like(seeds)))
+    assert _bits(roots.fp_hi) == _bits(at_root.value) and _bits(roots.fp_lo) == _bits(at_root.value_lo)
+    assert _bits(roots.seed_fp_hi) == _bits(at_seed.value)
+    assert _bits(roots.seed_fp_lo) == _bits(at_seed.value_lo)
+    fe = eval_series(fser, (roots.hi[:6], roots.lo[:6]))
+    assert _bits(roots.bound[:6]) == _bits(fe.err_bound) and _bits(roots.abs_sum[:6]) == _bits(fe.abs_sum)
+
+
+def test_q4_request_runs_one_kernel_pass_and_no_derivative_pass(monkeypatch):
+    # the characteristic series and the second-kind family come from one
+    # pass of the chain-sum kernel, and F' at the eigenvalues from Newton's
+    # own evaluations
+    calls = []
+    for module, name in ((entire, "_chain_tables"), (entire, "eval_series_deriv"),
+                         (spectrum, "eval_series_deriv")):
+        inner = getattr(module, name)
+
+        def counted(*args, _name=name, _inner=inner, **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    sd = point_spectrum(JacobiParams(Geometric(0.27), math.sqrt(0.27)), 10)
+    assert sd.refined.all()
+    assert calls == ["_chain_tables"]
 
 
 def test_factored_section_makes_no_sturm_sweeps():
@@ -690,20 +731,20 @@ def test_batched_stages_match_one_root_at_a_time(params, count):
     # fallback route, whose rows come from the section's twisted vectors)
     sd = point_spectrum(params, count)
     M, J = spectrum._series_context(params, float(sd.lambdas[-1]) * 1.3 + 1.0, count + 10)
-    fser = series_coeffs(params, M, J)
+    fser, fam = series_pair(params, M, J, count + 11)
     T = truncate(params, sd.N_used)
     seeds = section_eigenvalues(T, count)
     every = spectrum._refine_roots(fser, seeds)
     fp = eval_series_deriv(fser, (sd.lambdas, sd.lambdas_lo))
     fprime = (fp.value, fp.value_lo)
-    md = spectrum._mass_machinery(params, sd.lambdas, sd.lambdas_lo, count + 10, M, J, fprime, T, seeds)
+    md = spectrum._mass_machinery(params, sd.lambdas, sd.lambdas_lo, count + 10, fam, fprime, T, seeds)
     for j in range(count):
         one = spectrum._refine_roots(fser, seeds[j : j + 1])
         assert all(_bits(a[j : j + 1]) == _bits(b) for a, b in zip(every, one)), j
         fpj = eval_series_deriv(fser, (sd.lambdas[j : j + 1], sd.lambdas_lo[j : j + 1]))
         assert _bits(fpj.value) == _bits(fp.value[j : j + 1]), j
         mj = spectrum._mass_machinery(
-            params, sd.lambdas[j : j + 1], sd.lambdas_lo[j : j + 1], count + 10, M, J,
+            params, sd.lambdas[j : j + 1], sd.lambdas_lo[j : j + 1], count + 10, fam,
             (fpj.value, fpj.value_lo), T, seeds[j : j + 1]
         )
         assert md.mass_route[j] == mj.mass_route[0]
@@ -717,7 +758,7 @@ POWERLAW = JacobiParams(PowerLaw(1.0, 2.0), 0.5)
 
 def _series_calls(monkeypatch, params, count):
     calls = []
-    for name in ("series_coeffs", "second_kind_family", "_refine_roots"):
+    for name in ("second_kind_family", "series_pair", "_series_pair", "_refine_roots"):
         inner = getattr(spectrum, name)
 
         def counted(*args, _name=name, _inner=inner, **kwargs):
@@ -745,7 +786,7 @@ def test_screen_keeps_series_where_a_root_refines(monkeypatch):
     # a decreasing prefix puts lambda_0 near 2e-9, where the omitted-index
     # term is small enough for Newton to certify it
     sd, calls = _series_calls(monkeypatch, EXPLICIT, 3)
-    assert {"series_coeffs", "second_kind_family", "_refine_roots"} <= set(calls)
+    assert {"_series_pair", "_refine_roots"} <= set(calls)
     assert sd.refined[0]
     assert np.all(np.isfinite(sd.residual_F))
 
