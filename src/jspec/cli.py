@@ -13,7 +13,8 @@ explicit weights); ``qlaguerre`` needs q-mode.  ``identities`` reads no
 the config file, else 0.25, while drawn ones carry their own q.  ``verify``
 runs a fixed suite and reads no flags.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 numerical failure, and 141 (the
+status of a process ended by SIGPIPE) when the reader of stdout closes it.
 Floating-point output is printed with 17 significant digits, so every
 emitted value parses back bit-for-bit.
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -509,6 +511,9 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _make_parser().parse_args(argv)
@@ -522,7 +527,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         if stray:
             raise UsageError(f"{stray[0][2:]}: {args.command} would ignore {', '.join(stray)} "
                              f"(it reads {', '.join(reads) or 'no flags'})")
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
     except (UsageError, ParameterOutOfRange) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -531,6 +538,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         # too, never a usage error
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (``jspec verify | head -1``): stop quietly,
+        # with the status of a process ended by SIGPIPE, and send the rest of
+        # the output, including the flush at exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_CLOSED_PIPE
 
 
 if __name__ == "__main__":

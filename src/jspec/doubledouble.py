@@ -51,6 +51,17 @@ def two_prod(a: float, b: float) -> tuple[float, float]:
     return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
 
 
+def split(a):
+    """Dekker's split (hi, lo) of a, as ``two_prod`` forms it: hi + lo == a.
+
+    The halves have the same bits wherever they are formed, so a constant
+    operand is split once and handed to ``dd_mul_split``.
+    """
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
 def dd_add(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
     s, e = two_sum(ah, bh)
     t, f = two_sum(al, bl)
@@ -72,6 +83,16 @@ def dd_sub(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
 
 def dd_mul(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
     p, e = two_prod(ah, bh)
+    e += ah * bl + al * bh
+    return quick_two_sum(p, e)
+
+
+def dd_mul_split(ah, al, bh, bl, bhi, blo):
+    """``dd_mul(ah, al, bh, bl)``, bit for bit, with ``(bhi, blo) = split(bh)``
+    formed by the caller: only ``ah`` is split here."""
+    p = ah * bh
+    ahi, alo = split(ah)
+    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
     e += ah * bl + al * bh
     return quick_two_sum(p, e)
 

@@ -176,39 +176,56 @@ def _chain_tables(blocks, k2, om):
 
     Level l+1 at r needs level l below r only, so each step updates every
     level of every block as one vector, and each cell gets the operations
-    of a scalar loop per level, in the same order.  Returns (Sh, Sl) of
-    shape (N, sum(L+1)), the L+1 columns of each block in turn.
+    of a scalar loop per level, in the same order.  A step's three products
+    D(r) y, W(r) y and k^2 E read only the previous step's state, so they
+    go in one stacked ``dd_mul_split`` whose constant factors are split
+    once per pass (per block and step: the tables stay N x blocks), and
+    its two sums S + D y and k^2 E + V go in one ``dd_add``.  D(r) y and
+    W(r) y are formed as y D(r) and y W(r), which adds Dekker's two cross
+    terms in the other order: both additions are exact away from underflow
+    and overflow, and the tests hold the tables to the bits of the scalar
+    loops.  Returns (Sh, Sl) of shape (N, sum(L+1)), the L+1 columns of
+    each block in turn.
     """
+    nb = len(blocks)
     widths = [blk[4] + 1 for blk in blocks]
     starts = np.cumsum([0] + widths[:-1])
-    col = np.repeat(np.arange(len(blocks)), widths)
+    col = np.repeat(np.arange(nb), widths)
 
     def stacked(field):  # (N, blocks) hi and lo of one field
         return tuple(np.column_stack([blk[field][h] for blk in blocks]) for h in (0, 1))
 
     (Wh, Wl), (Fh, Fl), (Gh, Gl), (Dh, Dl) = (stacked(f) for f in range(4))
-    Wh, Wl, Dh, Dl = Wh[:, col], Wl[:, col], Dh[:, col], Dl[:, col]
-    N, n = Wh.shape
+    N, n = len(Gh), len(col)
+    # the products' constant factors per step, (D of each block, W of each
+    # block, k^2) as hi, lo and split halves, and where each goes in the
+    # stacked product
+    Kh = np.column_stack((Dh, Wh, np.full(N, k2[0])))
+    Kl = np.column_stack((Dl, Wl, np.full(N, k2[1])))
+    K = np.stack((Kh, Kl) + dd.split(Kh), axis=1)
+    spread = np.concatenate((col, nb + col, np.full(n - 1, 2 * nb)))
+    oms = dd.split(om[0])
     Sh = np.empty((N, n))
     Sl = np.empty((N, n))
-    # y holds (lead, C[0], ..., C[L-1]) of each block and e the E aligned
-    # with y[1:]; e and y at the lead of a later block are scratch, since
-    # every step sets that lead afresh
-    yh = np.zeros(n)
-    yl = np.zeros(n)
-    eh = el = np.zeros(n - 1)
+    # u holds the products' other factors (y, y, E): y is (lead, C[0], ...,
+    # C[L-1]) of each block and E is aligned with y[1:]; E and y at the lead
+    # of a later block are scratch, since every step sets that lead afresh
+    uh = np.zeros(3 * n - 1)
+    ul = np.zeros(3 * n - 1)
     sh = sl = np.zeros(n)
     for r in range(N):
-        yh[starts], yl[starts] = Gh[r], Gl[r]
-        th, tl = dd.dd_mul(Dh[r], Dl[r], yh, yl)
-        sh, sl = dd.dd_add(sh, sl, th, tl)
+        uh[starts], ul[starts] = Gh[r], Gl[r]
+        uh[n:2 * n], ul[n:2 * n] = uh[:n], ul[:n]
+        ph, pl = dd.dd_mul_split(uh, ul, *K[r][:, spread])
+        ph[n + starts], pl[n + starts] = Fh[r], Fl[r]  # V: W y, with first at the leads
+        # (S, k^2 E) + (D y, V[:-1])
+        th, tl = dd.dd_add(np.concatenate((sh, ph[2 * n:])), np.concatenate((sl, pl[2 * n:])),
+                           ph[:2 * n - 1], pl[:2 * n - 1])
+        sh, sl, eh, el = th[:n], tl[:n], th[n:], tl[n:]
         Sh[r], Sl[r] = sh, sl
-        vh, vl = dd.dd_mul(Wh[r], Wl[r], yh, yl)
-        vh[starts], vl[starts] = Fh[r], Fl[r]
-        eh, el = dd.dd_mul(eh, el, *k2)
-        eh, el = dd.dd_add(eh, el, vh[:-1], vl[:-1])
-        th, tl = dd.dd_mul(eh, el, *om)
-        yh[1:], yl[1:] = dd.dd_add(yh[1:], yl[1:], th, tl)
+        uh[2 * n:], ul[2 * n:] = eh, el
+        th, tl = dd.dd_mul_split(eh, el, *om, *oms)
+        uh[1:n], ul[1:n] = dd.dd_add(uh[1:n], ul[1:n], th, tl)
     return Sh, Sl
 
 
@@ -380,7 +397,8 @@ def _horner_dd(chi, clo, zh, zl):
     Also returns the abs-sum at |z|.  ``chi``/``clo`` are indexed by order
     first; every trailing axis (the shifts of a family) broadcasts against
     the points ``zh``/``zl``, and dd arithmetic is elementwise, so each
-    element gets the bits of its own one-series, one-point call.
+    element gets the bits of its own one-series, one-point call.  z is
+    split once per call (``dd_mul_split``).
     """
     n = len(chi)
     sg = 1.0 if n % 2 else -1.0  # (-1)^(n-1)
@@ -390,9 +408,10 @@ def _horner_dd(chi, clo, zh, zl):
     if n == 1:  # no Horner step: the constant takes the shape of the points
         shape = np.broadcast_shapes(np.shape(rh), np.shape(zh))
         return tuple(np.broadcast_to(x, shape).copy() for x in (rh, rl, ab))
+    zsh, zsl = dd.split(zh)
     for m in range(n - 2, -1, -1):
         sg = -sg
-        rh, rl = dd.dd_mul(rh, rl, zh, zl)
+        rh, rl = dd.dd_mul_split(rh, rl, zh, zl, zsh, zsl)
         rh, rl = dd.dd_add(rh, rl, sg * chi[m], sg * clo[m])
         ab = ab * az + abs(chi[m])
     return rh, rl, ab

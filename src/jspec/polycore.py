@@ -120,15 +120,24 @@ def _eval_explicit(params: JacobiParams, n: int, x) -> tuple[np.ndarray, np.ndar
     values = np.ones((n + 1,) + np.shape(x))
     if n == 0:
         return values, np.ones(1)
-    # column deg-1 of the prefix table holds the coefficients of degree deg;
-    # its rows m > deg are exactly 0, so one 2-D Horner serves every degree
-    # (points x degree, moved to degree x points)
-    Ahi, Alo = char_chain_prefixes(params, n, n - 1)
-    rh, _, _ = _horner_dd(Ahi, Alo, np.asarray(x)[..., None], 0.0)
     scales = np.array([scale_for_shift(params.k, deg) for deg in range(n + 1)])
-    values[1:] = scales[1:].reshape((n,) + (1,) * np.ndim(x)) * np.moveaxis(rh, -1, 0)
+    # the table stops at the last degree d whose k^-d is finite: past it
+    # every value is +-inf with the sign of P_deg(x), which the recurrence
+    # gives, and the coefficients of P_n read the chain sums through index d-1
+    d = n if math.isfinite(scales[n]) else int(np.argmax(np.isinf(scales))) - 1
+    A = np.zeros(n + 1)
+    if d >= 1:
+        # column deg-1 of the prefix table holds the coefficients of degree
+        # deg; its rows m > deg are exactly 0, so one 2-D Horner serves every
+        # degree (points x degree, moved to degree x points)
+        Ahi, Alo = char_chain_prefixes(params, d, d - 1)
+        rh, _, _ = _horner_dd(Ahi, Alo, np.asarray(x)[..., None], 0.0)
+        values[1:d + 1] = scales[1:d + 1].reshape((d,) + (1,) * np.ndim(x)) * np.moveaxis(rh, -1, 0)
+        A[:d + 1] = Ahi[:, d - 1] + Alo[:, d - 1]
+    if d < n:
+        values[d + 1:] = math.inf * np.sign(_eval_recurrence(params, n, x)[d + 1:])
     signs = np.where(np.arange(n + 1) % 2, -1.0, 1.0)
-    return values, signs * scales[n] * (Ahi[:, n - 1] + Alo[:, n - 1])
+    return values, signs * scales[n] * A
 
 
 def orthopoly_values_dd(params: JacobiParams, n: int, z) -> tuple[np.ndarray, np.ndarray]:
@@ -138,25 +147,37 @@ def orthopoly_values_dd(params: JacobiParams, n: int, z) -> tuple[np.ndarray, np
     beyond-float precision and the forward recurrence (stable in the
     dominant direction) must not re-introduce rounding at the 1e-16 level.
     ``z`` is a float, an (hi, lo) pair, or a pair of arrays of P points; a
-    scalar point gives (n+1)-vectors, P points (n+1) x P arrays whose
-    columns carry the bits of the one-point calls.
+    scalar point gives (n+1)-vectors, P points (n+1) x P arrays.  The
+    recurrence runs one point at a time on Python floats (no caller passes
+    more than a few points), so each column has the bits of its one-point
+    call.
     """
     zh, zl = _as_dd_point(z)
     _, alpha, beta = entry_arrays(params, max(n + 1, 1))
     alpha, beta = alpha.tolist(), beta.tolist()
-    Ph = np.empty((n + 1,) + np.shape(zh))
-    Pl = np.empty_like(Ph)
-    Ph[0], Pl[0] = 1.0, 0.0
+    points = zip(np.ravel(zh).tolist(), np.ravel(zl).tolist())
+    cols = np.array([_values_dd_at(alpha, beta, n, h, l) for h, l in points]).reshape(-1, 2, n + 1)
+    shape = (n + 1,) + np.shape(zh)
+    return cols[:, 0].T.reshape(shape), cols[:, 1].T.reshape(shape)
+
+
+def _values_dd_at(alpha: list, beta: list, n: int, zh: float, zl: float) -> tuple[list, list]:
+    """The double-double recurrence of ``orthopoly_values_dd`` at one point."""
+    Ph, Pl = [1.0], [0.0]
     if n == 0:
         return Ph, Pl
     th, tl = dd.dd_add_d(zh, zl, -beta[0])
-    Ph[1], Pl[1] = dd.dd_mul_d(th, tl, 1.0 / alpha[0])
+    ph, pl = dd.dd_mul_d(th, tl, 1.0 / alpha[0])
+    Ph.append(ph)
+    Pl.append(pl)
     for i in range(1, n):
         th, tl = dd.dd_add_d(zh, zl, -beta[i])
-        rh, rl = dd.dd_mul(th, tl, Ph[i], Pl[i])
+        rh, rl = dd.dd_mul(th, tl, ph, pl)
         sh, sl = dd.dd_mul_d(Ph[i - 1], Pl[i - 1], alpha[i - 1])
         rh, rl = dd.dd_sub(rh, rl, sh, sl)
-        Ph[i + 1], Pl[i + 1] = dd.dd_div(rh, rl, alpha[i], 0.0)
+        ph, pl = dd.dd_div(rh, rl, alpha[i], 0.0)
+        Ph.append(ph)
+        Pl.append(pl)
     return Ph, Pl
 
 

@@ -370,30 +370,34 @@ def weyl_num_closed_forms(z: float, qp: QParams) -> tuple[float, float]:
     return via_closed, via_series
 
 
-def orthopoly_relation_residuals(n: int, x: float, qp: QParams) -> tuple[float, float]:
-    """Residuals tying the orthonormal polynomials to modified q-Laguerre.
+def orthopoly_relation_residuals(n_max: int, x: float, qp: QParams) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals tying the orthonormal polynomials to modified q-Laguerre,
+    for every degree n = 0..n_max.
 
-    Returns (|P_n(x) - (-1)^n q^(-n/2) Lt_n(x;q)|, three-term recurrence
-    residual of Lt at degree n).  The recurrence reads
+    Returns the arrays (|P_n(x) - (-1)^n q^(-n/2) Lt_n(x;q)|, three-term
+    recurrence residual of Lt at degree n).  The recurrence reads
 
         (1-q^(n+1)) Lt_{n+1} - (1-q^(n+1) + q^3 (1-q^n)) Lt_n
             + q^3 (1-q^n) Lt_{n-1} + x q^(2n+2) Lt_n = 0
 
-    with the n = 0 instance free of the undefined Lt_{-1} term.
+    with the n = 0 instance free of the undefined Lt_{-1} term.  Each Lt_n
+    is summed once and P_0..P_{n_max} come from one recurrence pass; entry n
+    has the bits of the degree-n computation.
     """
     from .polycore import orthopoly_eval
 
     q = qp.q
-    params = induced_params(qp)
-    p_val = orthopoly_eval(params, n, x, mode="recurrence").values[n]
-    lt = modified_laguerre(n, x, qp)
-    rel = abs(p_val - (-1.0) ** n * q ** (-n / 2.0) * lt)
-    lt_next = modified_laguerre(n + 1, x, qp)
-    lt_prev = modified_laguerre(n - 1, x, qp) if n >= 1 else 0.0
-    rec = (
-        (1.0 - q ** (n + 1)) * lt_next
-        - (1.0 - q ** (n + 1) + q**3 * (1.0 - q**n)) * lt
-        + q**3 * (1.0 - q**n) * lt_prev
-        + x * q ** (2 * n + 2) * lt
-    )
-    return rel, abs(rec)
+    p_vals = orthopoly_eval(induced_params(qp), n_max, x, mode="recurrence").values
+    lt = [modified_laguerre(n, x, qp) for n in range(n_max + 2)]
+    rel = np.empty(n_max + 1)
+    rec = np.empty(n_max + 1)
+    for n in range(n_max + 1):
+        rel[n] = abs(p_vals[n] - (-1.0) ** n * q ** (-n / 2.0) * lt[n])
+        lt_prev = lt[n - 1] if n >= 1 else 0.0
+        rec[n] = abs(
+            (1.0 - q ** (n + 1)) * lt[n + 1]
+            - (1.0 - q ** (n + 1) + q**3 * (1.0 - q**n)) * lt[n]
+            + q**3 * (1.0 - q**n) * lt_prev
+            + x * q ** (2 * n + 2) * lt[n]
+        )
+    return rel, rec

@@ -91,21 +91,23 @@ class Explicit:
 SequenceSpec = Union[Geometric, PowerLaw, Explicit]
 
 
-def _closed_form(spec: Union[Geometric, PowerLaw], start: int, stop: int) -> np.ndarray:
-    """a_n for start <= n < stop of a closed-form family; overflow gives inf.
+def _closed_form(spec: Union[Geometric, PowerLaw], n):
+    """a_n of a closed-form family at a float index n, or at an array of
+    them; overflow gives inf.
 
-    Every sequence value comes from here, so a value does not depend on the
-    block it was fetched with.
+    Every sequence value comes from here, through numpy's power on a block
+    and on one index alike (Python's ``**`` rounds some powers differently:
+    ``5.0 ** 106.0`` is one ulp above numpy's), so a value does not depend
+    on the block it was fetched with.
     """
-    n = np.arange(start, stop, dtype=float)
     with np.errstate(over="ignore"):
         if isinstance(spec, Geometric):
             # a_n = u(u-1) with u = q^{-(n+1)}; keeps binary-rational q exact
             # as long as u^2 stays below 2^53.
-            u = (1.0 / spec.q) ** (n + 1.0)
+            u = np.power(1.0 / spec.q, n + 1.0)
             return u * (u - 1.0)
         if isinstance(spec, PowerLaw):
-            return spec.c * (n + 1.0) ** spec.p
+            return spec.c * np.power(n + 1.0, spec.p)
     raise SequenceError(f"unknown sequence spec {spec!r}")
 
 
@@ -116,9 +118,10 @@ def seq_values(spec: SequenceSpec, count: int) -> np.ndarray:
     if isinstance(spec, Explicit):
         head = np.asarray(spec.values[:count], dtype=float)
         L = len(spec.values)
-        vals = head if count <= L else np.concatenate([head, _closed_form(spec.tail, L, count)])
+        tail = _closed_form(spec.tail, np.arange(L, count, dtype=float))
+        vals = head if count <= L else np.concatenate([head, tail])
     else:
-        vals = _closed_form(spec, 0, count)
+        vals = _closed_form(spec, np.arange(count, dtype=float))
     if not np.all(vals > 0.0) or not np.all(np.isfinite(vals)):
         raise SequenceError("sequence spec produced a non-positive or non-finite value")
     return vals
@@ -132,7 +135,7 @@ def seq_value(spec: SequenceSpec, n: int) -> float:
         if n < len(spec.values):
             return spec.values[n]
         spec = spec.tail
-    value = float(_closed_form(spec, n, n + 1)[0])
+    value = float(_closed_form(spec, n))
     if not (math.isfinite(value) and value > 0.0):
         raise SequenceError(f"sequence value a_{n} is non-positive or non-finite")
     return value
@@ -184,7 +187,7 @@ def tail_sum_reciprocal(spec: SequenceSpec, n0: int) -> float:
         # 1/(a_{n0} (1-q^2)); building it from the same float sequence value
         # the partial sums use keeps the domination robust to rounding
         q = spec.q
-        a_n0 = float(_closed_form(spec, n0, n0 + 1)[0])
+        a_n0 = float(_closed_form(spec, n0))
         if math.isinf(a_n0):
             # a_{n0} (or already q^{-(n0+1)}) left the float range, so the
             # bound lies at or below the least subnormal: form it in log

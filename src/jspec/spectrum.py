@@ -568,13 +568,15 @@ def _orthopoly_dd_with_envelope(params, n, zh, zl):
     envelope of accumulated magnitude."""
     Ph, Pl = orthopoly_values_dd(params, n, (zh, zl))
     _, alpha, beta = entry_arrays(params, n + 1)
-    az = np.abs(zh)
+    alpha, beta = alpha.tolist(), beta.tolist()
     env = np.empty_like(Ph)
-    env[0] = 1.0
-    if n >= 1:
-        env[1] = (az + beta[0]) / alpha[0]
-        for i in range(1, n):
-            env[i + 1] = ((az + beta[i]) * env[i] + alpha[i - 1] * env[i - 1]) / alpha[i]
+    for j, az in enumerate(np.abs(zh).tolist()):  # one point at a time, on Python floats
+        col = [1.0]
+        if n >= 1:
+            col.append((az + beta[0]) / alpha[0])
+            for i in range(1, n):
+                col.append(((az + beta[i]) * col[i] + alpha[i - 1] * col[i - 1]) / alpha[i])
+        env[:, j] = col
     return Ph, Pl, env
 
 
@@ -664,11 +666,15 @@ def _mass_machinery(
     vl = np.where(from_series, phi_l[:, cols], wpl)
     vectors[cols], vectors_lo[cols] = vh[:-1].T, vl[:-1].T
 
-    # norm identity: sum Phi^2 + tail == -F'(lam) W(lam)
-    sh = sl = 0.0
-    for n in range(n_max, -1, -1):
-        th, tl = dd.dd_mul(vh[n], vl[n], vh[n], vl[n])
-        sh, sl = dd.dd_add(sh, sl, th, tl)
+    # norm identity: sum Phi^2 + tail == -F'(lam) W(lam), one eigenvalue
+    # at a time on Python floats
+    sums = []
+    for col_h, col_l in zip(vh[n_max::-1].T.tolist(), vl[n_max::-1].T.tolist()):
+        s = (0.0, 0.0)
+        for h, l in zip(col_h, col_l):
+            s = dd.dd_add(*s, *dd.dd_mul(h, l, h, l))
+        sums.append(s)
+    sh, sl = np.array(sums).reshape(-1, 2).T
     envelope: list = []  # shared by the tail bounds of every eigenvalue
     tail = np.array([_phi_tail_sq(params, n_max, abs(z), envelope) for z in lam_hi[cols].tolist()])
     rh, rl = dd.dd_mul(fph, fpl, wh, wl)

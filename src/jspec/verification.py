@@ -266,24 +266,22 @@ def crit_qlaguerre_closed_forms() -> tuple[bool, str]:
 def crit_qlaguerre_relations() -> tuple[bool, str]:
     qp = QParams(0.25)
     worst_rel = 0.0
-    for n in range(13):
-        for x in (0.5, 3.0, 11.0):
-            rel, _ = orthopoly_relation_residuals(n, x, qp)
-            pn = orthopoly_eval(induced_params(qp), n, x).values[n]
-            worst_rel = max(worst_rel, rel / max(1.0, abs(pn)))
+    for x in (0.5, 3.0, 11.0):
+        rel, _ = orthopoly_relation_residuals(12, x, qp)
+        pn = orthopoly_eval(induced_params(qp), 12, x).values
+        worst_rel = max(worst_rel, float(np.max(rel / np.maximum(1.0, np.abs(pn)))))
     worst_ladder = 0.0
     worst_rec = 0.0
     qh = QParams(0.5)
-    for n in range(11):
-        for x in (0.5, 1.0, 2.0):
+    for x in (0.5, 1.0, 2.0):
+        for n in range(11):
             ladder = (
                 qh.q**n * q_laguerre(n, 0, x, qh)
                 + (q_laguerre(n - 1, 1, x, qh) if n >= 1 else 0.0)
                 - q_laguerre(n, 1, x, qh)
             )
             worst_ladder = max(worst_ladder, abs(ladder))
-            _, rec = orthopoly_relation_residuals(n, x, qh)
-            worst_rec = max(worst_rec, rec)
+        worst_rec = max(worst_rec, float(np.max(orthopoly_relation_residuals(10, x, qh)[1])))
     monotone = True
     for n in range(1, 6):
         errs = []

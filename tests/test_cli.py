@@ -417,3 +417,24 @@ def test_module_entry_point_runs_uninstalled(argv, expect):
     )
     assert proc.returncode == 0, proc.stderr
     assert expect(proc.stdout)
+
+
+def test_closed_pipe_exits_quietly():
+    # ``jspec verify | head -1``: the reader closes stdout after one line;
+    # the run stops without a traceback and without exit 1, which means a
+    # usage error (it may finish first, and then exits 0)
+    src = str(Path(jspec.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jspec", "verify"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    code = proc.wait(timeout=120)
+    proc.stderr.close()
+    assert first.startswith(b"[PASS] criterion  1")
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert code in (0, 141), code

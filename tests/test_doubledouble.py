@@ -58,3 +58,35 @@ def test_array_ops_match_scalar_bits():
             for i in range(n):
                 sh, sl = op(*(float(v) for v in args(i)))
                 assert (float(rh[i]).hex(), float(rl[i]).hex()) == (sh.hex(), sl.hex())
+
+
+def test_split_products_match_dd_mul_bits():
+    # a factor split once by ``split`` and handed to ``dd_mul_split`` gives
+    # the bits of dd_mul (and two_prod's exact product) on arrays, scalars
+    # and mixed inputs, at magnitudes up to the 1e150 of q = 1/4 sections
+    rng = np.random.default_rng(11)
+    n = 400
+
+    def dd_values():
+        hi = rng.standard_normal(n) * 10.0 ** rng.integers(-150, 150, n)
+        hi[:40] = rng.uniform(0.5, 1.0, 40) * 1e150
+        return dd.two_sum(hi, hi * rng.uniform(-(2.0**-53), 2.0**-53, n))
+
+    ah, al = dd_values()
+    bh, bl = dd_values()
+    bsh, bsl = dd.split(bh)
+    assert np.array_equal(bsh + bsl, bh)
+
+    def same(x, y):
+        return all(np.asarray(u).tobytes() == np.asarray(v).tobytes() for u, v in zip(x, y))
+
+    assert same(dd.dd_mul_split(ah, al, bh, bl, bsh, bsl), dd.dd_mul(ah, al, bh, bl))
+    assert same(dd.dd_mul_split(ah, al, bh[0], bl[0], bsh[0], bsl[0]), dd.dd_mul(ah, al, bh[0], bl[0]))
+    assert same(dd.dd_mul_split(ah[0], al[0], bh, bl, bsh, bsl), dd.dd_mul(ah[0], al[0], bh, bl))
+    for i in range(n):
+        a, b = (float(ah[i]), float(al[i])), (float(bh[i]), float(bl[i]))
+        split = dd.split(b[0])
+        assert (split[0], split[1]) == (float(bsh[i]), float(bsl[i]))
+        assert same(dd.dd_mul_split(*a, *b, *split), dd.dd_mul(*a, *b))
+        p, e = dd.two_prod(a[0], b[0])
+        assert dd.dd_mul_split(a[0], 0.0, b[0], 0.0, *split) == (p, e)

@@ -157,6 +157,8 @@ _PAIR_CASES = (
     + [(GEOM, M, 12, n) for M in (0, 1) for n in (0, 11)]
     + [(JacobiParams(PowerLaw(1.0, 2.0), 0.5), 48, 192, n) for n in (0, 191)]
     + [(_EXPLICIT, 40, 200, n) for n in (0, 199)]
+    # the sizes of q = 1/4 requests at counts 10 and 12
+    + [(JacobiParams(Geometric(0.25), 0.5), 18, J, J - 15) for J in (36, 38)]
 )
 
 

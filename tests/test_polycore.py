@@ -4,6 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from jspec import doubledouble as dd
+from jspec import polycore
 from jspec.errors import ConvergenceFailure, TruncationTooCoarse
 
 from jspec.polycore import (
@@ -243,6 +245,67 @@ def test_dd_recurrence_point_arrays_match_single_calls(params):
         oh, ol = orthopoly_values_dd(params, 20, (float(zh[p]), float(zl[p])))
         assert oh.shape == (21,)
         assert Ph[:, p].tobytes() == oh.tobytes() and Pl[:, p].tobytes() == ol.tobytes()
+
+
+def _row_vector_values_dd(params, n, zh, zl):
+    """The double-double recurrence with one numpy call per row over all
+    points: the former form of ``orthopoly_values_dd``, kept as reference."""
+    _, alpha, beta = entry_arrays(params, n + 1)
+    alpha, beta = alpha.tolist(), beta.tolist()
+    Ph = np.empty((n + 1, len(zh)))
+    Pl = np.empty_like(Ph)
+    Ph[0], Pl[0] = 1.0, 0.0
+    th, tl = dd.dd_add_d(zh, zl, -beta[0])
+    Ph[1], Pl[1] = dd.dd_mul_d(th, tl, 1.0 / alpha[0])
+    for i in range(1, n):
+        th, tl = dd.dd_add_d(zh, zl, -beta[i])
+        rh, rl = dd.dd_mul(th, tl, Ph[i], Pl[i])
+        sh, sl = dd.dd_mul_d(Ph[i - 1], Pl[i - 1], alpha[i - 1])
+        rh, rl = dd.dd_sub(rh, rl, sh, sl)
+        Ph[i + 1], Pl[i + 1] = dd.dd_div(rh, rl, alpha[i], 0.0)
+    return Ph, Pl
+
+
+@pytest.mark.parametrize("params", [GEOM, JacobiParams(Geometric(0.27), math.sqrt(0.27)),
+                                    JacobiParams(PowerLaw(1.0, 2.0), 0.5)])
+def test_dd_recurrence_matches_the_row_vector_recurrence(params):
+    # the point-by-point scalar loop gives the bits of the row-vector
+    # arithmetic at eigenvalue-sized points, as the mass machinery uses it
+    zh = np.geomspace(3.0, 4e9, 10)
+    zl = zh * np.linspace(-1e-17, 1e-17, 10)
+    Ph, Pl = orthopoly_values_dd(params, 21, (zh, zl))
+    rh, rl = _row_vector_values_dd(params, 21, zh, zl)
+    assert Ph.tobytes() == rh.tobytes() and Pl.tobytes() == rl.tobytes()
+
+
+def test_explicit_table_stops_where_the_scale_leaves_the_float_range(monkeypatch):
+    # k^-n = 2^n is finite up to n = 1023: the prefix table covers degrees
+    # up to 1023, every later value is +-inf with the sign of the
+    # recurrence's P_n, and the earlier ones are the degree-1023 call's
+    p = JacobiParams(PowerLaw(1.0, 2.0), 0.5)
+    sizes = []
+    inner = polycore.char_chain_prefixes
+
+    def recorded(params, M, J):
+        sizes.append((M, J))
+        return inner(params, M, J)
+
+    monkeypatch.setattr(polycore, "char_chain_prefixes", recorded)
+    xs = np.array([0.5, 50.0])
+    pe = orthopoly_eval(p, 1100, xs, mode="explicit")
+    last = orthopoly_eval(p, 1023, xs, mode="explicit")
+    assert sizes == [(1023, 1022), (1023, 1022)]
+    assert pe.overflow and not last.overflow
+    assert pe.values[:1024].tobytes() == last.values.tobytes()
+    rec = orthopoly_eval(p, 1100, xs).values
+    assert np.all(np.isinf(pe.values[1024:]))
+    assert np.array_equal(np.sign(pe.values[1024:]), np.sign(rec[1024:]))
+    # the coefficients of P_1100 read the chain sums through index 1022:
+    # (-1)^m inf where they are nonzero, nan (inf * 0) where not
+    support = np.append(last.coeffs != 0.0, np.zeros(77, dtype=bool))
+    with np.errstate(invalid="ignore"):
+        expect = np.where(np.arange(1101) % 2, -1.0, 1.0) * math.inf * support
+    assert np.array_equal(pe.coeffs, expect, equal_nan=True)
 
 
 def _assert_degrees_share_one_pass(params, mode):

@@ -364,15 +364,38 @@ def test_masses_from_closed_forms():
 
 
 def test_rescaling_identity():
-    for n in (0, 1, 5, 12):
-        for x in (0.5, 3.0, 11.0):
-            rel, rec = orthopoly_relation_residuals(n, x, QP)
-            assert rel <= 1e-9 * max(1.0, 2.0**n)
-            assert rec <= 1e-12
+    for x in (0.5, 3.0, 11.0):
+        rel, rec = orthopoly_relation_residuals(12, x, QP)
+        for n in (0, 1, 5, 12):
+            assert rel[n] <= 1e-9 * max(1.0, 2.0**n)
+            assert rec[n] <= 1e-12
     # value anchor: P_1(0) = -q^{-1/2} = -2 at q = 1/4
     from jspec.polycore import orthopoly_eval
 
     assert orthopoly_eval(induced_params(QP), 1, 0.0).values[1] == pytest.approx(-2.0)
+
+
+def test_relation_residuals_sum_each_modified_laguerre_once(monkeypatch):
+    # criterion 12 reads every degree off one call per point, and that call
+    # sums each Lt_n once
+    from jspec import qlaguerre
+    from jspec.verification import run_criterion
+
+    calls = []
+    inner = qlaguerre.modified_laguerre
+
+    def counted(n, x, qp):
+        calls.append((n, x, qp.q))
+        return inner(n, x, qp)
+
+    monkeypatch.setattr(qlaguerre, "modified_laguerre", counted)
+    rel, rec = orthopoly_relation_residuals(12, 3.0, QP)
+    assert sorted(calls) == [(n, 3.0, 0.25) for n in range(14)]
+    assert rel.shape == rec.shape == (13,)
+    calls.clear()
+    result = run_criterion(12)
+    assert result.passed
+    assert len(calls) == len(set(calls)) == 3 * 14 + 3 * 12
 
 
 def test_interpolated_coefficients_match_polycore():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jspec import sequences
 from jspec.errors import SequenceError
 from jspec.sequences import (
     Explicit,
@@ -177,3 +178,24 @@ def test_seq_value_has_the_bits_of_seq_values(spec):
         assert np.float64(seq_value(spec, n)).tobytes() == block[n].tobytes(), n
     for stop in (1, 7, 64):
         assert seq_values(spec, stop).tobytes() == block[:stop].tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Geometric(0.2), Geometric(0.25), Geometric(0.3), Geometric(0.9),
+     PowerLaw(1.0, 2.5), PowerLaw(3.0, 120.0)],
+)
+def test_seq_value_scalar_power_matches_the_block_up_to_overflow(spec):
+    # a single value takes numpy's power on one index, not Python's ``**``
+    # (which rounds 5.0 ** 106.0, in a_105 at q = 0.2, one ulp higher):
+    # every index up to the first non-finite value has the block's bits,
+    # and that index raises
+    with np.errstate(over="ignore"):
+        block = sequences._closed_form(spec, np.arange(4000.0))
+    stop = int(np.argmax(~np.isfinite(block))) if not np.all(np.isfinite(block)) else len(block)
+    assert seq_values(spec, stop).tobytes() == block[:stop].tobytes()
+    for n in range(stop):
+        assert np.float64(seq_value(spec, n)).tobytes() == block[n].tobytes(), n
+    if stop < len(block):
+        with pytest.raises(SequenceError):
+            seq_value(spec, stop)
