@@ -23,7 +23,9 @@ the abs-sum sum_m c_m |lambda|^m of the same series evaluation, so it reads
 as a relative residual (the bare |F| at the twelfth root of q = 1/4 is
 about 1e47, against an abs-sum of about 1e80).  Where ``point_spectrum``
 proves that no series value can certify and builds no series (power-law
-weights, typically), the column reads ``nan``.
+weights, typically), the column reads ``nan``.  The ``lambda_err`` column
+bounds the distance from ``lambda`` to the operator's eigenvalue (the
+bracket of ``point_spectrum``), and is at most ``--tol`` times ``lambda``.
 """
 
 from __future__ import annotations
@@ -268,7 +270,7 @@ def _write_output(text: str, cfg: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-SPECTRUM_COLUMNS = ["index", "lambda", "mass", "residual_F", "residual_matrix", "refined"]
+SPECTRUM_COLUMNS = ["index", "lambda", "lambda_err", "mass", "residual_F", "residual_matrix", "refined"]
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -280,6 +282,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             data["rows"].append({
                 "index": j,
                 "lambda": float(sd.lambdas[j]),
+                "lambda_err": float(sd.lambda_err[j]),
                 "mass": float(sd.masses[j]),
                 "residual_F": float(sd.residual_F[j] / sd.residual_F_abs_sum[j]),
                 "residual_matrix": float(sd.residual_matrix[j]),

@@ -19,7 +19,12 @@ class CancellationFailure(JspecError, ArithmeticError):
 
 
 class ConvergenceFailure(JspecError, RuntimeError):
-    """Adaptive truncation enlargement did not stabilize within its budget."""
+    """An adaptive truncation did not meet its stop rule within its budget.
+
+    For ``point_spectrum``: no section size certified an eigenvalue bracket
+    within the tolerance; for the series and sums: no truncation brought
+    the certified remainder below it.
+    """
 
 
 class MassNegative(JspecError, ArithmeticError):

@@ -12,10 +12,20 @@ eigenvectors (twisted factorization), the Weyl resolvent and the first
 column of the section inverse.  Forming beta in floats instead would lose
 the small eigenvalues of any prefix that falls faster than k^2, and
 absolute-accuracy routines (``stebz``) lose those of graded sections.
+The section size comes from a two-sided bound.  The operator is
+J = sum_n a_n v_n v_n^T with v_n = e_n + k e_{n+1}; splitting the term
+n = N - 1 gives J >= T_low (+) R, with T_low the N-row section's factor
+with its last pivot scaled down and R bounded below by the sequence tail.
+So one more solve, on T_low, brackets every requested eigenvalue of J
+between lambda_j(T_low) and the section value theta_j, for the operator of
+the float a_n, up to a stated rounding margin (``_enclosure``).
+``point_spectrum`` takes the first doubling of N whose bracket is within
+tol, and reports its width as ``lambda_err``.  The completeness defect
+(the inverse trace beyond the section) stays a diagnostic.
 Roots of the characteristic series then refine the section values by
-compensated Newton steps wherever the series evaluation certifies itself;
-where the series bound proves beforehand that nothing can certify, no
-series is built.
+compensated Newton steps wherever the series evaluation certifies itself
+and the root stays inside its bracket; where the series bound proves
+beforehand that nothing can certify, no series is built.
 Masses and eigenvector samples combine three mutually checking routes:
 
 * second-kind series entries where the evaluation is certified,
@@ -74,6 +84,7 @@ from .sequences import (
     entry_arrays,
     gamma_lower_bound,
     seq_values,
+    sequence_min_from,
     tail_sum_reciprocal,
 )
 
@@ -292,9 +303,12 @@ class SpectralData:
     residual_F_abs_sum: np.ndarray  # sum |c_m| |z|^m of the evaluation residual_F is read from
     residual_matrix: np.ndarray
     refined: np.ndarray
+    # bound on |lambda_j(J) - lambda_j| from the bracket of the N_used-row
+    # section (point_spectrum); the series certificate where smaller
+    lambda_err: np.ndarray
     N_used: int
-    completeness_defect: float
-    lambda_next_lower: float
+    completeness_defect: float  # Delta_N diagnostic, not a certificate
+    lambda_next_lower: float  # lower bound on lambda_count(J)
     gamma: float
 
     def lambda_dd(self, j: int) -> tuple[float, float]:
@@ -451,19 +465,106 @@ def _series_hopeless(X: np.ndarray, M: int, seeds: np.ndarray, tol: float) -> np
     return root & mass
 
 
-def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> SpectralData:
-    """First ``count`` eigenvalues with masses and residual diagnostics.
+_MARGIN_C = 4  # c of the rounding margin m = c N eps of a bracket (see _enclosure)
+_DOWN = 1.0 - 2.0**-50  # takes a product of at most four roundings below its exact value
 
-    Sections grow (starting at count + 20, doubling) until the requested
-    eigenvalues stabilize to tol/10 in relative terms; compensated Newton on
-    the characteristic series then refines each root where the evaluation
-    certifies itself.  The completeness defect compares
-    ``sum 1/lambda_j (+ section tail)`` against the closed trace formula.
-    It equals, up to rounding, the part of the inverse trace beyond the
-    section, ``sum_{i >= N_used} (1 - k^{2i+2}) / ((1-k^2) a_i)``
-    (``polycore._trace_tail(params, N_used - 1)``): it shows how far the
-    section is from the operator, and does not certify that no eigenvalue
-    below the count-th was missed.
+
+class _Enclosure(NamedTuple):
+    """Section eigenvalues and the bracket lower_j <= lambda_j(J) <= upper_j,
+    j = 0..count, from ``_enclosure``."""
+
+    T: TruncatedJacobi
+    theta: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+
+def _margin(N: int) -> float:
+    return _MARGIN_C * N * np.finfo(float).eps
+
+
+def _enclosure(params: JacobiParams, N: int, count: int) -> Optional[_Enclosure]:
+    """Two-sided bounds on the first count + 1 eigenvalues of the operator J
+    from its N-row section T, or None when the tail does not clear them (or
+    a lower end comes out above its section value, which rounding within
+    the margin cannot do).
+
+    J = sum_n a_n v_n v_n^T with v_n = e_n + k e_{n+1}.  T holds the terms
+    n < N - 1 and a_{N-1} e_{N-1} e_{N-1}^T, so min-max gives
+    lambda_j(J) <= theta_j = lambda_j(T).  For t > 0,
+    (x + k y)^2 >= t/(1+t) x^2 - t k^2 y^2 splits the term n = N - 1, and
+    J >= T_low (+) R, where T_low is T's factor with d_{N-1} scaled by
+    t/(1+t) and R >= (1-k)^2 min_{n >= N} a_n - t k^2 a_{N-1}.  t is taken
+    as large as keeps that bound at 2 theta_count: slack / (k^2 a_{N-1})
+    with slack = (1-k)^2 min_{n >= N} a_n - 2 theta_count.  Then R lies
+    above every theta_j, j <= count, and lambda_j(J) >= lambda_j(T_low).
+    Without slack (the tail too close to theta_count) nothing is bounded.
+    Each of R's bound, t and the scaled pivot is rounded down (``_DOWN``),
+    so the split holds for the float a_n and k.
+
+    Both solves are ``section_eigenvalues``, and each end is widened by the
+    relative margin m = c N eps with c = ``_MARGIN_C`` = 4:
+    lower_j = lambda_j(T_low)(1 - m), upper_j = theta_j (1 + m).  Why c = 4:
+    ``dpteqr`` rounds the Cholesky factor of B^T B (its pivots cannot
+    cancel, see ``section_eigenvalues``) and each dqds transform on it
+    entry by entry (dqds is mixed relatively stable; Parlett & Marques
+    2000), and relative perturbations of at most eta in the 2N - 1 entries
+    of a bidiagonal move every singular value by a relative (2N - 1) eta at
+    most, every eigenvalue by (4N - 2) eta (Demmel & Kahan 1990); c = 4 is
+    that factor at eta = eps.  This is a rounding model, not a proof: the
+    pivot recurrence passes a relative error on with a factor up to k^2,
+    so eta can exceed eps when k is near 1.  Measured against 200-bit
+    Sturm counts on the factor, the errors do not grow with N and stay far
+    inside m: at most 225 eps on the decreasing Explicit prefix at k = 0.99
+    (N = 368 to 2944; m >= 1472 eps), 73 eps at p = 1.3, k = 0.95 (N = 224
+    to 3584; m >= 896 eps) and 11 eps for geometric weights at N = 28
+    (m = 112 eps).  tests/test_oracle.py checks the brackets against that
+    oracle.
+    """
+    T = truncate(params, N)
+    theta = section_eigenvalues(T, count + 1)
+    k = params.k
+    r_low = (1.0 - k) ** 2 * sequence_min_from(params.seq, N) * _DOWN
+    slack = r_low - 2.0 * float(theta[count])
+    if not slack > 0.0:
+        return None
+    t = slack / (k * k * float(T.d[-1])) * _DOWN
+    d = T.d.copy()
+    d[-1] = d[-1] * (t / (1.0 + t)) * _DOWN
+    low = section_eigenvalues(TruncatedJacobi(d=d, l=T.l), count + 1)
+    m = _margin(N)
+    lower = low * (1.0 - m)
+    if not np.all(lower <= theta):  # rounding beyond the margin: no bracket
+        return None
+    return _Enclosure(T, theta, lower, theta * (1.0 + m))
+
+
+def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> SpectralData:
+    """First ``count`` eigenvalues with masses, error bounds and residual
+    diagnostics.
+
+    N_used is the first section size, doubling from count + 20 over at
+    most 11 sizes, whose bracket (``_enclosure``) certifies the index and
+    has width upper_j - lower_j <= tol theta_j for every j < count.  Those
+    bounds hold for the operator of the float a_n, up to ``dpteqr``'s
+    rounding, which the margin m = 4 N eps covers.  ConvergenceFailure when
+    no size certifies, and at once when m alone exceeds tol, since the
+    margin only grows with N.
+
+    Compensated Newton on the characteristic series then refines each root
+    where the evaluation certifies itself (certificate err/|F'| <=
+    tol max(|z|, 1)) and the root lies inside its bracket; otherwise the
+    section value theta_j is returned.  ``lambda_err`` bounds
+    |lambda_j(J) - lambda_j|: the bracket width, or for a refined root the
+    certificate where that is smaller.  ``lambda_next_lower`` is the
+    bracket's lower end for index ``count``, a lower bound on
+    lambda_count(J).
+
+    The completeness defect is a diagnostic, not the certificate: it
+    compares ``sum 1/lambda_j (+ section tail)`` against the closed trace
+    formula and equals, up to rounding, the part of the inverse trace
+    beyond the section, ``sum_{i >= N_used} (1 - k^{2i+2}) / ((1-k^2) a_i)``
+    (``polycore._trace_tail(params, N_used - 1)``).
 
     When the series bound itself shows that no root can refine and no mass
     can certify (``_series_hopeless``; polynomially decaying reciprocal
@@ -476,33 +577,35 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     gamma = gamma_lower_bound(params)
-    N = count + 20
-    prev: Optional[np.ndarray] = None
-    lams_sec: Optional[np.ndarray] = None
-    T: Optional[TruncatedJacobi] = None
-    for _ in range(11):
-        T = truncate(params, N)
-        lams_sec = section_eigenvalues(T, count + 1)
-        if prev is not None:
-            move = float(np.max(np.abs(lams_sec[:count] - prev) / np.abs(prev)))
-            if move < tol / 10.0:
-                break
-        prev = lams_sec[:count].copy()
-        N *= 2
-    else:
+    enc = None
+    for i in range(11):  # count + 20 rows, doubling
+        N = (count + 20) << i
+        if _margin(N) > tol:
+            break
+        found = _enclosure(params, N, count)
+        if found is not None and np.all(
+            found.upper[:count] - found.lower[:count] <= tol * found.theta[:count]
+        ):
+            enc = found
+            break
+    if enc is None:
         raise ConvergenceFailure(
-            f"section eigenvalues did not stabilize to {tol:g} after 10 doublings"
+            f"no section of up to {N} rows brackets the first {count} eigenvalues "
+            f"to a relative {tol:g} (rounding margin {_margin(N):.1e} there)"
         )
+    T, lower, upper = enc.T, enc.lower[:count], enc.upper[:count]
+    width = upper - lower
 
-    radius = float(lams_sec[count - 1]) * 1.3 + 1.0
+    radius = float(enc.theta[count - 1]) * 1.3 + 1.0
     n_aux = count + 10
     M, J = _series_context(params, radius, n_aux)
-    seeds = lams_sec[:count]
+    seeds = enc.theta[:count]
 
     X = _weight_suffix(params, J)
     if np.all(_series_hopeless(X, M, seeds, tol)):
         lam_hi, lam_lo = seeds.copy(), np.zeros(count)
         refined = np.zeros(count, dtype=bool)
+        lam_err = width
         res_F, res_F_abs_sum = np.full(count, math.nan), np.full(count, math.nan)
         res_F_bound = np.full(count, math.inf)
         _, masses_q, eig_res = _section_weights(T, seeds)
@@ -512,9 +615,15 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
         roots = _refine_roots(fser, seeds)
         res_F, res_F_bound, res_F_abs_sum = roots.residual, roots.bound, roots.abs_sum
         cert_err = res_F_bound / np.maximum(np.abs(roots.fp_hi), 1e-300)
-        refined = roots.moved & (cert_err <= tol * np.maximum(np.abs(roots.hi), 1.0))
+        refined = (
+            roots.moved
+            & (cert_err <= tol * np.maximum(np.abs(roots.hi), 1.0))
+            & (lower <= roots.hi)
+            & (roots.hi <= upper)
+        )
         lam_hi = np.where(refined, roots.hi, seeds)
         lam_lo = np.where(refined, roots.lo, 0.0)
+        lam_err = np.where(refined, np.minimum(width, cert_err), width)
         # F' at the returned eigenvalues: the certificate's value where the
         # root is kept, the one at the seed where it is not
         fprime = (
@@ -537,9 +646,10 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
         residual_F_abs_sum=res_F_abs_sum,
         residual_matrix=eig_res,
         refined=refined,
+        lambda_err=lam_err,
         N_used=T.size,
         completeness_defect=_completeness_defect(params, T, lam_hi, seeds),
-        lambda_next_lower=float(lams_sec[count]) if count < T.size else math.inf,
+        lambda_next_lower=float(enc.lower[count]),
         gamma=gamma,
     )
 

@@ -92,7 +92,7 @@ def test_cli_spectrum_csv_schema(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     reader = csv.DictReader(io.StringIO(out))
-    assert reader.fieldnames == ["index", "lambda", "mass", "residual_F",
+    assert reader.fieldnames == ["index", "lambda", "lambda_err", "mass", "residual_F",
                                  "residual_matrix", "refined"]
     rows = list(reader)
     assert len(rows) == 3
@@ -103,7 +103,7 @@ def test_cli_spectrum_csv_schema(capsys):
 def test_cli_empty_spectrum(capsys):
     rc = main(["--q", "0.25", "--count", "0", "--format", "csv", "spectrum"])
     assert rc == 0
-    assert capsys.readouterr().out.strip() == "index,lambda,mass,residual_F,residual_matrix,refined"
+    assert capsys.readouterr().out.strip() == "index,lambda,lambda_err,mass,residual_F,residual_matrix,refined"
 
 
 def test_cli_usage_error_exit_code(capsys):
@@ -363,6 +363,7 @@ def test_cli_spectrum_fallback_rows_have_matrix_residuals(capsys):
     assert all("nan" not in r["residual_matrix"] for r in rows)
     assert all(0.0 <= float(r["residual_matrix"]) <= 1e-12 for r in rows)
     assert all(r["residual_F"] == "nan" and r["refined"] == "False" for r in rows)
+    assert all(0.0 <= float(r["lambda_err"]) <= 1e-10 * float(r["lambda"]) for r in rows)
 
 
 def test_cli_stray_arithmetic_error_is_numerical_failure(monkeypatch, capsys):

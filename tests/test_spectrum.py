@@ -254,24 +254,33 @@ def test_interlacing_sections():
         prev = lams
 
 
-def _mp_sturm_count(T, x) -> int:
-    """Eigenvalues of T strictly below x, counted in 200-bit arithmetic.
+def _mp_sturm_counts(T, xs) -> list[int]:
+    """Eigenvalues of T strictly below each shift in xs, counted in 200-bit
+    arithmetic on the exact section L D L^T of T's float factor.
 
     A zero pivot, which is not counted, is taken as a tiny positive one: the
     pivots at x minus a tiny amount, where the count is the same unless x is
     an eigenvalue of T.
     """
+    counts = []
     with mpmath.workprec(200):
-        x = mpmath.mpf(x)
         diag, off = _mp_section(T)
-        d = diag[0] - x
-        count = int(d < 0)
-        for b, o in zip(diag[1:], off):
-            if d == 0:
-                d = mpmath.eps * max(abs(x), 1)
-            d = (b - x) - o ** 2 / d
-            count += d < 0
-    return count
+        off_sq = [o ** 2 for o in off]
+        for x in xs:
+            x = mpmath.mpf(x)
+            d = diag[0] - x
+            count = int(d < 0)
+            for b, o2 in zip(diag[1:], off_sq):
+                if d == 0:
+                    d = mpmath.eps * max(abs(x), 1)
+                d = (b - x) - o2 / d
+                count += d < 0
+            counts.append(count)
+    return counts
+
+
+def _mp_sturm_count(T, x) -> int:
+    return _mp_sturm_counts(T, [x])[0]
 
 
 @pytest.mark.parametrize("params, count", [
@@ -789,6 +798,44 @@ def test_screen_keeps_series_where_a_root_refines(monkeypatch):
     assert {"_series_pair", "_refine_roots"} <= set(calls)
     assert sd.refined[0]
     assert np.all(np.isfinite(sd.residual_F))
+
+
+def test_explicit_refined_root_lies_in_its_bracket():
+    # Newton moves lambda_0 = 2.08106657e-9 about 2.09e-13 relative above
+    # theta_0 (its certificate is an absolute 1e-10, 5% of lambda_0); the
+    # returned value must lie inside its bracket, and the 4 N_used-row
+    # section's lambda_0 within lambda_err of it
+    sd = point_spectrum(EXPLICIT, 3)
+    enc = spectrum._enclosure(EXPLICIT, sd.N_used, 3)
+    lam, err = float(sd.lambdas[0]), float(sd.lambda_err[0])
+    assert enc.lower[0] <= lam <= enc.upper[0]
+    below = _mp_sturm_counts(truncate(EXPLICIT, 4 * sd.N_used), [lam - err, lam + err])
+    assert below[0] == 0 and below[1] >= 1
+
+
+def test_refined_root_outside_its_bracket_keeps_the_section_value(monkeypatch):
+    # roots nudged out of their brackets, certificates unchanged: every
+    # eigenvalue falls back to its section value and the bracket width
+    inner = spectrum._refine_roots
+
+    def nudged(fser, seeds):
+        roots = inner(fser, seeds)
+        return roots._replace(hi=roots.hi * (1.0 + 1e-9))
+
+    monkeypatch.setattr(spectrum, "_refine_roots", nudged)
+    sd = point_spectrum(GEOM, 8)
+    enc = spectrum._enclosure(GEOM, sd.N_used, 8)
+    assert not sd.refined.any()
+    assert _bits(sd.lambdas) == _bits(enc.theta[:8])
+    assert _bits(sd.lambda_err) == _bits(enc.upper[:8] - enc.lower[:8])
+
+
+def test_tolerance_below_the_rounding_margin_raises_at_once(monkeypatch):
+    # the margin 4 N eps of the first section (28 rows) already exceeds
+    # 1e-14, and it only grows with N: no eigen-solve is tried
+    monkeypatch.setattr(spectrum, "section_eigenvalues", None)
+    with pytest.raises(ConvergenceFailure, match="rounding margin"):
+        point_spectrum(GEOM, 8, tol=1e-14)
 
 
 _SCREEN_FIELDS = ("lambdas", "masses", "masses_quadrature", "residual_matrix")
