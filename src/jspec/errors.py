@@ -22,8 +22,10 @@ class ConvergenceFailure(JspecError, RuntimeError):
     """An adaptive truncation did not meet its stop rule within its budget.
 
     For ``point_spectrum``: no section size certified an eigenvalue bracket
-    within the tolerance; for the series and sums: no truncation brought
-    the certified remainder below it.
+    within the tolerance, or a double-double Sturm count found a section
+    eigenvalue further from its true value than a tolerance finer than the
+    modelled rounding margin allows; for the series and sums: no truncation
+    brought the certified remainder below it.
     """
 
 

@@ -16,9 +16,11 @@ The section size comes from a two-sided bound.  The operator is
 J = sum_n a_n v_n v_n^T with v_n = e_n + k e_{n+1}; splitting the term
 n = N - 1 gives J >= T_low (+) R, with T_low the N-row section's factor
 with its last pivot scaled down and R bounded below by the sequence tail.
-So one more solve, on T_low, brackets every requested eigenvalue of J
-between lambda_j(T_low) and the section value theta_j, for the operator of
-the float a_n, up to a stated rounding margin (``_enclosure``).
+So one more solve on T_low (Sturm counts on it from ``_COUNT_FROM`` rows
+on) brackets every requested eigenvalue of J between lambda_j(T_low) and
+the section value theta_j, for the operator of the float a_n, up to a
+stated rounding margin, or, for tolerances finer than that margin, ends
+checked by double-double Sturm counts (``_enclosure``).
 ``point_spectrum`` takes the first doubling of N whose bracket is within
 tol, and reports its width as ``lambda_err``.  The completeness defect
 (the inverse trace beyond the section) stays a diagnostic.
@@ -247,6 +249,42 @@ def sturm_count(T: TruncatedJacobi, x: float) -> int:
     return int(np.count_nonzero(_stationary(T, x)[0] < 0.0))
 
 
+def _sturm_counts_dd(T: TruncatedJacobi, x) -> Optional[list[int]]:
+    """``sturm_count`` at each shift in x, with the stationary recurrence run
+    in double-double, or None when a value leaves the float range.
+
+    The recurrence is mixed relatively stable (Dhillon & Parlett 2004), so
+    each count is exact for a factor whose entries are perturbed by a
+    relative few EPS_DD, which moves every eigenvalue by a relative
+    4 N few EPS_DD at most: less than one float ulp for any section of up
+    to 2^40 rows.  A zero pivot is taken as its limit from above, as in
+    ``_qd_sweep``.
+    """
+    d = T.d.tolist()
+    rows = [dd.dd_mul_d(*dd.two_prod(di, li), li) for di, li in zip(d, T.l.tolist())]
+    counts = []
+    for xj in np.atleast_1d(x).tolist():
+        th, tl, neg = -xj, 0.0, 0
+        for di, (mh, ml) in zip(d, rows):
+            if th == -math.inf:  # after a zero pivot: pivot -inf, ratio 1
+                neg += 1
+                th, tl = dd.dd_add_d(mh, ml, -xj)
+                continue
+            ph, pl = dd.dd_add_d(th, tl, di)
+            if ph != ph:
+                return None
+            neg += ph < 0.0
+            if ph == 0.0:
+                th, tl = -math.inf, 0.0
+                continue
+            th, tl = dd.dd_add_d(*dd.dd_mul(*dd.dd_div(th, tl, ph, pl), mh, ml), -xj)
+        ph = -math.inf if th == -math.inf else dd.dd_add_d(th, tl, d[-1])[0]
+        if ph != ph:
+            return None
+        counts.append(neg + (ph < 0.0))
+    return counts
+
+
 def section_eigenvalues(T: TruncatedJacobi, count: int) -> np.ndarray:
     """First ``count`` section eigenvalues, in increasing order.
 
@@ -466,7 +504,14 @@ def _series_hopeless(X: np.ndarray, M: int, seeds: np.ndarray, tol: float) -> np
 
 
 _MARGIN_C = 4  # c of the rounding margin m = c N eps of a bracket (see _enclosure)
-_DOWN = 1.0 - 2.0**-50  # takes a product of at most four roundings below its exact value
+# the narrowest bracket the size loop aims for: a tighter tol is met only by
+# the series certificates of refined roots
+_TOL_FLOOR = 16.0 * np.finfo(float).eps
+_DOWN = 1.0 - 2.0**-40  # takes a product of up to a thousand roundings below its exact value
+# from this size on T_low is counted, not solved: count + 1 Sturm counts
+# cost O(N) each, the dpteqr solve O(N^2) (0.26 against 0.30 ms at 112 rows,
+# 3.4 against 59 ms at 1792, count 8)
+_COUNT_FROM = 100
 
 
 class _Enclosure(NamedTuple):
@@ -483,43 +528,76 @@ def _margin(N: int) -> float:
     return _MARGIN_C * N * np.finfo(float).eps
 
 
-def _enclosure(params: JacobiParams, N: int, count: int) -> Optional[_Enclosure]:
+def _enclosure(params: JacobiParams, N: int, count: int, tol: float) -> Optional[_Enclosure]:
     """Two-sided bounds on the first count + 1 eigenvalues of the operator J
-    from its N-row section T, or None when the tail does not clear them (or
-    a lower end comes out above its section value, which rounding within
-    the margin cannot do).
+    from its N-row section T, or None when the size cannot bracket them
+    within ``tol``: the tail does not clear them, T_low's Rayleigh quotient
+    or its Sturm counts put a lower end too low, or a lower end comes out
+    above its section value, which rounding within the margin cannot do.
 
     J = sum_n a_n v_n v_n^T with v_n = e_n + k e_{n+1}.  T holds the terms
     n < N - 1 and a_{N-1} e_{N-1} e_{N-1}^T, so min-max gives
     lambda_j(J) <= theta_j = lambda_j(T).  For t > 0,
     (x + k y)^2 >= t/(1+t) x^2 - t k^2 y^2 splits the term n = N - 1, and
     J >= T_low (+) R, where T_low is T's factor with d_{N-1} scaled by
-    t/(1+t) and R >= (1-k)^2 min_{n >= N} a_n - t k^2 a_{N-1}.  t is taken
-    as large as keeps that bound at 2 theta_count: slack / (k^2 a_{N-1})
-    with slack = (1-k)^2 min_{n >= N} a_n - 2 theta_count.  Then R lies
-    above every theta_j, j <= count, and lambda_j(J) >= lambda_j(T_low).
-    Without slack (the tail too close to theta_count) nothing is bounded.
-    Each of R's bound, t and the scaled pivot is rounded down (``_DOWN``),
-    so the split holds for the float a_n and k.
+    t/(1+t) and R = Q - sigma e_N e_N^T, sigma = t k^2 a_{N-1}, with Q the
+    terms n >= N.  With A = min_{n >= N} a_n and y = B x the vector of
+    x_n + k x_{n+1}, n >= N: Q >= A |y|^2, |y| >= (1-k) |x| and, since
+    x_N = sum_i (-k)^i y_{N+i}, x_N^2 <= |y|^2 / (1-k^2).  So
+    R >= (A - sigma/(1-k^2)) |y|^2 >= (1-k)^2 A - sigma (1-k)/(1+k): the
+    tail pays for the split at the rate (1-k)/(1+k), not 1, which matters
+    when k is near 1.  t is taken as large as keeps that bound at
+    2 theta_count: sigma = slack (1+k)/(1-k) with
+    slack = (1-k)^2 A - 2 theta_count.  Then R lies above every theta_j,
+    j <= count, and lambda_j(J) >= lambda_j(T_low).  Without slack (the
+    tail too close to theta_count) nothing is bounded.  Each of R's bound,
+    t and the scaled pivot is rounded down (``_DOWN``), so the split holds
+    for the float a_n and k.
 
-    Both solves are ``section_eigenvalues``, and each end is widened by the
-    relative margin m = c N eps with c = ``_MARGIN_C`` = 4:
-    lower_j = lambda_j(T_low)(1 - m), upper_j = theta_j (1 + m).  Why c = 4:
-    ``dpteqr`` rounds the Cholesky factor of B^T B (its pivots cannot
-    cancel, see ``section_eigenvalues``) and each dqds transform on it
-    entry by entry (dqds is mixed relatively stable; Parlett & Marques
+    T_low's pivot d' gives it the Rayleigh quotient
+    d' (1-k^2) / (1-k^{2N}) >= lambda_0(T_low) at L^{-T} e_{N-1}, whose
+    entries are (-k)^{N-1-n}.  When that already leaves the lower end of
+    index 0 further than tol theta_0 below its upper end, the size cannot
+    certify and T_low is left alone.
+
+    Below ``_COUNT_FROM`` rows T_low is solved like T (``section_eigenvalues``),
+    and each end is widened by the relative margin m = c N eps with
+    c = ``_MARGIN_C`` = 4: lower_j = lambda_j(T_low)(1 - m),
+    upper_j = theta_j (1 + m).  From ``_COUNT_FROM`` rows on, float Sturm
+    counts (``_stationary``) show instead that T_low has at most j
+    eigenvalues below x_j = theta_j (1 - tol + 3m), the lowest point whose
+    bracket still meets tol, and lower_j = x_j (1 - m); or the size does
+    not certify.  Such a bracket is about tol wide even where
+    lambda_j(T_low) lies closer.  Index count need not meet tol: where its
+    count fails, lambda_count(T_low) >= theta_{count-1} (T_low is T with
+    one pivot lowered, so their eigenvalues interlace) gives its lower end.
+
+    Why c = 4: ``dpteqr`` rounds the Cholesky factor of B^T B (its pivots
+    cannot cancel, see ``section_eigenvalues``) and each dqds transform on
+    it entry by entry (dqds is mixed relatively stable; Parlett & Marques
     2000), and relative perturbations of at most eta in the 2N - 1 entries
     of a bidiagonal move every singular value by a relative (2N - 1) eta at
     most, every eigenvalue by (4N - 2) eta (Demmel & Kahan 1990); c = 4 is
-    that factor at eta = eps.  This is a rounding model, not a proof: the
-    pivot recurrence passes a relative error on with a factor up to k^2,
-    so eta can exceed eps when k is near 1.  Measured against 200-bit
-    Sturm counts on the factor, the errors do not grow with N and stay far
-    inside m: at most 225 eps on the decreasing Explicit prefix at k = 0.99
-    (N = 368 to 2944; m >= 1472 eps), 73 eps at p = 1.3, k = 0.95 (N = 224
-    to 3584; m >= 896 eps) and 11 eps for geometric weights at N = 28
-    (m = 112 eps).  tests/test_oracle.py checks the brackets against that
-    oracle.
+    that factor at eta = eps.  The count's stationary qd transform is mixed
+    relatively stable too (a few ulps per entry of the factor; Dhillon &
+    Parlett 2004), so the same margin covers it.  This is a rounding model,
+    not a proof: the pivot recurrence passes a relative error on with a
+    factor up to k^2, so eta can exceed eps when k is near 1.  Measured
+    against 200-bit Sturm counts on the factor, the errors do not grow with
+    N and stay far inside m: at most 225 eps on the decreasing Explicit
+    prefix at k = 0.99 (N = 368 to 2944; m >= 1472 eps), 73 eps at p = 1.3,
+    k = 0.95 (N = 224 to 3584; m >= 896 eps) and 11 eps for geometric
+    weights at N = 28 (m = 112 eps).  tests/test_oracle.py checks the
+    brackets against that oracle.
+
+    Where m exceeds tol/4, the two margins would take over half of tol.
+    Then the ends are lower_j = theta_j (1 - s) and upper_j = theta_j (1 + s),
+    s = 0.4 tol, whatever N, each checked by a double-double Sturm count
+    (``_sturm_counts_dd``) on T_low and on T, and moved one ulp outward;
+    upper_count is inf.  A lower end that fails its count means the size
+    does not certify; an upper end that fails means a section value lies
+    further than s from the eigenvalue it stands for, and raises
+    ConvergenceFailure.
     """
     T = truncate(params, N)
     theta = section_eigenvalues(T, count + 1)
@@ -528,15 +606,48 @@ def _enclosure(params: JacobiParams, N: int, count: int) -> Optional[_Enclosure]
     slack = r_low - 2.0 * float(theta[count])
     if not slack > 0.0:
         return None
-    t = slack / (k * k * float(T.d[-1])) * _DOWN
+    t = slack * (1.0 + k) / ((1.0 - k) * k * k * float(T.d[-1])) * _DOWN
     d = T.d.copy()
     d[-1] = d[-1] * (t / (1.0 + t)) * _DOWN
-    low = section_eigenvalues(TruncatedJacobi(d=d, l=T.l), count + 1)
     m = _margin(N)
-    lower = low * (1.0 - m)
-    if not np.all(lower <= theta):  # rounding beyond the margin: no bracket
+    rayleigh = float(d[-1]) * (1.0 - k * k) / (1.0 - k ** (2 * N))
+    if rayleigh * (1.0 - m) < float(theta[0]) * (1.0 + m - tol):
         return None
-    return _Enclosure(T, theta, lower, theta * (1.0 + m))
+    T_low = TruncatedJacobi(d=d, l=T.l)
+    # checked: the modelled margins of the two ends would take over a half
+    # of tol, so double-double Sturm counts check each end instead
+    checked = m > tol / 4.0
+    if N < _COUNT_FROM and not checked:
+        lower = section_eigenvalues(T_low, count + 1) * (1.0 - m)
+        if not np.all(lower <= theta):  # rounding beyond the margin: no bracket
+            return None
+        return _Enclosure(T, theta, lower, theta * (1.0 + m))
+    s = 0.4 * tol if checked else tol - 3.0 * m
+    lower = theta * (1.0 - s)
+    if checked:
+        below = _sturm_counts_dd(T_low, lower)
+    else:
+        below = np.count_nonzero(_stationary(T_low, lower)[0] < 0.0, axis=0).tolist()
+    if below is None or any(b > j for j, b in enumerate(below[:count])):
+        return None
+    if below[count] > count:  # T_low, T differ in one pivot, so they interlace
+        lower[count] = theta[count - 1] * (1.0 - s)
+        if checked:
+            below = _sturm_counts_dd(T_low, lower[count:])
+            if below is None or below[0] > count:
+                return None
+    if not checked:
+        return _Enclosure(T, theta, lower * (1.0 - m), theta * (1.0 + m))
+    upper = theta * (1.0 + s)
+    upper[count] = math.inf  # index count needs no upper end
+    above = _sturm_counts_dd(T, upper[:count])
+    if above is None or any(a < j + 1 for j, a in enumerate(above)):
+        raise ConvergenceFailure(
+            f"the {N}-row section's eigenvalues are not within a relative {s:g} "
+            f"of the values they stand for (double-double Sturm count)"
+        )
+    # one ulp outward covers the count's own rounding
+    return _Enclosure(T, theta, np.nextafter(lower, 0.0), np.nextafter(upper, math.inf))
 
 
 def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> SpectralData:
@@ -545,18 +656,25 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
 
     N_used is the first section size, doubling from count + 20 over at
     most 11 sizes, whose bracket (``_enclosure``) certifies the index and
-    has width upper_j - lower_j <= tol theta_j for every j < count.  Those
-    bounds hold for the operator of the float a_n, up to ``dpteqr``'s
-    rounding, which the margin m = 4 N eps covers.  ConvergenceFailure when
-    no size certifies, and at once when m alone exceeds tol, since the
-    margin only grows with N.
+    has width upper_j - lower_j <= max(tol, 16 eps) theta_j for every
+    j < count.  Those bounds hold for the operator of the float a_n.  Each
+    end is widened for rounding by the modelled margin m = 4 N eps, or,
+    where m exceeds a quarter of tol, set 0.4 tol from the section value
+    and checked by a double-double Sturm count.  From 100 rows on the lower
+    ends come from Sturm counts, not a second solve, and the bracket is
+    about tol wide.  ConvergenceFailure when no size certifies, or when a
+    double-double count shows a section value further than 0.4 tol from
+    the eigenvalue it stands for.
 
     Compensated Newton on the characteristic series then refines each root
     where the evaluation certifies itself (certificate err/|F'| <=
     tol max(|z|, 1)) and the root lies inside its bracket; otherwise the
     section value theta_j is returned.  ``lambda_err`` bounds
     |lambda_j(J) - lambda_j|: the bracket width, or for a refined root the
-    certificate where that is smaller.  ``lambda_next_lower`` is the
+    certificate where that is smaller and no neighbouring bracket comes
+    within the certificate of the root.  A tol below 16 eps is met only
+    through such certificates; a returned lambda_err above tol theta_j
+    raises ConvergenceFailure instead.  ``lambda_next_lower`` is the
     bracket's lower end for index ``count``, a lower bound on
     lambda_count(J).
 
@@ -577,21 +695,20 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     gamma = gamma_lower_bound(params)
+    target = max(tol, _TOL_FLOOR)
     enc = None
     for i in range(11):  # count + 20 rows, doubling
         N = (count + 20) << i
-        if _margin(N) > tol:
-            break
-        found = _enclosure(params, N, count)
+        found = _enclosure(params, N, count, target)
         if found is not None and np.all(
-            found.upper[:count] - found.lower[:count] <= tol * found.theta[:count]
+            found.upper[:count] - found.lower[:count] <= target * found.theta[:count]
         ):
             enc = found
             break
     if enc is None:
         raise ConvergenceFailure(
             f"no section of up to {N} rows brackets the first {count} eigenvalues "
-            f"to a relative {tol:g} (rounding margin {_margin(N):.1e} there)"
+            f"to a relative {target:g}"
         )
     T, lower, upper = enc.T, enc.lower[:count], enc.upper[:count]
     width = upper - lower
@@ -623,7 +740,12 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
         )
         lam_hi = np.where(refined, roots.hi, seeds)
         lam_lo = np.where(refined, roots.lo, 0.0)
-        lam_err = np.where(refined, np.minimum(width, cert_err), width)
+        # the root of F within cert_err of lambda_j is lambda_j(J) where no
+        # neighbouring bracket reaches that far
+        isolated = (roots.hi - cert_err > np.concatenate(([-math.inf], upper[:-1]))) & (
+            roots.hi + cert_err < enc.lower[1:]
+        )
+        lam_err = np.where(refined & isolated, np.minimum(width, cert_err), width)
         # F' at the returned eigenvalues: the certificate's value where the
         # root is kept, the one at the seed where it is not
         fprime = (
@@ -634,6 +756,11 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
         masses, masses_q, route = md.masses, md.masses_quadrature, md.mass_route
         eig_res = md.eigen_residuals
 
+    if np.any(lam_err > tol * seeds):
+        raise ConvergenceFailure(
+            f"the {T.size}-row section brackets the first {count} eigenvalues to a "
+            f"relative {target:g} only, and the series does not certify {tol:g} for all"
+        )
     return SpectralData(
         count=count,
         lambdas=lam_hi,

@@ -36,7 +36,7 @@ def _spectrum_cases(draw):
 def test_eigenvalue_brackets_hold_against_the_oracle(case):
     params, count = case
     sd = point_spectrum(params, count)
-    enc = spectrum._enclosure(params, sd.N_used, count)
+    enc = spectrum._enclosure(params, sd.N_used, count, 1e-10)
     lower, upper = enc.lower[:count], enc.upper[:count]
     assert np.all((lower <= sd.lambdas) & (sd.lambdas <= upper))
     assert np.all(sd.lambda_err <= upper - lower)

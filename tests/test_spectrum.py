@@ -806,7 +806,7 @@ def test_explicit_refined_root_lies_in_its_bracket():
     # returned value must lie inside its bracket, and the 4 N_used-row
     # section's lambda_0 within lambda_err of it
     sd = point_spectrum(EXPLICIT, 3)
-    enc = spectrum._enclosure(EXPLICIT, sd.N_used, 3)
+    enc = spectrum._enclosure(EXPLICIT, sd.N_used, 3, 1e-10)
     lam, err = float(sd.lambdas[0]), float(sd.lambda_err[0])
     assert enc.lower[0] <= lam <= enc.upper[0]
     below = _mp_sturm_counts(truncate(EXPLICIT, 4 * sd.N_used), [lam - err, lam + err])
@@ -824,18 +824,76 @@ def test_refined_root_outside_its_bracket_keeps_the_section_value(monkeypatch):
 
     monkeypatch.setattr(spectrum, "_refine_roots", nudged)
     sd = point_spectrum(GEOM, 8)
-    enc = spectrum._enclosure(GEOM, sd.N_used, 8)
+    enc = spectrum._enclosure(GEOM, sd.N_used, 8, 1e-10)
     assert not sd.refined.any()
     assert _bits(sd.lambdas) == _bits(enc.theta[:8])
     assert _bits(sd.lambda_err) == _bits(enc.upper[:8] - enc.lower[:8])
 
 
-def test_tolerance_below_the_rounding_margin_raises_at_once(monkeypatch):
-    # the margin 4 N eps of the first section (28 rows) already exceeds
-    # 1e-14, and it only grows with N: no eigen-solve is tried
-    monkeypatch.setattr(spectrum, "section_eigenvalues", None)
-    with pytest.raises(ConvergenceFailure, match="rounding margin"):
-        point_spectrum(GEOM, 8, tol=1e-14)
+def test_k_near_one_with_slowly_growing_weights_is_bracketed(monkeypatch):
+    # the tail pays for the split at the rate (1-k)/(1+k): at k = 0.99 the
+    # bracket certifies at 3584 rows, half of what stabilization needed;
+    # from 100 rows on T_low is counted, never solved
+    params = JacobiParams(PowerLaw(1.0, 1.2), 0.99)
+    sizes = []
+    inner = spectrum.section_eigenvalues
+
+    def recorded(T, count):
+        sizes.append(T.size)
+        return inner(T, count)
+
+    monkeypatch.setattr(spectrum, "section_eigenvalues", recorded)
+    sd = point_spectrum(params, 8)
+    assert sd.N_used <= 3584 and sizes.count(sd.N_used) == 1
+    assert np.all(sd.lambda_err <= 1e-10 * sd.lambdas)
+    lower = spectrum._enclosure(params, sd.N_used, 8, 1e-10).lower
+    below = _mp_sturm_counts(truncate(params, 2 * sd.N_used), list(lower))
+    assert all(c <= j for j, c in enumerate(below)), below
+
+
+def test_rayleigh_quotient_skips_a_size_that_cannot_bracket(monkeypatch):
+    # at 48 rows the tail barely clears theta_4: T_low's Rayleigh quotient
+    # at L^{-T} e_47 lies far below theta_0, so T_low is not solved there
+    params = JacobiParams(PowerLaw(1.0, 2.0), 0.9)
+    enc = spectrum._enclosure(params, 48, 4, 1.0)
+    assert enc.upper[0] - enc.lower[0] > 1e-10 * enc.theta[0]
+    sizes = []
+    inner = spectrum.section_eigenvalues
+
+    def recorded(T, count):
+        sizes.append(T.size)
+        return inner(T, count)
+
+    monkeypatch.setattr(spectrum, "section_eigenvalues", recorded)
+    sd = point_spectrum(params, 4)
+    assert sizes.count(48) == 1 and sd.N_used > 48
+
+
+@pytest.mark.parametrize(
+    "params, tol", [(POWERLAW, 1e-14), (JacobiParams(PowerLaw(1.0, 1.5), 0.9), 1e-13)]
+)
+def test_tolerance_below_the_modelled_margin_checks_the_ends(params, tol):
+    # 4 N eps exceeds tol/4: the ends lie 0.4 tol from the section values,
+    # each checked by a double-double Sturm count
+    sd = point_spectrum(params, 4, tol=tol)
+    assert 4 * sd.N_used * np.finfo(float).eps > tol / 4
+    assert np.all(sd.lambda_err <= tol * sd.lambdas)
+    enc = spectrum._enclosure(params, sd.N_used, 4, tol)
+    assert _bits(sd.lambda_err) == _bits(enc.upper[:4] - enc.lower[:4])
+    below_upper = _mp_sturm_counts(truncate(params, sd.N_used), list(enc.upper[:4]))
+    below_lower = _mp_sturm_counts(truncate(params, 4 * sd.N_used), list(enc.lower))
+    assert all(c >= j + 1 for j, c in enumerate(below_upper)), below_upper
+    assert all(c <= j for j, c in enumerate(below_lower)), below_lower
+
+
+def test_tolerance_below_the_floor_needs_the_series_certificate():
+    # 1e-15 is below the narrowest bracket the size loop aims for (16 eps):
+    # refined geometric roots meet it through their certificates, the
+    # power-law section values do not
+    sd = point_spectrum(GEOM, 8, tol=1e-15)
+    assert sd.refined.all() and np.all(sd.lambda_err <= 1e-15 * sd.lambdas)
+    with pytest.raises(ConvergenceFailure, match="series does not certify"):
+        point_spectrum(POWERLAW, 8, tol=1e-15)
 
 
 _SCREEN_FIELDS = ("lambdas", "masses", "masses_quadrature", "residual_matrix")
