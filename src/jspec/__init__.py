@@ -43,8 +43,6 @@ from .entire import (
     eval_series,
     eval_series_deriv,
     identity_residuals,
-    second_kind_family,
-    series_coeffs,
     series_pair,
 )
 from .spectrum import (

@@ -34,11 +34,12 @@ a block gives the characteristic prefix table, whose last column is the
 "char" series; run on the reversed axis, it gives the backward sums
 ``G_m(i)`` over chains starting after i, whose running sums of
 ``k^{2j}/a_j G_m(j)`` give every second-kind shift n at once.
-``series_pair`` runs both blocks in one pass.  ``second_kind_family``
-keeps the shifts as one ``PowerSeriesApprox`` whose tables carry a
-trailing shift axis, and ``fam[n]`` is the shift-n series.  All
-accumulation runs in double-double arithmetic; brute-force chain
-enumeration is kept in the test suite as the oracle.
+``series_pair`` runs both blocks in one pass and builds every series: it
+returns the "char" series and the second-kind family, one
+``PowerSeriesApprox`` whose tables carry a trailing shift axis, with
+``fam[n]`` the shift-n series.  All accumulation runs in double-double
+arithmetic; brute-force chain enumeration is kept in the test suite as
+the oracle.
 
 Evaluation is compensated (one double-double Horner loop, ``_horner_dd``)
 and certified by one bound, ``_certified``: the order-truncation tail, the
@@ -70,8 +71,6 @@ from .sequences import (
 __all__ = [
     "PowerSeriesApprox",
     "SeriesEval",
-    "series_coeffs",
-    "second_kind_family",
     "series_pair",
     "eval_series",
     "eval_series_deriv",
@@ -229,9 +228,9 @@ def _chain_tables(blocks, k2, om):
     return Sh, Sl
 
 
-def _coefficient_tables(params: JacobiParams, M: int, J: int, char: bool, n_max):
-    """The characteristic prefix table (``char``) and the second-kind table
-    of shifts 0..n_max (``n_max`` not None), from one kernel pass.
+def _coefficient_tables(params: JacobiParams, M: int, J: int, n_max):
+    """The characteristic prefix table and, unless ``n_max`` is None, the
+    second-kind table of shifts 0..n_max, from one kernel pass.
 
     The characteristic block runs forward with seed x: its sum is the prefix
     sum of V, A[m+1](j) = sum_{i<=j} V[m](i), with V[0] the chains of one
@@ -240,12 +239,12 @@ def _coefficient_tables(params: JacobiParams, M: int, J: int, char: bool, n_max)
     chains i < j_1 < ... < j_m weighted by prod (1-k^{2 d}) x_j; so V[0] is
     x itself, G[m+1](i) is C[m](r), and its sum with seed k^{2i}/a_i and
     lead 1 is the suffix sum sum_{i>=n} seed(i) G[m](i) of shift n at
-    r = J - n.  Returns (Ah, Al) of shape (M+1, J+1) or None, and (Hh, Hl)
-    of shape (M+1, n_max+1) or None.
+    r = J - n.  Returns (Ah, Al) of shape (M+1, J+1), and (Hh, Hl) of shape
+    (M+1, n_max+1) or None.
     """
     a, k2, om, x, (ph, pl) = _dd_inputs(params, J)
     blocks = []
-    if char and M > 0:
+    if M > 0:  # the characteristic block has M columns, none when M = 0
         lead = dd.dd_add_d(-ph[1:], -pl[1:], 1.0)
         blocks.append((x, dd.dd_mul(*x, *lead), lead, x, M - 1))
     if n_max is not None:
@@ -256,15 +255,13 @@ def _coefficient_tables(params: JacobiParams, M: int, J: int, char: bool, n_max)
     Sh = Sl = np.empty((J + 1, 0))
     if blocks:
         Sh, Sl = _chain_tables(blocks, k2, om)
-    A = H = None
-    if char:  # the characteristic block has M columns, none when M = 0
-        Ah, Al = np.zeros((M + 1, J + 1)), np.zeros((M + 1, J + 1))
-        Ah[0] = 1.0
-        Ah[1:], Al[1:] = Sh[:, :M].T, Sl[:, :M].T
-        A = Ah, Al
+    Ah, Al = np.zeros((M + 1, J + 1)), np.zeros((M + 1, J + 1))
+    Ah[0] = 1.0
+    Ah[1:], Al[1:] = Sh[:, :M].T, Sl[:, :M].T
+    H = None
     if n_max is not None:
-        H = tuple(np.ascontiguousarray(S[J - n_max:, M if char else 0:][::-1].T) for S in (Sh, Sl))
-    return A, H
+        H = tuple(np.ascontiguousarray(S[J - n_max:, M:][::-1].T) for S in (Sh, Sl))
+    return (Ah, Al), H
 
 
 def char_chain_prefixes(params: JacobiParams, M: int, J: int):
@@ -275,7 +272,12 @@ def char_chain_prefixes(params: JacobiParams, M: int, J: int):
     so one DP run serves every polynomial degree up to J+1.
     Returned as (A_hi, A_lo); row 0 is identically 1.
     """
-    return _coefficient_tables(params, M, J, True, None)[0]
+    return _coefficient_tables(params, M, J, None)[0]
+
+
+def _weight_beyond(params: JacobiParams, J: int) -> float:
+    """Certified bound on sum_{j > J} x_j, the weight tail beyond the cutoff J."""
+    return tail_sum_reciprocal(params.seq, J + 1) / (1.0 - params.k * params.k)
 
 
 def _weight_suffix(params: JacobiParams, J: int) -> np.ndarray:
@@ -286,16 +288,15 @@ def _weight_suffix(params: JacobiParams, J: int) -> np.ndarray:
     k = params.k
     a, _, _ = entry_arrays(params, J + 1)
     x = 1.0 / ((1.0 - k * k) * a)
-    t_beyond = tail_sum_reciprocal(params.seq, J + 1) / (1.0 - k * k)
-    return np.cumsum(np.concatenate(([t_beyond], x[::-1])))[::-1]
+    return np.cumsum(np.concatenate(([_weight_beyond(params, J)], x[::-1])))[::-1]
 
 
-def _check_orders(M: int, J: int, n_max=None):
+def _check_orders(M: int, J: int, n_max: int):
     if M < 0:
         raise ValueError(f"order M must be non-negative, got {M}")
     if M > J:
         raise ValueError(f"order M={M} exceeds index cutoff J={J}")
-    if n_max is not None and n_max >= J:
+    if n_max >= J:
         raise ValueError(f"largest shift {n_max} must stay below the cutoff J={J}")
 
 
@@ -304,40 +305,25 @@ def _seed_beyond(params: JacobiParams, J: int) -> float:
     return params.k ** (2 * (J + 1)) * tail_sum_reciprocal(params.seq, J + 1)
 
 
-def series_coeffs(params: JacobiParams, M: int, J: int) -> PowerSeriesApprox:
-    """The characteristic series up to order M, index cutoff J.
-
-    M is the truncation order (coefficients c_0..c_M are produced) and J the
-    largest chain index kept; chains of length m need m distinct indices,
-    so M <= J is required.  The shift-n second-kind series is
-    ``second_kind_family(params, M, J, n)[n]``; ``series_pair`` builds both.
-    """
-    _check_orders(M, J)
-    (Ah, Al), _ = _coefficient_tables(params, M, J, True, None)
-    return _finalize("char", M, J, Ah[:, J].copy(), Al[:, J].copy(), _weight_suffix(params, J))
-
-
-def second_kind_family(params: JacobiParams, M: int, J: int, n_max: int) -> PowerSeriesApprox:
-    """The second-kind series of shifts 0..n_max, one family from a single backward DP."""
-    _check_orders(M, J, n_max)
-    _, (Hh, Hl) = _coefficient_tables(params, M, J, False, n_max)
-    return _finalize(
-        "second_kind", M, J, Hh, Hl, _weight_suffix(params, J), _seed_beyond(params, J)
-    )
-
-
 def series_pair(
     params: JacobiParams, M: int, J: int, n_max: int
 ) -> tuple[PowerSeriesApprox, PowerSeriesApprox]:
-    """``series_coeffs(params, M, J)`` and ``second_kind_family(params, M, J,
-    n_max)``, bit for bit, from one pass of the chain-sum kernel."""
+    """The characteristic series and the second-kind family of shifts
+    0..n_max, up to order M with index cutoff J, from one kernel pass.
+
+    M is the truncation order (coefficients c_0..c_M are produced) and J the
+    largest chain index kept; chains of length m need m distinct indices,
+    so M <= J is required, and n_max < J.  The shift-n series is
+    ``series_pair(params, M, J, n)[1][n]``; a caller that wants only the
+    characteristic series passes n_max = 0.
+    """
     return _series_pair(params, M, J, n_max, _weight_suffix(params, J))
 
 
 def _series_pair(params: JacobiParams, M: int, J: int, n_max: int, X: np.ndarray):
     """``series_pair`` with ``X = _weight_suffix(params, J)`` already built."""
     _check_orders(M, J, n_max)
-    (Ah, Al), (Hh, Hl) = _coefficient_tables(params, M, J, True, n_max)
+    (Ah, Al), (Hh, Hl) = _coefficient_tables(params, M, J, n_max)
     return (
         _finalize("char", M, J, Ah[:, J].copy(), Al[:, J].copy(), X),
         _finalize("second_kind", M, J, Hh, Hl, X, _seed_beyond(params, J)),
@@ -541,7 +527,7 @@ def eval_series(s: PowerSeriesApprox, z, tol: Optional[float] = None) -> SeriesE
 
     ``z`` may be a float, an (hi, lo) double-double pair, or a pair of
     arrays of points, which gives array fields whose every element has the
-    bits of the one-point call.  A family (``second_kind_family``) gives
+    bits of the one-point call.  A family (``series_pair(...)[1]``) gives
     one element per shift, (shift x point) at an array of points, each
     with the bits of ``eval_series(fam[n], point)``.  Points are real: the
     operator is self-adjoint, and a complex point raises TypeError.
@@ -661,10 +647,9 @@ def choose_truncation(
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     radius = max(radius, 1.0)
-    k = params.k
     J = max(16, min_cutoff)
     while True:
-        t_beyond = tail_sum_reciprocal(params.seq, J + 1) / (1.0 - k * k)
+        t_beyond = _weight_beyond(params, J)
         if t_beyond * radius < tol / 10.0 or J >= max_cutoff:
             break
         J *= 2
@@ -694,7 +679,7 @@ def choose_truncation(
 
 
 def identity_residuals(
-    params: JacobiParams, z, n_max: int, M: int, J: int
+    params: JacobiParams, z, n_max: int, fser: PowerSeriesApprox, fam: PowerSeriesApprox
 ) -> tuple[np.ndarray, np.ndarray]:
     """Wronskian and recurrence residuals of the second-kind entries, n = 0..n_max.
 
@@ -702,13 +687,13 @@ def identity_residuals(
     is constant in n and equal to the characteristic function.  Recurrence:
     |alpha_n Phi_{n+1} + (beta_n - z) Phi_n + alpha_{n-1} Phi_{n-1}|, where at
     n = 0 the boundary form applies and F(z) takes the place of the last
-    term.  One family, one polynomial run and one characteristic series
-    serve every n; column n of each is the one a single-n build would give.
+    term.  ``fser, fam`` is the caller's ``series_pair(params, M, J,
+    n_max + 1)``, built once for every point; one polynomial run serves
+    every n, and column n of each result is the one a single-n call gives.
     """
     from .polycore import orthopoly_values_dd  # local import, avoids a cycle
 
     zh, zl = _as_dd_point(z)
-    fser, fam = series_pair(params, M, J, n_max + 1)
     ev = eval_series(fam, (zh, zl))
     scales = np.array([scale_for_shift(params.k, n) for n in range(n_max + 2)])
     vh, vl = dd.dd_mul_d(ev.value, ev.value_lo, scales)

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import doubledouble as dd
-from .entire import _as_dd_point, _horner_dd, char_chain_prefixes, scale_for_shift
+from .entire import _as_dd_point, _horner_dd, _weight_beyond, char_chain_prefixes, scale_for_shift
 from .errors import ConvergenceFailure, SequenceError, TruncationTooCoarse
 from .sequences import JacobiParams, entry_arrays, tail_sum_enclosure, tail_sum_reciprocal
 
@@ -262,7 +262,7 @@ def trace_inverse_routes(params: JacobiParams, tol: float = 1e-14) -> tuple[floa
     # formed without the factor P_n(0) = (-k)^-n that leaves the float range
     scale = max(direct, 1e-300)
     n_stop = 0
-    while tail_sum_reciprocal(params.seq, n_stop + 1) / (1.0 - k2) >= 0.05 * tol * scale:
+    while _weight_beyond(params, n_stop) >= 0.05 * tol * scale:
         n_stop += 1
         if n_stop > _ALT_CAP:
             raise ConvergenceFailure(

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import doubledouble as dd
-from .entire import choose_truncation, eval_series, second_kind_family, series_coeffs
+from .entire import choose_truncation, eval_series, series_pair
 from .errors import CancellationFailure, ConvergenceFailure, DivergentArgument, SequenceError
 from .sequences import Geometric, JacobiParams
 from .spectrum import section_eigenvalues, truncate
@@ -311,7 +311,7 @@ def char_closed_forms(z: float, qp: QParams) -> tuple[float, float, float]:
         raise ValueError("the Bessel route needs z >= 0")
     params = induced_params(qp)
     M, J = choose_truncation(params, max(abs(z), 1.0), 1e-13)
-    fser = series_coeffs(params, M, J)
+    fser = series_pair(params, M, J, 0)[0]
     via_series = eval_series(fser, z, tol=1e-9).value
     return via_bessel, via_phi, via_series
 
@@ -365,7 +365,7 @@ def weyl_num_closed_forms(z: float, qp: QParams) -> tuple[float, float]:
     via_closed = part1 + (sh + sl)
     params = induced_params(qp)
     M, J = choose_truncation(params, max(abs(z), 1.0), 1e-13)
-    wser = second_kind_family(params, M, J, 0)[0]
+    wser = series_pair(params, M, J, 0)[1][0]
     via_series = eval_series(wser, z).value
     return via_closed, via_series
 

@@ -61,12 +61,12 @@ from .entire import (
     _envelope_factors,
     _series_pair,
     _value_and_slope,
+    _weight_beyond,
     _weight_suffix,
     choose_truncation,
     eval_series,
     eval_series_deriv,
     scale_for_shift,
-    second_kind_family,
     series_pair,
 )
 from .errors import (
@@ -87,7 +87,6 @@ from .sequences import (
     gamma_lower_bound,
     seq_values,
     sequence_min_from,
-    tail_sum_reciprocal,
 )
 
 __all__ = [
@@ -240,13 +239,15 @@ def _twisted_vectors(T: TruncatedJacobi, lam):
     return z, gamma[r, np.arange(lam.size)]
 
 
-def sturm_count(T: TruncatedJacobi, x: float) -> int:
-    """Number of eigenvalues of T strictly below x.
+def sturm_count(T: TruncatedJacobi, x):
+    """Number of eigenvalues of T strictly below x: an int at a float x, one
+    count per shift at an array of shifts.
 
     By Sylvester's inertia law, the number of negative pivots D+_i of the
     stationary transform L D L^T - x I = L+ D+ L+^T (``_stationary``).
     """
-    return int(np.count_nonzero(_stationary(T, x)[0] < 0.0))
+    counts = np.count_nonzero(_stationary(T, x)[0] < 0.0, axis=0)
+    return int(counts[0]) if np.ndim(x) == 0 else counts
 
 
 def _sturm_counts_dd(T: TruncatedJacobi, x) -> Optional[list[int]]:
@@ -387,8 +388,7 @@ def _series_context(params: JacobiParams, radius: float, n_max: int):
     J_cap = n_max + 16
     while J_cap < _CONTEXT_MAX_CUTOFF:
         J_cap *= 2
-    k = params.k
-    floor = tail_sum_reciprocal(params.seq, J_cap + 1) / (1.0 - k * k) * max(radius, 1.0)
+    floor = _weight_beyond(params, J_cap) * max(radius, 1.0)
     for target in _CONTEXT_TARGETS:
         if floor < target / 10.0:
             return choose_truncation(
@@ -627,7 +627,7 @@ def _enclosure(params: JacobiParams, N: int, count: int, tol: float) -> Optional
     if checked:
         below = _sturm_counts_dd(T_low, lower)
     else:
-        below = np.count_nonzero(_stationary(T_low, lower)[0] < 0.0, axis=0).tolist()
+        below = sturm_count(T_low, lower).tolist()
     if below is None or any(b > j for j, b in enumerate(below[:count])):
         return None
     if below[count] > count:  # T_low, T differ in one pivot, so they interlace
@@ -1214,7 +1214,7 @@ def associated_checks(params: JacobiParams, N: int) -> AssociatedReport:
     assoc_eigs = section_eigenvalues(T1, 5)
     radius = float(assoc_eigs[-1]) * 1.3 + 1.0
     M, J = _series_context(params, radius, 4)
-    wser = second_kind_family(params, M, J, 0)[0]
+    wser = series_pair(params, M, J, 0)[1][0]
     # an unmoved root is its seed with a zero low word
     zeros, zeros_lo = _refine_roots(wser, assoc_eigs)[:2]
     zero_rel = np.abs(zeros - assoc_eigs) / np.abs(assoc_eigs)

@@ -23,7 +23,6 @@ from .entire import (
     choose_truncation,
     eval_series,
     identity_residuals,
-    series_coeffs,
     series_pair,
 )
 from .errors import JspecError
@@ -167,12 +166,12 @@ def crit_masses() -> tuple[bool, str]:
 
 def crit_wronskian() -> tuple[bool, str]:
     M, J = choose_truncation(REFERENCE, 16.0, 1e-14)
-    fser = series_coeffs(REFERENCE, M, J)
+    fser, fam = series_pair(REFERENCE, M, J, 11)
     worst = 0.0
     worst_const = 0.0
     for z in (1.0, 5.0, 10.0):
         fz = eval_series(fser, z).value
-        res = float(np.max(identity_residuals(REFERENCE, z, 10, M, J)[0]))
+        res = float(np.max(identity_residuals(REFERENCE, z, 10, fser, fam)[0]))
         worst = max(worst, res / abs(fz))
         # |W_n - W_m| <= res_n + res_m, so twice the largest residual
         # bounds every pairwise difference
@@ -211,7 +210,7 @@ def crit_weyl() -> tuple[bool, str]:
 
 def crit_char_equivalence() -> tuple[bool, str]:
     M, J = choose_truncation(REFERENCE, 8.0, 1e-14)
-    fser = series_coeffs(REFERENCE, M, J)
+    fser = series_pair(REFERENCE, M, J, 0)[0]
     worst = 0.0
     for z in (0.0, 2.0, 5.0):
         via_wn = char_via_second_kind(REFERENCE, z, tol=1e-13)
@@ -239,7 +238,7 @@ def crit_qlaguerre_closed_forms() -> tuple[bool, str]:
     for q in (0.2, 0.5, 0.8):
         params = JacobiParams(Geometric(q), math.sqrt(q))
         J = 192 if q >= 0.8 else 96
-        ser = series_coeffs(params, 12, J)
+        ser = series_pair(params, 12, J, 0)[0]
         for m in range(1, 13):
             target = q ** (m * (m + 1)) / (qpochhammer(q, q, m) * qpochhammer(q * q, q, m))
             worst_c = max(worst_c, abs(ser.coefficient(m) - target) / target)

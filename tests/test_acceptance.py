@@ -69,28 +69,19 @@ def test_mode_agreement_reads_every_degree_off_one_call(monkeypatch):
 
 
 def test_wronskian_builds_each_series_once_per_point(monkeypatch):
-    # criterion 6 reads the residuals of all eleven n at a point off one
-    # identity_residuals call: one family and one char series per point,
-    # plus the char series the criterion scales by; series_pair builds one
-    # of each
+    # criterion 6 builds one series pair and reads F and the residuals of
+    # all eleven n at every point from it; every build runs _series_pair
     from jspec import entire
 
-    calls = {"series_coeffs": 0, "second_kind_family": 0, "series_pair": 0}
+    builds = []
+    real = entire._series_pair
 
-    def counting(name, real):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
+    def counting(*args, **kwargs):
+        builds.append(args[1:4])
+        return real(*args, **kwargs)
 
-        return wrapper
-
-    for name in calls:
-        wrapped = counting(name, getattr(entire, name))
-        for module in (entire, V):
-            if name in vars(module):
-                monkeypatch.setattr(module, name, wrapped)
+    monkeypatch.setattr(entire, "_series_pair", counting)
     passed, detail = V.crit_wronskian()
     assert passed
-    assert calls["series_coeffs"] + calls["series_pair"] <= 4
-    assert calls["second_kind_family"] + calls["series_pair"] <= 3
+    assert len(builds) == 1
     assert detail == "residual/|F| 6.02e-17, constancy spread 1.20e-16"

@@ -23,8 +23,6 @@ from jspec.entire import (
     eval_series_deriv,
     identity_residuals,
     scale_for_shift,
-    second_kind_family,
-    series_coeffs,
     series_pair,
 )
 from jspec.errors import CancellationFailure, JspecError
@@ -71,11 +69,10 @@ def enum_second_chain(params, n, m, J):
 def test_dp_matches_enumeration(q, k):
     params = JacobiParams(Geometric(q), k)
     J = 12
-    ser = series_coeffs(params, 3, J)
+    ser, fam = series_pair(params, 3, J, 2)
     for m in range(1, 4):
         brute = enum_char_chain(params, m, J)
         assert abs(ser.coefficient(m) - brute) / brute < 1e-14
-    fam = second_kind_family(params, 3, J, 2)
     for n in (0, 1, 2):
         for m in range(0, 4):
             brute = enum_second_chain(params, n, m, J)
@@ -83,7 +80,7 @@ def test_dp_matches_enumeration(q, k):
     # every prefix column, order 1, order = cutoff, and every shift below J;
     # chains that cannot fit must come out exactly 0
     for M, J in ((3, 12), (1, 9), (6, 6)):
-        ser = series_coeffs(params, M, J)
+        ser, fam = series_pair(params, M, J, J - 1)
         Ahi, Alo = char_chain_prefixes(params, M, J)
         assert np.array_equal(Ahi[:, J], ser.coeffs) and np.array_equal(Alo[:, J], ser.coeffs_lo)
         assert np.all(Ahi[0] == 1.0)
@@ -91,7 +88,6 @@ def test_dp_matches_enumeration(q, k):
             for j in range(J + 1):
                 brute = enum_char_chain(params, m, j)
                 assert abs(Ahi[m, j] - brute) <= 1e-14 * brute
-        fam = second_kind_family(params, M, J, J - 1)
         for n in range(J):
             for m in range(M + 1):
                 brute = enum_second_chain(params, n, m, J)
@@ -164,29 +160,21 @@ _PAIR_CASES = (
 
 @pytest.mark.parametrize("params,M,J,n_max", _PAIR_CASES)
 def test_one_pass_kernel_matches_two_pass_dp(params, M, J, n_max):
-    # one kernel pass carries both blocks and both running sums; every
-    # builder gives the bits of the two-pass DP it replaced
+    # one kernel pass carries both blocks and both running sums, and gives
+    # the bits of the two-pass DP it replaced
     (Ah, Al), (Hh, Hl) = _two_pass_tables(params, M, J, n_max)
     char, fam = series_pair(params, M, J, n_max)
-    single_char = series_coeffs(params, M, J)
-    single_fam = second_kind_family(params, M, J, n_max)
-    for ser, hi, lo in ((char, Ah[:, J], Al[:, J]), (single_char, Ah[:, J], Al[:, J]),
-                        (fam, Hh, Hl), (single_fam, Hh, Hl)):
+    for ser, hi, lo in ((char, Ah[:, J], Al[:, J]), (fam, Hh, Hl)):
         assert ser.coeffs.tobytes() == hi.tobytes() and ser.coeffs_lo.tobytes() == lo.tobytes()
-    for pair, single in ((char, single_char), (fam, single_fam)):
-        for field in ("tail_omitted", "ratio_bounds"):
-            assert getattr(pair, field).tobytes() == getattr(single, field).tobytes(), field
-        assert pair.tail_const == single.tail_const
     Ph, Pl = char_chain_prefixes(params, M, J)
     assert Ph.tobytes() == Ah.tobytes() and Pl.tobytes() == Al.tobytes()
 
 
 def test_order_zero_series():
-    ser = series_coeffs(GEOM, 0, 10)
+    ser, fam = series_pair(GEOM, 0, 10, 3)
     assert ser.coeffs.tolist() == [1.0] and ser.coeffs_lo.tolist() == [0.0]
     Ahi, Alo = char_chain_prefixes(GEOM, 0, 10)
     assert Ahi.shape == (1, 11) and np.all(Ahi == 1.0) and np.all(Alo == 0.0)
-    fam = second_kind_family(GEOM, 0, 10, 3)
     for n in range(4):
         assert fam[n].coefficient(0) == pytest.approx(enum_second_chain(GEOM, n, 0, 10), rel=1e-14)
 
@@ -198,18 +186,17 @@ def test_second_kind_omitted_bounds_stay_finite(M, J):
     params = JacobiParams(Geometric(0.97), math.sqrt(0.97))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fam = second_kind_family(params, M, J, 2)
+        fam = series_pair(params, M, J, 2)[1]
     for s in fam:
         assert np.all(np.isfinite(s.tail_omitted))
         assert math.isfinite(eval_series(s, 1e-3).err_bound)
 
 
 def test_reference_coefficients():
-    ser = series_coeffs(GEOM, 6, 60)
+    ser, fam = series_pair(GEOM, 6, 60, 0)
     assert ser.coefficient(0) == 1.0
     assert ser.coefficient(1) == pytest.approx(4.0 / 45.0, rel=1e-15)
     assert ser.coefficient(2) == pytest.approx(16.0 / 42525.0, rel=1e-15)
-    fam = second_kind_family(GEOM, 6, 60, 0)
     assert fam[0].coefficient(0) == pytest.approx(0.08439074413369511, rel=1e-14)
 
 
@@ -217,13 +204,13 @@ def test_first_coefficient_is_trace():
     from jspec.polycore import trace_inverse
 
     for params in (GEOM, JacobiParams(Geometric(0.55), 0.8)):
-        ser = series_coeffs(params, 4, 80)
+        ser = series_pair(params, 4, 80, 0)[0]
         assert ser.coefficient(1) == pytest.approx(trace_inverse(params, 1e-15), rel=1e-12)
 
 
 def test_coefficient_factorial_bound():
-    fam = second_kind_family(GEOM, 10, 40, 3)
-    for ser in (series_coeffs(GEOM, 10, 40), fam[0], fam[3]):
+    char, fam = series_pair(GEOM, 10, 40, 3)
+    for ser in (char, fam[0], fam[3]):
         S = ser.tail_const
         for m in range(ser.order + 1):
             assert ser.coefficient(m) <= S**m / math.factorial(m) * (1 + 1e-12)
@@ -232,7 +219,7 @@ def test_coefficient_factorial_bound():
 def test_second_kind_leading_bound_needs_correction():
     # sum_{j>=n} k^{2j}/a_j exceeds k^{2n}/min a_j here, so the certified
     # bound must carry the extra 1/(1-k^2); both directions are asserted
-    fam = second_kind_family(GEOM, 2, 60, 2)
+    fam = series_pair(GEOM, 2, 60, 2)[1]
     k = GEOM.k
     for n in (0, 1, 2):
         c0 = fam[n].coefficient(0)
@@ -242,14 +229,14 @@ def test_second_kind_leading_bound_needs_correction():
 
 
 def test_second_kind_leading_decay():
-    fam = second_kind_family(GEOM, 2, 60, 6)
+    fam = series_pair(GEOM, 2, 60, 6)[1]
     k2 = GEOM.k**2
     for n in range(1, 7):
         assert fam[n].coefficient(0) <= k2 * fam[n - 1].coefficient(0)
 
 
 def test_eval_at_zero_and_negative():
-    ser = series_coeffs(GEOM, 16, 40)
+    ser = series_pair(GEOM, 16, 40, 0)[0]
     at0 = eval_series(ser, 0.0)
     assert at0.value == 1.0 and at0.kappa == 1.0
     neg = eval_series(ser, -3.0)
@@ -264,7 +251,7 @@ def test_eval_certified_root():
     from jspec.spectrum import point_spectrum, section_eigenvalues, truncate
 
     sd = point_spectrum(GEOM, 1, tol=1e-10)
-    ser = series_coeffs(GEOM, 24, 60)
+    ser = series_pair(GEOM, 24, 60, 0)[0]
     out = eval_series(ser, sd.lambda_dd(0))
     assert abs(out.value) <= out.err_bound
     lam_coarse = section_eigenvalues(truncate(GEOM, 40), 1)[0] * (1.0 + 1e-9)
@@ -274,13 +261,13 @@ def test_eval_certified_root():
 
 def test_truncation_consistency():
     z = 4.0
-    lo = eval_series(series_coeffs(GEOM, 12, 60), z)
-    hi = eval_series(series_coeffs(GEOM, 17, 60), z)
+    lo = eval_series(series_pair(GEOM, 12, 60, 0)[0], z)
+    hi = eval_series(series_pair(GEOM, 17, 60, 0)[0], z)
     assert abs(lo.value - hi.value) <= lo.err_bound + hi.err_bound
 
 
 def test_cancellation_failure_raised():
-    ser = series_coeffs(GEOM, 24, 60)
+    ser = series_pair(GEOM, 24, 60, 0)[0]
     from jspec.spectrum import section_eigenvalues, truncate
 
     lam0 = section_eigenvalues(truncate(GEOM, 40), 1)[0]
@@ -289,7 +276,7 @@ def test_cancellation_failure_raised():
 
 
 def test_derivative_at_zero():
-    ser = series_coeffs(GEOM, 12, 60)
+    ser = series_pair(GEOM, 12, 60, 0)[0]
     d =  eval_series_deriv(ser, 0.0)
     assert d.value == pytest.approx(-4.0 / 45.0, rel=1e-14)
 
@@ -297,7 +284,7 @@ def test_derivative_at_zero():
 def _eigenvector_entry(n, z):
     """Phi_n(z): the shift-n series of a family, scaled by (-1)^n k^-n."""
     M, J = choose_truncation(GEOM, max(abs(z), 1.0), 1e-12, min_cutoff=n + 2)
-    fam = second_kind_family(GEOM, M, J, n)
+    fam = series_pair(GEOM, M, J, n)[1]
     return scale_for_shift(GEOM.k, n) * eval_series(fam[n], z).value
 
 
@@ -305,7 +292,7 @@ def test_eigenvector_entry_scaling_and_bound():
     # shift 0 is the plain numerator series, and every entry obeys the
     # corrected envelope bound
     v0 = _eigenvector_entry(0, 2.0)
-    fam = second_kind_family(GEOM, 20, 60, 0)
+    fam = series_pair(GEOM, 20, 60, 0)[1]
     assert v0 == pytest.approx(eval_series(fam[0], 2.0).value, rel=1e-13)
     for n in (0, 1, 3, 6):
         v = _eigenvector_entry(n, 2.0)
@@ -323,17 +310,17 @@ def test_second_kind_entry_value():
 
 def test_wronskian_residuals():
     M, J = choose_truncation(GEOM, 12.0, 1e-14, min_cutoff=16)
-    fser = series_coeffs(GEOM, M, J)
+    fser, fam = series_pair(GEOM, M, J, 11)
     for z in (1.0, 5.0, 10.0):
         fz = eval_series(fser, z).value
-        wronskian, _ = identity_residuals(GEOM, z, 10, M, J)
+        wronskian, _ = identity_residuals(GEOM, z, 10, fser, fam)
         for n in range(0, 11, 2):
             assert wronskian[n] <= 1e-9 * abs(fz)
 
 
 def _recurrence_residual(n, z):
     M, J = choose_truncation(GEOM, max(abs(z), 1.0), 1e-13, min_cutoff=n + 3)
-    return identity_residuals(GEOM, z, n, M, J)[1][n]
+    return identity_residuals(GEOM, z, n, *series_pair(GEOM, M, J, n + 1))[1][n]
 
 
 def test_recurrence_residuals():
@@ -349,7 +336,7 @@ def test_recurrence_residuals():
 def test_complex_point_raises():
     # the operator is self-adjoint: every point evaluated is real, and a
     # complex one is refused, not truncated to its real part
-    ser = series_coeffs(GEOM, 12, 40)
+    ser = series_pair(GEOM, 12, 40, 0)[0]
     with pytest.raises(TypeError):
         eval_series(ser, 0.3 + 0.5j)
     with pytest.raises(TypeError):
@@ -365,14 +352,14 @@ def test_complex_point_raises():
 
 def test_rejects_order_beyond_cutoff():
     with pytest.raises(ValueError):
-        series_coeffs(GEOM, 10, 5)
+        series_pair(GEOM, 10, 5, 0)
     with pytest.raises(ValueError):
-        second_kind_family(GEOM, 3, 4, 4)
+        series_pair(GEOM, 3, 4, 4)
 
 
 def test_choose_truncation_certifies():
     M, J = choose_truncation(GEOM, 100.0, 1e-12)
-    ser = series_coeffs(GEOM, M, J)
+    ser = series_pair(GEOM, M, J, 0)[0]
     out = eval_series(ser, 100.0)
     assert out.err_bound <= 1e-10 * max(1.0, abs(out.value))
 
@@ -380,7 +367,7 @@ def test_choose_truncation_certifies():
 def test_powerlaw_series_still_enumerable():
     params = JacobiParams(PowerLaw(2.0, 3.0), 0.4)
     J = 10
-    ser = series_coeffs(params, 3, J)
+    ser = series_pair(params, 3, J, 0)[0]
     for m in range(1, 4):
         brute = enum_char_chain(params, m, J)
         assert abs(ser.coefficient(m) - brute) / brute < 1e-13
@@ -399,7 +386,7 @@ _POINTS_LO = np.array([0.0, 0.0, 0.0, 0.0, 1e-15, 0.0, -1e-13])
 def test_eval_family_matches_single_calls(params):
     # one Horner pass over (order x shift x point) gives every element the
     # bits of its own one-series, one-point call, bound included
-    fam = second_kind_family(params, 24, 72, 9)
+    fam = series_pair(params, 24, 72, 9)[1]
     ev = eval_series(fam, (_POINTS_HI, _POINTS_LO))
     assert ev.value.shape == (10, len(_POINTS_HI))
     at_one = eval_series(fam, (float(_POINTS_HI[3]), float(_POINTS_LO[3])))
@@ -419,7 +406,7 @@ def test_eval_series_point_arrays_match_single_calls(params):
     # bits of the one-point calls; orders 0 and 1 (no Horner step for the
     # value or the derivative) keep the shape of the points too
     for M, fn in itertools.product((0, 1, 30), (eval_series, eval_series_deriv)):
-        ser = series_coeffs(params, M, 90)
+        ser = series_pair(params, M, 90, 0)[0]
         ev = fn(ser, (_POINTS_HI, _POINTS_LO))
         for p, z in enumerate(zip(_POINTS_HI.tolist(), _POINTS_LO.tolist())):
             single = fn(ser, z)
@@ -464,7 +451,7 @@ _FAMILY_CASES = [
 def test_family_bounds_match_per_shift_loop(params, M, J, n_max):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fam = second_kind_family(params, M, J, n_max)
+        fam = series_pair(params, M, J, n_max)[1]
     assert fam.coeffs.shape == fam.tail_omitted.shape == fam.ratio_bounds.shape == (M + 1, n_max + 1)
     for n in range(n_max + 1):
         omitted, ratios = _per_shift_bounds(params, M, J, n, fam[n].coeffs)
@@ -473,8 +460,8 @@ def test_family_bounds_match_per_shift_loop(params, M, J, n_max):
 
 
 def test_family_member_does_not_depend_on_n_max():
-    small = second_kind_family(GEOM, 18, 38, 4)
-    large = second_kind_family(GEOM, 18, 38, 23)
+    small = series_pair(GEOM, 18, 38, 4)[1]
+    large = series_pair(GEOM, 18, 38, 23)[1]
     for n in range(5):
         for field in ("coeffs", "coeffs_lo", "tail_omitted", "ratio_bounds"):
             assert getattr(small[n], field).tobytes() == getattr(large[n], field).tobytes(), (n, field)

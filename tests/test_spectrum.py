@@ -19,8 +19,6 @@ from jspec.doubledouble import dd_sub
 from jspec.entire import (
     eval_series,
     eval_series_deriv,
-    second_kind_family,
-    series_coeffs,
     series_pair,
 )
 from jspec.errors import ConvergenceFailure, TailDominates
@@ -94,6 +92,19 @@ def test_sturm_counts():
     assert sturm_count(T, float(np.sqrt(lam[0] * lam[1]))) == 1
 
 
+def test_sturm_count_takes_an_array_of_shifts():
+    # one count per shift, each equal to the one-shift call, which stays an int
+    T = truncate(GEOM, 40)
+    lams = section_eigenvalues(T, 40)
+    x = np.concatenate(([3.0], np.sqrt(lams[:-1] * lams[1:]), lams[-1:] * 1.001, lams[:3]))
+    counts = sturm_count(T, x)
+    assert counts.shape == x.shape
+    singles = [sturm_count(T, xj) for xj in x.tolist()]
+    assert all(type(c) is int for c in singles)
+    assert counts.tolist() == singles
+    assert counts[:41].tolist() == list(range(41))
+
+
 def test_point_spectrum_invariants(sd8):
     gamma = gamma_lower_bound(GEOM)
     assert np.all(sd8.lambdas >= gamma)
@@ -132,7 +143,7 @@ def test_product_representation_converges(sd8):
     # partial products prod(1 - z/lambda_j) approach the series value at
     # z = gamma/2, with the defect controlled by the reciprocal tail
     z = gamma_lower_bound(GEOM) / 2.0
-    ser = series_coeffs(GEOM, 16, 60)
+    ser = series_pair(GEOM, 16, 60, 0)[0]
     target = eval_series(ser, z).value
     defects = []
     for J in range(2, 9):
@@ -192,7 +203,7 @@ def test_second_kind_matches_weyl(sd8):
 
 
 def test_char_via_second_kind():
-    ser = series_coeffs(GEOM, 16, 60)
+    ser = series_pair(GEOM, 16, 60, 0)[0]
     assert char_via_second_kind(GEOM, 0.0) == 1.0
     for z in (2.0, 5.0):
         direct = eval_series(ser, z).value
@@ -218,9 +229,9 @@ def test_associated_operator():
     # must lie within that sum
     sd = point_spectrum(GEOM, 6, tol=1e-10)
     M, J = spectrum._series_context(GEOM, float(rep.associated_eigenvalues[-1]) * 1.3 + 1.0, 4)
-    wser = second_kind_family(GEOM, M, J, 0)[0]
+    wser = series_pair(GEOM, M, J, 0)[1][0]
     M, J = spectrum._series_context(GEOM, float(sd.lambdas[-1]) * 1.3 + 1.0, sd.count + 10)
-    fser = series_coeffs(GEOM, M, J)
+    fser = series_pair(GEOM, M, J, 0)[0]
     lam_res = [
         sd.residual_F_bound[j] / abs(eval_series_deriv(fser, sd.lambda_dd(j)).value)
         for j in range(6)
@@ -303,7 +314,7 @@ def test_refine_root_ignores_seed_bits():
     T1 = associated_section(GEOM, 59)
     seeds = section_eigenvalues(T1, 5)
     M, J = spectrum._series_context(GEOM, float(seeds[-1]) * 1.3 + 1.0, 4)
-    wser = second_kind_family(GEOM, M, J, 0)[0]
+    wser = series_pair(GEOM, M, J, 0)[1][0]
     roots = spectrum._refine_roots(wser, seeds)
     assert np.all(roots.moved)
     for factor in (1.0 - 1e-13, 1.0 + 1e-13):
@@ -319,7 +330,7 @@ def test_refine_returns_fprime_of_eval_series_deriv():
     # the basin and come back as their seed with the F' of the first pass.
     lams = section_eigenvalues(truncate(GEOM, 64), 6)
     M, J = spectrum._series_context(GEOM, float(lams[-1]) * 1.3 + 1.0, 16)
-    fser = series_coeffs(GEOM, M, J)
+    fser = series_pair(GEOM, M, J, 0)[0]
     seeds = np.concatenate((lams, np.sqrt(lams[:-1] * lams[1:])))
     roots = spectrum._refine_roots(fser, seeds)
     assert roots.moved[:6].all() and not roots.moved[6:].any()
@@ -767,7 +778,7 @@ POWERLAW = JacobiParams(PowerLaw(1.0, 2.0), 0.5)
 
 def _series_calls(monkeypatch, params, count):
     calls = []
-    for name in ("second_kind_family", "series_pair", "_series_pair", "_refine_roots"):
+    for name in ("series_pair", "_series_pair", "_refine_roots"):
         inner = getattr(spectrum, name)
 
         def counted(*args, _name=name, _inner=inner, **kwargs):
