@@ -116,6 +116,40 @@ def dd_div(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
     return quick_two_sum(s, e)
 
 
+def dd_sum_sq(hs, ls) -> tuple[float, float]:
+    """sum_i (hs[i] + ls[i])^2 in order, on Python floats, from (0, 0).
+
+    Each step is ``dd_add(*s, *dd_mul(h, l, h, l))`` written out, with the
+    same operations in the same order, so the same bits, and no call per
+    operation; the two splits of h that ``two_prod(h, h)`` makes are the
+    same, so one serves both.
+    """
+    S = _SPLITTER
+    sh = sl = 0.0
+    for h, l in zip(hs, ls):
+        p = h * h
+        c = S * h
+        hi = c - (c - h)
+        lo = h - hi
+        e = ((hi * hi - p) + hi * lo + lo * hi) + lo * lo
+        e += h * l + l * h
+        mh = p + e
+        ml = e - (mh - p)
+        s = sh + mh
+        bb = s - sh
+        e = (sh - (s - bb)) + (mh - bb)
+        t = sl + ml
+        bb = t - sl
+        f = (sl - (t - bb)) + (ml - bb)
+        e += t
+        s2 = s + e
+        e = e - (s2 - s)
+        e += f
+        sh = s2 + e
+        sl = e - (sh - s2)
+    return sh, sl
+
+
 def compensated_sum(values) -> float:
     """Neumaier compensated sum of an iterable of floats (an array is summed
     over its ``tolist()``: Python floats, not numpy scalars)."""

@@ -47,13 +47,25 @@ index-cutoff tail, and a cancellation term ``kappa * eps``, where kappa is
 the ratio of the sum of absolute terms to the absolute value of the result.
 Both are elementwise: ``eval_series`` evaluates a series at an array of
 points, or a whole family (shift x point), in one pass, and every element
-carries the bits of its one-series, one-point evaluation.
+carries the bits of its one-series, one-point evaluation.  The Horner loop
+reads the signed coefficients (-1)^m c_m and the magnitudes |c_m| from
+tables formed once per series (``_horner_tables``, kept on the series at
+its first evaluation; ``_value_and_slope`` forms its two-column table once
+for every Newton pass), not per step.
+
+The kernels are written for few numpy and interpreter calls, never at the
+cost of a bit: each keeps the operations of its plain loop, in the same
+order.  On the small arrays here a numpy call costs about as much as the
+arithmetic it does, and one on broadcast operands about twice one on
+same-shape arrays, so operands are spread to the result's shape once and
+row glue (concatenation, fancy indexing) goes into fixed buffers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -114,6 +126,11 @@ class PowerSeriesApprox:
     def coefficient(self, m: int) -> float:
         return float(self.coeffs[m])
 
+    @cached_property
+    def _tables(self):
+        """``_horner_tables`` of the coefficients, formed at the first evaluation."""
+        return _horner_tables(self.coeffs.copy(), self.coeffs_lo.copy())
+
     def __getitem__(self, n: int) -> PowerSeriesApprox:
         """The shift-n series of a family."""
         if self.shift is not None:
@@ -148,12 +165,10 @@ def _dd_inputs(params: JacobiParams, J: int):
     k2h, k2l = dd.two_prod(params.k, params.k)
     om = dd.dd_add_d(-k2h, -k2l, 1.0)
     x = dd.dd_div(1.0, 0.0, *dd.dd_mul_d(om[0], om[1], a))
-    ph = np.empty(J + 2)
-    pl = np.empty(J + 2)
-    ph[:2] = 1.0, k2h
-    pl[:2] = 0.0, k2l
-    for j in range(1, J + 1):
-        ph[j + 1], pl[j + 1] = dd.dd_mul(ph[j], pl[j], k2h, k2l)
+    powers = [(1.0, 0.0), (k2h, k2l)]
+    for _ in range(J):  # on Python floats: a numpy scalar step costs several times more
+        powers.append(dd.dd_mul(*powers[-1], k2h, k2l))
+    ph, pl = np.array(powers).T
     return a, (k2h, k2l), om, x, (ph, pl)
 
 
@@ -183,8 +198,12 @@ def _chain_tables(blocks, k2, om):
     W(r) y are formed as y D(r) and y W(r), which adds Dekker's two cross
     terms in the other order: both additions are exact away from underflow
     and overflow, and the tests hold the tables to the bits of the scalar
-    loops.  Returns (Sh, Sl) of shape (N, sum(L+1)), the L+1 columns of
-    each block in turn.
+    loops.  The step's glue runs on fixed buffers: the products' other
+    factors live in one (2, 3n-1) buffer, the step's constants are spread
+    into another by ``np.take(..., out=)``, the lead indices are formed once,
+    and the previous sum's output takes k^2 E in place of a concatenation.
+    Returns (Sh, Sl) of shape (N, sum(L+1)), the L+1 columns of each block
+    in turn.
     """
     nb = len(blocks)
     widths = [blk[4] + 1 for blk in blocks]
@@ -198,33 +217,44 @@ def _chain_tables(blocks, k2, om):
     N, n = len(Gh), len(col)
     # the products' constant factors per step, (D of each block, W of each
     # block, k^2) as hi, lo and split halves, and where each goes in the
-    # stacked product
+    # stacked product; a step spreads its row into the buffer Kb
     Kh = np.column_stack((Dh, Wh, np.full(N, k2[0])))
     Kl = np.column_stack((Dl, Wl, np.full(N, k2[1])))
     K = np.stack((Kh, Kl) + dd.split(Kh), axis=1)
     spread = np.concatenate((col, nb + col, np.full(n - 1, 2 * nb)))
-    oms = dd.split(om[0])
+    Kb = np.empty((4, 3 * n - 1))
+    # 1-k^2, hi, lo and split halves, as operands of the shape of E
+    oms = [np.full(n - 1, v) for v in om + dd.split(om[0])]
+    G = np.stack((Gh, Gl), axis=1)  # (N, 2, blocks): the leads and the firsts
+    F = np.stack((Fh, Fl), axis=1)
+    lead = n + starts  # where the firsts go in the products (V: W y)
     Sh = np.empty((N, n))
     Sl = np.empty((N, n))
-    # u holds the products' other factors (y, y, E): y is (lead, C[0], ...,
-    # C[L-1]) of each block and E is aligned with y[1:]; E and y at the lead
-    # of a later block are scratch, since every step sets that lead afresh
-    uh = np.zeros(3 * n - 1)
-    ul = np.zeros(3 * n - 1)
-    sh = sl = np.zeros(n)
+    # U holds the products' other factors (y, y, E), hi and lo: y is (lead,
+    # C[0], ..., C[L-1]) of each block and E is aligned with y[1:]; E and y
+    # at the lead of a later block are scratch, since every step sets that
+    # lead afresh.  (th, tl) is the previous step's (S, E), whose E part
+    # takes k^2 E before the step's sum.
+    U = np.zeros((2, 3 * n - 1))
+    uh, ul = U
+    y, y2 = U[:, :n], U[:, n:2 * n]
+    ch, cl = uh[1:n], ul[1:n]
+    eh, el = uh[2 * n:], ul[2 * n:]
+    th = np.zeros(2 * n - 1)
+    tl = np.zeros(2 * n - 1)
     for r in range(N):
-        uh[starts], ul[starts] = Gh[r], Gl[r]
-        uh[n:2 * n], ul[n:2 * n] = uh[:n], ul[:n]
-        ph, pl = dd.dd_mul_split(uh, ul, *K[r][:, spread])
-        ph[n + starts], pl[n + starts] = Fh[r], Fl[r]  # V: W y, with first at the leads
+        U[:, starts] = G[r]
+        np.copyto(y2, y)
+        np.take(K[r], spread, axis=1, out=Kb, mode="clip")
+        ph, pl = dd.dd_mul_split(uh, ul, *Kb)
+        ph[lead], pl[lead] = F[r]
+        th[n:], tl[n:] = ph[2 * n:], pl[2 * n:]
         # (S, k^2 E) + (D y, V[:-1])
-        th, tl = dd.dd_add(np.concatenate((sh, ph[2 * n:])), np.concatenate((sl, pl[2 * n:])),
-                           ph[:2 * n - 1], pl[:2 * n - 1])
-        sh, sl, eh, el = th[:n], tl[:n], th[n:], tl[n:]
-        Sh[r], Sl[r] = sh, sl
-        uh[2 * n:], ul[2 * n:] = eh, el
-        th, tl = dd.dd_mul_split(eh, el, *om, *oms)
-        uh[1:n], ul[1:n] = dd.dd_add(uh[1:n], ul[1:n], th, tl)
+        th, tl = dd.dd_add(th, tl, ph[:2 * n - 1], pl[:2 * n - 1])
+        Sh[r], Sl[r] = th[:n], tl[:n]
+        eh[...], el[...] = th[n:], tl[n:]
+        mh, ml = dd.dd_mul_split(eh, el, *oms)
+        ch[...], cl[...] = dd.dd_add(ch, cl, mh, ml)
     return Sh, Sl
 
 
@@ -377,29 +407,60 @@ def _as_dd_point(z):
     return zh, np.broadcast_to(np.asarray(zl, dtype=float), zh.shape)
 
 
-def _horner_dd(chi, clo, zh, zl):
+def _horner_tables(chi, clo):
+    """What ``_horner_dd`` reads, formed once per series: the signed
+    coefficients (-1)^m c_m, hi and lo, and their magnitudes |c_m|.
+
+    The signs go into ``chi`` and ``clo`` themselves, which must be the
+    caller's own arrays: the explicit polynomial path hands over its
+    prefix table, which would otherwise be copied twice more.
+    """
+    sign = np.where(np.arange(len(chi)) % 2, -1.0, 1.0).reshape((-1,) + (1,) * (np.ndim(chi) - 1))
+    ach = abs(chi)
+    chi *= sign
+    clo *= sign
+    return chi, clo, ach
+
+
+# a coefficient table is spread over the points when the copy has at most
+# this many elements: same-shape operands make each numpy call about twice
+# as fast as broadcast ones, and larger tables are rare and memory-bound
+_SPREAD_LIMIT = 1 << 16
+
+
+def _spread(x, shape):
+    """``x`` broadcast to ``shape`` as a contiguous array (a scalar stays one)."""
+    return x if np.shape(x) == shape else np.broadcast_to(x, shape).copy()
+
+
+def _horner_dd(tables, zh, zl):
     """Compensated Horner (Graillat, Langlois & Louvet 2005) for sum (-1)^m c_m z^m.
 
-    Also returns the abs-sum at |z|.  ``chi``/``clo`` are indexed by order
-    first; every trailing axis (the shifts of a family) broadcasts against
-    the points ``zh``/``zl``, and dd arithmetic is elementwise, so each
-    element gets the bits of its own one-series, one-point call.  z is
-    split once per call (``dd_mul_split``).
+    Also returns the abs-sum at |z|.  ``tables`` is ``_horner_tables(chi,
+    clo)``, indexed by order first; every trailing axis (the shifts of a
+    family) broadcasts against the points ``zh``/``zl``, and dd arithmetic
+    is elementwise, so each element gets the bits of its own one-series,
+    one-point call.  z is split once per call (``dd_mul_split``), and z and,
+    where small, the tables are spread to the shape of the result first,
+    so no step broadcasts.
     """
-    n = len(chi)
-    sg = 1.0 if n % 2 else -1.0  # (-1)^(n-1)
-    rh, rl = sg * chi[n - 1], sg * clo[n - 1]
-    az = abs(zh)
-    ab = abs(chi[n - 1])
+    shi, slo, ach = tables
+    n = len(shi)
+    rows, points = shi.shape[1:], np.shape(zh)
+    shape = np.broadcast_shapes(rows, points) if rows and points else rows or points
     if n == 1:  # no Horner step: the constant takes the shape of the points
-        shape = np.broadcast_shapes(np.shape(rh), np.shape(zh))
-        return tuple(np.broadcast_to(x, shape).copy() for x in (rh, rl, ab))
+        return tuple(np.broadcast_to(x[0], shape).copy() for x in tables)
+    if rows != shape and n * math.prod(shape) <= _SPREAD_LIMIT:
+        aligned = (n,) + (1,) * (len(shape) - len(rows)) + rows
+        shi, slo, ach = (_spread(x.reshape(aligned), (n,) + shape) for x in tables)
+    zh, zl = _spread(zh, shape), _spread(zl, shape)
     zsh, zsl = dd.split(zh)
+    az = abs(zh)
+    rh, rl, ab = shi[n - 1], slo[n - 1], ach[n - 1]
     for m in range(n - 2, -1, -1):
-        sg = -sg
         rh, rl = dd.dd_mul_split(rh, rl, zh, zl, zsh, zsl)
-        rh, rl = dd.dd_add(rh, rl, sg * chi[m], sg * clo[m])
-        ab = ab * az + abs(chi[m])
+        rh, rl = dd.dd_add(rh, rl, shi[m], slo[m])
+        ab = ab * az + ach[m]
     return rh, rl, ab
 
 
@@ -460,15 +521,31 @@ def _eval_tail_bound(s: PowerSeriesApprox, az):
 
 
 def _omitted_eval_bound(s: PowerSeriesApprox, az):
-    """sum_m omitted[m] az^m in order, inf once a term or a power of az is."""
-    hit = np.any(s.tail_omitted == math.inf, axis=0)  # else it may meet an underflowed az^m: inf * 0
-    p = 1.0
-    tot = 0.0
-    for row in s.tail_omitted:
-        tot = tot + row * p
-        p = p * az
+    """sum_m omitted[m] az^m in order, inf once a term or a power of az is.
+
+    ``az`` is a scalar, an array of points, or points x 1 against a family's
+    shifts.  The powers come from one ``cumprod`` of (1, az, az, ...) and the
+    sum from one ``cumsum`` of (0, terms): both accumulate in sequence, so
+    each element gets the bits of the loop p = p*az, tot = tot + omitted[m]*p.
+    """
+    om = s.tail_omitted
+    hit = np.any(om == math.inf, axis=0)  # else it may meet an underflowed az^m: inf * 0
+    M1 = len(om)
+    az = np.asarray(az, dtype=float)
+    powers = np.empty((M1 + 1,) + az.shape)
+    powers[0] = 1.0
+    powers[1:] = az
+    powers = np.cumprod(powers, axis=0)
+    # orders first, then the points and the family's shifts, aligned on the right
+    r, a = om.shape[1:], az.shape
+    terms = np.zeros((M1 + 1,) + (np.broadcast_shapes(r, a) if r and a else r or a))
+    np.multiply(
+        om.reshape((M1,) + (1,) * (len(a) - len(r)) + r),
+        powers[:M1].reshape((M1,) + (1,) * (len(r) - len(a)) + a),
+        out=terms[1:],
+    )
     # the powers only grow once past 1, so an inf among them is the last one
-    return np.where(hit | (p == math.inf), math.inf, tot)
+    return np.where(hit | (powers[-1] == math.inf), math.inf, np.cumsum(terms, axis=0)[-1])
 
 
 def _dd_rounding(s: PowerSeriesApprox) -> float:
@@ -515,7 +592,7 @@ def _evaluate(s: PowerSeriesApprox, z, tol, rounding, tail_factor=1.0) -> Series
     family_at_points = s.shift is None and np.ndim(zh) > 0
     if family_at_points:  # evaluated as (point x shift), returned as (shift x point)
         zh, zl = zh[..., None], zl[..., None]
-    rh, rl, ab = _horner_dd(s.coeffs, s.coeffs_lo, zh, zl)
+    rh, rl, ab = _horner_dd(s._tables, zh, zl)
     fields = _certified(s, rh, rl, ab, abs(zh), tol, rounding, tail_factor)
     if family_at_points:
         fields = (np.moveaxis(x, -1, 0) for x in fields)
@@ -576,19 +653,21 @@ def _value_and_slope(s: PowerSeriesApprox):
     The returned function maps (zh, zl) to (SeriesEval of F, F' hi, F' lo):
     F's fields have the bits of ``eval_series(s, (zh, zl))``, and F' those of
     ``eval_series_deriv(s, (zh, zl)).value`` and ``.value_lo``, from one
-    ``_horner_dd`` pass over a two-column table: the coefficients of F, and
-    those of ``_deriv_view(s)`` padded with a zero at order M.  The padding is
-    exact: the zero's Horner step adds 0 to a coefficient pair normalised by
-    ``quick_two_sum``, which returns the pair unchanged.  F' carries no bound
-    of its own.
+    ``_horner_dd`` pass over a two-column table, formed once and shared by
+    every call: the coefficients of F, and those of ``_deriv_view(s)``
+    padded with a zero at order M.  The padding is exact: the zero's Horner
+    step adds 0 to a coefficient pair normalised by ``quick_two_sum``, which
+    returns the pair unchanged.  F' carries no bound of its own.
     """
     d = _deriv_view(s)
-    chi = np.column_stack((s.coeffs, np.append(d.coeffs, 0.0)))
-    clo = np.column_stack((s.coeffs_lo, np.append(d.coeffs_lo, 0.0)))
+    tables = _horner_tables(
+        np.column_stack((s.coeffs, np.append(d.coeffs, 0.0))),
+        np.column_stack((s.coeffs_lo, np.append(d.coeffs_lo, 0.0))),
+    )
     rounding = _dd_rounding(s)
 
     def evaluate(zh, zl):
-        rh, rl, ab = _horner_dd(chi, clo, zh[:, None], zl[:, None])
+        rh, rl, ab = _horner_dd(tables, zh[:, None], zl[:, None])
         fe = SeriesEval(*_certified(s, rh[:, 0], rl[:, 0], ab[:, 0], abs(zh), None, rounding))
         return fe, -rh[:, 1], -rl[:, 1]
 

@@ -28,7 +28,14 @@ from typing import Optional
 import numpy as np
 
 from . import doubledouble as dd
-from .entire import _as_dd_point, _horner_dd, _weight_beyond, char_chain_prefixes, scale_for_shift
+from .entire import (
+    _as_dd_point,
+    _horner_dd,
+    _horner_tables,
+    _weight_beyond,
+    char_chain_prefixes,
+    scale_for_shift,
+)
 from .errors import ConvergenceFailure, SequenceError, TruncationTooCoarse
 from .sequences import JacobiParams, entry_arrays, tail_sum_enclosure, tail_sum_reciprocal
 
@@ -74,7 +81,9 @@ def orthopoly_eval(params: JacobiParams, n: int, x, mode: str = "recurrence") ->
     dynamic-program pass (the prefix property of the chain sums) and returns
     the monomial coefficients of P_n; coefficients whose magnitude falls
     below the subnormal range flush to zero, which cannot disturb the values
-    at any representable x.
+    at any representable x.  The closed form stops at the last degree d
+    whose prefactor k^-d is finite; degrees past d take the recurrence's
+    values, so the two modes are finite at the same degrees.
     """
     if n < 0:
         raise SequenceError(f"degree must be non-negative, got {n}")
@@ -121,9 +130,11 @@ def _eval_explicit(params: JacobiParams, n: int, x) -> tuple[np.ndarray, np.ndar
     if n == 0:
         return values, np.ones(1)
     scales = np.array([scale_for_shift(params.k, deg) for deg in range(n + 1)])
-    # the table stops at the last degree d whose k^-d is finite: past it
-    # every value is +-inf with the sign of P_deg(x), which the recurrence
-    # gives, and the coefficients of P_n read the chain sums through index d-1
+    # the table stops at the last degree d whose k^-d is finite: past it the
+    # closed form's prefactor leaves the float range, so those degrees take
+    # the recurrence's values (finite where P_deg(x) is, as where the sum
+    # cancels most of k^-deg), and the coefficients of P_n read the chain
+    # sums through index d-1
     d = n if math.isfinite(scales[n]) else int(np.argmax(np.isinf(scales))) - 1
     A = np.zeros(n + 1)
     if d >= 1:
@@ -131,11 +142,11 @@ def _eval_explicit(params: JacobiParams, n: int, x) -> tuple[np.ndarray, np.ndar
         # deg; its rows m > deg are exactly 0, so one 2-D Horner serves every
         # degree (points x degree, moved to degree x points)
         Ahi, Alo = char_chain_prefixes(params, d, d - 1)
-        rh, _, _ = _horner_dd(Ahi, Alo, np.asarray(x)[..., None], 0.0)
-        values[1:d + 1] = scales[1:d + 1].reshape((d,) + (1,) * np.ndim(x)) * np.moveaxis(rh, -1, 0)
         A[:d + 1] = Ahi[:, d - 1] + Alo[:, d - 1]
+        rh, _, _ = _horner_dd(_horner_tables(Ahi, Alo), np.asarray(x)[..., None], 0.0)
+        values[1:d + 1] = scales[1:d + 1].reshape((d,) + (1,) * np.ndim(x)) * np.moveaxis(rh, -1, 0)
     if d < n:
-        values[d + 1:] = math.inf * np.sign(_eval_recurrence(params, n, x)[d + 1:])
+        values[d + 1:] = _eval_recurrence(params, n, x)[d + 1:]
     signs = np.where(np.arange(n + 1) % 2, -1.0, 1.0)
     return values, signs * scales[n] * A
 
@@ -155,27 +166,137 @@ def orthopoly_values_dd(params: JacobiParams, n: int, z) -> tuple[np.ndarray, np
     zh, zl = _as_dd_point(z)
     _, alpha, beta = entry_arrays(params, max(n + 1, 1))
     alpha, beta = alpha.tolist(), beta.tolist()
+    asplit = [dd.split(a) for a in alpha]  # the same halves at every point
     points = zip(np.ravel(zh).tolist(), np.ravel(zl).tolist())
-    cols = np.array([_values_dd_at(alpha, beta, n, h, l) for h, l in points]).reshape(-1, 2, n + 1)
+    cols = np.array([_values_dd_at(alpha, asplit, beta, n, h, l) for h, l in points])
+    cols = cols.reshape(-1, 2, n + 1)
     shape = (n + 1,) + np.shape(zh)
     return cols[:, 0].T.reshape(shape), cols[:, 1].T.reshape(shape)
 
 
-def _values_dd_at(alpha: list, beta: list, n: int, zh: float, zl: float) -> tuple[list, list]:
-    """The double-double recurrence of ``orthopoly_values_dd`` at one point."""
+def _values_dd_at(alpha: list, asplit: list, beta: list, n: int, zh: float, zl: float):
+    """The double-double recurrence of ``orthopoly_values_dd`` at one point.
+
+    A step is (z - beta_i) P_i - alpha_{i-1} P_{i-1}, divided by alpha_i, as
+    ``dd_add_d``, ``dd_mul``, ``dd_mul_d``, ``dd_sub`` and ``dd_div`` form
+    it, written out on Python floats: the same operations in the same order,
+    so the same bits, without a call per operation.  Dekker's split of a
+    value is formed once and reused (the halves of alpha_i come in
+    ``asplit``; those of P_i serve the next step too), since a split has the
+    same bits wherever it is formed.
+    """
+    S = dd._SPLITTER
     Ph, Pl = [1.0], [0.0]
     if n == 0:
         return Ph, Pl
-    th, tl = dd.dd_add_d(zh, zl, -beta[0])
-    ph, pl = dd.dd_mul_d(th, tl, 1.0 / alpha[0])
+    # P_1 = (z - beta_0) * (1 / alpha_0), as dd_add_d and dd_mul_d
+    b = -beta[0]
+    s = zh + b
+    bb = s - zh
+    e = (zh - (s - bb)) + (b - bb)
+    e += zl
+    th = s + e
+    tl = e - (th - s)
+    b = 1.0 / alpha[0]
+    p = th * b
+    c = S * th
+    hi = c - (c - th)
+    lo = th - hi
+    c = S * b
+    bhi = c - (c - b)
+    blo = b - bhi
+    e = ((hi * bhi - p) + hi * blo + lo * bhi) + lo * blo
+    e += tl * b
+    ph = p + e
+    pl = e - (ph - p)
     Ph.append(ph)
     Pl.append(pl)
+    # the splits of P_0 = 1, which is (1, 0), and of P_1, carried from step to step
+    qhi, qlo = 1.0, 0.0
+    c = S * ph
+    phi = c - (c - ph)
+    plo = ph - phi
+    qh, ql = 1.0, 0.0
     for i in range(1, n):
-        th, tl = dd.dd_add_d(zh, zl, -beta[i])
-        rh, rl = dd.dd_mul(th, tl, ph, pl)
-        sh, sl = dd.dd_mul_d(Ph[i - 1], Pl[i - 1], alpha[i - 1])
-        rh, rl = dd.dd_sub(rh, rl, sh, sl)
-        ph, pl = dd.dd_div(rh, rl, alpha[i], 0.0)
+        # t = z - beta_i (dd_add_d)
+        b = -beta[i]
+        s = zh + b
+        bb = s - zh
+        e = (zh - (s - bb)) + (b - bb)
+        e += zl
+        th = s + e
+        tl = e - (th - s)
+        # r = t * P_i (dd_mul)
+        p = th * ph
+        c = S * th
+        hi = c - (c - th)
+        lo = th - hi
+        e = ((hi * phi - p) + hi * plo + lo * phi) + lo * plo
+        e += th * pl + tl * ph
+        rh = p + e
+        rl = e - (rh - p)
+        # u = P_{i-1} * alpha_{i-1} (dd_mul_d)
+        a = alpha[i - 1]
+        ahi, alo = asplit[i - 1]
+        p = qh * a
+        e = ((qhi * ahi - p) + qhi * alo + qlo * ahi) + qlo * alo
+        e += ql * a
+        uh = p + e
+        ul = -(e - (uh - p))
+        uh = -uh
+        # r - u (dd_sub: dd_add of the negated pair)
+        s = rh + uh
+        bb = s - rh
+        e = (rh - (s - bb)) + (uh - bb)
+        t = rl + ul
+        bb = t - rl
+        f = (rl - (t - bb)) + (ul - bb)
+        e += t
+        s2 = s + e
+        e = e - (s2 - s)
+        e += f
+        rh = s2 + e
+        rl = e - (rh - s2)
+        # P_{i+1} = r / alpha_i (dd_div by the pair (alpha_i, 0)): two
+        # quotient digits, each taken off r by dd_mul_d(alpha_i, 0, q) and
+        # dd_add of the negated product, then a third
+        a = alpha[i]
+        ahi, alo = asplit[i]
+        q1 = q2 = 0.0
+        for _ in range(2):
+            q1, q2 = q2, rh / a
+            p = a * q2
+            c = S * q2
+            hi = c - (c - q2)
+            lo = q2 - hi
+            e = ((ahi * hi - p) + ahi * lo + alo * hi) + alo * lo
+            e += 0.0 * q2
+            mh = p + e
+            ml = -(e - (mh - p))
+            mh = -mh
+            s = rh + mh
+            bb = s - rh
+            e = (rh - (s - bb)) + (mh - bb)
+            t = rl + ml
+            bb = t - rl
+            f = (rl - (t - bb)) + (ml - bb)
+            e += t
+            s2 = s + e
+            e = e - (s2 - s)
+            e += f
+            rh = s2 + e
+            rl = e - (rh - s2)
+        q3 = rh / a
+        s = q1 + q2
+        bb = s - q1
+        e = (q1 - (s - bb)) + (q2 - bb)
+        e += q3
+        qh, ql, qhi, qlo = ph, pl, phi, plo
+        ph = s + e
+        pl = e - (ph - s)
+        c = S * ph
+        phi = c - (c - ph)
+        plo = ph - phi
         Ph.append(ph)
         Pl.append(pl)
     return Ph, Pl

@@ -42,6 +42,12 @@ Everything downstream of the raw section eigenvalues carries the refined
 eigenvalues as double-double pairs: at the ninth eigenvalue the bare float
 spacing is already wider than the residual tolerances asked of the
 eigenvector rows.
+
+Only ``masses_and_vectors`` checks the norm identity
+sum Phi_n^2 + tail = -F'(lam) W(lam) (the envelope tail bound
+``_phi_tail_sq`` and the product F'W); ``point_spectrum`` reports no norm
+residual and leaves both out.  Both keep the sum of Phi_n^2, which the
+matrix residuals divide by.
 """
 
 from __future__ import annotations
@@ -752,7 +758,7 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
             np.where(refined, roots.fp_hi, roots.seed_fp_hi),
             np.where(refined, roots.fp_lo, roots.seed_fp_lo),
         )
-        md = _mass_machinery(params, lam_hi, lam_lo, n_aux, fam, fprime, T, seeds)
+        md = _mass_machinery(params, lam_hi, lam_lo, n_aux, fam, fprime, T, seeds, norm_identity=False)
         masses, masses_q, route = md.masses, md.masses_quadrature, md.mass_route
         eig_res = md.eigen_residuals
 
@@ -826,6 +832,7 @@ def _mass_machinery(
     fprime: tuple[np.ndarray, np.ndarray],
     T: TruncatedJacobi,
     lams_section: np.ndarray,
+    norm_identity: bool = True,
 ) -> MassData:
     """Masses, eigenvector samples and their identities at every eigenvalue.
 
@@ -834,7 +841,11 @@ def _mass_machinery(
     run (index n x eigenvalue j) and every step is elementwise or reduces
     along n in order, so each column has the bits of a one-root
     computation.  Rows without a certified series entry take the section
-    eigenvector at ``lams_section`` (``fallback``).
+    eigenvector at ``lams_section`` (``fallback``).  The norm identity
+    (its tail bound ``_phi_tail_sq`` and the product F'W) runs only with
+    ``norm_identity``; without it ``norm_residuals`` stays NaN.
+    ``point_spectrum``, which reports no norm residual, leaves it out;
+    ``masses_and_vectors`` runs it.
     """
     count = len(lam_hi)
     k = params.k
@@ -855,12 +866,14 @@ def _mass_machinery(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p_rel = EPS_DD * env / np.abs(Ph)  # recurrence noise at near-roots
         q_rel = err / np.abs(value) + p_rel
-    nstar = np.full(count, -1)
-    best = np.zeros(count)
-    for n in range(n_max + 2):
-        take = usable[n] & ((nstar < 0) | (q_rel[n] < best))
-        nstar[take] = n
-        best[take] = q_rel[n][take]
+    nstar = []
+    for use, q in zip(usable.T.tolist(), q_rel.T.tolist()):  # short columns: Python floats
+        n_best, best = -1, math.inf
+        for n, (u, qn) in enumerate(zip(use, q)):
+            if u and (n_best < 0 or qn < best):
+                n_best, best = n, qn
+        nstar.append(n_best)
+    nstar = np.array(nstar, dtype=np.int64)
     series = nstar >= 0
     cols = np.flatnonzero(series)
 
@@ -903,20 +916,15 @@ def _mass_machinery(
     vl = np.where(from_series, phi_l[:, cols], wpl)
     vectors[cols], vectors_lo[cols] = vh[:-1].T, vl[:-1].T
 
-    # norm identity: sum Phi^2 + tail == -F'(lam) W(lam), one eigenvalue
-    # at a time on Python floats
-    sums = []
-    for col_h, col_l in zip(vh[n_max::-1].T.tolist(), vl[n_max::-1].T.tolist()):
-        s = (0.0, 0.0)
-        for h, l in zip(col_h, col_l):
-            s = dd.dd_add(*s, *dd.dd_mul(h, l, h, l))
-        sums.append(s)
+    # sum Phi^2 from the top down, one eigenvalue at a time on Python floats
+    sums = [dd.dd_sum_sq(h, l) for h, l in zip(vh[n_max::-1].T.tolist(), vl[n_max::-1].T.tolist())]
     sh, sl = np.array(sums).reshape(-1, 2).T
-    envelope: list = []  # shared by the tail bounds of every eigenvalue
-    tail = np.array([_phi_tail_sq(params, n_max, abs(z), envelope) for z in lam_hi[cols].tolist()])
-    rh, rl = dd.dd_mul(fph, fpl, wh, wl)
-    dh, _ = dd.dd_add(sh, sl, rh, rl)  # sum - (-F'W) = sum + F'W
-    norm_res[cols] = np.abs(dh + tail) / sh
+    if norm_identity:  # sum Phi^2 + tail == -F'(lam) W(lam)
+        envelope: list = []  # shared by the tail bounds of every eigenvalue
+        tail = np.array([_phi_tail_sq(params, n_max, abs(z), envelope) for z in lam_hi[cols].tolist()])
+        rh, rl = dd.dd_mul(fph, fpl, wh, wl)
+        dh, _ = dd.dd_add(sh, sl, rh, rl)  # sum - (-F'W) = sum + F'W
+        norm_res[cols] = np.abs(dh + tail) / sh
 
     # matrix residual over rows 0..n_max-1 (last row excluded)
     zh, zl = lam_hi[cols], lam_lo[cols]

@@ -90,3 +90,34 @@ def test_split_products_match_dd_mul_bits():
         assert same(dd.dd_mul_split(*a, *b, *split), dd.dd_mul(*a, *b))
         p, e = dd.two_prod(a[0], b[0])
         assert dd.dd_mul_split(a[0], 0.0, b[0], 0.0, *split) == (p, e)
+
+
+def _called_sum_sq(hs, ls):
+    """sum (h + l)^2 with one ``doubledouble`` call per operation: the former
+    norm-identity loop of the mass machinery, kept as the reference."""
+    s = (0.0, 0.0)
+    for h, l in zip(hs, ls):
+        s = dd.dd_add(*s, *dd.dd_mul(h, l, h, l))
+    return s
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs=st.lists(st.floats(allow_nan=False, min_value=-1e160, max_value=1e160), max_size=30),
+       rel=st.floats(-1.1e-16, 1.1e-16))
+def test_written_out_sum_of_squares_matches_the_called_one(hs, rel):
+    # the eigenvector norm sum keeps its bits, terms from a few ulps to the
+    # overflow of the square (inf, and nan where inf meets -inf)
+    ls = [h * rel for h in hs]
+    got, ref = dd.dd_sum_sq(hs, ls), _called_sum_sq(hs, ls)
+    assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+
+def test_written_out_sum_of_squares_matches_on_eigenvector_columns():
+    # columns as the mass machinery sums them: entries falling by orders of
+    # magnitude, summed from the smallest up, with lo parts near an ulp
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        hs = (rng.uniform(0.5, 2.0, 24) * np.logspace(-40, 0, 24) * rng.choice([-1.0, 1.0], 24)).tolist()
+        ls = [h * r for h, r in zip(hs, rng.uniform(-1.1e-16, 1.1e-16, 24).tolist())]
+        got, ref = dd.dd_sum_sq(hs, ls), _called_sum_sq(hs, ls)
+        assert np.array(got).tobytes() == np.array(ref).tobytes()

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from jspec import doubledouble as dd
+from jspec import doubledouble as dd, entire
 from jspec.entire import (
     _dd_inputs,
     _weight_suffix,
@@ -414,6 +414,77 @@ def test_eval_series_point_arrays_match_single_calls(params):
                 assert getattr(ev, field).shape == _POINTS_HI.shape, (M, fn, field)
                 assert isinstance(getattr(single, field), float), (M, fn, field)
                 assert _same_bits(getattr(ev, field)[p], getattr(single, field)), (M, fn, z, field)
+
+
+def _called_horner_dd(chi, clo, zh, zl):
+    """Compensated Horner with the signs and magnitudes formed at every step
+    and z broadcast against the coefficients: the former ``_horner_dd``,
+    kept as the reference of the table-driven one."""
+    n = len(chi)
+    sg = 1.0 if n % 2 else -1.0
+    rh, rl = sg * chi[n - 1], sg * clo[n - 1]
+    az = abs(zh)
+    ab = abs(chi[n - 1])
+    if n == 1:
+        shape = np.broadcast_shapes(np.shape(rh), np.shape(zh))
+        return tuple(np.broadcast_to(x, shape).copy() for x in (rh, rl, ab))
+    zsh, zsl = dd.split(zh)
+    for m in range(n - 2, -1, -1):
+        sg = -sg
+        rh, rl = dd.dd_mul_split(rh, rl, zh, zl, zsh, zsl)
+        rh, rl = dd.dd_add(rh, rl, sg * chi[m], sg * clo[m])
+        ab = ab * az + abs(chi[m])
+    return rh, rl, ab
+
+
+def _looped_omitted_bound(s, az):
+    """The omitted-index evaluation bound as a loop over the orders: the
+    former ``_omitted_eval_bound``, kept as the reference."""
+    hit = np.any(s.tail_omitted == math.inf, axis=0)
+    p = 1.0
+    tot = 0.0
+    for row in s.tail_omitted:
+        tot = tot + row * p
+        p = p * az
+    return np.where(hit | (p == math.inf), math.inf, tot)
+
+
+def _bits_of(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+_SHAPE_CASES = [  # (family?, points): the shapes _evaluate hands over
+    (False, 12.5),
+    (False, _POINTS_HI),
+    (True, 12.5),
+    (True, _POINTS_HI[:, None]),
+]
+
+
+@pytest.mark.parametrize("spread_limit", [0, entire._SPREAD_LIMIT])
+@pytest.mark.parametrize("family, zh", _SHAPE_CASES)
+def test_table_horner_and_bounds_keep_the_bits_of_the_loops(monkeypatch, spread_limit, family, zh):
+    # signed and absolute tables formed once, z (and small tables) spread
+    # to the result's shape, and the omitted bound from cumprod and cumsum:
+    # every element keeps the bits of the step-by-step loops, with the
+    # tables spread or not, and where a power of |z| overflows
+    monkeypatch.setattr(entire, "_SPREAD_LIMIT", spread_limit)
+    fser, fam = series_pair(GEOM, 30, 90, 9)
+    s = fam if family else fser
+    for scale in (1.0, 1e9):
+        z = np.asarray(zh) * scale
+        zl = z * 1e-17
+        if np.ndim(z) == 0:
+            z, zl = float(z), float(zl)
+        got = entire._horner_dd(s._tables, z, zl)
+        ref = _called_horner_dd(s.coeffs, s.coeffs_lo, z, zl)
+        for g, r in zip(got, ref):
+            assert np.shape(g) == np.shape(r) and _bits_of(g) == _bits_of(r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = entire._omitted_eval_bound(s, abs(z))
+            ref = _looped_omitted_bound(s, abs(z))
+        assert np.shape(got) == np.shape(ref) and _bits_of(got) == _bits_of(ref)
+        assert (scale == 1e9) == bool(np.isinf(got).any())
 
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)

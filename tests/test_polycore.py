@@ -266,6 +266,49 @@ def _row_vector_values_dd(params, n, zh, zl):
     return Ph, Pl
 
 
+def _called_values_dd_at(alpha, beta, n, zh, zl):
+    """The recurrence of ``orthopoly_values_dd`` at one point with one
+    ``doubledouble`` call per operation: the former ``_values_dd_at``, kept
+    as the reference of the written-out loop."""
+    Ph, Pl = [1.0], [0.0]
+    if n == 0:
+        return Ph, Pl
+    th, tl = dd.dd_add_d(zh, zl, -beta[0])
+    ph, pl = dd.dd_mul_d(th, tl, 1.0 / alpha[0])
+    Ph.append(ph)
+    Pl.append(pl)
+    for i in range(1, n):
+        th, tl = dd.dd_add_d(zh, zl, -beta[i])
+        rh, rl = dd.dd_mul(th, tl, ph, pl)
+        sh, sl = dd.dd_mul_d(Ph[i - 1], Pl[i - 1], alpha[i - 1])
+        rh, rl = dd.dd_sub(rh, rl, sh, sl)
+        ph, pl = dd.dd_div(rh, rl, alpha[i], 0.0)
+        Ph.append(ph)
+        Pl.append(pl)
+    return Ph, Pl
+
+
+@pytest.mark.parametrize("params", [
+    GEOM,
+    JacobiParams(Geometric(0.9), math.sqrt(0.9)),
+    JacobiParams(PowerLaw(1.0, 2.0), 0.5),
+    JacobiParams(Explicit((1e-3, 10.0, 1e5, 2.0), PowerLaw(1.0, 1.5)), 0.95),
+])
+@pytest.mark.parametrize("n", [0, 1, 2, 23, 90])
+def test_written_out_dd_recurrence_matches_the_called_one(params, n):
+    # the flat loop makes the operations of the dd calls in their order:
+    # every value, hi and lo, keeps its bits, at eigenvalue-sized points,
+    # negative ones and ones whose values leave the float range
+    zh = np.array([-7.5, 0.0, 0.3, 11.84, 239.4, 4.1e3, 6.5e7, 3e12])
+    zl = zh * np.array([0.0, 0.0, 1e-17, -3e-17, 2e-17, -1e-17, 4e-18, 1e-17])
+    Ph, Pl = orthopoly_values_dd(params, n, (zh, zl))
+    _, alpha, beta = entry_arrays(params, n + 1)
+    for j, (h, l) in enumerate(zip(zh.tolist(), zl.tolist())):
+        rh, rl = _called_values_dd_at(alpha.tolist(), beta.tolist(), n, h, l)
+        assert Ph[:, j].tobytes() == np.array(rh).tobytes(), (j, h)
+        assert Pl[:, j].tobytes() == np.array(rl).tobytes(), (j, h)
+
+
 @pytest.mark.parametrize("params", [GEOM, JacobiParams(Geometric(0.27), math.sqrt(0.27)),
                                     JacobiParams(PowerLaw(1.0, 2.0), 0.5)])
 def test_dd_recurrence_matches_the_row_vector_recurrence(params):
@@ -280,8 +323,8 @@ def test_dd_recurrence_matches_the_row_vector_recurrence(params):
 
 def test_explicit_table_stops_where_the_scale_leaves_the_float_range(monkeypatch):
     # k^-n = 2^n is finite up to n = 1023: the prefix table covers degrees
-    # up to 1023, every later value is +-inf with the sign of the
-    # recurrence's P_n, and the earlier ones are the degree-1023 call's
+    # up to 1023, every later value is the recurrence's P_n, and the
+    # earlier ones are the degree-1023 call's
     p = JacobiParams(PowerLaw(1.0, 2.0), 0.5)
     sizes = []
     inner = polycore.char_chain_prefixes
@@ -298,14 +341,29 @@ def test_explicit_table_stops_where_the_scale_leaves_the_float_range(monkeypatch
     assert pe.overflow and not last.overflow
     assert pe.values[:1024].tobytes() == last.values.tobytes()
     rec = orthopoly_eval(p, 1100, xs).values
-    assert np.all(np.isinf(pe.values[1024:]))
-    assert np.array_equal(np.sign(pe.values[1024:]), np.sign(rec[1024:]))
+    assert pe.values[1024:].tobytes() == rec[1024:].tobytes()
     # the coefficients of P_1100 read the chain sums through index 1022:
     # (-1)^m inf where they are nonzero, nan (inf * 0) where not
     support = np.append(last.coeffs != 0.0, np.zeros(77, dtype=bool))
     with np.errstate(invalid="ignore"):
         expect = np.where(np.arange(1101) % 2, -1.0, 1.0) * math.inf * support
     assert np.array_equal(pe.coeffs, expect, equal_nan=True)
+
+
+@pytest.mark.parametrize("x", [0.5, 50.0])
+def test_explicit_and_recurrence_are_finite_at_the_same_degrees(x):
+    # past the table's last degree (1023) the closed form's prefactor 2^n
+    # overflows while P_n(x) stays finite a few degrees longer (through 1025
+    # at x = 0.5, through 1028, -1.15e308, at x = 50); explicit mode reads
+    # those degrees off the recurrence, not as +-inf
+    p = JacobiParams(PowerLaw(1.0, 2.0), 0.5)
+    ex = orthopoly_eval(p, 1100, x, mode="explicit").values
+    rec = orthopoly_eval(p, 1100, x).values
+    finite = np.isfinite(rec)
+    assert np.array_equal(np.isfinite(ex), finite)
+    assert finite[1024:].any()
+    rel = np.abs(ex[finite] - rec[finite]) / np.abs(rec[finite])
+    assert rel.max() <= 1e-12
 
 
 def _assert_degrees_share_one_pass(params, mode):

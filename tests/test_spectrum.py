@@ -773,6 +773,28 @@ def test_batched_stages_match_one_root_at_a_time(params, count):
             assert _bits(getattr(md, field)[j : j + 1]) == _bits(getattr(mj, field)), (j, field)
 
 
+@pytest.mark.parametrize("q, count", [(0.25, 8), (0.27, 10), (0.9, 6)])
+def test_point_spectrum_skips_the_norm_identity(monkeypatch, q, count):
+    # point_spectrum reports no norm residual, so it forms neither the tail
+    # bound nor F'W; its masses and matrix residuals keep the bits of the
+    # mass machinery run in full by masses_and_vectors
+    params = JacobiParams(Geometric(q), math.sqrt(q))
+    tails = []
+    inner = spectrum._phi_tail_sq
+
+    def counted(*args):
+        tails.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(spectrum, "_phi_tail_sq", counted)
+    sd = point_spectrum(params, count)
+    assert not tails
+    md = masses_and_vectors(params, sd, count + 10)
+    assert tails and np.isfinite(md.norm_residuals).any()
+    assert _bits(sd.masses) == _bits(md.masses)
+    assert _bits(sd.residual_matrix) == _bits(md.eigen_residuals)
+
+
 POWERLAW = JacobiParams(PowerLaw(1.0, 2.0), 0.5)
 
 
