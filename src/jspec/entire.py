@@ -57,8 +57,9 @@ The kernels are written for few numpy and interpreter calls, never at the
 cost of a bit: each keeps the operations of its plain loop, in the same
 order.  On the small arrays here a numpy call costs about as much as the
 arithmetic it does, and one on broadcast operands about twice one on
-same-shape arrays, so operands are spread to the result's shape once and
-row glue (concatenation, fancy indexing) goes into fixed buffers.
+same-shape arrays, so an operand that every step reads (z in Horner, 1 - k^2
+in the chain kernel) is spread to the result's shape once, and row glue
+(concatenation, fancy indexing) goes into fixed buffers.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ class PowerSeriesApprox:
     @cached_property
     def _tables(self):
         """``_horner_tables`` of the coefficients, formed at the first evaluation."""
-        return _horner_tables(self.coeffs.copy(), self.coeffs_lo.copy())
+        return _horner_tables(self.coeffs, self.coeffs_lo)
 
     def __getitem__(self, n: int) -> PowerSeriesApprox:
         """The shift-n series of a family."""
@@ -407,25 +408,16 @@ def _as_dd_point(z):
     return zh, np.broadcast_to(np.asarray(zl, dtype=float), zh.shape)
 
 
+def _alternating_signs(chi):
+    """(-1)^m along the orders of ``chi``, shaped to multiply it."""
+    return np.where(np.arange(len(chi)) % 2, -1.0, 1.0).reshape((-1,) + (1,) * (np.ndim(chi) - 1))
+
+
 def _horner_tables(chi, clo):
     """What ``_horner_dd`` reads, formed once per series: the signed
-    coefficients (-1)^m c_m, hi and lo, and their magnitudes |c_m|.
-
-    The signs go into ``chi`` and ``clo`` themselves, which must be the
-    caller's own arrays: the explicit polynomial path hands over its
-    prefix table, which would otherwise be copied twice more.
-    """
-    sign = np.where(np.arange(len(chi)) % 2, -1.0, 1.0).reshape((-1,) + (1,) * (np.ndim(chi) - 1))
-    ach = abs(chi)
-    chi *= sign
-    clo *= sign
-    return chi, clo, ach
-
-
-# a coefficient table is spread over the points when the copy has at most
-# this many elements: same-shape operands make each numpy call about twice
-# as fast as broadcast ones, and larger tables are rare and memory-bound
-_SPREAD_LIMIT = 1 << 16
+    coefficients (-1)^m c_m, hi and lo, and their magnitudes |c_m|."""
+    sign = _alternating_signs(chi)
+    return chi * sign, clo * sign, abs(chi)
 
 
 def _spread(x, shape):
@@ -440,9 +432,8 @@ def _horner_dd(tables, zh, zl):
     clo)``, indexed by order first; every trailing axis (the shifts of a
     family) broadcasts against the points ``zh``/``zl``, and dd arithmetic
     is elementwise, so each element gets the bits of its own one-series,
-    one-point call.  z is split once per call (``dd_mul_split``), and z and,
-    where small, the tables are spread to the shape of the result first,
-    so no step broadcasts.
+    one-point call.  z is spread to the shape of the result and split
+    once per call (``dd_mul_split``).
     """
     shi, slo, ach = tables
     n = len(shi)
@@ -450,9 +441,6 @@ def _horner_dd(tables, zh, zl):
     shape = np.broadcast_shapes(rows, points) if rows and points else rows or points
     if n == 1:  # no Horner step: the constant takes the shape of the points
         return tuple(np.broadcast_to(x[0], shape).copy() for x in tables)
-    if rows != shape and n * math.prod(shape) <= _SPREAD_LIMIT:
-        aligned = (n,) + (1,) * (len(shape) - len(rows)) + rows
-        shi, slo, ach = (_spread(x.reshape(aligned), (n,) + shape) for x in tables)
     zh, zl = _spread(zh, shape), _spread(zl, shape)
     zsh, zsl = dd.split(zh)
     az = abs(zh)

@@ -29,9 +29,9 @@ import numpy as np
 
 from . import doubledouble as dd
 from .entire import (
+    _alternating_signs,
     _as_dd_point,
     _horner_dd,
-    _horner_tables,
     _weight_beyond,
     char_chain_prefixes,
     scale_for_shift,
@@ -143,7 +143,13 @@ def _eval_explicit(params: JacobiParams, n: int, x) -> tuple[np.ndarray, np.ndar
         # degree (points x degree, moved to degree x points)
         Ahi, Alo = char_chain_prefixes(params, d, d - 1)
         A[:d + 1] = Ahi[:, d - 1] + Alo[:, d - 1]
-        rh, _, _ = _horner_dd(_horner_tables(Ahi, Alo), np.asarray(x)[..., None], 0.0)
+        # the tables of _horner_tables, signed in place: the prefix table
+        # is (d+1) x d, and two signed copies of it would set the peak memory
+        ach = abs(Ahi)
+        sign = _alternating_signs(Ahi)
+        Ahi *= sign
+        Alo *= sign
+        rh, _, _ = _horner_dd((Ahi, Alo, ach), np.asarray(x)[..., None], 0.0)
         values[1:d + 1] = scales[1:d + 1].reshape((d,) + (1,) * np.ndim(x)) * np.moveaxis(rh, -1, 0)
     if d < n:
         values[d + 1:] = _eval_recurrence(params, n, x)[d + 1:]

@@ -461,16 +461,15 @@ _SHAPE_CASES = [  # (family?, points): the shapes _evaluate hands over
 ]
 
 
-@pytest.mark.parametrize("spread_limit", [0, entire._SPREAD_LIMIT])
 @pytest.mark.parametrize("family, zh", _SHAPE_CASES)
-def test_table_horner_and_bounds_keep_the_bits_of_the_loops(monkeypatch, spread_limit, family, zh):
-    # signed and absolute tables formed once, z (and small tables) spread
-    # to the result's shape, and the omitted bound from cumprod and cumsum:
-    # every element keeps the bits of the step-by-step loops, with the
-    # tables spread or not, and where a power of |z| overflows
-    monkeypatch.setattr(entire, "_SPREAD_LIMIT", spread_limit)
+def test_table_horner_and_bounds_keep_the_bits_of_the_loops(family, zh):
+    # signed and absolute tables formed once, z spread to the result's
+    # shape, and the omitted bound from cumprod and cumsum: every element
+    # keeps the bits of the step-by-step loops, also where a power of |z|
+    # overflows, and the series keeps its coefficient magnitudes
     fser, fam = series_pair(GEOM, 30, 90, 9)
     s = fam if family else fser
+    coeffs, coeffs_lo = s.coeffs.copy(), s.coeffs_lo.copy()
     for scale in (1.0, 1e9):
         z = np.asarray(zh) * scale
         zl = z * 1e-17
@@ -485,6 +484,7 @@ def test_table_horner_and_bounds_keep_the_bits_of_the_loops(monkeypatch, spread_
             ref = _looped_omitted_bound(s, abs(z))
         assert np.shape(got) == np.shape(ref) and _bits_of(got) == _bits_of(ref)
         assert (scale == 1e9) == bool(np.isinf(got).any())
+    assert _bits_of(s.coeffs) == _bits_of(coeffs) and _bits_of(s.coeffs_lo) == _bits_of(coeffs_lo)
 
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
