@@ -348,9 +348,9 @@ def _cmd_qlaguerre(args: argparse.Namespace) -> int:
     qp = QParams(cfg.q_mode)
     rows = []
     worst = 0.0
-    for z in zs:
-        cb, cph, cs = char_closed_forms(z, qp)
-        wc, ws = weyl_num_closed_forms(z, qp)
+    points = np.array(zs)
+    routes = [r.tolist() for r in char_closed_forms(points, qp) + weyl_num_closed_forms(points, qp)]
+    for z, cb, cph, cs, wc, ws in zip(zs, *routes):
         spread_f = (max(cb, cph, cs) - min(cb, cph, cs)) / max(abs(cb), abs(cph), abs(cs), 1e-300)
         worst = max(worst, spread_f, abs(wc - ws))
         rows.append({

@@ -546,6 +546,13 @@ def _scalar(x):
     return x.item() if isinstance(x, (np.ndarray, np.generic)) and x.ndim == 0 else x
 
 
+def _uncertified(value, err, kappa, tol):
+    """Elementwise: whether an evaluation misses the relative accuracy ``tol``,
+    by its bound ``err`` or by its cancellation ``kappa * EPS_DD``.  A NaN
+    value or bound counts as missing it."""
+    return ~(err <= tol * np.maximum(abs(value), 1e-300)) | (kappa * EPS_DD > tol)
+
+
 def _certified(s, value, value_lo, abs_sum, az, tol, rounding, tail_factor=1.0):
     """The SeriesEval fields, with the one certified bound, of an evaluation at |z| = az.
 
@@ -564,7 +571,7 @@ def _certified(s, value, value_lo, abs_sum, az, tol, rounding, tail_factor=1.0):
     nonzero = value != 0.0
     kappa = np.where(nonzero, abs_sum / np.where(nonzero, abs(value), 1.0), math.inf)
     if tol is not None:
-        bad = ~(err <= tol * np.maximum(abs(value), 1e-300)) | (kappa * EPS_DD > tol)
+        bad = _uncertified(value, err, kappa, tol)
         if np.any(bad):
             i = int(np.argmax(bad))
             az_i, err_i, kappa_i = (float(np.broadcast_to(x, bad.shape).flat[i]) for x in (az, err, kappa))
@@ -602,6 +609,39 @@ def eval_series(s: PowerSeriesApprox, z, tol: Optional[float] = None) -> SeriesE
     switch to a matrix route.
     """
     return _evaluate(s, z, tol, _dd_rounding(s))
+
+
+def _point_array(z):
+    """(the points of ``z`` as a 1-d float array, the shape of ``z``).
+
+    A float is one point (shape ()); a complex point raises TypeError, and
+    an empty or multi-dimensional array ValueError.
+    """
+    z = np.asarray(z).astype(float, casting="same_kind", copy=False)
+    if z.ndim > 1 or z.size == 0:
+        raise ValueError(f"points must be a float or a non-empty 1-d array, got shape {z.shape}")
+    return z.reshape(-1), z.shape
+
+
+def _evals_by_truncation(params: JacobiParams, z: np.ndarray, truncation, pick, tol=None):
+    """``eval_series`` of the series that ``pick`` takes from a series pair,
+    at every point of the 1-d array ``z``, each through the pair
+    ``series_pair(params, M, J, 0)`` with (M, J) = ``truncation(point)``.
+
+    One pair is built per distinct truncation and evaluated at its points in
+    one call, so every element has the bits of the one-point evaluation.
+    Returns one SeriesEval of arrays per series that ``pick`` returns.
+    """
+    groups = {}
+    for i, x in enumerate(z.tolist()):
+        groups.setdefault(truncation(x), []).append(i)
+    out = None
+    for (M, J), idx in groups.items():
+        evals = [eval_series(s, z[idx], tol) for s in pick(series_pair(params, M, J, 0))]
+        out = out or [np.empty((5, len(z))) for _ in evals]  # the five SeriesEval fields
+        for fields, ev in zip(out, evals):
+            fields[:, idx] = (ev.value, ev.value_lo, ev.kappa, ev.err_bound, ev.abs_sum)
+    return [SeriesEval(*fields) for fields in out]
 
 
 def eval_series_deriv(s: PowerSeriesApprox, z) -> SeriesEval:

@@ -19,6 +19,13 @@ this is the unique convention under which the ladder identity
 ``q^n L_n^(0) + L_{n-1}^(1) - L_n^(1) = 0`` holds, which the test suite
 checks explicitly.  One double-double loop sums every such series here and
 stops it by one certified remainder test (see ``basic_hypergeometric``).
+
+``jackson_qbessel2``, ``char_closed_forms`` and ``weyl_num_closed_forms``
+take a float or a 1-d array of points, and every element of an array call
+has the bits of its one-point call.  An array call forms what does not
+depend on the point once: the q-Bessel prefactor, the correction series'
+2phi1 coefficients, and one chain series per distinct truncation among the
+points (the one a point would choose on its own).
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from . import doubledouble as dd
-from .entire import choose_truncation, eval_series, series_pair
+from .entire import _evals_by_truncation, _point_array, _scalar, choose_truncation
 from .errors import CancellationFailure, ConvergenceFailure, DivergentArgument, SequenceError
 from .sequences import Geometric, JacobiParams
 from .spectrum import section_eigenvalues, truncate
@@ -225,16 +232,19 @@ def laguerre_classical(n: int, x: float) -> float:
     return p_cur
 
 
-def jackson_qbessel2(nu: float, x: float, qp: QParams) -> float:
+def jackson_qbessel2(nu: float, x, qp: QParams):
     """Jackson q-Bessel function of the second kind J_nu^(2)(x; q).
 
     ((q^(nu+1); q)_inf / (q; q)_inf) (x/2)^nu 0phi1(; q^(nu+1); q, -q^(nu+1) x^2/4),
-    real branch, so x >= 0 is required.  CancellationFailure when (q; q)_inf
-    underflows to 0 (q close to 1), which leaves the prefactor no float value.
+    real branch, so x >= 0 is required.  ``x`` is a float or a 1-d array of
+    points; the prefactor is formed once, and each point has the bits of its
+    one-point call.  CancellationFailure when (q; q)_inf underflows to 0
+    (q close to 1), which leaves the prefactor no float value.
     """
+    xs, shape = _point_array(x)
     if nu <= -1.0:
         raise ValueError(f"order must exceed -1, got {nu}")
-    if x < 0.0:
+    if np.any(xs < 0.0):
         raise ValueError("real branch needs x >= 0")
     q = qp.q
     denom = qpochhammer(q, q)
@@ -243,8 +253,11 @@ def jackson_qbessel2(nu: float, x: float, qp: QParams) -> float:
             f"(q; q)_inf underflows to 0 at q={q!r}; the q-Bessel prefactor has no float value"
         )
     pref = qpochhammer(q ** (nu + 1.0), q) / denom
-    sh, sl, _ = _basic_sum((), (q ** (nu + 1.0),), q, -(q ** (nu + 1.0)) * x * x / 4.0)
-    return pref * (x / 2.0) ** nu * (sh + sl)
+    values = np.empty(len(xs))
+    for i, v in enumerate(xs.tolist()):
+        sh, sl, _ = _basic_sum((), (q ** (nu + 1.0),), q, -(q ** (nu + 1.0)) * v * v / 4.0)
+        values[i] = pref * (v / 2.0) ** nu * (sh + sl)
+    return _scalar(values.reshape(shape))
 
 
 def qbessel2_roots(nu: float, qp: QParams, count: int) -> np.ndarray:
@@ -294,80 +307,108 @@ def qbessel2_roots(nu: float, qp: QParams, count: int) -> np.ndarray:
     return np.array(roots[:count])
 
 
-def char_closed_forms(z: float, qp: QParams) -> tuple[float, float, float]:
+def _by_series_truncation(params: JacobiParams):
+    """The truncation of the series route at a point z, as ``choose_truncation``
+    picks it for radius max(|z|, 1) at tol 1e-13."""
+    return lambda z: choose_truncation(params, max(abs(z), 1.0), 1e-13)
+
+
+def char_closed_forms(z, qp: QParams):
     """Characteristic function by Bessel form, 0phi1 form, and chain series.
 
-    Returns (via_bessel, via_phi01, via_series).  For |z| <= 1e-8 the
-    removable 1/sqrt(z) singularity of the Bessel form is handled by its
-    series limit (the 0phi1 form itself).
+    Returns (via_bessel, via_phi01, via_series): floats for one point z, or
+    arrays over a 1-d array of points, each element with the bits of its
+    one-point call.  The series route builds one characteristic series per
+    distinct truncation among the points and asks each evaluation to
+    certify a relative 1e-9.  For |z| <= 1e-8 the removable 1/sqrt(z)
+    singularity of the Bessel form is handled by its series limit (the
+    0phi1 form itself).  ValueError for a point below 0.
     """
-    q = qp.q
-    via_phi = basic_hypergeometric("0phi1", q, -q * q * z, b=q * q)
-    if z > 1e-8:
-        via_bessel = (1.0 - q) / math.sqrt(z) * jackson_qbessel2(1.0, 2.0 * math.sqrt(z), qp)
-    elif z >= 0.0:
-        via_bessel = via_phi
-    else:
+    zs, shape = _point_array(z)
+    if not np.all(zs >= 0.0):
         raise ValueError("the Bessel route needs z >= 0")
+    q = qp.q
+    via_phi = np.array([basic_hypergeometric("0phi1", q, -q * q * x, b=q * q) for x in zs.tolist()])
+    via_bessel = via_phi.copy()
+    big = zs > 1e-8
+    if np.any(big):
+        root = np.sqrt(zs[big])
+        via_bessel[big] = (1.0 - q) / root * jackson_qbessel2(1.0, 2.0 * root, qp)
     params = induced_params(qp)
-    M, J = choose_truncation(params, max(abs(z), 1.0), 1e-13)
-    fser = series_pair(params, M, J, 0)[0]
-    via_series = eval_series(fser, z, tol=1e-9).value
-    return via_bessel, via_phi, via_series
+    (fe,) = _evals_by_truncation(
+        params, zs, _by_series_truncation(params), lambda pair: pair[:1], tol=1e-9
+    )
+    return tuple(_scalar(v.reshape(shape)) for v in (via_bessel, via_phi, fe.value))
 
 
-def weyl_num_closed_forms(z: float, qp: QParams) -> tuple[float, float]:
+def weyl_num_closed_forms(z, qp: QParams):
     """Weyl-function numerator by its closed two-piece form and by the series.
 
+    Returns (via_closed, via_series): floats for one point z, or arrays over
+    a 1-d array of points, each element with the bits of its one-point call.
     The closed form is ``(1-q) q / z * J_2^(2)(2 sqrt(qz); q)`` plus the
-    2phi1-coefficient correction series in (-z).  That series stops by the
-    remainder test of the basic hypergeometric sums: a term below 1e-17 of
-    the sum whose remainder, bounded through a term-ratio bound, is too
-    (ConvergenceFailure at the first term where the partial sum is not
-    finite, or if 200 terms do not get there).  For |z| <= 1e-8 the
-    first piece is evaluated through its 0phi1 limit
+    2phi1-coefficient correction series in (-z).  Its z-free coefficients are
+    formed once per call, as far as the points need them; at each point the
+    series stops by the remainder test of the basic hypergeometric sums: a
+    term below 1e-17 of the sum whose remainder, bounded through a
+    term-ratio bound, is too (ConvergenceFailure at the first term where the
+    partial sum is not finite, or if 200 terms do not get there).  For
+    |z| <= 1e-8 the first piece is evaluated through its 0phi1 limit
     ``q^2/(1-q^2) 0phi1(; q^3; q, -q^4 z)``.
-    The series route is not asked to certify a relative accuracy: near a
-    zero of the numerator only absolute agreement is meaningful.
+    The series route builds one numerator series per distinct truncation
+    among the points and is not asked to certify a relative accuracy: near
+    a zero of the numerator only absolute agreement is meaningful.
     """
+    zs, shape = _point_array(z)
     q = qp.q
-    if z > 1e-8:
-        part1 = (1.0 - q) * q / z * jackson_qbessel2(2.0, 2.0 * math.sqrt(q * z), qp)
-    else:
-        part1 = q * q / (1.0 - q * q) * basic_hypergeometric("0phi1", q, -(q**4) * z, b=q**3)
+    part1 = np.empty(len(zs))
+    big = zs > 1e-8
+    if np.any(big):
+        part1[big] = (1.0 - q) * q / zs[big] * jackson_qbessel2(2.0, 2.0 * np.sqrt(q * zs[big]), qp)
+    for i in np.flatnonzero(~big).tolist():
+        part1[i] = q * q / (1.0 - q * q) * basic_hypergeometric("0phi1", q, -(q**4) * zs[i].item(), b=q**3)
     # correction series: sum_m q^{(m+3)(m+1)} 2phi1(q^{m+2}, q; q^{m+3}; q, q^{m+2})
     #                     / ((q;q)_m (q^2;q)_{m+1}) (-z)^m
     # The 2phi1 factor lies in [1, 1/(1 - q^{m+2})], so from m on every term
     # ratio is at most |z| q^{2m+5} / ((1 - q^{m+1})(1 - q^{m+3})^2).
-    sh, sl = 0.0, 0.0
-    poch_q = 1.0      # (q;q)_m
-    poch_q2 = 1.0 - q * q  # (q^2;q)_{m+1}
-    zp = 1.0
-    for m in range(200):
-        hi, lo, _ = _basic_sum((q ** (m + 2), q), (q ** (m + 3),), q, q ** (m + 2))
-        term = q ** ((m + 3) * (m + 1)) * (hi + lo) / (poch_q * poch_q2) * zp
-        sh, sl = dd.dd_add_d(sh, sl, term)
-        if not abs(sh) < math.inf:  # a non-finite term makes the sum non-finite too
+    # coef[m] holds the z-free coefficient of (-z)^m and that ratio bound's
+    # numerator and denominator.
+    coef = []
+    poch_q = 1.0      # (q;q)_m of the next m
+    poch_q2 = 1.0 - q * q  # (q^2;q)_{m+1} of the next m
+    corr = np.empty(len(zs))
+    for i, x in enumerate(zs.tolist()):
+        sh, sl = 0.0, 0.0
+        zp = 1.0
+        for m in range(200):
+            if m == len(coef):
+                hi, lo, _ = _basic_sum((q ** (m + 2), q), (q ** (m + 3),), q, q ** (m + 2))
+                coef.append((
+                    q ** ((m + 3) * (m + 1)) * (hi + lo) / (poch_q * poch_q2),
+                    q ** (2 * m + 5),
+                    (1.0 - q ** (m + 1)) * (1.0 - q ** (m + 3)) ** 2,
+                ))
+                poch_q *= 1.0 - q ** (m + 1)   # (q;q)_{m+1} gains (1 - q^{m+1})
+                poch_q2 *= 1.0 - q ** (m + 3)  # (q^2;q)_{m+2} gains (1 - q^{m+3})
+            c, up, down = coef[m]
+            term = c * zp
+            sh, sl = dd.dd_add_d(sh, sl, term)
+            if not abs(sh) < math.inf:  # a non-finite term makes the sum non-finite too
+                raise ConvergenceFailure(
+                    f"correction series of the Weyl numerator at z={x!r}, q={q!r} "
+                    f"is not finite at term {m}"
+                )
+            if _remainder_small(term, abs(x) * up / down, sh):
+                break
+            zp *= -x
+        else:
             raise ConvergenceFailure(
-                f"correction series of the Weyl numerator at z={z!r}, q={q!r} "
-                f"is not finite at term {m}"
+                f"correction series of the Weyl numerator at z={x!r}, q={q!r} did not settle in 200 terms"
             )
-        rho = abs(z) * q ** (2 * m + 5) / ((1.0 - q ** (m + 1)) * (1.0 - q ** (m + 3)) ** 2)
-        if _remainder_small(term, rho, sh):
-            break
-        zp *= -z
-        poch_q *= 1.0 - q ** (m + 1)   # (q;q)_{m+1} gains (1 - q^{m+1})
-        poch_q2 *= 1.0 - q ** (m + 3)  # (q^2;q)_{m+2} gains (1 - q^{m+3})
-    else:
-        raise ConvergenceFailure(
-            f"correction series of the Weyl numerator at z={z!r}, q={q!r} did not settle in 200 terms"
-        )
-    via_closed = part1 + (sh + sl)
+        corr[i] = sh + sl
     params = induced_params(qp)
-    M, J = choose_truncation(params, max(abs(z), 1.0), 1e-13)
-    wser = series_pair(params, M, J, 0)[1][0]
-    via_series = eval_series(wser, z).value
-    return via_closed, via_series
+    (we,) = _evals_by_truncation(params, zs, _by_series_truncation(params), lambda pair: (pair[1][0],))
+    return _scalar((part1 + corr).reshape(shape)), _scalar(we.value.reshape(shape))
 
 
 def orthopoly_relation_residuals(n_max: int, x: float, qp: QParams) -> tuple[np.ndarray, np.ndarray]:

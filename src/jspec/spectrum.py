@@ -65,7 +65,11 @@ from .entire import (
     PowerSeriesApprox,
     _envelope,
     _envelope_factors,
+    _evals_by_truncation,
+    _point_array,
+    _scalar,
     _series_pair,
+    _uncertified,
     _value_and_slope,
     _weight_beyond,
     _weight_suffix,
@@ -76,7 +80,6 @@ from .entire import (
     series_pair,
 )
 from .errors import (
-    CancellationFailure,
     ConvergenceFailure,
     MassNegative,
     SequenceError,
@@ -1043,7 +1046,13 @@ def orthonormality_check(
 
 @dataclass
 class WeylValues:
-    """Weyl function at one point by three independent routes."""
+    """Weyl function by three independent routes, at one point or an array.
+
+    Every field is a float (``series_failed`` a bool) for one point, and an
+    array over the points for an array of them.  ``series_err_bound`` bounds
+    |series - w(z)| for the operator of the float a_n where the series route
+    certified; where it did not, ``series`` is NaN and the bound inf.
+    """
 
     series: float
     poles: float
@@ -1053,7 +1062,15 @@ class WeylValues:
     series_failed: bool
 
 
-def weyl(params: JacobiParams, z: float, sd: SpectralData) -> WeylValues:
+# |series - w(z)| beyond the propagated series bounds, relative to |series|:
+# the rounding of the double-double quotient (a few EPS_DD) and of its hi
+# word to float (2^-53), doubled to 2^-52 so that |series| may stand in for
+# the modulus of the quotient (they differ by a relative 2^-53, and the
+# propagated part is at most 2e-9 where the route certifies).
+_QUOTIENT_ROUNDING = 2.0**-52 + 8.0 * EPS_DD
+
+
+def weyl(params: JacobiParams, z, sd: SpectralData) -> WeylValues:
     """w(z) by series quotient, spectral pole sum, and section resolvent.
 
     * series: numerator series over characteristic series, compensated;
@@ -1061,46 +1078,55 @@ def weyl(params: JacobiParams, z: float, sd: SpectralData) -> WeylValues:
       certified bound on the omitted poles;
     * resolvent: top-left entry of the section resolvent,
       [(T - z)^{-1}]_00 = 1 / p_0 from the progressive transform.
+
+    ``z`` is a float or a 1-d array of points.  The points are grouped by the
+    series truncation each would get on its own, and each group's pair is
+    built once and evaluated at all its points; one progressive transform
+    serves every point.  Every element has the bits of its one-point call.
+    The series route fails at a point (``series_failed``) where the
+    numerator or the characteristic series misses a certified relative
+    accuracy of 1e-9 there.  ValueError when some point lies within 1e-9
+    (relative, or absolute below 1) of a computed eigenvalue.
     """
-    gap = np.min(np.abs(sd.lambdas - z))
-    if gap <= 1e-9 * max(1.0, abs(z)):
-        raise ValueError(f"point z={z!r} is too close to the computed spectrum")
-    M, J = _series_context(params, max(abs(z), float(sd.lambdas[-1])) * 1.3 + 1.0, 4)
-    series_failed = False
-    series_val = math.nan
-    series_err = math.inf
-    try:
-        fser, fam = series_pair(params, M, J, 0)
-        wser = fam[0]
-        fe = eval_series(fser, z, tol=1e-9)
-        we = eval_series(wser, z, tol=1e-9)
-        series_val, _ = dd.dd_div(we.value, we.value_lo, fe.value, fe.value_lo)
-        series_err = abs(series_val) * (
-            we.err_bound / max(abs(we.value), 1e-300)
-            + fe.err_bound / max(abs(fe.value), 1e-300)
-        )
-    except CancellationFailure:
-        series_failed = True
+    zs, shape = _point_array(z)
+    gap = np.min(np.abs(sd.lambdas[:, None] - zs), axis=0)
+    near = gap <= 1e-9 * np.maximum(1.0, np.abs(zs))
+    if np.any(near):
+        raise ValueError(f"point z={zs[near][0].item()!r} is too close to the computed spectrum")
+    top = float(sd.lambdas[-1])
+    fe, we = _evals_by_truncation(
+        params,
+        zs,
+        lambda x: _series_context(params, max(abs(x), top) * 1.3 + 1.0, 4),
+        lambda pair: (pair[0], pair[1][0]),
+    )
+    failed = (_uncertified(fe.value, fe.err_bound, fe.kappa, 1e-9)
+              | _uncertified(we.value, we.err_bound, we.kappa, 1e-9))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        quotient, _ = dd.dd_div(we.value, we.value_lo, fe.value, fe.value_lo)
+        # the dd quotient of the dd values is within (rw + rf) / (1 - rf) of w
+        rw = we.err_bound / np.maximum(abs(we.value), 1e-300)
+        rf = fe.err_bound / np.maximum(abs(fe.value), 1e-300)
+        err = abs(quotient) * ((rw + rf) / (1.0 - rf) + _QUOTIENT_ROUNDING)
+    series = np.where(failed, math.nan, quotient)
+    series_err = np.where(failed, math.inf, err)
 
     mu_sum = float(np.sum(sd.masses))
-    poles = dd.compensated_sum((sd.masses / (sd.lambdas - z))[::-1])
     lam_next = sd.lambda_next_lower
-    if z < lam_next:
-        pole_tail = max(0.0, 1.0 - mu_sum) / (lam_next - z)
-    else:
-        pole_tail = math.inf
+    poles = np.empty(len(zs))
+    pole_tail = np.full(len(zs), math.inf)
+    for i, x in enumerate(zs.tolist()):
+        poles[i] = dd.compensated_sum((sd.masses / (sd.lambdas - x))[::-1])
+        if x < lam_next:
+            pole_tail[i] = max(0.0, 1.0 - mu_sum) / (lam_next - x)
 
-    p, _ = _progressive(truncate(params, sd.N_used), z)
-    resolvent = float(1.0 / p[0, 0])
+    p, _ = _progressive(truncate(params, sd.N_used), zs)
+    resolvent = 1.0 / p[0]
 
-    return WeylValues(
-        series=series_val,
-        poles=float(poles),
-        resolvent=resolvent,
-        pole_tail_bound=pole_tail,
-        series_err_bound=series_err,
-        series_failed=series_failed,
-    )
+    return WeylValues(*(
+        _scalar(x.reshape(shape))
+        for x in (series, poles, resolvent, pole_tail, series_err, failed)
+    ))
 
 
 def second_kind_routes(params: JacobiParams, n: int, z: float) -> tuple[float, Optional[float]]:

@@ -195,15 +195,14 @@ def crit_weyl() -> tuple[bool, str]:
     points = [0.0, -1.0, gamma / 2.0]
     for j in range(3):
         points.append(float(math.sqrt(sd.lambdas[j] * sd.lambdas[j + 1])))
+    # the far point -1e6 rides along: all seven points share one series pair
+    w = weyl(REFERENCE, np.array(points + [-1e6]), sd)
     worst = 0.0
-    for z in points:
-        w = weyl(REFERENCE, z, sd)
-        vals = [w.series, w.poles, w.resolvent]
+    for vals in list(zip(w.series.tolist(), w.poles.tolist(), w.resolvent.tolist()))[:-1]:
         scale = max(1.0, max(abs(v) for v in vals))
         for u, v in itertools.combinations(vals, 2):
             worst = max(worst, abs(u - v) / scale)
-    w_far = weyl(REFERENCE, -1e6, sd)
-    asym = abs(w_far.poles * 1e6 - 1.0)
+    asym = abs(w.poles[-1].item() * 1e6 - 1.0)
     ok = worst <= TOL_WEYL and asym <= TOL_WEYL_ASYMP
     return ok, f"pairwise route gap {worst:.2e}, asymptotic defect {asym:.2e}"
 
@@ -245,18 +244,16 @@ def crit_qlaguerre_closed_forms() -> tuple[bool, str]:
     qp = QParams(0.25)
     sd = _spectral(8)
     lam5 = float(sd.lambdas[5])
-    zgrid = np.geomspace(0.05, 0.97 * lam5, 12)
     worst_f = 0.0
-    for z in zgrid:
-        cb, cph, cs = char_closed_forms(float(z), qp)
+    routes = char_closed_forms(np.geomspace(0.05, 0.97 * lam5, 12), qp)
+    for cb, cph, cs in zip(*(r.tolist() for r in routes)):
         scale = max(abs(cb), abs(cph), abs(cs))
         worst_f = max(worst_f, (max(cb, cph, cs) - min(cb, cph, cs)) / scale)
     lam3 = float(sd.lambdas[3])
     worst_w = 0.0
-    for z in np.geomspace(0.05, lam3, 10):
-        # absolute two-route agreement: the interval endpoint sits within
-        # rounding of a numerator zero, where relative error is ill-posed
-        wc, ws = weyl_num_closed_forms(float(z), qp)
+    # absolute two-route agreement: the interval endpoint sits within
+    # rounding of a numerator zero, where relative error is ill-posed
+    for wc, ws in zip(*(r.tolist() for r in weyl_num_closed_forms(np.geomspace(0.05, lam3, 10), qp))):
         worst_w = max(worst_w, abs(wc - ws))
     ok = worst_c <= TOL_QLAG_COEFF and worst_f <= TOL_QLAG_F and worst_w <= TOL_QLAG_W
     return ok, f"coefficients {worst_c:.2e}, char routes {worst_f:.2e}, numerator routes {worst_w:.2e}"

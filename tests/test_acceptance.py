@@ -68,9 +68,8 @@ def test_mode_agreement_reads_every_degree_off_one_call(monkeypatch):
     assert detail == "mode agreement 8.37e-16, quadratic coefficients 0.00e+00"
 
 
-def test_wronskian_builds_each_series_once_per_point(monkeypatch):
-    # criterion 6 builds one series pair and reads F and the residuals of
-    # all eleven n at every point from it; every build runs _series_pair
+def _count_builds(monkeypatch):
+    """The (M, J, n_max) of every series build from here on: each runs _series_pair."""
     from jspec import entire
 
     builds = []
@@ -81,7 +80,37 @@ def test_wronskian_builds_each_series_once_per_point(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(entire, "_series_pair", counting)
+    return builds
+
+
+def test_wronskian_builds_each_series_once_per_point(monkeypatch):
+    # criterion 6 builds one series pair and reads F and the residuals of
+    # all eleven n at every point from it
+    builds = _count_builds(monkeypatch)
     passed, detail = V.crit_wronskian()
     assert passed
     assert len(builds) == 1
     assert detail == "residual/|F| 6.02e-17, constancy spread 1.20e-16"
+
+
+def test_weyl_builds_one_series_pair_for_all_points(monkeypatch):
+    # criterion 8 evaluates the Weyl function at seven points, which all
+    # take the same truncation, in one call
+    builds = _count_builds(monkeypatch)
+    passed, detail = V.crit_weyl()
+    assert passed
+    assert builds == [(14, 40, 0)]
+    assert detail == "pairwise route gap 1.39e-17, asymptotic defect 1.20e-05"
+
+
+def test_closed_forms_build_one_series_per_truncation(monkeypatch):
+    # criterion 11 builds the three coefficient series, then one pair per
+    # truncation among the points of each closed-form grid: three for the
+    # characteristic function, two for the Weyl numerator
+    builds = _count_builds(monkeypatch)
+    passed, detail = V.crit_qlaguerre_closed_forms()
+    assert passed
+    assert builds[:3] == [(12, 96, 0), (12, 96, 0), (12, 192, 0)]
+    assert sorted(builds[3:6]) == [(8, 16, 0), (10, 16, 0), (14, 16, 0)]
+    assert sorted(builds[6:]) == [(8, 16, 0), (10, 16, 0)]
+    assert detail == "coefficients 1.29e-14, char routes 2.51e-15, numerator routes 6.30e-14"

@@ -316,6 +316,61 @@ def test_weyl_num_closed_forms_agree():
     assert wc == pytest.approx(0.08439074413369511, rel=1e-12)
 
 
+def _same_bits(got, want):
+    return type(want) is float and np.float64(want).tobytes() == np.float64(got).tobytes()
+
+
+def test_closed_forms_point_arrays_keep_the_bits_of_one_point_calls(monkeypatch):
+    # at q = 1/4 the points fall into the series truncation groups (8, 16),
+    # (10, 16), (12, 16) and (14, 16); 0 and 1e-9 take the small-z branches
+    # of the Bessel form and of the numerator's first piece
+    import jspec.entire as E
+
+    points = np.array([0.5, 1e-9, 300.0, 0.0, 8e6, 5.0, 1.5e7, 2e4])
+    builds = []
+    real = E._series_pair
+
+    def counting(*args, **kwargs):
+        builds.append(args[1:4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(E, "_series_pair", counting)
+    char = char_closed_forms(points, QP)
+    assert sorted(builds) == [(8, 16, 0), (10, 16, 0), (12, 16, 0), (14, 16, 0)]
+    builds.clear()
+    import jspec.qlaguerre as Q
+
+    sums = []
+    inner = Q._basic_sum
+
+    def counted(upper, *args, **kwargs):
+        sums.append(len(upper))
+        return inner(upper, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "_basic_sum", counted)
+    num = weyl_num_closed_forms(points, QP)
+    assert len(builds) == 4
+    # the correction series' 2phi1 coefficients are summed once per call, as
+    # far as the point that needs the most of them
+    shared = sums.count(2)
+    per_point = []
+    for z in points.tolist():
+        sums.clear()
+        weyl_num_closed_forms(z, QP)
+        per_point.append(sums.count(2))
+    assert shared == max(per_point) < sum(per_point)
+    for i, z in enumerate(points.tolist()):
+        for routes, one in ((char, char_closed_forms(z, QP)), (num, weyl_num_closed_forms(z, QP))):
+            assert len(one) == len(routes)
+            assert all(_same_bits(r[i], v) for r, v in zip(routes, one)), (z, one)
+    values = jackson_qbessel2(2.0, points, QP)
+    assert all(_same_bits(values[i], jackson_qbessel2(2.0, z, QP)) for i, z in enumerate(points.tolist()))
+    with pytest.raises(ValueError, match="z >= 0"):
+        char_closed_forms(np.array([1.0, -1.0]), QP)
+    with pytest.raises(ValueError, match="x >= 0"):
+        jackson_qbessel2(1.0, np.array([1.0, -1.0]), QP)
+
+
 def test_weyl_num_correction_series_raises_at_term_cap():
     # at q = 0.99, z = 10 the correction terms still grow at term 200, and
     # every partial sum stays finite

@@ -182,6 +182,35 @@ def test_weyl_asymptotics(sd8):
 def test_weyl_rejects_spectrum_points(sd8):
     with pytest.raises(ValueError):
         weyl(GEOM, float(sd8.lambdas[2]), sd8)
+    with pytest.raises(ValueError, match="too close"):
+        weyl(GEOM, np.array([0.0, float(sd8.lambdas[2])]), sd8)
+
+
+def test_weyl_point_array_keeps_the_bits_of_one_point_calls(sd8, monkeypatch):
+    # the points fall into the truncation groups (14, 40), (16, 40) and
+    # (18, 40); the series route certifies at the near points and fails at
+    # the far ones, which sit next to them in the array
+    gamma = gamma_lower_bound(GEOM)
+    mid = float(np.sqrt(sd8.lambdas[1] * sd8.lambdas[2]))
+    points = np.array([0.0, -1e10, gamma / 2.0, -1e12, mid, 1e13, -1e6])
+    builds = []
+    real = entire._series_pair
+
+    def counting(*args, **kwargs):
+        builds.append(args[1:4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(entire, "_series_pair", counting)
+    w = weyl(GEOM, points, sd8)
+    assert sorted(builds) == [(14, 40, 0), (16, 40, 0), (18, 40, 0)]
+    assert w.series_failed.tolist() == [False, True, False, True, False, True, False]
+    for i, z in enumerate(points.tolist()):
+        one = weyl(GEOM, z, sd8)
+        assert type(one.series_failed) is bool
+        assert one.series_failed == w.series_failed[i]
+        for f in ("series", "poles", "resolvent", "pole_tail_bound", "series_err_bound"):
+            assert type(getattr(one, f)) is float
+            assert np.float64(getattr(one, f)).tobytes() == w.__dict__[f][i].tobytes(), (f, z)
 
 
 def test_second_kind_routes():
