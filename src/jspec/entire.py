@@ -45,13 +45,15 @@ Evaluation is compensated (one double-double Horner loop, ``_horner_dd``)
 and certified by one bound, ``_certified``: the order-truncation tail, the
 index-cutoff tail, and a cancellation term ``kappa * eps``, where kappa is
 the ratio of the sum of absolute terms to the absolute value of the result.
-Both are elementwise: ``eval_series`` evaluates a series at an array of
-points, or a whole family (shift x point), in one pass, and every element
-carries the bits of its one-series, one-point evaluation.  The Horner loop
-reads the signed coefficients (-1)^m c_m and the magnitudes |c_m| from
-tables formed once per series (``_horner_tables``, kept on the series at
-its first evaluation; ``_value_and_slope`` forms its two-column table once
-for every Newton pass), not per step.
+The bound is rounded up once: ``_log_up`` widens its log-space parts
+before ``exp``, and ``_certified`` the finished sum.  Loop and bound are
+elementwise: ``eval_series`` evaluates a series at an array of points, or
+a whole family (shift x point), in one pass, and every element carries the
+bits of its one-series, one-point evaluation.  The Horner loop reads the
+signed coefficients (-1)^m c_m and the magnitudes |c_m| from tables formed
+once per series (``_horner_tables``, kept on the series at its first
+evaluation; ``_value_and_slope`` forms its two-column table once for every
+Newton pass), not per step.
 
 The kernels are written for few numpy and interpreter calls, never at the
 cost of a bit: each keeps the operations of its plain loop, in the same
@@ -377,10 +379,10 @@ def _finalize(kind, M, J, chi, clo, X, seed_beyond=0.0) -> PowerSeriesApprox:
         # with X = ratio[0], in log space: X^m and m! leave the float range
         # long before the bound is useless
         omitted[0] = seed_beyond
-        log_X = _per_element(math.log, ratio[0])
         log_fact = np.array([math.lgamma(m + 1) for m in range(1, M + 1)])[:, None]
-        log_terms = _log_or_ninf(seed_beyond) + orders[1:, None] * log_X - log_fact
-        omitted[1:] += _per_element(_exp_or_inf, log_terms)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_terms = _log_up([np.log(seed_beyond), orders[1:, None] * np.log(ratio[0]), -log_fact])
+            omitted[1:] += np.exp(log_terms)
     return PowerSeriesApprox(
         shift=0 if kind == "char" else None,
         order=M,
@@ -452,27 +454,22 @@ def _horner_dd(tables, zh, zl):
     return rh, rl, ab
 
 
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_EPS = np.finfo(float).eps
+# at least 4 x the worst error measured against mpmath (3.2 ulps for
+# math.lgamma at the integers 2..4097, at most 0.72 for numpy's log, log1p
+# and exp over 1.2e5 arguments each), plus the roundings of a sum of terms
+_ULPS = 32.0
 
 
-def _log_or_ninf(x: float) -> float:
-    return math.log(x) if x > 0.0 else -math.inf
-
-
-def _exp_or_inf(x: float) -> float:
-    return math.exp(x) if x < _LOG_FLOAT_MAX else math.inf
-
-
-def _per_element(f, x):
-    """``f`` applied to every element of ``x``, with the bits of the scalar call.
-
-    numpy's vectorized log, log1p and exp differ from ``math``'s in the last
-    bit on some arguments, and the bounds must not depend on batching.
-    """
-    if np.ndim(x) == 0:
-        return f(float(x))
-    x = np.asarray(x, dtype=float)
-    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
+def _log_up(terms):
+    """The sum of log-space ``terms`` widened by _ULPS ulps of 1 + sum |t_i|,
+    so that its exp bounds the exact exp(sum) away from underflow: each term
+    is within a few ulps of its value, or is the log of a float within an ulp
+    of its argument, and the 1 covers those arguments and the exp.  A -inf
+    term (a zero factor) keeps the sum -inf, so its bound stays 0."""
+    total = sum(terms)
+    wide = total + _ULPS * _EPS * (1.0 + sum(abs(t) for t in terms))
+    return np.where(total == -np.inf, total, wide)
 
 
 def _eval_tail_bound(s: PowerSeriesApprox, az):
@@ -481,31 +478,23 @@ def _eval_tail_bound(s: PowerSeriesApprox, az):
     Both candidates are formed in log space: at large |z| and order the
     factors az**M and S**(M+1) exceed the float range long before the
     bound itself is useless, and an overflowing bound is reported as inf.
+    rho = r az, ts = S az and ts/(M+2) step up past their rounding, since
+    1 - rho and 1 - ts/(M+2) magnify an error in them without limit.
     """
     M = s.order
     at_zero = az == 0.0
-    az = np.where(at_zero, 1.0, az)  # the bound is 0 there; keep the logs finite
-    rho = s.ratio_bounds[M] * az
-    inside = rho < 1.0
-    rho_in = np.where(inside, rho, 0.0)
-    frac = rho_in / (1.0 - rho_in)
-    log_geo = (
-        _per_element(_log_or_ninf, s.coeffs[M] + s.tail_omitted[M])
-        + M * _per_element(math.log, az)
-        + _per_element(_log_or_ninf, frac)
-    )
-    geo = np.where(inside, _per_element(_exp_or_inf, log_geo), math.inf)
-    # elementary-symmetric fallback S^{m}/m!, useful at small |z|
-    ts = s.tail_const * az
-    log_fact = (M + 1) * _per_element(_log_or_ninf, ts) - math.lgamma(M + 2)
-    small = ts < M + 2
-    log_fact = np.where(
-        small,
-        log_fact - _per_element(math.log1p, np.where(small, -ts / (M + 2), 0.0)),
-        log_fact + np.minimum(ts, 700.0),
-    )
-    fact = _per_element(_exp_or_inf, log_fact)
-    return np.where(at_zero, 0.0, np.where(fact < geo, fact, geo))
+    az = az + at_zero  # 1 where az is 0: the bound is 0 there; keep the logs finite
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # past rho = 1 the geometric candidate's log is nan, and fmin drops it
+        rho = np.nextafter(s.ratio_bounds[M] * az, np.inf)
+        log_geo = _log_up([np.log(s.coeffs[M] + s.tail_omitted[M]), M * np.log(az), np.log(rho / (1.0 - rho))])
+        # elementary-symmetric fallback S^{m}/m!, useful at small |z|:
+        # ts^{M+1}/(M+1)! times 1/(1 - ts/(M+2)) below M+2, else e^ts
+        ts = np.nextafter(s.tail_const * az, np.inf)
+        y = np.nextafter(ts / (M + 2), np.inf)
+        log_fact = _log_up([(M + 1) * np.log(ts), -math.lgamma(M + 2), np.where(y < 1.0, -np.log1p(-y), ts)])
+        bound = np.exp(np.fmin(log_geo, log_fact))
+    return np.where(at_zero, 0.0, bound)
 
 
 def _omitted_eval_bound(s: PowerSeriesApprox, az):
@@ -561,13 +550,16 @@ def _certified(s, value, value_lo, abs_sum, az, tol, rounding, tail_factor=1.0):
     evaluation has; raises CancellationFailure when ``tol`` is given and
     some element does not certify.
     """
-    # inf and nan arise quietly here, as they do in scalar float arithmetic
+    # inf and nan arise quietly here, as they do in scalar float arithmetic.
+    # The factor covers the half-ulp roundings away from underflow: at most
+    # 2M + 4 in the omitted-index polynomial and its entries, 2M + 2 in the
+    # abs-sum's Horner steps and its product, and three for the sum here.
     with np.errstate(over="ignore", invalid="ignore"):
         err = (
             _eval_tail_bound(s, az) * tail_factor
             + _omitted_eval_bound(s, az)
             + rounding * EPS_DD * abs_sum
-        )
+        ) * (1.0 + (2 * s.order + 8) * _EPS)
     nonzero = value != 0.0
     kappa = np.where(nonzero, abs_sum / np.where(nonzero, abs(value), 1.0), math.inf)
     if tol is not None:
@@ -733,7 +725,10 @@ def _envelope_factors(params: JacobiParams, n: int) -> tuple[float, float]:
 
 def _envelope(k: float, factors: tuple[float, float], abs_z: float) -> float:
     scale, tail = factors
-    return scale * math.exp(min(abs_z * tail / (1.0 - k * k), 700.0))
+    try:
+        return scale * math.exp(abs_z * tail / (1.0 - k * k))
+    except OverflowError:  # the bound is past the float range
+        return math.inf
 
 
 def choose_truncation(

@@ -1178,9 +1178,11 @@ def char_via_second_kind(params: JacobiParams, z: float, tol: float = 1e-12) -> 
     """Characteristic function as 1 - z sum_n w_n(0) P_n(z).
 
     Every w_n(0) of a depth comes from one suffix pass
-    (``polycore._second_kind_zeros``).  Terms decay like 1/a_n; the sum stops once three consecutive terms fall
-    below tol relative to the accumulated value, and raises
-    ConvergenceFailure when 512 terms have not settled it.
+    (``polycore._second_kind_zeros``).  Terms t decay like 1/a_n; the sum
+    stops after three consecutive |t| <= 1e-2 tol max(|acc|, 1), acc the
+    partial sum, and raises ConvergenceFailure when 512 terms have not
+    settled it.  A power-law weight's terms decay only like n^-p, so at the
+    default tol every p up to about 5.5 raises, even at z = 0.
     """
     cap = 512
     depth = 48

@@ -299,6 +299,18 @@ def test_eigenvector_entry_scaling_and_bound():
         assert abs(v) <= envelope_bound(GEOM, n, 2.0)
 
 
+def test_envelope_bound_is_inf_past_the_float_range():
+    # an exponent capped at 700 left the bound at 6.1e291 for every |z| from
+    # about 17,000 on, below the true envelope
+    params, n, k = JacobiParams(PowerLaw(1.0, 2.0), 0.5), 31, 0.5
+    scale = k**n / ((1.0 - k * k) * sequence_min_from(params.seq, n))
+    tail = tail_sum_reciprocal(params.seq, n + 1)
+    z = 705.0 * (1.0 - k * k) / tail  # an exponent past the old cap, still finite
+    assert envelope_bound(params, n, z) == scale * math.exp(z * tail / (1.0 - k * k))
+    for z in (2e4, 3e4, 1e5):
+        assert envelope_bound(params, n, z) == math.inf
+
+
 def test_second_kind_entry_value():
     # shift 1 at z=0: -(1/k) sum_{j>=1} k^{2j}/a_j
     from jspec.polycore import second_kind_at_zero
@@ -487,26 +499,28 @@ def test_table_horner_and_bounds_keep_the_bits_of_the_loops(family, zh):
     assert _bits_of(s.coeffs) == _bits_of(coeffs) and _bits_of(s.coeffs_lo) == _bits_of(coeffs_lo)
 
 
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
-
-
 def _per_shift_bounds(params, M, J, n, chi):
     """Omitted-index bounds and ratio bounds of shift n, one scalar loop per shift.
 
     The reference form of the family bounds: the seed beyond J times
-    X^m / m! in log space, one ``math`` call per term, and the ratio after
-    order m from the smallest index a longer chain can add.
+    X^m / m! in log space, its sum widened by ``_ULPS`` ulps of
+    (1 + sum of |terms|), one term at a time, and the ratio after order m from the smallest index a longer
+    chain can add.
     """
     X = _weight_suffix(params, J)
     seed_beyond = params.k ** (2 * (J + 1)) * tail_sum_reciprocal(params.seq, J + 1)
     omitted = np.zeros(M + 1)
     omitted[1:] = float(X[J + 1]) * chi[:-1]
     omitted[0] = seed_beyond
-    log_seed = math.log(seed_beyond) if seed_beyond > 0.0 else -math.inf
-    log_X = math.log(X[min(n + 1, J + 1)])
-    for m in range(1, M + 1):
-        x = log_seed + m * log_X - math.lgamma(m + 1)
-        omitted[m] += math.exp(x) if x < _LOG_FLOAT_MAX else math.inf
+    with np.errstate(divide="ignore", over="ignore"):
+        log_seed = np.log(seed_beyond)
+        log_X = np.log(X[min(n + 1, J + 1)])
+        for m in range(1, M + 1):
+            terms = (log_seed, m * log_X, -math.lgamma(m + 1))
+            x = sum(terms)
+            if x > -math.inf:
+                x = x + entire._ULPS * entire._EPS * (1.0 + sum(abs(t) for t in terms))
+            omitted[m] += np.exp(x)
     ratios = np.array([float(X[min(n + m + 1, J + 1)]) for m in range(M + 1)])
     return omitted, ratios
 

@@ -21,6 +21,13 @@ Basic hypergeometric sums: the oracle is the r_phi_s term recurrence on the
 float q, parameters and argument at 60 digits.  ``_basic_sum``'s hi + lo
 must lie within its rounding bound plus twice its stop threshold (the
 remainder it leaves) of it.
+
+Tail bounds: the oracle is the bound's own expression at 50 digits on the
+same float inputs: the order tail min(geometric, elementary-symmetric) of
+``_eval_tail_bound`` and the omitted seed terms seed X^m / m! of a family
+(``_finalize``).  Each float bound, formed in log space and rounded up once,
+must be at least its exact value (below the normal range, less than one unit
+of 2^-1074 under it) and within a relative 1e-9 above it.
 """
 
 import math
@@ -31,7 +38,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jspec import spectrum
-from jspec.entire import choose_truncation, eval_series, series_pair
+from jspec.entire import (
+    PowerSeriesApprox,
+    _eval_tail_bound,
+    _finalize,
+    choose_truncation,
+    eval_series,
+    series_pair,
+)
 from jspec.qlaguerre import _STOP, _basic_sum
 from jspec.sequences import Explicit, Geometric, JacobiParams, PowerLaw, entry_arrays
 from jspec.spectrum import point_spectrum, truncate, weyl
@@ -217,3 +231,103 @@ def test_basic_sum_holds_against_the_60_digit_sum(shape, draws):
             assert err <= bound + 2 * _STOP * abs(S), (case, float(err), bound)
 
     check()
+
+
+_TINY = np.finfo(float).tiny
+_MAX = np.finfo(float).max
+
+
+def _assert_bounds(bound, exact, excess=1e-9):
+    """Each float in ``bound`` is at least its 50-digit value in ``exact``
+    and, unless ``excess`` is None, at most that much above it relatively;
+    inf only past the float range."""
+    with mpmath.workdps(50):
+        for b, e in zip(np.ravel(bound).tolist(), exact):
+            if e >= _TINY:
+                assert b >= e, (b, e)
+            else:  # an underflowed exp keeps numpy's rounding, within half a unit
+                assert mpmath.mpf(b) + mpmath.mpf(2) ** -1074 >= e, (b, e)
+            if excess is None:
+                continue
+            if b == math.inf:
+                assert e >= _MAX * (1 - excess), e
+            elif e >= _TINY:
+                assert b <= e * (1 + excess), (b, e)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda x: 10.0**x)
+
+
+def _tail_series(M, c, r, S):
+    """An order-M series whose order tail reads c_M + omitted_M = 4c/3, the
+    ratio bound r and the weight sum S."""
+    return PowerSeriesApprox(
+        shift=0, order=M, cutoff=M, coeffs=np.full(M + 1, c), coeffs_lo=np.zeros(M + 1),
+        tail_const=S, tail_omitted=np.full(M + 1, c / 3), ratio_bounds=np.full(M + 1, r),
+    )
+
+
+def _mp_order_tail(s, z):
+    """The order tail bound of ``s`` at |z| = z, min(geometric,
+    elementary-symmetric), at 50 digits on the same float inputs."""
+    M = s.order
+    with mpmath.workdps(50):
+        C = mpmath.mpf(s.coeffs[M]) + mpmath.mpf(s.tail_omitted[M])
+        z = mpmath.mpf(z)
+        rho, ts = s.ratio_bounds[M] * z, s.tail_const * z
+        geo = C * z**M * rho / (1 - rho) if rho < 1 else mpmath.inf
+        fact = ts ** (M + 1) / mpmath.factorial(M + 1)
+        fact *= 1 / (1 - ts / (M + 2)) if ts < M + 2 else mpmath.exp(ts)
+        return min(geo, fact)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    M=st.integers(0, 512),
+    c=_log_uniform(-250.0, 50.0),
+    r=_log_uniform(-12.0, 1.0),
+    S=_log_uniform(-6.0, 3.0),
+    az=st.lists(_log_uniform(-4.0, 8.0), min_size=1, max_size=8),
+    near=_log_uniform(-15.5, -2.0),
+)
+def test_order_tail_bound_dominates_its_50_digit_value(M, c, r, S, az, near):
+    # M |log |z|| reaches about 9,000 at M = 512
+    s = _tail_series(M, c, r, S)
+    az = np.array(az)
+    bound = _eval_tail_bound(s, az)
+    _assert_bounds(bound, [_mp_order_tail(s, z) for z in az.tolist()])
+    assert bound.tobytes() == np.array([_eval_tail_bound(s, z) for z in az.tolist()]).tobytes()
+    # rho = r |z| and then ts / (M + 2) = S |z| / (M + 2) just below 1, each
+    # with the other candidate out of reach (ts = 1e3, then rho = 2): there
+    # 1 - rho and 1 - ts / (M + 2) magnify an error in them by up to 1/near,
+    # and the bound is held to its value from below only
+    z_geo, z_fact = (1.0 - near) / r, (M + 2) * (1.0 - near) / S
+    for s, z in ((_tail_series(M, c, r, 1e3 / z_geo), z_geo), (_tail_series(M, c, 2.0 / z_fact, S), z_fact)):
+        _assert_bounds([_eval_tail_bound(s, z)], [_mp_order_tail(s, z)], excess=None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    M=st.integers(1, 512),
+    n_max=st.integers(0, 2),
+    X0=_log_uniform(-6.0, 6.0),
+    decay=st.floats(0.05, 1.0),
+    seed=_log_uniform(-300.0, 0.0),
+)
+def test_omitted_seed_terms_dominate_their_50_digit_value(M, n_max, X0, decay, seed):
+    # with zero coefficients a family's omitted entries are the seed terms
+    # alone: the seed beyond J, then seed X^m / m! with X the weight after shift n
+    J = M + n_max + 1
+    X = X0 * decay ** np.arange(J + 2)
+    chi = np.zeros((M + 1, n_max + 1))
+    fam = _finalize("second_kind", M, J, chi, chi.copy(), X, seed)
+    assert np.all(fam.tail_omitted[0] == seed)
+    exact = np.empty((M, n_max + 1), dtype=object)
+    with mpmath.workdps(50):
+        for n in range(n_max + 1):
+            t = mpmath.mpf(seed)
+            for m in range(1, M + 1):
+                t = t * mpmath.mpf(X[n + 1]) / m
+                exact[m - 1, n] = t
+    _assert_bounds(fam.tail_omitted[1:], exact.ravel().tolist())
