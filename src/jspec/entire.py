@@ -308,9 +308,15 @@ def char_chain_prefixes(params: JacobiParams, M: int, J: int):
     return _coefficient_tables(params, M, J, None)[0]
 
 
+def _one_minus_k2(k: float) -> float:
+    """1 - k^2 within 2u (u = eps/2): (1 - kh) - kl from the exact square kh + kl."""
+    kh, kl = dd.two_prod(k, k)
+    return (1.0 - kh) - kl
+
+
 def _weight_beyond(params: JacobiParams, J: int) -> float:
     """Certified bound on sum_{j > J} x_j, the weight tail beyond the cutoff J."""
-    return tail_sum_reciprocal(params.seq, J + 1) / (1.0 - params.k * params.k)
+    return tail_sum_reciprocal(params.seq, J + 1) / _one_minus_k2(params.k)
 
 
 def _weight_suffix(params: JacobiParams, J: int) -> np.ndarray:
@@ -318,10 +324,13 @@ def _weight_suffix(params: JacobiParams, J: int) -> np.ndarray:
 
     X[J+1] is the certified tail bound beyond the cutoff alone.
     """
-    k = params.k
     a, _, _ = entry_arrays(params, J + 1)
-    x = 1.0 / ((1.0 - k * k) * a)
-    return np.cumsum(np.concatenate(([_weight_beyond(params, J)], x[::-1])))[::-1]
+    x = 1.0 / (_one_minus_k2(params.k) * a)
+    # u = eps/2: the cumsum of J + 2 positive terms rounds by (J + 1) u, each x_j
+    # by 4u (1 - k^2, product, quotient), the tail by 3u and the widening by u;
+    # (J + 4) eps = (2J + 8) u covers that (J + 6) u and the second-order terms
+    X = np.cumsum(np.concatenate(([_weight_beyond(params, J)], x[::-1])))[::-1]
+    return X * (1.0 + (J + 4) * _EPS)
 
 
 def _check_orders(M: int, J: int, n_max: int):
@@ -713,20 +722,20 @@ def envelope_bound(params: JacobiParams, n: int, abs_z: float) -> float:
     shift-n series at 0 already sums k^{2j}/a_j over j >= n, which a bare
     1/min a_j does not dominate.)
     """
-    return _envelope(params.k, _envelope_factors(params, n), abs_z)
+    return _envelope(_one_minus_k2(params.k), _envelope_factors(params, n), abs_z)
 
 
 def _envelope_factors(params: JacobiParams, n: int) -> tuple[float, float]:
     """The |z|-free factors of ``envelope_bound``: its prefactor and R(n+1)."""
     k = params.k
     amin = sequence_min_from(params.seq, n)
-    return k**n / ((1.0 - k * k) * amin), tail_sum_reciprocal(params.seq, n + 1)
+    return k**n / (_one_minus_k2(k) * amin), tail_sum_reciprocal(params.seq, n + 1)
 
 
-def _envelope(k: float, factors: tuple[float, float], abs_z: float) -> float:
+def _envelope(om: float, factors: tuple[float, float], abs_z: float) -> float:
     scale, tail = factors
     try:
-        return scale * math.exp(abs_z * tail / (1.0 - k * k))
+        return scale * math.exp(abs_z * tail / om)
     except OverflowError:  # the bound is past the float range
         return math.inf
 

@@ -32,6 +32,7 @@ from .entire import (
     _alternating_signs,
     _as_dd_point,
     _horner_dd,
+    _one_minus_k2,
     _weight_beyond,
     char_chain_prefixes,
     scale_for_shift,
@@ -339,13 +340,12 @@ def _trace_tail(params: JacobiParams, J: int) -> tuple[float, float]:
     The value is the reciprocal tail of the sequence over 1-k^2; the
     geometric part k^{2j+2} <= g = k^{2J+4} of it is bounded, not summed:
     with the reciprocal tail in [v - e, v + e], the true tail lies in
-    [max(0, (v - e)(1 - g)), v + e].
+    [max(0, (v - e)(1 - g)), v + e], within e + g max(0, v - e) of v.
     """
-    k2 = params.k * params.k
     value, err = tail_sum_enclosure(params.seq, J + 1)
-    g = k2 ** (J + 2)
-    err = max(value - max(0.0, (value - err) * (1.0 - g)), err)
-    return value / (1.0 - k2), err / (1.0 - k2)
+    err += (params.k * params.k) ** (J + 2) * max(0.0, value - err)
+    om = _one_minus_k2(params.k)
+    return value / om, err / om
 
 
 def trace_inverse(params: JacobiParams, tol: float = 1e-14) -> float:
@@ -357,7 +357,6 @@ def trace_inverse(params: JacobiParams, tol: float = 1e-14) -> float:
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    k2 = params.k * params.k
     J = 16
     while True:
         tail, err = _trace_tail(params, J)
@@ -369,8 +368,8 @@ def trace_inverse(params: JacobiParams, tol: float = 1e-14) -> float:
             )
         J *= 2
     a, _, _ = entry_arrays(params, J + 1)
-    j = np.arange(J + 1)
-    terms = (1.0 - k2 ** (j + 1)) / ((1.0 - k2) * a)
+    # -expm1 keeps 1 - k^{2j+2} to a few ulps; 1 - k2 ** (j+1) loses up to 15 at k = 0.999
+    terms = -np.expm1(np.arange(1, J + 2) * (2.0 * math.log(params.k))) / (_one_minus_k2(params.k) * a)
     return float(dd.compensated_sum(np.concatenate(([tail], terms[::-1]))))
 
 

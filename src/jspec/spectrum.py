@@ -22,8 +22,9 @@ the section value theta_j, for the operator of the float a_n, up to a
 stated rounding margin, or, for tolerances finer than that margin, ends
 checked by double-double Sturm counts (``_enclosure``).
 ``point_spectrum`` takes the first doubling of N whose bracket is within
-tol, and reports its width as ``lambda_err``.  The completeness defect
-(the inverse trace beyond the section) stays a diagnostic.
+tol, and reports its width as ``lambda_err``.  The completeness defect, a
+diagnostic, is the upper end of the closed tail of the inverse trace that the
+section leaves out, sum_{i >= N} (1 - k^{2i+2}) / ((1 - k^2) a_i), up to rounding.
 Roots of the characteristic series then refine the section values by
 compensated Newton steps wherever the series evaluation certifies itself
 and the root stays inside its bracket; where the series bound proves
@@ -66,6 +67,7 @@ from .entire import (
     _envelope,
     _envelope_factors,
     _evals_by_truncation,
+    _one_minus_k2,
     _point_array,
     _scalar,
     _series_pair,
@@ -85,11 +87,7 @@ from .errors import (
     SequenceError,
     TailDominates,
 )
-from .polycore import (
-    _second_kind_zeros,
-    orthopoly_values_dd,
-    trace_inverse,
-)
+from .polycore import _second_kind_zeros, _trace_tail, orthopoly_values_dd
 from .sequences import (
     JacobiParams,
     entry_arrays,
@@ -355,7 +353,8 @@ class SpectralData:
     # section (point_spectrum); the series certificate where smaller
     lambda_err: np.ndarray
     N_used: int
-    completeness_defect: float  # Delta_N diagnostic, not a certificate
+    # Delta_N diagnostic: upper end of sum_{i >= N_used} (1 - k^{2i+2}) / ((1-k^2) a_i), up to rounding
+    completeness_defect: float
     lambda_next_lower: float  # lower bound on lambda_count(J)
     gamma: float
 
@@ -687,11 +686,11 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
     bracket's lower end for index ``count``, a lower bound on
     lambda_count(J).
 
-    The completeness defect is a diagnostic, not the certificate: it
-    compares ``sum 1/lambda_j (+ section tail)`` against the closed trace
-    formula and equals, up to rounding, the part of the inverse trace
-    beyond the section, ``sum_{i >= N_used} (1 - k^{2i+2}) / ((1-k^2) a_i)``
-    (``polycore._trace_tail(params, N_used - 1)``).
+    The completeness defect is a diagnostic, not the certificate: the upper
+    end (value + bound) of the closed tail of the inverse trace beyond the
+    section, ``sum_{i >= N_used} (1 - k^{2i+2}) / ((1-k^2) a_i)``
+    (``polycore._trace_tail(params, N_used - 1)``), up to its value's
+    rounding.
 
     When the series bound itself shows that no root can refine and no mass
     can certify (``_series_hopeless``; polynomially decaying reciprocal
@@ -784,7 +783,7 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
         refined=refined,
         lambda_err=lam_err,
         N_used=T.size,
-        completeness_defect=_completeness_defect(params, T, lam_hi, seeds),
+        completeness_defect=sum(_trace_tail(params, T.size - 1)),
         lambda_next_lower=float(enc.lower[count]),
         gamma=gamma,
     )
@@ -797,16 +796,6 @@ def _section_weights(T: TruncatedJacobi, lams_section: np.ndarray):
     z, gamma_r = _twisted_vectors(T, lams_section)
     norm_sq = np.cumsum(z * z, axis=0)[-1]  # ordered sum: the bits of one column
     return z, z[0] * z[0] / norm_sq, np.abs(gamma_r) / np.sqrt(norm_sq)
-
-
-def _completeness_defect(params: JacobiParams, T: TruncatedJacobi, lam_hi, lams_section) -> float:
-    """|sum 1/lambda_j over the returned heads + section tail - closed trace|."""
-    trace_section = section_inverse_trace(T)
-    head_refined = dd.compensated_sum((1.0 / lam_hi)[::-1])
-    head_section = dd.compensated_sum((1.0 / lams_section)[::-1])
-    tail_section = trace_section - head_section
-    tr = trace_inverse(params, tol=1e-15)
-    return abs(head_refined + tail_section - tr)
 
 
 def _orthopoly_dd_with_envelope(params, n, zh, zl):
@@ -963,12 +952,12 @@ def _phi_tail_sq(params: JacobiParams, n_max: int, abs_z: float, factors: list) 
     it is filled on demand and shared by the calls at every eigenvalue, so
     each n costs its two sequence values once.
     """
-    k2 = params.k * params.k
+    om = _one_minus_k2(params.k)
 
     def bound(n):
         if n - n_max - 1 == len(factors):
             factors.append(_envelope_factors(params, n))
-        return _envelope(params.k, factors[n - n_max - 1], abs_z)
+        return _envelope(om, factors[n - n_max - 1], abs_z)
 
     total = 0.0
     b = bound(n_max + 1)
@@ -978,15 +967,15 @@ def _phi_tail_sq(params: JacobiParams, n_max: int, abs_z: float, factors: list) 
         total += t
         # past 2^-60 of the total neither a later term nor the k^2 remainder
         # below can change the float sum any more
-        if t < 1e-300 or t < total * (1.0 - k2) * 2.0**-60:
+        if t < 1e-300 or t < total * om * 2.0**-60:
             break
         n += 1
         b_next = bound(n)
         if b_next >= b:  # envelope must decay; bail conservatively
-            return total + b * b / max(1e-12, 1.0 - k2)
+            return total + b * b / max(1e-12, om)
         b = b_next
     # remaining terms decay at least like k^2 per step
-    return total + b * b * k2 / (1.0 - k2)
+    return total + b * b * (params.k * params.k) / om
 
 
 def masses_and_vectors(params: JacobiParams, sd: SpectralData, n_max: int) -> MassData:

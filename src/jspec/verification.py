@@ -47,6 +47,7 @@ from .spectrum import (
     masses_and_vectors,
     point_spectrum,
     section_eigenvalues,
+    section_inverse_trace,
     truncate,
     weyl,
 )
@@ -114,10 +115,11 @@ def crit_trace_identity() -> tuple[bool, str]:
     rel = abs(direct - target) / target
     rel_alt = abs(alt - target) / target
     sd = _spectral(8)
-    ok = rel <= TOL_TRACE_REL and rel_alt <= 1e-12 and sd.completeness_defect <= TOL_COMPLETENESS
+    gap = abs(section_inverse_trace(truncate(REFERENCE, sd.N_used)) + sd.completeness_defect - direct)
+    ok = rel <= TOL_TRACE_REL and rel_alt <= 1e-12 and max(sd.completeness_defect, gap) <= TOL_COMPLETENESS
     return ok, (
         f"trace rel err {rel:.2e} (route two {rel_alt:.2e}), "
-        f"completeness defect {sd.completeness_defect:.2e}"
+        f"completeness defect {sd.completeness_defect:.2e}, section + defect gap {gap:.2e}"
     )
 
 

@@ -27,7 +27,20 @@ same float inputs: the order tail min(geometric, elementary-symmetric) of
 ``_eval_tail_bound`` and the omitted seed terms seed X^m / m! of a family
 (``_finalize``).  Each float bound, formed in log space and rounded up once,
 must be at least its exact value (below the normal range, less than one unit
-of 2^-1074 under it) and within a relative 1e-9 above it.
+of 2^-1074 under it) and within a relative 1e-9 above it.  The weight suffix
+X[m] >= sum_{j >= m} 1/((1 - k^2) a_j) that feeds them must dominate the
+50-digit sum of its terms on the float a_j and k, with the certified
+reciprocal tail beyond the cutoff as the last term.
+
+Inverse trace: the oracle is sum_j (1 - k^{2j+2}) / ((1 - k^2) a_j) at 50
+digits on the float k: a sum over the float a_j for geometric weights, and
+for a power law c (j+1)^p the closed form
+[zeta(p, j0+1) - k^{2(j0+1)} Phi(k^2, p, j0+1)] / (c (1 - k^2)) for the
+indices j >= j0, with Phi the Lerch transcendent; an explicit prefix adds
+the sum of its terms.  ``polycore._trace_tail`` must enclose the tail beyond
+its cutoff within its error plus 4 ulps of its value (the value's own
+rounding, which ``tail_sum_enclosure`` leaves out), and ``trace_inverse``
+must lie within its tol plus 4 ulps of the whole sum.
 """
 
 import math
@@ -42,12 +55,22 @@ from jspec.entire import (
     PowerSeriesApprox,
     _eval_tail_bound,
     _finalize,
+    _weight_suffix,
     choose_truncation,
     eval_series,
     series_pair,
 )
+from jspec.polycore import _trace_tail, trace_inverse
 from jspec.qlaguerre import _STOP, _basic_sum
-from jspec.sequences import Explicit, Geometric, JacobiParams, PowerLaw, entry_arrays
+from jspec.sequences import (
+    Explicit,
+    Geometric,
+    JacobiParams,
+    PowerLaw,
+    _closed_form,
+    entry_arrays,
+    tail_sum_reciprocal,
+)
 from jspec.spectrum import point_spectrum, truncate, weyl
 from test_spectrum import _mp_sturm_counts
 
@@ -331,3 +354,78 @@ def test_omitted_seed_terms_dominate_their_50_digit_value(M, n_max, X0, decay, s
                 t = t * mpmath.mpf(X[n + 1]) / m
                 exact[m - 1, n] = t
     _assert_bounds(fam.tail_omitted[1:], exact.ravel().tolist())
+
+
+@pytest.mark.parametrize("seq", [Geometric(0.9), PowerLaw(1.0, 2.0), PowerLaw(3.0, 1.5)], ids=repr)
+@pytest.mark.parametrize("J", [16, 64, 256])
+@pytest.mark.parametrize("k", [0.5, 0.9, 0.995])
+def test_weight_suffix_dominates_its_50_digit_sum(k, J, seq):
+    params = JacobiParams(seq, k)
+    X = _weight_suffix(params, J)
+    a, _, _ = entry_arrays(params, J + 1)
+    with mpmath.workdps(50):
+        om = 1 - mpmath.mpf(k) ** 2
+        exact = [mpmath.mpf(tail_sum_reciprocal(seq, J + 1)) / om]
+        for v in reversed(a.tolist()):
+            exact.append(exact[-1] + 1 / (om * mpmath.mpf(v)))
+        exact.reverse()
+        for m, (x, e) in enumerate(zip(X.tolist(), exact)):
+            assert e <= x <= e * (1 + 1e-12), (m, x, e)
+
+
+def _mp_trace_from(params, j0):
+    """sum_{j >= j0} (1 - k^{2j+2}) / ((1 - k^2) a_j) at 50 digits (60 inside,
+    for the cancellation of the power-law form)."""
+    seq = params.seq
+    prefix = seq.values if isinstance(seq, Explicit) else ()
+    rule = seq.tail if isinstance(seq, Explicit) else seq
+    L = len(prefix)
+    with mpmath.workdps(60):
+        z = mpmath.mpf(params.k) ** 2
+
+        def term(j, a):
+            return (1 - z ** (j + 1)) / ((1 - z) * mpmath.mpf(a))
+
+        total = mpmath.fsum(term(j, prefix[j]) for j in range(j0, L))
+        j = max(j0, L)
+        if isinstance(rule, PowerLaw):
+            # k^{2(j+1)} Phi(k^2, p, j+1) = sum_{i > j} k^{2i} i^-p, as the
+            # polylogarithm less its first j terms
+            p = mpmath.mpf(rule.p)
+            lerch = mpmath.polylog(p, z) - mpmath.fsum(z**i / mpmath.mpf(i) ** p for i in range(1, j + 1))
+            total += (mpmath.zeta(p, j + 1) - lerch) / (mpmath.mpf(rule.c) * (1 - z))
+        else:
+            while True:  # the float a_j grow geometrically, or overflow to inf
+                t = term(j, float(_closed_form(rule, j)))
+                total += t
+                if t <= total * mpmath.mpf(10) ** -55:
+                    break
+                j += 1
+        return +total
+
+
+@st.composite
+def _trace_cases(draw):
+    if draw(st.booleans()):
+        rule = Geometric(draw(st.floats(0.1, 0.9)))
+    else:
+        rule = PowerLaw(draw(_log_uniform(-2.0, 2.0)), draw(st.floats(1.5, 3.0)))
+    if draw(st.booleans()):
+        exponents = draw(st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=20))
+        rule = Explicit(tuple(10.0**e for e in exponents), rule)
+    return JacobiParams(rule, draw(st.floats(0.1, 0.999))), draw(st.sampled_from([0, 15, 55, 447]))
+
+
+@settings(max_examples=16, deadline=None)
+@given(case=_trace_cases())
+def test_trace_tail_and_trace_inverse_hold_against_the_50_digit_sum(case):
+    params, J = case
+    eps = np.finfo(float).eps
+    value, err = _trace_tail(params, J)
+    exact = _mp_trace_from(params, J + 1)
+    with mpmath.workdps(50):
+        slack = err + 4 * eps * value
+        assert value - slack <= exact <= value + slack, (value, err, float(exact))
+        trace = trace_inverse(params, tol=1e-14)
+        total = _mp_trace_from(params, 0)
+        assert abs(trace - total) <= 1e-14 + 4 * eps * trace, (trace, float(total))
