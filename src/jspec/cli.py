@@ -192,27 +192,33 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if q is not None and k is not None:
         raise UsageError("k/q: provide exactly one of --k (general) or --q (q-mode)")
     seq_kind = args.seq if args.seq is not None else (file_cfg.get("sequence") or {}).get("kind")
+    # only the power law reads --c/--p: without --seq they select it over the file's kind
+    shape = [f"--{name}" for name in ("c", "p") if getattr(args, name) is not None]
+    if shape and args.seq is None and q is None:
+        seq_kind = "powerlaw"
 
     if q is not None:
         seq, k_val, q_mode = _q_mode(q)
         if seq_kind not in (None, "geometric"):
             raise UsageError("seq: --q selects the geometric sequence; do not combine with --seq " + seq_kind)
-        stray = [f"--{name}" for name in ("c", "p") if getattr(args, name) is not None]
-        if stray:
-            raise UsageError(f"{stray[0][2:]}: --q selects the geometric sequence; do not combine "
-                             f"with {', '.join(stray)}")
+        if shape:
+            raise UsageError(f"{shape[0][2:]}: --q selects the geometric sequence; do not combine "
+                             f"with {', '.join(shape)}")
     elif k is not None:
         k_val = _number("k", k)
         if not (0.0 < k_val < 1.0):
             raise UsageError(f"k: must lie strictly in (0,1), got {k_val}")
         q_mode = None
-        if seq_kind == "powerlaw" or (seq_kind is None and args.c is not None):
+        if seq_kind == "powerlaw":
             c = args.c if args.c is not None else (file_cfg.get("sequence") or {}).get("c")
             p = args.p if args.p is not None else (file_cfg.get("sequence") or {}).get("p")
             if c is None or p is None:
                 raise UsageError("seq: powerlaw needs --c and --p")
             seq = PowerLaw(_number("c", c), _number("p", p))
         elif seq_kind == "explicit":
+            if shape:
+                raise UsageError(f"{shape[0][2:]}: the explicit sequence comes from the config file; "
+                                 f"do not combine --seq explicit with {', '.join(shape)}")
             node = (file_cfg.get("sequence") or {})
             if "values" not in node:
                 raise UsageError("seq: explicit sequences must come from a config file with 'values' and 'tail'")

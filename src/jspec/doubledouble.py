@@ -149,19 +149,3 @@ def dd_sum_sq(hs, ls) -> tuple[float, float]:
         sl = e - (sh - s2)
     return sh, sl
 
-
-def compensated_sum(values) -> float:
-    """Neumaier compensated sum of an iterable of floats (an array is summed
-    over its ``tolist()``: Python floats, not numpy scalars)."""
-    if hasattr(values, "tolist"):
-        values = values.tolist()
-    s = 0.0
-    c = 0.0
-    for v in values:
-        t = s + v
-        if abs(s) >= abs(v):
-            c += (s - t) + v
-        else:
-            c += (v - t) + s
-        s = t
-    return s + c

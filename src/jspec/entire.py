@@ -498,10 +498,14 @@ def _eval_tail_bound(s: PowerSeriesApprox, az):
         rho = np.nextafter(s.ratio_bounds[M] * az, np.inf)
         log_geo = _log_up([np.log(s.coeffs[M] + s.tail_omitted[M]), M * np.log(az), np.log(rho / (1.0 - rho))])
         # elementary-symmetric fallback S^{m}/m!, useful at small |z|:
-        # ts^{M+1}/(M+1)! times 1/(1 - ts/(M+2)) below M+2, else e^ts
-        ts = np.nextafter(s.tail_const * az, np.inf)
+        # ts^{M+1}/(M+1)! times 1/(1 - ts/(M+2)) where the exact S |z| lies
+        # below M+2, else e^ts; inf where the stepped-up y reaches 1 below it
+        ph, pl = dd.two_prod(s.tail_const, az)
+        below = (ph < M + 2) | ((ph == M + 2) & (pl < 0.0))
+        ts = np.nextafter(ph, np.inf)
         y = np.nextafter(ts / (M + 2), np.inf)
-        log_fact = _log_up([(M + 1) * np.log(ts), -math.lgamma(M + 2), np.where(y < 1.0, -np.log1p(-y), ts)])
+        factor = np.where(below, np.where(y < 1.0, -np.log1p(-y), np.inf), ts)
+        log_fact = _log_up([(M + 1) * np.log(ts), -math.lgamma(M + 2), factor])
         bound = np.exp(np.fmin(log_geo, log_fact))
     return np.where(at_zero, 0.0, bound)
 

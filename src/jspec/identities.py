@@ -38,12 +38,12 @@ no closed form is reused on the left side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .doubledouble import compensated_sum
 from .errors import ParameterOutOfRange, TruncationTooCoarse
 from .qlaguerre import qpochhammer
 
@@ -109,7 +109,7 @@ def _check_basic(q: float, r: int, w: float, tol: float):
     for t in range(r + 1):
         den *= 1.0 - (q**n) * w * q**t
     terms = q ** (r * n) / den
-    lhs = float(compensated_sum(terms[::-1]))
+    lhs = math.fsum(terms)
     rhs = 1.0 / ((1.0 - q**r) * qpochhammer(w, q, r))
     bound = _geom_tail(ratio, 1.0 / dmin, N)
     return lhs, rhs, bound, N
@@ -131,7 +131,7 @@ def _check_phi10(q: float, m: int, w: float, tol: float):
         num[i] = num[i - 1] * (1.0 - q ** (m + i - 1))
         den[i] = den[i - 1] * (1.0 - q**i)
     terms = num / den * w**s
-    lhs = float(compensated_sum(terms[::-1]))
+    lhs = math.fsum(terms)
     rhs = 1.0 / qpochhammer(w, q, m)
     bound = _geom_tail(abs(w) if w != 0.0 else 0.5, 1.0 / qq_inf, N)
     return lhs, rhs, bound, N
@@ -157,14 +157,14 @@ def _check_lemma1(q: float, m: int, w: float, tol: float):
     j = np.arange(Nj, dtype=float)
     outer = np.empty(Nj)
     for jj in range(Nj):
-        inner = float(compensated_sum(((qn ** (jj + m + 1)) / den_inner)[::-1]))
+        inner = math.fsum((qn ** (jj + m + 1)) / den_inner)
         outer[jj] = q ** ((m + 1) * jj) * w**jj / (1.0 - q ** (jj + m)) * inner
-    lhs = (1.0 - q**m) * qpochhammer(w, q, m) * float(compensated_sum(outer[::-1]))
+    lhs = (1.0 - q**m) * qpochhammer(w, q, m) * math.fsum(outer)
     # right side: geometric series with ratio q^m |w|
     Nr = _pick_depth(max(abs(w), 1e-3) * q**m, 1.0 / (1.0 - q), 1e-17)
     jr = np.arange(Nr, dtype=float)
     rhs_terms = q ** (m * jr) * w**jr / (1.0 - q ** (jr + m + 1))
-    rhs = float(compensated_sum(rhs_terms[::-1]))
+    rhs = math.fsum(rhs_terms)
     bound = (
         _geom_tail(ratio_j, 2.0 / (dmin * (1.0 - q)), Nj)
         + _geom_tail(q ** (m + 1), 2.0 / dmin, Nn)
@@ -196,11 +196,11 @@ def _check_denom(q: float, m: int, a: float, tol: float):
         u = (q ** np.arange(N, dtype=float)) / _poch_rows(q, shifts[i], lengths[i], N)
         prefix = np.cumsum(u * prefix)
     u0 = (q ** np.arange(N, dtype=float)) / _poch_rows(q, shifts[0], lengths[0], N)
-    lhs = float(compensated_sum((u0 * prefix)[::-1]))
+    lhs = math.fsum(u0 * prefix)
     # right side series, ratio q^{m+a}
     Nr = _pick_depth(q ** (m + a), 1.0 / (1.0 - q), 1e-17)
     jr = np.arange(Nr, dtype=float)
-    rhs_series = float(compensated_sum((q ** ((m + a) * jr) / (1.0 - q ** (jr + m + 1)))[::-1]))
+    rhs_series = math.fsum(q ** ((m + a) * jr) / (1.0 - q ** (jr + m + 1)))
     rhs = rhs_series / (qpochhammer(q, q, m) * qpochhammer(q**a, q, m))
     bound = _geom_tail(q, scale, N) + _geom_tail(q ** (m + a), 1.0 / (1.0 - q), Nr) / (
         qpochhammer(q, q, m) * qpochhammer(q**a, q, m)
@@ -248,7 +248,7 @@ def _check_chain(q: float, c: tuple, strict_seed: bool, tol: float):
             E = q * E + W[jj]
             Cacc = Cacc + (1.0 - q) * E
         W = Wn
-    lhs = float(compensated_sum(W[::-1])) / (1.0 - q) ** power
+    lhs = math.fsum(W) / (1.0 - q) ** power
     rhs = chain_rhs(q, c, strict_seed)
     bound = _geom_tail(q**cmin, scale, N)
     return lhs, rhs, bound, N
@@ -276,7 +276,7 @@ def _check_synchro(q: float, s: tuple, a: float, tol: float):
         u = q ** (s[i] * n) / _poch_rows(q, shifts[i], s[i] + 1, N)
         prefix = np.cumsum(u * prefix)
     u0 = q ** (s[0] * n) / _poch_rows(q, shifts[0], s[0] + 1, N)
-    lhs = float(compensated_sum((u0 * prefix)[::-1]))
+    lhs = math.fsum(u0 * prefix)
     denom = qpochhammer(q**a, q, sum(s))
     for t in range(1, m + 1):
         denom *= 1.0 - q ** sum(s[:t])

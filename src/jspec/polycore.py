@@ -331,7 +331,7 @@ def second_kind_at_zero(params: JacobiParams, n: int, tol: float = 1e-14) -> flo
     a, _, _ = entry_arrays(params, J + 1)
     j = np.arange(n, J + 1)
     terms = k ** (2 * j - n) / a[n:]
-    return (-1.0) ** n * float(dd.compensated_sum(terms[::-1]))
+    return (-1.0) ** n * math.fsum(terms)
 
 
 def _trace_tail(params: JacobiParams, J: int) -> tuple[float, float]:
@@ -370,7 +370,7 @@ def trace_inverse(params: JacobiParams, tol: float = 1e-14) -> float:
     a, _, _ = entry_arrays(params, J + 1)
     # -expm1 keeps 1 - k^{2j+2} to a few ulps; 1 - k2 ** (j+1) loses up to 15 at k = 0.999
     terms = -np.expm1(np.arange(1, J + 2) * (2.0 * math.log(params.k))) / (_one_minus_k2(params.k) * a)
-    return float(dd.compensated_sum(np.concatenate(([tail], terms[::-1]))))
+    return math.fsum([tail, *terms])
 
 
 def trace_inverse_routes(params: JacobiParams, tol: float = 1e-14) -> tuple[float, float]:
@@ -400,7 +400,7 @@ def trace_inverse_routes(params: JacobiParams, tol: float = 1e-14) -> tuple[floa
     cut = 1e-3 * tol * scale * (1.0 - k2)
     while k2 ** (J + 1 - n_stop) * tail_sum_reciprocal(params.seq, J + 1) >= cut:
         J *= 2
-    alt = float(dd.compensated_sum(_reciprocal_suffix(params, J)[n_stop::-1]))
+    alt = math.fsum(_reciprocal_suffix(params, J)[: n_stop + 1])
     return direct, alt
 
 

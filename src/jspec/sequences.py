@@ -13,9 +13,11 @@ Three sequence families are supported:
 * ``Explicit(values, tail)`` : a finite positive prefix continued by one of
   the two closed-form families (indexed by the global position n).
 
-Every family comes with a certified upper bound on the reciprocal tail
-``sum_{j >= n0} 1/a_j`` and with a certified minimum, which yields the
-spectral lower bound ``gamma = a_min * (1-k)^2``.
+Every family comes with one enclosure (value, err) of the reciprocal tail
+``sum_{j >= n0} 1/a_j``, ``tail_sum_enclosure``, whose error covers its own
+rounding, so its upper end ``tail_sum_reciprocal`` is a certified bound; and
+with a certified minimum, which yields the spectral lower bound
+``gamma = a_min * (1-k)^2``.
 """
 
 from __future__ import annotations
@@ -169,43 +171,10 @@ def entry_arrays(params: JacobiParams, count: int) -> tuple[np.ndarray, np.ndarr
 
 
 def tail_sum_reciprocal(spec: SequenceSpec, n0: int) -> float:
-    """Certified upper bound on sum_{j >= n0} 1/a_j.
-
-    Geometric uses the closed geometric majorant
-    ``q^{2(n0+1)} / ((1 - q^2)(1 - q^{n0+1}))``; PowerLaw uses the integral
-    bound; Explicit scans the remaining list and delegates to its tail rule.
-    The bound is monotone non-increasing in n0 and dominates every partial
-    sum of the true tail.
-    """
-    if n0 < 0:
-        raise SequenceError(f"tail start index must be non-negative, got {n0}")
-    # outward rounding: the closed forms dominate the true tail exactly, but
-    # their float evaluation may land a few ulps low
-    up = 1.0 + 4e-15
-    if isinstance(spec, Geometric):
-        # 1/a_j <= q^{2(j-n0)} / a_{n0}, so the tail is at most
-        # 1/(a_{n0} (1-q^2)); building it from the same float sequence value
-        # the partial sums use keeps the domination robust to rounding
-        q = spec.q
-        a_n0 = float(_closed_form(spec, n0))
-        if math.isinf(a_n0):
-            # a_{n0} (or already q^{-(n0+1)}) left the float range, so the
-            # bound lies at or below the least subnormal: form it in log
-            # space with one rounding and round that up, so it never drops
-            # under the true tail
-            log_a = 2.0 * (n0 + 1.0) * math.log(1.0 / q) + math.log1p(-(q ** (n0 + 1.0)))
-            return math.nextafter(up * math.exp(-log_a - math.log1p(-q * q)), math.inf)
-        return up / (a_n0 * (1.0 - q * q))
-    if isinstance(spec, PowerLaw):
-        # sum_{j>=n0} (j+1)^-p  <=  1/(p-1) * n0^(1-p)   for n0 >= 1
-        if n0 == 0:
-            return up * (1.0 + 1.0 / (spec.p - 1.0)) / spec.c
-        return up * n0 ** (1.0 - spec.p) / ((spec.p - 1.0) * spec.c)
-    if isinstance(spec, Explicit):
-        L = len(spec.values)
-        head = sum(1.0 / v for v in spec.values[n0:L]) if n0 < L else 0.0
-        return up * head + tail_sum_reciprocal(spec.tail, max(n0, L))
-    raise SequenceError(f"unknown sequence spec {spec!r}")
+    """Certified upper bound on sum_{j >= n0} 1/a_j: value + err of
+    ``tail_sum_enclosure``; monotone non-increasing in n0."""
+    value, err = tail_sum_enclosure(spec, n0)
+    return value + err
 
 
 # B_2, B_4, ..., B_14: the Euler-Maclaurin terms of the power-law tail
@@ -220,7 +189,7 @@ def _hurwitz_zeta(p: float, N: int) -> tuple[float, float]:
     t_i = B_{2i}/(2i)! (p)_{2i-1} x^{-p-2i+1}.  Since f = x^-p has even
     derivatives of one sign, the remainder is at most |f^{(2K-1)}(x)|
     |B_{2K}|/(2K)!, the size of the last term kept.  The value itself
-    carries a few ulps of rounding, like any float sum.
+    carries a few ulps of rounding, which ``tail_sum_enclosure`` covers.
     """
     x = max(N, 16)
     head = math.fsum(float(m) ** -p for m in range(N, x))
@@ -235,27 +204,52 @@ def _hurwitz_zeta(p: float, N: int) -> tuple[float, float]:
     return head + math.fsum(terms), abs(terms[-1])
 
 
-def tail_sum_enclosure(spec: SequenceSpec, n0: int) -> tuple[float, float]:
-    """Value of sum_{j >= n0} 1/a_j and a certified bound on its truncation error.
+_EPS = float(np.finfo(float).eps)
+# at least 4 x the worst shortfall of value + err below the 50-digit tail
+# without this term (2.2 eps, on ``polycore._trace_tail``): it covers the
+# roundings of the value (the prefix fsum, the Euler-Maclaurin sum, the
+# division by c) and of value + err
+_ULPS = 16.0
 
-    PowerLaw gives the Hurwitz zeta(p, n0+1)/c by Euler-Maclaurin with its
-    remainder bound.  Geometric tails are only bounded: the value is 0 and
-    the error is ``tail_sum_reciprocal``.  Explicit sums its remaining list
-    and delegates to its tail rule.  Rounding of the value (a few ulps) is
-    not part of the bound.
+
+def tail_sum_enclosure(spec: SequenceSpec, n0: int) -> tuple[float, float]:
+    """Value of sum_{j >= n0} 1/a_j and a certified bound on its error.
+
+    Geometric tails are only bounded: the value is 0 and the error the
+    closed majorant q^{2(n0+1)} / ((1 - q^2)(1 - q^{n0+1})).  PowerLaw gives
+    the Hurwitz zeta(p, n0+1)/c by Euler-Maclaurin with its remainder bound.
+    Explicit adds the ``fsum`` of its remaining list to its tail rule.  The
+    error also covers _ULPS ulps of the value, so value + err bounds the
+    tail after its own rounding too.
     """
     if n0 < 0:
         raise SequenceError(f"tail start index must be non-negative, got {n0}")
-    if isinstance(spec, Geometric):
-        return 0.0, tail_sum_reciprocal(spec, n0)
-    if isinstance(spec, PowerLaw):
-        z, err = _hurwitz_zeta(spec.p, n0 + 1)
-        return z / spec.c, err / spec.c
+    head = 0.0
     if isinstance(spec, Explicit):
         L = len(spec.values)
-        value, err = tail_sum_enclosure(spec.tail, max(n0, L))
-        return math.fsum(1.0 / v for v in spec.values[n0:L]) + value, err
-    raise SequenceError(f"unknown sequence spec {spec!r}")
+        head = math.fsum(1.0 / v for v in spec.values[n0:L])
+        spec, n0 = spec.tail, max(n0, L)
+    if isinstance(spec, Geometric):
+        # 1/a_j <= q^{2(j-n0)} / a_{n0}, so the tail is at most
+        # 1/(a_{n0} (1-q^2)), built from the float a_{n0} the partial sums
+        # use; up rounds its evaluation outward
+        q, up = spec.q, 1.0 + 4e-15
+        a_n0 = float(_closed_form(spec, n0))
+        if math.isinf(a_n0):
+            # a_{n0} (or already q^{-(n0+1)}) left the float range, so the
+            # bound lies at or below the least subnormal: form it in log
+            # space with one rounding and round that up
+            log_a = 2.0 * (n0 + 1.0) * math.log(1.0 / q) + math.log1p(-(q ** (n0 + 1.0)))
+            value, err = 0.0, math.nextafter(up * math.exp(-log_a - math.log1p(-q * q)), math.inf)
+        else:
+            value, err = 0.0, up / (a_n0 * (1.0 - q * q))
+    elif isinstance(spec, PowerLaw):
+        z, err = _hurwitz_zeta(spec.p, n0 + 1)
+        value, err = z / spec.c, err / spec.c
+    else:
+        raise SequenceError(f"unknown sequence spec {spec!r}")
+    value += head
+    return value, err + _ULPS * _EPS * value
 
 
 def sequence_min_from(spec: SequenceSpec, n0: int) -> float:

@@ -24,7 +24,7 @@ checked by double-double Sturm counts (``_enclosure``).
 ``point_spectrum`` takes the first doubling of N whose bracket is within
 tol, and reports its width as ``lambda_err``.  The completeness defect, a
 diagnostic, is the upper end of the closed tail of the inverse trace that the
-section leaves out, sum_{i >= N} (1 - k^{2i+2}) / ((1 - k^2) a_i), up to rounding.
+section leaves out, sum_{i >= N} (1 - k^{2i+2}) / ((1 - k^2) a_i).
 Roots of the characteristic series then refine the section values by
 compensated Newton steps wherever the series evaluation certifies itself
 and the root stays inside its bracket; where the series bound proves
@@ -329,7 +329,7 @@ def section_inverse_trace(T: TruncatedJacobi) -> float:
     R = [1.0]
     for li in T.l.tolist():
         R.append(1.0 + li * li * R[-1])
-    return float(dd.compensated_sum(np.divide(R, T.d)))
+    return math.fsum(np.divide(R, T.d))
 
 
 @dataclass
@@ -353,7 +353,7 @@ class SpectralData:
     # section (point_spectrum); the series certificate where smaller
     lambda_err: np.ndarray
     N_used: int
-    # Delta_N diagnostic: upper end of sum_{i >= N_used} (1 - k^{2i+2}) / ((1-k^2) a_i), up to rounding
+    # Delta_N diagnostic: upper end of sum_{i >= N_used} (1 - k^{2i+2}) / ((1-k^2) a_i)
     completeness_defect: float
     lambda_next_lower: float  # lower bound on lambda_count(J)
     gamma: float
@@ -689,8 +689,8 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
     The completeness defect is a diagnostic, not the certificate: the upper
     end (value + bound) of the closed tail of the inverse trace beyond the
     section, ``sum_{i >= N_used} (1 - k^{2i+2}) / ((1-k^2) a_i)``
-    (``polycore._trace_tail(params, N_used - 1)``), up to its value's
-    rounding.
+    (``polycore._trace_tail(params, N_used - 1)``), its own rounding
+    included.
 
     When the series bound itself shows that no root can refine and no mass
     can certify (``_series_hopeless``; polynomially decaying reciprocal
@@ -1027,7 +1027,7 @@ def orthonormality_check(
     dev = 0.0
     for s in range(smax + 1):
         for t in range(s, smax + 1):
-            acc = dd.compensated_sum([(mu[j] * P[j, s]) * P[j, t] for j in range(count)])
+            acc = math.fsum((mu[j] * P[j, s]) * P[j, t] for j in range(count))
             target = 1.0 if s == t else 0.0
             dev = max(dev, abs(acc - target))
     return dev
@@ -1105,7 +1105,7 @@ def weyl(params: JacobiParams, z, sd: SpectralData) -> WeylValues:
     poles = np.empty(len(zs))
     pole_tail = np.full(len(zs), math.inf)
     for i, x in enumerate(zs.tolist()):
-        poles[i] = dd.compensated_sum((sd.masses / (sd.lambdas - x))[::-1])
+        poles[i] = math.fsum(sd.masses / (sd.lambdas - x))
         if x < lam_next:
             pole_tail[i] = max(0.0, 1.0 - mu_sum) / (lam_next - x)
 

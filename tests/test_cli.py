@@ -71,6 +71,36 @@ def test_config_file_explicit_sequence(tmp_path):
     assert cfg.seq.values == (3.0, 7.0)
 
 
+def _explicit_config(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "sequence": {"kind": "explicit", "values": [5, 2, 11],
+                     "tail": {"kind": "powerlaw", "c": 1, "p": 2}},
+    }))
+    return str(path)
+
+
+def test_shape_flags_select_the_power_law_over_the_file_kind(capsys, tmp_path):
+    # --c and --p were dropped when the file's kind was explicit: lambda_0
+    # read 1.3928322721758544 with and without them
+    path = _explicit_config(tmp_path)
+    cfg = load_config(_parse(["--config", path, "--k", "0.5", "--c", "3", "--p", "4", "measure"]))
+    assert cfg.seq == PowerLaw(3.0, 4.0)
+    assert main(["--config", path, "--k", "0.5", "--c", "3", "--p", "4", "measure", "--count", "2"]) == 0
+    first = json.loads(capsys.readouterr().out)["rows"][0]
+    assert main(["--seq", "powerlaw", "--k", "0.5", "--c", "3", "--p", "4", "measure", "--count", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0] == first
+
+
+@pytest.mark.parametrize("flags, named", [(["--c", "3"], "c:"), (["--p", "4"], "p:")])
+def test_shape_flags_are_refused_with_an_explicit_sequence(capsys, tmp_path, flags, named):
+    argv = ["--config", _explicit_config(tmp_path), "--seq", "explicit", "--k", "0.5", *flags, "measure"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage error: {named}") and flags[0] in captured.err
+    assert captured.out == ""
+
+
 def test_emit_report_roundtrip_bits():
     values = [1.0 / 3.0, 4.0 / 45.0, 11.841809843065835, 2.4628911525480292e-71]
     text = emit_report({"rows": [{"v": v} for v in values]}, "csv")

@@ -32,23 +32,30 @@ X[m] >= sum_{j >= m} 1/((1 - k^2) a_j) that feeds them must dominate the
 50-digit sum of its terms on the float a_j and k, with the certified
 reciprocal tail beyond the cutoff as the last term.
 
+Reciprocal tails: the oracle is sum_{j >= n0} 1/a_j at 50 digits: a sum
+over the float a_j for a geometric rule (past the float range, over the
+exact u (u - 1) with u = (1/q)^(j+1) on the float 1/q), zeta(p, n0+1)/c for
+a power law c (j+1)^p, and an explicit prefix adds the sum of its terms.
+``tail_sum_enclosure``'s (value, err) must enclose it, and
+``tail_sum_reciprocal`` must lie at or above it.
+
 Inverse trace: the oracle is sum_j (1 - k^{2j+2}) / ((1 - k^2) a_j) at 50
 digits on the float k: a sum over the float a_j for geometric weights, and
 for a power law c (j+1)^p the closed form
 [zeta(p, j0+1) - k^{2(j0+1)} Phi(k^2, p, j0+1)] / (c (1 - k^2)) for the
 indices j >= j0, with Phi the Lerch transcendent; an explicit prefix adds
 the sum of its terms.  ``polycore._trace_tail`` must enclose the tail beyond
-its cutoff within its error plus 4 ulps of its value (the value's own
-rounding, which ``tail_sum_enclosure`` leaves out), and ``trace_inverse``
-must lie within its tol plus 4 ulps of the whole sum.
+its cutoff within its error, with no allowance for rounding, and
+``trace_inverse`` must lie within its tol plus 4 ulps of the whole sum.
 """
 
+import itertools
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jspec import spectrum
 from jspec.entire import (
@@ -69,6 +76,7 @@ from jspec.sequences import (
     PowerLaw,
     _closed_form,
     entry_arrays,
+    tail_sum_enclosure,
     tail_sum_reciprocal,
 )
 from jspec.spectrum import point_spectrum, truncate, weyl
@@ -314,6 +322,8 @@ def _mp_order_tail(s, z):
     az=st.lists(_log_uniform(-4.0, 8.0), min_size=1, max_size=8),
     near=_log_uniform(-15.5, -2.0),
 )
+# S |z| just below M + 2 steps ts / (M + 2) up to 1: the factor is inf there, not e^ts
+@example(M=1, c=1.0, r=1.0, S=1.0, az=[1.0], near=10.0 ** -15.5)
 def test_order_tail_bound_dominates_its_50_digit_value(M, c, r, S, az, near):
     # M |log |z|| reaches about 9,000 at M = 512
     s = _tail_series(M, c, r, S)
@@ -373,6 +383,51 @@ def test_weight_suffix_dominates_its_50_digit_sum(k, J, seq):
             assert e <= x <= e * (1 + 1e-12), (m, x, e)
 
 
+def _mp_reciprocal_tail(spec, n0):
+    """sum_{j >= n0} 1/a_j at 50 digits (module docstring)."""
+    with mpmath.workdps(50):
+        total = mpmath.mpf(0)
+        if isinstance(spec, Explicit):
+            L = len(spec.values)
+            total = mpmath.fsum(1 / mpmath.mpf(v) for v in spec.values[n0:L])
+            spec, n0 = spec.tail, max(n0, L)
+        if isinstance(spec, PowerLaw):
+            return total + mpmath.zeta(spec.p, n0 + 1) / spec.c
+        for j in itertools.count(n0):
+            a = float(_closed_form(spec, j))
+            if a == math.inf:
+                u = mpmath.mpf(1.0 / spec.q) ** (j + 1)
+                a = u * (u - 1)
+            t = 1 / mpmath.mpf(a)
+            total += t
+            if t <= total * mpmath.mpf(10) ** -30:
+                return total
+
+
+@st.composite
+def _tail_specs(draw):
+    rules = [st.floats(0.1, 0.9).map(Geometric), st.builds(PowerLaw, _log_uniform(-2.0, 2.0), st.floats(1.01, 4.0))]
+    rule = draw(st.one_of(*rules))
+    if draw(st.booleans()):
+        exponents = draw(st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=20))
+        rule = Explicit(tuple(10.0**e for e in exponents), rule)
+    return rule
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=_tail_specs(), n0=st.one_of(st.integers(0, 40), st.sampled_from([447, 10**5])))
+# a_{n0} alone, then already q^{-(n0+1)}, past the float range
+@example(spec=Geometric(0.0212), n0=100)
+@example(spec=Geometric(0.0212), n0=200)
+@example(spec=PowerLaw(1.0, 2.0), n0=0)  # zeta(2): value + err fell below it by its rounding
+def test_tail_enclosure_holds_against_the_50_digit_tail(spec, n0):
+    value, err = tail_sum_enclosure(spec, n0)
+    exact = _mp_reciprocal_tail(spec, n0)
+    with mpmath.workdps(50):
+        assert mpmath.mpf(value) - err <= exact <= mpmath.mpf(value) + err, (value, err, float(exact))
+    assert tail_sum_reciprocal(spec, n0) >= exact
+
+
 def _mp_trace_from(params, j0):
     """sum_{j >= j0} (1 - k^{2j+2}) / ((1 - k^2) a_j) at 50 digits (60 inside,
     for the cancellation of the power-law form)."""
@@ -418,14 +473,14 @@ def _trace_cases(draw):
 
 @settings(max_examples=16, deadline=None)
 @given(case=_trace_cases())
+@example(case=(JacobiParams(PowerLaw(1.0, 2.0), 0.25), 15))  # missed by the tail's rounding
 def test_trace_tail_and_trace_inverse_hold_against_the_50_digit_sum(case):
     params, J = case
     eps = np.finfo(float).eps
     value, err = _trace_tail(params, J)
     exact = _mp_trace_from(params, J + 1)
     with mpmath.workdps(50):
-        slack = err + 4 * eps * value
-        assert value - slack <= exact <= value + slack, (value, err, float(exact))
+        assert mpmath.mpf(value) - err <= exact <= mpmath.mpf(value) + err, (value, err, float(exact))
         trace = trace_inverse(params, tol=1e-14)
         total = _mp_trace_from(params, 0)
         assert abs(trace - total) <= 1e-14 + 4 * eps * trace, (trace, float(total))

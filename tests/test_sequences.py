@@ -56,11 +56,13 @@ def test_beta_is_exact_combination():
     assert beta[0] == a[0]
 
 
-def test_tail_bound_powerlaw_integral():
-    assert tail_sum_reciprocal(PowerLaw(1.0, 2.0), 10) == pytest.approx(0.1, abs=1e-15)
-    # dominates the true tail
-    true_tail = sum(1.0 / (j + 1.0) ** 2 for j in range(10, 4000))
-    assert tail_sum_reciprocal(PowerLaw(1.0, 2.0), 10) >= true_tail
+def test_tail_bound_powerlaw_zeta():
+    # the upper end of the Euler-Maclaurin enclosure of zeta(2, 11) =
+    # 0.0951663357...: above it, by at most 1e-14 relative
+    bound = tail_sum_reciprocal(PowerLaw(1.0, 2.0), 10)
+    with mpmath.workdps(50):
+        exact = mpmath.zeta(2, 11)
+        assert exact <= bound <= exact * (1 + 1e-14)
 
 
 def test_tail_bound_geometric_dominates():
