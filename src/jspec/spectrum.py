@@ -4,9 +4,11 @@ Every section is held as its factor T = L D L^T and nothing else.  The
 entries alpha_n = k a_n and beta_n = a_n + k^2 a_{n-1} give sections of the
 operator the pivots D = diag(a) and the unit subdiagonal l_n = k; sections
 of the associated operator get theirs from a recurrence of sums and products
-of positive numbers.  From the factor alone come the eigenvalues (one LAPACK
-``dpteqr`` call on B^T B with B = L D^{1/2}, to high relative accuracy), the
-inverse trace (a positive recurrence) and one pair of qd transforms of
+of positive numbers.  From the factor alone come the eigenvalues (dqds on
+the qd array of the bidiagonal (L D^{1/2})^T, to high relative accuracy:
+through numpy's bidiagonal SVD below ``_COUNT_FROM`` rows, in Python floats
+from there on), the inverse trace (a positive recurrence) and one pair of
+qd transforms of
 T - x I over an array of shifts x, which give the Sturm counts, the section
 eigenvectors (twisted factorization), the Weyl resolvent and the first
 column of the section inverse.  Forming beta in floats instead would lose
@@ -58,7 +60,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpteqr
 
 from . import doubledouble as dd
 from .doubledouble import EPS_DD
@@ -296,26 +297,165 @@ def _sturm_counts_dd(T: TruncatedJacobi, x) -> Optional[list[int]]:
 def section_eigenvalues(T: TruncatedJacobi, count: int) -> np.ndarray:
     """First ``count`` section eigenvalues, in increasing order.
 
-    One LAPACK ``dpteqr`` call on B^T B with B = L D^{1/2}, which has the
-    eigenvalues of T = B B^T.  B^T B has diagonal (1 + l_n^2) d_n (d_{N-1}
-    in the last row) and off-diagonal l_n sqrt(d_n) sqrt(d_{n+1}); for a
-    section of the operator its Cholesky pivots are r_n d_n with
-    r_n = 1 + k^2 - k^2/r_{n-1} in (1, 1+k^2], so no weight sequence can
-    make them cancel, and the routine returns every eigenvalue to high
-    relative accuracy.
+    T = B^T B with B = (L D^{1/2})^T upper bidiagonal: diagonal sqrt(d_n),
+    superdiagonal l_n sqrt(d_n).  Its eigenvalues are the squared singular
+    values of B, which dqds (the differential qd algorithm with shifts)
+    computes on the qd array of B, q_n = d_n and e_n = l_n^2 d_n, to high
+    relative accuracy (Fernando & Parlett 1994; Parlett & Marques 2000).
+    Below ``_COUNT_FROM`` rows numpy's SVD of the dense B runs LAPACK's:
+    the bidiagonalization of a bidiagonal input applies only identity
+    reflectors, so B reaches ``dlasq1`` (dqds on all N values) unchanged.
+    From ``_COUNT_FROM`` rows on, where the dense SVD costs O(N^3) time and
+    O(N^2) memory, ``_dqds_smallest`` runs dqds on Python floats and stops
+    once the ``count`` smallest values are found.  Neither forms T or
+    B^T B.  ConvergenceFailure when either driver does not converge.
     """
     count = min(count, T.size)
-    d, l = T.d, T.l
     if T.size == 1:
-        return d.copy()
-    root = np.sqrt(d)
-    diag = d.copy()
-    diag[:-1] *= 1.0 + l * l
-    # compute_z=0: eigenvalues only, the z slot is a placeholder
-    lam, _, _, info = dpteqr(diag, l * root[:-1] * root[1:], np.zeros((1, 1)), compute_z=0)
-    if info != 0:
-        raise ConvergenceFailure(f"dpteqr on the factored section returned info={info}")
-    return lam[::-1][:count].copy()
+        return T.d.copy()
+    if T.size >= _COUNT_FROM:
+        return _dqds_smallest(T, count)
+    N = T.size
+    root = np.sqrt(T.d)
+    B = np.zeros((N, N))
+    B.flat[:: N + 1] = root
+    B.flat[1 :: N + 1] = T.l * root[:-1]
+    try:
+        sv = np.linalg.svd(B, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"the SVD of the {N}-row section's bidiagonal factor failed: {exc}") from exc
+    return np.square(sv[: -count - 1 : -1])
+
+
+_EPS = float(np.finfo(float).eps)
+# dqds transforms allowed per eigenvalue asked of _dqds_smallest, plus one
+# eigenvalue's worth for the start: in 870 random sections of 100 to 2000
+# rows the first value took up to 18 transforms, later ones about 5
+_SWEEPS = 30
+
+
+def _dqds_transform(q: list, e: list, tau: float):
+    """One dqds transform of the qd array (q, e) of an upper bidiagonal B
+    with shift tau: the array of the B' with B'^T B' = B B^T - tau I, and the
+    least of its d_i, as (q', e', d_min).  When tau is not below the
+    smallest eigenvalue a d_i comes out negative: (None, i, d_i), with i the
+    first such row (a zero division counts as a failure too).
+    """
+    d = q[0] - tau
+    if d < 0.0:
+        return None, 0, d
+    d_min = d
+    q_new, e_new = [], []
+    push_q, push_e = q_new.append, e_new.append
+    try:
+        for e_i, q_next in zip(e, q[1:]):
+            q_hat = d + e_i
+            t = q_next / q_hat
+            push_q(q_hat)
+            push_e(e_i * t)
+            d = d * t - tau
+            if d < d_min:
+                if d < 0.0:
+                    return None, len(q_new), d
+                d_min = d
+    except ZeroDivisionError:
+        return None, len(q_new), -math.inf
+    push_q(d)
+    return q_new, e_new, d_min
+
+
+def _dqds_smallest(T: TruncatedJacobi, count: int) -> np.ndarray:
+    """The ``count`` smallest eigenvalues of T = L D L^T by dqds on Python
+    floats, in increasing order: O(N) memory, O(N) work per transform.
+
+    The qd array q = d, e = l^2 d is reversed when the least pivot lies in
+    its upper half (d grows, or a prefix falls), so that the small end of
+    the spectrum converges at the bottom.  Each transform
+    shifts by tau below the smallest eigenvalue of the current array (one
+    that is not fails, and a smaller tau is tried): where the last
+    transform's least d_i was its last one, tau is the Kato-Temple lower
+    bound at the bottom twisted vector z (z_{N-1} = 1, z_i^2 = prod of
+    e_j / q_j for j >= i, so T z = q_{N-1} e_{N-1}), with the gap to the
+    next eigenvalue guessed as half the distance to q_{N-2}, or the
+    Rayleigh quotient minus the residual where that is larger (LAPACK
+    ``dlasq4``, case 4); elsewhere a growing fraction of d_min.  A failure
+    at the last row retries at tau + d_{N-1}, below the eigenvalue, others
+    at tau / 4, then 0.  The shifts add up to sigma (compensated), and the
+    bottom value sigma + q_{N-1} deflates once e_{N-2} <= eps^2 (sigma +
+    q_{N-1}): dropping that coupling moves no eigenvalue by more than
+    sqrt(q_{N-1} e_{N-2}) + e_{N-2}, about one ulp of it.
+
+    dqds finds the bottom value nearest below the shifts, so values
+    deflate in increasing order unless a near-split hides a smaller one
+    above the bottom.  So after ``count`` deflations one more transform,
+    shifted to the largest of them, must leave the remaining array
+    positive definite; where it does not, one more value is deflated and
+    the check repeated.  ConvergenceFailure after ``_SWEEPS`` (count + 1)
+    transforms.
+    """
+    q = T.d.tolist()
+    e = (T.l * T.l * T.d[:-1]).tolist()
+    if 2 * int(np.argmin(T.d)) < T.size:
+        q.reverse()
+        e.reverse()
+    sigma, sigma_lo = 0.0, 0.0
+    found = []
+    want, sweeps, cap = count, 0, _SWEEPS * (count + 1)
+    d_min, at_bottom, g = min(q), True, 0.25
+    while True:
+        while len(found) < want and q:
+            if len(q) == 1 or e[-1] <= _EPS * _EPS * (sigma + q[-1]):
+                found.append(sigma + (sigma_lo + q.pop()))
+                if e:
+                    e.pop()
+                at_bottom = True
+                continue
+            a2, z2 = 0.0, 1.0  # |z|^2 - 1 and the current z_i^2, from the bottom up
+            for i in range(len(q) - 2, -1, -1):
+                z2 *= e[i] / q[i]
+                a2 += z2
+                if z2 < _EPS * a2 or a2 > 0.563:
+                    break
+            if at_bottom and a2 < 0.563:
+                rho = q[-1] / (1.0 + a2)  # the Rayleigh quotient at z
+                drop = math.sqrt(a2)  # residual / rho
+                gap = 0.5 * (q[-2] - rho)
+                if gap > 0.0:
+                    drop = min(drop, rho * a2 / gap)
+                tau = rho * (1.0 - drop)
+                g = 0.25
+            else:
+                tau = g * d_min
+                g += (1.0 - g) / 3.0
+            tries = 0
+            while True:
+                sweeps += 1
+                if sweeps > cap:
+                    raise ConvergenceFailure(
+                        f"dqds on the {T.size}-row section found {min(len(found), count)} of "
+                        f"{count} eigenvalues in {cap} transforms"
+                    )
+                out = _dqds_transform(q, e, tau)
+                if out[0] is not None:
+                    break
+                tries += 1
+                row, d_fail = out[1], out[2]
+                if tries == 1 and row == len(q) - 1:
+                    tau = max(tau + d_fail, 0.0) * (1.0 - 2.0 * _EPS)
+                else:
+                    tau = 0.25 * tau if tries < 4 else 0.0
+            q, e, d_min = out
+            at_bottom = d_min == q[-1]
+            sigma, lo = dd.two_sum(sigma, tau)
+            sigma_lo += lo
+        found.sort()
+        top = found[count - 1]
+        if not q or top <= sigma:
+            return np.array(found[:count])
+        sweeps += 1
+        if _dqds_transform(q, e, top - sigma)[0] is not None:
+            return np.array(found[:count])
+        want = len(found) + 1
 
 
 def section_inverse_trace(T: TruncatedJacobi) -> float:
@@ -516,9 +656,11 @@ _MARGIN_C = 4  # c of the rounding margin m = c N eps of a bracket (see _enclosu
 # the series certificates of refined roots
 _TOL_FLOOR = 16.0 * np.finfo(float).eps
 _DOWN = 1.0 - 2.0**-40  # takes a product of up to a thousand roundings below its exact value
-# from this size on T_low is counted, not solved: count + 1 Sturm counts
-# cost O(N) each, the dpteqr solve O(N^2) (0.26 against 0.30 ms at 112 rows,
-# 3.4 against 59 ms at 1792, count 8)
+# from this size on T_low is counted, not solved, and T is solved by the
+# Python dqds, not the dense SVD: count + 1 Sturm counts cost O(N) each, the
+# dqds solve O(N) per transform and the SVD O(N^3) time and O(N^2) memory
+# (timeit, p = 2, k = 0.5, count 8: counts 0.13, dqds 0.59, SVD 0.31 ms at
+# 112 rows; 1.9, 8.2 and 1030 ms at 1792)
 _COUNT_FROM = 100
 
 
@@ -580,23 +722,29 @@ def _enclosure(params: JacobiParams, N: int, count: int, tol: float) -> Optional
     count fails, lambda_count(T_low) >= theta_{count-1} (T_low is T with
     one pivot lowered, so their eigenvalues interlace) gives its lower end.
 
-    Why c = 4: ``dpteqr`` rounds the Cholesky factor of B^T B (its pivots
-    cannot cancel, see ``section_eigenvalues``) and each dqds transform on
-    it entry by entry (dqds is mixed relatively stable; Parlett & Marques
-    2000), and relative perturbations of at most eta in the 2N - 1 entries
-    of a bidiagonal move every singular value by a relative (2N - 1) eta at
-    most, every eigenvalue by (4N - 2) eta (Demmel & Kahan 1990); c = 4 is
-    that factor at eta = eps.  The count's stationary qd transform is mixed
-    relatively stable too (a few ulps per entry of the factor; Dhillon &
-    Parlett 2004), so the same margin covers it.  This is a rounding model,
-    not a proof: the pivot recurrence passes a relative error on with a
-    factor up to k^2, so eta can exceed eps when k is near 1.  Measured
-    against 200-bit Sturm counts on the factor, the errors do not grow with
-    N and stay far inside m: at most 225 eps on the decreasing Explicit
-    prefix at k = 0.99 (N = 368 to 2944; m >= 1472 eps), 73 eps at p = 1.3,
-    k = 0.95 (N = 224 to 3584; m >= 896 eps) and 11 eps for geometric
-    weights at N = 28 (m = 112 eps).  tests/test_oracle.py checks the
-    brackets against that oracle.
+    Why c = 4: both drivers of ``section_eigenvalues`` run dqds on the qd
+    array of the bidiagonal (each entry within a few ulps of its exact
+    value).  dqds is mixed relatively stable (Parlett & Marques 2000): each
+    transform is the exact transform, at its exact shift, of its input with
+    every entry changed by a few ulps, and its output changes by a few more.
+    Both drivers sum the shifts with compensation and deflate a value only
+    once its coupling is negligible against it (about one ulp in
+    ``_dqds_smallest``).  Relative perturbations of at most eta in the 2N - 1
+    entries of a bidiagonal move every singular value by a relative
+    (2N - 1) eta at most, every eigenvalue by (4N - 2) eta (Demmel & Kahan
+    1990); c = 4 is that factor at eta = eps.  The count's stationary qd
+    transform is mixed relatively stable too (a few ulps per entry of the
+    factor; Dhillon & Parlett 2004), so the same margin covers it.  This is
+    a rounding model, not a proof: the perturbations of successive
+    transforms add up, and the pivot recurrence passes a relative error on
+    with a factor up to k^2, so eta can exceed eps when k is near 1.
+    Measured against 200-bit Sturm counts on the factor, the errors stay
+    far inside m at every size: on the decreasing Explicit prefix at
+    k = 0.99 (N = 23 to 2944) at most 3.5 eps at N = 23 (m = 92 eps) and
+    156 eps at N = 736 (m = 2944 eps); 7.5 eps at p = 1.3, k = 0.95 (N = 28
+    to 3584; m >= 112 eps) and 1.5 eps for geometric weights (N = 28 to 99;
+    m >= 112 eps).  tests/test_oracle.py checks the brackets, and the
+    section values on both sides of ``_COUNT_FROM``, against that oracle.
 
     Where m exceeds tol/4, the two margins would take over half of tol.
     Then the ends are lower_j = theta_j (1 - s) and upper_j = theta_j (1 + s),

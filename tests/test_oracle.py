@@ -7,6 +7,13 @@ certifies from its N_used-row section holds lambda_j(J), and with it
 lambda_j of any larger section, which lies between lambda_j(J) and theta_j:
 the 4 N_used-row section stands in for the operator.
 
+Section eigenvalues: the same Sturm count at 40 digits (200 for geometric
+weights) on both sides of the split between the two dqds drivers, the
+bidiagonal SVD below ``spectrum._COUNT_FROM`` rows and the Python dqds from
+there on.  Counts j and j + 1 at theta_j (1 -/+ m), m = ``_margin(N)``, show
+that each theta_j lies within a relative m of the exact eigenvalue
+lambda_j of the section.
+
 Series evaluation: the oracle is F(z) = lim (-k)^n P_n(z), the three-term
 recurrence on the float a_n run at 60 digits to an index n whose a_n is
 still finite.  ``eval_series`` of the characteristic series must land
@@ -113,6 +120,28 @@ def test_eigenvalue_brackets_hold_against_the_oracle(case):
     below_upper = _mp_sturm_counts(T4, list(upper))
     assert all(c <= j for j, c in enumerate(below_lower)), below_lower
     assert all(c >= j + 1 for j, c in enumerate(below_upper)), below_upper
+
+
+_DECREASING = JacobiParams(Explicit((1e8, 1e4, 1.0, 1e-4, 1e-8), PowerLaw(1.0, 2.0)), 0.99)
+
+
+@pytest.mark.parametrize("params, dps, N", [
+    pytest.param(params, dps, N, id=f"{name}-N{N}")
+    for name, params, dps, sizes in (
+        ("explicit", _DECREASING, 40, (99, 100, 448)),
+        # geometric weights leave the float range before 400 rows
+        ("geometric", JacobiParams(Geometric(0.25), 0.5), 200, (99, 100)),
+        ("powerlaw", JacobiParams(PowerLaw(1.0, 1.3), 0.95), 40, (99, 100, 448)),
+    )
+    for N in sizes
+])
+def test_section_eigenvalues_hold_across_the_driver_split(params, dps, N):
+    T = truncate(params, N)
+    theta = spectrum.section_eigenvalues(T, 9)
+    m = spectrum._margin(N)
+    prec = math.ceil(dps * math.log2(10.0))
+    below = _mp_sturm_counts(T, list(theta * (1.0 - m)) + list(theta * (1.0 + m)), prec=prec)
+    assert below == list(range(9)) + list(range(1, 10)), below
 
 
 def _mp_char_function(params, z, n):

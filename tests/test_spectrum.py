@@ -294,16 +294,16 @@ def test_interlacing_sections():
         prev = lams
 
 
-def _mp_sturm_counts(T, xs) -> list[int]:
-    """Eigenvalues of T strictly below each shift in xs, counted in 200-bit
-    arithmetic on the exact section L D L^T of T's float factor.
+def _mp_sturm_counts(T, xs, prec=200) -> list[int]:
+    """Eigenvalues of T strictly below each shift in xs, counted in
+    ``prec``-bit arithmetic on the exact section L D L^T of T's float factor.
 
     A zero pivot, which is not counted, is taken as a tiny positive one: the
     pivots at x minus a tiny amount, where the count is the same unless x is
     an eigenvalue of T.
     """
     counts = []
-    with mpmath.workprec(200):
+    with mpmath.workprec(prec):
         diag, off = _mp_section(T)
         off_sq = [o ** 2 for o in off]
         for x in xs:
@@ -400,13 +400,67 @@ def test_factored_section_makes_no_sturm_sweeps():
 
 
 def test_factored_small_sections():
-    # N = 1 has no off-diagonal for LAPACK; N = 2 against the quadratic
-    # formula for [[12, 6], [6, 243]], the small root taken as det / large
+    # N = 1 has no bidiagonal to decompose and returns its pivot; N = 2
+    # against the quadratic formula for [[12, 6], [6, 243]], the small root
+    # taken as det / large
     assert list(section_eigenvalues(truncate(GEOM, 1), 3)) == [12.0]
     lams = section_eigenvalues(truncate(GEOM, 2), 2)
     big = (255.0 + math.sqrt(231.0**2 + 144.0)) / 2.0
     assert lams[1] == pytest.approx(big, rel=1e-15)
     assert lams[0] == pytest.approx((12.0 * 243.0 - 36.0) / big, rel=1e-15)
+
+
+def test_svd_driver_failure_raises_convergence_failure(monkeypatch):
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fails)
+    with pytest.raises(ConvergenceFailure, match="SVD"):
+        section_eigenvalues(truncate(GEOM, 28), 9)
+
+
+def test_dqds_driver_raises_at_its_transform_cap(monkeypatch):
+    # one transform per value asked for, plus one, finds only some of them:
+    # the cap raises rather than returning what has deflated
+    T = truncate(JacobiParams(PowerLaw(1.0, 2.0), 0.5), 112)
+    assert len(section_eigenvalues(T, 9)) == 9
+    monkeypatch.setattr(spectrum, "_SWEEPS", 1)
+    with pytest.raises(ConvergenceFailure, match="found [0-8] of 9 eigenvalues in 10 transforms"):
+        section_eigenvalues(T, 9)
+
+
+def test_dqds_driver_raises_when_every_transform_fails(monkeypatch):
+    monkeypatch.setattr(spectrum, "_dqds_transform", lambda q, e, tau: (None, 0, -1.0))
+    with pytest.raises(ConvergenceFailure, match="found 0 of 9 eigenvalues in 300 transforms"):
+        section_eigenvalues(truncate(GEOM, 100), 9)
+
+
+def test_dqds_finds_a_smaller_value_behind_a_near_split():
+    # the last row is all but decoupled (l = 1e-20), so its value 3 deflates
+    # first although the block above it holds eigenvalues down to about 1/8
+    # (the least pivot lies in the lower half, so the array is not
+    # reversed): the check after the deflations finds them and keeps going
+    d = np.array([5.0] * 70 + [0.5] * 49 + [3.0])
+    l = np.array([0.5] * 118 + [1e-20])
+    T = TruncatedJacobi(d=d, l=l)
+    L = np.eye(120) + np.diag(l, -1)
+    dense = np.linalg.eigvalsh(L @ np.diag(d) @ L.T)
+    for count in (1, 3):
+        lams = section_eigenvalues(T, count)
+        assert np.allclose(lams, dense[:count], rtol=1e-13, atol=0.0), (lams, dense[:count])
+
+
+def test_dqds_orients_a_falling_prefix_to_the_bottom(monkeypatch):
+    # the least pivot sits at row 1 while d[-1] < d[0]: oriented by its ends,
+    # dqds would have to carry the small end through 448 rows and met its
+    # transform cap; the dense SVD driver is the reference
+    T = associated_section(
+        JacobiParams(Explicit((11825946.79, 1.3276e-08, 9.645e-05), PowerLaw(1.0, 1.677)), 0.7224), 448
+    )
+    assert T.d[-1] < T.d[0] and int(np.argmin(T.d)) == 1
+    lams = section_eigenvalues(T, 3)
+    monkeypatch.setattr(spectrum, "_COUNT_FROM", 10**9)
+    assert np.allclose(lams, section_eigenvalues(T, 3), rtol=1e-14, atol=0.0)
 
 
 def _mp_tridiagonal(diag, off):
