@@ -27,7 +27,8 @@ doubled until two sizes agree to 40 digits.  Wherever the series route of
 Basic hypergeometric sums: the oracle is the r_phi_s term recurrence on the
 float q, parameters and argument at 60 digits.  ``_basic_sum``'s hi + lo
 must lie within its rounding bound plus twice its stop threshold (the
-remainder it leaves) of it.
+remainder it leaves) of it, from a one-point call and from an array call
+wide enough for the numpy pass.
 
 Tail bounds: the oracle is the bound's own expression at 50 digits on the
 same float inputs: the order tail min(geometric, elementary-symmetric) of
@@ -75,7 +76,7 @@ from jspec.entire import (
     series_pair,
 )
 from jspec.polycore import _trace_tail, trace_inverse
-from jspec.qlaguerre import _STOP, _basic_sum
+from jspec.qlaguerre import _ARRAY_FROM, _STOP, _basic_sum
 from jspec.sequences import (
     Explicit,
     Geometric,
@@ -284,11 +285,17 @@ def test_basic_sum_holds_against_the_60_digit_sum(shape, draws):
     @given(case=_basic_sum_cases(shape))
     def check(case):
         upper, lower, q, z = case
-        hi, lo, bound = _basic_sum(upper, lower, q, z)
+        # the draw's argument also sits among smaller ones in an array that
+        # takes the numpy pass
+        zs = np.geomspace(1e-3, 1.0, _ARRAY_FROM + 8) * z
+        zs[7] = z
+        his, los, bounds, failed = _basic_sum(upper, lower, q, zs)
+        assert 7 not in failed
         S = _mp_basic_sum(upper, lower, q, z)
-        with mpmath.workdps(60):
-            err = abs(mpmath.mpf(hi) + mpmath.mpf(lo) - S)
-            assert err <= bound + 2 * _STOP * abs(S), (case, float(err), bound)
+        for hi, lo, bound in (_basic_sum(upper, lower, q, z), (his[7], los[7], bounds[7])):
+            with mpmath.workdps(60):
+                err = abs(mpmath.mpf(hi) + mpmath.mpf(lo) - S)
+                assert err <= bound + 2 * _STOP * abs(S), (case, float(err), bound)
 
     check()
 

@@ -1,9 +1,11 @@
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
 
+import jspec.qlaguerre as Q
 from jspec.errors import CancellationFailure, ConvergenceFailure, DivergentArgument, JspecError
 from jspec.qlaguerre import (
     QParams,
@@ -187,6 +189,128 @@ def test_phi11_raises_on_cancellation(q, z):
     # (truth -2.691e-8) here; the abs-sum bound now refuses both
     with pytest.raises(CancellationFailure):
         basic_hypergeometric("1phi1", q, z, a=0.3, b=0.5)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and text of the JspecError it raises."""
+    try:
+        return f(*args)
+    except JspecError as exc:
+        return type(exc), str(exc)
+
+
+def _terms_used(upper, lower, q, z):
+    """The fewest terms whose sum has the bits of the stopped sum at z."""
+    want = Q._basic_sum(upper, lower, q, z)[:2]
+    return next(t for t in range(1, 1000) if Q._basic_sum(upper, lower, q, z, terms=t)[:2] == want)
+
+
+@pytest.mark.parametrize("upper, lower, q, points, fail", [
+    # the failing argument overflows at term 2 (0phi1 at q = 1/4, 1phi1), at
+    # term 135, after every other element has stopped (0phi1 at q = 0.999),
+    # or lies outside the 2phi1 disc
+    pytest.param((), (0.0625,), 0.25, lambda w: -np.geomspace(1e-3, 1e12, w), -1e300, id="0phi1"),
+    pytest.param((), (0.999**2,), 0.999, lambda w: -np.geomspace(1e-9, 1e-5, w), -0.5, id="0phi1-q-0.999"),
+    pytest.param((0.3,), (0.5,), 0.5, lambda w: np.geomspace(1e-2, 30.0, w) * (-1.0) ** np.arange(w),
+                 1e300, id="1phi1"),
+    pytest.param((0.5, 0.5), (0.25,), 0.5, lambda w: np.linspace(-0.5, 0.5, w), 1.2, id="2phi1"),
+])
+@pytest.mark.parametrize("width", [5, Q._ARRAY_FROM - 1, Q._ARRAY_FROM, 200])
+def test_basic_sum_arrays_keep_the_bits_of_one_point_calls(upper, lower, q, points, fail, width):
+    # one argument per array fails; it is flagged, and only consuming it raises
+    z = points(width)
+    z[width // 2] = fail
+    hi, lo, bound, failed = Q._basic_sum(upper, lower, q, z)
+    assert list(failed) == [width // 2]
+    for i, x in enumerate(z.tolist()):
+        one = _outcome(Q._basic_sum, upper, lower, q, x)
+        if i in failed:
+            assert (type(failed[i]), str(failed[i])) == one
+            assert all(math.isnan(v[i]) for v in (hi, lo, bound))
+        else:
+            assert all(_same_bits(v[i], w) for v, w in zip((hi, lo, bound), one)), (i, x)
+    exc = failed[width // 2]
+    with pytest.raises(type(exc), match=re.escape(str(exc))):
+        Q._raise_first(failed)
+    # the elements stop at different terms
+    rest = np.delete(z, width // 2)
+    ends = rest[[np.argmin(abs(rest)), np.argmax(abs(rest))]].tolist()
+    assert len({_terms_used(upper, lower, q, x) for x in ends}) == 2
+
+
+def _scan_roots_reference(nu, qp, count):
+    """The roots by a scan of one-point 0phi1 sums, one per grid point and
+    bisection midpoint; the reference for qbessel2_roots."""
+    from jspec.spectrum import section_eigenvalues, truncate
+
+    q = qp.q
+    b = q ** (nu + 1.0)
+    T = truncate(induced_params(qp), count + 10)
+    x_max = 2.2 * math.sqrt(section_eigenvalues(T, T.size)[-1])
+    f = lambda x: basic_hypergeometric("0phi1", q, -b * x * x / 4.0, b=b)
+    lo_x = min(0.05, x_max * 1e-6)
+    n_pts = max(int(200 * math.log10(x_max / lo_x)), 64)
+    grid = np.exp(np.linspace(math.log(lo_x), math.log(x_max), n_pts))
+    roots = []
+    f_prev = f(grid[0])
+    for i in range(1, n_pts):
+        f_cur = f(grid[i])
+        if f_prev == 0.0:
+            roots.append(grid[i - 1])
+        elif f_prev * f_cur < 0.0:
+            a_, b_ = grid[i - 1], grid[i]
+            fa = f_prev
+            for _ in range(200):
+                mid = 0.5 * (a_ + b_)
+                if mid == a_ or mid == b_:
+                    break
+                fm = f(mid)
+                if fa * fm <= 0.0:
+                    b_ = mid
+                else:
+                    a_, fa = mid, fm
+            roots.append(0.5 * (a_ + b_))
+        if len(roots) >= count:
+            break
+        f_prev = f_cur
+    if len(roots) < count:
+        raise DivergentArgument(f"found only {len(roots)} roots below x={x_max:g}")
+    return np.array(roots[:count])
+
+
+def test_qbessel2_roots_match_the_scan_of_one_point_sums():
+    # the 20 cases take about 0.5 s together, the reference scans most of it
+    for q in (0.1, 0.25, 0.5, 0.9, 0.97):
+        for nu in (0.0, 0.5, 1.0, 2.0):
+            want = _scan_roots_reference(nu, QParams(q), 5)
+            got = qbessel2_roots(nu, QParams(q), 5)
+            assert got.tobytes() == want.tobytes(), (q, nu)
+
+
+def test_qbessel2_roots_raise_only_at_grid_points_the_scan_reaches(monkeypatch):
+    # a decade is summed past the last root it needs; flagging its later
+    # points changes nothing, flagging a point before that root raises
+    roots = qbessel2_roots(1.0, QP, 5)
+    inner = Q._basic_sum
+    flagged = []
+
+    def flagging(past):
+        def summed(upper, lower, q, z, terms=None):
+            out = inner(upper, lower, q, z, terms)
+            if np.ndim(z) == 0:
+                return out
+            x = np.sqrt(-4.0 * z / lower[0])
+            bad = np.flatnonzero(x > past).tolist()
+            flagged.extend(bad)
+            return (*out[:3], {**out[3], **{i: ConvergenceFailure("flagged") for i in bad}})
+        return summed
+
+    monkeypatch.setattr(Q, "_basic_sum", flagging(1.01 * roots[-1]))
+    assert qbessel2_roots(1.0, QP, 5).tobytes() == roots.tobytes()
+    assert flagged
+    monkeypatch.setattr(Q, "_basic_sum", flagging(1.01 * roots[-2]))
+    with pytest.raises(ConvergenceFailure, match="flagged"):
+        qbessel2_roots(1.0, QP, 5)
 
 
 def test_q_laguerre_values():
@@ -395,6 +519,15 @@ def test_weyl_num_correction_series_raises_at_first_non_finite_term(monkeypatch)
     with pytest.raises(ConvergenceFailure, match="is not finite at term 134"):
         weyl_num_closed_forms(200.0, QParams(0.97))
     assert len(calls) < 200
+
+
+@pytest.mark.parametrize("q, z", [(0.97, 50.0), (0.98, 20.0)])
+def test_weyl_num_correction_series_raises_on_cancellation(q, z):
+    # the closed form returned -3.84e75 (series route 5.89e60) and 6.88e87
+    # (1.34e72) here; the rounding bound of the correction terms is 3.5e4
+    # and 4.2e2 times its sum
+    with pytest.raises(CancellationFailure, match="correction series of the Weyl numerator"):
+        weyl_num_closed_forms(z, QParams(q))
 
 
 def test_masses_from_closed_forms():
