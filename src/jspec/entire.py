@@ -52,8 +52,10 @@ a whole family (shift x point), in one pass, and every element carries the
 bits of its one-series, one-point evaluation.  The Horner loop reads the
 signed coefficients (-1)^m c_m and the magnitudes |c_m| from tables formed
 once per series (``_horner_tables``, kept on the series at its first
-evaluation; ``_value_and_slope`` forms its two-column table once for every
-Newton pass), not per step.
+evaluation), not per step.  ``_value_and_slope`` forms two tables once for
+every Newton pass: F and F' for the passes that continue, and a wide one
+of F, F' and the second-kind family for each root's last pass, which so
+carries the family's evaluation at the eigenvalue.
 
 The kernels are written for few numpy and interpreter calls, never at the
 cost of a bit: each keeps the operations of its plain loop, in the same
@@ -470,6 +472,12 @@ _EPS = np.finfo(float).eps
 _ULPS = 32.0
 
 
+# from here on the gaps 1 - rho and 1 - ts/(M+2) of _eval_tail_bound come
+# from exact products: below it the stepped-up float's error of at most
+# 2^-52 magnifies by less than 2^20 in the bound, under 1e-9 relative
+_NEAR_POLE = 1.0 - 2.0**-20
+
+
 def _log_up(terms):
     """The sum of log-space ``terms`` widened by _ULPS ulps of 1 + sum |t_i|,
     so that its exp bounds the exact exp(sum) away from underflow: each term
@@ -488,7 +496,10 @@ def _eval_tail_bound(s: PowerSeriesApprox, az):
     factors az**M and S**(M+1) exceed the float range long before the
     bound itself is useless, and an overflowing bound is reported as inf.
     rho = r az, ts = S az and ts/(M+2) step up past their rounding, since
-    1 - rho and 1 - ts/(M+2) magnify an error in them without limit.
+    1 - rho and 1 - ts/(M+2) magnify an error in them without limit.  Past
+    ``_NEAR_POLE`` that magnification would leave the bound far above its
+    value, so there the gaps 1 - r az and 1 - S az/(M+2) come from the exact
+    products (``two_prod``) instead, rounded down.
     """
     M = s.order
     at_zero = az == 0.0
@@ -496,7 +507,12 @@ def _eval_tail_bound(s: PowerSeriesApprox, az):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # past rho = 1 the geometric candidate's log is nan, and fmin drops it
         rho = np.nextafter(s.ratio_bounds[M] * az, np.inf)
-        log_geo = _log_up([np.log(s.coeffs[M] + s.tail_omitted[M]), M * np.log(az), np.log(rho / (1.0 - rho))])
+        gap = 1.0 - rho
+        near = rho > _NEAR_POLE
+        if np.any(near):  # 1 - rh is exact there (Sterbenz)
+            rh, rl = dd.two_prod(s.ratio_bounds[M], az)
+            gap = np.where(near, np.nextafter((1.0 - rh) - rl, -np.inf), gap)
+        log_geo = _log_up([np.log(s.coeffs[M] + s.tail_omitted[M]), M * np.log(az), np.log(rho / gap)])
         # elementary-symmetric fallback S^{m}/m!, useful at small |z|:
         # ts^{M+1}/(M+1)! times 1/(1 - ts/(M+2)) where the exact S |z| lies
         # below M+2, else e^ts; inf where the stepped-up y reaches 1 below it
@@ -505,6 +521,10 @@ def _eval_tail_bound(s: PowerSeriesApprox, az):
         ts = np.nextafter(ph, np.inf)
         y = np.nextafter(ts / (M + 2), np.inf)
         factor = np.where(below, np.where(y < 1.0, -np.log1p(-y), np.inf), ts)
+        near = below & (y > _NEAR_POLE)
+        if np.any(near):  # (M + 2) - ph is exact there
+            gap = np.nextafter(np.nextafter((M + 2.0 - ph) - pl, -np.inf) / (M + 2.0), -np.inf)
+            factor = np.where(near, -np.log(gap), factor)
         log_fact = _log_up([(M + 1) * np.log(ts), -math.lgamma(M + 2), factor])
         bound = np.exp(np.fmin(log_geo, log_fact))
     return np.where(at_zero, 0.0, bound)
@@ -631,7 +651,8 @@ def _point_array(z):
 def _evals_by_truncation(params: JacobiParams, z: np.ndarray, truncation, pick, tol=None):
     """``eval_series`` of the series that ``pick`` takes from a series pair,
     at every point of the 1-d array ``z``, each through the pair
-    ``series_pair(params, M, J, 0)`` with (M, J) = ``truncation(point)``.
+    ``series_pair(params, M, J, 0)`` with (M, J, X) = ``truncation(point)``,
+    X the weight suffix ``_weight_suffix(params, J)`` (``_truncation``).
 
     One pair is built per distinct truncation and evaluated at its points in
     one call, so every element has the bits of the one-point evaluation.
@@ -639,10 +660,11 @@ def _evals_by_truncation(params: JacobiParams, z: np.ndarray, truncation, pick, 
     """
     groups = {}
     for i, x in enumerate(z.tolist()):
-        groups.setdefault(truncation(x), []).append(i)
+        M, J, X = truncation(x)
+        groups.setdefault((M, J), (X, []))[1].append(i)
     out = None
-    for (M, J), idx in groups.items():
-        evals = [eval_series(s, z[idx], tol) for s in pick(series_pair(params, M, J, 0))]
+    for (M, J), (X, idx) in groups.items():
+        evals = [eval_series(s, z[idx], tol) for s in pick(_series_pair(params, M, J, 0, X))]
         out = out or [np.empty((5, len(z))) for _ in evals]  # the five SeriesEval fields
         for fields, ev in zip(out, evals):
             fields[:, idx] = (ev.value, ev.value_lo, ev.kappa, ev.err_bound, ev.abs_sum)
@@ -680,8 +702,9 @@ def _deriv_view(s: PowerSeriesApprox) -> PowerSeriesApprox:
     )
 
 
-def _value_and_slope(s: PowerSeriesApprox):
-    """An evaluator of F = ``s`` and F' together at arrays of points.
+def _value_and_slope(s: PowerSeriesApprox, fam: Optional[PowerSeriesApprox] = None):
+    """An evaluator of F = ``s`` and F' together at arrays of points, and of
+    the second-kind family ``fam`` (of the same order) with them on request.
 
     The returned function maps (zh, zl) to (SeriesEval of F, F' hi, F' lo):
     F's fields have the bits of ``eval_series(s, (zh, zl))``, and F' those of
@@ -691,18 +714,29 @@ def _value_and_slope(s: PowerSeriesApprox):
     padded with a zero at order M.  The padding is exact: the zero's Horner
     step adds 0 to a coefficient pair normalised by ``quick_two_sum``, which
     returns the pair unchanged.  F' carries no bound of its own.
+
+    With ``family=True`` the pass runs over one wide table, the two columns
+    followed by the family's, and a fourth element is the family's
+    SeriesEval (shift x point), with the bits of ``eval_series(fam, (zh,
+    zl))``: Horner and its bound are elementwise.
     """
     d = _deriv_view(s)
     tables = _horner_tables(
         np.column_stack((s.coeffs, np.append(d.coeffs, 0.0))),
         np.column_stack((s.coeffs_lo, np.append(d.coeffs_lo, 0.0))),
     )
+    if fam is not None:
+        wide = tuple(np.column_stack(pair) for pair in zip(tables, fam._tables))
     rounding = _dd_rounding(s)
 
-    def evaluate(zh, zl):
-        rh, rl, ab = _horner_dd(tables, zh[:, None], zl[:, None])
-        fe = SeriesEval(*_certified(s, rh[:, 0], rl[:, 0], ab[:, 0], abs(zh), None, rounding))
-        return fe, -rh[:, 1], -rl[:, 1]
+    def evaluate(zh, zl, family=False):
+        rh, rl, ab = _horner_dd(wide if family else tables, zh[:, None], zl[:, None])
+        az = abs(zh)
+        fe = SeriesEval(*_certified(s, rh[:, 0], rl[:, 0], ab[:, 0], az, None, rounding))
+        if not family:
+            return fe, -rh[:, 1], -rl[:, 1]
+        fields = _certified(fam, rh[:, 2:], rl[:, 2:], ab[:, 2:], az[:, None], None, _dd_rounding(fam))
+        return fe, -rh[:, 1], -rl[:, 1], SeriesEval(*(x.T for x in fields))
 
     return evaluate
 
@@ -759,6 +793,16 @@ def choose_truncation(
     S^{M+1} R^{M+1} / (M+1)! criterion stalls at large radii because the
     true coefficients decay much faster than S^m/m!).  M is capped at 512.
     """
+    return _truncation(params, radius, tol, min_cutoff, max_cutoff)[:2]
+
+
+def _truncation(
+    params: JacobiParams, radius: float, tol: float, min_cutoff: int = 0, max_cutoff: int = 1 << 15
+):
+    """``choose_truncation``'s (M, J) and the weight suffix X =
+    ``_weight_suffix(params, J)`` its order rule forms, which
+    ``_series_pair(params, M, J, n_max, X)`` takes instead of forming it again.
+    """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     radius = max(radius, 1.0)
@@ -790,7 +834,8 @@ def choose_truncation(
     M = min(M + extra + 2, max_order)
     if M > J:
         J = M
-    return M, J
+        suffix = _weight_suffix(params, J)
+    return M, J, suffix
 
 
 def identity_residuals(

@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from . import doubledouble as dd
-from .entire import _evals_by_truncation, _point_array, _scalar, choose_truncation
+from .entire import _evals_by_truncation, _point_array, _scalar, _truncation
 from .errors import CancellationFailure, ConvergenceFailure, DivergentArgument, SequenceError
 from .sequences import Geometric, JacobiParams
 from .spectrum import section_eigenvalues, truncate
@@ -493,8 +493,8 @@ def qbessel2_roots(nu: float, qp: QParams, count: int) -> np.ndarray:
 
 def _by_series_truncation(params: JacobiParams):
     """The truncation of the series route at a point z, as ``choose_truncation``
-    picks it for radius max(|z|, 1) at tol 1e-13."""
-    return lambda z: choose_truncation(params, max(abs(z), 1.0), 1e-13)
+    picks it for radius max(|z|, 1) at tol 1e-13, with its weight suffix."""
+    return lambda z: _truncation(params, max(abs(z), 1.0), 1e-13)
 
 
 def char_closed_forms(z, qp: QParams):

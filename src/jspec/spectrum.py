@@ -65,6 +65,7 @@ from . import doubledouble as dd
 from .doubledouble import EPS_DD
 from .entire import (
     PowerSeriesApprox,
+    SeriesEval,
     _envelope,
     _envelope_factors,
     _evals_by_truncation,
@@ -72,15 +73,13 @@ from .entire import (
     _point_array,
     _scalar,
     _series_pair,
+    _truncation,
     _uncertified,
     _value_and_slope,
     _weight_beyond,
     _weight_suffix,
-    choose_truncation,
     eval_series,
-    eval_series_deriv,
     scale_for_shift,
-    series_pair,
 )
 from .errors import (
     ConvergenceFailure,
@@ -523,7 +522,9 @@ _CONTEXT_MAX_CUTOFF = 1 << 14
 
 
 def _series_context(params: JacobiParams, radius: float, n_max: int):
-    """Series truncation sized so certified evaluation survives kappa ~ 1e13.
+    """Series truncation (M, J) sized so certified evaluation survives
+    kappa ~ 1e13, and the weight suffix X = ``_weight_suffix(params, J)``
+    that ``_series_pair`` and ``_series_hopeless`` read.
 
     The cutoff also clears n_max by a margin: the omitted-seed bound of the
     shift-n series is n-independent, so it must be pushed below the smallest
@@ -539,13 +540,14 @@ def _series_context(params: JacobiParams, radius: float, n_max: int):
     floor = _weight_beyond(params, J_cap) * max(radius, 1.0)
     for target in _CONTEXT_TARGETS:
         if floor < target / 10.0:
-            return choose_truncation(
+            return _truncation(
                 params, radius, target, min_cutoff=n_max + 16, max_cutoff=_CONTEXT_MAX_CUTOFF
             )
     # polynomially decaying reciprocal tails cannot reach any of the
     # targets; point_spectrum's screen (_series_hopeless) then usually
     # proves from this truncation's own bound that nothing can certify
-    return 48, max(n_max + 16, 192)
+    J = max(n_max + 16, 192)
+    return 48, J, _weight_suffix(params, J)
 
 
 _NEWTON_CAP = 40  # Newton steps per root; a root still moving after them raises
@@ -565,9 +567,13 @@ class _Roots(NamedTuple):
     fp_lo: np.ndarray
     seed_fp_hi: np.ndarray  # F' at the seed
     seed_fp_lo: np.ndarray
+    # the family's SeriesEval fields (value, value_lo, kappa, err_bound,
+    # abs_sum) x shift x seed at (hi, lo), where ``settled``; else NaN
+    family: Optional[np.ndarray]
+    settled: np.ndarray  # the root stopped on the stop test at (hi, lo)
 
 
-def _refine_roots(fser: PowerSeriesApprox, seeds) -> _Roots:
+def _refine_roots(fser: PowerSeriesApprox, seeds, fam: Optional[PowerSeriesApprox] = None) -> _Roots:
     """Compensated Newton from section seeds, all roots at once.
 
     Returns the root, the residual and error bound of its last evaluation,
@@ -584,15 +590,25 @@ def _refine_roots(fser: PowerSeriesApprox, seeds) -> _Roots:
     bound and F' that at the seed; so a moved root lies within ``_BASIN``
     of its seed.  ConvergenceFailure when some root is still moving after
     ``_NEWTON_CAP`` steps.
+
+    The stop test reads the step, the previous evaluation's bound and the
+    stepped point only, so a root's last iterate is known before it is
+    evaluated.  With the second-kind family ``fam`` (of fser's order), that
+    last pass runs over the wide table of F, F' and the family, and
+    ``family`` holds the family's evaluation at the root (``settled``), with
+    the bits of ``eval_series(fam, (hi, lo))``; the other passes run over F
+    and F' alone.  A basin exit or a root stopped at F' = 0 has none.
     """
     seeds = np.asarray(seeds, dtype=float)
-    evaluate = _value_and_slope(fser)
+    evaluate = _value_and_slope(fser, fam)
     zh = seeds.copy()
     zl = np.zeros_like(zh)
     fe, fph, fpl = evaluate(zh, zl)
     fval, flo, ferr, fabs = fe.value, fe.value_lo, fe.err_bound, fe.abs_sum
     seed_fph, seed_fpl = fph.copy(), fpl.copy()
     moved = np.ones(zh.shape, dtype=bool)
+    settled = np.zeros(zh.shape, dtype=bool)
+    family = None if fam is None else np.full((5, fam.coeffs.shape[1], zh.size), math.nan)
     active = np.flatnonzero(moved)
     for _ in range(_NEWTON_CAP):
         if not active.size:
@@ -609,17 +625,24 @@ def _refine_roots(fser: PowerSeriesApprox, seeds) -> _Roots:
         active, sh, sl, fpv = active[~out], sh[~out], sl[~out], fpv[~out]
         resolution = ferr[active] / np.abs(fpv)
         zh[active], zl[active] = dd.dd_sub(zh[active], zl[active], sh, sl)
-        fe, fph[active], fpl[active] = evaluate(zh[active], zl[active])
-        fval[active], flo[active] = fe.value, fe.value_lo
-        ferr[active], fabs[active] = fe.err_bound, fe.abs_sum
         done = (np.abs(sh) <= resolution) | (np.abs(sh) <= 1e-30 * np.abs(zh[active]))
+        settled[active[done]] = True
+        # the iterates that continue over F and F', the last ones over the wide table
+        for idx, wide in ((active[~done], False), (active[done], fam is not None)):
+            if idx.size:
+                fe, fph[idx], fpl[idx], *ev = evaluate(zh[idx], zl[idx], wide)
+                fval[idx], flo[idx] = fe.value, fe.value_lo
+                ferr[idx], fabs[idx] = fe.err_bound, fe.abs_sum
+                if ev:
+                    (e,) = ev
+                    family[:, :, idx] = (e.value, e.value_lo, e.kappa, e.err_bound, e.abs_sum)
         active = active[~done]
     if active.size:
         raise ConvergenceFailure(
             f"Newton on the series did not settle {active.size} of {zh.size} roots "
             f"in {_NEWTON_CAP} steps"
         )
-    return _Roots(zh, zl, np.abs(fval), ferr, fabs, moved, fph, fpl, seed_fph, seed_fpl)
+    return _Roots(zh, zl, np.abs(fval), ferr, fabs, moved, fph, fpl, seed_fph, seed_fpl, family, settled)
 
 
 _SCREEN_MARGIN = 2.0  # covers the rounding of every quantity the screen compares
@@ -871,10 +894,9 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
 
     radius = float(enc.theta[count - 1]) * 1.3 + 1.0
     n_aux = count + 10
-    M, J = _series_context(params, radius, n_aux)
+    M, J, X = _series_context(params, radius, n_aux)
     seeds = enc.theta[:count]
 
-    X = _weight_suffix(params, J)
     if np.all(_series_hopeless(X, M, seeds, tol)):
         lam_hi, lam_lo = seeds.copy(), np.zeros(count)
         refined = np.zeros(count, dtype=bool)
@@ -885,7 +907,7 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
         masses, route = masses_q.copy(), ["fallback"] * count
     else:
         fser, fam = _series_pair(params, M, J, n_aux + 1, X)
-        roots = _refine_roots(fser, seeds)
+        roots = _refine_roots(fser, seeds, fam)
         res_F, res_F_bound, res_F_abs_sum = roots.residual, roots.bound, roots.abs_sum
         cert_err = res_F_bound / np.maximum(np.abs(roots.fp_hi), 1e-300)
         refined = (
@@ -908,7 +930,16 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
             np.where(refined, roots.fp_hi, roots.seed_fp_hi),
             np.where(refined, roots.fp_lo, roots.seed_fp_lo),
         )
-        md = _mass_machinery(params, lam_hi, lam_lo, n_aux, fam, fprime, T, seeds, norm_identity=False)
+        # the family at the returned eigenvalues: Newton's last pass where
+        # the root is kept, one pass at the seed where it is not
+        fam_ev = roots.family
+        at_seed = np.flatnonzero(~(refined & roots.settled))
+        if at_seed.size:
+            ev = eval_series(fam, (lam_hi[at_seed], lam_lo[at_seed]))
+            fam_ev[:, :, at_seed] = (ev.value, ev.value_lo, ev.kappa, ev.err_bound, ev.abs_sum)
+        md = _mass_machinery(
+            params, lam_hi, lam_lo, n_aux, SeriesEval(*fam_ev), fprime, T, seeds, norm_identity=False
+        )
         masses, masses_q, route = md.masses, md.masses_quadrature, md.mass_route
         eig_res = md.eigen_residuals
 
@@ -968,7 +999,7 @@ def _mass_machinery(
     lam_hi: np.ndarray,
     lam_lo: np.ndarray,
     n_max: int,
-    fam: PowerSeriesApprox,
+    fam_ev: SeriesEval,
     fprime: tuple[np.ndarray, np.ndarray],
     T: TruncatedJacobi,
     lams_section: np.ndarray,
@@ -976,12 +1007,14 @@ def _mass_machinery(
 ) -> MassData:
     """Masses, eigenvector samples and their identities at every eigenvalue.
 
-    ``fam`` is the second-kind family of shifts 0..n_max+1 and ``fprime``
-    F' at the eigenvalues as a double-double pair.  Arrays
-    run (index n x eigenvalue j) and every step is elementwise or reduces
-    along n in order, so each column has the bits of a one-root
-    computation.  Rows without a certified series entry take the section
-    eigenvector at ``lams_section`` (``fallback``).  The norm identity
+    ``fam_ev`` is the evaluation of the second-kind family of shifts
+    0..n_max+1 at the eigenvalues (shift x eigenvalue, the fields of
+    ``eval_series(fam, (lam_hi, lam_lo))``), which the caller takes from a
+    pass it already makes there, and ``fprime`` F' at the eigenvalues as a
+    double-double pair.  Arrays run (index n x eigenvalue j) and every
+    step is elementwise or reduces along n in order, so each column has
+    the bits of a one-root computation.  Rows without a certified series
+    entry take the section eigenvector at ``lams_section`` (``fallback``).  The norm identity
     (its tail bound ``_phi_tail_sq`` and the product F'W) runs only with
     ``norm_identity``; without it ``norm_residuals`` stays NaN.
     ``point_spectrum``, which reports no norm residual, leaves it out;
@@ -994,9 +1027,8 @@ def _mass_machinery(
 
     fp_hi, fp_lo = fprime
     Ph, Pl, env = _orthopoly_dd_with_envelope(params, n_max + 1, lam_hi, lam_lo)
-    ev = eval_series(fam, (lam_hi, lam_lo))
-    value, err = ev.value, ev.err_bound
-    phi_h, phi_l = dd.dd_mul_d(value, ev.value_lo, scales[:, None])
+    value, err = fam_ev.value, fam_ev.err_bound
+    phi_h, phi_l = dd.dd_mul_d(value, fam_ev.value_lo, scales[:, None])
     cert = (value != 0.0) & (err <= _CERT_REL * np.abs(value))
 
     # Weyl numerator from the best certified quotient Phi_n / P_n: the
@@ -1130,19 +1162,21 @@ def masses_and_vectors(params: JacobiParams, sd: SpectralData, n_max: int) -> Ma
     """Masses plus eigenvector samples Phi_0..Phi_{n_max} for each eigenvalue.
 
     Recomputes the series context sized for ``n_max`` and reuses the refined
-    eigenvalues stored in ``sd``.  Fallback samples come from the
-    ``sd.N_used``-row section, so their entries n >= N_used are NaN.
+    eigenvalues stored in ``sd``; F' and the second-kind family there come
+    from one Horner pass over their wide table (``_value_and_slope``).
+    Fallback samples come from the ``sd.N_used``-row section, so their
+    entries n >= N_used are NaN.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     radius = float(sd.lambdas[-1]) * 1.3 + 1.0
-    M, J = _series_context(params, radius, n_max)
-    fser, fam = series_pair(params, M, J, n_max + 1)
-    fp = eval_series_deriv(fser, (sd.lambdas, sd.lambdas_lo))
+    M, J, X = _series_context(params, radius, n_max)
+    fser, fam = _series_pair(params, M, J, n_max + 1, X)
+    _, fp_hi, fp_lo, fam_ev = _value_and_slope(fser, fam)(sd.lambdas, sd.lambdas_lo, True)
     T = truncate(params, sd.N_used)
     lams_section = section_eigenvalues(T, sd.count)
     return _mass_machinery(
-        params, sd.lambdas, sd.lambdas_lo, n_max, fam, (fp.value, fp.value_lo), T, lams_section
+        params, sd.lambdas, sd.lambdas_lo, n_max, fam_ev, (fp_hi, fp_lo), T, lams_section
     )
 
 
@@ -1274,8 +1308,8 @@ def second_kind_routes(params: JacobiParams, n: int, z: float) -> tuple[float, O
     ``- (sum_{j>=n} 1/(alpha_j P_j(z) P_{j+1}(z))) P_n(z)`` converges and is
     returned as the second element (None otherwise).
     """
-    M, J = _series_context(params, max(abs(z), 1.0), n + 4)
-    fser, fam = series_pair(params, M, J, n)
+    M, J, X = _series_context(params, max(abs(z), 1.0), n + 4)
+    fser, fam = _series_pair(params, M, J, n, X)
     fe = eval_series(fser, z, tol=1e-9)
     pe = eval_series(fam[n], z)
     sc = scale_for_shift(params.k, n)
@@ -1319,8 +1353,17 @@ def char_via_second_kind(params: JacobiParams, z: float, tol: float = 1e-12) -> 
     stops after three consecutive |t| <= 1e-2 tol max(|acc|, 1), acc the
     partial sum, and raises ConvergenceFailure when 512 terms have not
     settled it.  A power-law weight's terms decay only like n^-p, so at the
-    default tol every p up to about 5.5 raises, even at z = 0.
+    default tol every p up to about 5.5 raises.  A certified bound on the
+    term magnitudes would not let such a sum stop either: the tail it
+    leaves beyond depth D is of order R(D+1) ~ D^(1-p)/(p-1), R the
+    reciprocal tail sum_{j > D} 1/a_j, about 2e-3 at p = 2 and D = 512.
+
+    At z = 0 the value is exactly 1 for every admissible sequence, since
+    sum_n w_n(0) P_n(0) <= sum_j 1/((1-k^2) a_j) is finite; it is returned
+    without a sum.
     """
+    if z == 0.0:
+        return 1.0
     cap = 512
     depth = 48
     while True:
@@ -1386,8 +1429,8 @@ def associated_checks(params: JacobiParams, N: int) -> AssociatedReport:
 
     assoc_eigs = section_eigenvalues(T1, 5)
     radius = float(assoc_eigs[-1]) * 1.3 + 1.0
-    M, J = _series_context(params, radius, 4)
-    wser = series_pair(params, M, J, 0)[1][0]
+    M, J, X = _series_context(params, radius, 4)
+    wser = _series_pair(params, M, J, 0, X)[1][0]
     # an unmoved root is its seed with a zero low word
     zeros, zeros_lo = _refine_roots(wser, assoc_eigs)[:2]
     zero_rel = np.abs(zeros - assoc_eigs) / np.abs(assoc_eigs)

@@ -360,6 +360,11 @@ def _mp_order_tail(s, z):
 )
 # S |z| just below M + 2 steps ts / (M + 2) up to 1: the factor is inf there, not e^ts
 @example(M=1, c=1.0, r=1.0, S=1.0, az=[1.0], near=10.0 ** -15.5)
+# drawn points 1.2e-10 and 1e-10 below the pole of the geometric, then of the
+# factorial candidate: a gap of the stepped-up float left them 9.5e-7 and
+# 2.2e-6 above their values
+@example(M=0, c=1.0, r=1.0, S=100.0, az=[0.9999999998832233], near=0.01)
+@example(M=0, c=1e10, r=1.0, S=2.0, az=[1.0 - 1e-10], near=0.01)
 def test_order_tail_bound_dominates_its_50_digit_value(M, c, r, S, az, near):
     # M |log |z|| reaches about 9,000 at M = 512
     s = _tail_series(M, c, r, S)

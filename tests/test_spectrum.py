@@ -257,9 +257,9 @@ def test_associated_operator():
     # and the one below them (i = 4: 6.2e-25 against 1.7e-20 + 4.7e-21)
     # must lie within that sum
     sd = point_spectrum(GEOM, 6, tol=1e-10)
-    M, J = spectrum._series_context(GEOM, float(rep.associated_eigenvalues[-1]) * 1.3 + 1.0, 4)
+    M, J, _ = spectrum._series_context(GEOM, float(rep.associated_eigenvalues[-1]) * 1.3 + 1.0, 4)
     wser = series_pair(GEOM, M, J, 0)[1][0]
-    M, J = spectrum._series_context(GEOM, float(sd.lambdas[-1]) * 1.3 + 1.0, sd.count + 10)
+    M, J, _ = spectrum._series_context(GEOM, float(sd.lambdas[-1]) * 1.3 + 1.0, sd.count + 10)
     fser = series_pair(GEOM, M, J, 0)[0]
     lam_res = [
         sd.residual_F_bound[j] / abs(eval_series_deriv(fser, sd.lambda_dd(j)).value)
@@ -342,7 +342,7 @@ def test_refine_root_ignores_seed_bits():
     # its error bound
     T1 = associated_section(GEOM, 59)
     seeds = section_eigenvalues(T1, 5)
-    M, J = spectrum._series_context(GEOM, float(seeds[-1]) * 1.3 + 1.0, 4)
+    M, J, _ = spectrum._series_context(GEOM, float(seeds[-1]) * 1.3 + 1.0, 4)
     wser = series_pair(GEOM, M, J, 0)[1][0]
     roots = spectrum._refine_roots(wser, seeds)
     assert np.all(roots.moved)
@@ -358,7 +358,7 @@ def test_refine_returns_fprime_of_eval_series_deriv():
     # eval_series_deriv there.  Seeds between two eigenvalues step out of
     # the basin and come back as their seed with the F' of the first pass.
     lams = section_eigenvalues(truncate(GEOM, 64), 6)
-    M, J = spectrum._series_context(GEOM, float(lams[-1]) * 1.3 + 1.0, 16)
+    M, J, _ = spectrum._series_context(GEOM, float(lams[-1]) * 1.3 + 1.0, 16)
     fser = series_pair(GEOM, M, J, 0)[0]
     seeds = np.concatenate((lams, np.sqrt(lams[:-1] * lams[1:])))
     roots = spectrum._refine_roots(fser, seeds)
@@ -378,8 +378,7 @@ def test_q4_request_runs_one_kernel_pass_and_no_derivative_pass(monkeypatch):
     # pass of the chain-sum kernel, and F' at the eigenvalues from Newton's
     # own evaluations
     calls = []
-    for module, name in ((entire, "_chain_tables"), (entire, "eval_series_deriv"),
-                         (spectrum, "eval_series_deriv")):
+    for module, name in ((entire, "_chain_tables"), (entire, "eval_series_deriv")):
         inner = getattr(module, name)
 
         def counted(*args, _name=name, _inner=inner, **kwargs):
@@ -390,6 +389,87 @@ def test_q4_request_runs_one_kernel_pass_and_no_derivative_pass(monkeypatch):
     sd = point_spectrum(JacobiParams(Geometric(0.27), math.sqrt(0.27)), 10)
     assert sd.refined.all()
     assert calls == ["_chain_tables"]
+
+
+Q2 = JacobiParams(Geometric(0.2), math.sqrt(0.2))  # the last of 12 roots stays unrefined
+
+
+def _horner_passes(monkeypatch):
+    """(table columns, points) of every ``entire._horner_dd`` pass from now on."""
+    passes = []
+    inner = entire._horner_dd
+
+    def recorded(tables, zh, zl):
+        passes.append((tables[0].shape[1], np.shape(zh)[0]))
+        return inner(tables, zh, zl)
+
+    monkeypatch.setattr(entire, "_horner_dd", recorded)
+    return passes
+
+
+def test_newton_last_pass_carries_the_family(monkeypatch):
+    # Newton evaluates F and F' over their two-column table, and each root's
+    # last iterate over the wide table of F, F' and the family (shifts
+    # 0..count + 11); the family alone is evaluated only at the seeds of
+    # roots that come back unrefined, restricted to those columns
+    passes = _horner_passes(monkeypatch)
+    sd = point_spectrum(GEOM, 8)
+    assert sd.refined.all()
+    assert passes == [(2, 8), (2, 8), (2 + 20, 8)]
+    passes.clear()
+    sd = point_spectrum(Q2, 12)
+    assert sd.refined[:11].all() and not sd.refined[11]
+    assert [p for p in passes if p[0] == 24] == [(24, 1)]
+    assert {p[0] for p in passes} == {2, 2 + 24, 24}
+
+
+def test_refine_carries_the_family_of_eval_series():
+    # the family a root's last Newton pass returns has the bits of
+    # eval_series there; seeds between two eigenvalues leave the basin
+    # and carry none
+    lams = section_eigenvalues(truncate(GEOM, 64), 6)
+    M, J, X = spectrum._series_context(GEOM, float(lams[-1]) * 1.3 + 1.0, 8)
+    fser, fam = entire._series_pair(GEOM, M, J, 9, X)
+    seeds = np.concatenate((lams, np.sqrt(lams[:-1] * lams[1:])))
+    roots = spectrum._refine_roots(fser, seeds, fam)
+    assert roots.settled[:6].all() and not roots.settled[6:].any()
+    ev = eval_series(fam, (roots.hi[:6], roots.lo[:6]))
+    fields = (ev.value, ev.value_lo, ev.kappa, ev.err_bound, ev.abs_sum)
+    assert all(_bits(roots.family[i, :, :6]) == _bits(x) for i, x in enumerate(fields))
+    assert np.isnan(roots.family[:, :, 6:]).all()
+    # and F, F' as without the family
+    plain = spectrum._refine_roots(fser, seeds)
+    assert all(_bits(a) == _bits(b) for a, b in zip(roots[:10], plain[:10]))
+
+
+@pytest.mark.parametrize("params, count, exits", [(GEOM, 8, []), (Q2, 12, []), (GEOM, 8, [2, 5])])
+def test_mass_machinery_gets_the_family_at_the_returned_eigenvalues(monkeypatch, params, count, exits):
+    # refined roots hand on Newton's last evaluation, unrefined roots (the
+    # last one at q = 0.2) and basin exits one pass at their seeds: each
+    # column has the bits of eval_series at the returned eigenvalue.  An
+    # exit is made by starting Newton between two eigenvalues
+    received = []
+    mass_inner, refine_inner = spectrum._mass_machinery, spectrum._refine_roots
+
+    def recorded(*args, **kwargs):
+        received.append(args[4])
+        return mass_inner(*args, **kwargs)
+
+    def from_between(fser, seeds, fam):
+        starts = seeds.copy()
+        starts[exits] = np.sqrt(seeds[exits] * seeds[[j + 1 for j in exits]])
+        return refine_inner(fser, starts, fam)
+
+    monkeypatch.setattr(spectrum, "_mass_machinery", recorded)
+    monkeypatch.setattr(spectrum, "_refine_roots", from_between)
+    sd = point_spectrum(params, count)
+    if exits:
+        assert sd.refined.sum() == count - len(exits) and not sd.refined[exits].any()
+    M, J, X = spectrum._series_context(params, float(sd.lambdas[-1]) * 1.3 + 1.0, count + 10)
+    ev = eval_series(entire._series_pair(params, M, J, count + 11, X)[1], (sd.lambdas, sd.lambdas_lo))
+    (got,) = received
+    for field in ("value", "value_lo", "kappa", "err_bound", "abs_sum"):
+        assert _bits(getattr(got, field)) == _bits(getattr(ev, field)), field
 
 
 def test_factored_section_makes_no_sturm_sweeps():
@@ -720,6 +800,17 @@ def test_char_via_second_kind_raises_when_unsettled():
         char_via_second_kind(JacobiParams(PowerLaw(1.0, 2.0), 0.5), 2.0)
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+def test_char_via_second_kind_is_one_at_zero(p):
+    # F(0) = 1 for every admissible sequence; next to 0 the power-law terms
+    # still decay too slowly to settle in 512 terms
+    params = JacobiParams(PowerLaw(1.0, p), 0.5)
+    assert char_via_second_kind(params, 0.0) == 1.0
+    assert char_via_second_kind(params, -0.0) == 1.0
+    with pytest.raises(ConvergenceFailure):
+        char_via_second_kind(params, 1e-3)
+
+
 def test_second_kind_product_sum_raises_when_unsettled():
     # at q = 0.97 the sum has not settled by index n + 64 (it stood at
     # 88.1857 there, against w_0(0) = 88.2173)
@@ -831,21 +922,23 @@ def test_batched_stages_match_one_root_at_a_time(params, count):
     # bits of the same stage run on that root alone (EXPLICIT takes the
     # fallback route, whose rows come from the section's twisted vectors)
     sd = point_spectrum(params, count)
-    M, J = spectrum._series_context(params, float(sd.lambdas[-1]) * 1.3 + 1.0, count + 10)
+    M, J, _ = spectrum._series_context(params, float(sd.lambdas[-1]) * 1.3 + 1.0, count + 10)
     fser, fam = series_pair(params, M, J, count + 11)
     T = truncate(params, sd.N_used)
     seeds = section_eigenvalues(T, count)
-    every = spectrum._refine_roots(fser, seeds)
+    every = spectrum._refine_roots(fser, seeds, fam)
     fp = eval_series_deriv(fser, (sd.lambdas, sd.lambdas_lo))
     fprime = (fp.value, fp.value_lo)
-    md = spectrum._mass_machinery(params, sd.lambdas, sd.lambdas_lo, count + 10, fam, fprime, T, seeds)
+    fam_ev = eval_series(fam, (sd.lambdas, sd.lambdas_lo))
+    md = spectrum._mass_machinery(params, sd.lambdas, sd.lambdas_lo, count + 10, fam_ev, fprime, T, seeds)
     for j in range(count):
-        one = spectrum._refine_roots(fser, seeds[j : j + 1])
-        assert all(_bits(a[j : j + 1]) == _bits(b) for a, b in zip(every, one)), j
+        one = spectrum._refine_roots(fser, seeds[j : j + 1], fam)
+        assert all(_bits(a[..., j : j + 1]) == _bits(b) for a, b in zip(every, one)), j
         fpj = eval_series_deriv(fser, (sd.lambdas[j : j + 1], sd.lambdas_lo[j : j + 1]))
         assert _bits(fpj.value) == _bits(fp.value[j : j + 1]), j
+        evj = eval_series(fam, (sd.lambdas[j : j + 1], sd.lambdas_lo[j : j + 1]))
         mj = spectrum._mass_machinery(
-            params, sd.lambdas[j : j + 1], sd.lambdas_lo[j : j + 1], count + 10, fam,
+            params, sd.lambdas[j : j + 1], sd.lambdas_lo[j : j + 1], count + 10, evj,
             (fpj.value, fpj.value_lo), T, seeds[j : j + 1]
         )
         assert md.mass_route[j] == mj.mass_route[0]
@@ -881,7 +974,7 @@ POWERLAW = JacobiParams(PowerLaw(1.0, 2.0), 0.5)
 
 def _series_calls(monkeypatch, params, count):
     calls = []
-    for name in ("series_pair", "_series_pair", "_refine_roots"):
+    for name in ("_series_pair", "_refine_roots"):
         inner = getattr(spectrum, name)
 
         def counted(*args, _name=name, _inner=inner, **kwargs):
@@ -932,8 +1025,8 @@ def test_refined_root_outside_its_bracket_keeps_the_section_value(monkeypatch):
     # eigenvalue falls back to its section value and the bracket width
     inner = spectrum._refine_roots
 
-    def nudged(fser, seeds):
-        roots = inner(fser, seeds)
+    def nudged(*args):
+        roots = inner(*args)
         return roots._replace(hi=roots.hi * (1.0 + 1e-9))
 
     monkeypatch.setattr(spectrum, "_refine_roots", nudged)
