@@ -21,11 +21,13 @@ emitted value parses back bit-for-bit.
 The ``residual_F`` column of ``spectrum`` is scaled: |F(lambda)| divided by
 the abs-sum sum_m c_m |lambda|^m of the same series evaluation, so it reads
 as a relative residual (the bare |F| at the twelfth root of q = 1/4 is
-about 1e47, against an abs-sum of about 1e80).  Where ``point_spectrum``
-proves that no series value can certify and builds no series (power-law
-weights, typically), the column reads ``nan``.  The ``lambda_err`` column
-bounds the distance from ``lambda`` to the operator's eigenvalue (the
-bracket of ``point_spectrum``), and is at most ``--tol`` times ``lambda``.
+about 1e47, against an abs-sum of about 1e80).  It is read at the printed
+``lambda``: an unrefined row's is F at its section value.  Where
+``point_spectrum`` proves that no series value can certify and builds no
+series (power-law weights, typically), the column reads ``nan``.  The
+``lambda_err`` column bounds the distance from ``lambda`` to the operator's
+eigenvalue (the bracket of ``point_spectrum``), and is at most ``--tol``
+times ``lambda``.
 """
 
 from __future__ import annotations

@@ -481,11 +481,12 @@ class SpectralData:
     masses: np.ndarray
     masses_quadrature: np.ndarray
     mass_route: list[str]
-    # the series evaluation at each returned root; NaN (bound: inf) when
-    # point_spectrum proved no series value could certify and built none
+    # |F|, its bound and its abs-sum sum |c_m| |z|^m from one evaluation at
+    # each returned root (Newton's last where refined, else at the section
+    # value); NaN (bound: inf) when point_spectrum built no series
     residual_F: np.ndarray
     residual_F_bound: np.ndarray
-    residual_F_abs_sum: np.ndarray  # sum |c_m| |z|^m of the evaluation residual_F is read from
+    residual_F_abs_sum: np.ndarray
     residual_matrix: np.ndarray
     refined: np.ndarray
     # bound on |lambda_j(J) - lambda_j| from the bracket of the N_used-row
@@ -555,18 +556,17 @@ _BASIN = 0.25  # a Newton iterate stays within this relative distance of its see
 
 
 class _Roots(NamedTuple):
-    """What ``_refine_roots`` returns, one element per seed."""
+    """What ``_refine_roots`` returns, one element per seed; an unmoved root
+    (a basin exit) has no evaluation and its F and F' fields read NaN."""
 
     hi: np.ndarray
     lo: np.ndarray
-    residual: np.ndarray  # |F| of the last evaluation (an exit: its error bound)
-    bound: np.ndarray     # error bound of the last evaluation
-    abs_sum: np.ndarray   # abs-sum of the last evaluation
+    residual: np.ndarray  # |F| of the last evaluation, at (hi, lo)
+    bound: np.ndarray     # its error bound
+    abs_sum: np.ndarray   # its abs-sum
     moved: np.ndarray
-    fp_hi: np.ndarray     # F' at (hi, lo)
+    fp_hi: np.ndarray     # F'
     fp_lo: np.ndarray
-    seed_fp_hi: np.ndarray  # F' at the seed
-    seed_fp_lo: np.ndarray
     # the family's SeriesEval fields (value, value_lo, kappa, err_bound,
     # abs_sum) x shift x seed at (hi, lo), where ``settled``; else NaN
     family: Optional[np.ndarray]
@@ -577,27 +577,28 @@ def _refine_roots(fser: PowerSeriesApprox, seeds, fam: Optional[PowerSeriesAppro
     """Compensated Newton from section seeds, all roots at once.
 
     Returns the root, the residual and error bound of its last evaluation,
-    that evaluation's abs-sum, and F' at the root and at the seed, each
-    with the bits of ``eval_series_deriv`` there: every iterate evaluates F
-    and F' in one pass (``entire._value_and_slope``).  Each root stops on
-    its own rules and walks the iterates a one-root Newton would: once the
-    applied correction is no larger than the certified root resolution
-    err_bound/|F'| (so the result does not depend on the last bits of the
-    seed; a stop on small |F| alone would keep whichever point first fell
-    inside the noise band), at a 1e-30 relative step, or at F' = 0.  A step
-    leaving the basin (farther than ``_BASIN`` from the seed, relative to
-    it) keeps the seed, unmoved, with residual and bound the last error
-    bound and F' that at the seed; so a moved root lies within ``_BASIN``
-    of its seed.  ConvergenceFailure when some root is still moving after
-    ``_NEWTON_CAP`` steps.
+    that evaluation's abs-sum, and F' at the root with the bits of
+    ``eval_series_deriv`` there: every iterate evaluates F and F' in one
+    pass (``entire._value_and_slope``), one pass per step over the roots
+    still active.  Each root stops on its own rules and walks the iterates
+    a one-root Newton would: once the applied correction is no larger than
+    the certified root resolution err_bound/|F'| (so the result does not
+    depend on the last bits of the seed; a stop on small |F| alone would
+    keep whichever point first fell inside the noise band), at a 1e-30
+    relative step, or at F' = 0.  A step leaving the basin (farther than
+    ``_BASIN`` from the seed, relative to it) keeps the seed, unmoved and
+    with no evaluation; so a moved root lies within ``_BASIN`` of its seed.
+    ConvergenceFailure when some root is still moving after ``_NEWTON_CAP``
+    steps.
 
     The stop test reads the step, the previous evaluation's bound and the
     stepped point only, so a root's last iterate is known before it is
-    evaluated.  With the second-kind family ``fam`` (of fser's order), that
-    last pass runs over the wide table of F, F' and the family, and
-    ``family`` holds the family's evaluation at the root (``settled``), with
-    the bits of ``eval_series(fam, (hi, lo))``; the other passes run over F
-    and F' alone.  A basin exit or a root stopped at F' = 0 has none.
+    evaluated.  With the second-kind family ``fam`` (of fser's order), a
+    step in which some root finishes runs over the wide table of F, F' and
+    the family, and ``family`` holds the family's evaluation at the root
+    (``settled``), with the bits of ``eval_series(fam, (hi, lo))``; the
+    other steps run over F and F' alone.  A basin exit or a root stopped at
+    F' = 0 has none.
     """
     seeds = np.asarray(seeds, dtype=float)
     evaluate = _value_and_slope(fser, fam)
@@ -605,7 +606,6 @@ def _refine_roots(fser: PowerSeriesApprox, seeds, fam: Optional[PowerSeriesAppro
     zl = np.zeros_like(zh)
     fe, fph, fpl = evaluate(zh, zl)
     fval, flo, ferr, fabs = fe.value, fe.value_lo, fe.err_bound, fe.abs_sum
-    seed_fph, seed_fpl = fph.copy(), fpl.copy()
     moved = np.ones(zh.shape, dtype=bool)
     settled = np.zeros(zh.shape, dtype=bool)
     family = None if fam is None else np.full((5, fam.coeffs.shape[1], zh.size), math.nan)
@@ -616,33 +616,32 @@ def _refine_roots(fser: PowerSeriesApprox, seeds, fam: Optional[PowerSeriesAppro
         active = active[fph[active] != 0.0]
         fpv = fph[active]
         sh, sl = dd.dd_div(fval[active], flo[active], fpv, fpl[active])
-        # a step out of the basin keeps the section value
+        # a step out of the basin keeps the section value, with no evaluation
         out = np.abs(zh[active] - seeds[active] - sh) > _BASIN * np.abs(seeds[active])
         exits = active[out]
         zh[exits], zl[exits], moved[exits] = seeds[exits], 0.0, False
-        fval[exits] = ferr[exits]
-        fph[exits], fpl[exits] = seed_fph[exits], seed_fpl[exits]
+        fval[exits] = ferr[exits] = fabs[exits] = fph[exits] = fpl[exits] = math.nan
         active, sh, sl, fpv = active[~out], sh[~out], sl[~out], fpv[~out]
         resolution = ferr[active] / np.abs(fpv)
         zh[active], zl[active] = dd.dd_sub(zh[active], zl[active], sh, sl)
         done = (np.abs(sh) <= resolution) | (np.abs(sh) <= 1e-30 * np.abs(zh[active]))
         settled[active[done]] = True
-        # the iterates that continue over F and F', the last ones over the wide table
-        for idx, wide in ((active[~done], False), (active[done], fam is not None)):
-            if idx.size:
-                fe, fph[idx], fpl[idx], *ev = evaluate(zh[idx], zl[idx], wide)
-                fval[idx], flo[idx] = fe.value, fe.value_lo
-                ferr[idx], fabs[idx] = fe.err_bound, fe.abs_sum
-                if ev:
-                    (e,) = ev
-                    family[:, :, idx] = (e.value, e.value_lo, e.kappa, e.err_bound, e.abs_sum)
+        wide = fam is not None and done.any()
+        if active.size:
+            fe, fph[active], fpl[active], *ev = evaluate(zh[active], zl[active], wide)
+            fval[active], flo[active] = fe.value, fe.value_lo
+            ferr[active], fabs[active] = fe.err_bound, fe.abs_sum
+            if ev:
+                (e,) = ev
+                fields = (e.value, e.value_lo, e.kappa, e.err_bound, e.abs_sum)
+                family[:, :, active[done]] = np.stack(fields)[:, :, done]
         active = active[~done]
     if active.size:
         raise ConvergenceFailure(
             f"Newton on the series did not settle {active.size} of {zh.size} roots "
             f"in {_NEWTON_CAP} steps"
         )
-    return _Roots(zh, zl, np.abs(fval), ferr, fabs, moved, fph, fpl, seed_fph, seed_fpl, family, settled)
+    return _Roots(zh, zl, np.abs(fval), ferr, fabs, moved, fph, fpl, family, settled)
 
 
 _SCREEN_MARGIN = 2.0  # covers the rounding of every quantity the screen compares
@@ -855,7 +854,8 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
     through such certificates; a returned lambda_err above tol theta_j
     raises ConvergenceFailure instead.  ``lambda_next_lower`` is the
     bracket's lower end for index ``count``, a lower bound on
-    lambda_count(J).
+    lambda_count(J).  ``residual_F`` and the F' and family the masses use
+    come from one series evaluation at each returned eigenvalue.
 
     The completeness defect is a diagnostic, not the certificate: the upper
     end (value + bound) of the closed tail of the inverse trace beyond the
@@ -908,8 +908,7 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
     else:
         fser, fam = _series_pair(params, M, J, n_aux + 1, X)
         roots = _refine_roots(fser, seeds, fam)
-        res_F, res_F_bound, res_F_abs_sum = roots.residual, roots.bound, roots.abs_sum
-        cert_err = res_F_bound / np.maximum(np.abs(roots.fp_hi), 1e-300)
+        cert_err = roots.bound / np.maximum(np.abs(roots.fp_hi), 1e-300)
         refined = (
             roots.moved
             & (cert_err <= tol * np.maximum(np.abs(roots.hi), 1.0))
@@ -924,21 +923,17 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
             roots.hi + cert_err < enc.lower[1:]
         )
         lam_err = np.where(refined & isolated, np.minimum(width, cert_err), width)
-        # F' at the returned eigenvalues: the certificate's value where the
-        # root is kept, the one at the seed where it is not
-        fprime = (
-            np.where(refined, roots.fp_hi, roots.seed_fp_hi),
-            np.where(refined, roots.fp_lo, roots.seed_fp_lo),
-        )
-        # the family at the returned eigenvalues: Newton's last pass where
-        # the root is kept, one pass at the seed where it is not
-        fam_ev = roots.family
-        at_seed = np.flatnonzero(~(refined & roots.settled))
-        if at_seed.size:
-            ev = eval_series(fam, (lam_hi[at_seed], lam_lo[at_seed]))
-            fam_ev[:, :, at_seed] = (ev.value, ev.value_lo, ev.kappa, ev.err_bound, ev.abs_sum)
+        # F, F' and the family at the returned eigenvalues: Newton's last
+        # pass where the root is kept, one wide pass at the others
+        res_F, res_F_bound, res_F_abs_sum = roots.residual, roots.bound, roots.abs_sum
+        fp_hi, fp_lo, fam_ev = roots.fp_hi, roots.fp_lo, roots.family
+        redo = np.flatnonzero(~(refined & roots.settled))
+        if redo.size:
+            fe, fp_hi[redo], fp_lo[redo], ev = _value_and_slope(fser, fam)(lam_hi[redo], lam_lo[redo], True)
+            res_F[redo], res_F_bound[redo], res_F_abs_sum[redo] = np.abs(fe.value), fe.err_bound, fe.abs_sum
+            fam_ev[:, :, redo] = (ev.value, ev.value_lo, ev.kappa, ev.err_bound, ev.abs_sum)
         md = _mass_machinery(
-            params, lam_hi, lam_lo, n_aux, SeriesEval(*fam_ev), fprime, T, seeds, norm_identity=False
+            params, lam_hi, lam_lo, n_aux, SeriesEval(*fam_ev), (fp_hi, fp_lo), T, seeds, norm_identity=False
         )
         masses, masses_q, route = md.masses, md.masses_quadrature, md.mass_route
         eig_res = md.eigen_residuals
@@ -1009,10 +1004,10 @@ def _mass_machinery(
 
     ``fam_ev`` is the evaluation of the second-kind family of shifts
     0..n_max+1 at the eigenvalues (shift x eigenvalue, the fields of
-    ``eval_series(fam, (lam_hi, lam_lo))``), which the caller takes from a
-    pass it already makes there, and ``fprime`` F' at the eigenvalues as a
-    double-double pair.  Arrays run (index n x eigenvalue j) and every
-    step is elementwise or reduces along n in order, so each column has
+    ``eval_series(fam, (lam_hi, lam_lo))``), and ``fprime`` F' there as a
+    double-double pair, both from the caller's wide pass at the eigenvalues
+    (``entire._value_and_slope``).  Arrays run (index n x eigenvalue j) and
+    every step is elementwise or reduces along n in order, so each column has
     the bits of a one-root computation.  Rows without a certified series
     entry take the section eigenvector at ``lams_section`` (``fallback``).  The norm identity
     (its tail bound ``_phi_tail_sq`` and the product F'W) runs only with

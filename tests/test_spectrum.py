@@ -354,9 +354,9 @@ def test_refine_root_ignores_seed_bits():
 
 def test_refine_returns_fprime_of_eval_series_deriv():
     # every Newton iterate evaluates F and F' in one Horner pass; the F' it
-    # returns, at the root and at the seed, has the bits of
-    # eval_series_deriv there.  Seeds between two eigenvalues step out of
-    # the basin and come back as their seed with the F' of the first pass.
+    # returns at the root has the bits of eval_series_deriv there.  Seeds
+    # between two eigenvalues step out of the basin and come back as their
+    # seed with no evaluation: every evaluation field reads NaN.
     lams = section_eigenvalues(truncate(GEOM, 64), 6)
     M, J, _ = spectrum._series_context(GEOM, float(lams[-1]) * 1.3 + 1.0, 16)
     fser = series_pair(GEOM, M, J, 0)[0]
@@ -364,11 +364,11 @@ def test_refine_returns_fprime_of_eval_series_deriv():
     roots = spectrum._refine_roots(fser, seeds)
     assert roots.moved[:6].all() and not roots.moved[6:].any()
     assert _bits(roots.hi[6:]) == _bits(seeds[6:]) and np.all(roots.lo[6:] == 0.0)
-    at_root = eval_series_deriv(fser, (roots.hi, roots.lo))
-    at_seed = eval_series_deriv(fser, (seeds, np.zeros_like(seeds)))
-    assert _bits(roots.fp_hi) == _bits(at_root.value) and _bits(roots.fp_lo) == _bits(at_root.value_lo)
-    assert _bits(roots.seed_fp_hi) == _bits(at_seed.value)
-    assert _bits(roots.seed_fp_lo) == _bits(at_seed.value_lo)
+    at_root = eval_series_deriv(fser, (roots.hi[:6], roots.lo[:6]))
+    assert _bits(roots.fp_hi[:6]) == _bits(at_root.value)
+    assert _bits(roots.fp_lo[:6]) == _bits(at_root.value_lo)
+    for field in ("residual", "bound", "abs_sum", "fp_hi", "fp_lo"):
+        assert np.isnan(getattr(roots, field)[6:]).all(), field
     fe = eval_series(fser, (roots.hi[:6], roots.lo[:6]))
     assert _bits(roots.bound[:6]) == _bits(fe.err_bound) and _bits(roots.abs_sum[:6]) == _bits(fe.abs_sum)
 
@@ -408,10 +408,12 @@ def _horner_passes(monkeypatch):
 
 
 def test_newton_last_pass_carries_the_family(monkeypatch):
-    # Newton evaluates F and F' over their two-column table, and each root's
-    # last iterate over the wide table of F, F' and the family (shifts
-    # 0..count + 11); the family alone is evaluated only at the seeds of
-    # roots that come back unrefined, restricted to those columns
+    # each Newton step makes one pass over its active roots: over the
+    # two-column table of F and F', or, when some root finishes in it, over
+    # the wide table of F, F' and the family (shifts 0..count + 11).  At
+    # q = 0.2 the last root finishes a step early and is not kept; its
+    # section value takes one wide pass of its own, and no pass runs over
+    # the family alone
     passes = _horner_passes(monkeypatch)
     sd = point_spectrum(GEOM, 8)
     assert sd.refined.all()
@@ -419,8 +421,7 @@ def test_newton_last_pass_carries_the_family(monkeypatch):
     passes.clear()
     sd = point_spectrum(Q2, 12)
     assert sd.refined[:11].all() and not sd.refined[11]
-    assert [p for p in passes if p[0] == 24] == [(24, 1)]
-    assert {p[0] for p in passes} == {2, 2 + 24, 24}
+    assert passes == [(2, 12), (2 + 24, 12), (2 + 24, 11), (2 + 24, 1)]
 
 
 def test_refine_carries_the_family_of_eval_series():
@@ -439,20 +440,22 @@ def test_refine_carries_the_family_of_eval_series():
     assert np.isnan(roots.family[:, :, 6:]).all()
     # and F, F' as without the family
     plain = spectrum._refine_roots(fser, seeds)
-    assert all(_bits(a) == _bits(b) for a, b in zip(roots[:10], plain[:10]))
+    for field in ("hi", "lo", "residual", "bound", "abs_sum", "moved", "fp_hi", "fp_lo", "settled"):
+        assert _bits(getattr(roots, field)) == _bits(getattr(plain, field)), field
 
 
 @pytest.mark.parametrize("params, count, exits", [(GEOM, 8, []), (Q2, 12, []), (GEOM, 8, [2, 5])])
 def test_mass_machinery_gets_the_family_at_the_returned_eigenvalues(monkeypatch, params, count, exits):
     # refined roots hand on Newton's last evaluation, unrefined roots (the
     # last one at q = 0.2) and basin exits one pass at their seeds: each
-    # column has the bits of eval_series at the returned eigenvalue.  An
+    # column of the family, of F' and of the residual fields has the bits
+    # of eval_series (eval_series_deriv) at the returned eigenvalue.  An
     # exit is made by starting Newton between two eigenvalues
     received = []
     mass_inner, refine_inner = spectrum._mass_machinery, spectrum._refine_roots
 
     def recorded(*args, **kwargs):
-        received.append(args[4])
+        received.append(args[4:6])
         return mass_inner(*args, **kwargs)
 
     def from_between(fser, seeds, fam):
@@ -466,10 +469,17 @@ def test_mass_machinery_gets_the_family_at_the_returned_eigenvalues(monkeypatch,
     if exits:
         assert sd.refined.sum() == count - len(exits) and not sd.refined[exits].any()
     M, J, X = spectrum._series_context(params, float(sd.lambdas[-1]) * 1.3 + 1.0, count + 10)
-    ev = eval_series(entire._series_pair(params, M, J, count + 11, X)[1], (sd.lambdas, sd.lambdas_lo))
-    (got,) = received
+    fser, fam = entire._series_pair(params, M, J, count + 11, X)
+    at = (sd.lambdas, sd.lambdas_lo)
+    ev = eval_series(fam, at)
+    ((got, (fp_hi, fp_lo)),) = received
     for field in ("value", "value_lo", "kappa", "err_bound", "abs_sum"):
         assert _bits(getattr(got, field)) == _bits(getattr(ev, field)), field
+    fe, fp = eval_series(fser, at), eval_series_deriv(fser, at)
+    assert _bits(sd.residual_F) == _bits(np.abs(fe.value))
+    assert _bits(sd.residual_F_bound) == _bits(fe.err_bound)
+    assert _bits(sd.residual_F_abs_sum) == _bits(fe.abs_sum)
+    assert _bits(fp_hi) == _bits(fp.value) and _bits(fp_lo) == _bits(fp.value_lo)
 
 
 def test_factored_section_makes_no_sturm_sweeps():
