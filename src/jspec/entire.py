@@ -52,10 +52,10 @@ a whole family (shift x point), in one pass, and every element carries the
 bits of its one-series, one-point evaluation.  The Horner loop reads the
 signed coefficients (-1)^m c_m and the magnitudes |c_m| from tables formed
 once per series (``_horner_tables``, kept on the series at its first
-evaluation), not per step.  ``_value_and_slope`` forms two tables once for
-every Newton pass: F and F' for the passes that continue, and a wide one
-of F, F' and the second-kind family for each root's last pass, which so
-carries the family's evaluation at the eigenvalue.
+evaluation), not per step.  ``_value_and_slope`` forms two tables once per
+request: F and F' for Newton's passes, which evaluate only the roots that
+continue, and a wide one of F, F' and the second-kind family for one pass
+at the points Newton returns, which gives F, F' and the family there.
 
 The kernels are written for few numpy and interpreter calls, never at the
 cost of a bit: each keeps the operations of its plain loop, in the same
@@ -718,7 +718,9 @@ def _value_and_slope(s: PowerSeriesApprox, fam: Optional[PowerSeriesApprox] = No
     With ``family=True`` the pass runs over one wide table, the two columns
     followed by the family's, and a fourth element is the family's
     SeriesEval (shift x point), with the bits of ``eval_series(fam, (zh,
-    zl))``: Horner and its bound are elementwise.
+    zl))``: Horner and its bound are elementwise.  Newton's passes
+    (``spectrum._refine_roots``) run over the two columns alone, and
+    ``point_spectrum`` makes the wide pass at the points Newton returns.
     """
     d = _deriv_view(s)
     tables = _horner_tables(

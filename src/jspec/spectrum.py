@@ -57,14 +57,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import doubledouble as dd
 from .doubledouble import EPS_DD
 from .entire import (
-    PowerSeriesApprox,
     SeriesEval,
     _envelope,
     _envelope_factors,
@@ -482,8 +481,9 @@ class SpectralData:
     masses_quadrature: np.ndarray
     mass_route: list[str]
     # |F|, its bound and its abs-sum sum |c_m| |z|^m from one evaluation at
-    # each returned root (Newton's last where refined, else at the section
-    # value); NaN (bound: inf) when point_spectrum built no series
+    # each returned eigenvalue (the wide pass at Newton's root, or at the
+    # section value where a moved root is not kept); NaN (bound: inf) when
+    # point_spectrum built no series
     residual_F: np.ndarray
     residual_F_bound: np.ndarray
     residual_F_abs_sum: np.ndarray
@@ -555,60 +555,32 @@ _NEWTON_CAP = 40  # Newton steps per root; a root still moving after them raises
 _BASIN = 0.25  # a Newton iterate stays within this relative distance of its seed
 
 
-class _Roots(NamedTuple):
-    """What ``_refine_roots`` returns, one element per seed; an unmoved root
-    (a basin exit) has no evaluation and its F and F' fields read NaN."""
-
-    hi: np.ndarray
-    lo: np.ndarray
-    residual: np.ndarray  # |F| of the last evaluation, at (hi, lo)
-    bound: np.ndarray     # its error bound
-    abs_sum: np.ndarray   # its abs-sum
-    moved: np.ndarray
-    fp_hi: np.ndarray     # F'
-    fp_lo: np.ndarray
-    # the family's SeriesEval fields (value, value_lo, kappa, err_bound,
-    # abs_sum) x shift x seed at (hi, lo), where ``settled``; else NaN
-    family: Optional[np.ndarray]
-    settled: np.ndarray  # the root stopped on the stop test at (hi, lo)
-
-
-def _refine_roots(fser: PowerSeriesApprox, seeds, fam: Optional[PowerSeriesApprox] = None) -> _Roots:
+def _refine_roots(evaluate: Callable, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Compensated Newton from section seeds, all roots at once.
 
-    Returns the root, the residual and error bound of its last evaluation,
-    that evaluation's abs-sum, and F' at the root with the bits of
-    ``eval_series_deriv`` there: every iterate evaluates F and F' in one
-    pass (``entire._value_and_slope``), one pass per step over the roots
-    still active.  Each root stops on its own rules and walks the iterates
-    a one-root Newton would: once the applied correction is no larger than
-    the certified root resolution err_bound/|F'| (so the result does not
-    depend on the last bits of the seed; a stop on small |F| alone would
-    keep whichever point first fell inside the noise band), at a 1e-30
-    relative step, or at F' = 0.  A step leaving the basin (farther than
-    ``_BASIN`` from the seed, relative to it) keeps the seed, unmoved and
-    with no evaluation; so a moved root lies within ``_BASIN`` of its seed.
+    ``evaluate`` is an evaluator of F and F' from ``entire._value_and_slope``.
+    Returns the roots (hi, lo) and whether each moved.  Each step makes one
+    pass over the two-column table of F and F', at the roots that continue.
+    Each root stops on its own rules and walks the iterates a one-root
+    Newton would: once the applied correction is no larger than the
+    certified root resolution err_bound/|F'| (so the result does not depend
+    on the last bits of the seed; a stop on small |F| alone would keep
+    whichever point first fell inside the noise band), at a 1e-30 relative
+    step, or at F' = 0.  The stop test reads the step, the previous
+    evaluation's bound and the stepped point only, so a root is not
+    evaluated where it stops: the caller evaluates what it needs at the
+    returned points.  A step leaving the basin (farther than ``_BASIN``
+    from the seed, relative to it) returns the seed exactly, unmoved with a
+    zero low word; so a moved root lies within ``_BASIN`` of its seed.
     ConvergenceFailure when some root is still moving after ``_NEWTON_CAP``
     steps.
-
-    The stop test reads the step, the previous evaluation's bound and the
-    stepped point only, so a root's last iterate is known before it is
-    evaluated.  With the second-kind family ``fam`` (of fser's order), a
-    step in which some root finishes runs over the wide table of F, F' and
-    the family, and ``family`` holds the family's evaluation at the root
-    (``settled``), with the bits of ``eval_series(fam, (hi, lo))``; the
-    other steps run over F and F' alone.  A basin exit or a root stopped at
-    F' = 0 has none.
     """
     seeds = np.asarray(seeds, dtype=float)
-    evaluate = _value_and_slope(fser, fam)
     zh = seeds.copy()
     zl = np.zeros_like(zh)
     fe, fph, fpl = evaluate(zh, zl)
-    fval, flo, ferr, fabs = fe.value, fe.value_lo, fe.err_bound, fe.abs_sum
+    fval, flo, ferr = fe.value, fe.value_lo, fe.err_bound
     moved = np.ones(zh.shape, dtype=bool)
-    settled = np.zeros(zh.shape, dtype=bool)
-    family = None if fam is None else np.full((5, fam.coeffs.shape[1], zh.size), math.nan)
     active = np.flatnonzero(moved)
     for _ in range(_NEWTON_CAP):
         if not active.size:
@@ -616,32 +588,24 @@ def _refine_roots(fser: PowerSeriesApprox, seeds, fam: Optional[PowerSeriesAppro
         active = active[fph[active] != 0.0]
         fpv = fph[active]
         sh, sl = dd.dd_div(fval[active], flo[active], fpv, fpl[active])
-        # a step out of the basin keeps the section value, with no evaluation
+        # a step out of the basin keeps the section value
         out = np.abs(zh[active] - seeds[active] - sh) > _BASIN * np.abs(seeds[active])
         exits = active[out]
         zh[exits], zl[exits], moved[exits] = seeds[exits], 0.0, False
-        fval[exits] = ferr[exits] = fabs[exits] = fph[exits] = fpl[exits] = math.nan
         active, sh, sl, fpv = active[~out], sh[~out], sl[~out], fpv[~out]
         resolution = ferr[active] / np.abs(fpv)
         zh[active], zl[active] = dd.dd_sub(zh[active], zl[active], sh, sl)
         done = (np.abs(sh) <= resolution) | (np.abs(sh) <= 1e-30 * np.abs(zh[active]))
-        settled[active[done]] = True
-        wide = fam is not None and done.any()
-        if active.size:
-            fe, fph[active], fpl[active], *ev = evaluate(zh[active], zl[active], wide)
-            fval[active], flo[active] = fe.value, fe.value_lo
-            ferr[active], fabs[active] = fe.err_bound, fe.abs_sum
-            if ev:
-                (e,) = ev
-                fields = (e.value, e.value_lo, e.kappa, e.err_bound, e.abs_sum)
-                family[:, :, active[done]] = np.stack(fields)[:, :, done]
         active = active[~done]
+        if active.size:
+            fe, fph[active], fpl[active] = evaluate(zh[active], zl[active])
+            fval[active], flo[active], ferr[active] = fe.value, fe.value_lo, fe.err_bound
     if active.size:
         raise ConvergenceFailure(
             f"Newton on the series did not settle {active.size} of {zh.size} roots "
             f"in {_NEWTON_CAP} steps"
         )
-    return _Roots(zh, zl, np.abs(fval), ferr, fabs, moved, fph, fpl, family, settled)
+    return zh, zl, moved
 
 
 _SCREEN_MARGIN = 2.0  # covers the rounding of every quantity the screen compares
@@ -854,8 +818,11 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
     through such certificates; a returned lambda_err above tol theta_j
     raises ConvergenceFailure instead.  ``lambda_next_lower`` is the
     bracket's lower end for index ``count``, a lower bound on
-    lambda_count(J).  ``residual_F`` and the F' and family the masses use
-    come from one series evaluation at each returned eigenvalue.
+    lambda_count(J).  Newton evaluates only the roots that continue; one
+    wide pass over F, F' and the second-kind family at every root it
+    returns gives the certificate, ``residual_F`` and the F' and family the
+    masses use.  A moved root that is not kept takes one more wide pass at
+    its section value, so all of them describe the returned eigenvalue.
 
     The completeness defect is a diagnostic, not the certificate: the upper
     end (value + bound) of the closed tail of the inverse trace beyond the
@@ -907,33 +874,36 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
         masses, route = masses_q.copy(), ["fallback"] * count
     else:
         fser, fam = _series_pair(params, M, J, n_aux + 1, X)
-        roots = _refine_roots(fser, seeds, fam)
-        cert_err = roots.bound / np.maximum(np.abs(roots.fp_hi), 1e-300)
+        evaluate = _value_and_slope(fser, fam)
+        hi, lo, moved = _refine_roots(evaluate, seeds)
+        # F, F' and the family at every returned root, in one wide pass
+        fe, fp_hi, fp_lo, fam_ev = evaluate(hi, lo, True)
+        cert_err = fe.err_bound / np.maximum(np.abs(fp_hi), 1e-300)
         refined = (
-            roots.moved
-            & (cert_err <= tol * np.maximum(np.abs(roots.hi), 1.0))
-            & (lower <= roots.hi)
-            & (roots.hi <= upper)
+            moved
+            & (cert_err <= tol * np.maximum(np.abs(hi), 1.0))
+            & (lower <= hi)
+            & (hi <= upper)
         )
-        lam_hi = np.where(refined, roots.hi, seeds)
-        lam_lo = np.where(refined, roots.lo, 0.0)
+        lam_hi = np.where(refined, hi, seeds)
+        lam_lo = np.where(refined, lo, 0.0)
         # the root of F within cert_err of lambda_j is lambda_j(J) where no
         # neighbouring bracket reaches that far
-        isolated = (roots.hi - cert_err > np.concatenate(([-math.inf], upper[:-1]))) & (
-            roots.hi + cert_err < enc.lower[1:]
+        isolated = (hi - cert_err > np.concatenate(([-math.inf], upper[:-1]))) & (
+            hi + cert_err < enc.lower[1:]
         )
         lam_err = np.where(refined & isolated, np.minimum(width, cert_err), width)
-        # F, F' and the family at the returned eigenvalues: Newton's last
-        # pass where the root is kept, one wide pass at the others
-        res_F, res_F_bound, res_F_abs_sum = roots.residual, roots.bound, roots.abs_sum
-        fp_hi, fp_lo, fam_ev = roots.fp_hi, roots.fp_lo, roots.family
-        redo = np.flatnonzero(~(refined & roots.settled))
+        # a moved root that is not kept returns to its section value: one
+        # more wide pass there (a basin exit is its seed already)
+        redo = np.flatnonzero((lam_hi != hi) | (lam_lo != lo))
         if redo.size:
-            fe, fp_hi[redo], fp_lo[redo], ev = _value_and_slope(fser, fam)(lam_hi[redo], lam_lo[redo], True)
-            res_F[redo], res_F_bound[redo], res_F_abs_sum[redo] = np.abs(fe.value), fe.err_bound, fe.abs_sum
-            fam_ev[:, :, redo] = (ev.value, ev.value_lo, ev.kappa, ev.err_bound, ev.abs_sum)
+            fe_r, fp_hi[redo], fp_lo[redo], ev_r = evaluate(lam_hi[redo], lam_lo[redo], True)
+            for whole, part in ((fe, fe_r), (fam_ev, ev_r)):
+                for field, value in vars(part).items():
+                    getattr(whole, field)[..., redo] = value
+        res_F, res_F_bound, res_F_abs_sum = np.abs(fe.value), fe.err_bound, fe.abs_sum
         md = _mass_machinery(
-            params, lam_hi, lam_lo, n_aux, SeriesEval(*fam_ev), (fp_hi, fp_lo), T, seeds, norm_identity=False
+            params, lam_hi, lam_lo, n_aux, fam_ev, (fp_hi, fp_lo), T, seeds, norm_identity=False
         )
         masses, masses_q, route = md.masses, md.masses_quadrature, md.mass_route
         eig_res = md.eigen_residuals
@@ -1005,8 +975,9 @@ def _mass_machinery(
     ``fam_ev`` is the evaluation of the second-kind family of shifts
     0..n_max+1 at the eigenvalues (shift x eigenvalue, the fields of
     ``eval_series(fam, (lam_hi, lam_lo))``), and ``fprime`` F' there as a
-    double-double pair, both from the caller's wide pass at the eigenvalues
-    (``entire._value_and_slope``).  Arrays run (index n x eigenvalue j) and
+    double-double pair, both from one wide pass at the eigenvalues
+    (``entire._value_and_slope``; ``point_spectrum`` makes it at the roots
+    Newton returns).  Arrays run (index n x eigenvalue j) and
     every step is elementwise or reduces along n in order, so each column has
     the bits of a one-root computation.  Rows without a certified series
     entry take the section eigenvector at ``lams_section`` (``fallback``).  The norm identity
@@ -1427,7 +1398,7 @@ def associated_checks(params: JacobiParams, N: int) -> AssociatedReport:
     M, J, X = _series_context(params, radius, 4)
     wser = _series_pair(params, M, J, 0, X)[1][0]
     # an unmoved root is its seed with a zero low word
-    zeros, zeros_lo = _refine_roots(wser, assoc_eigs)[:2]
+    zeros, zeros_lo, _ = _refine_roots(_value_and_slope(wser), assoc_eigs)
     zero_rel = np.abs(zeros - assoc_eigs) / np.abs(assoc_eigs)
 
     return AssociatedReport(

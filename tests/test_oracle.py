@@ -55,6 +55,10 @@ indices j >= j0, with Phi the Lerch transcendent; an explicit prefix adds
 the sum of its terms.  ``polycore._trace_tail`` must enclose the tail beyond
 its cutoff within its error, with no allowance for rounding, and
 ``trace_inverse`` must lie within its tol plus 4 ulps of the whole sum.
+
+Second-kind values at zero: the oracle is w_n(0) = (-1)^n sum_{j >= n}
+k^{2j-n} / a_j at 50 digits on the float a_j and k.  ``second_kind_at_zero``
+must lie within its tol plus 4 eps of it, relative.
 """
 
 import itertools
@@ -75,7 +79,7 @@ from jspec.entire import (
     eval_series,
     series_pair,
 )
-from jspec.polycore import _trace_tail, trace_inverse
+from jspec.polycore import _trace_tail, second_kind_at_zero, trace_inverse
 from jspec.qlaguerre import _ARRAY_FROM, _STOP, _basic_sum
 from jspec.sequences import (
     Explicit,
@@ -525,3 +529,41 @@ def test_trace_tail_and_trace_inverse_hold_against_the_50_digit_sum(case):
         trace = trace_inverse(params, tol=1e-14)
         total = _mp_trace_from(params, 0)
         assert abs(trace - total) <= 1e-14 + 4 * eps * trace, (trace, float(total))
+
+
+def _mp_second_kind_at_zero(params, n):
+    """(-1)^n sum_{j >= n} k^{2j-n} / a_j at 50 digits on the float a_j and k."""
+    with mpmath.workdps(50):
+        k = mpmath.mpf(params.k)
+        total = mpmath.mpf(0)
+        for j in itertools.count(n):
+            t = k ** (2 * j - n) / mpmath.mpf(float(_closed_form(params.seq, j)))
+            total += t
+            if t <= total * mpmath.mpf(10) ** -55:
+                return (-1) ** n * total
+
+
+@st.composite
+def _second_kind_cases(draw):
+    if draw(st.booleans()):
+        rule = Geometric(draw(st.floats(0.1, 0.9)))
+    else:
+        rule = PowerLaw(draw(st.floats(0.5, 2.0)), draw(st.floats(1.2, 4.0)))
+    return JacobiParams(rule, draw(st.floats(0.05, 0.95))), draw(st.integers(0, 40))
+
+
+# 60 draws take about 0.14 s
+@settings(max_examples=60, deadline=None)
+@given(case=_second_kind_cases())
+def test_second_kind_at_zero_holds_against_the_50_digit_sum(case):
+    # the dropped tail is certified below tol; each kept term k^{2j-n} / a_j
+    # is a pow within one ulp and a division within half of one, so within
+    # about 2 eps of its exact value, and the terms are all positive, so
+    # their sum is within 2 eps of its own; fsum rounds that sum correctly,
+    # half an ulp more: 4 eps covers both
+    params, n = case
+    w = second_kind_at_zero(params, n)
+    exact = _mp_second_kind_at_zero(params, n)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        assert abs(w - exact) <= 1e-14 + 4 * eps * abs(exact), (w, float(exact))

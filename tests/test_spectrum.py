@@ -343,40 +343,35 @@ def test_refine_root_ignores_seed_bits():
     T1 = associated_section(GEOM, 59)
     seeds = section_eigenvalues(T1, 5)
     M, J, _ = spectrum._series_context(GEOM, float(seeds[-1]) * 1.3 + 1.0, 4)
-    wser = series_pair(GEOM, M, J, 0)[1][0]
-    roots = spectrum._refine_roots(wser, seeds)
-    assert np.all(roots.moved)
+    evaluate = entire._value_and_slope(series_pair(GEOM, M, J, 0)[1][0])
+    hi, lo, moved = spectrum._refine_roots(evaluate, seeds)
+    assert np.all(moved)
     for factor in (1.0 - 1e-13, 1.0 + 1e-13):
-        other = spectrum._refine_roots(wser, seeds * factor)
-        diff, _ = dd_sub(other.hi, other.lo, roots.hi, roots.lo)
-        assert np.all(np.abs(diff) <= 1e-30 * roots.hi)
+        other_hi, other_lo, _ = spectrum._refine_roots(evaluate, seeds * factor)
+        diff, _ = dd_sub(other_hi, other_lo, hi, lo)
+        assert np.all(np.abs(diff) <= 1e-30 * hi)
 
 
-def test_refine_returns_fprime_of_eval_series_deriv():
-    # every Newton iterate evaluates F and F' in one Horner pass; the F' it
-    # returns at the root has the bits of eval_series_deriv there.  Seeds
-    # between two eigenvalues step out of the basin and come back as their
-    # seed with no evaluation: every evaluation field reads NaN.
+def test_newton_passes_run_over_f_and_fprime_alone(monkeypatch):
+    # Newton evaluates only the roots that continue, and only F and F':
+    # every pass it makes runs over the two-column table, though the
+    # evaluator also holds the family's.  Seeds between two eigenvalues
+    # step out of the basin and come back as their seed, unmoved
     lams = section_eigenvalues(truncate(GEOM, 64), 6)
-    M, J, _ = spectrum._series_context(GEOM, float(lams[-1]) * 1.3 + 1.0, 16)
-    fser = series_pair(GEOM, M, J, 0)[0]
+    M, J, X = spectrum._series_context(GEOM, float(lams[-1]) * 1.3 + 1.0, 8)
+    evaluate = entire._value_and_slope(*entire._series_pair(GEOM, M, J, 9, X))
     seeds = np.concatenate((lams, np.sqrt(lams[:-1] * lams[1:])))
-    roots = spectrum._refine_roots(fser, seeds)
-    assert roots.moved[:6].all() and not roots.moved[6:].any()
-    assert _bits(roots.hi[6:]) == _bits(seeds[6:]) and np.all(roots.lo[6:] == 0.0)
-    at_root = eval_series_deriv(fser, (roots.hi[:6], roots.lo[:6]))
-    assert _bits(roots.fp_hi[:6]) == _bits(at_root.value)
-    assert _bits(roots.fp_lo[:6]) == _bits(at_root.value_lo)
-    for field in ("residual", "bound", "abs_sum", "fp_hi", "fp_lo"):
-        assert np.isnan(getattr(roots, field)[6:]).all(), field
-    fe = eval_series(fser, (roots.hi[:6], roots.lo[:6]))
-    assert _bits(roots.bound[:6]) == _bits(fe.err_bound) and _bits(roots.abs_sum[:6]) == _bits(fe.abs_sum)
+    passes = _horner_passes(monkeypatch)
+    hi, lo, moved = spectrum._refine_roots(evaluate, seeds)
+    assert passes and all(columns == 2 for columns, _ in passes)
+    assert moved[:6].all() and not moved[6:].any()
+    assert _bits(hi[6:]) == _bits(seeds[6:]) and np.all(lo[6:] == 0.0)
 
 
 def test_q4_request_runs_one_kernel_pass_and_no_derivative_pass(monkeypatch):
     # the characteristic series and the second-kind family come from one
-    # pass of the chain-sum kernel, and F' at the eigenvalues from Newton's
-    # own evaluations
+    # pass of the chain-sum kernel, and F' at the eigenvalues from the wide
+    # Horner pass at the returned roots
     calls = []
     for module, name in ((entire, "_chain_tables"), (entire, "eval_series_deriv")):
         inner = getattr(module, name)
@@ -407,13 +402,13 @@ def _horner_passes(monkeypatch):
     return passes
 
 
-def test_newton_last_pass_carries_the_family(monkeypatch):
-    # each Newton step makes one pass over its active roots: over the
-    # two-column table of F and F', or, when some root finishes in it, over
-    # the wide table of F, F' and the family (shifts 0..count + 11).  At
+def test_one_wide_pass_follows_newton(monkeypatch):
+    # each Newton step makes one pass over the two-column table of F and F'
+    # at the roots that continue; then one pass over the wide table of F,
+    # F' and the family (shifts 0..count + 11) at every returned root.  At
     # q = 0.2 the last root finishes a step early and is not kept; its
-    # section value takes one wide pass of its own, and no pass runs over
-    # the family alone
+    # section value takes one more wide pass, and no pass runs over the
+    # family alone
     passes = _horner_passes(monkeypatch)
     sd = point_spectrum(GEOM, 8)
     assert sd.refined.all()
@@ -421,36 +416,24 @@ def test_newton_last_pass_carries_the_family(monkeypatch):
     passes.clear()
     sd = point_spectrum(Q2, 12)
     assert sd.refined[:11].all() and not sd.refined[11]
-    assert passes == [(2, 12), (2 + 24, 12), (2 + 24, 11), (2 + 24, 1)]
+    assert passes == [(2, 12), (2, 11), (2 + 24, 12), (2 + 24, 1)]
 
 
-def test_refine_carries_the_family_of_eval_series():
-    # the family a root's last Newton pass returns has the bits of
-    # eval_series there; seeds between two eigenvalues leave the basin
-    # and carry none
-    lams = section_eigenvalues(truncate(GEOM, 64), 6)
-    M, J, X = spectrum._series_context(GEOM, float(lams[-1]) * 1.3 + 1.0, 8)
-    fser, fam = entire._series_pair(GEOM, M, J, 9, X)
-    seeds = np.concatenate((lams, np.sqrt(lams[:-1] * lams[1:])))
-    roots = spectrum._refine_roots(fser, seeds, fam)
-    assert roots.settled[:6].all() and not roots.settled[6:].any()
-    ev = eval_series(fam, (roots.hi[:6], roots.lo[:6]))
-    fields = (ev.value, ev.value_lo, ev.kappa, ev.err_bound, ev.abs_sum)
-    assert all(_bits(roots.family[i, :, :6]) == _bits(x) for i, x in enumerate(fields))
-    assert np.isnan(roots.family[:, :, 6:]).all()
-    # and F, F' as without the family
-    plain = spectrum._refine_roots(fser, seeds)
-    for field in ("hi", "lo", "residual", "bound", "abs_sum", "moved", "fp_hi", "fp_lo", "settled"):
-        assert _bits(getattr(roots, field)) == _bits(getattr(plain, field)), field
+def test_associated_checks_make_two_narrow_passes(monkeypatch):
+    # the numerator zeros take Newton's passes over W and W' alone: the
+    # seeds and one step, after which every zero stops unevaluated
+    passes = _horner_passes(monkeypatch)
+    associated_checks(GEOM, 60)
+    assert passes == [(2, 5), (2, 5)]
 
 
 @pytest.mark.parametrize("params, count, exits", [(GEOM, 8, []), (Q2, 12, []), (GEOM, 8, [2, 5])])
 def test_mass_machinery_gets_the_family_at_the_returned_eigenvalues(monkeypatch, params, count, exits):
-    # refined roots hand on Newton's last evaluation, unrefined roots (the
-    # last one at q = 0.2) and basin exits one pass at their seeds: each
-    # column of the family, of F' and of the residual fields has the bits
-    # of eval_series (eval_series_deriv) at the returned eigenvalue.  An
-    # exit is made by starting Newton between two eigenvalues
+    # one wide pass at Newton's roots, and one more at the seeds of moved
+    # roots that are not kept (the last one at q = 0.2): each column of the
+    # family, of F' and of the residual fields has the bits of eval_series
+    # (eval_series_deriv) at the returned eigenvalue.  An exit is made by
+    # starting Newton between two eigenvalues
     received = []
     mass_inner, refine_inner = spectrum._mass_machinery, spectrum._refine_roots
 
@@ -458,10 +441,10 @@ def test_mass_machinery_gets_the_family_at_the_returned_eigenvalues(monkeypatch,
         received.append(args[4:6])
         return mass_inner(*args, **kwargs)
 
-    def from_between(fser, seeds, fam):
+    def from_between(evaluate, seeds):
         starts = seeds.copy()
         starts[exits] = np.sqrt(seeds[exits] * seeds[[j + 1 for j in exits]])
-        return refine_inner(fser, starts, fam)
+        return refine_inner(evaluate, starts)
 
     monkeypatch.setattr(spectrum, "_mass_machinery", recorded)
     monkeypatch.setattr(spectrum, "_refine_roots", from_between)
@@ -936,13 +919,14 @@ def test_batched_stages_match_one_root_at_a_time(params, count):
     fser, fam = series_pair(params, M, J, count + 11)
     T = truncate(params, sd.N_used)
     seeds = section_eigenvalues(T, count)
-    every = spectrum._refine_roots(fser, seeds, fam)
+    evaluate = entire._value_and_slope(fser, fam)
+    every = spectrum._refine_roots(evaluate, seeds)
     fp = eval_series_deriv(fser, (sd.lambdas, sd.lambdas_lo))
     fprime = (fp.value, fp.value_lo)
     fam_ev = eval_series(fam, (sd.lambdas, sd.lambdas_lo))
     md = spectrum._mass_machinery(params, sd.lambdas, sd.lambdas_lo, count + 10, fam_ev, fprime, T, seeds)
     for j in range(count):
-        one = spectrum._refine_roots(fser, seeds[j : j + 1], fam)
+        one = spectrum._refine_roots(evaluate, seeds[j : j + 1])
         assert all(_bits(a[..., j : j + 1]) == _bits(b) for a, b in zip(every, one)), j
         fpj = eval_series_deriv(fser, (sd.lambdas[j : j + 1], sd.lambdas_lo[j : j + 1]))
         assert _bits(fpj.value) == _bits(fp.value[j : j + 1]), j
@@ -1031,13 +1015,14 @@ def test_explicit_refined_root_lies_in_its_bracket():
 
 
 def test_refined_root_outside_its_bracket_keeps_the_section_value(monkeypatch):
-    # roots nudged out of their brackets, certificates unchanged: every
-    # eigenvalue falls back to its section value and the bracket width
+    # roots nudged out of their brackets, where their certificates still
+    # pass by 17 orders: every eigenvalue falls back to its section value
+    # and the bracket width
     inner = spectrum._refine_roots
 
     def nudged(*args):
-        roots = inner(*args)
-        return roots._replace(hi=roots.hi * (1.0 + 1e-9))
+        hi, lo, moved = inner(*args)
+        return hi * (1.0 + 1e-9), lo, moved
 
     monkeypatch.setattr(spectrum, "_refine_roots", nudged)
     sd = point_spectrum(GEOM, 8)
