@@ -359,15 +359,13 @@ def series_pair(
     largest chain index kept; chains of length m need m distinct indices,
     so M <= J is required, and n_max < J.  The shift-n series is
     ``series_pair(params, M, J, n)[1][n]``; a caller that wants only the
-    characteristic series passes n_max = 0.
+    characteristic series passes n_max = 0.  This is the one builder: a
+    caller sizes (M, J) with ``choose_truncation`` and builds here, and the
+    weight suffix that every bound reads is formed here, once per pair.
     """
-    return _series_pair(params, M, J, n_max, _weight_suffix(params, J))
-
-
-def _series_pair(params: JacobiParams, M: int, J: int, n_max: int, X: np.ndarray):
-    """``series_pair`` with ``X = _weight_suffix(params, J)`` already built."""
     _check_orders(M, J, n_max)
     (Ah, Al), (Hh, Hl) = _coefficient_tables(params, M, J, n_max)
+    X = _weight_suffix(params, J)
     return (
         _finalize("char", M, J, Ah[:, J].copy(), Al[:, J].copy(), X),
         _finalize("second_kind", M, J, Hh, Hl, X, _seed_beyond(params, J)),
@@ -651,20 +649,18 @@ def _point_array(z):
 def _evals_by_truncation(params: JacobiParams, z: np.ndarray, truncation, pick, tol=None):
     """``eval_series`` of the series that ``pick`` takes from a series pair,
     at every point of the 1-d array ``z``, each through the pair
-    ``series_pair(params, M, J, 0)`` with (M, J, X) = ``truncation(point)``,
-    X the weight suffix ``_weight_suffix(params, J)`` (``_truncation``).
+    ``series_pair(params, M, J, 0)`` with (M, J) = ``truncation(point)``.
 
-    One pair is built per distinct truncation and evaluated at its points in
+    One pair is built per distinct (M, J) and evaluated at its points in
     one call, so every element has the bits of the one-point evaluation.
     Returns one SeriesEval of arrays per series that ``pick`` returns.
     """
     groups = {}
     for i, x in enumerate(z.tolist()):
-        M, J, X = truncation(x)
-        groups.setdefault((M, J), (X, []))[1].append(i)
+        groups.setdefault(truncation(x), []).append(i)
     out = None
-    for (M, J), (X, idx) in groups.items():
-        evals = [eval_series(s, z[idx], tol) for s in pick(_series_pair(params, M, J, 0, X))]
+    for (M, J), idx in groups.items():
+        evals = [eval_series(s, z[idx], tol) for s in pick(series_pair(params, M, J, 0))]
         out = out or [np.empty((5, len(z))) for _ in evals]  # the five SeriesEval fields
         for fields, ev in zip(out, evals):
             fields[:, idx] = (ev.value, ev.value_lo, ev.kappa, ev.err_bound, ev.abs_sum)
@@ -793,17 +789,10 @@ def choose_truncation(
     below tol/10 in relative terms; M until the order-truncation tail is.
     The order rule uses the one-step coefficient-ratio bound (the blunt
     S^{M+1} R^{M+1} / (M+1)! criterion stalls at large radii because the
-    true coefficients decay much faster than S^m/m!).  M is capped at 512.
-    """
-    return _truncation(params, radius, tol, min_cutoff, max_cutoff)[:2]
-
-
-def _truncation(
-    params: JacobiParams, radius: float, tol: float, min_cutoff: int = 0, max_cutoff: int = 1 << 15
-):
-    """``choose_truncation``'s (M, J) and the weight suffix X =
-    ``_weight_suffix(params, J)`` its order rule forms, which
-    ``_series_pair(params, M, J, n_max, X)`` takes instead of forming it again.
+    true coefficients decay much faster than S^m/m!), read from the weight
+    suffix at the chosen J.  M is capped at 512, and J is raised to M
+    where M exceeds it, since a chain of length M needs M indices.
+    ``series_pair(params, M, J, n_max)`` builds the series.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
@@ -834,10 +823,7 @@ def _truncation(
             break
         extra += 2
     M = min(M + extra + 2, max_order)
-    if M > J:
-        J = M
-        suffix = _weight_suffix(params, J)
-    return M, J, suffix
+    return M, max(J, M)
 
 
 def identity_residuals(

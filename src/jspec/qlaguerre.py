@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from . import doubledouble as dd
-from .entire import _evals_by_truncation, _point_array, _scalar, _truncation
+from .entire import _evals_by_truncation, _point_array, _scalar, choose_truncation
 from .errors import CancellationFailure, ConvergenceFailure, DivergentArgument, SequenceError
 from .sequences import Geometric, JacobiParams
 from .spectrum import section_eigenvalues, truncate
@@ -473,10 +473,9 @@ def qbessel2_roots(nu: float, qp: QParams, count: int) -> np.ndarray:
         elif f_prev * f_cur < 0.0:
             a_, b_ = grid[i - 1], grid[i]
             fa = f_prev
-            for _ in range(200):
-                mid = 0.5 * (a_ + b_)
-                if mid == a_ or mid == b_:
-                    break
+            # to adjacent floats, with no cap: while a float lies between the
+            # ends, the midpoint does, so every step shrinks the bracket
+            while (mid := 0.5 * (a_ + b_)) not in (a_, b_):
                 fm = f(mid)
                 if fa * fm <= 0.0:
                     b_ = mid
@@ -492,9 +491,9 @@ def qbessel2_roots(nu: float, qp: QParams, count: int) -> np.ndarray:
 
 
 def _by_series_truncation(params: JacobiParams):
-    """The truncation of the series route at a point z, as ``choose_truncation``
-    picks it for radius max(|z|, 1) at tol 1e-13, with its weight suffix."""
-    return lambda z: _truncation(params, max(abs(z), 1.0), 1e-13)
+    """The truncation (M, J) of the series route at a point z, as
+    ``choose_truncation`` picks it for radius max(|z|, 1) at tol 1e-13."""
+    return lambda z: choose_truncation(params, max(abs(z), 1.0), 1e-13)
 
 
 def char_closed_forms(z, qp: QParams):

@@ -71,14 +71,13 @@ from .entire import (
     _one_minus_k2,
     _point_array,
     _scalar,
-    _series_pair,
-    _truncation,
     _uncertified,
     _value_and_slope,
     _weight_beyond,
-    _weight_suffix,
+    choose_truncation,
     eval_series,
     scale_for_shift,
+    series_pair,
 )
 from .errors import (
     ConvergenceFailure,
@@ -524,8 +523,7 @@ _CONTEXT_MAX_CUTOFF = 1 << 14
 
 def _series_context(params: JacobiParams, radius: float, n_max: int):
     """Series truncation (M, J) sized so certified evaluation survives
-    kappa ~ 1e13, and the weight suffix X = ``_weight_suffix(params, J)``
-    that ``_series_pair`` and ``_series_hopeless`` read.
+    kappa ~ 1e13, for ``series_pair`` to build.
 
     The cutoff also clears n_max by a margin: the omitted-seed bound of the
     shift-n series is n-independent, so it must be pushed below the smallest
@@ -541,14 +539,13 @@ def _series_context(params: JacobiParams, radius: float, n_max: int):
     floor = _weight_beyond(params, J_cap) * max(radius, 1.0)
     for target in _CONTEXT_TARGETS:
         if floor < target / 10.0:
-            return _truncation(
+            return choose_truncation(
                 params, radius, target, min_cutoff=n_max + 16, max_cutoff=_CONTEXT_MAX_CUTOFF
             )
     # polynomially decaying reciprocal tails cannot reach any of the
     # targets; point_spectrum's screen (_series_hopeless) then usually
     # proves from this truncation's own bound that nothing can certify
-    J = max(n_max + 16, 192)
-    return 48, J, _weight_suffix(params, J)
+    return 48, max(n_max + 16, 192)
 
 
 _NEWTON_CAP = 40  # Newton steps per root; a root still moving after them raises
@@ -611,14 +608,18 @@ def _refine_roots(evaluate: Callable, seeds) -> tuple[np.ndarray, np.ndarray, np
 _SCREEN_MARGIN = 2.0  # covers the rounding of every quantity the screen compares
 
 
-def _series_hopeless(X: np.ndarray, M: int, seeds: np.ndarray, tol: float) -> np.ndarray:
-    """Per root: True when the order-M series with weight suffix
-    ``X = _weight_suffix(params, J)`` provably can neither refine it to
-    ``tol`` nor certify a second-kind entry at it.
+def _series_hopeless(
+    params: JacobiParams, M: int, J: int, seeds: np.ndarray, tol: float
+) -> np.ndarray:
+    """Per root: True when the order-M series with cutoff J provably can
+    neither refine it to ``tol`` nor certify a second-kind entry at it.
 
     Every bound of ``_certified`` holds the omitted-index term
-    t_b z sum_{m<M} c_m z^m, with t_b = X[J+1] the weight beyond the cutoff,
-    and the coefficients obey c_{m+1} <= S c_m with S = X[0].  Hence
+    t z sum_{m<M} c_m z^m, with t = X[J+1] of ``entire._weight_suffix``, the
+    weight beyond the cutoff widened for rounding, and the coefficients obey
+    c_{m+1} <= S c_m for any S >= sum_j x_j.  The screen reads two certified
+    tail bounds: t_b = ``_weight_beyond(params, J)`` <= t, and
+    S = ``_weight_beyond(params, -1)``, the total weight R(0)/(1-k^2).  Hence
 
     * |F'(z)| <= M S sum_{m<M} c_m z^m, so the root certificate
       err/|F'| is at least t_b z / (M S); a moved root lies within
@@ -627,8 +628,11 @@ def _series_hopeless(X: np.ndarray, M: int, seeds: np.ndarray, tol: float) -> np
     * a root that is not refined stays at its seed z, where every
       second-kind entry has |value| <= (1 + S z) sum_{m<M} h_m z^m, so
       err/|value| is at least t_b z / (1 + S z), against ``_CERT_REL``.
+
+    Reading t_b for t only lowers these lower bounds, so the screen stays
+    sound; ``_SCREEN_MARGIN`` covers the rounding of its comparisons.
     """
-    t_b, S = float(X[-1]), float(X[0])
+    t_b, S = _weight_beyond(params, J), _weight_beyond(params, -1)
     with np.errstate(over="ignore"):  # an overflow only fails the test
         z_lo = np.minimum((1.0 - _BASIN) * seeds, 1.0)
         # the certificate divides by max(|F'|, 1e-300)
@@ -861,10 +865,10 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
 
     radius = float(enc.theta[count - 1]) * 1.3 + 1.0
     n_aux = count + 10
-    M, J, X = _series_context(params, radius, n_aux)
+    M, J = _series_context(params, radius, n_aux)
     seeds = enc.theta[:count]
 
-    if np.all(_series_hopeless(X, M, seeds, tol)):
+    if np.all(_series_hopeless(params, M, J, seeds, tol)):
         lam_hi, lam_lo = seeds.copy(), np.zeros(count)
         refined = np.zeros(count, dtype=bool)
         lam_err = width
@@ -873,7 +877,7 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
         _, masses_q, eig_res = _section_weights(T, seeds)
         masses, route = masses_q.copy(), ["fallback"] * count
     else:
-        fser, fam = _series_pair(params, M, J, n_aux + 1, X)
+        fser, fam = series_pair(params, M, J, n_aux + 1)
         evaluate = _value_and_slope(fser, fam)
         hi, lo, moved = _refine_roots(evaluate, seeds)
         # F, F' and the family at every returned root, in one wide pass
@@ -1136,8 +1140,8 @@ def masses_and_vectors(params: JacobiParams, sd: SpectralData, n_max: int) -> Ma
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     radius = float(sd.lambdas[-1]) * 1.3 + 1.0
-    M, J, X = _series_context(params, radius, n_max)
-    fser, fam = _series_pair(params, M, J, n_max + 1, X)
+    M, J = _series_context(params, radius, n_max)
+    fser, fam = series_pair(params, M, J, n_max + 1)
     _, fp_hi, fp_lo, fam_ev = _value_and_slope(fser, fam)(sd.lambdas, sd.lambdas_lo, True)
     T = truncate(params, sd.N_used)
     lams_section = section_eigenvalues(T, sd.count)
@@ -1274,8 +1278,8 @@ def second_kind_routes(params: JacobiParams, n: int, z: float) -> tuple[float, O
     ``- (sum_{j>=n} 1/(alpha_j P_j(z) P_{j+1}(z))) P_n(z)`` converges and is
     returned as the second element (None otherwise).
     """
-    M, J, X = _series_context(params, max(abs(z), 1.0), n + 4)
-    fser, fam = _series_pair(params, M, J, n, X)
+    M, J = _series_context(params, max(abs(z), 1.0), n + 4)
+    fser, fam = series_pair(params, M, J, n)
     fe = eval_series(fser, z, tol=1e-9)
     pe = eval_series(fam[n], z)
     sc = scale_for_shift(params.k, n)
@@ -1365,14 +1369,15 @@ class AssociatedReport:
     numerator_zeros: np.ndarray
     numerator_zeros_lo: np.ndarray  # double-double tails; the zeros crowd
     associated_eigenvalues: np.ndarray  # the next base eigenvalue beyond float spacing
-    zero_rel_diffs: np.ndarray
+    zero_rel_diffs: np.ndarray  # inf where Newton found no zero near the eigenvalue
     trace_sane: bool
 
 
 def associated_checks(params: JacobiParams, N: int) -> AssociatedReport:
     """Two independent routes to the associated operator's inverse trace,
     plus the first five zeros of the numerator series against the five least
-    associated section eigenvalues.
+    associated section eigenvalues.  Where Newton from an eigenvalue finds
+    no zero (the root does not move), its relative difference reads inf.
 
     Route (a): the factored trace of the associated section (first row and
     column deleted), from its own pivots.  Route (b): the rank-one Schur
@@ -1395,11 +1400,12 @@ def associated_checks(params: JacobiParams, N: int) -> AssociatedReport:
 
     assoc_eigs = section_eigenvalues(T1, 5)
     radius = float(assoc_eigs[-1]) * 1.3 + 1.0
-    M, J, X = _series_context(params, radius, 4)
-    wser = _series_pair(params, M, J, 0, X)[1][0]
-    # an unmoved root is its seed with a zero low word
-    zeros, zeros_lo, _ = _refine_roots(_value_and_slope(wser), assoc_eigs)
-    zero_rel = np.abs(zeros - assoc_eigs) / np.abs(assoc_eigs)
+    M, J = _series_context(params, radius, 4)
+    wser = series_pair(params, M, J, 0)[1][0]
+    # an unmoved root is its seed with a zero low word: no zero was found
+    # there to compare, so its difference reads inf
+    zeros, zeros_lo, moved = _refine_roots(_value_and_slope(wser), assoc_eigs)
+    zero_rel = np.where(moved, np.abs(zeros - assoc_eigs) / np.abs(assoc_eigs), math.inf)
 
     return AssociatedReport(
         trace_direct=trace_direct,

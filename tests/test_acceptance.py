@@ -6,6 +6,7 @@ acceptance report.  Tolerances live as constants next to the criterion
 implementations and are asserted here to stay at their contract values.
 """
 
+import numpy as np
 import pytest
 
 from jspec import verification as V
@@ -69,17 +70,19 @@ def test_mode_agreement_reads_every_degree_off_one_call(monkeypatch):
 
 
 def _count_builds(monkeypatch):
-    """The (M, J, n_max) of every series build from here on: each runs _series_pair."""
+    """The (M, J, n_max) of every series build from here on: each runs
+    series_pair, which verification binds by name."""
     from jspec import entire
 
     builds = []
-    real = entire._series_pair
+    real = entire.series_pair
 
     def counting(*args, **kwargs):
         builds.append(args[1:4])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(entire, "_series_pair", counting)
+    for module in (entire, V):
+        monkeypatch.setattr(module, "series_pair", counting)
     return builds
 
 
@@ -114,3 +117,23 @@ def test_closed_forms_build_one_series_per_truncation(monkeypatch):
     assert sorted(builds[3:6]) == [(8, 16, 0), (10, 16, 0), (14, 16, 0)]
     assert sorted(builds[6:]) == [(8, 16, 0), (10, 16, 0)]
     assert detail == "coefficients 1.29e-14, char routes 2.51e-15, numerator routes 6.30e-14"
+
+
+def test_associated_criterion_fails_when_no_zero_is_found(monkeypatch):
+    # Newton returns every seed unmoved: no numerator zero was found, so
+    # each difference reads inf and criterion 14 fails, instead of comparing
+    # every seed with itself; a normal run matches to rounding
+    from jspec import spectrum
+
+    passed, detail = V.crit_associated()
+    assert passed and detail.endswith("zero match 1.19e-16")
+
+    def unmoved(evaluate, seeds):
+        seeds = np.asarray(seeds, dtype=float)
+        return seeds.copy(), np.zeros_like(seeds), np.zeros(seeds.shape, dtype=bool)
+
+    monkeypatch.setattr(spectrum, "_refine_roots", unmoved)
+    assert np.all(spectrum.associated_checks(V.REFERENCE, 60).zero_rel_diffs == np.inf)
+    passed, detail = V.crit_associated()
+    assert not passed
+    assert detail.endswith("zero match inf")

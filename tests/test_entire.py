@@ -1,8 +1,8 @@
 """Series-coefficient oracle tests and evaluation certificates.
 
 The dynamic program is checked against direct enumeration of every index
-chain (the oracle stays a plain double loop over combinations, nothing
-shared with the production path).
+chain, ``jspec.verification._chain_bruteforce`` (a plain loop over
+combinations, nothing shared with the production path).
 """
 
 import itertools
@@ -35,34 +35,9 @@ from jspec.sequences import (
     sequence_min_from,
     tail_sum_reciprocal,
 )
+from jspec.verification import _chain_bruteforce
 
 GEOM = JacobiParams(Geometric(0.25), 0.5)
-
-
-def enum_char_chain(params, m, J):
-    a, _, _ = entry_arrays(params, J + 1)
-    k2 = params.k**2
-    total = 0.0
-    for chain in itertools.combinations(range(J + 1), m):
-        num, prev = 1.0, None
-        for t, j in enumerate(chain):
-            num *= 1.0 - k2 ** (j + 1 if t == 0 else j - prev)
-            prev = j
-        total += num / ((1.0 - k2) ** m * np.prod(a[list(chain)]))
-    return total
-
-
-def enum_second_chain(params, n, m, J):
-    a, _, _ = entry_arrays(params, J + 1)
-    k2 = params.k**2
-    total = 0.0
-    for chain in itertools.combinations(range(n, J + 1), m + 1):
-        num, prev = k2 ** chain[0], chain[0]
-        for j in chain[1:]:
-            num *= 1.0 - k2 ** (j - prev)
-            prev = j
-        total += num / ((1.0 - k2) ** m * np.prod(a[list(chain)]))
-    return total
 
 
 @pytest.mark.parametrize("q,k", [(0.25, 0.5), (0.37, 0.61), (0.6, 0.3)])
@@ -71,11 +46,11 @@ def test_dp_matches_enumeration(q, k):
     J = 12
     ser, fam = series_pair(params, 3, J, 2)
     for m in range(1, 4):
-        brute = enum_char_chain(params, m, J)
+        brute = _chain_bruteforce(params, m, J)
         assert abs(ser.coefficient(m) - brute) / brute < 1e-14
     for n in (0, 1, 2):
         for m in range(0, 4):
-            brute = enum_second_chain(params, n, m, J)
+            brute = _chain_bruteforce(params, m, J, shift=n)
             assert abs(fam[n].coefficient(m) - brute) / brute < 1e-14
     # every prefix column, order 1, order = cutoff, and every shift below J;
     # chains that cannot fit must come out exactly 0
@@ -86,11 +61,11 @@ def test_dp_matches_enumeration(q, k):
         assert np.all(Ahi[0] == 1.0)
         for m in range(1, M + 1):
             for j in range(J + 1):
-                brute = enum_char_chain(params, m, j)
+                brute = _chain_bruteforce(params, m, j)
                 assert abs(Ahi[m, j] - brute) <= 1e-14 * brute
         for n in range(J):
             for m in range(M + 1):
-                brute = enum_second_chain(params, n, m, J)
+                brute = _chain_bruteforce(params, m, J, shift=n)
                 assert abs(fam[n].coefficient(m) - brute) <= 1e-14 * brute
 
 
@@ -176,7 +151,7 @@ def test_order_zero_series():
     Ahi, Alo = char_chain_prefixes(GEOM, 0, 10)
     assert Ahi.shape == (1, 11) and np.all(Ahi == 1.0) and np.all(Alo == 0.0)
     for n in range(4):
-        assert fam[n].coefficient(0) == pytest.approx(enum_second_chain(GEOM, n, 0, 10), rel=1e-14)
+        assert fam[n].coefficient(0) == pytest.approx(_chain_bruteforce(GEOM, 0, 10, shift=n), rel=1e-14)
 
 
 @pytest.mark.parametrize("M,J", [(100, 200), (200, 400)])
@@ -381,7 +356,7 @@ def test_powerlaw_series_still_enumerable():
     J = 10
     ser = series_pair(params, 3, J, 0)[0]
     for m in range(1, 4):
-        brute = enum_char_chain(params, m, J)
+        brute = _chain_bruteforce(params, m, J)
         assert abs(ser.coefficient(m) - brute) / brute < 1e-13
 
 

@@ -1,7 +1,7 @@
 """Reported bounds against independent high-precision oracles.
 
 Eigenvalue brackets: the oracle is a 200-bit Sturm count on the exact
-section L D L^T of a float factor (``test_spectrum._mp_sturm_counts``).
+section L D L^T of a float factor (``oracles.mp_sturm_counts``).
 Every eigenvalue bracket [lower_j, upper_j] that ``point_spectrum``
 certifies from its N_used-row section holds lambda_j(J), and with it
 lambda_j of any larger section, which lies between lambda_j(J) and theta_j:
@@ -25,10 +25,10 @@ doubled until two sizes agree to 40 digits.  Wherever the series route of
 ``weyl`` certifies, its value must lie within ``series_err_bound`` of it.
 
 Basic hypergeometric sums: the oracle is the r_phi_s term recurrence on the
-float q, parameters and argument at 60 digits.  ``_basic_sum``'s hi + lo
-must lie within its rounding bound plus twice its stop threshold (the
-remainder it leaves) of it, from a one-point call and from an array call
-wide enough for the numpy pass.
+float q, parameters and argument at 80 digits (``oracles.mp_basic_sum``),
+compared at 60.  ``_basic_sum``'s hi + lo must lie within its rounding bound
+plus twice its stop threshold (the remainder it leaves) of it, from a
+one-point call and from an array call wide enough for the numpy pass.
 
 Tail bounds: the oracle is the bound's own expression at 50 digits on the
 same float inputs: the order tail min(geometric, elementary-symmetric) of
@@ -92,7 +92,7 @@ from jspec.sequences import (
     tail_sum_reciprocal,
 )
 from jspec.spectrum import point_spectrum, truncate, weyl
-from test_spectrum import _mp_sturm_counts
+from oracles import mp_basic_sum, mp_sturm_counts
 
 
 @st.composite
@@ -121,8 +121,8 @@ def test_eigenvalue_brackets_hold_against_the_oracle(case):
     assert np.all(sd.lambda_err <= 1e-10 * sd.lambdas)
     assert sd.lambda_next_lower == enc.lower[count]
     T4 = truncate(params, 4 * sd.N_used)
-    below_lower = _mp_sturm_counts(T4, list(lower) + [sd.lambda_next_lower])
-    below_upper = _mp_sturm_counts(T4, list(upper))
+    below_lower = mp_sturm_counts(T4, list(lower) + [sd.lambda_next_lower])
+    below_upper = mp_sturm_counts(T4, list(upper))
     assert all(c <= j for j, c in enumerate(below_lower)), below_lower
     assert all(c >= j + 1 for j, c in enumerate(below_upper)), below_upper
 
@@ -145,7 +145,7 @@ def test_section_eigenvalues_hold_across_the_driver_split(params, dps, N):
     theta = spectrum.section_eigenvalues(T, 9)
     m = spectrum._margin(N)
     prec = math.ceil(dps * math.log2(10.0))
-    below = _mp_sturm_counts(T, list(theta * (1.0 - m)) + list(theta * (1.0 + m)), prec=prec)
+    below = mp_sturm_counts(T, list(theta * (1.0 - m)) + list(theta * (1.0 + m)), prec=prec)
     assert below == list(range(9)) + list(range(1, 10)), below
 
 
@@ -242,29 +242,6 @@ def test_weyl_values_hold_against_the_resolvent_oracle(q, k, count, below, far, 
         assert err <= w.series_err_bound[i], (z, float(err), w.series_err_bound[i])
 
 
-def _mp_basic_sum(upper, lower, q, z):
-    """r_phi_s(upper; lower; q, z) by its term recurrence at 60 digits, to a
-    term below 1e-35 of the absolute sum where the ratio is below 0.97."""
-    with mpmath.workdps(60):
-        upper, lower = [mpmath.mpf(a) for a in upper], [mpmath.mpf(b) for b in lower]
-        q, z = mpmath.mpf(q), mpmath.mpf(z)
-        e = 1 + len(lower) - len(upper)
-        t = s = ab = qm = mpmath.mpf(1)
-        for _ in range(20000):
-            ratio = (-qm) ** e * z / (1 - qm * q)
-            for a in upper:
-                ratio *= 1 - a * qm
-            for b in lower:
-                ratio /= 1 - b * qm
-            t *= ratio
-            s += t
-            ab += abs(t)
-            qm *= q
-            if abs(t) < mpmath.mpf(10) ** -35 * ab and abs(ratio) < 0.97:
-                return s
-    raise AssertionError("the oracle sum did not settle")
-
-
 def _signed_point(draw, log_max):
     """A point of +-[1e-2, 10^log_max], log-uniform in modulus."""
     return draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-2.0, log_max))
@@ -295,7 +272,7 @@ def test_basic_sum_holds_against_the_60_digit_sum(shape, draws):
         zs[7] = z
         his, los, bounds, failed = _basic_sum(upper, lower, q, zs)
         assert 7 not in failed
-        S = _mp_basic_sum(upper, lower, q, z)
+        S, _ = mp_basic_sum(upper, lower, q, z)
         for hi, lo, bound in (_basic_sum(upper, lower, q, z), (his[7], los[7], bounds[7])):
             with mpmath.workdps(60):
                 err = abs(mpmath.mpf(hi) + mpmath.mpf(lo) - S)

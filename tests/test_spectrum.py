@@ -21,7 +21,7 @@ from jspec.entire import (
     eval_series_deriv,
     series_pair,
 )
-from jspec.errors import ConvergenceFailure, TailDominates
+from jspec.errors import ConvergenceFailure, MassNegative, TailDominates
 from jspec.polycore import _trace_tail, second_kind_at_zero, trace_inverse
 from jspec.sequences import (
     Explicit,
@@ -47,6 +47,7 @@ from jspec.spectrum import (
     truncate,
     weyl,
 )
+from oracles import mp_section, mp_sturm_counts
 
 GEOM = JacobiParams(Geometric(0.25), 0.5)
 
@@ -194,13 +195,13 @@ def test_weyl_point_array_keeps_the_bits_of_one_point_calls(sd8, monkeypatch):
     mid = float(np.sqrt(sd8.lambdas[1] * sd8.lambdas[2]))
     points = np.array([0.0, -1e10, gamma / 2.0, -1e12, mid, 1e13, -1e6])
     builds = []
-    real = entire._series_pair
+    real = entire.series_pair
 
     def counting(*args, **kwargs):
         builds.append(args[1:4])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(entire, "_series_pair", counting)
+    monkeypatch.setattr(entire, "series_pair", counting)
     w = weyl(GEOM, points, sd8)
     assert sorted(builds) == [(14, 40, 0), (16, 40, 0), (18, 40, 0)]
     assert w.series_failed.tolist() == [False, True, False, True, False, True, False]
@@ -257,9 +258,9 @@ def test_associated_operator():
     # and the one below them (i = 4: 6.2e-25 against 1.7e-20 + 4.7e-21)
     # must lie within that sum
     sd = point_spectrum(GEOM, 6, tol=1e-10)
-    M, J, _ = spectrum._series_context(GEOM, float(rep.associated_eigenvalues[-1]) * 1.3 + 1.0, 4)
+    M, J = spectrum._series_context(GEOM, float(rep.associated_eigenvalues[-1]) * 1.3 + 1.0, 4)
     wser = series_pair(GEOM, M, J, 0)[1][0]
-    M, J, _ = spectrum._series_context(GEOM, float(sd.lambdas[-1]) * 1.3 + 1.0, sd.count + 10)
+    M, J = spectrum._series_context(GEOM, float(sd.lambdas[-1]) * 1.3 + 1.0, sd.count + 10)
     fser = series_pair(GEOM, M, J, 0)[0]
     lam_res = [
         sd.residual_F_bound[j] / abs(eval_series_deriv(fser, sd.lambda_dd(j)).value)
@@ -294,33 +295,8 @@ def test_interlacing_sections():
         prev = lams
 
 
-def _mp_sturm_counts(T, xs, prec=200) -> list[int]:
-    """Eigenvalues of T strictly below each shift in xs, counted in
-    ``prec``-bit arithmetic on the exact section L D L^T of T's float factor.
-
-    A zero pivot, which is not counted, is taken as a tiny positive one: the
-    pivots at x minus a tiny amount, where the count is the same unless x is
-    an eigenvalue of T.
-    """
-    counts = []
-    with mpmath.workprec(prec):
-        diag, off = _mp_section(T)
-        off_sq = [o ** 2 for o in off]
-        for x in xs:
-            x = mpmath.mpf(x)
-            d = diag[0] - x
-            count = int(d < 0)
-            for b, o2 in zip(diag[1:], off_sq):
-                if d == 0:
-                    d = mpmath.eps * max(abs(x), 1)
-                d = (b - x) - o2 / d
-                count += d < 0
-            counts.append(count)
-    return counts
-
-
 def _mp_sturm_count(T, x) -> int:
-    return _mp_sturm_counts(T, [x])[0]
+    return mp_sturm_counts(T, [x])[0]
 
 
 @pytest.mark.parametrize("params, count", [
@@ -342,7 +318,7 @@ def test_refine_root_ignores_seed_bits():
     # its error bound
     T1 = associated_section(GEOM, 59)
     seeds = section_eigenvalues(T1, 5)
-    M, J, _ = spectrum._series_context(GEOM, float(seeds[-1]) * 1.3 + 1.0, 4)
+    M, J = spectrum._series_context(GEOM, float(seeds[-1]) * 1.3 + 1.0, 4)
     evaluate = entire._value_and_slope(series_pair(GEOM, M, J, 0)[1][0])
     hi, lo, moved = spectrum._refine_roots(evaluate, seeds)
     assert np.all(moved)
@@ -358,8 +334,8 @@ def test_newton_passes_run_over_f_and_fprime_alone(monkeypatch):
     # evaluator also holds the family's.  Seeds between two eigenvalues
     # step out of the basin and come back as their seed, unmoved
     lams = section_eigenvalues(truncate(GEOM, 64), 6)
-    M, J, X = spectrum._series_context(GEOM, float(lams[-1]) * 1.3 + 1.0, 8)
-    evaluate = entire._value_and_slope(*entire._series_pair(GEOM, M, J, 9, X))
+    M, J = spectrum._series_context(GEOM, float(lams[-1]) * 1.3 + 1.0, 8)
+    evaluate = entire._value_and_slope(*entire.series_pair(GEOM, M, J, 9))
     seeds = np.concatenate((lams, np.sqrt(lams[:-1] * lams[1:])))
     passes = _horner_passes(monkeypatch)
     hi, lo, moved = spectrum._refine_roots(evaluate, seeds)
@@ -451,8 +427,8 @@ def test_mass_machinery_gets_the_family_at_the_returned_eigenvalues(monkeypatch,
     sd = point_spectrum(params, count)
     if exits:
         assert sd.refined.sum() == count - len(exits) and not sd.refined[exits].any()
-    M, J, X = spectrum._series_context(params, float(sd.lambdas[-1]) * 1.3 + 1.0, count + 10)
-    fser, fam = entire._series_pair(params, M, J, count + 11, X)
+    M, J = spectrum._series_context(params, float(sd.lambdas[-1]) * 1.3 + 1.0, count + 10)
+    fser, fam = entire.series_pair(params, M, J, count + 11)
     at = (sd.lambdas, sd.lambdas_lo)
     ev = eval_series(fam, at)
     ((got, (fp_hi, fp_lo)),) = received
@@ -564,19 +540,10 @@ def _mp_inverse_trace(diag, off):
     return mpmath.fsum(theta[i] * phi[N - 1 - i] for i in range(N)) / theta[N]
 
 
-def _mp_section(T):
-    """Diagonal and off-diagonal of the exact section L D L^T built from T's
-    float factor, at the working precision."""
-    d = [mpmath.mpf(float(x)) for x in T.d]
-    l = [mpmath.mpf(float(x)) for x in T.l]
-    diag = [d[n] + (l[n - 1] ** 2 * d[n - 1] if n else 0) for n in range(T.size)]
-    return diag, [l[n] * d[n] for n in range(T.size - 1)]
-
-
 def _mp_section_eigenvalues(T, count, dps):
     """Lowest eigenvalues of the exact section L D L^T built from T's float factor."""
     with mpmath.workdps(dps):
-        return _mp_eigsy(*_mp_section(T), dps)[:count]
+        return _mp_eigsy(*mp_section(T), dps)[:count]
 
 
 @pytest.mark.parametrize("params, N, count, dps, rel", [
@@ -738,7 +705,7 @@ def _mp_section_masses(T, dps):
     """Squared first components of the normalized eigenvectors of the exact
     section, in increasing order of the eigenvalue."""
     with mpmath.workdps(dps):
-        E, Q = mpmath.eigsy(_mp_tridiagonal(*_mp_section(T)))
+        E, Q = mpmath.eigsy(_mp_tridiagonal(*mp_section(T)))
         return [Q[0, j] ** 2 for j in sorted(range(T.size), key=lambda j: E[j])]
 
 
@@ -778,7 +745,7 @@ def test_weyl_resolvent_matches_mpmath_solve():
     lams = section_eigenvalues(T, 3)
     sd = dataclasses.replace(point_spectrum(EXPLICIT, 3), N_used=60)
     with mpmath.workdps(60):
-        diag, off = _mp_section(T)
+        diag, off = mp_section(T)
         e0 = mpmath.zeros(T.size, 1)
         e0[0] = 1
     for z in (0.0, -1.0, math.sqrt(lams[0] * lams[1]), math.sqrt(lams[1] * lams[2])):
@@ -915,7 +882,7 @@ def test_batched_stages_match_one_root_at_a_time(params, count):
     # bits of the same stage run on that root alone (EXPLICIT takes the
     # fallback route, whose rows come from the section's twisted vectors)
     sd = point_spectrum(params, count)
-    M, J, _ = spectrum._series_context(params, float(sd.lambdas[-1]) * 1.3 + 1.0, count + 10)
+    M, J = spectrum._series_context(params, float(sd.lambdas[-1]) * 1.3 + 1.0, count + 10)
     fser, fam = series_pair(params, M, J, count + 11)
     T = truncate(params, sd.N_used)
     seeds = section_eigenvalues(T, count)
@@ -968,7 +935,7 @@ POWERLAW = JacobiParams(PowerLaw(1.0, 2.0), 0.5)
 
 def _series_calls(monkeypatch, params, count):
     calls = []
-    for name in ("_series_pair", "_refine_roots"):
+    for name in ("series_pair", "_refine_roots"):
         inner = getattr(spectrum, name)
 
         def counted(*args, _name=name, _inner=inner, **kwargs):
@@ -996,7 +963,7 @@ def test_screen_keeps_series_where_a_root_refines(monkeypatch):
     # a decreasing prefix puts lambda_0 near 2e-9, where the omitted-index
     # term is small enough for Newton to certify it
     sd, calls = _series_calls(monkeypatch, EXPLICIT, 3)
-    assert {"_series_pair", "_refine_roots"} <= set(calls)
+    assert {"series_pair", "_refine_roots"} <= set(calls)
     assert sd.refined[0]
     assert np.all(np.isfinite(sd.residual_F))
 
@@ -1010,7 +977,7 @@ def test_explicit_refined_root_lies_in_its_bracket():
     enc = spectrum._enclosure(EXPLICIT, sd.N_used, 3, 1e-10)
     lam, err = float(sd.lambdas[0]), float(sd.lambda_err[0])
     assert enc.lower[0] <= lam <= enc.upper[0]
-    below = _mp_sturm_counts(truncate(EXPLICIT, 4 * sd.N_used), [lam - err, lam + err])
+    below = mp_sturm_counts(truncate(EXPLICIT, 4 * sd.N_used), [lam - err, lam + err])
     assert below[0] == 0 and below[1] >= 1
 
 
@@ -1049,7 +1016,7 @@ def test_k_near_one_with_slowly_growing_weights_is_bracketed(monkeypatch):
     assert sd.N_used <= 3584 and sizes.count(sd.N_used) == 1
     assert np.all(sd.lambda_err <= 1e-10 * sd.lambdas)
     lower = spectrum._enclosure(params, sd.N_used, 8, 1e-10).lower
-    below = _mp_sturm_counts(truncate(params, 2 * sd.N_used), list(lower))
+    below = mp_sturm_counts(truncate(params, 2 * sd.N_used), list(lower))
     assert all(c <= j for j, c in enumerate(below)), below
 
 
@@ -1082,10 +1049,63 @@ def test_tolerance_below_the_modelled_margin_checks_the_ends(params, tol):
     assert np.all(sd.lambda_err <= tol * sd.lambdas)
     enc = spectrum._enclosure(params, sd.N_used, 4, tol)
     assert _bits(sd.lambda_err) == _bits(enc.upper[:4] - enc.lower[:4])
-    below_upper = _mp_sturm_counts(truncate(params, sd.N_used), list(enc.upper[:4]))
-    below_lower = _mp_sturm_counts(truncate(params, 4 * sd.N_used), list(enc.lower))
+    below_upper = mp_sturm_counts(truncate(params, sd.N_used), list(enc.upper[:4]))
+    below_lower = mp_sturm_counts(truncate(params, 4 * sd.N_used), list(enc.lower))
     assert all(c >= j + 1 for j, c in enumerate(below_upper)), below_upper
     assert all(c <= j for j, c in enumerate(below_lower)), below_lower
+
+
+def test_solved_lower_end_above_its_section_value_refuses_the_size(monkeypatch):
+    # a T_low solve 1e-9 above T, which rounding within the margin cannot
+    # give, means no bracket at this size
+    assert spectrum._enclosure(GEOM, 32, 8, 1e-10) is not None
+    inner = spectrum.section_eigenvalues
+
+    def t_low_high(T, count):
+        low = not np.array_equal(T.d, truncate(GEOM, T.size).d)
+        return inner(T, count) * (1.0 + 1e-9 if low else 1.0)
+
+    monkeypatch.setattr(spectrum, "section_eigenvalues", t_low_high)
+    assert spectrum._enclosure(GEOM, 32, 8, 1e-10) is None
+
+
+def test_checked_upper_end_that_fails_its_count_raises(monkeypatch):
+    # every section value 1e-12 low: the checked upper ends theta (1 + s),
+    # s = 4e-15, fall below the eigenvalues, and their double-double counts
+    # say so
+    inner = spectrum.section_eigenvalues
+    monkeypatch.setattr(spectrum, "section_eigenvalues", lambda T, count: inner(T, count) * (1.0 - 1e-12))
+    with pytest.raises(ConvergenceFailure, match="not within a relative 4e-15"):
+        point_spectrum(POWERLAW, 4, tol=1e-14)
+
+
+@pytest.mark.parametrize("params", [GEOM, POWERLAW])
+def test_double_double_counts_take_a_zero_pivot_from_above(params):
+    # at x = d_0 the first pivot is exactly 0: it is not counted, and the
+    # next one is -inf, as in the float count and the 200-bit oracle
+    T = truncate(params, 32)
+    x = float(T.d[0])
+    assert spectrum._sturm_counts_dd(T, [x]) == [1] == [sturm_count(T, x)] == mp_sturm_counts(T, [x])
+
+
+@pytest.mark.parametrize("rows", [1, 32])
+def test_double_double_counts_refuse_a_nan(rows):
+    # a NaN pivot inside the recurrence, or at the last row, gives None
+    assert spectrum._sturm_counts_dd(truncate(GEOM, rows), [math.nan]) is None
+
+
+def test_mass_from_a_negated_slope_raises():
+    # mu = -W/F': a sign-flipped F' makes every series mass negative
+    sd = point_spectrum(GEOM, 8)
+    M, J = spectrum._series_context(GEOM, float(sd.lambdas[-1]) * 1.3 + 1.0, 18)
+    fser, fam = series_pair(GEOM, M, J, 19)
+    at = (sd.lambdas, sd.lambdas_lo)
+    fp = eval_series_deriv(fser, at)
+    T = truncate(GEOM, sd.N_used)
+    with pytest.raises(MassNegative):
+        spectrum._mass_machinery(
+            GEOM, *at, 18, eval_series(fam, at), (-fp.value, -fp.value_lo), T, section_eigenvalues(T, 8)
+        )
 
 
 def test_tolerance_below_the_floor_needs_the_series_certificate():
