@@ -74,7 +74,8 @@ class RunConfig:
 
 
 def _fmt_float(x) -> str:
-    if isinstance(x, float):
+    if isinstance(x, (float, np.floating)):
+        x = float(x)
         if math.isnan(x):
             return "nan"
         if math.isinf(x):
@@ -133,19 +134,9 @@ def emit_report(data, fmt: str) -> str:
             columns = list(rows[0].keys()) if rows else []
         lines = [",".join(columns)]
         for row in rows:
-            lines.append(",".join(_fmt_float(_pyval(row[c])) for c in columns))
+            lines.append(",".join(_fmt_float(row[c]) for c in columns))
         return "\n".join(lines) + "\n"
     raise UsageError(f"format: unknown output format {fmt!r}")
-
-
-def _pyval(v):
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.bool_,)):
-        return bool(v)
-    return v
 
 
 def _number(name: str, value, convert=float):

@@ -362,14 +362,18 @@ def series_pair(
     characteristic series passes n_max = 0.  This is the one builder: a
     caller sizes (M, J) with ``choose_truncation`` and builds here, and the
     weight suffix that every bound reads is formed here, once per pair.
+    Coefficients past the float range come out inf or NaN, without a
+    warning; such a series is not fit to evaluate (``point_spectrum``
+    skips it).
     """
     _check_orders(M, J, n_max)
-    (Ah, Al), (Hh, Hl) = _coefficient_tables(params, M, J, n_max)
     X = _weight_suffix(params, J)
-    return (
-        _finalize("char", M, J, Ah[:, J].copy(), Al[:, J].copy(), X),
-        _finalize("second_kind", M, J, Hh, Hl, X, _seed_beyond(params, J)),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        (Ah, Al), (Hh, Hl) = _coefficient_tables(params, M, J, n_max)
+        return (
+            _finalize("char", M, J, Ah[:, J].copy(), Al[:, J].copy(), X),
+            _finalize("second_kind", M, J, Hh, Hl, X, _seed_beyond(params, J)),
+        )
 
 
 def _finalize(kind, M, J, chi, clo, X, seed_beyond=0.0) -> PowerSeriesApprox:
@@ -781,7 +785,6 @@ def choose_truncation(
     radius: float,
     tol: float,
     min_cutoff: int = 0,
-    max_cutoff: int = 1 << 15,
 ) -> tuple[int, int]:
     """Pick (order M, cutoff J) certifying tol/10 tails at the given radius.
 
@@ -792,12 +795,14 @@ def choose_truncation(
     true coefficients decay much faster than S^m/m!), read from the weight
     suffix at the chosen J.  M is capped at 512, and J is raised to M
     where M exceeds it, since a chain of length M needs M indices.
+    ConvergenceFailure when J, doubling from max(16, min_cutoff), reaches
+    2^15 without passing the cutoff test.
     ``series_pair(params, M, J, n_max)`` builds the series.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     radius = max(radius, 1.0)
-    J = max(16, min_cutoff)
+    J, max_cutoff = max(16, min_cutoff), 1 << 15
     while True:
         t_beyond = _weight_beyond(params, J)
         if t_beyond * radius < tol / 10.0 or J >= max_cutoff:

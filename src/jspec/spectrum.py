@@ -528,10 +528,11 @@ def _series_context(params: JacobiParams, radius: float, n_max: int):
     The cutoff also clears n_max by a margin: the omitted-seed bound of the
     shift-n series is n-independent, so it must be pushed below the smallest
     retained coefficient scale k^{2 n_max}/a_{n_max} times the certification
-    headroom.  ``choose_truncation`` certifies a target exactly when its
-    cutoff test passes at J_cap, the last cutoff it tries (the tail bound
-    only falls as the cutoff grows), so that test picks the target and one
-    call follows.
+    headroom.  ``choose_truncation`` doubles its cutoff from the same
+    n_max + 16, so it certifies a target by J_cap, the first doubling from
+    2^14 on, exactly when its cutoff test passes there (the tail bound only
+    falls as the cutoff grows); that test picks the target and one call
+    follows.
     """
     J_cap = n_max + 16
     while J_cap < _CONTEXT_MAX_CUTOFF:
@@ -539,9 +540,7 @@ def _series_context(params: JacobiParams, radius: float, n_max: int):
     floor = _weight_beyond(params, J_cap) * max(radius, 1.0)
     for target in _CONTEXT_TARGETS:
         if floor < target / 10.0:
-            return choose_truncation(
-                params, radius, target, min_cutoff=n_max + 16, max_cutoff=_CONTEXT_MAX_CUTOFF
-            )
+            return choose_truncation(params, radius, target, min_cutoff=n_max + 16)
     # polynomially decaying reciprocal tails cannot reach any of the
     # targets; point_spectrum's screen (_series_hopeless) then usually
     # proves from this truncation's own bound that nothing can certify
@@ -562,15 +561,16 @@ def _refine_roots(evaluate: Callable, seeds) -> tuple[np.ndarray, np.ndarray, np
     Newton would: once the applied correction is no larger than the
     certified root resolution err_bound/|F'| (so the result does not depend
     on the last bits of the seed; a stop on small |F| alone would keep
-    whichever point first fell inside the noise band), at a 1e-30 relative
-    step, or at F' = 0.  The stop test reads the step, the previous
-    evaluation's bound and the stepped point only, so a root is not
-    evaluated where it stops: the caller evaluates what it needs at the
-    returned points.  A step leaving the basin (farther than ``_BASIN``
-    from the seed, relative to it) returns the seed exactly, unmoved with a
-    zero low word; so a moved root lies within ``_BASIN`` of its seed.
-    ConvergenceFailure when some root is still moving after ``_NEWTON_CAP``
-    steps.
+    whichever point first fell inside the noise band), or at a 1e-30
+    relative step.  The stop test reads the step, the previous evaluation's
+    bound and the stepped point only, so a root is not evaluated where it
+    stops: the caller evaluates what it needs at the returned points.  One
+    exit rule covers every other step: a step that is not finite (F' = 0,
+    or a NaN F or F') or that leaves the basin (lands farther than
+    ``_BASIN`` from the seed, relative to it) returns the seed exactly,
+    unmoved with a zero low word; so a moved root lies within ``_BASIN`` of
+    its seed.  ConvergenceFailure when some root is still moving after
+    ``_NEWTON_CAP`` steps.
     """
     seeds = np.asarray(seeds, dtype=float)
     zh = seeds.copy()
@@ -579,24 +579,25 @@ def _refine_roots(evaluate: Callable, seeds) -> tuple[np.ndarray, np.ndarray, np
     fval, flo, ferr = fe.value, fe.value_lo, fe.err_bound
     moved = np.ones(zh.shape, dtype=bool)
     active = np.flatnonzero(moved)
-    for _ in range(_NEWTON_CAP):
-        if not active.size:
-            break
-        active = active[fph[active] != 0.0]
-        fpv = fph[active]
-        sh, sl = dd.dd_div(fval[active], flo[active], fpv, fpl[active])
-        # a step out of the basin keeps the section value
-        out = np.abs(zh[active] - seeds[active] - sh) > _BASIN * np.abs(seeds[active])
-        exits = active[out]
-        zh[exits], zl[exits], moved[exits] = seeds[exits], 0.0, False
-        active, sh, sl, fpv = active[~out], sh[~out], sl[~out], fpv[~out]
-        resolution = ferr[active] / np.abs(fpv)
-        zh[active], zl[active] = dd.dd_sub(zh[active], zl[active], sh, sl)
-        done = (np.abs(sh) <= resolution) | (np.abs(sh) <= 1e-30 * np.abs(zh[active]))
-        active = active[~done]
-        if active.size:
-            fe, fph[active], fpl[active] = evaluate(zh[active], zl[active])
-            fval[active], flo[active], ferr[active] = fe.value, fe.value_lo, fe.err_bound
+    # F' = 0 or a NaN makes a step that is not finite, which exits below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_CAP):
+            if not active.size:
+                break
+            fpv = fph[active]
+            sh, sl = dd.dd_div(fval[active], flo[active], fpv, fpl[active])
+            # a step that is not finite or leaves the basin keeps the section value
+            out = ~(np.abs(zh[active] - seeds[active] - sh) <= _BASIN * np.abs(seeds[active]))
+            exits = active[out]
+            zh[exits], zl[exits], moved[exits] = seeds[exits], 0.0, False
+            active, sh, sl, fpv = active[~out], sh[~out], sl[~out], fpv[~out]
+            resolution = ferr[active] / np.abs(fpv)
+            zh[active], zl[active] = dd.dd_sub(zh[active], zl[active], sh, sl)
+            done = (np.abs(sh) <= resolution) | (np.abs(sh) <= 1e-30 * np.abs(zh[active]))
+            active = active[~done]
+            if active.size:
+                fe, fph[active], fpl[active] = evaluate(zh[active], zl[active])
+                fval[active], flo[active], ferr[active] = fe.value, fe.value_lo, fe.err_bound
     if active.size:
         raise ConvergenceFailure(
             f"Newton on the series did not settle {active.size} of {zh.size} roots "
@@ -671,9 +672,9 @@ def _margin(N: int) -> float:
 def _enclosure(params: JacobiParams, N: int, count: int, tol: float) -> Optional[_Enclosure]:
     """Two-sided bounds on the first count + 1 eigenvalues of the operator J
     from its N-row section T, or None when the size cannot bracket them
-    within ``tol``: the tail does not clear them, T_low's Rayleigh quotient
-    or its Sturm counts put a lower end too low, or a lower end comes out
-    above its section value, which rounding within the margin cannot do.
+    within ``tol``: the tail does not clear them, T_low's Sturm counts put
+    a lower end too low, or a lower end comes out above its section value,
+    which rounding within the margin cannot do.
 
     J = sum_n a_n v_n v_n^T with v_n = e_n + k e_{n+1}.  T holds the terms
     n < N - 1 and a_{N-1} e_{N-1} e_{N-1}^T, so min-max gives
@@ -693,12 +694,6 @@ def _enclosure(params: JacobiParams, N: int, count: int, tol: float) -> Optional
     tail too close to theta_count) nothing is bounded.  Each of R's bound,
     t and the scaled pivot is rounded down (``_DOWN``), so the split holds
     for the float a_n and k.
-
-    T_low's pivot d' gives it the Rayleigh quotient
-    d' (1-k^2) / (1-k^{2N}) >= lambda_0(T_low) at L^{-T} e_{N-1}, whose
-    entries are (-k)^{N-1-n}.  When that already leaves the lower end of
-    index 0 further than tol theta_0 below its upper end, the size cannot
-    certify and T_low is left alone.
 
     Below ``_COUNT_FROM`` rows T_low is solved like T (``section_eigenvalues``),
     and each end is widened by the relative margin m = c N eps with
@@ -756,9 +751,6 @@ def _enclosure(params: JacobiParams, N: int, count: int, tol: float) -> Optional
     d = T.d.copy()
     d[-1] = d[-1] * (t / (1.0 + t)) * _DOWN
     m = _margin(N)
-    rayleigh = float(d[-1]) * (1.0 - k * k) / (1.0 - k ** (2 * N))
-    if rayleigh * (1.0 - m) < float(theta[0]) * (1.0 + m - tol):
-        return None
     T_low = TruncatedJacobi(d=d, l=T.l)
     # checked: the modelled margins of the two ends would take over a half
     # of tol, so double-double Sturm counts check each end instead
@@ -836,9 +828,12 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
 
     When the series bound itself shows that no root can refine and no mass
     can certify (``_series_hopeless``; polynomially decaying reciprocal
-    tails), no series is built: the section values and their Gauss weights
-    are returned as the full path would return them, ``residual_F`` and
-    ``residual_F_abs_sum`` are NaN and ``residual_F_bound`` is inf.
+    tails), no series is built; when a coefficient of the built series or
+    family is not finite (weights 1/((1-k^2) a_j) so large that the chain
+    sums leave the float range), it is not evaluated.  Either way the
+    section values and their Gauss weights are returned as the full path
+    would return them, ``residual_F`` and ``residual_F_abs_sum`` are NaN
+    and ``residual_F_bound`` is inf.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -868,7 +863,13 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
     M, J = _series_context(params, radius, n_aux)
     seeds = enc.theta[:count]
 
-    if np.all(_series_hopeless(params, M, J, seeds, tol)):
+    series = None
+    if not np.all(_series_hopeless(params, M, J, seeds, tol)):
+        series = series_pair(params, M, J, n_aux + 1)
+        # coefficients past the float range: nothing to evaluate
+        if not all(np.isfinite(c).all() for s in series for c in (s.coeffs, s.coeffs_lo)):
+            series = None
+    if series is None:
         lam_hi, lam_lo = seeds.copy(), np.zeros(count)
         refined = np.zeros(count, dtype=bool)
         lam_err = width
@@ -877,8 +878,7 @@ def point_spectrum(params: JacobiParams, count: int, tol: float = 1e-10) -> Spec
         _, masses_q, eig_res = _section_weights(T, seeds)
         masses, route = masses_q.copy(), ["fallback"] * count
     else:
-        fser, fam = series_pair(params, M, J, n_aux + 1)
-        evaluate = _value_and_slope(fser, fam)
+        evaluate = _value_and_slope(*series)
         hi, lo, moved = _refine_roots(evaluate, seeds)
         # F, F' and the family at every returned root, in one wide pass
         fe, fp_hi, fp_lo, fam_ev = evaluate(hi, lo, True)

@@ -161,6 +161,29 @@ def test_cli_identities_draws(capsys):
     assert data["all_hold"] is True
 
 
+def test_cli_identities_csv(capsys):
+    # one draw of each of the 7 identities; the params field holds the
+    # draw's parameters as a JSON object
+    assert main(["--format", "csv", "identities", "--draws", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "identity_id,params,lhs,rhs,abs_err,rel_err,trunc_bound,depth"
+    assert len(lines) == 8
+    for line in lines[1:]:
+        match = re.fullmatch(r"(\w+),(\{.*\}),([^{},]+,){5}\d+", line)
+        assert match and isinstance(json.loads(match[2]), dict), line
+
+
+def test_cli_spectrum_with_no_certifying_size_exits_2(capsys, monkeypatch):
+    from jspec import spectrum
+
+    monkeypatch.setattr(spectrum, "_enclosure", lambda *args: None)
+    assert main(["--q", "0.25", "spectrum", "--count", "8"]) == 2
+    assert (
+        "no section of up to 28672 rows brackets the first 8 eigenvalues to a relative 1e-10"
+        in capsys.readouterr().err
+    )
+
+
 def test_cli_identities_take_q_from_the_config_file(capsys, tmp_path):
     # q was set to 0.25 before the file was read, so the file's q was ignored
     path = tmp_path / "run.json"

@@ -80,7 +80,7 @@ from jspec.entire import (
     series_pair,
 )
 from jspec.polycore import _trace_tail, second_kind_at_zero, trace_inverse
-from jspec.qlaguerre import _ARRAY_FROM, _STOP, _basic_sum
+from jspec.qlaguerre import _STOP, _basic_sum
 from jspec.sequences import (
     Explicit,
     Geometric,
@@ -266,9 +266,9 @@ def test_basic_sum_holds_against_the_60_digit_sum(shape, draws):
     @given(case=_basic_sum_cases(shape))
     def check(case):
         upper, lower, q, z = case
-        # the draw's argument also sits among smaller ones in an array that
+        # the draw's argument also sits among smaller ones in an array, which
         # takes the numpy pass
-        zs = np.geomspace(1e-3, 1.0, _ARRAY_FROM + 8) * z
+        zs = np.geomspace(1e-3, 1.0, 40) * z
         zs[7] = z
         his, los, bounds, failed = _basic_sum(upper, lower, q, zs)
         assert 7 not in failed

@@ -143,6 +143,20 @@ def test_trace_inverse_closed_form():
     assert direct > second_kind_at_zero(GEOM, 0)
 
 
+def test_second_trace_route_doubles_its_cutoff(monkeypatch):
+    # at q = k = 0.9 the suffix sums from n_stop + 8 drop too much: the
+    # cutoff doubles once, and the routes still agree
+    params = JacobiParams(Geometric(0.9), 0.9)
+    cutoffs = []
+    inner = polycore.tail_sum_reciprocal
+    monkeypatch.setattr(
+        polycore, "tail_sum_reciprocal", lambda seq, n: cutoffs.append(n - 1) or inner(seq, n)
+    )
+    direct, alt = trace_inverse_routes(params, tol=1e-14)
+    assert len(cutoffs) == 2 and cutoffs[1] == 2 * cutoffs[0]
+    assert abs(direct - alt) <= 1e-15 * direct
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 2.2])
 def test_trace_inverse_power_law_matches_mpmath(p):
     # sum_j (1 - k^{2j+2}) / ((1-k^2) c (j+1)^p) = (zeta(p) - Li_p(k^2)) / (c (1-k^2));

@@ -180,7 +180,7 @@ def _terms_used(upper, lower, q, z):
                  1e300, id="1phi1"),
     pytest.param((0.5, 0.5), (0.25,), 0.5, lambda w: np.linspace(-0.5, 0.5, w), 1.2, id="2phi1"),
 ])
-@pytest.mark.parametrize("width", [5, Q._ARRAY_FROM - 1, Q._ARRAY_FROM, 200])
+@pytest.mark.parametrize("width", [5, 31, 32, 200])
 def test_basic_sum_arrays_keep_the_bits_of_one_point_calls(upper, lower, q, points, fail, width):
     # one argument per array fails; it is flagged, and only consuming it raises
     z = points(width)
@@ -276,6 +276,19 @@ def test_qbessel2_roots_raise_only_at_grid_points_the_scan_reaches(monkeypatch):
     monkeypatch.setattr(Q, "_basic_sum", flagging(1.01 * roots[-2]))
     with pytest.raises(ConvergenceFailure, match="flagged"):
         qbessel2_roots(1.0, QP, 5)
+
+
+def test_qbessel2_roots_raise_when_the_scan_finds_too_few(monkeypatch):
+    # a section whose eigenvalues all read 1e-6 puts the scan's end at
+    # 2.2 sqrt(1e-6), below the first root
+    monkeypatch.setattr(Q, "section_eigenvalues", lambda T, count: np.full(count, 1e-6))
+    with pytest.raises(DivergentArgument, match=re.escape("found only 0 roots below x=0.0022")):
+        qbessel2_roots(1.0, QP, 5)
+
+
+def test_basic_sum_takes_a_fixed_number_of_terms_at_one_argument_only():
+    with pytest.raises(ValueError, match="one argument"):
+        Q._basic_sum((), (0.0625,), 0.25, np.array([-0.5, 0.5]), terms=3)
 
 
 def test_q_laguerre_values():

@@ -8,6 +8,9 @@ function from its three structurally different routes.
 
 import dataclasses
 import math
+import re
+import warnings
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -342,6 +345,28 @@ def test_newton_passes_run_over_f_and_fprime_alone(monkeypatch):
     assert passes and all(columns == 2 for columns, _ in passes)
     assert moved[:6].all() and not moved[6:].any()
     assert _bits(hi[6:]) == _bits(seeds[6:]) and np.all(lo[6:] == 0.0)
+
+
+def _constant_evaluator(f, fprime):
+    """An F/F' evaluator reading F = f and F' = fprime (low words 0) everywhere."""
+
+    def evaluate(zh, zl):
+        n = len(zh)
+        fe = SimpleNamespace(value=np.full(n, f), value_lo=np.zeros(n), err_bound=np.zeros(n))
+        return fe, np.full(n, fprime), np.zeros(n)
+
+    return evaluate
+
+
+@pytest.mark.parametrize("f, fprime", [(math.nan, math.nan), (1e-3, 0.0), (0.0, 0.0)])
+def test_newton_step_that_is_not_finite_returns_the_seed(f, fprime):
+    # a NaN, infinite or 0/0 step fails the basin test like a step out of
+    # the basin: the seed comes back exactly, unmoved, and no warning
+    seeds = np.array([0.5, 2.0, 7.25])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hi, lo, moved = spectrum._refine_roots(_constant_evaluator(f, fprime), seeds)
+    assert _bits(hi) == _bits(seeds) and np.all(lo == 0.0) and not moved.any()
 
 
 def test_q4_request_runs_one_kernel_pass_and_no_derivative_pass(monkeypatch):
@@ -803,6 +828,30 @@ def test_point_spectrum_evaluates_all_roots_at_once(monkeypatch):
     assert at8 <= 10
 
 
+def test_no_size_that_certifies_raises(monkeypatch):
+    monkeypatch.setattr(spectrum, "_enclosure", lambda *args: None)
+    with pytest.raises(ConvergenceFailure, match=re.escape(
+        "no section of up to 28672 rows brackets the first 8 eigenvalues to a relative 1e-10"
+    )):
+        point_spectrum(GEOM, 8)
+
+
+def test_small_scale_power_law_returns_its_section_values():
+    # at c = 1e-8 the weights 1/((1-k^2) a_j) are about 1e8 and the fallback
+    # series' coefficients leave the float range from order 45: it is built
+    # without a warning and never evaluated, and the brackets certify at 56
+    # rows.  The operator is the c = 1 operator scaled by c
+    params = JacobiParams(PowerLaw(1e-8, 1.3), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sd = point_spectrum(params, 8)
+    assert sd.N_used == 56 and not sd.refined.any()
+    assert np.all(sd.lambda_err <= 1e-10 * sd.lambdas)
+    assert np.all(np.isnan(sd.residual_F)) and np.all(sd.residual_F_bound == math.inf)
+    unit = point_spectrum(JacobiParams(PowerLaw(1.0, 1.3), 0.5), 8)
+    assert np.all(np.abs(sd.lambdas - 1e-8 * unit.lambdas) <= 1e-10 * sd.lambdas)
+
+
 def test_newton_cap_raises(monkeypatch):
     # at q = 1/4 every root needs two Newton steps; a root still moving at
     # the cap raises instead of passing as refined
@@ -825,6 +874,12 @@ def test_twisted_vectors_match_one_shift_at_a_time(params):
 
 def _bits(x):
     return np.asarray(x).tobytes()
+
+
+def test_phi_tail_sq_bails_out_on_an_envelope_that_does_not_decay(monkeypatch):
+    # envelope 1 + n from n_max + 1 = 11 on: 12^2 plus 12^2 / (1 - k^2)
+    monkeypatch.setattr(spectrum, "_envelope_factors", lambda params, n: (1.0 + n, 0.0))
+    assert spectrum._phi_tail_sq(GEOM, 10, 1.0, []) == 144.0 + 144.0 / 0.75
 
 
 def _qd_sweep_by_rows(add, mul, first, x):
@@ -1020,22 +1075,14 @@ def test_k_near_one_with_slowly_growing_weights_is_bracketed(monkeypatch):
     assert all(c <= j for j, c in enumerate(below)), below
 
 
-def test_rayleigh_quotient_skips_a_size_that_cannot_bracket(monkeypatch):
-    # at 48 rows the tail barely clears theta_4: T_low's Rayleigh quotient
-    # at L^{-T} e_47 lies far below theta_0, so T_low is not solved there
+def test_a_size_whose_bracket_is_too_wide_is_passed_over():
+    # at 48 rows the tail barely clears theta_4: T_low's lowest eigenvalue
+    # lies far below theta_0, so the bracket is too wide and a larger size
+    # certifies
     params = JacobiParams(PowerLaw(1.0, 2.0), 0.9)
-    enc = spectrum._enclosure(params, 48, 4, 1.0)
+    enc = spectrum._enclosure(params, 48, 4, 1e-10)
     assert enc.upper[0] - enc.lower[0] > 1e-10 * enc.theta[0]
-    sizes = []
-    inner = spectrum.section_eigenvalues
-
-    def recorded(T, count):
-        sizes.append(T.size)
-        return inner(T, count)
-
-    monkeypatch.setattr(spectrum, "section_eigenvalues", recorded)
-    sd = point_spectrum(params, 4)
-    assert sizes.count(48) == 1 and sd.N_used > 48
+    assert point_spectrum(params, 4).N_used == 192
 
 
 @pytest.mark.parametrize(
